@@ -19,7 +19,8 @@ Hierarchies
     classes of alpha*gamma and kappa_alpha*gamma are identified.
 ``inflation``
     index over copy-indexed letters; classes are merged along the orbit
-    of the per-source symmetric-group action, and every product whose
+    of the per-source symmetric-group action, generated by one
+    transposition and one m-cycle per source, and every product whose
     connected components look like fresh copies of (a sub-network of) the
     original scenario is pinned to the matching marginal product.
 ``factorisation_star``
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scenarios import Distribution, Scenario
+from .scenarios import Distribution, Scenario, UnionFind, linked_components
 from .words import (
     EMPTY_WORD,
     Alphabet,
@@ -209,22 +210,6 @@ def _build_groups(index: Sequence[Word]):
     return keys, [np.asarray(c, dtype=np.int64) for c in cells], key_of, cell_class
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _completeness_rows(scenario: Scenario, alphabet: Alphabet,
                        index: Sequence[Word], cell_class: np.ndarray,
                        pos: Mapping[Word, int]) -> list[Row]:
@@ -291,30 +276,10 @@ def _pinnable_value(scenario: Scenario, dist: Distribution, key: Word,
         return None
     if not letters:
         return 1.0
-    # union-find over (source, copy) nodes
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    nodes_of = []
-    for l in letters:
-        nodes = _source_nodes(scenario, l, inflated)
-        nodes_of.append(nodes)
-        for nd in nodes:
-            parent.setdefault(nd, nd)
-        for nd in nodes[1:]:
-            ra, rb = find(nodes[0]), find(nd)
-            if ra != rb:
-                parent[ra] = rb
-    comps: dict[tuple[str, int], list[int]] = {}
-    for li, nodes in enumerate(nodes_of):
-        comps.setdefault(find(nodes[0]), []).append(li)
+    nodes_of = [_source_nodes(scenario, l, inflated) for l in letters]
+    comps = linked_components(nodes_of)
     total = 1.0
-    for members in comps.values():
+    for members in comps:
         parties = [letters[li].party for li in members]
         if len(set(parties)) != len(parties):
             return None
@@ -363,7 +328,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
             f"index size {len(index)} exceeds budget {budget} "
             f"({hierarchy}, n={n}" + (f", m={m}" if m else "") + ")")
     keys, cells, key_of, cell_group = _build_groups(index)
-    uf = _UnionFind(len(keys))
+    uf = UnionFind()
     if merges is not None:
         for g1, g2 in merges(keys, key_of):
             uf.union(g1, g2)
@@ -513,11 +478,35 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
                      merges=merges, merge_family="scalar identification")
 
 
-def _perm_group(m: int) -> list[dict[int, int]]:
-    perms = []
-    for images in itertools.permutations(range(1, m + 1)):
-        perms.append({i + 1: images[i] for i in range(m)})
-    return perms
+def _copy_orbit_edges(keys: Sequence[Word], key_of: Mapping[Word, int],
+                      alphabet: Alphabet, m: int) -> list[tuple[int, int]]:
+    """Edges (g, g') joining each group key to its image under every
+    generator of the copy-relabelling group (S_m)^sources, one source at a
+    time: the transposition (1 2), plus the m-cycle when m >= 3.
+
+    The connected components are the orbits of the full group, provided the
+    key set is closed under relabelling, as it is on a full index; a
+    generator image outside the key set therefore raises.
+    """
+    gens = [{1: 2, 2: 1}] if m >= 2 else []
+    if m >= 3:
+        gens.append({i: i % m + 1 for i in range(1, m + 1)})
+    out = []
+    for src in alphabet.sources():
+        for gen in gens:
+            perms_by_source = {src: gen}
+            for g, k in enumerate(keys):
+                img = _min_key(act_permutation(
+                    k, None, alphabet=alphabet, perms_by_source=perms_by_source))
+                g2 = key_of.get(img)
+                if g2 is None:
+                    raise RuntimeError(
+                        f"copy relabelling {perms_by_source} maps key {k!r} to "
+                        f"{img!r}, which is not a key: the key set is not "
+                        "closed under relabelling")
+                if g2 != g:
+                    out.append((g, g2))
+    return out
 
 
 def build_inflation(scenario: Scenario, n: int, m: int, *,
@@ -526,12 +515,19 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
                     index_words: Sequence[Word] | None = None) -> MomentProblem:
     """Inflated moment problem with per-source symmetric-group merges.
 
+    Classes are the orbits of the copy-relabelling group (S_m)^sources on
+    the Hankel groups, found by joining every group to its images under one
+    transposition and one m-cycle per source: on a full index the group
+    keys are closed under relabelling, so these generators reach the whole
+    orbit.
+
     ``index_words`` restricts the index to an explicit word list (plus the
     empty word); used to host the scalar-extension image words, where the
     full order-n index over many copies would be far beyond desk scale.
-    Symmetry merges are skipped for restricted indices: the permutation
-    group of a large m explodes, and the restricted assignments feed a
-    construction that never consults the merged classes.
+    Symmetry merges are skipped for restricted indices: a restricted key
+    set need not be closed under relabelling, so the generators would not
+    reach whole orbits, and the restricted assignments feed a construction
+    that never consults the merged classes.
     """
     if scenario.topology not in ("bilocal", "triangle"):
         raise ValueError("inflation supports the bilocal and triangle topologies")
@@ -540,22 +536,9 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
     if index_words is None and m > 3:
         raise BudgetError("inflation order > 3 exceeds the desk-scale budget")
     alphabet = scenario.inflated_alphabet(m)
-    sources = alphabet.sources()
 
     def merges(keys: list[Word], key_of: dict[Word, int]):
-        out = []
-        group = _perm_group(m)
-        for combo in itertools.product(group, repeat=len(sources)):
-            if all(all(p[k] == k for k in p) for p in combo):
-                continue
-            perms_by_source = dict(zip(sources, combo))
-            for g, k in enumerate(keys):
-                img = _min_key(act_permutation(
-                    k, None, alphabet=alphabet, perms_by_source=perms_by_source))
-                g2 = key_of.get(img)
-                if g2 is not None and g2 != g:
-                    out.append((g, g2))
-        return out
+        return _copy_orbit_edges(keys, key_of, alphabet, m)
 
     p = _assemble(scenario, "inflation", n, m, alphabet,
                   completeness=completeness, budget=budget,

@@ -36,6 +36,46 @@ class ScenarioError(ValueError):
     pass
 
 
+class UnionFind:
+    """Disjoint sets over hashable items; an item is a singleton until it
+    is first joined."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while True:
+            p = parent.get(x, x)
+            if p == x:
+                return x
+            gp = parent.get(p, p)
+            parent[x] = gp       # path halving
+            x = gp
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def linked_components(nodes_of: Sequence[Sequence]) -> list[list[int]]:
+    """Group items that share a node, transitively.
+
+    ``nodes_of[i]`` lists the (nonempty) nodes item i touches, e.g. the
+    (source, copy) pairs of a letter.  Returns the item indices of each
+    component, components in order of their first item.
+    """
+    uf = UnionFind()
+    for nodes in nodes_of:
+        for nd in nodes[1:]:
+            uf.union(nodes[0], nd)
+    comps: dict = {}
+    for i, nodes in enumerate(nodes_of):
+        comps.setdefault(uf.find(nodes[0]), []).append(i)
+    return list(comps.values())
+
+
 class SignallingError(ValueError):
     """A distribution whose marginals depend on other parties' inputs."""
 
@@ -575,32 +615,11 @@ class InflatedBilocalOracle:
         for l in w.letters:
             if not l.is_measurement or l.copies is None:
                 raise ScenarioError("inflated oracle expects inflated measurement words")
-        # union-find over (source, copy) nodes
-        parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for l in w.letters:
-            nodes = [(src, c) for src, c, _ in self._letter_nodes(l)]
-            for nd in nodes:
-                parent.setdefault(nd, nd)
-            for nd in nodes[1:]:
-                union(nodes[0], nd)
-        comps: dict[tuple[str, int], list[Letter]] = {}
-        for l in w.letters:
-            root = find(self._letter_nodes(l)[0][:2])
-            comps.setdefault(root, []).append(l)
+        comps = linked_components([[(src, c) for src, c, _ in self._letter_nodes(l)]
+                                   for l in w.letters])
         total = 1.0 + 0.0j
-        for root, letters in comps.items():
+        for members in comps:
+            letters = [w.letters[i] for i in members]
             copies = sorted({(src, c) for l in letters
                              for src, c, _ in self._letter_nodes(l)})
             total *= self._component_value(copies, letters)

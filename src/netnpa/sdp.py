@@ -260,6 +260,7 @@ class _ClassSystem:
         self.free_pos = {int(c): i for i, c in enumerate(self.free)}
         self.R, self.b = self._reduced_rows()
         self.y0 = np.zeros(len(self.free))   # a solution of R y = b, once known
+        self.N: np.ndarray | None = None     # basis of ker R, set by factor_rows
         self._proj_ready = False
 
     # -- presolve ------------------------------------------------------------
@@ -364,9 +365,28 @@ class _ClassSystem:
         return self.assemble(a)
 
     def least_squares_consistent(self) -> tuple[bool, str]:
+        """Check that R y = b is solvable and keep its least-squares
+        solution as ``y0``."""
         if not self.R.shape[0]:
             return True, ""
         sol, *_ = np.linalg.lstsq(self.R, self.b, rcond=None)
+        return self._accept_solution(sol)
+
+    def factor_rows(self) -> tuple[bool, str]:
+        """:meth:`least_squares_consistent` plus ``N``, an orthonormal basis
+        of ker R, from one SVD of R; ``y0`` is the minimum-norm solution,
+        as from ``lstsq`` (same rank cut-off)."""
+        if not self.R.shape[0]:
+            self.N = np.eye(len(self.free))
+            return True, ""
+        u, s, vt = np.linalg.svd(self.R, full_matrices=self.R.shape[0] < self.R.shape[1])
+        rank = int((s > s.max(initial=0.0) * max(self.R.shape)
+                    * np.finfo(float).eps).sum())
+        self.N = vt[rank:].T
+        sol = vt[:rank].T @ ((u[:, :rank].T @ self.b) / s[:rank])
+        return self._accept_solution(sol)
+
+    def _accept_solution(self, sol: np.ndarray) -> tuple[bool, str]:
         resid = self.R @ sol - self.b
         worst = int(np.abs(resid).argmax())
         if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
@@ -426,13 +446,9 @@ class _ReducedLmi:
 
 def _reduce(cs: _ClassSystem) -> _ReducedLmi | None:
     """Eliminate the affine constraints and the common kernel; None when
-    the reduced problem is too large for the interior point."""
-    if cs.R.shape[0]:
-        _, s, vt = np.linalg.svd(cs.R, full_matrices=cs.R.shape[0] < cs.R.shape[1])
-        rank = int((s > s[0] * max(cs.R.shape) * np.finfo(float).eps).sum())
-        N = vt[rank:].T
-    else:
-        N = np.eye(len(cs.free))
+    the reduced problem is too large for the interior point.  Needs
+    ``cs.factor_rows()`` to have run."""
+    N = cs.N
     p = N.shape[1]
     X0 = cs.assemble(cs.y0)
     gram = X0 @ X0
@@ -555,7 +571,12 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
     if cs.contradiction is not None:
         return FeasibilityOutcome("infeasible", t_star=-np.inf,
                                   evidence=cs.contradiction)
-    ok, msg = cs.least_squares_consistent()
+    use_interior = (engine == "interior"
+                    or (engine == "auto" and len(cs.free) <= INTERIOR_MAX_FREE
+                        and cs.n <= INTERIOR_MAX_DIM))
+    # the interior point needs ker R as well, and one SVD gives both; the
+    # projections need only y0, which lstsq finds more cheaply
+    ok, msg = cs.factor_rows() if use_interior else cs.least_squares_consistent()
     if not ok:
         return FeasibilityOutcome("infeasible", t_star=-np.inf, evidence=msg)
     bound, chosen = cs.known_submatrix_bound()
@@ -577,9 +598,6 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
         return FeasibilityOutcome("inconclusive", t_star=lam,
                                   evidence="fully determined, min eigenvalue "
                                            "in the inconclusive band")
-    use_interior = (engine == "interior"
-                    or (engine == "auto" and len(cs.free) <= INTERIOR_MAX_FREE
-                        and cs.n <= INTERIOR_MAX_DIM))
     if use_interior:
         found = _interior_phase1(cs, tol)
         if found is not None:
@@ -627,7 +645,7 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     cs = _ClassSystem(problem)
     if cs.contradiction is not None:
         raise SdpStructureError(f"infeasible problem: {cs.contradiction}")
-    ok, msg = cs.least_squares_consistent()
+    ok, msg = cs.factor_rows()
     if not ok:
         raise SdpStructureError(f"infeasible problem: {msg}")
     red = _reduce(cs)

@@ -16,7 +16,8 @@ followed by one block per party in the fixed order A < B < C < D.  Inside
 an inflated party block, where only a partial commutation is available,
 we take the lexicographically least representative of the trace-monoid
 class (computed greedily) and collapse repeated adjacent measurement
-letters until a fixed point.  Equality and hashing act on this form only.
+letters until a fixed point; each block's form is memoised on its letters.
+Equality and hashing act on this form only.
 """
 
 from __future__ import annotations
@@ -140,21 +141,35 @@ def _block_normal(letters: list[Letter]) -> list[Letter]:
         cur = nxt
 
 
+# Normal form of each party block seen so far, keyed on the block's
+# letters.  It is a pure function of that tuple, so one table serves every
+# word built in the process; a block of at most one letter is its own form.
+_BLOCK_NORMAL: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
+
+
 def canonicalize(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Canonical minimal form of an arbitrary letter sequence."""
     scalars: list[Letter] = []
-    blocks: dict[str, list[Letter]] = {p: [] for p in PARTY_ORDER}
+    blocks: dict[str, list[Letter]] = {}
     for l in letters:
-        if l.kind == IDENTITY:
-            continue
-        if l.is_scalar:
+        if l.kind == MEASUREMENT:
+            blocks.setdefault(l.party, []).append(l)
+        elif l.kind == SCALAR:
             scalars.append(l)
-        else:
-            blocks[l.party].append(l)
     scalars.sort(key=Letter.sort_key)
     out = scalars
     for p in PARTY_ORDER:
-        out.extend(_block_normal(blocks[p]))
+        block = blocks.get(p)
+        if block is None:
+            continue
+        if len(block) > 1:
+            key = tuple(block)
+            norm = _BLOCK_NORMAL.get(key)
+            if norm is None:
+                norm = _BLOCK_NORMAL[key] = tuple(_block_normal(block))
+            out.extend(norm)
+        else:
+            out.extend(block)
     return tuple(out)
 
 

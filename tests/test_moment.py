@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from netnpa import words
 from netnpa.moment import (
     BudgetError,
     MomentAssignment,
+    _copy_orbit_edges,
+    _min_key,
     build_inflation,
     build_standard,
     build_star_factorisation,
@@ -25,6 +28,7 @@ from netnpa.scenarios import (
     MomentOracle,
     Scenario,
     SignallingError,
+    UnionFind,
     mixed_counterexample,
     point_distribution,
     random_strategy,
@@ -32,13 +36,16 @@ from netnpa.scenarios import (
 )
 from netnpa.words import (
     EMPTY_WORD,
+    Word,
+    act_permutation,
     concat,
     enumerate_words,
+    involute,
     scalar_letter,
     word,
 )
 
-from helpers import BILOCAL_111, TRIANGLE_111, cached_problem, meas
+from helpers import BILOCAL_111, TRIANGLE_111, all_sequences, cached_problem, meas
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -351,3 +358,79 @@ def test_shared_random_bit_passes_scalar_extension():
     a = oracle_assignment(pp, SubstitutingOracle())
     rep = check_assignment(pp, a)
     assert rep.max_residual() < 1e-12
+
+
+
+def _partition(n_keys, edges):
+    uf = UnionFind()
+    for a, b in edges:
+        uf.union(a, b)
+    blocks = {}
+    for g in range(n_keys):
+        blocks.setdefault(uf.find(g), set()).add(g)
+    return {frozenset(b) for b in blocks.values()}
+
+
+def _full_group_orbits(keys, alphabet, m):
+    # brute force: every element of (S_m)^sources applied to every key
+    key_of = {k: g for g, k in enumerate(keys)}
+    perms = [dict(zip(range(1, m + 1), images))
+             for images in itertools.permutations(range(1, m + 1))]
+    sources = alphabet.sources()
+    return {frozenset(key_of[_min_key(act_permutation(
+                k, None, alphabet=alphabet,
+                perms_by_source=dict(zip(sources, combo))))]
+                      for combo in itertools.product(perms, repeat=len(sources)))
+            for k in keys}
+
+
+def _short_product_keys(alphabet):
+    # min keys of u* v over the words of length <= 1; closed under relabelling
+    ws = enumerate_words(alphabet, 1)
+    return sorted({_min_key(concat(involute(u), v)) for u in ws for v in ws},
+                  key=Word.sort_key)
+
+
+def test_generator_orbits_equal_full_group_orbits():
+    p = cached_problem("inflation", *BILOCAL_111, 2, 2)
+    alph3 = BILOCAL.inflated_alphabet(3)
+    for keys, alph, m in ((list(p.group_keys), p.alphabet, 2),
+                          (_short_product_keys(alph3), alph3, 3)):
+        key_of = {k: g for g, k in enumerate(keys)}
+        full = _full_group_orbits(keys, alph, m)
+        assert _partition(len(keys), _copy_orbit_edges(keys, key_of, alph, m)) == full
+        if m == 3:
+            # the transposition alone (the m = 2 generators) splits some
+            # orbits, so the m-cycle is exercised
+            assert _partition(len(keys), _copy_orbit_edges(keys, key_of, alph, 2)) != full
+
+
+def test_orbit_edges_reject_a_key_set_not_closed_under_relabelling():
+    p = cached_problem("inflation", *BILOCAL_111, 2, 2)
+    keys = list(p.group_keys)
+    # drop a key that the copy swap moves: its preimage has no image left
+    moved = next(g for g, k in enumerate(keys) if len(p.class_groups(
+        int(p.group_class[g]))) > 1)
+    del keys[moved]
+    key_of = {k: g for g, k in enumerate(keys)}
+    with pytest.raises(RuntimeError, match="not closed under relabelling"):
+        _copy_orbit_edges(keys, key_of, p.alphabet, 2)
+
+
+def test_inflation_build_sizes():
+    for topology, sizes in ((TRIANGLE_111, (361, 21765, 3257, 5418)),
+                            (BILOCAL_111, (161, 4433, 1182, 1910))):
+        p = cached_problem("inflation", *topology, 2, 2)
+        assert (p.dim, len(p.group_keys), p.n_classes, len(p.rows)) == sizes
+
+
+def test_memoised_normal_forms_match_cold_computation():
+    letters = BILOCAL.inflated_alphabet(2).letters
+    seqs = list(all_sequences(letters, 4))
+    cold = []
+    for seq in seqs:
+        words._BLOCK_NORMAL.clear()
+        cold.append(words.canonicalize(seq))
+    for seq in seqs:                       # fills the table
+        words.canonicalize(seq)
+    assert [words.canonicalize(seq) for seq in seqs] == cold
