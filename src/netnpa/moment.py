@@ -30,6 +30,7 @@ Hierarchies
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -141,6 +142,20 @@ class MomentProblem:
 
     def class_cells_flat(self, cls: int) -> np.ndarray:
         return np.concatenate([self.group_cells[g] for g in self._class_groups[cls]])
+
+    @functools.cached_property
+    def class_counts(self) -> np.ndarray:
+        """Number of matrix cells in each class."""
+        return np.bincount(self.cell_class.reshape(-1),
+                           minlength=self.n_classes).astype(float)
+
+    def class_average(self, X: np.ndarray) -> np.ndarray:
+        """Mean of ``X`` over the cells of each class (the class cells
+        partition all cells)."""
+        sums = np.bincount(self.cell_class.reshape(-1),
+                           weights=X.reshape(-1),
+                           minlength=self.n_classes)
+        return sums / self.class_counts
 
     def class_of_cell(self, row_word: Word, col_word: Word) -> int:
         return int(self.cell_class[self.pos(row_word), self.pos(col_word)])
@@ -650,10 +665,7 @@ class MomentAssignment:
             raise ValueError("assignment matrix must be symmetric")
 
     def class_values(self) -> np.ndarray:
-        flat = self.matrix.reshape(-1)
-        return np.array([
-            flat[self.problem.class_cells_flat(c)].mean()
-            for c in range(self.problem.n_classes)])
+        return self.problem.class_average(self.matrix)
 
     def value(self, row_word: Word, col_word: Word) -> float:
         return float(self.matrix[self.problem.pos(row_word),

@@ -10,13 +10,20 @@ solver decides feasibility in layers, cheapest and most rigorous first:
 2. interlacing bound: if the words whose pairwise products are all
    already determined span a principal submatrix with min eigenvalue
    below the infeasibility margin, every completion shares that bound,
-   so the problem is infeasible;
-3. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set: on
+   so the problem is infeasible.  It reads only the values the presolve
+   fixed, so it runs before any factorisation;
+3. one SVD of the remaining rows R y = b over the free classes: the
+   minimum-norm solution y0 (an inconsistent system is an infeasibility
+   proof) and an orthonormal basis N of ker R, so the affine set is
+   y = y0 + N z;
+4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set: on
    small problems a primal-dual interior point (``netnpa.interior``) in
-   the null-space coordinates of the remaining rows, with the common
-   kernel of the affine set projected out; else Dykstra alternating
-   projections, which can certify feasibility (by exhibiting a witness)
-   but report only inconclusive when they stall.
+   the coordinates z, with the common kernel of the affine set projected
+   out; else Dykstra alternating projections, whose affine step is the
+   Frobenius projection built from y0 and N.  The projections can certify
+   feasibility (by exhibiting a witness) but report only inconclusive
+   when they stall; t* is then the best min eigenvalue of an iterate on
+   the affine set, a lower bound on the phase-1 optimum.
 
 Verdicts follow the phase-1 value t*: feasible when t* >= -tol (witness
 attached and re-checked), infeasible when t* < -infeasibility_margin,
@@ -31,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+import scipy.linalg
 
 from . import interior
 from .moment import MomentAssignment, MomentProblem, ResidualReport, check_assignment
@@ -246,8 +254,6 @@ class _ClassSystem:
         self.n = problem.dim
         self.k = problem.n_classes
         self.cell_class = problem.cell_class
-        flat = self.cell_class.reshape(-1)
-        self.counts = np.bincount(flat, minlength=self.k).astype(float)
         self.known = np.full(self.k, np.nan)
         self.contradiction: str | None = None
         for cls, val in problem.pinned.items():
@@ -259,9 +265,9 @@ class _ClassSystem:
         self.free = np.flatnonzero(np.isnan(self.known))
         self.free_pos = {int(c): i for i, c in enumerate(self.free)}
         self.R, self.b = self._reduced_rows()
-        self.y0 = np.zeros(len(self.free))   # a solution of R y = b, once known
-        self.N: np.ndarray | None = None     # basis of ker R, set by factor_rows
-        self._proj_ready = False
+        # set by factor_rows: a solution of R y = b and a basis of ker R
+        self.y0: np.ndarray | None = None
+        self.N: np.ndarray | None = None
 
     # -- presolve ------------------------------------------------------------
 
@@ -338,45 +344,12 @@ class _ClassSystem:
         y[self.free] = d_free
         return y[self.cell_class]
 
-    def class_average(self, X: np.ndarray) -> np.ndarray:
-        sums = np.bincount(self.cell_class.reshape(-1),
-                           weights=X.reshape(-1), minlength=self.k)
-        return sums / self.counts
-
-    def _prepare_projection(self) -> None:
-        if self._proj_ready:
-            return
-        W_inv = 1.0 / self.counts[self.free]
-        if self.R.shape[0]:
-            M = self.R * W_inv[None, :]
-            gram = M @ self.R.T
-            self._corr = W_inv[:, None] * (self.R.T @ np.linalg.pinv(gram))
-        else:
-            self._corr = None
-        self._proj_ready = True
-
-    def project_affine(self, X: np.ndarray) -> np.ndarray:
-        """Frobenius projection onto the affine set (pins, propagated
-        values, reduced rows)."""
-        self._prepare_projection()
-        a = self.class_average(X)[self.free]
-        if self._corr is not None:
-            a = a - self._corr @ (self.R @ a - self.b)
-        return self.assemble(a)
-
-    def least_squares_consistent(self) -> tuple[bool, str]:
-        """Check that R y = b is solvable and keep its least-squares
-        solution as ``y0``."""
-        if not self.R.shape[0]:
-            return True, ""
-        sol, *_ = np.linalg.lstsq(self.R, self.b, rcond=None)
-        return self._accept_solution(sol)
-
     def factor_rows(self) -> tuple[bool, str]:
-        """:meth:`least_squares_consistent` plus ``N``, an orthonormal basis
-        of ker R, from one SVD of R; ``y0`` is the minimum-norm solution,
-        as from ``lstsq`` (same rank cut-off)."""
+        """Check that R y = b is solvable, from one SVD of R; keep ``y0``,
+        its minimum-norm solution, and ``N``, an orthonormal basis of
+        ker R."""
         if not self.R.shape[0]:
+            self.y0 = np.zeros(len(self.free))
             self.N = np.eye(len(self.free))
             return True, ""
         u, s, vt = np.linalg.svd(self.R, full_matrices=self.R.shape[0] < self.R.shape[1])
@@ -384,9 +357,6 @@ class _ClassSystem:
                     * np.finfo(float).eps).sum())
         self.N = vt[rank:].T
         sol = vt[:rank].T @ ((u[:, :rank].T @ self.b) / s[:rank])
-        return self._accept_solution(sol)
-
-    def _accept_solution(self, sol: np.ndarray) -> tuple[bool, str]:
         resid = self.R @ sol - self.b
         worst = int(np.abs(resid).argmax())
         if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
@@ -394,9 +364,6 @@ class _ClassSystem:
                            f"{resid[worst]:.3e} after least squares")
         self.y0 = sol
         return True, ""
-
-    def start_point(self) -> np.ndarray:
-        return self.assemble(self.y0)
 
     # -- interlacing bound -----------------------------------------------------
 
@@ -482,53 +449,44 @@ def _interior_phase1(cs: _ClassSystem, tol: float):
     return cs.assemble(cs.y0 + red.N @ res.y[:p]), res
 
 
+def _affine_projector(cs: _ClassSystem):
+    """The Frobenius projection onto the affine set (pins, propagated
+    values, reduced rows), as a map of matrices.
+
+    A free class's value fills every cell of the class, so in free-class
+    coordinates the Frobenius metric is W = diag(cell counts), and the
+    nearest point of y0 + range(N) to the class averages a is
+    y0 + N (N'WN)^-1 N'W (a - y0).  Needs ``cs.factor_rows()`` to have run.
+    """
+    WN = cs.problem.class_counts[cs.free][:, None] * cs.N
+    gram = scipy.linalg.cho_factor(cs.N.T @ WN)
+
+    def project(X: np.ndarray) -> np.ndarray:
+        a = cs.problem.class_average(X)[cs.free] - cs.y0
+        return cs.assemble(cs.y0 + cs.N @ scipy.linalg.cho_solve(gram, WN.T @ a))
+
+    return project
+
+
 def _dykstra(cs: _ClassSystem, tol: float, max_iter: int,
              check_every: int = 25):
     """Alternating projections with Dykstra correction between the affine
-    set and the PSD cone; returns (witness, t, iterations) on success."""
-    X = cs.project_affine(cs.start_point())
+    set and the PSD cone; returns (witness or None, best min eigenvalue
+    seen, iterations).  Needs ``cs.factor_rows()`` to have run."""
+    project_affine = _affine_projector(cs)
+    X = cs.assemble(cs.y0)
     P = np.zeros_like(X)
     best_t = -np.inf
     for it in range(1, max_iter + 1):
         Y = project_psd(X + P, sym_tol=np.inf)
         P = X + P - Y
-        X = cs.project_affine(Y)
+        X = project_affine(Y)
         if it % check_every == 0 or it == max_iter:
             lam = float(np.linalg.eigvalsh(X).min())
             best_t = max(best_t, lam)
             if lam >= -10 * tol:
                 return X, lam, it
     return None, best_t, max_iter
-
-
-def _ascent_estimate(cs: _ClassSystem, iters: int = 300) -> float:
-    """Projected supergradient ascent on the min eigenvalue; returns the
-    best value reached (a lower bound on the phase-1 optimum).  Skipped
-    (returns -inf) on problems too large for the dense projector."""
-    if len(cs.free) > 4000 or cs.R.shape[0] > 4000:
-        return -np.inf
-    cs._prepare_projection()
-    if cs.R.shape[0]:
-        ker_proj = np.linalg.pinv(cs.R @ cs.R.T)
-    X = cs.project_affine(cs.start_point())
-    best = -np.inf
-    y = cs.class_average(X)[cs.free]
-    scale = max(1.0, float(np.abs(cs.known[~np.isnan(cs.known)]).max()))
-    for k in range(1, iters + 1):
-        X = cs.project_affine(cs.assemble(y))
-        w, v = np.linalg.eigh(X)
-        best = max(best, float(w[0]))
-        g_full = np.bincount(cs.cell_class.reshape(-1),
-                             weights=np.outer(v[:, 0], v[:, 0]).reshape(-1),
-                             minlength=cs.k)
-        g = g_full[cs.free]
-        if cs.R.shape[0]:
-            g = g - cs.R.T @ (ker_proj @ (cs.R @ g))
-        norm = np.linalg.norm(g)
-        if norm < 1e-14:
-            break
-        y = y + (0.5 * scale / math.sqrt(k)) * g / norm
-    return best
 
 
 def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
@@ -571,14 +529,8 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
     if cs.contradiction is not None:
         return FeasibilityOutcome("infeasible", t_star=-np.inf,
                                   evidence=cs.contradiction)
-    use_interior = (engine == "interior"
-                    or (engine == "auto" and len(cs.free) <= INTERIOR_MAX_FREE
-                        and cs.n <= INTERIOR_MAX_DIM))
-    # the interior point needs ker R as well, and one SVD gives both; the
-    # projections need only y0, which lstsq finds more cheaply
-    ok, msg = cs.factor_rows() if use_interior else cs.least_squares_consistent()
-    if not ok:
-        return FeasibilityOutcome("infeasible", t_star=-np.inf, evidence=msg)
+    # the bound needs only the known values, so it runs before any
+    # factorisation of the remaining rows
     bound, chosen = cs.known_submatrix_bound()
     if bound is not None and bound < -infeasibility_margin:
         return FeasibilityOutcome(
@@ -598,7 +550,12 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
         return FeasibilityOutcome("inconclusive", t_star=lam,
                                   evidence="fully determined, min eigenvalue "
                                            "in the inconclusive band")
-    if use_interior:
+    ok, msg = cs.factor_rows()
+    if not ok:
+        return FeasibilityOutcome("infeasible", t_star=-np.inf, evidence=msg)
+    if engine == "interior" or (engine == "auto"
+                                and len(cs.free) <= INTERIOR_MAX_FREE
+                                and cs.n <= INTERIOR_MAX_DIM):
         found = _interior_phase1(cs, tol)
         if found is not None:
             X, res = found
@@ -626,11 +583,10 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
     if X is not None:
         return _outcome_feasible(problem, X, t_best, iters,
                                  "alternating projections")
-    t_hat = max(t_best, _ascent_estimate(cs))
     return FeasibilityOutcome(
-        "inconclusive", t_star=t_hat, iterations=iters,
+        "inconclusive", t_star=t_best, iterations=iters,
         evidence=(f"projection engine stalled; best phase-1 value reached "
-                  f"{t_hat:.6g} (lower bound)"))
+                  f"{t_best:.6g} (lower bound)"))
 
 
 def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],

@@ -163,6 +163,21 @@ def test_scalar_extension_identifications():
     assert p.dim > std.dim
 
 
+def test_class_average_is_the_per_class_cell_mean():
+    rng = np.random.default_rng(1)
+    for p in (cached_problem("inflation", *BILOCAL_111, 2, 2),
+              cached_problem("standard", *BILOCAL_111, 3)):
+        cells = np.concatenate([p.class_cells_flat(c) for c in range(p.n_classes)])
+        assert np.array_equal(np.sort(cells), np.arange(p.dim ** 2))
+        G = rng.standard_normal((p.dim, p.dim))
+        X = G + G.T
+        per_class = np.array([X.reshape(-1)[p.class_cells_flat(c)].mean()
+                              for c in range(p.n_classes)])
+        assert np.abs(p.class_average(X) - per_class).max() < 1e-12
+        assert np.array_equal(MomentAssignment(p, X).class_values(),
+                              p.class_average(X))
+
+
 def test_inflation_orbit_merges():
     p = cached_problem("inflation", *BILOCAL_111, 2, 2)
     a1c1 = concat(word([meas("A", copies=(1,))]), word([meas("C", copies=(1,))]))

@@ -25,10 +25,12 @@ from netnpa.sdp import (
     project_psd,
     propagated_values,
     solve_feasibility,
+    _affine_projector,
+    _ClassSystem,
 )
 from netnpa.words import EMPTY_WORD, Letter, concat, word
 
-from helpers import BILOCAL_111, cached_problem, meas
+from helpers import BILOCAL_111, TRIANGLE_111, cached_problem, meas
 
 BILOCAL = Scenario(*BILOCAL_111)
 
@@ -215,6 +217,58 @@ def test_interior_point_decides_noisy_pr_box_at_tsirelson():
     assert "interior point" in outside.evidence
     # the optimum, max over completions of the min eigenvalue, is negative
     assert outside.t_star < -0.01
+
+
+# --- affine layer ---------------------------------------------------------------
+
+def test_interlacing_bound_runs_before_any_factorisation(monkeypatch):
+    p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                         shared_random_bit("triangle"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rows were factored before the interlacing bound")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    out = solve_feasibility(p)
+    assert out.verdict == "infeasible"
+    assert "interlacing" in out.evidence
+
+
+def test_affine_projector_matches_weighted_least_squares():
+    p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+                         noisy_pr_box(0.7))
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    # rank-deficient rows and a nontrivial kernel
+    assert cs.N.shape[1] > 0
+    assert np.linalg.matrix_rank(cs.R) < min(cs.R.shape)
+    project = _affine_projector(cs)
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((p.dim, p.dim))
+    X = G + G.T
+    # reference: a - W^-1 R' (R W^-1 R')^+ (R a - b), with a the per-class
+    # cell means and W the per-class cell counts of the free classes
+    flat = X.reshape(-1)
+    a = np.array([flat[p.class_cells_flat(int(c))].mean() for c in cs.free])
+    w_inv = 1.0 / np.array([len(p.class_cells_flat(int(c))) for c in cs.free])
+    gram = (cs.R * w_inv) @ cs.R.T
+    ref = a - w_inv * (cs.R.T @ (np.linalg.pinv(gram) @ (cs.R @ a - cs.b)))
+    Y = project(X)
+    assert np.abs(Y - cs.assemble(ref)).max() < 1e-9
+    assert np.abs(project(Y) - Y).max() < 1e-9
+
+
+def test_stalled_projection_reports_a_lower_bound_on_the_optimum():
+    p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+                         noisy_pr_box(0.725))
+    exact = solve_feasibility(p, engine="interior")
+    stalled = solve_feasibility(p, engine="projection", max_iter=100)
+    assert stalled.verdict == "inconclusive"
+    assert "stalled" in stalled.evidence
+    # every Dykstra iterate lies on the affine set, so its min eigenvalue
+    # cannot exceed the phase-1 optimum
+    assert -np.inf < stalled.t_star <= exact.t_star + 1e-9
 
 
 # --- SDPA export ------------------------------------------------------------------
