@@ -144,7 +144,14 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
     see :func:`netnpa.sdp.solve_feasibility`).
     """
     lp = pin_linearize(problem)
-    base = replace(lp, flagged_bilinear=())  # linearized rows only
+    # the SDP imposes the linearized pairs only, so its residual gate sees
+    # those; the flagged pairs are checked here, by verify_factorisation
+    flagged = set(lp.flagged_bilinear)
+    base = replace(lp, flagged_bilinear=(),
+                   factor_pairs=tuple(fc for fc in lp.factor_pairs
+                                      if fc not in flagged),
+                   factor_triples=tuple(fc for fc in lp.factor_triples
+                                        if fc not in flagged))
     out = _sdp.solve_feasibility(base, engine=engine)
     if out.verdict == "infeasible":
         # rigorous: inherited from the pinned-linearized subproblem
@@ -172,8 +179,7 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
     last = None
     for rnd in range(1, rounds + 1):
         state.rounds = rnd
-        trial = replace(lp, flagged_bilinear=(),
-                        linear_factor_rows=lp.linear_factor_rows
+        trial = replace(base, linear_factor_rows=lp.linear_factor_rows
                         + tuple(_scalar_rows(lp, scalars)))
         inner = _sdp.solve_feasibility(trial, engine=engine)
         if inner.verdict != "feasible":

@@ -149,6 +149,15 @@ class MomentProblem:
         return np.bincount(self.cell_class.reshape(-1),
                            minlength=self.n_classes).astype(float)
 
+    @functools.cached_property
+    def group_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells of every Hankel group, group after group: (flat cell
+        positions, group of each, where each group starts)."""
+        sizes = np.array([len(c) for c in self.group_cells], dtype=np.intp)
+        return (np.concatenate(self.group_cells),
+                np.repeat(np.arange(len(sizes)), sizes),
+                np.cumsum(sizes) - sizes)
+
     def class_average(self, X: np.ndarray) -> np.ndarray:
         """Mean of ``X`` over the cells of each class (the class cells
         partition all cells)."""
@@ -721,45 +730,61 @@ class ResidualReport:
         return "residuals:\n" + "\n".join(rows)
 
 
+def _max_spread(values: np.ndarray, starts: np.ndarray) -> float:
+    """Largest max - min over the consecutive segments opening at ``starts``."""
+    spread = (np.maximum.reduceat(values, starts)
+              - np.minimum.reduceat(values, starts))
+    return float(spread.max())
+
+
 def check_assignment(problem: MomentProblem, assignment: MomentAssignment,
                      tol: float = 1e-8) -> ResidualReport:
     """Per-family maximal residuals of an assignment (tol is advisory;
     all families are always evaluated and reported)."""
     X = assignment.matrix
-    flat = X.reshape(-1)
-    hankel = 0.0
-    merge_res = 0.0
-    group_means = np.zeros(len(problem.group_keys))
-    for g, cells in enumerate(problem.group_cells):
-        vals = flat[cells]
-        group_means[g] = vals.mean()
-        if len(vals) > 1:
-            hankel = max(hankel, float(vals.max() - vals.min()))
-    class_vals = np.zeros(problem.n_classes)
-    for cls in range(problem.n_classes):
-        gs = problem.class_groups(cls)
-        means = group_means[gs]
-        class_vals[cls] = means.mean()
-        if len(gs) > 1:
-            merge_res = max(merge_res, float(means.max() - means.min()))
-    pins = 0.0
-    for cls, val in problem.pinned.items():
-        cells = problem.class_cells_flat(cls)
-        pins = max(pins, float(np.abs(flat[cells] - val).max()))
-    completeness = 0.0
-    for row in problem.active_rows():
-        s = sum(c * class_vals[k] for k, c in zip(row.classes, row.coeffs))
-        completeness = max(completeness, abs(s - row.rhs))
-    fact = 0.0
-    for fc in problem.factor_pairs + problem.factor_triples:
-        fact = max(fact, abs(class_vals[fc.cls_prod]
-                             - class_vals[fc.cls_row] * class_vals[fc.cls_col]))
+    cells, cell_group, group_starts = problem.group_layout
+    vals = X.reshape(-1)[cells]
+    n_groups = len(problem.group_keys)
+    group_means = (np.bincount(cell_group, weights=vals, minlength=n_groups)
+                   / np.diff(np.append(group_starts, len(cells))))
+    hankel = _max_spread(vals, group_starts)
+    # class value: the mean of its groups' means
+    n_groups_of = np.bincount(problem.group_class, minlength=problem.n_classes)
+    class_vals = np.bincount(problem.group_class, weights=group_means,
+                             minlength=problem.n_classes) / n_groups_of
+    by_class = np.argsort(problem.group_class, kind="stable")
+    merge_res = _max_spread(group_means[by_class],
+                            np.cumsum(n_groups_of) - n_groups_of)
+    pin_val = np.full(problem.n_classes, np.nan)
+    pin_val[list(problem.pinned)] = list(problem.pinned.values())
+    cell_pin = pin_val[problem.group_class[cell_group]]
+    pinned = ~np.isnan(cell_pin)
+    pins = float(np.abs(vals[pinned] - cell_pin[pinned]).max(initial=0.0))
+    # the rows as one sparse matrix, entry by entry: (row, class, coefficient)
+    rows = problem.active_rows()
+    sizes = [len(r.classes) for r in rows]
+    entry_row = np.repeat(np.arange(len(rows)), sizes)
+    entry_cls = np.fromiter(itertools.chain.from_iterable(r.classes for r in rows),
+                            np.intp, len(entry_row))
+    entry_coef = np.fromiter(itertools.chain.from_iterable(r.coeffs for r in rows),
+                             float, len(entry_row))
+    lhs = np.bincount(entry_row, weights=entry_coef * class_vals[entry_cls],
+                      minlength=len(rows))
+    rhs = np.array([r.rhs for r in rows], dtype=float)
+    completeness = float(np.abs(lhs - rhs).max(initial=0.0))
+    pairs = np.array([(fc.cls_prod, fc.cls_row, fc.cls_col)
+                      for fc in problem.factor_pairs + problem.factor_triples],
+                     dtype=np.intp).reshape(-1, 3)
+    fact = float(np.abs(class_vals[pairs[:, 0]] - class_vals[pairs[:, 1]]
+                        * class_vals[pairs[:, 2]]).max(initial=0.0))
     ext = 0.0
-    for cls_prod, factors in problem.check_products:
-        prod = 1.0
-        for c in factors:
-            prod *= class_vals[c]
-        ext = max(ext, abs(class_vals[cls_prod] - prod))
+    if problem.check_products:
+        prods = np.array([c for c, _ in problem.check_products], dtype=np.intp)
+        factors = [fs for _, fs in problem.check_products]
+        starts = np.cumsum([0] + [len(fs) for fs in factors[:-1]])
+        products = np.multiply.reduceat(
+            class_vals[np.concatenate(factors).astype(np.intp)], starts)
+        ext = float(np.abs(class_vals[prods] - products).max())
     eigmin = float(np.linalg.eigvalsh((X + X.T) / 2).min())
     return ResidualReport(hankel=hankel, merges=merge_res, pins=pins,
                           completeness=completeness, factorisation=fact,

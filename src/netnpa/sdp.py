@@ -12,7 +12,8 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    below the infeasibility margin, every completion shares that bound,
    so the problem is infeasible.  It reads only the values the presolve
    fixed, so it runs before any factorisation;
-3. one SVD of the remaining rows R y = b over the free classes: the
+3. sparse elimination of the remaining rows R y = b over the free
+   classes, then one thin QR of the kernel basis it yields: the
    minimum-norm solution y0 (an inconsistent system is an infeasibility
    proof) and an orthonormal basis N of ker R, so the affine set is
    y = y0 + N z;
@@ -25,14 +26,16 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    when they stall; t* is then the best min eigenvalue of an iterate on
    the affine set, a lower bound on the phase-1 optimum.
 
-Verdicts follow the phase-1 value t*: feasible when t* >= -tol (witness
-attached and re-checked), infeasible when t* < -infeasibility_margin,
-inconclusive otherwise.  A FEASIBLE verdict at level n never claims more
-than "no obstruction at level n".
+Verdicts follow the phase-1 value t*: feasible when t* >= -tol and the
+witness passes every residual family of ``moment.check_assignment`` to
+10*tol (else inconclusive, naming the worst family), infeasible when
+t* < -infeasibility_margin, inconclusive otherwise.  A FEASIBLE verdict
+at level n never claims more than "no obstruction at level n".
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -246,6 +249,68 @@ def project_psd(M: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
 # Class-space machinery
 # ---------------------------------------------------------------------------
 
+def _eliminate(R: np.ndarray, b: np.ndarray):
+    """Gaussian elimination of R y = b on sparse rows (column -> coefficient).
+
+    The next pivot row is the one with the fewest nonzeros; its pivot is,
+    among the columns whose coefficient is at least a tenth of the row's
+    largest, the one in the fewest remaining rows (threshold pivoting as
+    in Duff, Erisman & Reid, *Direct Methods for Sparse Matrices*).  Fill
+    below the rank tolerance of R is dropped, so a dependent row ends
+    empty.  Returns the pivots in elimination order as (column, (columns,
+    coefficients) of the rest of its row, rhs), each row scaled to 1 on
+    its pivot; the rest holds no column pivoted earlier.
+    """
+    if not R.size:
+        return []
+    m = R.shape[0]
+    drop = np.abs(R).max() * max(R.shape) * np.finfo(float).eps
+    rows: list[dict[int, float]] = [{} for _ in range(m)]
+    col_rows: dict[int, set[int]] = {}
+    ri, ci = np.nonzero(R)
+    for i, j, v in zip(ri.tolist(), ci.tolist(), R[ri, ci].tolist()):
+        rows[i][j] = v
+        col_rows.setdefault(j, set()).add(i)
+    rhs = b.tolist()
+    heap = [(len(r), i) for i, r in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * m
+    pivots = []
+    while heap:
+        nnz, i = heapq.heappop(heap)
+        row = rows[i]
+        if done[i] or nnz != len(row):
+            continue          # a stale entry; the row was pushed again
+        done[i] = True
+        for c in row:
+            col_rows[c].discard(i)
+        if not row:
+            continue
+        big = 0.1 * max(abs(v) for v in row.values())
+        j = min((c for c, v in row.items() if abs(v) >= big),
+                key=lambda c: (len(col_rows[c]), c))
+        scale = row.pop(j)
+        row = {c: v / scale for c, v in row.items()}
+        r = rhs[i] / scale
+        for k in col_rows.pop(j):
+            rk = rows[k]
+            f = rk.pop(j)
+            for c, v in row.items():
+                new = rk.get(c, 0.0) - f * v
+                if abs(new) > drop:
+                    if c not in rk:
+                        col_rows[c].add(k)
+                    rk[c] = new
+                elif c in rk:
+                    del rk[c]
+                    col_rows[c].discard(k)
+            rhs[k] -= f * r
+            heapq.heappush(heap, (len(rk), k))
+        pivots.append((j, (np.fromiter(row.keys(), int, len(row)),
+                           np.fromiter(row.values(), float, len(row))), r))
+    return pivots
+
+
 class _ClassSystem:
     """Affine structure of a moment problem in class coordinates."""
 
@@ -345,24 +410,35 @@ class _ClassSystem:
         return y[self.cell_class]
 
     def factor_rows(self) -> tuple[bool, str]:
-        """Check that R y = b is solvable, from one SVD of R; keep ``y0``,
-        its minimum-norm solution, and ``N``, an orthonormal basis of
-        ker R."""
-        if not self.R.shape[0]:
-            self.y0 = np.zeros(len(self.free))
-            self.N = np.eye(len(self.free))
-            return True, ""
-        u, s, vt = np.linalg.svd(self.R, full_matrices=self.R.shape[0] < self.R.shape[1])
-        rank = int((s > s.max(initial=0.0) * max(self.R.shape)
-                    * np.finfo(float).eps).sum())
-        self.N = vt[rank:].T
-        sol = vt[:rank].T @ ((u[:, :rank].T @ self.b) / s[:rank])
-        resid = self.R @ sol - self.b
-        worst = int(np.abs(resid).argmax())
-        if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
-            return False, (f"linear system inconsistent: row residual "
-                           f"{resid[worst]:.3e} after least squares")
-        self.y0 = sol
+        """Check that R y = b is solvable; keep ``y0``, its minimum-norm
+        solution, and ``N``, an orthonormal basis of ker R.
+
+        Sparse elimination (:func:`_eliminate`) writes every pivot class
+        in the remaining free ones.  That gives a basis K of ker R with
+        identity rows on the free classes and a solution y_b that is zero
+        there; N comes from one thin QR of K, and y0 = y_b - N N'y_b.
+        The system is consistent when y0 satisfies the original rows.
+        """
+        n = len(self.free)
+        pivots = _eliminate(self.R, self.b)
+        free = np.setdiff1d(np.arange(n), [j for j, _, _ in pivots])
+        K = np.zeros((n, len(free)))
+        K[free, np.arange(len(free))] = 1.0
+        y = np.zeros(n)
+        # a pivot row holds only free classes and classes pivoted after it
+        for j, (cols, vals), rhs in reversed(pivots):
+            K[j] = -vals @ K[cols]
+            y[j] = rhs - vals @ y[cols]
+        self.N = np.linalg.qr(K)[0]
+        y0 = y - self.N @ (self.N.T @ y)
+        resid = self.R @ y0 - self.b
+        if len(resid):
+            worst = int(np.abs(resid).argmax())
+            if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
+                family = self._pending[worst][3]
+                return False, (f"linear system inconsistent: {family} row "
+                               f"residual {resid[worst]:.3e} after elimination")
+        self.y0 = y0
         return True, ""
 
     # -- interlacing bound -----------------------------------------------------
@@ -388,8 +464,17 @@ class _ClassSystem:
 # Engines
 # ---------------------------------------------------------------------------
 
-def _outcome_feasible(problem, X, t, iters, evidence="") -> FeasibilityOutcome:
+def _outcome_feasible(problem, X, t, iters, tol, evidence) -> FeasibilityOutcome:
+    """FEASIBLE with witness X when every residual family of X is at most
+    10*tol (the projections accept a min eigenvalue down to -10*tol),
+    else inconclusive, naming the worst family."""
     rep = check_assignment(problem, MomentAssignment(problem, X))
+    family, worst = max(rep.families().items(), key=lambda kv: kv[1])
+    if worst > 10 * tol:
+        return FeasibilityOutcome(
+            "inconclusive", t_star=t, residuals=rep, iterations=iters,
+            evidence=f"{evidence}: witness fails the residual gate, {family} "
+                     f"residual {worst:.3e} > {10 * tol:.1e}")
     return FeasibilityOutcome("feasible", t_star=t, witness=X, residuals=rep,
                               iterations=iters, evidence=evidence)
 
@@ -541,7 +626,7 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
         X = cs.assemble(np.zeros(0))
         lam = float(np.linalg.eigvalsh(X).min())
         if lam >= -tol:
-            return _outcome_feasible(problem, X, lam, 0,
+            return _outcome_feasible(problem, X, lam, 0, tol,
                                      "fully determined by the linear constraints")
         if lam < -infeasibility_margin:
             return FeasibilityOutcome(
@@ -561,7 +646,7 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
             X, res = found
             lam = float(np.linalg.eigvalsh(X)[0])
             if lam >= -tol:
-                return _outcome_feasible(problem, X, lam, res.iterations,
+                return _outcome_feasible(problem, X, lam, res.iterations, tol,
                                          f"interior point ({res.status})")
             # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
             if res.primal_infeas <= tol:
@@ -581,7 +666,7 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
     budget = max_iter if engine == "projection" else min(max_iter, 2000)
     X, t_best, iters = _dykstra(cs, tol, budget)
     if X is not None:
-        return _outcome_feasible(problem, X, t_best, iters,
+        return _outcome_feasible(problem, X, t_best, iters, tol,
                                  "alternating projections")
     return FeasibilityOutcome(
         "inconclusive", t_star=t_best, iterations=iters,

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from netnpa.moment import (
+    ResidualReport,
     build_factorisation_bilocal,
     build_inflation,
     build_scalar_extension,
@@ -130,3 +131,50 @@ def classical_mixture_strategy(weights, atoms, inputs_free: int = 1) -> QuantumS
         pvms[(party, 0)] = ops
     return QuantumStrategy(model="commutator_general", scenario=sc, dims=(k,),
                            pvms=pvms, tau=tau)
+
+
+# ---------------------------------------------------------------------------
+# loop reference for moment.check_assignment
+# ---------------------------------------------------------------------------
+
+def loop_check_assignment(problem, assignment) -> ResidualReport:
+    """Per-family residuals, one Hankel group, class, pin and row at a time."""
+    X = assignment.matrix
+    flat = X.reshape(-1)
+    hankel = 0.0
+    merge_res = 0.0
+    group_means = np.zeros(len(problem.group_keys))
+    for g, cells in enumerate(problem.group_cells):
+        vals = flat[cells]
+        group_means[g] = vals.mean()
+        if len(vals) > 1:
+            hankel = max(hankel, float(vals.max() - vals.min()))
+    class_vals = np.zeros(problem.n_classes)
+    for cls in range(problem.n_classes):
+        gs = problem.class_groups(cls)
+        means = group_means[gs]
+        class_vals[cls] = means.mean()
+        if len(gs) > 1:
+            merge_res = max(merge_res, float(means.max() - means.min()))
+    pins = 0.0
+    for cls, val in problem.pinned.items():
+        cells = problem.class_cells_flat(cls)
+        pins = max(pins, float(np.abs(flat[cells] - val).max()))
+    completeness = 0.0
+    for row in problem.active_rows():
+        s = sum(c * class_vals[k] for k, c in zip(row.classes, row.coeffs))
+        completeness = max(completeness, abs(s - row.rhs))
+    fact = 0.0
+    for fc in problem.factor_pairs + problem.factor_triples:
+        fact = max(fact, abs(class_vals[fc.cls_prod]
+                             - class_vals[fc.cls_row] * class_vals[fc.cls_col]))
+    ext = 0.0
+    for cls_prod, factors in problem.check_products:
+        prod = 1.0
+        for c in factors:
+            prod *= class_vals[c]
+        ext = max(ext, abs(class_vals[cls_prod] - prod))
+    eigmin = float(np.linalg.eigvalsh((X + X.T) / 2).min())
+    return ResidualReport(hankel=hankel, merges=merge_res, pins=pins,
+                          completeness=completeness, factorisation=fact,
+                          extended_products=ext, min_eigenvalue=eigmin)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from netnpa import words
+from netnpa import factorisation, words
 from netnpa.moment import (
     BudgetError,
     MomentAssignment,
@@ -45,7 +45,14 @@ from netnpa.words import (
     word,
 )
 
-from helpers import BILOCAL_111, TRIANGLE_111, all_sequences, cached_problem, meas
+from helpers import (
+    BILOCAL_111,
+    TRIANGLE_111,
+    all_sequences,
+    cached_problem,
+    loop_check_assignment,
+    meas,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -176,6 +183,29 @@ def test_class_average_is_the_per_class_cell_mean():
         assert np.abs(p.class_average(X) - per_class).max() < 1e-12
         assert np.array_equal(MomentAssignment(p, X).class_values(),
                               p.class_average(X))
+
+
+@pytest.mark.parametrize("name", ["bilocal-inflation", "standard-n3",
+                                  "factorisation-n3"])
+def test_check_assignment_matches_the_loop_reference(name):
+    born = MomentOracle(random_strategy(BILOCAL, (2, 2, 2, 2), 0)).born()
+    if name == "bilocal-inflation":
+        p = pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2), born)
+    elif name == "standard-n3":
+        p = pin_distribution(cached_problem("standard", *BILOCAL_111, 3), born)
+    else:
+        # linearized factor pairs: the factorisation family is populated
+        p = factorisation.pin_linearize(pin_distribution(
+            cached_problem("factorisation", *BILOCAL_111, 3), born))
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        G = rng.standard_normal((p.dim, p.dim))
+        a = MomentAssignment(p, G + G.T)
+        got = check_assignment(p, a).families()
+        ref = loop_check_assignment(p, a).families()
+        assert got.keys() == ref.keys()
+        for family in ref:
+            assert abs(got[family] - ref[family]) <= 1e-12, family
 
 
 def test_inflation_orbit_merges():

@@ -1,16 +1,24 @@
 """SDP compilation, solving, projection, and SDPA export."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from netnpa import factorisation
-from netnpa.moment import build_standard, oracle_assignment, pin_distribution
+from netnpa.moment import (
+    Row,
+    build_factorisation_bilocal,
+    build_standard,
+    oracle_assignment,
+    pin_distribution,
+)
 from netnpa.scenarios import (
     Distribution,
     MomentOracle,
     Scenario,
+    product_distribution,
     random_strategy,
     shared_random_bit,
 )
@@ -27,6 +35,7 @@ from netnpa.sdp import (
     solve_feasibility,
     _affine_projector,
     _ClassSystem,
+    _outcome_feasible,
 )
 from netnpa.words import EMPTY_WORD, Letter, concat, word
 
@@ -230,9 +239,94 @@ def test_interlacing_bound_runs_before_any_factorisation(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(_ClassSystem, "factor_rows", refuse)
     out = solve_feasibility(p)
     assert out.verdict == "infeasible"
     assert "interlacing" in out.evidence
+
+
+def uniform_product(sc):
+    return product_distribution(
+        sc, [np.full((k, x), 1.0 / k) for k, x in zip(sc.outputs, sc.inputs)])
+
+
+def test_triangle_inflation_accepts_the_uniform_product_without_svd(monkeypatch):
+    p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                         uniform_product(Scenario(*TRIANGLE_111)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rows were factored by an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    out = solve_feasibility(p)
+    assert out.verdict == "feasible"
+    assert max(out.residuals.families().values()) <= 1e-6
+
+
+def _factor_rows_problem(name):
+    if name == "chsh":
+        return pin_distribution(
+            cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+            noisy_pr_box(0.7))
+    if name == "bilocal-inflation":
+        return pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
+                                MomentOracle(random_strategy(
+                                    BILOCAL, (2, 2, 2, 2), 0)).born())
+    if name == "factorisation-n3":
+        # B and C with one input: every pair linearizes, some with a float
+        # coefficient (half-linearized rows)
+        sc = Scenario("bilocal", (2, 2, 2), (2, 1, 1))
+        p = pin_distribution(build_factorisation_bilocal(sc, 3),
+                             MomentOracle(random_strategy(sc, (2, 2, 2, 2), 7)).born())
+        return factorisation.pin_linearize(p)
+    return pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                            uniform_product(Scenario(*TRIANGLE_111)))
+
+
+@pytest.mark.parametrize("name", ["chsh", "bilocal-inflation",
+                                  "factorisation-n3", "triangle-uniform"])
+def test_factor_rows_match_an_svd_reference(name):
+    cs = _ClassSystem(_factor_rows_problem(name))
+    R, b = cs.R, cs.b
+    if name == "factorisation-n3":
+        assert np.any(R != np.round(R))
+    assert cs.factor_rows() == (True, "")
+    u, s, vt = np.linalg.svd(R, full_matrices=False)
+    rank = int((s > s[0] * max(R.shape) * np.finfo(float).eps).sum())
+    y_ref = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    assert cs.N.shape == (len(cs.free), len(cs.free) - rank)
+    assert np.abs(cs.y0 - y_ref).max() <= 1e-10
+    assert np.abs(R @ cs.N).max() <= 1e-12
+    assert np.abs(cs.N.T @ cs.N - np.eye(cs.N.shape[1])).max() <= 1e-12
+
+
+def test_inconsistent_rows_are_an_infeasibility_certificate():
+    p, _obj = chsh_problem_and_objective()
+    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    rows = (Row((x, y), (1.0, 1.0), 1.0, "added"),
+            Row((x, y), (1.0, 1.0), 2.0, "added"))
+    out = solve_feasibility(dataclasses.replace(p, linear_factor_rows=rows))
+    assert out.verdict == "infeasible"
+    assert out.evidence.startswith("linear system inconsistent")
+    assert "least squares" not in out.evidence
+
+
+def test_feasible_requires_every_residual_family_within_the_gate():
+    p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+                         noisy_pr_box(0.7))
+    good = solve_feasibility(p, engine="interior")
+    assert good.verdict == "feasible"
+    X = good.witness.copy()
+    assert _outcome_feasible(p, X, good.t_star, 0, 1e-7, "x").verdict == "feasible"
+    # break the value of one off-diagonal pair of cells
+    X[1, 2] += 1e-3
+    X[2, 1] += 1e-3
+    out = _outcome_feasible(p, X, good.t_star, 0, 1e-7, "interior point")
+    assert out.verdict == "inconclusive"
+    assert out.witness is None
+    family, worst = max(out.residuals.families().items(), key=lambda kv: kv[1])
+    assert worst > 1e-6
+    assert f"{family} residual {worst:.3e}" in out.evidence
 
 
 def test_affine_projector_matches_weighted_least_squares():
