@@ -25,6 +25,7 @@ import numpy as np
 
 from . import factorisation, gns, sdp
 from .moment import (
+    DEFAULT_INDEX_BUDGET,
     MomentAssignment,
     MomentProblem,
     build_factorisation_bilocal,
@@ -69,8 +70,7 @@ class RunConfig:
     tol: float = sdp.DEFAULT_TOL
     max_iter: int = sdp.DEFAULT_MAX_ITER
     infeasibility_margin: float = sdp.DEFAULT_MARGIN
-    engine: str = "auto"
-    budget: int = 5000
+    budget: int = DEFAULT_INDEX_BUDGET
     literal_paper_mode: bool = False
     seed: int | None = None
     distribution: str | None = None
@@ -90,7 +90,6 @@ class RunConfig:
             f"  tol: {self.tol:g}",
             f"  max_iter: {self.max_iter}",
             f"  infeasibility_margin: {self.infeasibility_margin:g}",
-            f"  engine: {self.engine}",
             f"  budget: {self.budget}",
             f"  literal_paper_mode: {str(self.literal_paper_mode).lower()}",
             f"  seed: {self.seed if self.seed is not None else '-'}",
@@ -196,18 +195,16 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     if problem.factor_pairs or problem.factor_triples:
         problem = factorisation.pin_linearize(problem)
         if problem.flagged_bilinear:
-            outcome, state = factorisation.seesaw(
-                problem, engine=cfg.engine, tol=cfg.tol)
+            outcome, state = factorisation.seesaw(problem, tol=cfg.tol)
             seesaw_note = state.dump()
         else:
             outcome = sdp.solve_feasibility(
                 problem, tol=cfg.tol, max_iter=cfg.max_iter,
-                infeasibility_margin=cfg.infeasibility_margin,
-                engine=cfg.engine)
+                infeasibility_margin=cfg.infeasibility_margin)
     else:
         outcome = sdp.solve_feasibility(
             problem, tol=cfg.tol, max_iter=cfg.max_iter,
-            infeasibility_margin=cfg.infeasibility_margin, engine=cfg.engine)
+            infeasibility_margin=cfg.infeasibility_margin)
     verdict = outcome.verdict.upper()
     lines = ["netnpa test report"]
     lines += cfg.report_lines()
@@ -378,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
         p.add_argument("--infeasibility-margin", type=float,
                        default=sdp.DEFAULT_MARGIN)
-        p.add_argument("--engine", choices=sdp.ENGINES,
-                       default="auto")
-        p.add_argument("--budget", type=int, default=5000)
+        p.add_argument("--budget", type=int, default=DEFAULT_INDEX_BUDGET)
         p.add_argument("--literal-paper-mode", action="store_true",
                        help="drop the completeness rows (matrices exactly as "
                             "defined, marginal pins not derivable)")
@@ -415,19 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.scenario = getattr(args, "scenario", None)
-    cfg.outputs = getattr(args, "outputs", None)
-    cfg.inputs = getattr(args, "inputs", None)
-    cfg.hierarchy = getattr(args, "hierarchy", "standard")
-    cfg.n = getattr(args, "n", 3)
-    cfg.m = getattr(args, "m", None)
-    cfg.tol = getattr(args, "tol", sdp.DEFAULT_TOL)
-    cfg.max_iter = getattr(args, "max_iter", sdp.DEFAULT_MAX_ITER)
-    cfg.infeasibility_margin = getattr(args, "infeasibility_margin",
-                                       sdp.DEFAULT_MARGIN)
-    cfg.engine = getattr(args, "engine", "auto")
-    cfg.budget = getattr(args, "budget", 5000)
-    cfg.literal_paper_mode = getattr(args, "literal_paper_mode", False)
+    cfg.scenario = args.scenario
+    cfg.outputs = args.outputs
+    cfg.inputs = args.inputs
+    cfg.hierarchy = args.hierarchy
+    cfg.n = args.n
+    cfg.m = args.m
+    cfg.tol = args.tol
+    cfg.max_iter = args.max_iter
+    cfg.infeasibility_margin = args.infeasibility_margin
+    cfg.budget = args.budget
+    cfg.literal_paper_mode = args.literal_paper_mode
     cfg.seed = getattr(args, "seed", None)
     cfg.dims = tuple(getattr(args, "dims", (2, 2, 2, 2)))
     cfg.output_path = getattr(args, "out", None)

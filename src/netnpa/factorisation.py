@@ -130,8 +130,8 @@ def _scalar_rows(problem: MomentProblem, scalars: dict[int, float]) -> list[Row]
 
 def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
            rounds: int = 25, tol: float = 1e-8,
-           verify_tol: float = 1e-6,
-           engine: str = "auto") -> tuple[_sdp.FeasibilityOutcome, SeesawState]:
+           verify_tol: float = 1e-6
+           ) -> tuple[_sdp.FeasibilityOutcome, SeesawState]:
     """Alternating scalar-freeze heuristic for unresolved factor pairs.
 
     ``init`` maps factor-cell class ids to starting scalars; without it
@@ -139,9 +139,9 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
     bilinear pairs (the standard-relaxation warm start), falling back to
     0.5.  Feasible is returned only when the final witness passes
     :func:`verify_factorisation` at ``verify_tol``; infeasible only when
-    the rigorous linearized subproblem already is.  ``engine`` selects the
-    solver of every SDP solve (``auto``, ``interior`` or ``projection``,
-    see :func:`netnpa.sdp.solve_feasibility`).
+    the rigorous linearized subproblem already is.  Every SDP solve runs
+    :func:`netnpa.sdp.solve_feasibility` with its defaults, so the size of
+    the problem picks its engine.
     """
     lp = pin_linearize(problem)
     # the SDP imposes the linearized pairs only, so its residual gate sees
@@ -152,7 +152,7 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
                                       if fc not in flagged),
                    factor_triples=tuple(fc for fc in lp.factor_triples
                                         if fc not in flagged))
-    out = _sdp.solve_feasibility(base, engine=engine)
+    out = _sdp.solve_feasibility(base)
     if out.verdict == "infeasible":
         # rigorous: inherited from the pinned-linearized subproblem
         return out, SeesawState(scalars={}, rounds=0)
@@ -181,7 +181,7 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
         state.rounds = rnd
         trial = replace(base, linear_factor_rows=lp.linear_factor_rows
                         + tuple(_scalar_rows(lp, scalars)))
-        inner = _sdp.solve_feasibility(trial, engine=engine)
+        inner = _sdp.solve_feasibility(trial)
         if inner.verdict != "feasible":
             return _sdp.FeasibilityOutcome(
                 "inconclusive", t_star=inner.t_star,

@@ -17,14 +17,16 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    minimum-norm solution y0 (an inconsistent system is an infeasibility
    proof) and an orthonormal basis N of ker R, so the affine set is
    y = y0 + N z;
-4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set: on
-   small problems a primal-dual interior point (``netnpa.interior``) in
-   the coordinates z, with the common kernel of the affine set projected
-   out; else Dykstra alternating projections, whose affine step is the
-   Frobenius projection built from y0 and N.  The projections can certify
-   feasibility (by exhibiting a witness) but report only inconclusive
-   when they stall; t* is then the best min eigenvalue of an iterate on
-   the affine set, a lower bound on the phase-1 optimum.
+4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set: when
+   (p + 1) n^2 <= ``INTERIOR_MAX_ENTRIES`` for n words and p = dim ker R,
+   a primal-dual interior point (``netnpa.interior``) in the coordinates
+   z, with the common kernel of the affine set projected out; else, or
+   when the interior point stalls short of a verdict, at most
+   ``max_iter`` Dykstra alternating projections, whose affine step is
+   the Frobenius projection built from y0 and N.  The projections can
+   certify feasibility (by exhibiting a witness) but report only
+   inconclusive when they stall; t* is then the best min eigenvalue of an
+   iterate on the affine set, a lower bound on the phase-1 optimum.
 
 Verdicts follow the phase-1 value t*: feasible when t* >= -tol and the
 witness passes every residual family of ``moment.check_assignment`` to
@@ -47,17 +49,14 @@ from . import interior
 from .moment import MomentAssignment, MomentProblem, ResidualReport, check_assignment
 
 DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITER = 50000
+DEFAULT_MAX_ITER = 2000
 DEFAULT_MARGIN = 1e-4
 LINEAR_TOL = 1e-9
 
-ENGINES = ("auto", "interior", "projection")
-# engine="auto" sends problems larger than this to the projection engine
-INTERIOR_MAX_FREE = 2500
-INTERIOR_MAX_DIM = 200
 # the interior point holds a few (p, r, r) arrays for p null-space
-# coordinates and reduced dimension r; above this many entries per array
-# its memory and its O(p^2 r^2) Schur complements outgrow the projections
+# coordinates and reduced dimension r <= n; above this many entries per
+# array, bounded by (p + 1) n^2, its memory and its O(p^2 r^2) Schur
+# complements outgrow the projections
 INTERIOR_MAX_ENTRIES = 2 ** 21
 
 
@@ -249,8 +248,9 @@ def project_psd(M: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
 # Class-space machinery
 # ---------------------------------------------------------------------------
 
-def _eliminate(R: np.ndarray, b: np.ndarray):
-    """Gaussian elimination of R y = b on sparse rows (column -> coefficient).
+def _eliminate(R: list[dict[int, float]], b: np.ndarray, n: int):
+    """Gaussian elimination of R y = b in n unknowns, on sparse rows
+    (column -> coefficient); R itself is left unchanged.
 
     The next pivot row is the one with the fewest nonzeros; its pivot is,
     among the columns whose coefficient is at least a tenth of the row's
@@ -261,16 +261,14 @@ def _eliminate(R: np.ndarray, b: np.ndarray):
     coefficients) of the rest of its row, rhs), each row scaled to 1 on
     its pivot; the rest holds no column pivoted earlier.
     """
-    if not R.size:
-        return []
-    m = R.shape[0]
-    drop = np.abs(R).max() * max(R.shape) * np.finfo(float).eps
-    rows: list[dict[int, float]] = [{} for _ in range(m)]
+    m = len(R)
+    drop = (max((abs(v) for r in R for v in r.values()), default=0.0)
+            * max(m, n) * np.finfo(float).eps)
+    rows = [dict(r) for r in R]
     col_rows: dict[int, set[int]] = {}
-    ri, ci = np.nonzero(R)
-    for i, j, v in zip(ri.tolist(), ci.tolist(), R[ri, ci].tolist()):
-        rows[i][j] = v
-        col_rows.setdefault(j, set()).add(i)
+    for i, r in enumerate(rows):
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
     rhs = b.tolist()
     heap = [(len(r), i) for i, r in enumerate(rows)]
     heapq.heapify(heap)
@@ -329,6 +327,8 @@ class _ClassSystem:
         self._propagate()
         self.free = np.flatnonzero(np.isnan(self.known))
         self.free_pos = {int(c): i for i, c in enumerate(self.free)}
+        # the pending rows over the free classes: R[i] maps a free
+        # position to its coefficient, and R y = b
         self.R, self.b = self._reduced_rows()
         # set by factor_rows: a solution of R y = b and a basis of ker R
         self.y0: np.ndarray | None = None
@@ -381,20 +381,20 @@ class _ClassSystem:
         return (f"violated {family} row: {terms} = {rhs:g} "
                 f"(residual {resid:.3e})")
 
-    def _reduced_rows(self):
+    def _reduced_rows(self) -> tuple[list[dict[int, float]], np.ndarray]:
         rows = []
         rhs = []
         for classes, coeffs, rhs0, _family in self._pending:
             vals = self.known[classes]
             unknown = np.isnan(vals)
-            r = np.zeros(len(self.free))
-            for cls, co in zip(classes[unknown], coeffs[unknown]):
-                r[self.free_pos[int(cls)]] += co
-            rows.append(r)
+            r: dict[int, float] = {}
+            for cls, co in zip(classes[unknown].tolist(),
+                               coeffs[unknown].tolist()):
+                j = self.free_pos[cls]
+                r[j] = r.get(j, 0.0) + co
+            rows.append({j: v for j, v in r.items() if v != 0.0})
             rhs.append(rhs0 - float(np.dot(coeffs[~unknown], vals[~unknown])))
-        if rows:
-            return np.asarray(rows), np.asarray(rhs)
-        return np.zeros((0, len(self.free))), np.zeros(0)
+        return rows, np.asarray(rhs, dtype=float)
 
     # -- geometry ------------------------------------------------------------
 
@@ -420,7 +420,7 @@ class _ClassSystem:
         The system is consistent when y0 satisfies the original rows.
         """
         n = len(self.free)
-        pivots = _eliminate(self.R, self.b)
+        pivots = _eliminate(self.R, self.b, n)
         free = np.setdiff1d(np.arange(n), [j for j, _, _ in pivots])
         K = np.zeros((n, len(free)))
         K[free, np.arange(len(free))] = 1.0
@@ -431,7 +431,8 @@ class _ClassSystem:
             y[j] = rhs - vals @ y[cols]
         self.N = np.linalg.qr(K)[0]
         y0 = y - self.N @ (self.N.T @ y)
-        resid = self.R @ y0 - self.b
+        resid = np.array([sum(v * y0[j] for j, v in r.items())
+                          for r in self.R]) - self.b
         if len(resid):
             worst = int(np.abs(resid).argmax())
             if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
@@ -496,9 +497,15 @@ class _ReducedLmi:
     B: np.ndarray          # (p, r, r): V' B_j V
 
 
-def _reduce(cs: _ClassSystem) -> _ReducedLmi | None:
-    """Eliminate the affine constraints and the common kernel; None when
-    the reduced problem is too large for the interior point.  Needs
+def _interior_fits(cs: _ClassSystem) -> bool:
+    """Whether the interior point takes the problem: (p + 1) n^2 bounds
+    the entries of its (p, r, r) arrays and of the Gram loop in
+    :func:`_reduce`.  Needs ``cs.factor_rows()`` to have run."""
+    return (cs.N.shape[1] + 1) * cs.n ** 2 <= INTERIOR_MAX_ENTRIES
+
+
+def _reduce(cs: _ClassSystem) -> _ReducedLmi:
+    """Eliminate the affine constraints and the common kernel.  Needs
     ``cs.factor_rows()`` to have run."""
     N = cs.N
     p = N.shape[1]
@@ -512,8 +519,6 @@ def _reduce(cs: _ClassSystem) -> _ReducedLmi | None:
     w, U = np.linalg.eigh(gram)
     V = U[:, w > 1e-10 * w[-1]]
     r = V.shape[1]
-    if (p + 1) * r * r > INTERIOR_MAX_ENTRIES:
-        return None
     B = np.empty((p, r, r))
     for j in range(p):
         B[j] = V.T @ cs.direction(N[:, j]) @ V
@@ -522,10 +527,8 @@ def _reduce(cs: _ClassSystem) -> _ReducedLmi | None:
 
 def _interior_phase1(cs: _ClassSystem, tol: float):
     """max t s.t. V' X(z) V - t*1 >= 0; returns (witness X(z), solver
-    result) or None when the problem is too large."""
+    result)."""
     red = _reduce(cs)
-    if red is None:
-        return None
     p, r = red.B.shape[0], red.C.shape[0]
     A = np.concatenate([-red.B, np.eye(r)[None]])
     b = np.zeros(p + 1)
@@ -553,8 +556,7 @@ def _affine_projector(cs: _ClassSystem):
     return project
 
 
-def _dykstra(cs: _ClassSystem, tol: float, max_iter: int,
-             check_every: int = 25):
+def _dykstra(cs: _ClassSystem, tol: float, max_iter: int):
     """Alternating projections with Dykstra correction between the affine
     set and the PSD cone; returns (witness or None, best min eigenvalue
     seen, iterations).  Needs ``cs.factor_rows()`` to have run."""
@@ -566,7 +568,7 @@ def _dykstra(cs: _ClassSystem, tol: float, max_iter: int,
         Y = project_psd(X + P, sym_tol=np.inf)
         P = X + P - Y
         X = project_affine(Y)
-        if it % check_every == 0 or it == max_iter:
+        if it % 25 == 0 or it == max_iter:
             lam = float(np.linalg.eigvalsh(X).min())
             best_t = max(best_t, lam)
             if lam >= -10 * tol:
@@ -584,19 +586,15 @@ def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
 def solve_feasibility(target: AffineSdp | MomentProblem,
                       tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER,
-                      infeasibility_margin: float = DEFAULT_MARGIN,
-                      engine: str = "auto") -> FeasibilityOutcome:
+                      infeasibility_margin: float = DEFAULT_MARGIN
+                      ) -> FeasibilityOutcome:
     """Phase-1 feasibility of a compiled problem.
 
-    ``engine`` is one of ``auto`` (interior point when the problem has at
-    most ``INTERIOR_MAX_DIM`` words and ``INTERIOR_MAX_FREE`` free classes,
-    projections otherwise), ``interior``, or ``projection``.  The interior
-    point hands over to projections when its reduced problem is too large
-    or it stalls without a verdict.
+    The problem's size picks the engine: the interior point when
+    :func:`_interior_fits`, else Dykstra projections.  The interior point
+    hands over to the projections when it stalls without a verdict;
+    ``max_iter`` bounds the projection iterations on either route.
     """
-    if engine not in ENGINES:
-        raise SdpStructureError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
     if isinstance(target, AffineSdp):
         if target.problem is None:
             raise SdpStructureError(
@@ -638,33 +636,28 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
     ok, msg = cs.factor_rows()
     if not ok:
         return FeasibilityOutcome("infeasible", t_star=-np.inf, evidence=msg)
-    if engine == "interior" or (engine == "auto"
-                                and len(cs.free) <= INTERIOR_MAX_FREE
-                                and cs.n <= INTERIOR_MAX_DIM):
-        found = _interior_phase1(cs, tol)
-        if found is not None:
-            X, res = found
-            lam = float(np.linalg.eigvalsh(X)[0])
-            if lam >= -tol:
-                return _outcome_feasible(problem, X, lam, res.iterations, tol,
-                                         f"interior point ({res.status})")
-            # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
-            if res.primal_infeas <= tol:
-                if res.primal_obj < -infeasibility_margin:
-                    return FeasibilityOutcome(
-                        "infeasible", t_star=res.primal_obj,
-                        iterations=res.iterations,
-                        evidence=f"phase-1 optimum {res.primal_obj:.6g} "
-                                 f"(interior point)")
-                if res.status == "optimal":
-                    return FeasibilityOutcome(
-                        "inconclusive", t_star=res.primal_obj,
-                        iterations=res.iterations,
-                        evidence="phase-1 optimum inside the inconclusive band")
-        # too large for the interior point, or it stalled short of a
-        # verdict; fall through to projections
-    budget = max_iter if engine == "projection" else min(max_iter, 2000)
-    X, t_best, iters = _dykstra(cs, tol, budget)
+    if _interior_fits(cs):
+        X, res = _interior_phase1(cs, tol)
+        lam = float(np.linalg.eigvalsh(X)[0])
+        if lam >= -tol:
+            return _outcome_feasible(problem, X, lam, res.iterations, tol,
+                                     f"interior point ({res.status})")
+        # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
+        if res.primal_infeas <= tol:
+            if res.primal_obj < -infeasibility_margin:
+                return FeasibilityOutcome(
+                    "infeasible", t_star=res.primal_obj,
+                    iterations=res.iterations,
+                    evidence=f"phase-1 optimum {res.primal_obj:.6g} "
+                             f"(interior point)")
+            if res.status == "optimal":
+                return FeasibilityOutcome(
+                    "inconclusive", t_star=res.primal_obj,
+                    iterations=res.iterations,
+                    evidence="phase-1 optimum inside the inconclusive band")
+        # the interior point stalled short of a verdict; fall through to
+        # projections
+    X, t_best, iters = _dykstra(cs, tol, max_iter)
     if X is not None:
         return _outcome_feasible(problem, X, t_best, iters, tol,
                                  "alternating projections")
@@ -689,9 +682,9 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     ok, msg = cs.factor_rows()
     if not ok:
         raise SdpStructureError(f"infeasible problem: {msg}")
-    red = _reduce(cs)
-    if red is None:
+    if not _interior_fits(cs):
         raise SdpStructureError("problem too large for the interior point")
+    red = _reduce(cs)
     c = np.zeros(len(cs.free))
     fixed_part = 0.0
     for cls, co in objective.items():

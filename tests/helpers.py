@@ -86,6 +86,15 @@ BILOCAL_111 = ("bilocal", (2, 2, 2), (1, 1, 1))
 TRIANGLE_111 = ("triangle", (2, 2, 2), (1, 1, 1))
 
 
+def dense_rows(cs) -> np.ndarray:
+    """The reduced rows of an ``sdp._ClassSystem`` as a dense matrix."""
+    R = np.zeros((len(cs.R), len(cs.free)))
+    for i, row in enumerate(cs.R):
+        for j, v in row.items():
+            R[i, j] = v
+    return R
+
+
 # ---------------------------------------------------------------------------
 # hand-built strategies
 # ---------------------------------------------------------------------------

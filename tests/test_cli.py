@@ -43,6 +43,16 @@ def test_report_sections_stable_order():
     assert "  distribution: shared_random_bit" in report
 
 
+def test_engine_option_is_gone_and_max_iter_defaults_to_the_projection_budget():
+    code, _report = run(["test", "--scenario", "bilocal", "--engine", "auto",
+                         "shared_random_bit"])
+    assert code == EXIT_PARSE
+    code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
+                        "factorisation", "--n", "3", "shared_random_bit"])
+    assert code == EXIT_INFEASIBLE
+    assert "  max_iter: 2000" in report
+
+
 def test_unknown_distribution_exit64():
     code, report = run(["test", "--scenario", "bilocal", "no_such_thing"])
     assert code == EXIT_PARSE

@@ -107,7 +107,7 @@ def test_seesaw_converges_on_oracle_fixture():
     st = random_strategy(sc, (2, 2, 2, 2), 5)
     orc = MomentOracle(st)
     p = pin_distribution(build_factorisation_bilocal(sc, 2), orc.born())
-    out, state = F.seesaw(p, engine="interior")
+    out, state = F.seesaw(p)
     assert out.verdict == "feasible"
     assert state.rounds <= 5
     resid = F.verify_factorisation(MomentAssignment(p, out.witness))
@@ -125,7 +125,7 @@ def test_seesaw_oracle_init_fixed_point_in_one_round():
     vals = oracle_assignment(p, orc).class_values()
     init = {c: float(vals[c]) for fc in lp.flagged_bilinear
             for c in (fc.cls_row, fc.cls_col)}
-    out, state = F.seesaw(p, init=init, engine="interior")
+    out, state = F.seesaw(p, init=init)
     assert out.verdict == "feasible"
     assert state.rounds == 1
 
@@ -136,7 +136,7 @@ def test_seesaw_n3_linearized_fixture():
     st = random_strategy(sc, (2, 2, 2, 2), 7)
     p = pin_distribution(build_factorisation_bilocal(sc, 3),
                          MomentOracle(st).born())
-    out, state = F.seesaw(p, engine="interior")
+    out, state = F.seesaw(p)
     assert out.verdict == "feasible"
     assert state.rounds <= 5
     assert F.verify_factorisation(MomentAssignment(p, out.witness)) < 1e-6
@@ -149,7 +149,7 @@ def test_seesaw_feasible_implies_verified():
         st = random_strategy(sc, (2, 2, 2, 2), seed)
         p = pin_distribution(build_factorisation_bilocal(sc, 2),
                              MomentOracle(st).born())
-        out, _state = F.seesaw(p, engine="interior")
+        out, _state = F.seesaw(p)
         if out.verdict == "feasible":
             assert (F.verify_factorisation(MomentAssignment(p, out.witness))
                     <= 1e-6)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from netnpa import factorisation
+from netnpa import factorisation, sdp
 from netnpa.moment import (
     Row,
     build_factorisation_bilocal,
@@ -39,7 +39,7 @@ from netnpa.sdp import (
 )
 from netnpa.words import EMPTY_WORD, Letter, concat, word
 
-from helpers import BILOCAL_111, TRIANGLE_111, cached_problem, meas
+from helpers import BILOCAL_111, TRIANGLE_111, cached_problem, dense_rows, meas
 
 BILOCAL = Scenario(*BILOCAL_111)
 
@@ -138,24 +138,16 @@ def test_infeasibility_monotone_in_level():
         assert out.verdict == "infeasible"
 
 
-def test_engines_agree_on_multi_input_instance():
+def test_engines_agree_on_multi_input_instance(monkeypatch):
     sc = Scenario("bilocal", (2, 2, 2), (2, 1, 1))
     st = random_strategy(sc, (2, 2, 2, 2), 5)
     p = pin_distribution(build_standard(sc, 2), MomentOracle(st).born())
-    out_c = solve_feasibility(p, engine="interior")
-    out_p = solve_feasibility(p, engine="projection", max_iter=20000)
+    out_c = solve_feasibility(p)
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
+    out_p = solve_feasibility(p, max_iter=20000)
     assert out_c.verdict == "feasible"
     assert out_p.verdict == "feasible"
     assert out_p.residuals.max_residual() < 1e-6
-
-
-def test_unknown_engine_rejected():
-    p = pin_distribution(cached_problem("factorisation", *BILOCAL_111, 3),
-                         shared_random_bit("bilocal"))
-    with pytest.raises(SdpStructureError, match="unknown engine"):
-        solve_feasibility(p, engine="cvxopt")
-    with pytest.raises(SdpStructureError, match="unknown engine"):
-        factorisation.seesaw(p, engine="interiour")
 
 
 def test_solver_deterministic():
@@ -204,6 +196,14 @@ def test_chsh_tsirelson_level2():
     assert abs(value - 2 * np.sqrt(2)) < 1e-6
 
 
+def test_maximize_linear_refuses_a_problem_too_large_for_the_interior_point(
+        monkeypatch):
+    p, obj = chsh_problem_and_objective()
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
+    with pytest.raises(SdpStructureError, match="too large"):
+        maximize_linear(p, obj)
+
+
 def noisy_pr_box(v):
     # v * PR box + (1 - v) * white noise; quantum iff v <= 1/sqrt(2)
     sc = Scenario("bell3", (2, 2, 1), (2, 2, 1))
@@ -216,16 +216,33 @@ def noisy_pr_box(v):
 
 def test_interior_point_decides_noisy_pr_box_at_tsirelson():
     p = cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2)
-    inside = solve_feasibility(pin_distribution(p, noisy_pr_box(0.70)),
-                               engine="interior")
+    inside = solve_feasibility(pin_distribution(p, noisy_pr_box(0.70)))
     assert inside.verdict == "feasible"
     assert inside.residuals.max_residual() < 1e-7
-    outside = solve_feasibility(pin_distribution(p, noisy_pr_box(0.725)),
-                                engine="interior")
+    outside = solve_feasibility(pin_distribution(p, noisy_pr_box(0.725)))
     assert outside.verdict == "infeasible"
     assert "interior point" in outside.evidence
     # the optimum, max over completions of the min eigenvalue, is negative
     assert outside.t_star < -0.01
+
+
+def test_max_iter_bounds_the_projections_on_the_default_route(monkeypatch):
+    p = cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2)
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
+    out = solve_feasibility(pin_distribution(p, noisy_pr_box(0.725)),
+                            max_iter=2100)
+    assert out.verdict == "inconclusive"
+    assert out.iterations == 2100
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bilocal_inflation_is_decided_by_the_interior_point(seed):
+    p = pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
+                         MomentOracle(random_strategy(
+                             BILOCAL, (2, 2, 2, 2), seed)).born())
+    out = solve_feasibility(p)
+    assert out.verdict == "feasible"
+    assert out.evidence.startswith("interior point")
 
 
 # --- affine layer ---------------------------------------------------------------
@@ -260,6 +277,7 @@ def test_triangle_inflation_accepts_the_uniform_product_without_svd(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     out = solve_feasibility(p)
     assert out.verdict == "feasible"
+    assert out.evidence == "alternating projections"
     assert max(out.residuals.families().values()) <= 1e-6
 
 
@@ -287,7 +305,7 @@ def _factor_rows_problem(name):
                                   "factorisation-n3", "triangle-uniform"])
 def test_factor_rows_match_an_svd_reference(name):
     cs = _ClassSystem(_factor_rows_problem(name))
-    R, b = cs.R, cs.b
+    R, b = dense_rows(cs), cs.b
     if name == "factorisation-n3":
         assert np.any(R != np.round(R))
     assert cs.factor_rows() == (True, "")
@@ -314,7 +332,7 @@ def test_inconsistent_rows_are_an_infeasibility_certificate():
 def test_feasible_requires_every_residual_family_within_the_gate():
     p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
                          noisy_pr_box(0.7))
-    good = solve_feasibility(p, engine="interior")
+    good = solve_feasibility(p)
     assert good.verdict == "feasible"
     X = good.witness.copy()
     assert _outcome_feasible(p, X, good.t_star, 0, 1e-7, "x").verdict == "feasible"
@@ -336,7 +354,8 @@ def test_affine_projector_matches_weighted_least_squares():
     assert cs.factor_rows() == (True, "")
     # rank-deficient rows and a nontrivial kernel
     assert cs.N.shape[1] > 0
-    assert np.linalg.matrix_rank(cs.R) < min(cs.R.shape)
+    R = dense_rows(cs)
+    assert np.linalg.matrix_rank(R) < min(R.shape)
     project = _affine_projector(cs)
     rng = np.random.default_rng(0)
     G = rng.standard_normal((p.dim, p.dim))
@@ -346,18 +365,19 @@ def test_affine_projector_matches_weighted_least_squares():
     flat = X.reshape(-1)
     a = np.array([flat[p.class_cells_flat(int(c))].mean() for c in cs.free])
     w_inv = 1.0 / np.array([len(p.class_cells_flat(int(c))) for c in cs.free])
-    gram = (cs.R * w_inv) @ cs.R.T
-    ref = a - w_inv * (cs.R.T @ (np.linalg.pinv(gram) @ (cs.R @ a - cs.b)))
+    gram = (R * w_inv) @ R.T
+    ref = a - w_inv * (R.T @ (np.linalg.pinv(gram) @ (R @ a - cs.b)))
     Y = project(X)
     assert np.abs(Y - cs.assemble(ref)).max() < 1e-9
     assert np.abs(project(Y) - Y).max() < 1e-9
 
 
-def test_stalled_projection_reports_a_lower_bound_on_the_optimum():
+def test_stalled_projection_reports_a_lower_bound_on_the_optimum(monkeypatch):
     p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
                          noisy_pr_box(0.725))
-    exact = solve_feasibility(p, engine="interior")
-    stalled = solve_feasibility(p, engine="projection", max_iter=100)
+    exact = solve_feasibility(p)
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
+    stalled = solve_feasibility(p, max_iter=100)
     assert stalled.verdict == "inconclusive"
     assert "stalled" in stalled.evidence
     # every Dykstra iterate lies on the affine set, so its min eigenvalue
