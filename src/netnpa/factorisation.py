@@ -129,20 +129,26 @@ def _scalar_rows(problem: MomentProblem, scalars: dict[int, float]) -> list[Row]
 
 
 def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
-           rounds: int = 25, tol: float = 1e-8,
-           verify_tol: float = 1e-6
+           rounds: int = 25, drift_tol: float = 1e-8,
+           verify_tol: float = 1e-6, *, tol: float = _sdp.DEFAULT_TOL,
+           max_iter: int = _sdp.DEFAULT_MAX_ITER,
+           infeasibility_margin: float = _sdp.DEFAULT_MARGIN
            ) -> tuple[_sdp.FeasibilityOutcome, SeesawState]:
     """Alternating scalar-freeze heuristic for unresolved factor pairs.
 
     ``init`` maps factor-cell class ids to starting scalars; without it
     the scalars are read from a witness of the problem *without* the
     bilinear pairs (the standard-relaxation warm start), falling back to
-    0.5.  Feasible is returned only when the final witness passes
-    :func:`verify_factorisation` at ``verify_tol``; infeasible only when
-    the rigorous linearized subproblem already is.  Every SDP solve runs
-    :func:`netnpa.sdp.solve_feasibility` with its defaults, so the size of
+    0.5.  The search stops at a fixed point once no scalar moves by
+    ``drift_tol`` in a round.  Feasible is returned only when the final
+    witness passes :func:`verify_factorisation` at ``verify_tol``;
+    infeasible only when the rigorous linearized subproblem already is.
+    Every SDP solve runs :func:`netnpa.sdp.solve_feasibility` with
+    ``tol``, ``max_iter`` and ``infeasibility_margin``, and the size of
     the problem picks its engine.
     """
+    settings = dict(tol=tol, max_iter=max_iter,
+                    infeasibility_margin=infeasibility_margin)
     lp = pin_linearize(problem)
     # the SDP imposes the linearized pairs only, so its residual gate sees
     # those; the flagged pairs are checked here, by verify_factorisation
@@ -152,7 +158,7 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
                                       if fc not in flagged),
                    factor_triples=tuple(fc for fc in lp.factor_triples
                                         if fc not in flagged))
-    out = _sdp.solve_feasibility(base)
+    out = _sdp.solve_feasibility(base, **settings)
     if out.verdict == "infeasible":
         # rigorous: inherited from the pinned-linearized subproblem
         return out, SeesawState(scalars={}, rounds=0)
@@ -181,7 +187,7 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
         state.rounds = rnd
         trial = replace(base, linear_factor_rows=lp.linear_factor_rows
                         + tuple(_scalar_rows(lp, scalars)))
-        inner = _sdp.solve_feasibility(trial)
+        inner = _sdp.solve_feasibility(trial, **settings)
         if inner.verdict != "feasible":
             return _sdp.FeasibilityOutcome(
                 "inconclusive", t_star=inner.t_star,
@@ -198,7 +204,7 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
                        for c in scalar_classes}
         drift = max(abs(new_scalars[c] - scalars[c]) for c in scalar_classes)
         scalars = new_scalars
-        if last is not None and drift < tol:
+        if last is not None and drift < drift_tol:
             return _sdp.FeasibilityOutcome(
                 "inconclusive", t_star=inner.t_star,
                 evidence=f"see-saw fixed point after {rnd} rounds with "

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -95,6 +96,25 @@ class FactorConstraint:
     cls_col: int
 
 
+@dataclass(frozen=True)
+class PinPlan:
+    """The structure of the distribution pins of a problem.
+
+    ``groups`` are the pinnable Hankel groups sorted stably by class, in
+    segments opening at ``starts``, one per class of ``classes``.  Row k
+    of ``cells`` holds, for group ``groups[k]``, the flat positions of its
+    component factors in the concatenation of the marginals over
+    ``subsets`` (in that order) followed by one entry 1.0, at which the
+    padding points.
+    """
+
+    subsets: tuple[tuple[str, ...], ...]
+    groups: np.ndarray
+    classes: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
+
+
 @dataclass
 class MomentProblem:
     scenario: Scenario
@@ -130,12 +150,19 @@ class MomentProblem:
     def pos(self, w: Word) -> int:
         return self._pos[w]
 
-    def __post_init__(self) -> None:
-        self._pos = {w: i for i, w in enumerate(self.index)}
-        classes: list[list[int]] = [[] for _ in range(self.n_classes)]
-        for g, c in enumerate(self.group_class):
-            classes[int(c)].append(g)
-        self._class_groups = classes
+    # derived lookups are built on first use: ``dataclasses.replace`` (every
+    # pin, linearization and see-saw round) copies the fields only
+
+    @functools.cached_property
+    def _pos(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.index)}
+
+    @functools.cached_property
+    def _class_groups(self) -> list[list[int]]:
+        groups = np.argsort(self.group_class, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.group_class,
+                                     minlength=self.n_classes)).tolist()
+        return [groups[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     def class_groups(self, cls: int) -> list[int]:
         return self._class_groups[cls]
@@ -157,6 +184,13 @@ class MomentProblem:
         return (np.concatenate(self.group_cells),
                 np.repeat(np.arange(len(sizes)), sizes),
                 np.cumsum(sizes) - sizes)
+
+    @functools.cached_property
+    def pin_plan(self) -> PinPlan:
+        """Which groups a distribution pins and the marginal cells their
+        values multiply (see :func:`pin_distribution`); built on the first
+        pin."""
+        return _pin_plan(self)
 
     def class_average(self, X: np.ndarray) -> np.ndarray:
         """Mean of ``X`` over the cells of each class (the class cells
@@ -284,26 +318,26 @@ def _source_nodes(scenario: Scenario, l: Letter,
     return [(src, l.copies[i]) for i, src in enumerate(slots)]
 
 
-def _pinnable_value(scenario: Scenario, dist: Distribution, key: Word,
-                    inflated: bool,
-                    marginal_cache: dict) -> float | None:
-    """Value forced on a class by distribution compatibility, or None.
+def _pin_factors(scenario: Scenario, key: Word, inflated: bool,
+                 subsets: dict[tuple[str, ...], int]
+                 ) -> list[tuple[int, tuple[int, ...]]] | None:
+    """The marginal cells whose product a distribution forces on ``key``,
+    as (subset id, outputs + inputs) per component, or None.
 
     The key word is split into connected components through shared source
     copies.  A component is a fresh copy of a sub-network when each party
     occurs once and parties adjacent to a common source use a common copy
     of it; its value is then the corresponding marginal of the
     distribution, and the word's value is the product over components.
+    A party subset enters ``subsets`` when a component first needs its
+    marginal.
     """
     letters = key.letters
     if any(not l.is_measurement for l in letters):
         return None
-    if not letters:
-        return 1.0
     nodes_of = [_source_nodes(scenario, l, inflated) for l in letters]
-    comps = linked_components(nodes_of)
-    total = 1.0
-    for members in comps:
+    factors = []
+    for members in linked_components(nodes_of):
         parties = [letters[li].party for li in members]
         if len(set(parties)) != len(parties):
             return None
@@ -318,9 +352,7 @@ def _pinnable_value(scenario: Scenario, dist: Distribution, key: Word,
                 if len(feeders) >= 2 and len(cps) >= 2:
                     return None
         sub = tuple(sorted(parties))
-        if sub not in marginal_cache:
-            marginal_cache[sub] = dist.marginal(sub)
-        marg = marginal_cache[sub]
+        sid = subsets.setdefault(sub, len(subsets))
         order = {p: k for k, p in enumerate(sub)}
         outs = [0] * len(sub)
         ins = [0] * len(sub)
@@ -328,8 +360,41 @@ def _pinnable_value(scenario: Scenario, dist: Distribution, key: Word,
             l = letters[li]
             outs[order[l.party]] = l.output
             ins[order[l.party]] = l.input
-        total *= float(marg[tuple(outs) + tuple(ins)])
-    return total
+        factors.append((sid, tuple(outs) + tuple(ins)))
+    return factors
+
+
+def _pin_plan(problem: MomentProblem) -> PinPlan:
+    """Walk the groups class by class, in group order within a class, and
+    record the marginal cells of every pinnable one; the party subsets
+    enter in the order of this walk."""
+    sc = problem.scenario
+    inflated = problem.hierarchy == "inflation"
+    subsets: dict[tuple[str, ...], int] = {}
+    groups, factors = [], []
+    for g in np.argsort(problem.group_class, kind="stable").tolist():
+        f = _pin_factors(sc, problem.group_keys[g], inflated, subsets)
+        if f is not None:
+            groups.append(g)
+            factors.append(f)
+    # the position of every marginal cell in the concatenated marginals
+    position, total = [], 0
+    for sub in subsets:
+        shape = ([sc.outputs[sc.party_index(p)] for p in sub]
+                 + [sc.inputs[sc.party_index(p)] for p in sub])
+        position.append(total + np.arange(math.prod(shape)).reshape(shape))
+        total += position[-1].size
+    cells = np.full((len(groups), max(map(len, factors), default=0)), total,
+                    dtype=np.intp)
+    for k, f in enumerate(factors):
+        for c, (sid, cell) in enumerate(f):
+            cells[k, c] = position[sid][cell]
+    group_arr = np.asarray(groups, dtype=np.intp)
+    group_cls = problem.group_class[group_arr]
+    starts = np.flatnonzero(np.diff(group_cls, prepend=-1))
+    return PinPlan(subsets=tuple(subsets), groups=group_arr,
+                   classes=group_cls[starts].astype(np.intp), starts=starts,
+                   cells=cells)
 
 
 def _source_parties(scenario: Scenario, source: str) -> tuple[str, ...]:
@@ -619,7 +684,15 @@ def pin_distribution(problem: MomentProblem, dist: Distribution,
 
     Full correlators, all marginals reachable by summing outcomes, and
     (for inflated problems) products over fresh source copies are pinned.
-    Signalling tables are rejected with the offending inputs named.
+    Which keys those are, and which marginal cell each factor reads, is
+    the problem's :attr:`MomentProblem.pin_plan`, built once on the first
+    pin; each distribution then computes the plan's marginals (rejecting
+    signalling tables, with the offending inputs named) and gathers.  A
+    key's value is the product of its factors taken left to right.  A
+    class is pinned to the value of its first pinnable group; its
+    pinnable groups must agree to within ``tol``, and so must an earlier
+    pin of the class, else :class:`PinConflictError` names the first
+    class in conflict.
     """
     if dist.scenario.topology != problem.scenario.topology or \
             dist.scenario.outputs != problem.scenario.outputs or \
@@ -631,29 +704,35 @@ def pin_distribution(problem: MomentProblem, dist: Distribution,
         raise ValueError(
             f"level n={problem.n} cannot pin the full correlators of "
             f"{nparties} parties")
-    inflated = problem.hierarchy == "inflation"
-    cache: dict = {}
-    pinned = dict(problem.pinned)
-    for cls in range(problem.n_classes):
-        values = []
-        for g in problem.class_groups(cls):
-            v = _pinnable_value(problem.scenario, dist, problem.group_keys[g],
-                                inflated, cache)
-            if v is not None:
-                values.append((problem.group_keys[g], v))
-        if not values:
-            continue
-        vmin = min(v for _, v in values)
-        vmax = max(v for _, v in values)
-        if vmax - vmin > tol:
-            wa = [w for w, v in values if v == vmin][0]
-            wb = [w for w, v in values if v == vmax][0]
+    plan = problem.pin_plan
+    marginals = np.concatenate([dist.marginal(sub).reshape(-1)
+                                for sub in plan.subsets] + [np.ones(1)])
+    values = np.ones(len(plan.groups))
+    for col in plan.cells.T:
+        values *= marginals[col]
+    first = values[plan.starts]
+    spread = (np.maximum.reduceat(values, plan.starts)
+              - np.minimum.reduceat(values, plan.starts))
+    held = np.full(problem.n_classes, np.nan)
+    held[list(problem.pinned)] = list(problem.pinned.values())
+    conflict = (spread > tol) | (np.abs(held[plan.classes] - first) > tol)
+    if conflict.any():
+        k = int(conflict.argmax())
+        cls = int(plan.classes[k])
+        if spread[k] > tol:
+            seg = slice(plan.starts[k], plan.starts[k + 1]
+                        if k + 1 < len(plan.starts) else None)
+            vals, groups = values[seg], plan.groups[seg]
+            vmin, vmax = float(vals.min()), float(vals.max())
+            wa = problem.group_keys[groups[int((vals == vmin).argmax())]]
+            wb = problem.group_keys[groups[int((vals == vmax).argmax())]]
             raise PinConflictError(
                 f"keys {wa!r} and {wb!r} of one class pin to {vmin} != {vmax}")
-        if cls in pinned and abs(pinned[cls] - values[0][1]) > tol:
-            raise PinConflictError(
-                f"class {cls} already pinned to {pinned[cls]}, got {values[0][1]}")
-        pinned[cls] = values[0][1]
+        raise PinConflictError(
+            f"class {cls} already pinned to {problem.pinned[cls]}, "
+            f"got {float(first[k])}")
+    pinned = dict(problem.pinned)
+    pinned.update(zip(plan.classes.tolist(), first.tolist()))
     return replace(problem, pinned=pinned)
 
 

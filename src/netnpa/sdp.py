@@ -327,10 +327,11 @@ class _ClassSystem:
         self._propagate()
         self.free = np.flatnonzero(np.isnan(self.known))
         self.free_pos = {int(c): i for i, c in enumerate(self.free)}
-        # the pending rows over the free classes: R[i] maps a free
-        # position to its coefficient, and R y = b
-        self.R, self.b = self._reduced_rows()
-        # set by factor_rows: a solution of R y = b and a basis of ker R
+        # set by factor_rows: the pending rows over the free classes (R[i]
+        # maps a free position to its coefficient, and R y = b), a
+        # solution of R y = b and a basis of ker R
+        self.R: list[dict[int, float]] | None = None
+        self.b: np.ndarray | None = None
         self.y0: np.ndarray | None = None
         self.N: np.ndarray | None = None
 
@@ -410,8 +411,9 @@ class _ClassSystem:
         return y[self.cell_class]
 
     def factor_rows(self) -> tuple[bool, str]:
-        """Check that R y = b is solvable; keep ``y0``, its minimum-norm
-        solution, and ``N``, an orthonormal basis of ker R.
+        """Reduce the pending rows to R y = b over the free classes and
+        check that it is solvable; keep ``R``, ``b``, ``y0``, the
+        minimum-norm solution, and ``N``, an orthonormal basis of ker R.
 
         Sparse elimination (:func:`_eliminate`) writes every pivot class
         in the remaining free ones.  That gives a basis K of ker R with
@@ -419,6 +421,7 @@ class _ClassSystem:
         there; N comes from one thin QR of K, and y0 = y_b - N N'y_b.
         The system is consistent when y0 satisfies the original rows.
         """
+        self.R, self.b = self._reduced_rows()
         n = len(self.free)
         pivots = _eliminate(self.R, self.b, n)
         free = np.setdiff1d(np.arange(n), [j for j, _, _ in pivots])

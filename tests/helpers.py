@@ -5,19 +5,24 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from netnpa.moment import (
+    MomentProblem,
+    PinConflictError,
     ResidualReport,
+    _source_nodes,
+    _source_parties,
     build_factorisation_bilocal,
     build_inflation,
     build_scalar_extension,
     build_standard,
     build_star_factorisation,
 )
-from netnpa.scenarios import QuantumStrategy, Scenario
-from netnpa.words import Letter, letters_commute, word
+from netnpa.scenarios import Distribution, QuantumStrategy, Scenario, linked_components
+from netnpa.words import Letter, Word, letters_commute, word
 
 
 def meas(party: str, output: int = 0, input: int = 0, copies=None) -> Letter:
@@ -187,3 +192,95 @@ def loop_check_assignment(problem, assignment) -> ResidualReport:
     return ResidualReport(hankel=hankel, merges=merge_res, pins=pins,
                           completeness=completeness, factorisation=fact,
                           extended_products=ext, min_eigenvalue=eigmin)
+
+
+# ---------------------------------------------------------------------------
+# loop reference for moment.pin_distribution
+# ---------------------------------------------------------------------------
+
+def _pinnable_value(scenario: Scenario, dist: Distribution, key: Word,
+                    inflated: bool,
+                    marginal_cache: dict) -> float | None:
+    """Value forced on a class by distribution compatibility, or None.
+
+    The key word is split into connected components through shared source
+    copies.  A component is a fresh copy of a sub-network when each party
+    occurs once and parties adjacent to a common source use a common copy
+    of it; its value is then the corresponding marginal of the
+    distribution, and the word's value is the product over components.
+    """
+    letters = key.letters
+    if any(not l.is_measurement for l in letters):
+        return None
+    if not letters:
+        return 1.0
+    nodes_of = [_source_nodes(scenario, l, inflated) for l in letters]
+    comps = linked_components(nodes_of)
+    total = 1.0
+    for members in comps:
+        parties = [letters[li].party for li in members]
+        if len(set(parties)) != len(parties):
+            return None
+        if inflated:
+            # parties sharing a source in the network must share its copy
+            copy_used: dict[str, set[int]] = {}
+            for li in members:
+                for src, cp in nodes_of[li]:
+                    copy_used.setdefault(src, set()).add(cp)
+            for src, cps in copy_used.items():
+                feeders = set(_source_parties(scenario, src)) & set(parties)
+                if len(feeders) >= 2 and len(cps) >= 2:
+                    return None
+        sub = tuple(sorted(parties))
+        if sub not in marginal_cache:
+            marginal_cache[sub] = dist.marginal(sub)
+        marg = marginal_cache[sub]
+        order = {p: k for k, p in enumerate(sub)}
+        outs = [0] * len(sub)
+        ins = [0] * len(sub)
+        for li in members:
+            l = letters[li]
+            outs[order[l.party]] = l.output
+            ins[order[l.party]] = l.input
+        total *= float(marg[tuple(outs) + tuple(ins)])
+    return total
+
+
+def loop_pin_distribution(problem: MomentProblem, dist: Distribution,
+                          *, tol: float = 1e-9) -> MomentProblem:
+    """``moment.pin_distribution`` one class and one key at a time, with
+    the structure of every key worked out again for each distribution."""
+    if dist.scenario.topology != problem.scenario.topology or \
+            dist.scenario.outputs != problem.scenario.outputs or \
+            dist.scenario.inputs != problem.scenario.inputs:
+        raise ValueError("distribution and problem scenarios differ")
+    nparties = len(problem.scenario.parties)
+    if 2 * problem.n < nparties and problem.hierarchy != "inflation":
+        # full-correlator words appear as cell products of length <= 2n
+        raise ValueError(
+            f"level n={problem.n} cannot pin the full correlators of "
+            f"{nparties} parties")
+    inflated = problem.hierarchy == "inflation"
+    cache: dict = {}
+    pinned = dict(problem.pinned)
+    for cls in range(problem.n_classes):
+        values = []
+        for g in problem.class_groups(cls):
+            v = _pinnable_value(problem.scenario, dist, problem.group_keys[g],
+                                inflated, cache)
+            if v is not None:
+                values.append((problem.group_keys[g], v))
+        if not values:
+            continue
+        vmin = min(v for _, v in values)
+        vmax = max(v for _, v in values)
+        if vmax - vmin > tol:
+            wa = [w for w, v in values if v == vmin][0]
+            wb = [w for w, v in values if v == vmax][0]
+            raise PinConflictError(
+                f"keys {wa!r} and {wb!r} of one class pin to {vmin} != {vmax}")
+        if cls in pinned and abs(pinned[cls] - values[0][1]) > tol:
+            raise PinConflictError(
+                f"class {cls} already pinned to {pinned[cls]}, got {values[0][1]}")
+        pinned[cls] = values[0][1]
+    return replace(problem, pinned=pinned)

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 
+from netnpa import sdp
 from netnpa.cli import (
     EXIT_FEASIBLE,
     EXIT_INFEASIBLE,
@@ -12,7 +13,13 @@ from netnpa.cli import (
     load_assignment,
     run,
 )
-from netnpa.scenarios import born_eval, random_strategy, Scenario, write_distribution
+from netnpa.scenarios import (
+    MomentOracle,
+    Scenario,
+    born_eval,
+    random_strategy,
+    write_distribution,
+)
 from netnpa.sdp import parse_sdpa
 
 
@@ -51,6 +58,40 @@ def test_engine_option_is_gone_and_max_iter_defaults_to_the_projection_budget():
                         "factorisation", "--n", "3", "shared_random_bit"])
     assert code == EXIT_INFEASIBLE
     assert "  max_iter: 2000" in report
+
+
+def test_report_timing_line_splits_build_pin_and_solve():
+    _code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
+                         "factorisation", "--n", "3", "shared_random_bit"])
+    timing = [ln for ln in report.splitlines() if ln.startswith("timing:")]
+    assert len(timing) == 1
+    assert " s (build " in timing[0] and ", pin " in timing[0] \
+        and ", solve " in timing[0]
+
+
+def test_seesaw_inner_solves_get_the_solver_settings(tmp_path, monkeypatch):
+    # A with two inputs and C with two: some factor pairs stay bilinear, so
+    # the CLI runs the see-saw
+    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
+    path = tmp_path / "born.dist"
+    write_distribution(MomentOracle(random_strategy(sc, (2, 2, 2, 2), 5)).born(),
+                       str(path))
+    calls = []
+    solve = sdp.solve_feasibility
+
+    def record(problem, **kwargs):
+        calls.append(kwargs)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve_feasibility", record)
+    _code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
+                         "factorisation", "--n", "2", "--tol", "2e-7",
+                         "--max-iter", "1500", "--infeasibility-margin", "3e-4",
+                         str(path)])
+    assert "seesaw rounds:" in report
+    assert len(calls) >= 2          # the warm start and at least one round
+    assert all(kw == {"tol": 2e-7, "max_iter": 1500, "infeasibility_margin": 3e-4}
+               for kw in calls)
 
 
 def test_unknown_distribution_exit64():

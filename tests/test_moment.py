@@ -1,5 +1,6 @@
 """Moment-problem compilation: classes, pins, factor families, orbits."""
 
+import dataclasses
 import itertools
 import os
 
@@ -10,6 +11,7 @@ from netnpa import factorisation, words
 from netnpa.moment import (
     BudgetError,
     MomentAssignment,
+    PinConflictError,
     _copy_orbit_edges,
     _min_key,
     build_inflation,
@@ -31,6 +33,7 @@ from netnpa.scenarios import (
     UnionFind,
     mixed_counterexample,
     point_distribution,
+    product_distribution,
     random_strategy,
     shared_random_bit,
 )
@@ -51,6 +54,7 @@ from helpers import (
     all_sequences,
     cached_problem,
     loop_check_assignment,
+    loop_pin_distribution,
     meas,
 )
 
@@ -115,6 +119,77 @@ def test_pin_signalling_rejected():
     p = build_standard(sc, 3)
     with pytest.raises(SignallingError):
         pin_distribution(p, dist)
+
+
+def _relabeled(dist, rng):
+    table = dist.table
+    for axis, k in enumerate(dist.scenario.outputs):
+        table = np.take(table, rng.permutation(k), axis=axis)
+    return Distribution(dist.scenario, table)
+
+
+def _pin_cases():
+    srb = shared_random_bit("triangle")
+    for k in range(3):
+        yield pytest.param(
+            ("inflation", *TRIANGLE_111, 2, 2),
+            lambda k=k: _relabeled(srb, np.random.default_rng(k)),
+            id=f"triangle-srb-{k}")
+    yield pytest.param(
+        ("inflation", *TRIANGLE_111, 2, 2),
+        lambda: product_distribution(TRIANGLE, [np.full((2, 1), 0.5)] * 3),
+        id="triangle-uniform")
+    for seed in (0, 1, 2):
+        yield pytest.param(
+            ("inflation", *BILOCAL_111, 2, 2),
+            lambda seed=seed: MomentOracle(random_strategy(
+                BILOCAL, (2, 2, 2, 2), seed)).born(),
+            id=f"bilocal-inflation-{seed}")
+    mixture = Distribution(BILOCAL, 0.3 * shared_random_bit("bilocal").table
+                           + 0.7 * np.full((2, 2, 2, 1, 1, 1), 0.125))
+    born = MomentOracle(random_strategy(BILOCAL, (2, 2, 2, 2), 4)).born()
+    for name in ("standard", "factorisation"):
+        for label, dist in (("srb", shared_random_bit("bilocal")),
+                            ("mixture", mixture), ("born", born)):
+            yield pytest.param((name, *BILOCAL_111, 3), lambda dist=dist: dist,
+                               id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("problem,dist", _pin_cases())
+def test_pin_plan_matches_the_loop_reference(problem, dist):
+    p = cached_problem(*problem)
+    d = dist()
+    # equal values, not close ones: the plan multiplies the same factors in
+    # the same order as the loop
+    assert pin_distribution(p, d).pinned == loop_pin_distribution(p, d).pinned
+
+
+@pytest.mark.parametrize("merge,held", [(True, False), (False, True),
+                                        (True, True), ("late", True)],
+                         ids=["spread", "held", "spread-first", "held-first"])
+def test_pin_conflicts_name_the_first_class_as_the_loop_does(merge, held):
+    p = cached_problem("standard", *("bell3", (2, 2, 2), (1, 1, 1)), 2)
+    dist = point_distribution(BELL3, (0, 0, 0))
+    a0, a1, b0, c0, c1 = (p.class_of_cell(EMPTY_WORD, w) for w in (
+        A0, A1, B0, C0, word([meas("C", 1, 0)])))
+    changes = {}
+    if merge:
+        # a class holding keys that pin to 1 (A0 or C0) and to 0 (A1 or C1)
+        keep, drop = (c0, c1) if merge == "late" else (a0, a1)
+        changes["group_class"] = np.where(p.group_class == drop, keep,
+                                          p.group_class)
+        changes["cell_class"] = np.where(p.cell_class == drop, keep, p.cell_class)
+    if held:
+        # a class already pinned to a value other than the one it pins to
+        changes["pinned"] = {**p.pinned, (b0 if merge is True else a0): 0.25}
+    assert a0 < b0 < c0
+    q = dataclasses.replace(p, **changes)
+    with pytest.raises(PinConflictError) as ref:
+        loop_pin_distribution(q, dist)
+    with pytest.raises(PinConflictError) as got:
+        pin_distribution(q, dist)
+    assert str(got.value) == str(ref.value)
+    assert ("of one class pin to" in str(got.value)) == (merge is True)
 
 
 def test_factor_pairs_enumeration():
