@@ -90,8 +90,8 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
                                 0.0, "factorisation (half-linearized)"))
         else:
             flagged.append(fc)
-    return replace(problem, linear_factor_rows=tuple(rows),
-                   flagged_bilinear=tuple(flagged))
+    return problem.derive(linear_factor_rows=tuple(rows),
+                          flagged_bilinear=tuple(flagged))
 
 
 def verify_factorisation(assignment: MomentAssignment,
@@ -153,11 +153,11 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
     # the SDP imposes the linearized pairs only, so its residual gate sees
     # those; the flagged pairs are checked here, by verify_factorisation
     flagged = set(lp.flagged_bilinear)
-    base = replace(lp, flagged_bilinear=(),
-                   factor_pairs=tuple(fc for fc in lp.factor_pairs
-                                      if fc not in flagged),
-                   factor_triples=tuple(fc for fc in lp.factor_triples
-                                        if fc not in flagged))
+    base = lp.derive(flagged_bilinear=(),
+                     factor_pairs=tuple(fc for fc in lp.factor_pairs
+                                        if fc not in flagged),
+                     factor_triples=tuple(fc for fc in lp.factor_triples
+                                          if fc not in flagged))
     out = _sdp.solve_feasibility(base, **settings)
     if out.verdict == "infeasible":
         # rigorous: inherited from the pinned-linearized subproblem
@@ -185,8 +185,8 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
     last = None
     for rnd in range(1, rounds + 1):
         state.rounds = rnd
-        trial = replace(base, linear_factor_rows=lp.linear_factor_rows
-                        + tuple(_scalar_rows(lp, scalars)))
+        trial = base.derive(linear_factor_rows=lp.linear_factor_rows
+                            + tuple(_scalar_rows(lp, scalars)))
         inner = _sdp.solve_feasibility(trial, **settings)
         if inner.verdict != "feasible":
             return _sdp.FeasibilityOutcome(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -115,6 +115,65 @@ class PinPlan:
     cells: np.ndarray
 
 
+@dataclass(frozen=True)
+class FlatRows:
+    """Linear rows as flat arrays, entry after entry.
+
+    Row k is sum_e ``coeffs[e]`` * y[``classes[e]``] = ``rhs[k]`` over its
+    entries e in ``starts[k]:starts[k + 1]``; ``row`` holds the row of
+    every entry and ``families[k]`` the family of row k.
+    """
+
+    classes: np.ndarray
+    coeffs: np.ndarray
+    row: np.ndarray
+    starts: np.ndarray
+    rhs: np.ndarray
+    families: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def extend(self, rows: Sequence[Row]) -> FlatRows:
+        """These rows followed by ``rows``."""
+        more = _flatten_rows(rows)
+        return FlatRows(
+            classes=np.concatenate([self.classes, more.classes]),
+            coeffs=np.concatenate([self.coeffs, more.coeffs]),
+            row=np.concatenate([self.row, more.row + len(self)]),
+            starts=np.concatenate([self.starts, more.starts[1:] + self.starts[-1]]),
+            rhs=np.concatenate([self.rhs, more.rhs]),
+            families=self.families + more.families)
+
+
+def _flatten_rows(rows: Sequence[Row]) -> FlatRows:
+    sizes = np.fromiter((len(r.classes) for r in rows), np.intp, len(rows))
+    entries = int(sizes.sum())
+    chain = itertools.chain.from_iterable
+    return FlatRows(
+        classes=np.fromiter(chain(r.classes for r in rows), np.intp, entries),
+        coeffs=np.fromiter(chain(r.coeffs for r in rows), float, entries),
+        row=np.repeat(np.arange(len(rows)), sizes),
+        starts=np.concatenate([np.zeros(1, np.intp), np.cumsum(sizes)]),
+        rhs=np.fromiter((r.rhs for r in rows), float, len(rows)),
+        families=tuple(r.family for r in rows))
+
+
+def _structure(build):
+    """A structure derived from the problem: built on first use and kept
+    in a cache that :meth:`MomentProblem.derive` shares with its copies."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def get(self):
+        cache = self._structures
+        if name not in cache:
+            cache[name] = build(self)
+        return cache[name]
+
+    return property(get)
+
+
 @dataclass
 class MomentProblem:
     scenario: Scenario
@@ -136,6 +195,8 @@ class MomentProblem:
     completeness: bool = True
     linear_factor_rows: tuple[Row, ...] = ()   # filled in by pin_linearize
     flagged_bilinear: tuple[FactorConstraint, ...] = ()
+    _structures: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     # --- derived helpers ---------------------------------------------------
 
@@ -150,14 +211,31 @@ class MomentProblem:
     def pos(self, w: Word) -> int:
         return self._pos[w]
 
-    # derived lookups are built on first use: ``dataclasses.replace`` (every
-    # pin, linearization and see-saw round) copies the fields only
+    # derived structures are built on first use, never in a builder.  They
+    # read only the word index, the Hankel groups, the classes and
+    # ``rows``; every pin, linearization and see-saw round copies the
+    # problem through ``derive``, which shares them, while
+    # ``dataclasses.replace`` starts over with none built
 
-    @functools.cached_property
+    def derive(self, **changes) -> MomentProblem:
+        """``dataclasses.replace(self, **changes)`` sharing this problem's
+        derived structures: whatever either problem builds, both use.
+        Only the pins and the factorisation families may change, since no
+        structure reads them."""
+        read = set(changes) - {"pinned", "linear_factor_rows", "flagged_bilinear",
+                               "factor_pairs", "factor_triples"}
+        if read:
+            raise ValueError(f"derived structures read {sorted(read)}; "
+                             "use dataclasses.replace")
+        copy = replace(self, **changes)
+        copy._structures = self._structures
+        return copy
+
+    @_structure
     def _pos(self) -> dict[Word, int]:
         return {w: i for i, w in enumerate(self.index)}
 
-    @functools.cached_property
+    @_structure
     def _class_groups(self) -> list[list[int]]:
         groups = np.argsort(self.group_class, kind="stable").tolist()
         ends = np.cumsum(np.bincount(self.group_class,
@@ -170,13 +248,13 @@ class MomentProblem:
     def class_cells_flat(self, cls: int) -> np.ndarray:
         return np.concatenate([self.group_cells[g] for g in self._class_groups[cls]])
 
-    @functools.cached_property
+    @_structure
     def class_counts(self) -> np.ndarray:
         """Number of matrix cells in each class."""
         return np.bincount(self.cell_class.reshape(-1),
                            minlength=self.n_classes).astype(float)
 
-    @functools.cached_property
+    @_structure
     def group_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cells of every Hankel group, group after group: (flat cell
         positions, group of each, where each group starts)."""
@@ -185,7 +263,7 @@ class MomentProblem:
                 np.repeat(np.arange(len(sizes)), sizes),
                 np.cumsum(sizes) - sizes)
 
-    @functools.cached_property
+    @_structure
     def pin_plan(self) -> PinPlan:
         """Which groups a distribution pins and the marginal cells their
         values multiply (see :func:`pin_distribution`); built on the first
@@ -208,6 +286,20 @@ class MomentProblem:
 
     def active_rows(self) -> tuple[Row, ...]:
         return self.rows + self.linear_factor_rows
+
+    @_structure
+    def flat_rows(self) -> FlatRows:
+        """``rows`` as flat arrays; built on the first solve."""
+        return _flatten_rows(self.rows)
+
+    @functools.cached_property
+    def active_flat_rows(self) -> FlatRows:
+        """:meth:`active_rows` as flat arrays: the shared ``flat_rows``
+        followed by this copy's own ``linear_factor_rows``, which a copy
+        made by ``derive`` may change, so this is kept per copy."""
+        if not self.linear_factor_rows:
+            return self.flat_rows
+        return self.flat_rows.extend(self.linear_factor_rows)
 
     def describe(self) -> str:
         """Textual dump used for golden-file regression tests."""
@@ -733,7 +825,7 @@ def pin_distribution(problem: MomentProblem, dist: Distribution,
             f"got {float(first[k])}")
     pinned = dict(problem.pinned)
     pinned.update(zip(plan.classes.tolist(), first.tolist()))
-    return replace(problem, pinned=pinned)
+    return problem.derive(pinned=pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -839,18 +931,10 @@ def check_assignment(problem: MomentProblem, assignment: MomentAssignment,
     cell_pin = pin_val[problem.group_class[cell_group]]
     pinned = ~np.isnan(cell_pin)
     pins = float(np.abs(vals[pinned] - cell_pin[pinned]).max(initial=0.0))
-    # the rows as one sparse matrix, entry by entry: (row, class, coefficient)
-    rows = problem.active_rows()
-    sizes = [len(r.classes) for r in rows]
-    entry_row = np.repeat(np.arange(len(rows)), sizes)
-    entry_cls = np.fromiter(itertools.chain.from_iterable(r.classes for r in rows),
-                            np.intp, len(entry_row))
-    entry_coef = np.fromiter(itertools.chain.from_iterable(r.coeffs for r in rows),
-                             float, len(entry_row))
-    lhs = np.bincount(entry_row, weights=entry_coef * class_vals[entry_cls],
+    rows = problem.active_flat_rows
+    lhs = np.bincount(rows.row, weights=rows.coeffs * class_vals[rows.classes],
                       minlength=len(rows))
-    rhs = np.array([r.rhs for r in rows], dtype=float)
-    completeness = float(np.abs(lhs - rhs).max(initial=0.0))
+    completeness = float(np.abs(lhs - rows.rhs).max(initial=0.0))
     pairs = np.array([(fc.cls_prod, fc.cls_row, fc.cls_col)
                       for fc in problem.factor_pairs + problem.factor_triples],
                      dtype=np.intp).reshape(-1, 3)

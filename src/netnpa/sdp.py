@@ -5,8 +5,10 @@ variable per equality class, pinned values, and sparse linear rows.  The
 solver decides feasibility in layers, cheapest and most rigorous first:
 
 1. exact linear presolve: pins are propagated through rows with a single
-   unknown; a violated fully-determined row is an infeasibility proof
-   (no PSD reasoning involved);
+   unknown, as a vectorised fixpoint over the problem's rows, flattened
+   to arrays once per problem (``MomentProblem.flat_rows``); a violated
+   fully-determined row is an infeasibility proof (no PSD reasoning
+   involved);
 2. interlacing bound: if the words whose pairwise products are all
    already determined span a principal submatrix with min eigenvalue
    below the infeasibility margin, every completion shares that bound,
@@ -317,16 +319,15 @@ class _ClassSystem:
         self.n = problem.dim
         self.k = problem.n_classes
         self.cell_class = problem.cell_class
+        self.rows = problem.active_flat_rows
         self.known = np.full(self.k, np.nan)
+        self.known[list(problem.pinned)] = list(problem.pinned.values())
         self.contradiction: str | None = None
-        for cls, val in problem.pinned.items():
-            self.known[cls] = val
-        self._rows = [(np.asarray(r.classes, dtype=int),
-                       np.asarray(r.coeffs, dtype=float), r.rhs, r.family)
-                      for r in problem.active_rows()]
         self._propagate()
         self.free = np.flatnonzero(np.isnan(self.known))
-        self.free_pos = {int(c): i for i, c in enumerate(self.free)}
+        # the position of every class among the free ones, -1 if known
+        self.free_pos = np.full(self.k, -1)
+        self.free_pos[self.free] = np.arange(len(self.free))
         # set by factor_rows: the pending rows over the free classes (R[i]
         # maps a free position to its coefficient, and R y = b), a
         # solution of R y = b and a basis of ker R
@@ -338,64 +339,90 @@ class _ClassSystem:
     # -- presolve ------------------------------------------------------------
 
     def _propagate(self) -> None:
-        pending = list(self._rows)
-        self._pending = []
-        progress = True
-        while progress and self.contradiction is None:
-            progress = False
-            remaining = []
-            for classes, coeffs, rhs, family in pending:
-                vals = self.known[classes]
-                unknown = np.isnan(vals)
-                n_unk = int(unknown.sum())
-                if n_unk == 0:
-                    resid = float(np.dot(coeffs, vals) - rhs)
-                    if abs(resid) > LINEAR_TOL:
-                        self.contradiction = self._row_evidence(
-                            classes, coeffs, rhs, family, resid)
-                        return
-                    progress = True
-                elif n_unk == 1:
-                    i = int(np.flatnonzero(unknown)[0])
-                    rest = float(np.dot(coeffs[~unknown], vals[~unknown]))
-                    if coeffs[i] == 0.0:
-                        if abs(rhs - rest) > LINEAR_TOL:
-                            self.contradiction = self._row_evidence(
-                                classes, coeffs, rhs, family, rest - rhs)
-                            return
-                        progress = True
-                        continue
-                    self.known[classes[i]] = (rhs - rest) / coeffs[i]
-                    progress = True
-                else:
-                    remaining.append((classes, coeffs, rhs, family))
-            pending = remaining
-        self._pending = pending
+        """Propagate the known values through the rows, in rounds over the
+        rows still active until a round sets nothing.  A round checks the
+        rows with no unknown class (and those whose one unknown has
+        coefficient 0) and solves every row with one unknown; when several
+        rows solve one class, the first in row order sets it and the
+        others are checked in the next round.  The first violated row of
+        the first round that has one is the contradiction; else the rows
+        still active, in row order, are left in ``_pending``."""
+        rows, known = self.rows, self.known
+        active = np.arange(len(rows))
+        # the entries of the active rows and the position of their row
+        cls, coef, at = rows.classes, rows.coeffs, rows.row
+        while True:
+            m = len(active)
+            vals = known[cls]
+            unknown = np.isnan(vals)
+            n_unknown = np.bincount(at[unknown], minlength=m)
+            have = ~unknown
+            rest = np.bincount(at[have], weights=coef[have] * vals[have],
+                               minlength=m)
+            rhs = rows.rhs[active]
+            single = np.flatnonzero(unknown & (n_unknown == 1)[at])
+            s_row, s_cls, s_coef = at[single], cls[single], coef[single]
+            zero = s_coef == 0.0
+            checked = n_unknown == 0
+            checked[s_row[zero]] = True
+            violated = checked & (np.abs(rest - rhs) > LINEAR_TOL)
+            if violated.any():
+                k = int(violated.argmax())
+                self.contradiction = self._row_evidence(
+                    int(active[k]), float(rest[k] - rhs[k]))
+                break
+            s_row, s_cls, s_coef = s_row[~zero], s_cls[~zero], s_coef[~zero]
+            solved, first = np.unique(s_cls, return_index=True)
+            known[solved] = ((rhs[s_row] - rest[s_row]) / s_coef)[first]
+            checked[s_row[first]] = True
+            keep = ~checked
+            kept = keep[at]
+            active = active[keep]
+            cls, coef = cls[kept], coef[kept]
+            at = (np.cumsum(keep) - 1)[at[kept]]
+            if not len(solved):
+                break
+        self._pending = active
 
-    def _row_evidence(self, classes, coeffs, rhs, family, resid) -> str:
+    def _row_evidence(self, r: int, resid: float) -> str:
         from .words import render_word
 
+        rows = self.rows
+        e = slice(rows.starts[r], rows.starts[r + 1])
         terms = " + ".join(
             f"{c:g}*G[{render_word(self.problem.representative_key(int(k)))}]"
             f"(={self.known[int(k)]:.6g})"
-            for k, c in zip(classes, coeffs))
-        return (f"violated {family} row: {terms} = {rhs:g} "
+            for k, c in zip(rows.classes[e], rows.coeffs[e]))
+        return (f"violated {rows.families[r]} row: {terms} = {rows.rhs[r]:g} "
                 f"(residual {resid:.3e})")
 
     def _reduced_rows(self) -> tuple[list[dict[int, float]], np.ndarray]:
-        rows = []
-        rhs = []
-        for classes, coeffs, rhs0, _family in self._pending:
-            vals = self.known[classes]
-            unknown = np.isnan(vals)
-            r: dict[int, float] = {}
-            for cls, co in zip(classes[unknown].tolist(),
-                               coeffs[unknown].tolist()):
-                j = self.free_pos[cls]
-                r[j] = r.get(j, 0.0) + co
-            rows.append({j: v for j, v in r.items() if v != 0.0})
-            rhs.append(rhs0 - float(np.dot(coeffs[~unknown], vals[~unknown])))
-        return rows, np.asarray(rhs, dtype=float)
+        """The pending rows over the free classes: per row, its free
+        positions in the order the row first names them, with the
+        coefficients of a repeated class summed and zero sums dropped; and
+        the rhs less the known part."""
+        rows, pending = self.rows, self._pending
+        is_pending = np.zeros(len(rows), dtype=bool)
+        is_pending[pending] = True
+        entries = np.flatnonzero(is_pending[rows.row])
+        at = (np.cumsum(is_pending) - 1)[rows.row[entries]]
+        cls, coef = rows.classes[entries], rows.coeffs[entries]
+        vals = self.known[cls]
+        unknown = np.isnan(vals)
+        have = ~unknown
+        b = rows.rhs[pending] - np.bincount(
+            at[have], weights=coef[have] * vals[have], minlength=len(pending))
+        at, pos, coef = at[unknown], self.free_pos[cls[unknown]], coef[unknown]
+        _, first, which = np.unique(at * len(self.free) + pos,
+                                    return_index=True, return_inverse=True)
+        summed = np.bincount(which, weights=coef)
+        order = np.argsort(first)
+        order = order[summed[order] != 0.0]
+        bounds = np.cumsum([0, *np.bincount(at[first[order]],
+                                           minlength=len(pending))]).tolist()
+        pos, coef = pos[first[order]].tolist(), summed[order].tolist()
+        R = [dict(zip(pos[a:e], coef[a:e])) for a, e in zip(bounds, bounds[1:])]
+        return R, b
 
     # -- geometry ------------------------------------------------------------
 
@@ -439,7 +466,7 @@ class _ClassSystem:
         if len(resid):
             worst = int(np.abs(resid).argmax())
             if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
-                family = self._pending[worst][3]
+                family = self.rows.families[self._pending[worst]]
                 return False, (f"linear system inconsistent: {family} row "
                                f"residual {resid[worst]:.3e} after elimination")
         self.y0 = y0
@@ -454,9 +481,12 @@ class _ClassSystem:
         cell_known = kmask[self.cell_class]
         order = np.argsort(-cell_known.sum(axis=1))
         chosen: list[int] = []
-        for i in order:
-            if cell_known[i, i] and all(cell_known[i, j] for j in chosen):
-                chosen.append(int(i))
+        # ok[i]: every cell between word i and the chosen words is known
+        ok = np.diagonal(cell_known).copy()
+        for i in order.tolist():
+            if ok[i]:
+                chosen.append(i)
+                ok &= cell_known[i]
         if not chosen:
             return None, []
         vals = np.where(kmask, self.known, 0.0)
@@ -691,7 +721,7 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     c = np.zeros(len(cs.free))
     fixed_part = 0.0
     for cls, co in objective.items():
-        if cls in cs.free_pos:
+        if cs.free_pos[cls] >= 0:
             c[cs.free_pos[cls]] += co
         else:
             fixed_part += co * cs.known[cls]

@@ -284,3 +284,93 @@ def loop_pin_distribution(problem: MomentProblem, dist: Distribution,
                 f"class {cls} already pinned to {pinned[cls]}, got {values[0][1]}")
         pinned[cls] = values[0][1]
     return replace(problem, pinned=pinned)
+
+
+# ---------------------------------------------------------------------------
+# loop reference for the linear presolve of sdp._ClassSystem
+# ---------------------------------------------------------------------------
+
+def _loop_row_evidence(problem, known, classes, coeffs, rhs, family, resid) -> str:
+    from netnpa.words import render_word
+
+    terms = " + ".join(
+        f"{c:g}*G[{render_word(problem.representative_key(int(k)))}]"
+        f"(={known[int(k)]:.6g})"
+        for k, c in zip(classes, coeffs))
+    return (f"violated {family} row: {terms} = {rhs:g} "
+            f"(residual {resid:.3e})")
+
+
+def loop_propagate(problem: MomentProblem, linear_tol: float = 1e-9):
+    """The presolve one row at a time, each pass over the pending rows
+    seeing the values set earlier in the same pass.  Returns the class
+    values (NaN where free), the indices of the rows left pending, in row
+    order, and the first contradiction, if any."""
+    known = np.full(problem.n_classes, np.nan)
+    for cls, val in problem.pinned.items():
+        known[cls] = val
+    pending = [(np.asarray(r.classes, dtype=int),
+                np.asarray(r.coeffs, dtype=float), r.rhs, r.family, index)
+               for index, r in enumerate(problem.active_rows())]
+    progress = True
+    while progress:
+        progress = False
+        remaining = []
+        for classes, coeffs, rhs, family, index in pending:
+            vals = known[classes]
+            unknown = np.isnan(vals)
+            n_unk = int(unknown.sum())
+            if n_unk == 0:
+                resid = float(np.dot(coeffs, vals) - rhs)
+                if abs(resid) > linear_tol:
+                    return known, [], _loop_row_evidence(
+                        problem, known, classes, coeffs, rhs, family, resid)
+                progress = True
+            elif n_unk == 1:
+                i = int(np.flatnonzero(unknown)[0])
+                rest = float(np.dot(coeffs[~unknown], vals[~unknown]))
+                if coeffs[i] == 0.0:
+                    if abs(rhs - rest) > linear_tol:
+                        return known, [], _loop_row_evidence(
+                            problem, known, classes, coeffs, rhs, family,
+                            rest - rhs)
+                    progress = True
+                    continue
+                known[classes[i]] = (rhs - rest) / coeffs[i]
+                progress = True
+            else:
+                remaining.append((classes, coeffs, rhs, family, index))
+        pending = remaining
+    return known, [row[4] for row in pending], None
+
+
+def loop_reduced_rows(problem: MomentProblem, known: np.ndarray,
+                      pending: list[int]):
+    """The pending rows over the free classes, one row at a time, with the
+    free positions looked up in a dict."""
+    rows = problem.active_rows()
+    free_pos = {int(c): i for i, c in enumerate(np.flatnonzero(np.isnan(known)))}
+    R, b = [], []
+    for index in pending:
+        classes = np.asarray(rows[index].classes, dtype=int)
+        coeffs = np.asarray(rows[index].coeffs, dtype=float)
+        vals = known[classes]
+        unknown = np.isnan(vals)
+        r: dict[int, float] = {}
+        for cls, co in zip(classes[unknown].tolist(), coeffs[unknown].tolist()):
+            j = free_pos[cls]
+            r[j] = r.get(j, 0.0) + co
+        R.append({j: v for j, v in r.items() if v != 0.0})
+        b.append(rows[index].rhs - float(np.dot(coeffs[~unknown], vals[~unknown])))
+    return R, np.asarray(b, dtype=float)
+
+
+def loop_submatrix_words(known: np.ndarray, cell_class: np.ndarray) -> list[int]:
+    """The words of the interlacing bound, with every candidate checked
+    against each word chosen so far."""
+    cell_known = ~np.isnan(known)[cell_class]
+    chosen: list[int] = []
+    for i in np.argsort(-cell_known.sum(axis=1)):
+        if cell_known[i, i] and all(cell_known[i, j] for j in chosen):
+            chosen.append(int(i))
+    return chosen

@@ -10,10 +10,13 @@ import pytest
 from netnpa import factorisation, words
 from netnpa.moment import (
     BudgetError,
+    FlatRows,
     MomentAssignment,
     PinConflictError,
     _copy_orbit_edges,
+    _flatten_rows,
     _min_key,
+    build_factorisation_bilocal,
     build_inflation,
     build_standard,
     build_star_factorisation,
@@ -258,6 +261,37 @@ def test_class_average_is_the_per_class_cell_mean():
         assert np.abs(p.class_average(X) - per_class).max() < 1e-12
         assert np.array_equal(MomentAssignment(p, X).class_values(),
                               p.class_average(X))
+
+
+STRUCTURES = ("group_layout", "class_counts", "pin_plan", "flat_rows")
+
+
+def test_pinned_and_linearized_copies_share_the_derived_structures():
+    # a fresh build, with nothing built yet
+    p = build_factorisation_bilocal(BILOCAL, 2)
+    pinned = pin_distribution(p, shared_random_bit("bilocal"))
+    linearized = factorisation.pin_linearize(pinned)
+    assert linearized.linear_factor_rows
+    # whichever copy builds a structure first, all of them use it
+    assert pinned.group_layout is p.group_layout
+    for q in (pinned, linearized):
+        for name in STRUCTURES:
+            assert getattr(q, name) is getattr(p, name), name
+    # the linearized copy flattens only its own rows and appends them
+    flat = linearized.active_flat_rows
+    ref = _flatten_rows(linearized.active_rows())
+    assert flat.families == ref.families
+    for name in ("classes", "coeffs", "row", "starts", "rhs"):
+        assert np.array_equal(getattr(flat, name), getattr(ref, name)), name
+    assert p.active_flat_rows is p.flat_rows
+    # dataclasses.replace carries nothing; it builds equal structures anew
+    fresh = dataclasses.replace(pinned)
+    for name in STRUCTURES:
+        assert getattr(fresh, name) is not getattr(p, name), name
+    assert np.array_equal(fresh.class_counts, p.class_counts)
+    assert isinstance(fresh.flat_rows, FlatRows)
+    with pytest.raises(ValueError, match="use dataclasses.replace"):
+        p.derive(rows=())
 
 
 @pytest.mark.parametrize("name", ["bilocal-inflation", "standard-n3",

@@ -39,7 +39,16 @@ from netnpa.sdp import (
 )
 from netnpa.words import EMPTY_WORD, Letter, concat, word
 
-from helpers import BILOCAL_111, TRIANGLE_111, cached_problem, dense_rows, meas
+from helpers import (
+    BILOCAL_111,
+    TRIANGLE_111,
+    cached_problem,
+    dense_rows,
+    loop_propagate,
+    loop_reduced_rows,
+    loop_submatrix_words,
+    meas,
+)
 
 BILOCAL = Scenario(*BILOCAL_111)
 
@@ -243,6 +252,121 @@ def test_bilocal_inflation_is_decided_by_the_interior_point(seed):
     out = solve_feasibility(p)
     assert out.verdict == "feasible"
     assert out.evidence.startswith("interior point")
+
+
+# --- linear presolve -------------------------------------------------------------
+
+def flip_outputs(dist, parties):
+    """Relabel the outputs 0 <-> 1 of the parties at the given positions."""
+    table = dist.table
+    for axis in parties:
+        table = np.flip(table, axis=axis)
+    return Distribution(dist.scenario, table)
+
+
+def _presolve_problem(name):
+    kind, _, label = name.partition(":")
+    if kind == "triangle":
+        sc = Scenario(*TRIANGLE_111)
+        dist = (uniform_product(sc) if label == "uniform" else
+                flip_outputs(shared_random_bit("triangle"),
+                             [int(c) for c in label[len("srb"):]]))
+        return pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                                dist)
+    if kind == "bilocal-inflation":
+        return pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
+                                MomentOracle(random_strategy(
+                                    BILOCAL, (2, 2, 2, 2), int(label))).born())
+    if kind == "chsh":
+        return pin_distribution(
+            cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+            noisy_pr_box(0.7))
+    srb = shared_random_bit("bilocal")
+    dist = {"srb": srb,
+            "mixture": Distribution(BILOCAL, 0.3 * srb.table
+                                    + 0.7 * uniform_product(BILOCAL).table),
+            "born": MomentOracle(random_strategy(BILOCAL, (2, 2, 2, 2), 4)).born(),
+            }[label]
+    p = pin_distribution(cached_problem(kind, *BILOCAL_111, 3), dist)
+    return factorisation.pin_linearize(p) if kind == "factorisation" else p
+
+
+PRESOLVE_CASES = ["triangle:srb", "triangle:srb0", "triangle:srb02",
+                  "triangle:uniform", "bilocal-inflation:0",
+                  "bilocal-inflation:1", "bilocal-inflation:2",
+                  "standard:srb", "standard:mixture", "standard:born",
+                  "factorisation:srb", "factorisation:mixture",
+                  "factorisation:born", "chsh"]
+
+
+@pytest.mark.parametrize("name", PRESOLVE_CASES)
+def test_presolve_matches_the_loop_reference(name):
+    p = _presolve_problem(name)
+    cs = _ClassSystem(p)
+    known, pending, contradiction = loop_propagate(p)
+    assert cs.contradiction == contradiction
+    if contradiction is not None:
+        # the presolve stops at the contradiction, so the values set by
+        # then depend on the order of the work; the evidence does not
+        return
+    assert np.array_equal(cs.known, known, equal_nan=True)
+    assert cs._pending.tolist() == pending
+    R, b = cs._reduced_rows()
+    R_ref, b_ref = loop_reduced_rows(p, known, pending)
+    assert [list(r.items()) for r in R] == [list(r.items()) for r in R_ref]
+    assert np.array_equal(b, b_ref)
+    assert cs.known_submatrix_bound()[1] == loop_submatrix_words(known, p.cell_class)
+
+
+@pytest.mark.parametrize("label", ["srb", "mixture"])
+def test_presolve_evidence_on_factorisation_is_the_loops(label):
+    p = _presolve_problem(f"factorisation:{label}")
+    evidence = _ClassSystem(p).contradiction
+    assert evidence is not None
+    assert evidence.startswith("violated factorisation (linearized) row")
+    assert evidence == loop_propagate(p)[2]
+
+
+def _with_rows(rows):
+    """The CHSH problem pinned to a noisy PR box, with ``rows`` added, a
+    pinned class and two classes the presolve leaves free."""
+    p = _presolve_problem("chsh")
+    one = p.class_of_cell(EMPTY_WORD, EMPTY_WORD)
+    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    return dataclasses.replace(p, linear_factor_rows=rows(one, x, y)), x, y
+
+
+@pytest.mark.parametrize("rhs", [1.0, 2.0], ids=["consistent", "inconsistent"])
+def test_presolve_zero_coefficient_on_the_single_unknown(rhs):
+    p, x, y = _with_rows(lambda one, x, y: (
+        Row((one, x), (1.0, 0.0), rhs, "added"),))
+    cs = _ClassSystem(p)
+    known, pending, contradiction = loop_propagate(p)
+    assert cs.contradiction == contradiction
+    if rhs == 1.0:
+        assert contradiction is None
+        # the row is checked and dropped; it sets nothing
+        assert np.isnan(cs.known[x])
+        assert len(p.active_rows()) - 1 not in cs._pending.tolist()
+        assert np.array_equal(cs.known, known, equal_nan=True)
+    else:
+        assert contradiction.startswith("violated added row")
+        assert "(residual -1.000e+00)" in contradiction
+
+
+@pytest.mark.parametrize("second", [0.25, 0.5], ids=["agree", "disagree"])
+def test_presolve_two_rows_solving_one_class(second):
+    p, x, y = _with_rows(lambda one, x, y: (
+        Row((x,), (1.0,), 0.25, "added"), Row((x,), (1.0,), second, "added")))
+    cs = _ClassSystem(p)
+    _known, _pending, contradiction = loop_propagate(p)
+    assert cs.contradiction == contradiction
+    if second == 0.25:
+        assert contradiction is None
+        assert cs.known[x] == 0.25
+    else:
+        # the first row in row order sets the class, the second is checked
+        assert contradiction.endswith("(=0.25) = 0.5 (residual -2.500e-01)")
 
 
 # --- affine layer ---------------------------------------------------------------
