@@ -6,6 +6,7 @@ bit-exactly through the bundled parser, so external certificates can be
 matched back to the in-repo problem.
 """
 
+import os
 import tempfile
 
 from netnpa import factorisation, sdp
@@ -21,12 +22,15 @@ print(f"compiled: {compiled.dim}x{compiled.dim} block, "
 
 with tempfile.NamedTemporaryFile("r", suffix=".dat-s", delete=False) as fh:
     path = fh.name
-sdp.export_sdpa(compiled, path)
-with open(path) as fh:
-    head = [next(fh) for _ in range(6)]
-print(f"\nfirst lines of {path}:")
-print("".join(head), end="")
+try:
+    sdp.export_sdpa(compiled, path)
+    with open(path) as fh:
+        head = [next(fh) for _ in range(6)]
+    print(f"\nfirst lines of {path}:")
+    print("".join(head), end="")
 
-parsed = sdp.parse_sdpa(path)
+    parsed = sdp.parse_sdpa(path)
+finally:
+    os.remove(path)
 print(f"\nre-parse: dim {parsed.dim}, rows {len(parsed.rows)}, "
       f"identical: {parsed.rows == compiled.rows}")

@@ -20,12 +20,20 @@ Hierarchies
 ``inflation``
     index over copy-indexed letters; classes are merged along the orbit
     of the per-source symmetric-group action, generated by one
-    transposition and one m-cycle per source, and every product whose
-    connected components look like fresh copies of (a sub-network of) the
-    original scenario is pinned to the matching marginal product.
+    transposition and one m-cycle per source: each generator permutes the
+    index, and cell (i, j) is merged with cell (pi i, pi j) under that
+    index permutation pi.  Every product whose connected components look
+    like fresh copies of (a sub-network of) the original scenario is
+    pinned to the matching marginal product.
 ``factorisation_star``
     pairwise factorisation for the three leaf parties of the star plus
     the triple family G[alpha*gamma, delta] = G[alpha*gamma, 1]*G[1, delta].
+
+The structure is built as arrays.  The canonical product of a cell is
+coded from per-block product tables (:class:`_Products`), the Hankel
+groups are its distinct codes up to involution, the classes are the
+connected components of the merges (min-label propagation), and the
+completeness rows are gathered from ``cell_class``.
 """
 
 from __future__ import annotations
@@ -38,13 +46,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scenarios import Distribution, Scenario, UnionFind, linked_components
+from .scenarios import Distribution, Scenario, linked_components
 from .words import (
     EMPTY_WORD,
+    PARTY_ORDER,
     Alphabet,
     Letter,
     Word,
     act_permutation,
+    canonicalize,
     concat,
     enumerate_words,
     involute,
@@ -337,68 +347,239 @@ def _min_key(w: Word) -> Word:
     return w if w.sort_key() <= wd.sort_key() else wd
 
 
-def _build_groups(index: Sequence[Word]):
-    n = len(index)
-    invols = [involute(w) for w in index]
-    key_of: dict[Word, int] = {}
-    keys: list[Word] = []
-    cells: list[list[int]] = []
-    cell_class = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(i, n):
-            k = _min_key(concat(invols[i], index[j]))
-            g = key_of.get(k)
-            if g is None:
-                g = len(keys)
-                key_of[k] = g
-                keys.append(k)
-                cells.append([])
-            cells[g].append(i * n + j)
-            if i != j:
-                cells[g].append(j * n + i)
-            cell_class[i, j] = cell_class[j, i] = g
-    return keys, [np.asarray(c, dtype=np.int64) for c in cells], key_of, cell_class
+# The scalar block, then one block per party: ``canonicalize`` normalises
+# each on its own, so the product of two words is the product of their
+# blocks, block by block.
+_BLOCKS = ("",) + tuple(PARTY_ORDER)
 
 
-def _completeness_rows(scenario: Scenario, alphabet: Alphabet,
-                       index: Sequence[Word], cell_class: np.ndarray,
-                       pos: Mapping[Word, int]) -> list[Row]:
-    """Rows sum_a G[w, A_{a|x} v] = G[w, v], deduplicated at class level."""
-    n = len(index)
-    # group generator letters into PVMs: (party, copies, input) -> letters
+def _blocks(w: Word) -> list[tuple[Letter, ...]]:
+    """The letters of ``w`` in each of ``_BLOCKS`` (scalar letters carry
+    the party "")."""
+    out: dict[str, list[Letter]] = {p: [] for p in _BLOCKS}
+    for l in w.letters:
+        out[l.party].append(l)
+    return [tuple(out[p]) for p in _BLOCKS]
+
+
+def _intern(items: Sequence) -> tuple[np.ndarray, list]:
+    """Small int ids for ``items``, equal items sharing one, and the
+    distinct items in id order."""
+    ids: dict = {}
+    codes = np.fromiter((ids.setdefault(x, len(ids)) for x in items),
+                        np.intp, len(items))
+    return codes, list(ids)
+
+
+class _Products:
+    """The canonical products involute(u) * v of the words u of ``index``
+    followed by ``extra`` with the words v of ``index``, coded as ints.
+
+    Each block of a product is the normal form of a (block of involute(u),
+    block of v) pair, so each pair that occurs is normalised once through
+    ``canonicalize`` into a per-block table, and ``codes[u, v]`` packs the
+    table ids of its blocks in mixed radix: equal codes are equal words.
+    ``index[0]`` is the empty word, so ``codes[0]`` codes the index words.
+    """
+
+    def __init__(self, index: Sequence[Word], extra: Sequence[Word] = ()):
+        left = [_blocks(involute(u)) for u in list(index) + list(extra)]
+        right = [_blocks(v) for v in index]
+        self.codes = np.zeros((len(left), len(right)), dtype=np.int64)
+        self.normals: list[list[tuple[Letter, ...]]] = []
+        letters: set[Letter] = set()
+        span = 1
+        for b in range(len(_BLOCKS)):
+            lid, lblocks = _intern([blocks[b] for blocks in left])
+            rid, rblocks = _intern([blocks[b] for blocks in right])
+            letters.update(*lblocks, *rblocks)
+            table, normals = _intern([canonicalize(x + y)
+                                      for x in lblocks for y in rblocks])
+            span *= len(normals)
+            if span >= 2 ** 63:
+                raise BudgetError("too many distinct products to code as int64")
+            self.codes *= len(normals)
+            self.codes += table.astype(np.int32).reshape(
+                len(lblocks), len(rblocks))[np.ix_(lid, rid)]
+            self.normals.append(normals)
+        self.radix = [len(normals) for normals in self.normals]
+        # every letter of a product is a letter of a factor
+        self.letters = sorted(letters, key=Letter.sort_key)
+
+    def _decode(self, codes: np.ndarray) -> list[np.ndarray]:
+        """The block ids of each code, one array per block."""
+        ids = []
+        for radix in reversed(self.radix):
+            ids.append(codes % radix)
+            codes = codes // radix
+        return ids[::-1]
+
+    def words(self, codes: np.ndarray) -> list[Word]:
+        ids = np.stack(self._decode(codes), axis=1).tolist()
+        return [Word(sum(map(list.__getitem__, self.normals, row), ()))
+                for row in ids]
+
+    def order(self, codes: np.ndarray) -> np.ndarray:
+        """The argsort of ``codes`` by the ``Word.sort_key`` of their words:
+        length first, then the letters' ranks under ``Letter.sort_key``."""
+        rank = {l: r for r, l in enumerate(self.letters)}
+        ids = self._decode(codes)
+        lengths = [np.array([len(blk) for blk in normals], dtype=np.intp)
+                   for normals in self.normals]
+        length = sum(ln[i] for ln, i in zip(lengths, ids))
+        spelled = np.full((len(codes), int(length.max(initial=0))), -1,
+                          dtype=np.int32)
+        at = np.zeros(len(codes), dtype=np.intp)
+        for normals, ln, i in zip(self.normals, lengths, ids):
+            table = np.full((len(normals), int(ln.max())), -1, dtype=np.int32)
+            for k, blk in enumerate(normals):
+                table[k, :len(blk)] = [rank[l] for l in blk]
+            for t in range(table.shape[1]):
+                has = ln[i] > t
+                spelled[has, at[has] + t] = table[i[has], t]
+            at += ln[i]
+        return np.lexsort(np.vstack([spelled.T[::-1], length[None]]))
+
+    def positions(self, codes: np.ndarray) -> np.ndarray:
+        """The index position of the word of each code, -1 if none."""
+        order = np.argsort(self.codes[0])
+        known = self.codes[0][order]
+        at = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+        return np.where(known[at] == codes, order[at], -1)
+
+
+def _build_groups(products: _Products):
+    """The Hankel groups: cells whose products are equal up to involution.
+
+    The involute of cell (i, j)'s product is cell (j, i)'s, so each cell
+    keys on the smaller of the two under ``Word.sort_key``.  Groups are
+    numbered by first appearance in the row-major upper triangle, and each
+    group's cells are listed in that order, (i, j) before (j, i).
+    """
+    n = products.codes.shape[1]
+    i, j = np.triu_indices(n)
+    distinct, inverse = np.unique(
+        np.concatenate([products.codes[i, j], products.codes[j, i]]),
+        return_inverse=True)
+    order = products.order(distinct)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cell_rank = rank[inverse]
+    cell_rank = np.minimum(cell_rank[:len(i)], cell_rank[len(i):])
+    key_rank, first, group = np.unique(cell_rank, return_index=True,
+                                       return_inverse=True)
+    by_first = np.argsort(first)
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(len(by_first))
+    group = renumber[group].astype(np.int32)
+    keys = products.words(distinct[order[key_rank[by_first]]])
+    cell_group = np.empty((n, n), dtype=np.int32)
+    cell_group[i, j] = group
+    cell_group[j, i] = group
+    flat = np.stack([i * n + j, j * n + i], axis=1).reshape(-1)
+    flat_group = np.repeat(group, 2)
+    mirrored = np.ones(len(flat), dtype=bool)
+    mirrored[1::2] = i != j
+    flat, flat_group = flat[mirrored], flat_group[mirrored]
+    flat = flat[np.argsort(flat_group, kind="stable")].astype(np.int64)
+    ends = np.cumsum(np.bincount(flat_group, minlength=len(keys))).tolist()
+    cells = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    return keys, cells, cell_group
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on 0..n-1 with edges (a[k], b[k]),
+    numbered in order of their least node, by min-label propagation with
+    pointer jumping."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        lower = label.copy()
+        np.minimum.at(lower, a, low)
+        np.minimum.at(lower, b, low)
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            return np.unique(label, return_inverse=True)[1].astype(np.int32)
+        label = lower
+
+
+def _pvms(alphabet: Alphabet) -> list[list[Letter]]:
+    """The measurement letters grouped into PVMs (party, copies, input),
+    in alphabet order, each sorted by ``Letter.sort_key``."""
     pvm: dict[tuple, list[Letter]] = {}
     for l in alphabet.letters:
         if l.is_measurement:
             pvm.setdefault((l.party, l.copies, l.input), []).append(l)
-    rows: dict = {}
-    for j, v in enumerate(index):
-        for (party, copies, x), letters in pvm.items():
-            targets = []
-            ok = True
-            for l in sorted(letters, key=Letter.sort_key):
-                t = concat(word([l]), v)
-                tj = pos.get(t)
-                if tj is None:
-                    ok = False
-                    break
-                targets.append(tj)
-            if not ok:
-                continue
-            for i in range(n):
-                coeffs: dict[int, float] = {}
-                for tj in targets:
-                    c = int(cell_class[i, tj])
-                    coeffs[c] = coeffs.get(c, 0.0) + 1.0
-                c0 = int(cell_class[i, j])
-                coeffs[c0] = coeffs.get(c0, 0.0) - 1.0
-                coeffs = {c: w for c, w in coeffs.items() if w != 0.0}
-                if not coeffs:
-                    continue
-                row = Row(tuple(sorted(coeffs)),
-                          tuple(coeffs[c] for c in sorted(coeffs)),
-                          0.0, "completeness")
-                rows.setdefault(row.signature(), row)
-    return list(rows.values())
+    return [sorted(letters, key=Letter.sort_key) for letters in pvm.values()]
+
+
+# candidate completeness rows examined at a time
+_ROW_CHUNK = 1 << 15
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``a``, each with the position of its first
+    occurrence (rows compared as bytes, which is faster than
+    ``np.unique(axis=0)``; their order is arbitrary)."""
+    a = np.ascontiguousarray(a)
+    as_bytes = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    first = np.unique(as_bytes, return_index=True)[1]
+    return a[first], first
+
+
+def _completeness_rows(targets: Sequence[np.ndarray],
+                       cell_class: np.ndarray) -> list[Row]:
+    """Rows sum_a G[w, A_{a|x} v] = G[w, v], deduplicated at class level.
+
+    ``targets[k][a, j]`` is the index position of A_{a|x} v for the a-th
+    letter of PVM k and v the j-th index word, -1 if it is outside the
+    index.  Each (v, PVM) whose targets are all in the index gives a row
+    for every index word w.  The classes of a row are summed, zero
+    coefficients dropped, and of rows with equal classes and coefficients
+    the first in (v, PVM, w) order is kept.
+    """
+    n = cell_class.shape[0]
+    width = max(len(t) for t in targets) + 1
+    cols = np.zeros((len(targets), width - 1, n), dtype=np.intp)
+    sign = np.zeros((len(targets), width), dtype=np.int32)
+    for k, t in enumerate(targets):
+        cols[k, :len(t)] = t
+        sign[k, :len(t)] = 1
+    sign[:, -1] = -1
+    complete = np.array([(t >= 0).all(axis=0) for t in targets])
+    vs, ks = np.nonzero(complete.T)
+    step = max(1, _ROW_CHUNK // n)
+    sigs, firsts = [], []
+    for s in range(0, len(vs), step):
+        v, k = vs[s:s + step], ks[s:s + step]
+        cls = cell_class[:, np.concatenate([cols[k, :, v], v[:, None]], axis=1)]
+        cls = cls.transpose(1, 0, 2).reshape(-1, width)
+        coef = np.broadcast_to(sign[k][:, None], (len(k), n, width)).reshape(-1, width)
+        by_class = np.argsort(cls, axis=1, kind="stable")
+        cls = np.take_along_axis(cls, by_class, axis=1)
+        coef = np.take_along_axis(coef, by_class, axis=1)
+        for t in range(width - 1, 0, -1):
+            same = cls[:, t] == cls[:, t - 1]
+            coef[same, t - 1] += coef[same, t]
+            coef[same, t] = 0
+        nonzero_first = np.argsort(coef == 0, axis=1, kind="stable")
+        cls = np.take_along_axis(cls, nonzero_first, axis=1)
+        coef = np.take_along_axis(coef, nonzero_first, axis=1)
+        cls[coef == 0] = -1
+        kept = coef[:, 0] != 0
+        sig, first = _distinct_rows(np.concatenate([cls, coef], axis=1)[kept])
+        sigs.append(sig)
+        firsts.append(s * n + np.flatnonzero(kept)[first])
+    if not sigs:
+        return []
+    sig, first = _distinct_rows(np.concatenate(sigs))
+    sig = sig[np.argsort(np.concatenate(firsts)[first])]
+    rows = []
+    for r in sig.tolist():
+        size = width - r[width:].count(0)
+        rows.append(Row(tuple(r[:size]), tuple(map(float, r[width:width + size])),
+                        0.0, "completeness"))
+    return rows
 
 
 def _source_nodes(scenario: Scenario, l: Letter,
@@ -500,6 +681,9 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
               budget: int, merges: Callable | None = None,
               merge_family: str = "",
               index_words: Sequence[Word] | None = None) -> MomentProblem:
+    """Build the problem's structure.  ``merges(index, keys, cells,
+    cell_group)`` returns two arrays of group ids whose groups share a
+    class."""
     if index_words is None:
         index = enumerate_words(alphabet, n)
     else:
@@ -508,24 +692,19 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         raise BudgetError(
             f"index size {len(index)} exceeds budget {budget} "
             f"({hierarchy}, n={n}" + (f", m={m}" if m else "") + ")")
-    keys, cells, key_of, cell_group = _build_groups(index)
-    uf = UnionFind()
+    pvms = _pvms(alphabet) if completeness else []
+    products = _Products(index, [word([l]) for pvm in pvms for l in pvm])
+    keys, cells, cell_group = _build_groups(products)
+    a = b = np.zeros(0, dtype=np.intp)
     if merges is not None:
-        for g1, g2 in merges(keys, key_of):
-            uf.union(g1, g2)
-    # compact class ids
-    root_to_cls: dict[int, int] = {}
-    group_class = np.zeros(len(keys), dtype=np.int32)
-    for g in range(len(keys)):
-        r = uf.find(g)
-        if r not in root_to_cls:
-            root_to_cls[r] = len(root_to_cls)
-        group_class[g] = root_to_cls[r]
+        a, b = merges(index, keys, cells, cell_group)
+    group_class = _components(len(keys), a, b)
     cell_class = group_class[cell_group]
-    pos = {w: i for i, w in enumerate(index)}
     rows: list[Row] = []
-    if completeness:
-        rows = _completeness_rows(scenario, alphabet, index, cell_class, pos)
+    if pvms:
+        targets = products.positions(products.codes[len(index):])
+        ends = np.cumsum([len(pvm) for pvm in pvms])
+        rows = _completeness_rows(np.split(targets, ends[:-1]), cell_class)
     pinned = {int(cell_class[0, 0]): 1.0}  # G[1, 1] = 1
     return MomentProblem(
         scenario=scenario, hierarchy=hierarchy, n=n, m=m, alphabet=alphabet,
@@ -618,6 +797,31 @@ def build_star_factorisation(scenario: Scenario, n: int, *,
     return replace(p, factor_pairs=tuple(pairs), factor_triples=tuple(triples))
 
 
+def _scalar_identifications(alphabet: Alphabet, n: int,
+                            keys: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of alpha*gamma and kappa_alpha*gamma, as two arrays of
+    group ids, for the A-words alpha and C-words gamma of the scalar
+    alphabet whose products are both group keys."""
+    key_of = {k: g for g, k in enumerate(keys)}
+    a_words = [w for w in enumerate_words(
+        Alphabet("a", tuple(l for l in alphabet.letters
+                            if l.is_measurement and l.party == "A")), n)
+        if len(w) >= 1]
+    c_words = enumerate_words(
+        Alphabet("c", tuple(l for l in alphabet.letters
+                            if l.is_measurement and l.party == "C")), n)
+    out = []
+    for a in a_words:
+        ka = word([scalar_letter(a)])
+        for c in c_words:
+            g1 = key_of.get(_min_key(concat(a, c)))
+            g2 = key_of.get(_min_key(concat(ka, c)))
+            if g1 is not None and g2 is not None:
+                out.append((g1, g2))
+    pairs = np.array(out, dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def build_scalar_extension(scenario: Scenario, n: int, *,
                            completeness: bool = True,
                            budget: int = DEFAULT_INDEX_BUDGET) -> MomentProblem:
@@ -635,59 +839,51 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
         raise ValueError("n must be >= 1")
     alphabet = scenario.scalar_alphabet(n)
 
-    def merges(keys: list[Word], key_of: dict[Word, int]):
-        a_words = [w for w in enumerate_words(
-            Alphabet("a", tuple(l for l in alphabet.letters
-                                if l.is_measurement and l.party == "A")), n)
-            if len(w) >= 1]
-        c_words = enumerate_words(
-            Alphabet("c", tuple(l for l in alphabet.letters
-                                if l.is_measurement and l.party == "C")), n)
-        out = []
-        for a in a_words:
-            ka = word([scalar_letter(a)])
-            for c in c_words:
-                k1 = _min_key(concat(a, c))
-                k2 = _min_key(concat(ka, c))
-                g1, g2 = key_of.get(k1), key_of.get(k2)
-                if g1 is not None and g2 is not None:
-                    out.append((g1, g2))
-        return out
+    def merges(index, keys, cells, cell_group):
+        return _scalar_identifications(alphabet, n, keys)
 
     return _assemble(scenario, "scalar_extension", n, None, alphabet,
                      completeness=completeness, budget=budget,
                      merges=merges, merge_family="scalar identification")
 
 
-def _copy_orbit_edges(keys: Sequence[Word], key_of: Mapping[Word, int],
-                      alphabet: Alphabet, m: int) -> list[tuple[int, int]]:
-    """Edges (g, g') joining each group key to its image under every
-    generator of the copy-relabelling group (S_m)^sources, one source at a
-    time: the transposition (1 2), plus the m-cycle when m >= 3.
+def _copy_merges(index: Sequence[Word], cells: Sequence[np.ndarray],
+                 cell_group: np.ndarray, alphabet: Alphabet,
+                 m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every group joined to its image under each generator of the
+    copy-relabelling group (S_m)^sources, one source at a time: the
+    transposition (1 2), plus the m-cycle when m >= 3.
 
-    The connected components are the orbits of the full group, provided the
-    key set is closed under relabelling, as it is on a full index; a
-    generator image outside the key set therefore raises.
+    A relabelling is an automorphism of the word algebra, so it maps the
+    product of cell (i, j) to that of cell (pi i, pi j), where pi is the
+    index permutation it induces, and a group's image is the group of the
+    image of any one of its cells.  The connected components are the
+    orbits of the full group.  An index word whose image is not in the
+    index raises :class:`RuntimeError`.
     """
     gens = [{1: 2, 2: 1}] if m >= 2 else []
     if m >= 3:
         gens.append({i: i % m + 1 for i in range(1, m + 1)})
-    out = []
+    pos = {w: i for i, w in enumerate(index)}
+    first = np.fromiter((c[0] for c in cells), np.intp, len(cells))
+    rows, cols = np.divmod(first, len(index))
+    images = []
     for src in alphabet.sources():
         for gen in gens:
             perms_by_source = {src: gen}
-            for g, k in enumerate(keys):
-                img = _min_key(act_permutation(
-                    k, None, alphabet=alphabet, perms_by_source=perms_by_source))
-                g2 = key_of.get(img)
-                if g2 is None:
+            pi = np.empty(len(index), dtype=np.intp)
+            for i, w in enumerate(index):
+                img = act_permutation(w, None, alphabet=alphabet,
+                                      perms_by_source=perms_by_source)
+                if img not in pos:
                     raise RuntimeError(
-                        f"copy relabelling {perms_by_source} maps key {k!r} to "
-                        f"{img!r}, which is not a key: the key set is not "
-                        "closed under relabelling")
-                if g2 != g:
-                    out.append((g, g2))
-    return out
+                        f"copy relabelling {perms_by_source} maps index word "
+                        f"{w!r} to {img!r}, which is not in the index")
+                pi[i] = pos[img]
+            images.append(cell_group[pi[rows], pi[cols]])
+    groups = np.arange(len(cells))
+    return (np.tile(groups, len(images)),
+            np.concatenate(images) if images else groups[:0])
 
 
 def build_inflation(scenario: Scenario, n: int, m: int, *,
@@ -697,18 +893,18 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
     """Inflated moment problem with per-source symmetric-group merges.
 
     Classes are the orbits of the copy-relabelling group (S_m)^sources on
-    the Hankel groups, found by joining every group to its images under one
-    transposition and one m-cycle per source: on a full index the group
-    keys are closed under relabelling, so these generators reach the whole
-    orbit.
+    the Hankel groups.  One transposition and one m-cycle per source
+    generate it; each permutes the full index, and cell (i, j) is merged
+    with cell (pi i, pi j) under that index permutation pi, which is exact
+    because a relabelling is an automorphism of the word algebra.
 
     ``index_words`` restricts the index to an explicit word list (plus the
     empty word); used to host the scalar-extension image words, where the
     full order-n index over many copies would be far beyond desk scale.
-    Symmetry merges are skipped for restricted indices: a restricted key
-    set need not be closed under relabelling, so the generators would not
-    reach whole orbits, and the restricted assignments feed a construction
-    that never consults the merged classes.
+    Symmetry merges are skipped for restricted indices: a restricted index
+    need not be closed under relabelling, so the generators would not
+    permute it, and the restricted assignments feed a construction that
+    never consults the merged classes.
     """
     if scenario.topology not in ("bilocal", "triangle"):
         raise ValueError("inflation supports the bilocal and triangle topologies")
@@ -718,8 +914,8 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
         raise BudgetError("inflation order > 3 exceeds the desk-scale budget")
     alphabet = scenario.inflated_alphabet(m)
 
-    def merges(keys: list[Word], key_of: dict[Word, int]):
-        return _copy_orbit_edges(keys, key_of, alphabet, m)
+    def merges(index, keys, cells, cell_group):
+        return _copy_merges(index, cells, cell_group, alphabet, m)
 
     p = _assemble(scenario, "inflation", n, m, alphabet,
                   completeness=completeness, budget=budget,

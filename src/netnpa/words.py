@@ -22,6 +22,7 @@ Equality and hashing act on this form only.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -100,7 +101,7 @@ def letters_commute(a: Letter, b: Letter) -> bool:
     if a.copies is None or b.copies is None:
         return False
     # same party, inflated: disjoint copies in every slot
-    return all(x != y for x, y in zip(a.copies, b.copies))
+    return all(map(operator.ne, a.copies, b.copies))
 
 
 def _greedy_min(letters: list[Letter]) -> list[Letter]:
@@ -110,16 +111,19 @@ def _greedy_min(letters: list[Letter]) -> list[Letter]:
     sequence all commute with it.
     """
     remaining = list(letters)
+    keys = [l.sort_key() for l in remaining]
     out: list[Letter] = []
     while remaining:
-        best = None
-        best_idx = -1
-        for idx, cand in enumerate(remaining):
-            if all(letters_commute(prev, cand) for prev in remaining[:idx]):
-                if best is None or cand.sort_key() < best.sort_key():
-                    best = cand
-                    best_idx = idx
-        out.append(remaining.pop(best_idx))
+        # the first letter always qualifies; a later one must be smaller
+        # than the best so far and commute with everything before it
+        best = 0
+        for idx in range(1, len(remaining)):
+            if keys[idx] < keys[best] and all(
+                    letters_commute(prev, remaining[idx])
+                    for prev in remaining[:idx]):
+                best = idx
+        out.append(remaining.pop(best))
+        del keys[best]
     return out
 
 

@@ -1,5 +1,5 @@
 """Shared test machinery: brute-force word oracles, cached problem builds,
-and hand-built strategies used as independent references."""
+hand-built strategies and loop references used as independent checks."""
 
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ from netnpa.moment import (
     MomentProblem,
     PinConflictError,
     ResidualReport,
+    Row,
+    _diagonal_check_products,
+    _min_key,
+    _scalar_identifications,
     _source_nodes,
     _source_parties,
     build_factorisation_bilocal,
@@ -21,8 +25,23 @@ from netnpa.moment import (
     build_standard,
     build_star_factorisation,
 )
-from netnpa.scenarios import Distribution, QuantumStrategy, Scenario, linked_components
-from netnpa.words import Letter, Word, letters_commute, word
+from netnpa.scenarios import (
+    Distribution,
+    QuantumStrategy,
+    Scenario,
+    UnionFind,
+    linked_components,
+)
+from netnpa.words import (
+    Letter,
+    Word,
+    act_permutation,
+    concat,
+    enumerate_words,
+    involute,
+    letters_commute,
+    word,
+)
 
 
 def meas(party: str, output: int = 0, input: int = 0, copies=None) -> Letter:
@@ -374,3 +393,125 @@ def loop_submatrix_words(known: np.ndarray, cell_class: np.ndarray) -> list[int]
         if cell_known[i, i] and all(cell_known[i, j] for j in chosen):
             chosen.append(int(i))
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# loop references for the moment-problem builders
+# ---------------------------------------------------------------------------
+
+def loop_build_groups(index):
+    """Hankel groups one cell at a time: the canonical product of every
+    upper-triangle cell, in row-major order, keyed on the smaller of it and
+    its involute."""
+    n = len(index)
+    invols = [involute(w) for w in index]
+    key_of: dict[Word, int] = {}
+    keys: list[Word] = []
+    cells: list[list[int]] = []
+    cell_class = np.zeros((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(i, n):
+            k = _min_key(concat(invols[i], index[j]))
+            g = key_of.get(k)
+            if g is None:
+                g = len(keys)
+                key_of[k] = g
+                keys.append(k)
+                cells.append([])
+            cells[g].append(i * n + j)
+            if i != j:
+                cells[g].append(j * n + i)
+            cell_class[i, j] = cell_class[j, i] = g
+    return keys, [np.asarray(c, dtype=np.int64) for c in cells], key_of, cell_class
+
+
+def loop_copy_orbit_edges(keys, key_of, alphabet, m):
+    """Edges (g, g') joining each group key to its image under every
+    generator of the copy-relabelling group (S_m)^sources, one source at a
+    time: the transposition (1 2), plus the m-cycle when m >= 3."""
+    gens = [{1: 2, 2: 1}] if m >= 2 else []
+    if m >= 3:
+        gens.append({i: i % m + 1 for i in range(1, m + 1)})
+    out = []
+    for src in alphabet.sources():
+        for gen in gens:
+            perms_by_source = {src: gen}
+            for g, k in enumerate(keys):
+                img = _min_key(act_permutation(
+                    k, None, alphabet=alphabet, perms_by_source=perms_by_source))
+                g2 = key_of.get(img)
+                if g2 is None:
+                    raise RuntimeError(
+                        f"copy relabelling {perms_by_source} maps key {k!r} to "
+                        f"{img!r}, which is not a key: the key set is not "
+                        "closed under relabelling")
+                if g2 != g:
+                    out.append((g, g2))
+    return out
+
+
+def loop_completeness_rows(alphabet, index, cell_class):
+    """Rows sum_a G[w, A_{a|x} v] = G[w, v], one (v, PVM, w) at a time,
+    deduplicated at class level, first occurrence kept."""
+    n = len(index)
+    pos = {w: i for i, w in enumerate(index)}
+    pvm: dict[tuple, list[Letter]] = {}
+    for l in alphabet.letters:
+        if l.is_measurement:
+            pvm.setdefault((l.party, l.copies, l.input), []).append(l)
+    rows: dict = {}
+    for j, v in enumerate(index):
+        for letters in pvm.values():
+            targets = []
+            for l in sorted(letters, key=Letter.sort_key):
+                tj = pos.get(concat(word([l]), v))
+                if tj is None:
+                    break
+                targets.append(tj)
+            else:
+                for i in range(n):
+                    coeffs: dict[int, float] = {}
+                    for tj in targets:
+                        c = int(cell_class[i, tj])
+                        coeffs[c] = coeffs.get(c, 0.0) + 1.0
+                    c0 = int(cell_class[i, j])
+                    coeffs[c0] = coeffs.get(c0, 0.0) - 1.0
+                    coeffs = {c: w for c, w in coeffs.items() if w != 0.0}
+                    if not coeffs:
+                        continue
+                    row = Row(tuple(sorted(coeffs)),
+                              tuple(coeffs[c] for c in sorted(coeffs)),
+                              0.0, "completeness")
+                    rows.setdefault(row.signature(), row)
+    return list(rows.values())
+
+
+def loop_structure(problem: MomentProblem) -> dict:
+    """The structure of ``problem`` built again from its index by the loop
+    references, with the classes joined by a union-find."""
+    index = enumerate_words(problem.alphabet, problem.n)
+    keys, cells, key_of, cell_group = loop_build_groups(index)
+    if problem.hierarchy == "inflation":
+        merges = loop_copy_orbit_edges(keys, key_of, problem.alphabet, problem.m)
+    elif problem.hierarchy == "scalar_extension":
+        merges = zip(*_scalar_identifications(problem.alphabet, problem.n, keys))
+    else:
+        merges = ()
+    uf = UnionFind()
+    for g1, g2 in merges:
+        uf.union(int(g1), int(g2))
+    root_to_cls: dict[int, int] = {}
+    group_class = np.zeros(len(keys), dtype=np.int32)
+    for g in range(len(keys)):
+        group_class[g] = root_to_cls.setdefault(uf.find(g), len(root_to_cls))
+    cell_class = group_class[cell_group]
+    rows = (loop_completeness_rows(problem.alphabet, index, cell_class)
+            if problem.completeness else [])
+    structure = replace(problem, group_keys=tuple(keys), group_cells=tuple(cells),
+                        group_class=group_class, cell_class=cell_class,
+                        rows=tuple(rows))
+    return dict(index=structure.index, group_keys=structure.group_keys,
+                group_cells=structure.group_cells, group_class=group_class,
+                cell_class=cell_class, rows=structure.rows,
+                check_products=tuple(_diagonal_check_products(structure))
+                if problem.hierarchy == "inflation" else ())

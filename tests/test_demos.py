@@ -14,11 +14,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path, tmp_path):
-    # TMPDIR: the SDPA export demo leaves its file in the temp directory
+    # TMPDIR: a per-test temp directory, which a demo must leave empty (the
+    # SDPA export demo writes its file there and removes it)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []
     out = proc.stdout
     if path.stem.startswith("02_"):
         assert "standard hierarchy, n=3:      FEASIBLE" in out

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from netnpa.moment import (
     FlatRows,
     MomentAssignment,
     PinConflictError,
-    _copy_orbit_edges,
+    _build_groups,
+    _components,
+    _copy_merges,
     _flatten_rows,
     _min_key,
+    _Products,
     build_factorisation_bilocal,
     build_inflation,
     build_standard,
@@ -33,7 +37,6 @@ from netnpa.scenarios import (
     MomentOracle,
     Scenario,
     SignallingError,
-    UnionFind,
     mixed_counterexample,
     point_distribution,
     product_distribution,
@@ -42,11 +45,9 @@ from netnpa.scenarios import (
 )
 from netnpa.words import (
     EMPTY_WORD,
-    Word,
     act_permutation,
     concat,
     enumerate_words,
-    involute,
     scalar_letter,
     word,
 )
@@ -58,6 +59,7 @@ from helpers import (
     cached_problem,
     loop_check_assignment,
     loop_pin_distribution,
+    loop_structure,
     meas,
 )
 
@@ -515,13 +517,10 @@ def test_shared_random_bit_passes_scalar_extension():
 
 
 
-def _partition(n_keys, edges):
-    uf = UnionFind()
-    for a, b in edges:
-        uf.union(a, b)
+def _partition(labels):
     blocks = {}
-    for g in range(n_keys):
-        blocks.setdefault(uf.find(g), set()).add(g)
+    for g, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, set()).add(g)
     return {frozenset(b) for b in blocks.values()}
 
 
@@ -538,37 +537,62 @@ def _full_group_orbits(keys, alphabet, m):
             for k in keys}
 
 
-def _short_product_keys(alphabet):
-    # min keys of u* v over the words of length <= 1; closed under relabelling
-    ws = enumerate_words(alphabet, 1)
-    return sorted({_min_key(concat(involute(u), v)) for u in ws for v in ws},
-                  key=Word.sort_key)
+def _copy_orbits(index, alphabet, m):
+    keys, cells, cell_group = _build_groups(_Products(index))
+    merges = _copy_merges(index, cells, cell_group, alphabet, m)
+    return keys, _partition(_components(len(keys), *merges))
 
 
 def test_generator_orbits_equal_full_group_orbits():
     p = cached_problem("inflation", *BILOCAL_111, 2, 2)
     alph3 = BILOCAL.inflated_alphabet(3)
-    for keys, alph, m in ((list(p.group_keys), p.alphabet, 2),
-                          (_short_product_keys(alph3), alph3, 3)):
-        key_of = {k: g for g, k in enumerate(keys)}
+    # the words of length <= 1 over three copies: closed under relabelling
+    for index, alph, m in ((list(p.index), p.alphabet, 2),
+                           (enumerate_words(alph3, 1), alph3, 3)):
+        keys, orbits = _copy_orbits(index, alph, m)
         full = _full_group_orbits(keys, alph, m)
-        assert _partition(len(keys), _copy_orbit_edges(keys, key_of, alph, m)) == full
-        if m == 3:
+        assert orbits == full
+        if m == 2:
+            assert orbits == _partition(p.group_class)
+        else:
             # the transposition alone (the m = 2 generators) splits some
             # orbits, so the m-cycle is exercised
-            assert _partition(len(keys), _copy_orbit_edges(keys, key_of, alph, 2)) != full
+            assert _copy_orbits(index, alph, 2)[1] != full
 
 
-def test_orbit_edges_reject_a_key_set_not_closed_under_relabelling():
-    p = cached_problem("inflation", *BILOCAL_111, 2, 2)
-    keys = list(p.group_keys)
-    # drop a key that the copy swap moves: its preimage has no image left
-    moved = next(g for g, k in enumerate(keys) if len(p.class_groups(
-        int(p.group_class[g]))) > 1)
-    del keys[moved]
-    key_of = {k: g for g, k in enumerate(keys)}
-    with pytest.raises(RuntimeError, match="not closed under relabelling"):
-        _copy_orbit_edges(keys, key_of, p.alphabet, 2)
+def test_copy_merges_reject_an_index_not_closed_under_relabelling():
+    alph = BILOCAL.inflated_alphabet(2)
+    index = enumerate_words(alph, 1)
+    # drop a word that the copy swap moves: its preimage has no image left
+    gone = word([meas("A", copies=(2,))])
+    index.remove(gone)
+    keys, cells, cell_group = _build_groups(_Products(index))
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"index word {word([meas('A', copies=(1,))])!r} to {gone!r}")):
+        _copy_merges(index, cells, cell_group, alph, 2)
+
+
+@pytest.mark.parametrize("case", [
+    ("inflation", TRIANGLE_111, 2, 2), ("inflation", BILOCAL_111, 2, 2),
+    ("standard", BILOCAL_111, 3, None), ("factorisation", BILOCAL_111, 2, None),
+    ("factorisation", BILOCAL_111, 3, None), ("factorisation", BILOCAL_111, 4, None),
+    ("scalar", BILOCAL_111, 2, None),
+], ids=lambda case: f"{case[0]}-{case[1][0]}-n{case[2]}" + (f"m{case[3]}" if case[3] else ""))
+def test_structure_matches_the_loop_reference(case):
+    hierarchy, topology, n, m = case
+    p = cached_problem(hierarchy, *topology, n, m)
+    ref = loop_structure(p)
+    assert p.index == ref["index"]
+    assert p.group_keys == ref["group_keys"]
+    assert len(p.group_cells) == len(ref["group_cells"])
+    for got, want in zip(p.group_cells, ref["group_cells"]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for name in ("group_class", "cell_class"):
+        got, want = getattr(p, name), ref[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    # order, classes, coefficients, right-hand sides and families
+    assert p.rows == ref["rows"]
+    assert p.check_products == ref["check_products"]
 
 
 def test_inflation_build_sizes():
