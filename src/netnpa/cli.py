@@ -234,8 +234,10 @@ def cmd_export(cfg: RunConfig) -> tuple[int, str]:
         raise CliError("export needs --out", EXIT_PARSE)
     if cfg.distribution is not None:
         dist = _load_distribution(cfg)
-        scenario = dist.scenario
-        problem = pin_distribution(_build_problem(cfg, scenario), dist)
+        try:
+            problem = pin_distribution(_build_problem(cfg, dist.scenario), dist)
+        except (ValueError, SignallingError) as exc:
+            raise CliError(str(exc), EXIT_SCENARIO)
     else:
         scenario = _scenario_from_flags(cfg)
         problem = _build_problem(cfg, scenario)

@@ -34,6 +34,13 @@ coded from per-block product tables (:class:`_Products`), the Hankel
 groups are its distinct codes up to involution, the classes are the
 connected components of the merges (min-label propagation), and the
 completeness rows are gathered from ``cell_class``.
+
+A problem holds its partition in one format, cell -> group -> class:
+``cell_group`` maps each cell to its Hankel group and ``group_class``
+each group to its class (``cell_class`` is the composition).  The cells
+of each group (``group_layout``) and the groups of each class
+(``class_layout``) are each derived once, by one stable argsort, and
+shared by every copy of the problem.
 """
 
 from __future__ import annotations
@@ -169,6 +176,14 @@ def _flatten_rows(rows: Sequence[Row]) -> FlatRows:
         families=tuple(r.family for r in rows))
 
 
+def _layout(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of ``labels`` sorted stably by label, and the bounds of
+    each label's run: label k holds ``order[bounds[k]:bounds[k + 1]]``."""
+    counts = np.bincount(labels, minlength=count)
+    return (np.argsort(labels, kind="stable"),
+            np.concatenate([[0], np.cumsum(counts)]))
+
+
 def _structure(build):
     """A structure derived from the problem: built on first use and kept
     in a cache that :meth:`MomentProblem.derive` shares with its copies."""
@@ -193,9 +208,9 @@ class MomentProblem:
     alphabet: Alphabet
     index: tuple[Word, ...]
     group_keys: tuple[Word, ...]          # one canonical product word per Hankel group
-    group_cells: tuple[np.ndarray, ...]   # flat cell positions per group
+    cell_group: np.ndarray                # (N, N) int32 Hankel group per cell
     group_class: np.ndarray               # group -> merged class id
-    cell_class: np.ndarray                # (N, N) class id per cell
+    cell_class: np.ndarray                # (N, N) class id per cell, group_class[cell_group]
     pinned: dict[int, float]
     rows: tuple[Row, ...]
     factor_pairs: tuple[FactorConstraint, ...] = ()
@@ -246,17 +261,15 @@ class MomentProblem:
         return {w: i for i, w in enumerate(self.index)}
 
     @_structure
-    def _class_groups(self) -> list[list[int]]:
-        groups = np.argsort(self.group_class, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.group_class,
-                                     minlength=self.n_classes)).tolist()
-        return [groups[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    def class_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Hankel groups class after class, each class's in group
+        order: (groups, bounds), class c holding
+        ``groups[bounds[c]:bounds[c + 1]]``."""
+        return _layout(self.group_class, self.n_classes)
 
     def class_groups(self, cls: int) -> list[int]:
-        return self._class_groups[cls]
-
-    def class_cells_flat(self, cls: int) -> np.ndarray:
-        return np.concatenate([self.group_cells[g] for g in self._class_groups[cls]])
+        groups, bounds = self.class_layout
+        return groups[bounds[cls]:bounds[cls + 1]].tolist()
 
     @_structure
     def class_counts(self) -> np.ndarray:
@@ -265,13 +278,11 @@ class MomentProblem:
                            minlength=self.n_classes).astype(float)
 
     @_structure
-    def group_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cells of every Hankel group, group after group: (flat cell
-        positions, group of each, where each group starts)."""
-        sizes = np.array([len(c) for c in self.group_cells], dtype=np.intp)
-        return (np.concatenate(self.group_cells),
-                np.repeat(np.arange(len(sizes)), sizes),
-                np.cumsum(sizes) - sizes)
+    def group_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of every Hankel group, group after group, each group's
+        in row-major order: (flat cell positions, bounds), group g holding
+        ``cells[bounds[g]:bounds[g + 1]]``."""
+        return _layout(self.cell_group.reshape(-1), len(self.group_keys))
 
     @_structure
     def pin_plan(self) -> PinPlan:
@@ -292,7 +303,8 @@ class MomentProblem:
         return int(self.cell_class[self.pos(row_word), self.pos(col_word)])
 
     def representative_key(self, cls: int) -> Word:
-        return self.group_keys[self._class_groups[cls][0]]
+        groups, bounds = self.class_layout
+        return self.group_keys[groups[bounds[cls]]]
 
     def active_rows(self) -> tuple[Row, ...]:
         return self.rows + self.linear_factor_rows
@@ -453,8 +465,8 @@ def _build_groups(products: _Products):
 
     The involute of cell (i, j)'s product is cell (j, i)'s, so each cell
     keys on the smaller of the two under ``Word.sort_key``.  Groups are
-    numbered by first appearance in the row-major upper triangle, and each
-    group's cells are listed in that order, (i, j) before (j, i).
+    numbered by first appearance in the row-major upper triangle.  Returns
+    the group keys and the (N, N) group of each cell.
     """
     n = products.codes.shape[1]
     i, j = np.triu_indices(n)
@@ -476,15 +488,7 @@ def _build_groups(products: _Products):
     cell_group = np.empty((n, n), dtype=np.int32)
     cell_group[i, j] = group
     cell_group[j, i] = group
-    flat = np.stack([i * n + j, j * n + i], axis=1).reshape(-1)
-    flat_group = np.repeat(group, 2)
-    mirrored = np.ones(len(flat), dtype=bool)
-    mirrored[1::2] = i != j
-    flat, flat_group = flat[mirrored], flat_group[mirrored]
-    flat = flat[np.argsort(flat_group, kind="stable")].astype(np.int64)
-    ends = np.cumsum(np.bincount(flat_group, minlength=len(keys))).tolist()
-    cells = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    return keys, cells, cell_group
+    return keys, cell_group
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -645,7 +649,7 @@ def _pin_plan(problem: MomentProblem) -> PinPlan:
     inflated = problem.hierarchy == "inflation"
     subsets: dict[tuple[str, ...], int] = {}
     groups, factors = [], []
-    for g in np.argsort(problem.group_class, kind="stable").tolist():
+    for g in problem.class_layout[0].tolist():
         f = _pin_factors(sc, problem.group_keys[g], inflated, subsets)
         if f is not None:
             groups.append(g)
@@ -681,9 +685,8 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
               budget: int, merges: Callable | None = None,
               merge_family: str = "",
               index_words: Sequence[Word] | None = None) -> MomentProblem:
-    """Build the problem's structure.  ``merges(index, keys, cells,
-    cell_group)`` returns two arrays of group ids whose groups share a
-    class."""
+    """Build the problem's structure.  ``merges(index, keys, cell_group)``
+    returns two arrays of group ids whose groups share a class."""
     if index_words is None:
         index = enumerate_words(alphabet, n)
     else:
@@ -694,10 +697,10 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
             f"({hierarchy}, n={n}" + (f", m={m}" if m else "") + ")")
     pvms = _pvms(alphabet) if completeness else []
     products = _Products(index, [word([l]) for pvm in pvms for l in pvm])
-    keys, cells, cell_group = _build_groups(products)
+    keys, cell_group = _build_groups(products)
     a = b = np.zeros(0, dtype=np.intp)
     if merges is not None:
-        a, b = merges(index, keys, cells, cell_group)
+        a, b = merges(index, keys, cell_group)
     group_class = _components(len(keys), a, b)
     cell_class = group_class[cell_group]
     rows: list[Row] = []
@@ -708,7 +711,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
     pinned = {int(cell_class[0, 0]): 1.0}  # G[1, 1] = 1
     return MomentProblem(
         scenario=scenario, hierarchy=hierarchy, n=n, m=m, alphabet=alphabet,
-        index=tuple(index), group_keys=tuple(keys), group_cells=tuple(cells),
+        index=tuple(index), group_keys=tuple(keys), cell_group=cell_group,
         group_class=group_class, cell_class=cell_class, pinned=pinned,
         rows=tuple(rows), merge_family=merge_family, completeness=completeness)
 
@@ -839,7 +842,7 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
         raise ValueError("n must be >= 1")
     alphabet = scenario.scalar_alphabet(n)
 
-    def merges(index, keys, cells, cell_group):
+    def merges(index, keys, cell_group):
         return _scalar_identifications(alphabet, n, keys)
 
     return _assemble(scenario, "scalar_extension", n, None, alphabet,
@@ -847,9 +850,8 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
                      merges=merges, merge_family="scalar identification")
 
 
-def _copy_merges(index: Sequence[Word], cells: Sequence[np.ndarray],
-                 cell_group: np.ndarray, alphabet: Alphabet,
-                 m: int) -> tuple[np.ndarray, np.ndarray]:
+def _copy_merges(index: Sequence[Word], cell_group: np.ndarray,
+                 alphabet: Alphabet, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every group joined to its image under each generator of the
     copy-relabelling group (S_m)^sources, one source at a time: the
     transposition (1 2), plus the m-cycle when m >= 3.
@@ -857,15 +859,15 @@ def _copy_merges(index: Sequence[Word], cells: Sequence[np.ndarray],
     A relabelling is an automorphism of the word algebra, so it maps the
     product of cell (i, j) to that of cell (pi i, pi j), where pi is the
     index permutation it induces, and a group's image is the group of the
-    image of any one of its cells.  The connected components are the
-    orbits of the full group.  An index word whose image is not in the
-    index raises :class:`RuntimeError`.
+    image of any one of its cells, here its first in row-major order.  The
+    connected components are the orbits of the full group.  An index word
+    whose image is not in the index raises :class:`RuntimeError`.
     """
     gens = [{1: 2, 2: 1}] if m >= 2 else []
     if m >= 3:
         gens.append({i: i % m + 1 for i in range(1, m + 1)})
     pos = {w: i for i, w in enumerate(index)}
-    first = np.fromiter((c[0] for c in cells), np.intp, len(cells))
+    groups, first = np.unique(cell_group, return_index=True)
     rows, cols = np.divmod(first, len(index))
     images = []
     for src in alphabet.sources():
@@ -881,7 +883,6 @@ def _copy_merges(index: Sequence[Word], cells: Sequence[np.ndarray],
                         f"{w!r} to {img!r}, which is not in the index")
                 pi[i] = pos[img]
             images.append(cell_group[pi[rows], pi[cols]])
-    groups = np.arange(len(cells))
     return (np.tile(groups, len(images)),
             np.concatenate(images) if images else groups[:0])
 
@@ -914,8 +915,8 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
         raise BudgetError("inflation order > 3 exceeds the desk-scale budget")
     alphabet = scenario.inflated_alphabet(m)
 
-    def merges(index, keys, cells, cell_group):
-        return _copy_merges(index, cells, cell_group, alphabet, m)
+    def merges(index, keys, cell_group):
+        return _copy_merges(index, cell_group, alphabet, m)
 
     p = _assemble(scenario, "inflation", n, m, alphabet,
                   completeness=completeness, budget=budget,
@@ -1052,16 +1053,13 @@ def oracle_assignment(problem: MomentProblem, oracle) -> MomentAssignment:
     """Fill the moment matrix from a strategy oracle.
 
     Uses the Gram fast path when the oracle provides one; falls back to
-    per-class evaluation of the product words.
+    evaluating each Hankel group's key word once.
     """
-    n = problem.dim
     if hasattr(oracle, "gram"):
         return MomentAssignment(problem, oracle.gram(problem.index))
-    mat = np.zeros((n, n))
-    flat = mat.reshape(-1)
-    for g, key in enumerate(problem.group_keys):
-        flat[problem.group_cells[g]] = oracle.value(key)
-    return MomentAssignment(problem, (mat + mat.T) / 2)
+    values = np.fromiter((oracle.value(key) for key in problem.group_keys),
+                         float, len(problem.group_keys))
+    return MomentAssignment(problem, values[problem.cell_group])
 
 
 @dataclass
@@ -1109,22 +1107,21 @@ def check_assignment(problem: MomentProblem, assignment: MomentAssignment,
     """Per-family maximal residuals of an assignment (tol is advisory;
     all families are always evaluated and reported)."""
     X = assignment.matrix
-    cells, cell_group, group_starts = problem.group_layout
-    vals = X.reshape(-1)[cells]
-    n_groups = len(problem.group_keys)
-    group_means = (np.bincount(cell_group, weights=vals, minlength=n_groups)
-                   / np.diff(np.append(group_starts, len(cells))))
-    hankel = _max_spread(vals, group_starts)
+    vals = X.reshape(-1)
+    cells, group_bounds = problem.group_layout
+    group_means = (np.bincount(problem.cell_group.reshape(-1), weights=vals,
+                               minlength=len(problem.group_keys))
+                   / np.diff(group_bounds))
+    hankel = _max_spread(vals[cells], group_bounds[:-1])
     # class value: the mean of its groups' means
-    n_groups_of = np.bincount(problem.group_class, minlength=problem.n_classes)
-    class_vals = np.bincount(problem.group_class, weights=group_means,
-                             minlength=problem.n_classes) / n_groups_of
-    by_class = np.argsort(problem.group_class, kind="stable")
-    merge_res = _max_spread(group_means[by_class],
-                            np.cumsum(n_groups_of) - n_groups_of)
+    groups, class_bounds = problem.class_layout
+    class_vals = (np.bincount(problem.group_class, weights=group_means,
+                              minlength=problem.n_classes)
+                  / np.diff(class_bounds))
+    merge_res = _max_spread(group_means[groups], class_bounds[:-1])
     pin_val = np.full(problem.n_classes, np.nan)
     pin_val[list(problem.pinned)] = list(problem.pinned.values())
-    cell_pin = pin_val[problem.group_class[cell_group]]
+    cell_pin = pin_val[problem.cell_class].reshape(-1)
     pinned = ~np.isnan(cell_pin)
     pins = float(np.abs(vals[pinned] - cell_pin[pinned]).max(initial=0.0))
     rows = problem.active_flat_rows
@@ -1243,8 +1240,7 @@ def inflation_to_scalar_extension(xi: MomentAssignment, n: int, m: int, *,
     pos = {w: i for i, w in enumerate(xi.problem.index)}
     values = np.zeros(omega.n_classes)
     for cls in range(omega.n_classes):
-        g = omega.class_groups(cls)[0]
-        v = scalar_key_image(omega.group_keys[g], m, scenario)
+        v = scalar_key_image(omega.representative_key(cls), m, scenario)
         cell = _split_in_index(v, pos)
         if cell is None:
             raise ValueError(

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -86,11 +86,9 @@ class AffineSdp:
     objective: str = "feasibility"
     objective_cells: tuple[tuple[int, int], ...] = ()
     objective_coeffs: tuple[float, ...] = ()
-    problem: MomentProblem | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.objective not in ("feasibility", "maximize_min_eigenvalue",
-                                  "maximize_linear"):
+        if self.objective not in ("feasibility", "maximize_linear"):
             raise SdpStructureError(f"unknown objective {self.objective!r}")
         for row in self.rows:
             for (i, j), c in zip(row.cells, row.coeffs):
@@ -122,16 +120,6 @@ def _cell_weight(i: int, j: int) -> float:
     return 1.0 if i == j else 0.5
 
 
-def _class_rep_cells(problem: MomentProblem) -> list[tuple[int, int]]:
-    n = problem.dim
-    reps = []
-    for cls in range(problem.n_classes):
-        flat = int(problem.class_cells_flat(cls).min())
-        i, j = divmod(flat, n)
-        reps.append((min(i, j), max(i, j)))
-    return reps
-
-
 def compile(problem: MomentProblem,
             objective: Mapping[int, float] | None = None) -> AffineSdp:
     """Flatten a moment problem into cell-level equality rows.
@@ -150,18 +138,23 @@ def compile(problem: MomentProblem,
             f"{len(problem.flagged_bilinear)} factorisation pairs are still "
             "bilinear after linearization; use factorisation.seesaw")
     n = problem.dim
-    reps = _class_rep_cells(problem)
+    # the upper-triangle cells class after class, in row-major order: the
+    # first cell of a class is its representative (classes are symmetric,
+    # so this is its first cell in the whole matrix), and each other cell
+    # is tied to it
+    i, j = np.triu_indices(n)
+    classes = problem.cell_class[i, j]
+    order = np.lexsort((i * n + j, classes))
+    i, j, classes = i[order], j[order], classes[order]
+    opens = np.concatenate([[True], classes[1:] != classes[:-1]])
+    reps = list(zip(i[opens].tolist(), j[opens].tolist()))
+    tied = ~opens
     rows: list[SdpRow] = []
-    # Hankel ties: every upper-triangle cell equals its class representative
-    for cls in range(problem.n_classes):
-        ri, rj = reps[cls]
-        for flat in sorted(set(problem.class_cells_flat(cls).tolist())):
-            i, j = divmod(flat, n)
-            if i > j or (i, j) == (ri, rj):
-                continue
-            rows.append(SdpRow(
-                ((min(i, j), max(i, j)), (ri, rj)),
-                (_cell_weight(i, j), -_cell_weight(ri, rj)), 0.0))
+    for c, ti, tj in zip(classes[tied].tolist(), i[tied].tolist(),
+                         j[tied].tolist()):
+        ri, rj = reps[c]
+        rows.append(SdpRow(((ti, tj), (ri, rj)),
+                           (_cell_weight(ti, tj), -_cell_weight(ri, rj)), 0.0))
     for cls, val in sorted(problem.pinned.items()):
         ri, rj = reps[cls]
         rows.append(SdpRow(((ri, rj),), (_cell_weight(ri, rj),), float(val)))
@@ -179,8 +172,7 @@ def compile(problem: MomentProblem,
         obj_coeffs = tuple(objective[c] * _cell_weight(*reps[c])
                            for c in sorted(objective))
     return AffineSdp(dim=n, rows=tuple(rows), objective=mode,
-                     objective_cells=obj_cells, objective_coeffs=obj_coeffs,
-                     problem=problem)
+                     objective_cells=obj_cells, objective_coeffs=obj_coeffs)
 
 
 def export_sdpa(s: AffineSdp, path: str) -> None:
@@ -616,7 +608,7 @@ def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
     return cs.known.copy(), cs.contradiction
 
 
-def solve_feasibility(target: AffineSdp | MomentProblem,
+def solve_feasibility(problem: MomentProblem,
                       tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER,
                       infeasibility_margin: float = DEFAULT_MARGIN
@@ -628,15 +620,6 @@ def solve_feasibility(target: AffineSdp | MomentProblem,
     hands over to the projections when it stalls without a verdict;
     ``max_iter`` bounds the projection iterations on either route.
     """
-    if isinstance(target, AffineSdp):
-        if target.problem is None:
-            raise SdpStructureError(
-                "this AffineSdp carries no moment-problem structure (parsed "
-                "from a file?); solve the original problem or use an "
-                "external SDPA solver")
-        problem = target.problem
-    else:
-        problem = target
     if (problem.factor_pairs or problem.factor_triples) \
             and not problem.linear_factor_rows:
         raise SdpStructureError(

@@ -170,6 +170,15 @@ def classical_mixture_strategy(weights, atoms, inputs_free: int = 1) -> QuantumS
 # loop reference for moment.check_assignment
 # ---------------------------------------------------------------------------
 
+def loop_cells(labels: np.ndarray, count: int) -> list[list[int]]:
+    """The flat positions of the cells of each of ``count`` labels, one
+    cell at a time in row-major order."""
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for flat, label in enumerate(labels.reshape(-1).tolist()):
+        cells[label].append(flat)
+    return cells
+
+
 def loop_check_assignment(problem, assignment) -> ResidualReport:
     """Per-family residuals, one Hankel group, class, pin and row at a time."""
     X = assignment.matrix
@@ -177,22 +186,26 @@ def loop_check_assignment(problem, assignment) -> ResidualReport:
     hankel = 0.0
     merge_res = 0.0
     group_means = np.zeros(len(problem.group_keys))
-    for g, cells in enumerate(problem.group_cells):
+    class_groups: list[list[int]] = [[] for _ in range(problem.n_classes)]
+    for g, cls in enumerate(problem.group_class.tolist()):
+        class_groups[cls].append(g)
+    class_cells = loop_cells(problem.cell_class, problem.n_classes)
+    for g, cells in enumerate(loop_cells(problem.cell_group,
+                                         len(problem.group_keys))):
         vals = flat[cells]
         group_means[g] = vals.mean()
         if len(vals) > 1:
             hankel = max(hankel, float(vals.max() - vals.min()))
     class_vals = np.zeros(problem.n_classes)
     for cls in range(problem.n_classes):
-        gs = problem.class_groups(cls)
+        gs = class_groups[cls]
         means = group_means[gs]
         class_vals[cls] = means.mean()
         if len(gs) > 1:
             merge_res = max(merge_res, float(means.max() - means.min()))
     pins = 0.0
     for cls, val in problem.pinned.items():
-        cells = problem.class_cells_flat(cls)
-        pins = max(pins, float(np.abs(flat[cells] - val).max()))
+        pins = max(pins, float(np.abs(flat[class_cells[cls]] - val).max()))
     completeness = 0.0
     for row in problem.active_rows():
         s = sum(c * class_vals[k] for k, c in zip(row.classes, row.coeffs))
@@ -407,8 +420,7 @@ def loop_build_groups(index):
     invols = [involute(w) for w in index]
     key_of: dict[Word, int] = {}
     keys: list[Word] = []
-    cells: list[list[int]] = []
-    cell_class = np.zeros((n, n), dtype=np.int32)
+    cell_group = np.zeros((n, n), dtype=np.int32)
     for i in range(n):
         for j in range(i, n):
             k = _min_key(concat(invols[i], index[j]))
@@ -417,12 +429,8 @@ def loop_build_groups(index):
                 g = len(keys)
                 key_of[k] = g
                 keys.append(k)
-                cells.append([])
-            cells[g].append(i * n + j)
-            if i != j:
-                cells[g].append(j * n + i)
-            cell_class[i, j] = cell_class[j, i] = g
-    return keys, [np.asarray(c, dtype=np.int64) for c in cells], key_of, cell_class
+            cell_group[i, j] = cell_group[j, i] = g
+    return keys, key_of, cell_group
 
 
 def loop_copy_orbit_edges(keys, key_of, alphabet, m):
@@ -490,7 +498,7 @@ def loop_structure(problem: MomentProblem) -> dict:
     """The structure of ``problem`` built again from its index by the loop
     references, with the classes joined by a union-find."""
     index = enumerate_words(problem.alphabet, problem.n)
-    keys, cells, key_of, cell_group = loop_build_groups(index)
+    keys, key_of, cell_group = loop_build_groups(index)
     if problem.hierarchy == "inflation":
         merges = loop_copy_orbit_edges(keys, key_of, problem.alphabet, problem.m)
     elif problem.hierarchy == "scalar_extension":
@@ -507,11 +515,54 @@ def loop_structure(problem: MomentProblem) -> dict:
     cell_class = group_class[cell_group]
     rows = (loop_completeness_rows(problem.alphabet, index, cell_class)
             if problem.completeness else [])
-    structure = replace(problem, group_keys=tuple(keys), group_cells=tuple(cells),
+    structure = replace(problem, group_keys=tuple(keys), cell_group=cell_group,
                         group_class=group_class, cell_class=cell_class,
                         rows=tuple(rows))
     return dict(index=structure.index, group_keys=structure.group_keys,
-                group_cells=structure.group_cells, group_class=group_class,
+                cell_group=cell_group, group_class=group_class,
                 cell_class=cell_class, rows=structure.rows,
                 check_products=tuple(_diagonal_check_products(structure))
                 if problem.hierarchy == "inflation" else ())
+
+
+# ---------------------------------------------------------------------------
+# loop reference for sdp.compile
+# ---------------------------------------------------------------------------
+
+def loop_class_rep_cells(problem: MomentProblem) -> list[tuple[int, int]]:
+    """The representative cell of each class: its smallest flat position,
+    one class at a time."""
+    n = problem.dim
+    reps = []
+    for cells in loop_cells(problem.cell_class, problem.n_classes):
+        i, j = divmod(min(cells), n)
+        reps.append((min(i, j), max(i, j)))
+    return reps
+
+
+def loop_compile_rows(problem: MomentProblem) -> tuple:
+    """The rows of ``sdp.compile(problem)``, with the Hankel ties made one
+    class and one cell at a time."""
+    from netnpa.sdp import SdpRow, _cell_weight
+
+    n = problem.dim
+    reps = loop_class_rep_cells(problem)
+    rows = []
+    for cls, cells in enumerate(loop_cells(problem.cell_class, problem.n_classes)):
+        ri, rj = reps[cls]
+        for flat in sorted(set(cells)):
+            i, j = divmod(flat, n)
+            if i > j or (i, j) == (ri, rj):
+                continue
+            rows.append(SdpRow(
+                ((min(i, j), max(i, j)), (ri, rj)),
+                (_cell_weight(i, j), -_cell_weight(ri, rj)), 0.0))
+    for cls, val in sorted(problem.pinned.items()):
+        ri, rj = reps[cls]
+        rows.append(SdpRow(((ri, rj),), (_cell_weight(ri, rj),), float(val)))
+    for row in problem.active_rows():
+        cells = tuple(reps[c] for c in row.classes)
+        coeffs = tuple(co * _cell_weight(*reps[c])
+                       for c, co in zip(row.classes, row.coeffs))
+        rows.append(SdpRow(cells, coeffs, row.rhs))
+    return tuple(rows)

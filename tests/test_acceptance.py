@@ -189,11 +189,12 @@ def test_criterion_7_mixed_state_counterexample():
     full_ops = {("A", 0, o): A[o] for o in range(2)}
     full_ops.update({("B", 0, o): B[o] for o in range(2)})
     full_ops.update({("C", 0, o): C[o] for o in range(2)})
+    values = [direct([full_ops[(l.party, l.input, l.output)] for l in key.letters])
+              for key in problem.group_keys]
     mat = np.zeros((problem.dim, problem.dim))
-    flat = mat.reshape(-1)
-    for g, key in enumerate(problem.group_keys):
-        flat[problem.group_cells[g]] = direct(
-            [full_ops[(l.party, l.input, l.output)] for l in key.letters])
+    for i in range(problem.dim):
+        for j in range(problem.dim):
+            mat[i, j] = values[problem.cell_group[i, j]]
     assignment = MomentAssignment(problem, (mat + mat.T) / 2)
     resid = F.verify_factorisation(assignment)
     a0, c0 = word([meas("A")]), word([meas("C")])

@@ -161,6 +161,20 @@ def test_export_roundtrip(tmp_path):
     assert "constraints written" in report
 
 
+def test_export_of_an_unpinnable_level_exit65(tmp_path):
+    args = ["--scenario", "bilocal", "--hierarchy", "standard", "--n", "1",
+            "shared_random_bit"]
+    code, report = run(["test"] + args)
+    assert code == EXIT_SCENARIO
+    assert report.startswith("error: level n=1 cannot pin")
+    path = tmp_path / "x.dat-s"
+    code, report = run(["export"] + args[:-1] + ["--distribution", "shared_random_bit",
+                                                  "--out", str(path)])
+    assert code == EXIT_SCENARIO
+    assert report.startswith("error: level n=1 cannot pin")
+    assert not path.exists()
+
+
 def test_info_scalar_index_size():
     code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
                         "scalar", "--n", "3"])

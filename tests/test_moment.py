@@ -57,6 +57,7 @@ from helpers import (
     TRIANGLE_111,
     all_sequences,
     cached_problem,
+    loop_cells,
     loop_check_assignment,
     loop_pin_distribution,
     loop_structure,
@@ -254,18 +255,19 @@ def test_class_average_is_the_per_class_cell_mean():
     rng = np.random.default_rng(1)
     for p in (cached_problem("inflation", *BILOCAL_111, 2, 2),
               cached_problem("standard", *BILOCAL_111, 3)):
-        cells = np.concatenate([p.class_cells_flat(c) for c in range(p.n_classes)])
+        class_cells = loop_cells(p.cell_class, p.n_classes)
+        cells = np.concatenate(class_cells)
         assert np.array_equal(np.sort(cells), np.arange(p.dim ** 2))
         G = rng.standard_normal((p.dim, p.dim))
         X = G + G.T
-        per_class = np.array([X.reshape(-1)[p.class_cells_flat(c)].mean()
-                              for c in range(p.n_classes)])
+        per_class = np.array([X.reshape(-1)[c].mean() for c in class_cells])
         assert np.abs(p.class_average(X) - per_class).max() < 1e-12
         assert np.array_equal(MomentAssignment(p, X).class_values(),
                               p.class_average(X))
 
 
-STRUCTURES = ("group_layout", "class_counts", "pin_plan", "flat_rows")
+STRUCTURES = ("group_layout", "class_layout", "class_counts", "pin_plan",
+              "flat_rows")
 
 
 def test_pinned_and_linearized_copies_share_the_derived_structures():
@@ -484,7 +486,7 @@ def test_classes_are_a_congruence_without_merges():
             groups = p.class_groups(cls)
             assert len(groups) == 1
             key = p.group_keys[groups[0]]
-            for flat in p.group_cells[groups[0]][:6]:
+            for flat in np.flatnonzero(p.cell_group == groups[0])[:6]:
                 i, j = divmod(int(flat), p.dim)
                 prod = concat(involute(p.index[i]), p.index[j])
                 assert prod in (key, involute(key))
@@ -538,8 +540,8 @@ def _full_group_orbits(keys, alphabet, m):
 
 
 def _copy_orbits(index, alphabet, m):
-    keys, cells, cell_group = _build_groups(_Products(index))
-    merges = _copy_merges(index, cells, cell_group, alphabet, m)
+    keys, cell_group = _build_groups(_Products(index))
+    merges = _copy_merges(index, cell_group, alphabet, m)
     return keys, _partition(_components(len(keys), *merges))
 
 
@@ -566,10 +568,10 @@ def test_copy_merges_reject_an_index_not_closed_under_relabelling():
     # drop a word that the copy swap moves: its preimage has no image left
     gone = word([meas("A", copies=(2,))])
     index.remove(gone)
-    keys, cells, cell_group = _build_groups(_Products(index))
+    keys, cell_group = _build_groups(_Products(index))
     with pytest.raises(RuntimeError, match=re.escape(
             f"index word {word([meas('A', copies=(1,))])!r} to {gone!r}")):
-        _copy_merges(index, cells, cell_group, alph, 2)
+        _copy_merges(index, cell_group, alph, 2)
 
 
 @pytest.mark.parametrize("case", [
@@ -584,10 +586,7 @@ def test_structure_matches_the_loop_reference(case):
     ref = loop_structure(p)
     assert p.index == ref["index"]
     assert p.group_keys == ref["group_keys"]
-    assert len(p.group_cells) == len(ref["group_cells"])
-    for got, want in zip(p.group_cells, ref["group_cells"]):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    for name in ("group_class", "cell_class"):
+    for name in ("cell_group", "group_class", "cell_class"):
         got, want = getattr(p, name), ref[name]
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     # order, classes, coefficients, right-hand sides and families

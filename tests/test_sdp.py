@@ -44,6 +44,9 @@ from helpers import (
     TRIANGLE_111,
     cached_problem,
     dense_rows,
+    loop_cells,
+    loop_class_rep_cells,
+    loop_compile_rows,
     loop_propagate,
     loop_reduced_rows,
     loop_submatrix_words,
@@ -488,8 +491,9 @@ def test_affine_projector_matches_weighted_least_squares():
     # reference: a - W^-1 R' (R W^-1 R')^+ (R a - b), with a the per-class
     # cell means and W the per-class cell counts of the free classes
     flat = X.reshape(-1)
-    a = np.array([flat[p.class_cells_flat(int(c))].mean() for c in cs.free])
-    w_inv = 1.0 / np.array([len(p.class_cells_flat(int(c))) for c in cs.free])
+    class_cells = loop_cells(p.cell_class, p.n_classes)
+    a = np.array([flat[class_cells[c]].mean() for c in cs.free])
+    w_inv = 1.0 / np.array([len(class_cells[c]) for c in cs.free])
     gram = (R * w_inv) @ R.T
     ref = a - w_inv * (R.T @ (np.linalg.pinv(gram) @ (R @ a - cs.b)))
     Y = project(X)
@@ -521,23 +525,31 @@ def test_sdpa_golden_minimal_file(tmp_path):
         assert path.read_text() == fh.read()
 
 
-@pytest.mark.parametrize("fixture", ["standard-bell3", "factorisation-srb",
-                                     "scalar", "inflation", "chsh"])
-def test_sdpa_roundtrip_byte_exact(tmp_path, fixture):
-    if fixture == "standard-bell3":
-        problem = cached_problem("standard", "bell3", (2, 2, 2), (1, 1, 1), 2)
-        s = compile(problem)
-    elif fixture == "factorisation-srb":
+SDPA_FIXTURES = ["standard-bell3", "factorisation-srb", "scalar", "inflation",
+                 "chsh"]
+
+
+def compile_fixture(name):
+    """The problem and objective of a named compile fixture."""
+    if name == "standard-bell3":
+        return cached_problem("standard", "bell3", (2, 2, 2), (1, 1, 1), 2), None
+    if name == "factorisation-srb":
         p = pin_distribution(cached_problem("factorisation", *BILOCAL_111, 3),
                              shared_random_bit("bilocal"))
-        s = compile(factorisation.pin_linearize(p))
-    elif fixture == "scalar":
-        s = compile(cached_problem("scalar", *BILOCAL_111, 2))
-    elif fixture == "inflation":
-        s = compile(cached_problem("inflation", *BILOCAL_111, 2, 2))
-    else:
-        p, obj = chsh_problem_and_objective()
-        s = compile(p, objective=obj)
+        return factorisation.pin_linearize(p), None
+    if name == "scalar":
+        return cached_problem("scalar", *BILOCAL_111, 2), None
+    if name == "inflation":
+        return cached_problem("inflation", *BILOCAL_111, 2, 2), None
+    if name == "triangle-inflation":
+        return cached_problem("inflation", *TRIANGLE_111, 2, 2), None
+    return chsh_problem_and_objective()
+
+
+@pytest.mark.parametrize("fixture", SDPA_FIXTURES)
+def test_sdpa_roundtrip_byte_exact(tmp_path, fixture):
+    problem, objective = compile_fixture(fixture)
+    s = compile(problem, objective=objective)
     path1 = tmp_path / "a.dat-s"
     path2 = tmp_path / "b.dat-s"
     export_sdpa(s, str(path1))
@@ -551,9 +563,10 @@ def test_sdpa_roundtrip_byte_exact(tmp_path, fixture):
     assert path1.read_bytes() == path2.read_bytes()
 
 
-def test_parsed_sdp_cannot_be_solved_directly(tmp_path):
-    s = AffineSdp(dim=1, rows=(SdpRow(((0, 0),), (1.0,), 1.0),))
-    path = tmp_path / "x.dat-s"
-    export_sdpa(s, str(path))
-    with pytest.raises(SdpStructureError, match="external"):
-        solve_feasibility(parse_sdpa(str(path)))
+@pytest.mark.parametrize("fixture", SDPA_FIXTURES + ["triangle-inflation"])
+def test_compile_matches_the_loop_reference(fixture):
+    problem, objective = compile_fixture(fixture)
+    s = compile(problem, objective=objective)
+    assert s.rows == loop_compile_rows(problem)
+    reps = loop_class_rep_cells(problem)
+    assert s.objective_cells == tuple(reps[c] for c in sorted(objective or ()))
