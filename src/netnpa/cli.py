@@ -11,7 +11,11 @@ Subcommands
 ``info``     print index size and constraint counts for a would-be problem.
 
 A FEASIBLE verdict at level n means only that no obstruction exists at
-level n.  Exit code 64 flags unreadable inputs, 65 a scenario mismatch.
+level n.  Exit code 1 comes only with an INFEASIBLE verdict.  64 flags
+unreadable inputs (a stored assignment that ``gns`` cannot load or
+rebuild included); 65 flags any error building or pinning the requested
+problem in ``test``, ``export``, ``sample`` and ``info`` (a scenario
+mismatch, an invalid level, the index budget).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from . import factorisation, gns, sdp
 from .moment import (
     DEFAULT_INDEX_BUDGET,
+    BudgetError,
     MomentAssignment,
     MomentProblem,
     build_factorisation_bilocal,
@@ -55,7 +60,14 @@ EXIT_INCONCLUSIVE = 2
 EXIT_PARSE = 64
 EXIT_SCENARIO = 65
 
-HIERARCHY_CHOICES = ("standard", "factorisation", "scalar", "inflation", "star")
+# --hierarchy name -> (the MomentProblem.hierarchy it builds, its builder)
+BUILDERS = {
+    "standard": ("standard_npa", build_standard),
+    "factorisation": ("factorisation_bilocal", build_factorisation_bilocal),
+    "scalar": ("scalar_extension", build_scalar_extension),
+    "inflation": ("inflation", build_inflation),
+    "star": ("factorisation_star", build_star_factorisation),
+}
 
 
 @dataclass
@@ -146,22 +158,36 @@ def _load_distribution(cfg: RunConfig) -> Distribution:
     return dist
 
 
-def _build_problem(cfg: RunConfig, scenario: Scenario) -> MomentProblem:
-    kw = dict(completeness=not cfg.literal_paper_mode, budget=cfg.budget)
-    if cfg.hierarchy == "standard":
-        return build_standard(scenario, cfg.n, **kw)
-    if cfg.hierarchy == "factorisation":
-        return build_factorisation_bilocal(scenario, cfg.n, **kw)
-    if cfg.hierarchy == "scalar":
-        return build_scalar_extension(scenario, cfg.n, **kw)
-    if cfg.hierarchy == "inflation":
-        if cfg.m is None:
-            raise CliError("--m is required for the inflation hierarchy",
-                           EXIT_PARSE)
-        return build_inflation(scenario, cfg.n, cfg.m, **kw)
-    if cfg.hierarchy == "star":
-        return build_star_factorisation(scenario, cfg.n, **kw)
-    raise CliError(f"unknown hierarchy {cfg.hierarchy!r}", EXIT_PARSE)
+def _build(hierarchy: str, scenario: Scenario, n: int, m: int | None,
+           **kw) -> MomentProblem:
+    build = BUILDERS[hierarchy][1]
+    if hierarchy != "inflation":
+        return build(scenario, n, **kw)
+    if m is None:
+        raise CliError("--m is required for the inflation hierarchy",
+                       EXIT_PARSE)
+    return build(scenario, n, m, **kw)
+
+
+def _problem(cfg: RunConfig, scenario: Scenario,
+             dist: Distribution | None = None, *,
+             linearize: bool = False) -> tuple[MomentProblem, float]:
+    """Build the configured hierarchy over ``scenario``, pin ``dist`` if
+    given and, with ``linearize``, linearize the factor pairs.  Returns the
+    problem and the ``perf_counter`` reading at the end of the build.  Any
+    build or pin error exits 65."""
+    try:
+        problem = _build(cfg.hierarchy, scenario, cfg.n, cfg.m,
+                         completeness=not cfg.literal_paper_mode,
+                         budget=cfg.budget)
+        t_built = time.perf_counter()
+        if dist is not None:
+            problem = pin_distribution(problem, dist)
+        if linearize:
+            problem = factorisation.pin_linearize(problem)
+    except (ValueError, BudgetError) as exc:  # SignallingError is a ValueError
+        raise CliError(str(exc), EXIT_SCENARIO) from None
+    return problem, t_built
 
 
 def _problem_lines(problem: MomentProblem) -> list[str]:
@@ -182,23 +208,12 @@ def _problem_lines(problem: MomentProblem) -> list[str]:
 
 def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     t0 = time.perf_counter()
-    try:
-        dist = _load_distribution(cfg)
-    except (ScenarioError, SignallingError) as exc:
-        raise CliError(str(exc), EXIT_PARSE)
-    scenario = dist.scenario
-    try:
-        built = _build_problem(cfg, scenario)
-        t_built = time.perf_counter()
-        problem = pin_distribution(built, dist)
-    except (ValueError, SignallingError) as exc:
-        raise CliError(str(exc), EXIT_SCENARIO)
+    dist = _load_distribution(cfg)
+    problem, t_built = _problem(cfg, dist.scenario, dist, linearize=True)
+    t_pinned = time.perf_counter()
     settings = dict(tol=cfg.tol, max_iter=cfg.max_iter,
                     infeasibility_margin=cfg.infeasibility_margin)
     seesaw_note = ""
-    if problem.factor_pairs or problem.factor_triples:
-        problem = factorisation.pin_linearize(problem)
-    t_pinned = time.perf_counter()
     if problem.flagged_bilinear:
         outcome, state = factorisation.seesaw(problem, **settings)
         seesaw_note = state.dump()
@@ -232,22 +247,14 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
 def cmd_export(cfg: RunConfig) -> tuple[int, str]:
     if cfg.output_path is None:
         raise CliError("export needs --out", EXIT_PARSE)
-    if cfg.distribution is not None:
-        dist = _load_distribution(cfg)
-        try:
-            problem = pin_distribution(_build_problem(cfg, dist.scenario), dist)
-        except (ValueError, SignallingError) as exc:
-            raise CliError(str(exc), EXIT_SCENARIO)
-    else:
-        scenario = _scenario_from_flags(cfg)
-        problem = _build_problem(cfg, scenario)
-    if problem.factor_pairs or problem.factor_triples:
-        problem = factorisation.pin_linearize(problem)
-        if problem.flagged_bilinear:
-            raise CliError(
-                "cannot export: bilinear factorisation pairs remain after "
-                "linearization (export the standard hierarchy instead)",
-                EXIT_PARSE)
+    dist = _load_distribution(cfg) if cfg.distribution is not None else None
+    scenario = dist.scenario if dist is not None else _scenario_from_flags(cfg)
+    problem, _ = _problem(cfg, scenario, dist, linearize=True)
+    if problem.flagged_bilinear:
+        raise CliError(
+            "cannot export: bilinear factorisation pairs remain after "
+            "linearization (export the standard hierarchy instead)",
+            EXIT_PARSE)
     compiled = sdp.compile(problem)
     sdp.export_sdpa(compiled, cfg.output_path)
     lines = ["netnpa export report"]
@@ -283,17 +290,9 @@ def load_assignment(path: str) -> MomentAssignment:
     scenario = Scenario(str(data["topology"]),
                         tuple(int(x) for x in data["outputs"]),
                         tuple(int(x) for x in data["inputs"]))
-    hierarchy = str(data["hierarchy"])
-    n = int(data["n"])
-    m = int(data["m"])
-    builders = {
-        "standard_npa": lambda: build_standard(scenario, n),
-        "factorisation_bilocal": lambda: build_factorisation_bilocal(scenario, n),
-        "scalar_extension": lambda: build_scalar_extension(scenario, n),
-        "inflation": lambda: build_inflation(scenario, n, m),
-        "factorisation_star": lambda: build_star_factorisation(scenario, n),
-    }
-    problem = builders[hierarchy]()
+    names = {h: name for name, (h, _) in BUILDERS.items()}
+    problem = _build(names[str(data["hierarchy"])], scenario, int(data["n"]),
+                     int(data["m"]))
     return MomentAssignment(problem, data["matrix"])
 
 
@@ -306,7 +305,7 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, str]:
     strategy = random_strategy(scenario, tuple(cfg.dims), cfg.seed)
     oracle = MomentOracle(strategy)
     dist = oracle.born()
-    problem = pin_distribution(_build_problem(cfg, scenario), dist)
+    problem, _ = _problem(cfg, scenario, dist)
     from .moment import oracle_assignment
 
     assignment = oracle_assignment(problem, oracle)
@@ -328,7 +327,7 @@ def cmd_gns(cfg: RunConfig) -> tuple[int, str]:
                        EXIT_PARSE)
     try:
         assignment = load_assignment(cfg.distribution)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, BudgetError) as exc:
         raise CliError(f"cannot load assignment: {exc}", EXIT_PARSE)
     try:
         model = gns.reconstruct(assignment)
@@ -347,8 +346,7 @@ def cmd_gns(cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_info(cfg: RunConfig) -> tuple[int, str]:
-    scenario = _scenario_from_flags(cfg)
-    problem = _build_problem(cfg, scenario)
+    problem, _ = _problem(cfg, _scenario_from_flags(cfg))
     lines = ["netnpa info report"]
     lines += cfg.report_lines()
     lines += _problem_lines(problem)
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", choices=sorted(TOPOLOGIES))
         p.add_argument("--outputs", type=_parse_cards)
         p.add_argument("--inputs", type=_parse_cards)
-        p.add_argument("--hierarchy", choices=HIERARCHY_CHOICES,
+        p.add_argument("--hierarchy", choices=BUILDERS,
                        default="standard")
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--m", type=int)
@@ -391,46 +389,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write SDPA sparse file")
     common(p_export)
-    p_export.add_argument("--distribution", dest="distribution_opt")
-    p_export.add_argument("--out", required=True)
+    p_export.add_argument("--distribution")
+    p_export.add_argument("--out", dest="output_path", required=True)
 
     p_sample = sub.add_parser("sample", help="seeded random strategy fixture")
     common(p_sample)
     p_sample.add_argument("--seed", type=int)
     p_sample.add_argument("--dims", type=_parse_cards, default=(2, 2, 2, 2))
-    p_sample.add_argument("--out", required=True, help="output path prefix")
+    p_sample.add_argument("--out", dest="output_path", required=True,
+                          help="output path prefix")
 
     p_gns = sub.add_parser("gns", help="reconstruct a model from a stored "
                                        "assignment")
     common(p_gns)
-    p_gns.add_argument("assignment", help="assignment .npz path")
-    p_gns.add_argument("--out", help="write a model dump here")
+    p_gns.add_argument("distribution", metavar="assignment",
+                       help="assignment .npz path")
+    p_gns.add_argument("--out", dest="output_path",
+                       help="write a model dump here")
 
     p_info = sub.add_parser("info", help="problem size without solving")
     common(p_info)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.scenario = args.scenario
-    cfg.outputs = args.outputs
-    cfg.inputs = args.inputs
-    cfg.hierarchy = args.hierarchy
-    cfg.n = args.n
-    cfg.m = args.m
-    cfg.tol = args.tol
-    cfg.max_iter = args.max_iter
-    cfg.infeasibility_margin = args.infeasibility_margin
-    cfg.budget = args.budget
-    cfg.literal_paper_mode = args.literal_paper_mode
-    cfg.seed = getattr(args, "seed", None)
-    cfg.dims = tuple(getattr(args, "dims", (2, 2, 2, 2)))
-    cfg.output_path = getattr(args, "out", None)
-    cfg.distribution = (getattr(args, "distribution", None)
-                        or getattr(args, "distribution_opt", None)
-                        or getattr(args, "assignment", None))
-    return cfg
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -439,7 +418,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (EXIT_PARSE if exc.code not in (0, None) else 0), ""
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(args))
     handlers = {"test": cmd_test, "export": cmd_export, "sample": cmd_sample,
                 "gns": cmd_gns, "info": cmd_info}
     try:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -453,8 +454,12 @@ class _ClassSystem:
             y[j] = rhs - vals @ y[cols]
         self.N = np.linalg.qr(K)[0]
         y0 = y - self.N @ (self.N.T @ y)
-        resid = np.array([sum(v * y0[j] for j, v in r.items())
-                          for r in self.R]) - self.b
+        nnz = np.array([len(r) for r in self.R], dtype=np.intp)
+        cols = np.fromiter(chain.from_iterable(self.R), np.intp, nnz.sum())
+        vals = np.fromiter(chain.from_iterable(r.values() for r in self.R),
+                           float, nnz.sum())
+        resid = np.bincount(np.repeat(np.arange(len(nnz)), nnz),
+                            weights=vals * y0[cols], minlength=len(nnz)) - self.b
         if len(resid):
             worst = int(np.abs(resid).argmax())
             if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):

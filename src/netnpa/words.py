@@ -198,14 +198,6 @@ class Word:
     def __lt__(self, other: "Word") -> bool:
         return self.sort_key() < other.sort_key()
 
-    def restricted_to(self, parties: Iterable[str]) -> "Word":
-        """Sub-word keeping only measurement letters of the given parties."""
-        keep = set(parties)
-        return word([l for l in self.letters if l.is_measurement and l.party in keep])
-
-    def parties(self) -> set[str]:
-        return {l.party for l in self.letters if l.is_measurement}
-
     def __repr__(self) -> str:
         return f"Word({render_word(self)!r})"
 

@@ -1,8 +1,12 @@
 """CLI: exit codes, report structure, file outputs, reproducibility."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from netnpa import sdp
 from netnpa.cli import (
@@ -12,6 +16,12 @@ from netnpa.cli import (
     EXIT_SCENARIO,
     load_assignment,
     run,
+)
+from netnpa.moment import (
+    build_factorisation_bilocal,
+    build_scalar_extension,
+    build_standard,
+    oracle_assignment,
 )
 from netnpa.scenarios import (
     MomentOracle,
@@ -191,3 +201,65 @@ def test_info_matches_enumeration():
     code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
                         "scalar", "--n", "3"])
     assert f"index size: {expected}" in report
+
+
+@pytest.mark.parametrize("argv", [
+    "info --scenario bilocal --n 0",
+    "export --scenario bilocal --n 0 --out {out}",
+    "sample --scenario bilocal --n 0 --seed 1 --out {out}",
+    "info --scenario star4 --hierarchy star --n 3",
+    "export --scenario triangle --hierarchy factorisation --out {out}",
+    "test --scenario bilocal --budget 3 shared_random_bit",
+    "info --scenario bilocal --budget 3",
+    "export --scenario bilocal --budget 3 --out {out}",
+    "sample --scenario bilocal --budget 3 --seed 1 --out {out}",
+    "info --scenario triangle --hierarchy inflation --n 2 --m 4",
+])
+def test_build_errors_exit65_with_a_one_line_report(argv, tmp_path):
+    code, report = run(argv.format(out=tmp_path / "x").split())
+    assert code == EXIT_SCENARIO
+    assert report.startswith("error: ") and "\n" not in report
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("hierarchy, build", [
+    ("standard", build_standard),
+    ("factorisation", build_factorisation_bilocal),
+    ("scalar", build_scalar_extension),
+])
+def test_sampled_assignment_round_trips(hierarchy, build, tmp_path):
+    prefix = str(tmp_path / "s")
+    code, _report = run(["sample", "--scenario", "bilocal", "--hierarchy",
+                         hierarchy, "--n", "2", "--seed", "3", "--out", prefix])
+    assert code == EXIT_FEASIBLE
+    sc = Scenario("bilocal", (2, 2, 2), (1, 1, 1))
+    expected = oracle_assignment(
+        build(sc, 2), MomentOracle(random_strategy(sc, (2, 2, 2, 2), 3)))
+    loaded = load_assignment(prefix + ".npz")
+    assert loaded.problem.hierarchy == expected.problem.hierarchy
+    assert loaded.problem.dim == expected.problem.dim
+    assert np.array_equal(loaded.matrix, expected.matrix)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "netnpa", "info", "--scenario", "bilocal"]
+    ok = subprocess.run(argv + ["--n", "2"], env=env, capture_output=True,
+                        text=True, timeout=120)
+    assert ok.returncode == EXIT_FEASIBLE, ok.stderr
+    assert "index size: 25" in ok.stdout
+    bad = subprocess.run(argv + ["--n", "0"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert bad.returncode == EXIT_SCENARIO
+    assert bad.stdout.startswith("error: n must be >= 1")
+
+
+def test_gns_of_an_unbuildable_stored_assignment_exit64(tmp_path):
+    path = str(tmp_path / "a.npz")
+    np.savez(path, matrix=np.zeros((1, 1)), topology="triangle",
+             outputs=np.array([2, 2, 2]), inputs=np.array([1, 1, 1]),
+             hierarchy="inflation", n=2, m=4)
+    code, report = run(["gns", path])
+    assert code == EXIT_PARSE
+    assert report.startswith("error: cannot load assignment: inflation order")

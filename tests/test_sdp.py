@@ -453,8 +453,9 @@ def test_inconsistent_rows_are_an_infeasibility_certificate():
             Row((x, y), (1.0, 1.0), 2.0, "added"))
     out = solve_feasibility(dataclasses.replace(p, linear_factor_rows=rows))
     assert out.verdict == "infeasible"
-    assert out.evidence.startswith("linear system inconsistent")
-    assert "least squares" not in out.evidence
+    # x + y = 1 pivots; the second row keeps the residual 1 - 2
+    assert out.evidence == ("linear system inconsistent: added row residual "
+                            "-1.000e+00 after elimination")
 
 
 def test_feasible_requires_every_residual_family_within_the_gate():
