@@ -277,22 +277,29 @@ def _scenario_from_flags(cfg: RunConfig) -> Scenario:
         raise CliError(str(exc), EXIT_PARSE)
 
 
-def save_assignment(assignment: MomentAssignment, path: str) -> None:
+def save_assignment(assignment: MomentAssignment, path: str,
+                    budget: int) -> None:
+    """Store the matrix with all that rebuilds its problem."""
     p = assignment.problem
     np.savez(path, matrix=assignment.matrix, topology=p.scenario.topology,
              outputs=np.array(p.scenario.outputs),
              inputs=np.array(p.scenario.inputs),
-             hierarchy=p.hierarchy, n=p.n, m=p.m if p.m is not None else -1)
+             hierarchy=p.hierarchy, n=p.n, m=p.m if p.m is not None else -1,
+             completeness=p.completeness, budget=budget)
 
 
 def load_assignment(path: str) -> MomentAssignment:
+    """Rebuild a stored assignment's problem (by default with completeness
+    rows and the default budget, for files that do not store them)."""
     data = np.load(path, allow_pickle=False)
     scenario = Scenario(str(data["topology"]),
                         tuple(int(x) for x in data["outputs"]),
                         tuple(int(x) for x in data["inputs"]))
     names = {h: name for name, (h, _) in BUILDERS.items()}
+    completeness = bool(data["completeness"]) if "completeness" in data else True
+    budget = int(data["budget"]) if "budget" in data else DEFAULT_INDEX_BUDGET
     problem = _build(names[str(data["hierarchy"])], scenario, int(data["n"]),
-                     int(data["m"]))
+                     int(data["m"]), completeness=completeness, budget=budget)
     return MomentAssignment(problem, data["matrix"])
 
 
@@ -312,7 +319,7 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, str]:
     dist_path = cfg.output_path + ".dist"
     asg_path = cfg.output_path + ".npz"
     write_distribution(dist, dist_path)
-    save_assignment(assignment, asg_path)
+    save_assignment(assignment, asg_path, cfg.budget)
     lines = ["netnpa sample report"]
     lines += cfg.report_lines()
     lines += [f"  dims: {','.join(map(str, cfg.dims))}"]

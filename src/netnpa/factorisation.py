@@ -23,15 +23,17 @@ tools deal with it:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .moment import (
-    FactorConstraint,
+    FlatRows,
     MomentAssignment,
     MomentProblem,
-    Row,
+    factor_classes,
+    factor_residual,
 )
 from . import sdp as _sdp
 
@@ -60,72 +62,62 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
 
     Determination includes values reached by propagating the pins through
     the completeness rows (e.g. orthogonality zeros), not only literal
-    pins.  Remaining pairs are left attached and flagged as bilinear.
+    pins; a pair with one nonzero factor s known becomes the
+    half-linearized row G_prod - s * G_other = 0.  Remaining pairs are left
+    attached and flagged as bilinear.
     """
-    if not (problem.factor_pairs or problem.factor_triples):
+    pairs = problem.factor_pairs + problem.factor_triples
+    if not pairs:
         return problem
-    known, contradiction = _sdp.propagated_values(problem)
+    known, _contradiction = _sdp.propagated_values(problem)
     # a contradiction among pins alone is legitimate output: the linearized
     # problem will expose it to the solver
-    rows: list[Row] = list(problem.linear_factor_rows)
-    flagged: list[FactorConstraint] = []
-    for fc in problem.factor_pairs + problem.factor_triples:
-        lhs, rhs = known[fc.cls_row], known[fc.cls_col]
-        if not np.isnan(lhs) and not np.isnan(rhs):
-            rows.append(Row((fc.cls_prod,), (1.0,), float(lhs * rhs),
-                            "factorisation (linearized)"))
-        elif not np.isnan(lhs):
-            if lhs == 0.0:
-                rows.append(Row((fc.cls_prod,), (1.0,), 0.0,
-                                "factorisation (linearized)"))
-            else:
-                rows.append(Row((fc.cls_prod, fc.cls_col), (1.0, -float(lhs)),
-                                0.0, "factorisation (half-linearized)"))
-        elif not np.isnan(rhs):
-            if rhs == 0.0:
-                rows.append(Row((fc.cls_prod,), (1.0,), 0.0,
-                                "factorisation (linearized)"))
-            else:
-                rows.append(Row((fc.cls_prod, fc.cls_row), (1.0, -float(rhs)),
-                                0.0, "factorisation (half-linearized)"))
-        else:
-            flagged.append(fc)
-    return problem.derive(linear_factor_rows=tuple(rows),
-                          flagged_bilinear=tuple(flagged))
+    prod, row, col = factor_classes(pairs).T
+    lhs, rhs = known[row], known[col]
+    has_lhs, has_rhs = ~np.isnan(lhs), ~np.isnan(rhs)
+    both = has_lhs & has_rhs
+    scale = np.where(has_lhs, lhs, rhs)
+    single = both | (scale == 0.0)
+    other = np.where(single, -1, np.where(has_lhs, col, row))
+    linear = has_lhs | has_rhs
+    families = np.where(single, "factorisation (linearized)",
+                        "factorisation (half-linearized)")
+    rows = FlatRows.padded(
+        np.stack([prod, other], axis=1)[linear],
+        np.stack([np.ones(len(pairs)), -scale], axis=1)[linear],
+        np.where(both, lhs * rhs, 0.0)[linear], families[linear].tolist())
+    return problem.derive(
+        linear_factor_rows=problem.linear_factor_rows + rows,
+        flagged_bilinear=tuple(itertools.compress(pairs, ~linear)))
 
 
-def verify_factorisation(assignment: MomentAssignment,
-                         pairs=None) -> float:
+def verify_factorisation(assignment: MomentAssignment) -> float:
     """Max residual |G_prod - G_row * G_col| over the factor families."""
     problem = assignment.problem
-    if pairs is None:
-        pairs = problem.factor_pairs + problem.factor_triples
-    vals = assignment.class_values()
-    worst = 0.0
-    for fc in pairs:
-        worst = max(worst, abs(vals[fc.cls_prod]
-                               - vals[fc.cls_row] * vals[fc.cls_col]))
-    return float(worst)
+    return factor_residual(assignment.class_values(),
+                           problem.factor_pairs + problem.factor_triples)
 
 
-def _scalar_rows(problem: MomentProblem, scalars: dict[int, float]) -> list[Row]:
-    rows = []
-
-    def tie(prod: int, other: int, s: float) -> Row:
-        if s == 0.0:
-            return Row((prod,), (1.0,), 0.0, "seesaw")
-        return Row((prod, other), (1.0, -s), 0.0, "seesaw")
-
-    for fc in problem.flagged_bilinear:
-        s_row = scalars.get(fc.cls_row)
-        s_col = scalars.get(fc.cls_col)
-        if s_row is not None:
-            rows.append(tie(fc.cls_prod, fc.cls_col, s_row))
-        if s_col is not None:
-            rows.append(tie(fc.cls_prod, fc.cls_row, s_col))
-        if s_row is not None and s_col is not None:
-            rows.append(Row((fc.cls_prod,), (1.0,), s_row * s_col, "seesaw"))
-    return rows
+def _scalar_rows(problem: MomentProblem, scalars: dict[int, float]) -> FlatRows:
+    """The see-saw rows of the flagged pairs under frozen ``scalars``, per
+    pair: G_prod = s_row * G_col and G_prod = s_col * G_row, each when its
+    scalar is frozen (G_prod = 0 when it is zero), then G_prod = s_row *
+    s_col when both are."""
+    prod, row, col = factor_classes(problem.flagged_bilinear).T
+    pairs = list(zip(row.tolist(), col.tolist()))
+    frozen = np.array([[c in scalars for c in pair] for pair in pairs],
+                      dtype=bool).reshape(-1, 2)
+    s = np.array([[scalars.get(c, 0.0) for c in pair] for pair in pairs],
+                 dtype=float).reshape(-1, 2)
+    # three candidate rows per pair: the two ties, then the product
+    made = np.column_stack([frozen, frozen.all(axis=1)])
+    scale = np.column_stack([s, np.zeros(len(s))])
+    other = np.where(scale == 0.0, -1, np.column_stack([col, row, row]))
+    rhs = np.column_stack([np.zeros((len(s), 2)), s.prod(axis=1)])
+    classes = np.stack([np.broadcast_to(prod[:, None], other.shape), other], axis=2)
+    coeffs = np.stack([np.ones(scale.shape), -scale], axis=2)
+    return FlatRows.padded(classes[made], coeffs[made], rhs[made],
+                           ("seesaw",) * int(made.sum()))
 
 
 def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
@@ -186,7 +178,7 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
     for rnd in range(1, rounds + 1):
         state.rounds = rnd
         trial = base.derive(linear_factor_rows=lp.linear_factor_rows
-                            + tuple(_scalar_rows(lp, scalars)))
+                            + _scalar_rows(lp, scalars))
         inner = _sdp.solve_feasibility(trial, **settings)
         if inner.verdict != "feasible":
             return _sdp.FeasibilityOutcome(

@@ -35,6 +35,9 @@ groups are its distinct codes up to involution, the classes are the
 connected components of the merges (min-label propagation), and the
 completeness rows are gathered from ``cell_class``.
 
+Every linear row, from the builders to the elimination, is held in one
+format, :class:`FlatRows`.
+
 A problem holds its partition in one format, cell -> group -> class:
 ``cell_group`` maps each cell to its Hankel group and ``group_class``
 each group to its class (``cell_class`` is the composition).  The cells
@@ -69,14 +72,6 @@ from .words import (
     word,
 )
 
-HIERARCHIES = (
-    "standard_npa",
-    "factorisation_bilocal",
-    "scalar_extension",
-    "inflation",
-    "factorisation_star",
-)
-
 DEFAULT_INDEX_BUDGET = 5000
 
 
@@ -86,20 +81,6 @@ class BudgetError(RuntimeError):
 
 class PinConflictError(ValueError):
     """Two pinnable keys inside one equality class disagree."""
-
-
-@dataclass(frozen=True)
-class Row:
-    """Sparse linear equality sum_k coeff_k * y[class_k] = rhs."""
-
-    classes: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    rhs: float
-    family: str
-
-    def signature(self):
-        pairs = tuple(sorted(zip(self.classes, self.coeffs)))
-        return (pairs, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -132,13 +113,14 @@ class PinPlan:
     cells: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatRows:
     """Linear rows as flat arrays, entry after entry.
 
     Row k is sum_e ``coeffs[e]`` * y[``classes[e]``] = ``rhs[k]`` over its
     entries e in ``starts[k]:starts[k + 1]``; ``row`` holds the row of
-    every entry and ``families[k]`` the family of row k.
+    every entry and ``families[k]`` the family of row k.  Two are equal
+    when every field is, dtypes included.
     """
 
     classes: np.ndarray
@@ -148,32 +130,48 @@ class FlatRows:
     rhs: np.ndarray
     families: tuple[str, ...]
 
+    @classmethod
+    def padded(cls, classes: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray,
+               families: Sequence[str]) -> FlatRows:
+        """Row k from row k of the (m, w) arrays ``classes`` and ``coeffs``:
+        its entries are the columns whose class is not -1 (padding), in
+        column order.  Zero coefficients are kept."""
+        classes = np.asarray(classes, dtype=np.intp)
+        real = classes >= 0
+        sizes = real.sum(axis=1)
+        return cls(classes=classes[real],
+                   coeffs=np.asarray(coeffs, dtype=float)[real],
+                   row=np.repeat(np.arange(len(sizes)), sizes),
+                   starts=np.concatenate([np.zeros(1, np.intp), np.cumsum(sizes)]),
+                   rhs=np.asarray(rhs, dtype=float),
+                   families=tuple(families))
+
     def __len__(self) -> int:
         return len(self.rhs)
 
-    def extend(self, rows: Sequence[Row]) -> FlatRows:
-        """These rows followed by ``rows``."""
-        more = _flatten_rows(rows)
+    def __add__(self, other: FlatRows) -> FlatRows:
+        """These rows followed by ``other``."""
+        if not len(other):
+            return self
         return FlatRows(
-            classes=np.concatenate([self.classes, more.classes]),
-            coeffs=np.concatenate([self.coeffs, more.coeffs]),
-            row=np.concatenate([self.row, more.row + len(self)]),
-            starts=np.concatenate([self.starts, more.starts[1:] + self.starts[-1]]),
-            rhs=np.concatenate([self.rhs, more.rhs]),
-            families=self.families + more.families)
+            classes=np.concatenate([self.classes, other.classes]),
+            coeffs=np.concatenate([self.coeffs, other.coeffs]),
+            row=np.concatenate([self.row, other.row + len(self)]),
+            starts=np.concatenate([self.starts, other.starts[1:] + self.starts[-1]]),
+            rhs=np.concatenate([self.rhs, other.rhs]),
+            families=self.families + other.families)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlatRows):
+            return NotImplemented
+        arrays = ("classes", "coeffs", "row", "starts", "rhs")
+        return self.families == other.families and all(
+            getattr(self, a).dtype == getattr(other, a).dtype
+            and np.array_equal(getattr(self, a), getattr(other, a))
+            for a in arrays)
 
 
-def _flatten_rows(rows: Sequence[Row]) -> FlatRows:
-    sizes = np.fromiter((len(r.classes) for r in rows), np.intp, len(rows))
-    entries = int(sizes.sum())
-    chain = itertools.chain.from_iterable
-    return FlatRows(
-        classes=np.fromiter(chain(r.classes for r in rows), np.intp, entries),
-        coeffs=np.fromiter(chain(r.coeffs for r in rows), float, entries),
-        row=np.repeat(np.arange(len(rows)), sizes),
-        starts=np.concatenate([np.zeros(1, np.intp), np.cumsum(sizes)]),
-        rhs=np.fromiter((r.rhs for r in rows), float, len(rows)),
-        families=tuple(r.family for r in rows))
+NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 
 
 def _layout(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,13 +210,14 @@ class MomentProblem:
     group_class: np.ndarray               # group -> merged class id
     cell_class: np.ndarray                # (N, N) class id per cell, group_class[cell_group]
     pinned: dict[int, float]
-    rows: tuple[Row, ...]
+    rows: FlatRows                        # completeness rows
     factor_pairs: tuple[FactorConstraint, ...] = ()
     factor_triples: tuple[FactorConstraint, ...] = ()
     check_products: tuple[tuple[int, tuple[int, ...]], ...] = ()
     merge_family: str = ""                # symmetry / scalar identification label
     completeness: bool = True
-    linear_factor_rows: tuple[Row, ...] = ()   # filled in by pin_linearize
+    # the linearized factor pairs, filled in by pin_linearize
+    linear_factor_rows: FlatRows = field(default_factory=lambda: NO_ROWS)
     flagged_bilinear: tuple[FactorConstraint, ...] = ()
     _structures: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
@@ -237,10 +236,10 @@ class MomentProblem:
         return self._pos[w]
 
     # derived structures are built on first use, never in a builder.  They
-    # read only the word index, the Hankel groups, the classes and
-    # ``rows``; every pin, linearization and see-saw round copies the
-    # problem through ``derive``, which shares them, while
-    # ``dataclasses.replace`` starts over with none built
+    # read only the word index, the Hankel groups and the classes; every
+    # pin, linearization and see-saw round copies the problem through
+    # ``derive``, which shares them, while ``dataclasses.replace`` starts
+    # over with none built
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
@@ -306,22 +305,12 @@ class MomentProblem:
         groups, bounds = self.class_layout
         return self.group_keys[groups[bounds[cls]]]
 
-    def active_rows(self) -> tuple[Row, ...]:
-        return self.rows + self.linear_factor_rows
-
-    @_structure
-    def flat_rows(self) -> FlatRows:
-        """``rows`` as flat arrays; built on the first solve."""
-        return _flatten_rows(self.rows)
-
     @functools.cached_property
-    def active_flat_rows(self) -> FlatRows:
-        """:meth:`active_rows` as flat arrays: the shared ``flat_rows``
-        followed by this copy's own ``linear_factor_rows``, which a copy
-        made by ``derive`` may change, so this is kept per copy."""
-        if not self.linear_factor_rows:
-            return self.flat_rows
-        return self.flat_rows.extend(self.linear_factor_rows)
+    def active_rows(self) -> FlatRows:
+        """``rows`` followed by this copy's own ``linear_factor_rows``,
+        which a copy made by ``derive`` may change, so this is kept per
+        copy."""
+        return self.rows + self.linear_factor_rows
 
     def describe(self) -> str:
         """Textual dump used for golden-file regression tests."""
@@ -532,7 +521,7 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _completeness_rows(targets: Sequence[np.ndarray],
-                       cell_class: np.ndarray) -> list[Row]:
+                       cell_class: np.ndarray) -> FlatRows:
     """Rows sum_a G[w, A_{a|x} v] = G[w, v], deduplicated at class level.
 
     ``targets[k][a, j]`` is the index position of A_{a|x} v for the a-th
@@ -575,15 +564,11 @@ def _completeness_rows(targets: Sequence[np.ndarray],
         sigs.append(sig)
         firsts.append(s * n + np.flatnonzero(kept)[first])
     if not sigs:
-        return []
+        return NO_ROWS
     sig, first = _distinct_rows(np.concatenate(sigs))
     sig = sig[np.argsort(np.concatenate(firsts)[first])]
-    rows = []
-    for r in sig.tolist():
-        size = width - r[width:].count(0)
-        rows.append(Row(tuple(r[:size]), tuple(map(float, r[width:width + size])),
-                        0.0, "completeness"))
-    return rows
+    return FlatRows.padded(sig[:, :width], sig[:, width:], np.zeros(len(sig)),
+                           ("completeness",) * len(sig))
 
 
 def _source_nodes(scenario: Scenario, l: Letter,
@@ -703,7 +688,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         a, b = merges(index, keys, cell_group)
     group_class = _components(len(keys), a, b)
     cell_class = group_class[cell_group]
-    rows: list[Row] = []
+    rows = NO_ROWS
     if pvms:
         targets = products.positions(products.codes[len(index):])
         ends = np.cumsum([len(pvm) for pvm in pvms])
@@ -713,7 +698,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         scenario=scenario, hierarchy=hierarchy, n=n, m=m, alphabet=alphabet,
         index=tuple(index), group_keys=tuple(keys), cell_group=cell_group,
         group_class=group_class, cell_class=cell_class, pinned=pinned,
-        rows=tuple(rows), merge_family=merge_family, completeness=completeness)
+        rows=rows, merge_family=merge_family, completeness=completeness)
 
 
 # ---------------------------------------------------------------------------
@@ -1095,6 +1080,20 @@ class ResidualReport:
         return "residuals:\n" + "\n".join(rows)
 
 
+def factor_classes(constraints: Sequence[FactorConstraint]) -> np.ndarray:
+    """The (product, row, column) classes of each constraint, one row each."""
+    return np.array([(fc.cls_prod, fc.cls_row, fc.cls_col) for fc in constraints],
+                    dtype=np.intp).reshape(-1, 3)
+
+
+def factor_residual(class_vals: np.ndarray,
+                    constraints: Sequence[FactorConstraint]) -> float:
+    """Max |G_prod - G_row * G_col| over ``constraints``."""
+    prod, row, col = factor_classes(constraints).T
+    return float(np.abs(class_vals[prod] - class_vals[row] * class_vals[col])
+                 .max(initial=0.0))
+
+
 def _max_spread(values: np.ndarray, starts: np.ndarray) -> float:
     """Largest max - min over the consecutive segments opening at ``starts``."""
     spread = (np.maximum.reduceat(values, starts)
@@ -1124,15 +1123,12 @@ def check_assignment(problem: MomentProblem, assignment: MomentAssignment,
     cell_pin = pin_val[problem.cell_class].reshape(-1)
     pinned = ~np.isnan(cell_pin)
     pins = float(np.abs(vals[pinned] - cell_pin[pinned]).max(initial=0.0))
-    rows = problem.active_flat_rows
+    rows = problem.active_rows
     lhs = np.bincount(rows.row, weights=rows.coeffs * class_vals[rows.classes],
                       minlength=len(rows))
     completeness = float(np.abs(lhs - rows.rhs).max(initial=0.0))
-    pairs = np.array([(fc.cls_prod, fc.cls_row, fc.cls_col)
-                      for fc in problem.factor_pairs + problem.factor_triples],
-                     dtype=np.intp).reshape(-1, 3)
-    fact = float(np.abs(class_vals[pairs[:, 0]] - class_vals[pairs[:, 1]]
-                        * class_vals[pairs[:, 2]]).max(initial=0.0))
+    fact = factor_residual(class_vals,
+                           problem.factor_pairs + problem.factor_triples)
     ext = 0.0
     if problem.check_products:
         prods = np.array([c for c, _ in problem.check_products], dtype=np.intp)

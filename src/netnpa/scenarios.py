@@ -266,12 +266,13 @@ class Distribution:
             ax = len(keep) * 2 + k
             spread = arranged.max(axis=ax) - arranged.min(axis=ax)
             if spread.max() > tol:
-                where = np.argwhere(np.isclose(
-                    arranged.max(axis=ax) - arranged.min(axis=ax), spread.max()))
+                # the input of the dropped party deviating most from input 0
+                deviation = np.abs(arranged - arranged.take([0], axis=ax))
+                worst = int(np.moveaxis(deviation, ax, 0)
+                            .reshape(sc.inputs[i_drop], -1).max(axis=1).argmax())
                 raise SignallingError(
                     f"marginal over {tuple(parties)} depends on the input of party "
-                    f"{sc.parties[i_drop]} (inputs 0 vs "
-                    f"{int(np.argmax(np.ptp(arranged, axis=ax) == spread.max()) % max(sc.inputs[i_drop], 1) + 1)}; "
+                    f"{sc.parties[i_drop]} (inputs 0 vs {worst}; "
                     f"max deviation {spread.max():.3e})")
         return base
 

@@ -5,8 +5,9 @@ variable per equality class, pinned values, and sparse linear rows.  The
 solver decides feasibility in layers, cheapest and most rigorous first:
 
 1. exact linear presolve: pins are propagated through rows with a single
-   unknown, as a vectorised fixpoint over the problem's rows, flattened
-   to arrays once per problem (``MomentProblem.flat_rows``); a violated
+   unknown, as a vectorised fixpoint over the flat arrays of the
+   problem's rows (``MomentProblem.active_rows``, a ``moment.FlatRows``:
+   the one row format from the builders to the elimination); a violated
    fully-determined row is an infeasibility proof (no PSD reasoning
    involved);
 2. interlacing bound: if the words whose pairwise products are all
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -82,15 +82,15 @@ class SdpRow:
 
 @dataclass
 class AffineSdp:
+    """<F_k, X> = b_k, maximising <F_0, X> over the objective cells (none:
+    a feasibility problem)."""
+
     dim: int
     rows: tuple[SdpRow, ...]
-    objective: str = "feasibility"
     objective_cells: tuple[tuple[int, int], ...] = ()
     objective_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.objective not in ("feasibility", "maximize_linear"):
-            raise SdpStructureError(f"unknown objective {self.objective!r}")
         for row in self.rows:
             for (i, j), c in zip(row.cells, row.coeffs):
                 if not (0 <= i <= j < self.dim):
@@ -159,21 +159,18 @@ def compile(problem: MomentProblem,
     for cls, val in sorted(problem.pinned.items()):
         ri, rj = reps[cls]
         rows.append(SdpRow(((ri, rj),), (_cell_weight(ri, rj),), float(val)))
-    for row in problem.active_rows():
-        cells = tuple(reps[c] for c in row.classes)
-        coeffs = tuple(co * _cell_weight(*reps[c])
-                       for c, co in zip(row.classes, row.coeffs))
-        rows.append(SdpRow(cells, coeffs, row.rhs))
-    obj_cells: tuple = ()
-    obj_coeffs: tuple = ()
-    mode = "feasibility"
-    if objective is not None:
-        mode = "maximize_linear"
-        obj_cells = tuple(reps[c] for c in sorted(objective))
-        obj_coeffs = tuple(objective[c] * _cell_weight(*reps[c])
-                           for c in sorted(objective))
-    return AffineSdp(dim=n, rows=tuple(rows), objective=mode,
-                     objective_cells=obj_cells, objective_coeffs=obj_coeffs)
+    lin = problem.active_rows
+    cells = [reps[c] for c in lin.classes.tolist()]
+    weight = np.where(i[opens] == j[opens], 1.0, 0.5)
+    coeffs = (lin.coeffs * weight[lin.classes]).tolist()
+    bounds = lin.starts.tolist()
+    for a, e, rhs in zip(bounds, bounds[1:], lin.rhs.tolist()):
+        rows.append(SdpRow(tuple(cells[a:e]), tuple(coeffs[a:e]), rhs))
+    objective = objective or {}
+    return AffineSdp(dim=n, rows=tuple(rows),
+                     objective_cells=tuple(reps[c] for c in sorted(objective)),
+                     objective_coeffs=tuple(objective[c] * _cell_weight(*reps[c])
+                                            for c in sorted(objective)))
 
 
 def export_sdpa(s: AffineSdp, path: str) -> None:
@@ -217,9 +214,7 @@ def parse_sdpa(path: str) -> AffineSdp:
         coeffs[k].append(float(v_s))
     rows = tuple(SdpRow(tuple(cells[k]), tuple(coeffs[k]), rhs[k - 1])
                  for k in range(1, m + 1))
-    objective = "maximize_linear" if cells[0] else "feasibility"
-    return AffineSdp(dim=dim, rows=rows, objective=objective,
-                     objective_cells=tuple(cells[0]),
+    return AffineSdp(dim=dim, rows=rows, objective_cells=tuple(cells[0]),
                      objective_coeffs=tuple(coeffs[0]))
 
 
@@ -243,9 +238,11 @@ def project_psd(M: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
 # Class-space machinery
 # ---------------------------------------------------------------------------
 
-def _eliminate(R: list[dict[int, float]], b: np.ndarray, n: int):
-    """Gaussian elimination of R y = b in n unknowns, on sparse rows
-    (column -> coefficient); R itself is left unchanged.
+def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               b: np.ndarray, n: int):
+    """Gaussian elimination of R y = b in n unknowns, R given as flat
+    (starts, cols, vals) rows, on one sparse map (column -> coefficient)
+    per row.
 
     The next pivot row is the one with the fewest nonzeros; its pivot is,
     among the columns whose coefficient is at least a tenth of the row's
@@ -256,10 +253,10 @@ def _eliminate(R: list[dict[int, float]], b: np.ndarray, n: int):
     coefficients) of the rest of its row, rhs), each row scaled to 1 on
     its pivot; the rest holds no column pivoted earlier.
     """
-    m = len(R)
-    drop = (max((abs(v) for r in R for v in r.values()), default=0.0)
-            * max(m, n) * np.finfo(float).eps)
-    rows = [dict(r) for r in R]
+    m = len(starts) - 1
+    drop = float(np.abs(vals).max(initial=0.0)) * max(m, n) * np.finfo(float).eps
+    bounds, cols, vals = starts.tolist(), cols.tolist(), vals.tolist()
+    rows = [dict(zip(cols[a:e], vals[a:e])) for a, e in zip(bounds, bounds[1:])]
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         for j in r:
@@ -312,7 +309,7 @@ class _ClassSystem:
         self.n = problem.dim
         self.k = problem.n_classes
         self.cell_class = problem.cell_class
-        self.rows = problem.active_flat_rows
+        self.rows = problem.active_rows
         self.known = np.full(self.k, np.nan)
         self.known[list(problem.pinned)] = list(problem.pinned.values())
         self.contradiction: str | None = None
@@ -321,10 +318,10 @@ class _ClassSystem:
         # the position of every class among the free ones, -1 if known
         self.free_pos = np.full(self.k, -1)
         self.free_pos[self.free] = np.arange(len(self.free))
-        # set by factor_rows: the pending rows over the free classes (R[i]
-        # maps a free position to its coefficient, and R y = b), a
+        # set by factor_rows: the pending rows over the free classes as
+        # flat (starts, free positions, coefficients), with R y = b, a
         # solution of R y = b and a basis of ker R
-        self.R: list[dict[int, float]] | None = None
+        self.R: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.b: np.ndarray | None = None
         self.y0: np.ndarray | None = None
         self.N: np.ndarray | None = None
@@ -389,11 +386,12 @@ class _ClassSystem:
         return (f"violated {rows.families[r]} row: {terms} = {rows.rhs[r]:g} "
                 f"(residual {resid:.3e})")
 
-    def _reduced_rows(self) -> tuple[list[dict[int, float]], np.ndarray]:
-        """The pending rows over the free classes: per row, its free
-        positions in the order the row first names them, with the
-        coefficients of a repeated class summed and zero sums dropped; and
-        the rhs less the known part."""
+    def _reduced_rows(self):
+        """The pending rows over the free classes, as flat (starts, free
+        positions, coefficients): per row, its free positions in the order
+        the row first names them, with the coefficients of a repeated
+        class summed and zero sums dropped; and the rhs less the known
+        part."""
         rows, pending = self.rows, self._pending
         is_pending = np.zeros(len(rows), dtype=bool)
         is_pending[pending] = True
@@ -408,14 +406,13 @@ class _ClassSystem:
         at, pos, coef = at[unknown], self.free_pos[cls[unknown]], coef[unknown]
         _, first, which = np.unique(at * len(self.free) + pos,
                                     return_index=True, return_inverse=True)
-        summed = np.bincount(which, weights=coef)
+        # (float even when empty, where bincount gives ints)
+        summed = np.bincount(which, weights=coef).astype(float, copy=False)
         order = np.argsort(first)
         order = order[summed[order] != 0.0]
-        bounds = np.cumsum([0, *np.bincount(at[first[order]],
-                                           minlength=len(pending))]).tolist()
-        pos, coef = pos[first[order]].tolist(), summed[order].tolist()
-        R = [dict(zip(pos[a:e], coef[a:e])) for a, e in zip(bounds, bounds[1:])]
-        return R, b
+        starts = np.concatenate([np.zeros(1, np.intp), np.cumsum(
+            np.bincount(at[first[order]], minlength=len(pending)))])
+        return (starts, pos[first[order]], summed[order]), b
 
     # -- geometry ------------------------------------------------------------
 
@@ -443,7 +440,7 @@ class _ClassSystem:
         """
         self.R, self.b = self._reduced_rows()
         n = len(self.free)
-        pivots = _eliminate(self.R, self.b, n)
+        pivots = _eliminate(*self.R, self.b, n)
         free = np.setdiff1d(np.arange(n), [j for j, _, _ in pivots])
         K = np.zeros((n, len(free)))
         K[free, np.arange(len(free))] = 1.0
@@ -454,12 +451,10 @@ class _ClassSystem:
             y[j] = rhs - vals @ y[cols]
         self.N = np.linalg.qr(K)[0]
         y0 = y - self.N @ (self.N.T @ y)
-        nnz = np.array([len(r) for r in self.R], dtype=np.intp)
-        cols = np.fromiter(chain.from_iterable(self.R), np.intp, nnz.sum())
-        vals = np.fromiter(chain.from_iterable(r.values() for r in self.R),
-                           float, nnz.sum())
-        resid = np.bincount(np.repeat(np.arange(len(nnz)), nnz),
-                            weights=vals * y0[cols], minlength=len(nnz)) - self.b
+        starts, cols, vals = self.R
+        m = len(self.b)
+        resid = np.bincount(np.repeat(np.arange(m), np.diff(starts)),
+                            weights=vals * y0[cols], minlength=m) - self.b
         if len(resid):
             worst = int(np.abs(resid).argmax())
             if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):

@@ -10,10 +10,10 @@ from dataclasses import replace
 import numpy as np
 
 from netnpa.moment import (
+    FlatRows,
     MomentProblem,
     PinConflictError,
     ResidualReport,
-    Row,
     _diagonal_check_products,
     _min_key,
     _scalar_identifications,
@@ -112,11 +112,44 @@ TRIANGLE_111 = ("triangle", (2, 2, 2), (1, 1, 1))
 
 def dense_rows(cs) -> np.ndarray:
     """The reduced rows of an ``sdp._ClassSystem`` as a dense matrix."""
-    R = np.zeros((len(cs.R), len(cs.free)))
-    for i, row in enumerate(cs.R):
-        for j, v in row.items():
-            R[i, j] = v
+    starts, cols, vals = cs.R
+    R = np.zeros((len(starts) - 1, len(cs.free)))
+    for i in range(len(starts) - 1):
+        for e in range(starts[i], starts[i + 1]):
+            R[i, cols[e]] = vals[e]
     return R
+
+
+# ---------------------------------------------------------------------------
+# linear rows one at a time
+# ---------------------------------------------------------------------------
+
+def loop_rows(rows: FlatRows) -> list[tuple]:
+    """The rows of ``rows`` one at a time, as (classes, coefficients, rhs,
+    family) with the classes and coefficients in lists."""
+    out = []
+    for k in range(len(rows)):
+        a, e = int(rows.starts[k]), int(rows.starts[k + 1])
+        out.append((rows.classes[a:e].tolist(), rows.coeffs[a:e].tolist(),
+                    float(rows.rhs[k]), rows.families[k]))
+    return out
+
+
+def loop_flat_rows(rows) -> FlatRows:
+    """Rows given one at a time as (classes, coefficients, rhs, family),
+    laid out as ``FlatRows`` entry after entry."""
+    classes, coeffs, at, starts = [], [], [], [0]
+    for k, (cls, co, _rhs, _family) in enumerate(rows):
+        classes += list(cls)
+        coeffs += [float(c) for c in co]
+        at += [k] * len(cls)
+        starts.append(len(classes))
+    return FlatRows(classes=np.array(classes, dtype=np.intp),
+                    coeffs=np.array(coeffs, dtype=float),
+                    row=np.array(at, dtype=np.intp),
+                    starts=np.array(starts, dtype=np.intp),
+                    rhs=np.array([r[2] for r in rows], dtype=float),
+                    families=tuple(r[3] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +240,9 @@ def loop_check_assignment(problem, assignment) -> ResidualReport:
     for cls, val in problem.pinned.items():
         pins = max(pins, float(np.abs(flat[class_cells[cls]] - val).max()))
     completeness = 0.0
-    for row in problem.active_rows():
-        s = sum(c * class_vals[k] for k, c in zip(row.classes, row.coeffs))
-        completeness = max(completeness, abs(s - row.rhs))
+    for classes, coeffs, rhs, _family in loop_rows(problem.active_rows):
+        s = sum(c * class_vals[k] for k, c in zip(classes, coeffs))
+        completeness = max(completeness, abs(s - rhs))
     fact = 0.0
     for fc in problem.factor_pairs + problem.factor_triples:
         fact = max(fact, abs(class_vals[fc.cls_prod]
@@ -341,9 +374,10 @@ def loop_propagate(problem: MomentProblem, linear_tol: float = 1e-9):
     known = np.full(problem.n_classes, np.nan)
     for cls, val in problem.pinned.items():
         known[cls] = val
-    pending = [(np.asarray(r.classes, dtype=int),
-                np.asarray(r.coeffs, dtype=float), r.rhs, r.family, index)
-               for index, r in enumerate(problem.active_rows())]
+    pending = [(np.asarray(classes, dtype=int), np.asarray(coeffs, dtype=float),
+                rhs, family, index)
+               for index, (classes, coeffs, rhs, family)
+               in enumerate(loop_rows(problem.active_rows))]
     progress = True
     while progress:
         progress = False
@@ -379,22 +413,28 @@ def loop_propagate(problem: MomentProblem, linear_tol: float = 1e-9):
 def loop_reduced_rows(problem: MomentProblem, known: np.ndarray,
                       pending: list[int]):
     """The pending rows over the free classes, one row at a time, with the
-    free positions looked up in a dict."""
-    rows = problem.active_rows()
+    free positions looked up in a dict; returned as flat (starts, free
+    positions, coefficients) and the rhs less the known part."""
+    rows = loop_rows(problem.active_rows)
     free_pos = {int(c): i for i, c in enumerate(np.flatnonzero(np.isnan(known)))}
-    R, b = [], []
+    starts, cols, vals, b = [0], [], [], []
     for index in pending:
-        classes = np.asarray(rows[index].classes, dtype=int)
-        coeffs = np.asarray(rows[index].coeffs, dtype=float)
-        vals = known[classes]
-        unknown = np.isnan(vals)
+        classes = np.asarray(rows[index][0], dtype=int)
+        coeffs = np.asarray(rows[index][1], dtype=float)
+        v = known[classes]
+        unknown = np.isnan(v)
         r: dict[int, float] = {}
         for cls, co in zip(classes[unknown].tolist(), coeffs[unknown].tolist()):
             j = free_pos[cls]
             r[j] = r.get(j, 0.0) + co
-        R.append({j: v for j, v in r.items() if v != 0.0})
-        b.append(rows[index].rhs - float(np.dot(coeffs[~unknown], vals[~unknown])))
-    return R, np.asarray(b, dtype=float)
+        for j, co in r.items():
+            if co != 0.0:
+                cols.append(j)
+                vals.append(co)
+        starts.append(len(cols))
+        b.append(rows[index][2] - float(np.dot(coeffs[~unknown], v[~unknown])))
+    return ((np.array(starts, dtype=np.intp), np.array(cols, dtype=np.intp),
+             np.array(vals, dtype=float)), np.asarray(b, dtype=float))
 
 
 def loop_submatrix_words(known: np.ndarray, cell_class: np.ndarray) -> list[int]:
@@ -406,6 +446,64 @@ def loop_submatrix_words(known: np.ndarray, cell_class: np.ndarray) -> list[int]
         if cell_known[i, i] and all(cell_known[i, j] for j in chosen):
             chosen.append(int(i))
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# loop reference for factorisation.pin_linearize
+# ---------------------------------------------------------------------------
+
+def loop_pin_linearize(problem: MomentProblem) -> MomentProblem:
+    """``factorisation.pin_linearize`` one factor pair at a time."""
+    from netnpa.sdp import propagated_values
+
+    if not (problem.factor_pairs or problem.factor_triples):
+        return problem
+    known, _contradiction = propagated_values(problem)
+    rows = loop_rows(problem.linear_factor_rows)
+    flagged = []
+    for fc in problem.factor_pairs + problem.factor_triples:
+        lhs, rhs = known[fc.cls_row], known[fc.cls_col]
+        if not np.isnan(lhs) and not np.isnan(rhs):
+            rows.append(((fc.cls_prod,), (1.0,), float(lhs * rhs),
+                         "factorisation (linearized)"))
+        elif not np.isnan(lhs):
+            if lhs == 0.0:
+                rows.append(((fc.cls_prod,), (1.0,), 0.0,
+                             "factorisation (linearized)"))
+            else:
+                rows.append(((fc.cls_prod, fc.cls_col), (1.0, -float(lhs)),
+                             0.0, "factorisation (half-linearized)"))
+        elif not np.isnan(rhs):
+            if rhs == 0.0:
+                rows.append(((fc.cls_prod,), (1.0,), 0.0,
+                             "factorisation (linearized)"))
+            else:
+                rows.append(((fc.cls_prod, fc.cls_row), (1.0, -float(rhs)),
+                             0.0, "factorisation (half-linearized)"))
+        else:
+            flagged.append(fc)
+    return problem.derive(linear_factor_rows=loop_flat_rows(rows),
+                          flagged_bilinear=tuple(flagged))
+
+
+def loop_scalar_rows(problem: MomentProblem, scalars: dict) -> FlatRows:
+    """``factorisation._scalar_rows`` one flagged pair at a time."""
+    rows = []
+
+    def tie(prod, other, s):
+        if s == 0.0:
+            return ((prod,), (1.0,), 0.0, "seesaw")
+        return ((prod, other), (1.0, -s), 0.0, "seesaw")
+
+    for fc in problem.flagged_bilinear:
+        s_row, s_col = scalars.get(fc.cls_row), scalars.get(fc.cls_col)
+        if s_row is not None:
+            rows.append(tie(fc.cls_prod, fc.cls_col, s_row))
+        if s_col is not None:
+            rows.append(tie(fc.cls_prod, fc.cls_row, s_col))
+        if s_row is not None and s_col is not None:
+            rows.append(((fc.cls_prod,), (1.0,), s_row * s_col, "seesaw"))
+    return loop_flat_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +585,11 @@ def loop_completeness_rows(alphabet, index, cell_class):
                     coeffs = {c: w for c, w in coeffs.items() if w != 0.0}
                     if not coeffs:
                         continue
-                    row = Row(tuple(sorted(coeffs)),
-                              tuple(coeffs[c] for c in sorted(coeffs)),
-                              0.0, "completeness")
-                    rows.setdefault(row.signature(), row)
-    return list(rows.values())
+                    classes = tuple(sorted(coeffs))
+                    row = (classes, tuple(coeffs[c] for c in classes), 0.0,
+                           "completeness")
+                    rows.setdefault(row[:2], row)
+    return loop_flat_rows(list(rows.values()))
 
 
 def loop_structure(problem: MomentProblem) -> dict:
@@ -514,10 +612,10 @@ def loop_structure(problem: MomentProblem) -> dict:
         group_class[g] = root_to_cls.setdefault(uf.find(g), len(root_to_cls))
     cell_class = group_class[cell_group]
     rows = (loop_completeness_rows(problem.alphabet, index, cell_class)
-            if problem.completeness else [])
+            if problem.completeness else loop_flat_rows([]))
     structure = replace(problem, group_keys=tuple(keys), cell_group=cell_group,
                         group_class=group_class, cell_class=cell_class,
-                        rows=tuple(rows))
+                        rows=rows)
     return dict(index=structure.index, group_keys=structure.group_keys,
                 cell_group=cell_group, group_class=group_class,
                 cell_class=cell_class, rows=structure.rows,
@@ -560,9 +658,9 @@ def loop_compile_rows(problem: MomentProblem) -> tuple:
     for cls, val in sorted(problem.pinned.items()):
         ri, rj = reps[cls]
         rows.append(SdpRow(((ri, rj),), (_cell_weight(ri, rj),), float(val)))
-    for row in problem.active_rows():
-        cells = tuple(reps[c] for c in row.classes)
+    for classes, coeffs, rhs, _family in loop_rows(problem.active_rows):
+        cells = tuple(reps[c] for c in classes)
         coeffs = tuple(co * _cell_weight(*reps[c])
-                       for c, co in zip(row.classes, row.coeffs))
-        rows.append(SdpRow(cells, coeffs, row.rhs))
+                       for c, co in zip(classes, coeffs))
+        rows.append(SdpRow(cells, coeffs, rhs))
     return tuple(rows)

@@ -255,6 +255,33 @@ def test_python_dash_m_runs_the_cli():
     assert bad.stdout.startswith("error: n must be >= 1")
 
 
+def test_literal_paper_mode_assignment_round_trips_without_rows(tmp_path):
+    prefix = str(tmp_path / "s")
+    code, report = run(["sample", "--scenario", "bilocal", "--n", "2", "--seed",
+                        "1", "--literal-paper-mode", "--out", prefix])
+    assert code == EXIT_FEASIBLE
+    assert "  linear rows: 0" in report.splitlines()
+    loaded = load_assignment(prefix + ".npz")
+    assert not loaded.problem.completeness
+    assert len(loaded.problem.rows) == 0
+
+
+def test_gns_of_an_assignment_over_its_stored_budget_exit64(tmp_path):
+    prefix = str(tmp_path / "s")
+    code, _report = run(["sample", "--scenario", "bilocal", "--n", "2", "--seed",
+                         "1", "--out", prefix])
+    assert code == EXIT_FEASIBLE
+    with np.load(prefix + ".npz") as data:
+        stored = dict(data)
+    assert int(stored["budget"]) == 5000
+    stored["budget"] = 10
+    np.savez(prefix + ".npz", **stored)
+    code, report = run(["gns", prefix + ".npz"])
+    assert code == EXIT_PARSE
+    assert report == ("error: cannot load assignment: index size 25 exceeds "
+                      "budget 10 (standard_npa, n=2)")
+
+
 def test_gns_of_an_unbuildable_stored_assignment_exit64(tmp_path):
     path = str(tmp_path / "a.npz")
     np.savez(path, matrix=np.zeros((1, 1)), topology="triangle",

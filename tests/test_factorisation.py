@@ -1,6 +1,7 @@
 """Pinned linearization, the see-saw heuristic, and the exact verifier."""
 
 import numpy as np
+import pytest
 
 from netnpa import factorisation as F
 from netnpa.moment import (
@@ -11,6 +12,7 @@ from netnpa.moment import (
     pin_distribution,
 )
 from netnpa.scenarios import (
+    Distribution,
     MomentOracle,
     Scenario,
     mixed_counterexample,
@@ -21,7 +23,13 @@ from netnpa.scenarios import (
 )
 from netnpa.sdp import propagated_values, solve_feasibility
 
-from helpers import BILOCAL_111, cached_problem
+from helpers import (
+    BILOCAL_111,
+    cached_problem,
+    loop_pin_linearize,
+    loop_rows,
+    loop_scalar_rows,
+)
 
 BILOCAL = Scenario(*BILOCAL_111)
 
@@ -31,8 +39,8 @@ def test_pin_linearize_srb_conflict():
                          shared_random_bit("bilocal"))
     lp = F.pin_linearize(p)
     assert not lp.flagged_bilinear
-    quarter_rows = [r for r in lp.linear_factor_rows if r.rhs == 0.25]
-    assert quarter_rows  # the (A0, C0) pair linearizes to G = 1/4
+    # the (A0, C0) pair linearizes to G = 1/4
+    assert (lp.linear_factor_rows.rhs == 0.25).any()
     out = solve_feasibility(lp)
     assert out.verdict == "infeasible"
 
@@ -69,9 +77,69 @@ def test_pin_linearize_rows_hold_on_oracle():
                          orc.born())
     lp = F.pin_linearize(p)
     vals = oracle_assignment(p, orc).class_values()
-    for row in lp.linear_factor_rows:
-        s = sum(c * vals[k] for k, c in zip(row.classes, row.coeffs))
-        assert abs(s - row.rhs) < 1e-9
+    for classes, coeffs, rhs, _family in loop_rows(lp.linear_factor_rows):
+        s = sum(c * vals[k] for k, c in zip(classes, coeffs))
+        assert abs(s - rhs) < 1e-9
+
+
+STAR_1111 = ("star4", (2, 2, 2, 2), (1, 1, 1, 1))
+BILOCAL_212 = ("bilocal", (2, 2, 2), (2, 1, 2))
+
+
+def _linearize_case(case):
+    """A factorisation problem pinned to one of SRB, the uniform product,
+    a quantum Born table and an SRB/uniform mixture."""
+    kind, topology, n, label = case
+    sc = Scenario(*topology)
+    uniform = product_distribution(
+        sc, [np.full((k, x), 1.0 / k) for k, x in zip(sc.outputs, sc.inputs)])
+    if label == "born":
+        strategy = (star_product_strategy(11) if kind == "star"
+                    else random_strategy(sc, (2, 2, 2, 2), 5))
+        dist = MomentOracle(strategy).born()
+    elif label == "uniform":
+        dist = uniform
+    else:
+        srb = shared_random_bit(sc.topology)
+        dist = srb if label == "srb" else Distribution(
+            sc, 0.3 * srb.table + 0.7 * uniform.table)
+    return pin_distribution(cached_problem(kind, *topology, n), dist)
+
+
+LINEARIZE_CASES = [
+    (kind, topology, n, label)
+    for kind, topology, n in (("factorisation", BILOCAL_111, 2),
+                              ("factorisation", BILOCAL_111, 3),
+                              ("star", STAR_1111, 4))
+    for label in ("srb", "uniform", "born", "mixture")
+] + [("factorisation", BILOCAL_212, 2, label) for label in ("uniform", "born")]
+
+
+@pytest.mark.parametrize("case", LINEARIZE_CASES,
+                         ids=lambda c: f"{c[0]}-{c[1][0]}{''.join(map(str, c[1][2]))}"
+                                       f"-n{c[2]}-{c[3]}")
+def test_pin_linearize_matches_the_loop_reference(case):
+    p = _linearize_case(case)
+    lp, ref = F.pin_linearize(p), loop_pin_linearize(p)
+    # order, classes, coefficients, right-hand sides, families and dtypes
+    assert lp.linear_factor_rows == ref.linear_factor_rows
+    assert lp.flagged_bilinear == ref.flagged_bilinear
+    if case[1] == BILOCAL_212:
+        # A and C with two inputs leave pairs half-linearized and flagged
+        assert "factorisation (half-linearized)" in lp.linear_factor_rows.families
+        assert lp.flagged_bilinear
+
+
+def test_seesaw_rows_match_the_loop_reference():
+    lp = F.pin_linearize(_linearize_case(("factorisation", BILOCAL_212, 2, "born")))
+    classes = sorted({c for fc in lp.flagged_bilinear
+                      for c in (fc.cls_row, fc.cls_col)})
+    # some scalars frozen, some missing, some zero
+    scalars = {c: [0.0, 0.25, -0.5][k % 3]
+               for k, c in enumerate(classes) if k % 4 != 3}
+    rows = F._scalar_rows(lp, scalars)
+    assert rows == loop_scalar_rows(lp, scalars)
+    assert len(set(rows.starts[1:] - rows.starts[:-1])) == 2
 
 
 def test_verify_factorisation_oracle_and_counterexample():

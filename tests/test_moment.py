@@ -10,6 +10,7 @@ import pytest
 
 from netnpa import factorisation, words
 from netnpa.moment import (
+    NO_ROWS,
     BudgetError,
     FlatRows,
     MomentAssignment,
@@ -17,7 +18,6 @@ from netnpa.moment import (
     _build_groups,
     _components,
     _copy_merges,
-    _flatten_rows,
     _min_key,
     _Products,
     build_factorisation_bilocal,
@@ -59,7 +59,9 @@ from helpers import (
     cached_problem,
     loop_cells,
     loop_check_assignment,
+    loop_flat_rows,
     loop_pin_distribution,
+    loop_rows,
     loop_structure,
     meas,
 )
@@ -266,8 +268,22 @@ def test_class_average_is_the_per_class_cell_mean():
                               p.class_average(X))
 
 
-STRUCTURES = ("group_layout", "class_layout", "class_counts", "pin_plan",
-              "flat_rows")
+def test_flat_rows_from_padded_arrays():
+    rows = FlatRows.padded([[3, -1, -1], [1, 2, 0]],
+                           [[1.0, 9.0, 9.0], [0.5, 0.0, -1.0]], [0.25, 0.0],
+                           ["a", "b"])
+    assert rows.classes.tolist() == [3, 1, 2, 0]
+    assert rows.coeffs.tolist() == [1.0, 0.5, 0.0, -1.0]   # the zero is kept
+    assert rows.row.tolist() == [0, 1, 1, 1]
+    assert rows.starts.tolist() == [0, 1, 4]
+    assert rows.families == ("a", "b") and len(rows) == 2
+    assert rows + rows == loop_flat_rows(loop_rows(rows) * 2)
+    assert rows + NO_ROWS is rows
+    # equality reads the dtypes too
+    assert dataclasses.replace(rows, row=rows.row.astype(np.int32)) != rows
+
+
+STRUCTURES = ("group_layout", "class_layout", "class_counts", "pin_plan")
 
 
 def test_pinned_and_linearized_copies_share_the_derived_structures():
@@ -281,19 +297,16 @@ def test_pinned_and_linearized_copies_share_the_derived_structures():
     for q in (pinned, linearized):
         for name in STRUCTURES:
             assert getattr(q, name) is getattr(p, name), name
-    # the linearized copy flattens only its own rows and appends them
-    flat = linearized.active_flat_rows
-    ref = _flatten_rows(linearized.active_rows())
-    assert flat.families == ref.families
-    for name in ("classes", "coeffs", "row", "starts", "rhs"):
-        assert np.array_equal(getattr(flat, name), getattr(ref, name)), name
-    assert p.active_flat_rows is p.flat_rows
+    # the linearized copy's active rows are the shared rows followed by
+    # its own
+    assert linearized.active_rows == loop_flat_rows(
+        loop_rows(p.rows) + loop_rows(linearized.linear_factor_rows))
+    assert p.active_rows is p.rows
     # dataclasses.replace carries nothing; it builds equal structures anew
     fresh = dataclasses.replace(pinned)
     for name in STRUCTURES:
         assert getattr(fresh, name) is not getattr(p, name), name
     assert np.array_equal(fresh.class_counts, p.class_counts)
-    assert isinstance(fresh.flat_rows, FlatRows)
     with pytest.raises(ValueError, match="use dataclasses.replace"):
         p.derive(rows=())
 

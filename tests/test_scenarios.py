@@ -71,6 +71,19 @@ def test_signalling_marginal_rejected():
         dist.marginal(("A",))
 
 
+def test_signalling_error_names_the_deviating_input():
+    # A outputs 0 for C's inputs 0 and 1, and 1 for C's input 2
+    sc = Scenario("bilocal", (2, 2, 2), (1, 1, 3))
+    table = np.zeros((2, 2, 2, 1, 1, 3))
+    for z, a in ((0, 0), (1, 0), (2, 1)):
+        table[a, 0, 0, 0, 0, z] = 1.0
+    dist = Distribution(sc, table)
+    with pytest.raises(SignallingError) as err:
+        dist.marginal(("A",))
+    assert str(err.value) == ("marginal over ('A',) depends on the input of "
+                              "party C (inputs 0 vs 2; max deviation 1.000e+00)")
+
+
 def test_deterministic_strategy_point_distribution():
     sc = BILOCAL
     P0 = np.diag([1.0, 0.0])

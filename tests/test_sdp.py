@@ -8,7 +8,7 @@ import pytest
 
 from netnpa import factorisation, sdp
 from netnpa.moment import (
-    Row,
+    FlatRows,
     build_factorisation_bilocal,
     build_standard,
     oracle_assignment,
@@ -316,7 +316,8 @@ def test_presolve_matches_the_loop_reference(name):
     assert cs._pending.tolist() == pending
     R, b = cs._reduced_rows()
     R_ref, b_ref = loop_reduced_rows(p, known, pending)
-    assert [list(r.items()) for r in R] == [list(r.items()) for r in R_ref]
+    for got, want in zip(R, R_ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(b, b_ref)
     assert cs.known_submatrix_bound()[1] == loop_submatrix_words(known, p.cell_class)
 
@@ -341,8 +342,10 @@ def _with_rows(rows):
 
 @pytest.mark.parametrize("rhs", [1.0, 2.0], ids=["consistent", "inconsistent"])
 def test_presolve_zero_coefficient_on_the_single_unknown(rhs):
-    p, x, y = _with_rows(lambda one, x, y: (
-        Row((one, x), (1.0, 0.0), rhs, "added"),))
+    p, x, y = _with_rows(lambda one, x, y: FlatRows.padded(
+        [[one, x]], [[1.0, 0.0]], [rhs], ["added"]))
+    # the explicit zero coefficient is kept
+    assert p.linear_factor_rows.coeffs.tolist() == [1.0, 0.0]
     cs = _ClassSystem(p)
     known, pending, contradiction = loop_propagate(p)
     assert cs.contradiction == contradiction
@@ -350,7 +353,7 @@ def test_presolve_zero_coefficient_on_the_single_unknown(rhs):
         assert contradiction is None
         # the row is checked and dropped; it sets nothing
         assert np.isnan(cs.known[x])
-        assert len(p.active_rows()) - 1 not in cs._pending.tolist()
+        assert len(p.active_rows) - 1 not in cs._pending.tolist()
         assert np.array_equal(cs.known, known, equal_nan=True)
     else:
         assert contradiction.startswith("violated added row")
@@ -359,8 +362,8 @@ def test_presolve_zero_coefficient_on_the_single_unknown(rhs):
 
 @pytest.mark.parametrize("second", [0.25, 0.5], ids=["agree", "disagree"])
 def test_presolve_two_rows_solving_one_class(second):
-    p, x, y = _with_rows(lambda one, x, y: (
-        Row((x,), (1.0,), 0.25, "added"), Row((x,), (1.0,), second, "added")))
+    p, x, y = _with_rows(lambda one, x, y: FlatRows.padded(
+        [[x], [x]], [[1.0], [1.0]], [0.25, second], ["added", "added"]))
     cs = _ClassSystem(p)
     _known, _pending, contradiction = loop_propagate(p)
     assert cs.contradiction == contradiction
@@ -449,8 +452,8 @@ def test_factor_rows_match_an_svd_reference(name):
 def test_inconsistent_rows_are_an_infeasibility_certificate():
     p, _obj = chsh_problem_and_objective()
     x, y = (int(c) for c in _ClassSystem(p).free[:2])
-    rows = (Row((x, y), (1.0, 1.0), 1.0, "added"),
-            Row((x, y), (1.0, 1.0), 2.0, "added"))
+    rows = FlatRows.padded([[x, y], [x, y]], [[1.0, 1.0], [1.0, 1.0]],
+                           [1.0, 2.0], ["added", "added"])
     out = solve_feasibility(dataclasses.replace(p, linear_factor_rows=rows))
     assert out.verdict == "infeasible"
     # x + y = 1 pivots; the second row keeps the residual 1 - 2
@@ -557,7 +560,6 @@ def test_sdpa_roundtrip_byte_exact(tmp_path, fixture):
     parsed = parse_sdpa(str(path1))
     assert parsed.dim == s.dim
     assert parsed.rows == s.rows
-    assert parsed.objective == s.objective
     assert parsed.objective_cells == s.objective_cells
     assert parsed.objective_coeffs == s.objective_coeffs
     export_sdpa(parsed, str(path2))
