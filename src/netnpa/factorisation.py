@@ -64,10 +64,11 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
     the completeness rows (e.g. orthogonality zeros), not only literal
     pins; a pair with one nonzero factor s known becomes the
     half-linearized row G_prod - s * G_other = 0.  Remaining pairs are left
-    attached and flagged as bilinear.
+    attached and flagged as bilinear.  A problem that already holds its
+    linearization (rows or flagged pairs) is returned as is.
     """
     pairs = problem.factor_pairs + problem.factor_triples
-    if not pairs:
+    if not pairs or problem.linear_factor_rows or problem.flagged_bilinear:
         return problem
     known, _contradiction = _sdp.propagated_values(problem)
     # a contradiction among pins alone is legitimate output: the linearized
@@ -87,7 +88,7 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
         np.stack([np.ones(len(pairs)), -scale], axis=1)[linear],
         np.where(both, lhs * rhs, 0.0)[linear], families[linear].tolist())
     return problem.derive(
-        linear_factor_rows=problem.linear_factor_rows + rows,
+        linear_factor_rows=rows,
         flagged_bilinear=tuple(itertools.compress(pairs, ~linear)))
 
 

@@ -32,8 +32,9 @@ Hierarchies
 The structure is built as arrays.  The canonical product of a cell is
 coded from per-block product tables (:class:`_Products`), the Hankel
 groups are its distinct codes up to involution, the classes are the
-connected components of the merges (min-label propagation), and the
-completeness rows are gathered from ``cell_class``.
+connected components of the merges (:func:`scenarios.components`), and
+the completeness rows are gathered from ``cell_class``.  The pin plan is
+one pass over the group keys' letters, split by the same routine.
 
 Every linear row, from the builders to the elimination, is held in one
 format, :class:`FlatRows`.
@@ -50,13 +51,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scenarios import Distribution, Scenario, linked_components
+from .scenarios import Distribution, Scenario, components, sharing_components
 from .words import (
     EMPTY_WORD,
     PARTY_ORDER,
@@ -480,22 +480,6 @@ def _build_groups(products: _Products):
     return keys, cell_group
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Connected components of the graph on 0..n-1 with edges (a[k], b[k]),
-    numbered in order of their least node, by min-label propagation with
-    pointer jumping."""
-    label = np.arange(n)
-    while True:
-        low = np.minimum(label[a], label[b])
-        lower = label.copy()
-        np.minimum.at(lower, a, low)
-        np.minimum.at(lower, b, low)
-        lower = lower[lower]
-        if np.array_equal(lower, label):
-            return np.unique(label, return_inverse=True)[1].astype(np.int32)
-        label = lower
-
-
 def _pvms(alphabet: Alphabet) -> list[list[Letter]]:
     """The measurement letters grouped into PVMs (party, copies, input),
     in alphabet order, each sorted by ``Letter.sort_key``."""
@@ -506,8 +490,8 @@ def _pvms(alphabet: Alphabet) -> list[list[Letter]]:
     return [sorted(letters, key=Letter.sort_key) for letters in pvm.values()]
 
 
-# candidate completeness rows examined at a time
-_ROW_CHUNK = 1 << 15
+# completeness rows, or pin-plan keys, examined at a time
+_CHUNK = 1 << 15
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,7 +525,7 @@ def _completeness_rows(targets: Sequence[np.ndarray],
     sign[:, -1] = -1
     complete = np.array([(t >= 0).all(axis=0) for t in targets])
     vs, ks = np.nonzero(complete.T)
-    step = max(1, _ROW_CHUNK // n)
+    step = max(1, _CHUNK // n)
     sigs, firsts = [], []
     for s in range(0, len(vs), step):
         v, k = vs[s:s + step], ks[s:s + step]
@@ -571,98 +555,123 @@ def _completeness_rows(targets: Sequence[np.ndarray],
                            ("completeness",) * len(sig))
 
 
-def _source_nodes(scenario: Scenario, l: Letter,
-                  inflated: bool) -> list[tuple[str, int]]:
-    """(source, copy) pairs a letter uses; global pseudo-source otherwise."""
-    if not inflated:
-        return [("__global__", 1)]
-    slots = scenario.topo.party_sources[l.party]
-    return [(src, l.copies[i]) for i, src in enumerate(slots)]
-
-
-def _pin_factors(scenario: Scenario, key: Word, inflated: bool,
-                 subsets: dict[tuple[str, ...], int]
-                 ) -> list[tuple[int, tuple[int, ...]]] | None:
-    """The marginal cells whose product a distribution forces on ``key``,
-    as (subset id, outputs + inputs) per component, or None.
-
-    The key word is split into connected components through shared source
-    copies.  A component is a fresh copy of a sub-network when each party
-    occurs once and parties adjacent to a common source use a common copy
-    of it; its value is then the corresponding marginal of the
-    distribution, and the word's value is the product over components.
-    A party subset enters ``subsets`` when a component first needs its
-    marginal.
-    """
-    letters = key.letters
-    if any(not l.is_measurement for l in letters):
-        return None
-    nodes_of = [_source_nodes(scenario, l, inflated) for l in letters]
-    factors = []
-    for members in linked_components(nodes_of):
-        parties = [letters[li].party for li in members]
-        if len(set(parties)) != len(parties):
-            return None
-        if inflated:
-            # parties sharing a source in the network must share its copy
-            copy_used: dict[str, set[int]] = {}
-            for li in members:
-                for src, cp in nodes_of[li]:
-                    copy_used.setdefault(src, set()).add(cp)
-            for src, cps in copy_used.items():
-                feeders = set(_source_parties(scenario, src)) & set(parties)
-                if len(feeders) >= 2 and len(cps) >= 2:
-                    return None
-        sub = tuple(sorted(parties))
-        sid = subsets.setdefault(sub, len(subsets))
-        order = {p: k for k, p in enumerate(sub)}
-        outs = [0] * len(sub)
-        ins = [0] * len(sub)
-        for li in members:
-            l = letters[li]
-            outs[order[l.party]] = l.output
-            ins[order[l.party]] = l.input
-        factors.append((sid, tuple(outs) + tuple(ins)))
-    return factors
+def _subset_strides(scenario: Scenario) -> tuple[list, np.ndarray, np.ndarray]:
+    """For every party subset, as a bitmask over ``scenario.parties``: its
+    parties sorted by name, its marginal's size, and the flat strides of
+    each party's output and input axes in that marginal (shape: the
+    subset's outputs, then its inputs)."""
+    parties = scenario.parties
+    count = 1 << len(parties)
+    subs, size = [], np.zeros(count, dtype=np.intp)
+    strides = np.zeros((2, count, len(parties)), dtype=np.intp)
+    for mask in range(count):
+        sub = sorted((p for k, p in enumerate(parties) if mask >> k & 1))
+        at = [scenario.party_index(p) for p in sub]
+        shape = ([scenario.outputs[k] for k in at]
+                 + [scenario.inputs[k] for k in at])
+        step = np.cumprod([1] + shape[::-1])[::-1]
+        size[mask] = step[0]
+        strides[0, mask, at] = step[1:len(at) + 1]
+        strides[1, mask, at] = step[len(at) + 1:]
+        subs.append(tuple(sub))
+    return subs, size, strides
 
 
 def _pin_plan(problem: MomentProblem) -> PinPlan:
     """Walk the groups class by class, in group order within a class, and
     record the marginal cells of every pinnable one; the party subsets
-    enter in the order of this walk."""
+    enter in the order of this walk.
+
+    A key of measurement letters splits into components of letters
+    sharing a (source, copy) pair (without inflation, one global pair).
+    It is pinnable when each component is a fresh copy of a sub-network:
+    each party once, one copy of each source.  Its value is the product of
+    the components' marginal cells, in order of their first letter.  A
+    component needs its marginal when it and all earlier ones in its key
+    pass.  The keys are read in chunks, letters through per-letter tables.
+    """
     sc = problem.scenario
-    inflated = problem.hierarchy == "inflation"
-    subsets: dict[tuple[str, ...], int] = {}
-    groups, factors = [], []
-    for g in problem.class_layout[0].tolist():
-        f = _pin_factors(sc, problem.group_keys[g], inflated, subsets)
-        if f is not None:
-            groups.append(g)
-            factors.append(f)
-    # the position of every marginal cell in the concatenated marginals
-    position, total = [], 0
-    for sub in subsets:
-        shape = ([sc.outputs[sc.party_index(p)] for p in sub]
-                 + [sc.inputs[sc.party_index(p)] for p in sub])
-        position.append(total + np.arange(math.prod(shape)).reshape(shape))
-        total += position[-1].size
-    cells = np.full((len(groups), max(map(len, factors), default=0)), total,
-                    dtype=np.intp)
-    for k, f in enumerate(factors):
-        for c, (sid, cell) in enumerate(f):
-            cells[k, c] = position[sid][cell]
-    group_arr = np.asarray(groups, dtype=np.intp)
+    nparty = len(sc.parties)
+    if problem.hierarchy == "inflation":
+        sources, slots = list(sc.topo.sources), sc.topo.party_sources
+    else:
+        sources, slots = ["global"], {p: ("global",) for p in sc.parties}
+
+    def attributes(l: Letter) -> list[int]:
+        """measurement?, party, output, input, then the copy of each
+        source (-1 where the letter has none)."""
+        if not l.is_measurement:
+            return [0, 0, 0, 0] + [-1] * len(sources)
+        copy = dict(zip(slots[l.party], l.copies or (1,)))
+        return [1, sc.party_index(l.party), l.output, l.input] + [
+            copy.get(s, -1) for s in sources]
+
+    subs, size, strides = _subset_strides(sc)
+    # party mask -> first cell of its marginal, -1 until it is registered
+    offset = np.full(len(subs), -1, dtype=np.intp)
+    subsets: list[tuple[str, ...]] = []
+    total = 0
+    walk = problem.class_layout[0]
+    groups, rows, ranks, cells = [], [], [], []
+    held = 0
+    for s in range(0, len(walk), _CHUNK):
+        chunk = walk[s:s + _CHUNK]
+        words = [problem.group_keys[g].letters for g in chunk.tolist()]
+        flat = list(itertools.chain.from_iterable(words))
+        key = np.repeat(np.arange(len(words)),
+                        np.fromiter(map(len, words), np.intp, len(words)))
+        # the keys share their letter objects: each distinct one is read once
+        _, first, code = np.unique(np.fromiter(map(id, flat), np.intp, len(flat)),
+                                   return_index=True, return_inverse=True)
+        table = np.array([attributes(flat[i]) for i in first],
+                         dtype=np.intp).reshape(-1, 4 + len(sources))[code]
+        measured, party, output, input_ = table[:, :4].T
+        copies = table[:, 4:]
+        span = copies.max(initial=0) + 1
+        nodes = np.where(copies >= 0, (key[:, None] * len(sources)
+                                       + np.arange(len(sources))) * span + copies, -1)
+        comp = sharing_components(nodes)
+        ncomp = int(comp.max(initial=-1)) + 1
+        comp_key = key[np.unique(comp, return_index=True)[1]]
+        opens = np.searchsorted(comp_key, comp_key)   # the key's first component
+        per_party = np.bincount(comp * nparty + party,
+                                minlength=ncomp * nparty).reshape(ncomp, nparty)
+        failed = (per_party > 1).any(axis=1)
+        at, src = np.nonzero(copies >= 0)
+        some_copy = np.empty((ncomp, len(sources)), dtype=np.intp)
+        some_copy[comp[at], src] = copies[at, src]
+        failed[comp[at][some_copy[comp[at], src] != copies[at, src]]] = True
+        ok = np.ones(len(words), dtype=bool)
+        ok[key[measured == 0]] = False
+        before = np.cumsum(failed) - failed
+        need = ok[comp_key] & ~failed & (before == before[opens])
+        ok[comp_key[failed]] = False
+        mask = (per_party > 0) @ (1 << np.arange(nparty))
+        for mk in dict.fromkeys(mask[need].tolist()):   # in order of first need
+            if offset[mk] < 0:
+                offset[mk] = total
+                subsets.append(subs[mk])
+                total += int(size[mk])
+        lm = mask[comp]
+        step = (output * strides[0, lm, party] + input_ * strides[1, lm, party])
+        cell = offset[mask] + np.bincount(comp, weights=step,
+                                          minlength=ncomp).astype(np.intp)
+        take = ok[comp_key]
+        rows.append(held + (np.cumsum(ok) - 1)[comp_key[take]])
+        ranks.append((np.arange(ncomp) - opens)[take])
+        cells.append(cell[take])
+        groups.append(chunk[ok])
+        held += int(ok.sum())
+    rows, ranks = np.concatenate(rows), np.concatenate(ranks)
+    plan_cells = np.full((held, int(ranks.max(initial=-1)) + 1), total,
+                         dtype=np.intp)
+    plan_cells[rows, ranks] = np.concatenate(cells)
+    group_arr = np.concatenate(groups).astype(np.intp)
     group_cls = problem.group_class[group_arr]
     starts = np.flatnonzero(np.diff(group_cls, prepend=-1))
     return PinPlan(subsets=tuple(subsets), groups=group_arr,
                    classes=group_cls[starts].astype(np.intp), starts=starts,
-                   cells=cells)
-
-
-def _source_parties(scenario: Scenario, source: str) -> tuple[str, ...]:
-    if source == "__global__":
-        return scenario.parties
-    return scenario.topo.sources[source]
+                   cells=plan_cells)
 
 
 def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
@@ -686,7 +695,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
     a = b = np.zeros(0, dtype=np.intp)
     if merges is not None:
         a, b = merges(index, keys, cell_group)
-    group_class = _components(len(keys), a, b)
+    group_class = components(len(keys), a, b)
     cell_class = group_class[cell_group]
     rows = NO_ROWS
     if pvms:

@@ -8,6 +8,10 @@ words, including inflated words over copied sources.
 
 Everything is desk scale: dense complex matrices, total dimension at
 most a few thousand.
+
+:func:`components` is the package's one connected-components routine: it
+joins a moment problem's classes and splits the words of the pin plan
+and of :class:`InflatedBilocalOracle` into components of source copies.
 """
 
 from __future__ import annotations
@@ -36,44 +40,33 @@ class ScenarioError(ValueError):
     pass
 
 
-class UnionFind:
-    """Disjoint sets over hashable items; an item is a singleton until it
-    is first joined."""
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        while True:
-            p = parent.get(x, x)
-            if p == x:
-                return x
-            gp = parent.get(p, p)
-            parent[x] = gp       # path halving
-            x = gp
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on 0..n-1 with edges (a[k], b[k]),
+    numbered in order of their least node, by min-label propagation with
+    pointer jumping."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        lower = label.copy()
+        np.minimum.at(lower, a, low)
+        np.minimum.at(lower, b, low)
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            return np.unique(label, return_inverse=True)[1].astype(np.int32)
+        label = lower
 
 
-def linked_components(nodes_of: Sequence[Sequence]) -> list[list[int]]:
-    """Group items that share a node, transitively.
-
-    ``nodes_of[i]`` lists the (nonempty) nodes item i touches, e.g. the
-    (source, copy) pairs of a letter.  Returns the item indices of each
-    component, components in order of their first item.
-    """
-    uf = UnionFind()
-    for nodes in nodes_of:
-        for nd in nodes[1:]:
-            uf.union(nodes[0], nd)
-    comps: dict = {}
-    for i, nodes in enumerate(nodes_of):
-        comps.setdefault(uf.find(nodes[0]), []).append(i)
-    return list(comps.values())
+def sharing_components(nodes: np.ndarray) -> np.ndarray:
+    """The components of items joined when they share a node, e.g. letters
+    sharing a (source, copy) pair: row i of ``nodes`` holds the node ids
+    of item i, -1 where it has none.  Components are numbered in order of
+    their first item."""
+    item = np.repeat(np.arange(len(nodes)), nodes.shape[1])
+    flat = nodes.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    flat, item = flat[order], item[order]
+    join = (flat[1:] == flat[:-1]) & (flat[1:] >= 0)
+    return components(len(nodes), item[:-1][join], item[1:][join])
 
 
 class SignallingError(ValueError):
@@ -395,15 +388,6 @@ class QuantumStrategy:
     sigma: np.ndarray | None = None
     tau: np.ndarray | None = None
 
-    def global_dim(self) -> int:
-        return int(np.prod(self.dims)) if self.model == "tensor_bilocal" else self.tau.shape[0]
-
-    def party_dims(self) -> dict[str, tuple[int, ...]]:
-        if self.model != "tensor_bilocal":
-            raise ScenarioError("party_dims applies to tensor_bilocal strategies")
-        dA, dBL, dBR, dC = self.dims
-        return {"A": (dA,), "B": (dBL, dBR), "C": (dC,)}
-
 
 def validate_strategy(strategy: QuantumStrategy, tol: float = ATOL_STRATEGY) -> None:
     """Check PVM and state invariants; raises ScenarioError on violation."""
@@ -616,11 +600,15 @@ class InflatedBilocalOracle:
         for l in w.letters:
             if not l.is_measurement or l.copies is None:
                 raise ScenarioError("inflated oracle expects inflated measurement words")
-        comps = linked_components([[(src, c) for src, c, _ in self._letter_nodes(l)]
-                                   for l in w.letters])
+        ids: dict[tuple[str, int], int] = {}
+        nodes = np.full((len(w), 2), -1)
+        for i, l in enumerate(w.letters):
+            for k, (src, c, _) in enumerate(self._letter_nodes(l)):
+                nodes[i, k] = ids.setdefault((src, c), len(ids))
+        comp = sharing_components(nodes)
         total = 1.0 + 0.0j
-        for members in comps:
-            letters = [w.letters[i] for i in members]
+        for k in range(comp.max(initial=-1) + 1):
+            letters = [w.letters[i] for i in np.flatnonzero(comp == k)]
             copies = sorted({(src, c) for l in letters
                              for src, c, _ in self._letter_nodes(l)})
             total *= self._component_value(copies, letters)

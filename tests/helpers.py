@@ -17,8 +17,6 @@ from netnpa.moment import (
     _diagonal_check_products,
     _min_key,
     _scalar_identifications,
-    _source_nodes,
-    _source_parties,
     build_factorisation_bilocal,
     build_inflation,
     build_scalar_extension,
@@ -29,8 +27,6 @@ from netnpa.scenarios import (
     Distribution,
     QuantumStrategy,
     Scenario,
-    UnionFind,
-    linked_components,
 )
 from netnpa.words import (
     Letter,
@@ -263,6 +259,52 @@ def loop_check_assignment(problem, assignment) -> ResidualReport:
 # loop reference for moment.pin_distribution
 # ---------------------------------------------------------------------------
 
+class UnionFind:
+    """Disjoint sets over hashable items; an item is a singleton until it
+    is first joined."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        while self.parent.get(x, x) != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def linked_components(nodes_of) -> list[list[int]]:
+    """The item indices of each group of items sharing a node, transitively,
+    in order of their first item; ``nodes_of[i]`` lists item i's nodes."""
+    uf = UnionFind()
+    for nodes in nodes_of:
+        for nd in nodes[1:]:
+            uf.union(nodes[0], nd)
+    comps: dict = {}
+    for i, nodes in enumerate(nodes_of):
+        comps.setdefault(uf.find(nodes[0]), []).append(i)
+    return list(comps.values())
+
+
+def _source_nodes(scenario: Scenario, l: Letter,
+                  inflated: bool) -> list[tuple[str, int]]:
+    """(source, copy) pairs a letter uses; a global pseudo-source otherwise."""
+    if not inflated:
+        return [("__global__", 1)]
+    slots = scenario.topo.party_sources[l.party]
+    return [(src, l.copies[i]) for i, src in enumerate(slots)]
+
+
+def _source_parties(scenario: Scenario, source: str) -> tuple[str, ...]:
+    if source == "__global__":
+        return scenario.parties
+    return scenario.topo.sources[source]
+
+
 def _pinnable_value(scenario: Scenario, dist: Distribution, key: Word,
                     inflated: bool,
                     marginal_cache: dict) -> float | None:
@@ -456,10 +498,11 @@ def loop_pin_linearize(problem: MomentProblem) -> MomentProblem:
     """``factorisation.pin_linearize`` one factor pair at a time."""
     from netnpa.sdp import propagated_values
 
-    if not (problem.factor_pairs or problem.factor_triples):
+    if not (problem.factor_pairs or problem.factor_triples) \
+            or problem.linear_factor_rows or problem.flagged_bilinear:
         return problem
     known, _contradiction = propagated_values(problem)
-    rows = loop_rows(problem.linear_factor_rows)
+    rows = []
     flagged = []
     for fc in problem.factor_pairs + problem.factor_triples:
         lhs, rhs = known[fc.cls_row], known[fc.cls_col]

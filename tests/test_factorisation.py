@@ -130,6 +130,14 @@ def test_pin_linearize_matches_the_loop_reference(case):
         assert lp.flagged_bilinear
 
 
+def test_pin_linearize_twice_adds_no_rows():
+    lp = F.pin_linearize(_linearize_case(("factorisation", BILOCAL_212, 2, "born")))
+    again = F.pin_linearize(lp)
+    assert len(lp.linear_factor_rows) == 192
+    assert again.linear_factor_rows == lp.linear_factor_rows
+    assert again.flagged_bilinear == lp.flagged_bilinear
+
+
 def test_seesaw_rows_match_the_loop_reference():
     lp = F.pin_linearize(_linearize_case(("factorisation", BILOCAL_212, 2, "born")))
     classes = sorted({c for fc in lp.flagged_bilinear

@@ -16,7 +16,6 @@ from netnpa.moment import (
     MomentAssignment,
     PinConflictError,
     _build_groups,
-    _components,
     _copy_merges,
     _min_key,
     _Products,
@@ -37,11 +36,13 @@ from netnpa.scenarios import (
     MomentOracle,
     Scenario,
     SignallingError,
+    components,
     mixed_counterexample,
     point_distribution,
     product_distribution,
     random_strategy,
     shared_random_bit,
+    star_product_strategy,
 )
 from netnpa.words import (
     EMPTY_WORD,
@@ -161,6 +162,21 @@ def _pin_cases():
                             ("mixture", mixture), ("born", born)):
             yield pytest.param((name, *BILOCAL_111, 3), lambda dist=dist: dist,
                                id=f"{name}-{label}")
+    # cases with more than one input, so the input strides are read
+    bilocal_212 = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
+    yield pytest.param(
+        ("factorisation", "bilocal", (2, 2, 2), (2, 1, 2), 2),
+        lambda: MomentOracle(random_strategy(bilocal_212, (2, 2, 2, 2), 5)).born(),
+        id="factorisation-212-born")
+    yield pytest.param(
+        ("star", "star4", (2, 2, 2, 2), (1, 1, 1, 1), 4),
+        lambda: MomentOracle(star_product_strategy(11)).born(),
+        id="star-born")
+    yield pytest.param(("scalar", *BILOCAL_111, 2),
+                       lambda: shared_random_bit("bilocal"), id="scalar-srb")
+    yield pytest.param(("standard", "bell3", (2, 2, 2), (1, 1, 1), 2),
+                       lambda: point_distribution(BELL3, (0, 0, 0)),
+                       id="bell3-point")
 
 
 @pytest.mark.parametrize("problem,dist", _pin_cases())
@@ -170,6 +186,24 @@ def test_pin_plan_matches_the_loop_reference(problem, dist):
     # equal values, not close ones: the plan multiplies the same factors in
     # the same order as the loop
     assert pin_distribution(p, d).pinned == loop_pin_distribution(p, d).pinned
+
+
+def test_pin_plan_registers_subsets_in_order_of_first_need():
+    # a key's components are read in order up to the first that is not a
+    # fresh copy (two C letters, or two copies of sigma, below), and each
+    # one read needs its marginal, even when its key is not pinnable
+    p = cached_problem("inflation", *TRIANGLE_111, 2, 2)
+    a11, a22 = meas("A", copies=(1, 1)), meas("A", copies=(2, 2))
+    b11, b12, b22 = (meas("B", copies=c) for c in ((1, 1), (1, 2), (2, 2)))
+    c11, c21, c22 = (meas("C", copies=c) for c in ((1, 1), (2, 1), (2, 2)))
+    keys = (word([a11, a22, b12, c11]),   # {A11 B12 C11} fails, then {A22}
+            word([b11, b22, c21, c22]),   # {B11}, then {B22 C21 C22} fails
+            word([c11]), word([b11]), word([a11]))
+    plan = dataclasses.replace(p, group_keys=keys,
+                               group_class=np.arange(len(keys))).pin_plan
+    assert plan.subsets == (("B",), ("C",), ("A",))
+    assert plan.groups.tolist() == [2, 3, 4]
+    assert plan.cells.tolist() == [[2], [0], [4]]
 
 
 @pytest.mark.parametrize("merge,held", [(True, False), (False, True),
@@ -555,7 +589,7 @@ def _full_group_orbits(keys, alphabet, m):
 def _copy_orbits(index, alphabet, m):
     keys, cell_group = _build_groups(_Products(index))
     merges = _copy_merges(index, cell_group, alphabet, m)
-    return keys, _partition(_components(len(keys), *merges))
+    return keys, _partition(components(len(keys), *merges))
 
 
 def test_generator_orbits_equal_full_group_orbits():

@@ -12,6 +12,7 @@ from netnpa.scenarios import (
     ScenarioError,
     SignallingError,
     born_eval,
+    components,
     embed_operator,
     mixed_counterexample,
     point_distribution,
@@ -19,13 +20,14 @@ from netnpa.scenarios import (
     random_strategy,
     read_distribution,
     shared_random_bit,
+    sharing_components,
     star_product_strategy,
     validate_strategy,
     write_distribution,
 )
 from netnpa.words import EMPTY_WORD, concat, enumerate_words, involute, word
 
-from helpers import meas, singlet_pauli_strategy
+from helpers import UnionFind, linked_components, meas, singlet_pauli_strategy
 
 BILOCAL = Scenario("bilocal", (2, 2, 2), (1, 1, 1))
 
@@ -268,3 +270,38 @@ def test_moment_oracle_map_form():
     a, c = word([meas("A")]), word([meas("C")])
     assert abs(values[concat(a, c)] - values[a] * values[c]) < 1e-12
     assert all(len(w) <= 2 for w in values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_partition_as_a_union_find(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    a, b = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+    label = components(n, a, b)
+    uf = UnionFind()
+    for x, y in zip(a.tolist(), b.tolist()):
+        uf.union(x, y)
+    # the same partition ...
+    assert all((label[x] == label[y]) == (uf.find(x) == uf.find(y))
+               for x in range(n) for y in range(n))
+    # ... numbered in order of each component's least node
+    least = [min(v for v in range(n) if label[v] == label[u]) for u in range(n)]
+    opened = sorted(set(least))
+    assert label.tolist() == [opened.index(x) for x in least]
+
+
+def test_components_without_edges_are_singletons():
+    none = np.zeros(0, dtype=np.intp)
+    assert components(5, none, none).tolist() == [0, 1, 2, 3, 4]
+    assert components(0, none, none).tolist() == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sharing_components_match_the_linked_components_reference(seed):
+    rng = np.random.default_rng(seed)
+    nodes = rng.integers(-1, 12, size=(int(rng.integers(1, 20)), 3))
+    nodes[:, 0] = np.abs(nodes[:, 0])   # every item has a node
+    label = sharing_components(nodes)
+    ref = linked_components([[v for v in row if v >= 0] for row in nodes.tolist()])
+    assert [np.flatnonzero(label == k).tolist()
+            for k in range(label.max() + 1)] == ref
