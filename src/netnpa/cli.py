@@ -13,7 +13,9 @@ Subcommands
 A FEASIBLE verdict at level n means only that no obstruction exists at
 level n.  Exit code 1 comes only with an INFEASIBLE verdict.  64 flags
 unreadable inputs (a stored assignment that ``gns`` cannot load or
-rebuild included); 65 flags any error building or pinning the requested
+rebuild included) and solver settings outside their range (``--tol``
+finite and > 0, ``--infeasibility-margin`` finite and >= ``--tol``,
+``--max-iter`` >= 1); 65 flags any error building or pinning the requested
 problem in ``test``, ``export``, ``sample`` and ``info`` (a scenario
 mismatch, an invalid level, the index budget).
 """
@@ -21,6 +23,7 @@ mismatch, an invalid level, the index budget).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -113,6 +116,21 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _check_solver_settings(cfg: RunConfig) -> None:
+    """A FEASIBLE verdict needs t* >= -tol and an INFEASIBLE one
+    t* < -margin, so a margin below tol would let the two bands overlap."""
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise CliError(f"--tol must be finite and > 0, got {cfg.tol:g}",
+                       EXIT_PARSE)
+    margin = cfg.infeasibility_margin
+    if not (math.isfinite(margin) and margin >= cfg.tol):
+        raise CliError(f"--infeasibility-margin must be finite and >= --tol "
+                       f"({cfg.tol:g}), got {margin:g}", EXIT_PARSE)
+    if cfg.max_iter < 1:
+        raise CliError(f"--max-iter must be >= 1, got {cfg.max_iter}",
+                       EXIT_PARSE)
 
 
 def _builtin_distribution(name: str, topology: str) -> Distribution:
@@ -429,6 +447,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     handlers = {"test": cmd_test, "export": cmd_export, "sample": cmd_sample,
                 "gns": cmd_gns, "info": cmd_info}
     try:
+        _check_solver_settings(cfg)
         return handlers[cfg.command](cfg)
     except CliError as exc:
         return exc.code, f"error: {exc}"

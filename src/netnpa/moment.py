@@ -33,8 +33,8 @@ The structure is built as arrays.  The canonical product of a cell is
 coded from per-block product tables (:class:`_Products`), the Hankel
 groups are its distinct codes up to involution, the classes are the
 connected components of the merges (:func:`scenarios.components`), and
-the completeness rows are gathered from ``cell_class``.  The pin plan is
-one pass over the group keys' letters, split by the same routine.
+the completeness rows are gathered from the column relations.  The pin
+plan is one pass over the group keys' letters, split by the same routine.
 
 Every linear row, from the builders to the elimination, is held in one
 format, :class:`FlatRows`.
@@ -210,6 +210,7 @@ class MomentProblem:
     group_class: np.ndarray               # group -> merged class id
     cell_class: np.ndarray                # (N, N) class id per cell, group_class[cell_group]
     pinned: dict[int, float]
+    column_relations: np.ndarray          # (v, PVM) rows, see _column_relations
     rows: FlatRows                        # completeness rows
     factor_pairs: tuple[FactorConstraint, ...] = ()
     factor_triples: tuple[FactorConstraint, ...] = ()
@@ -289,6 +290,22 @@ class MomentProblem:
         values multiply (see :func:`pin_distribution`); built on the first
         pin."""
         return _pin_plan(self)
+
+    @_structure
+    def column_range(self) -> np.ndarray:
+        """An orthonormal basis V, (dim, r), of the complement of the span
+        of the vectors sum_a e_{A_{a|x} v} - e_v of the column relations.
+        Every moment matrix X of the problem maps them to zero (its
+        completeness rows), so X = V V' X V V'."""
+        rel = self.column_relations
+        U = np.zeros((len(rel), self.dim))
+        k, a = np.nonzero(rel[:, :-1] >= 0)
+        U[k, rel[k, a]] = 1.0
+        U[np.arange(len(rel)), rel[:, -1]] -= 1.0
+        # the R factor has U's row space in at most dim rows
+        _, s, vt = np.linalg.svd(np.linalg.qr(U, mode="r"))
+        cut = s.max(initial=0.0) * max(U.shape) * np.finfo(float).eps
+        return vt[int((s > cut).sum()):].T
 
     def class_average(self, X: np.ndarray) -> np.ndarray:
         """Mean of ``X`` over the cells of each class (the class cells
@@ -504,34 +521,36 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], first
 
 
-def _completeness_rows(targets: Sequence[np.ndarray],
-                       cell_class: np.ndarray) -> FlatRows:
-    """Rows sum_a G[w, A_{a|x} v] = G[w, v], deduplicated at class level.
+def _column_relations(targets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Column v of a moment matrix is the sum of its columns A_{a|x} v
+    over a PVM.  ``targets[l, j]`` is the index position of l v (-1 if
+    outside the index) for the PVM letters l, PVM after PVM with
+    ``sizes[k]`` letters in PVM k, and the index words v.  Each (v, PVM)
+    whose targets are all in the index gives one row, in (v, PVM) order:
+    its targets, padded with -1 to the largest PVM, then v."""
+    cols = np.full((len(sizes), sizes.max(initial=0), targets.shape[1]), -1,
+                   dtype=np.intp)
+    for k, e in enumerate(np.cumsum(sizes)):
+        cols[k, :sizes[k]] = targets[e - sizes[k]:e]
+    vs, ks = np.nonzero(((cols >= 0).sum(axis=1) == sizes[:, None]).T)
+    return np.concatenate([cols[ks, :, vs], vs[:, None]], axis=1)
 
-    ``targets[k][a, j]`` is the index position of A_{a|x} v for the a-th
-    letter of PVM k and v the j-th index word, -1 if it is outside the
-    index.  Each (v, PVM) whose targets are all in the index gives a row
-    for every index word w.  The classes of a row are summed, zero
-    coefficients dropped, and of rows with equal classes and coefficients
-    the first in (v, PVM, w) order is kept.
-    """
-    n = cell_class.shape[0]
-    width = max(len(t) for t in targets) + 1
-    cols = np.zeros((len(targets), width - 1, n), dtype=np.intp)
-    sign = np.zeros((len(targets), width), dtype=np.int32)
-    for k, t in enumerate(targets):
-        cols[k, :len(t)] = t
-        sign[k, :len(t)] = 1
+
+def _completeness_rows(relations: np.ndarray, cell_class: np.ndarray) -> FlatRows:
+    """Rows sum_a G[w, A_{a|x} v] = G[w, v], one for every column relation
+    (v, PVM) and index word w, deduplicated at class level.  The classes
+    of a row are summed, zero coefficients dropped, and of rows with equal
+    classes and coefficients the first in (v, PVM, w) order is kept."""
+    n, width = cell_class.shape[0], relations.shape[1]
+    # padding reads the empty word's column with coefficient 0
+    sign = (relations >= 0).astype(np.int32)
     sign[:, -1] = -1
-    complete = np.array([(t >= 0).all(axis=0) for t in targets])
-    vs, ks = np.nonzero(complete.T)
+    cols = np.maximum(relations, 0)
     step = max(1, _CHUNK // n)
     sigs, firsts = [], []
-    for s in range(0, len(vs), step):
-        v, k = vs[s:s + step], ks[s:s + step]
-        cls = cell_class[:, np.concatenate([cols[k, :, v], v[:, None]], axis=1)]
-        cls = cls.transpose(1, 0, 2).reshape(-1, width)
-        coef = np.broadcast_to(sign[k][:, None], (len(k), n, width)).reshape(-1, width)
+    for s in range(0, len(relations), step):
+        cls = cell_class[:, cols[s:s + step]].transpose(1, 0, 2).reshape(-1, width)
+        coef = np.repeat(sign[s:s + step], n, axis=0)
         by_class = np.argsort(cls, axis=1, kind="stable")
         cls = np.take_along_axis(cls, by_class, axis=1)
         coef = np.take_along_axis(coef, by_class, axis=1)
@@ -697,17 +716,15 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         a, b = merges(index, keys, cell_group)
     group_class = components(len(keys), a, b)
     cell_class = group_class[cell_group]
-    rows = NO_ROWS
-    if pvms:
-        targets = products.positions(products.codes[len(index):])
-        ends = np.cumsum([len(pvm) for pvm in pvms])
-        rows = _completeness_rows(np.split(targets, ends[:-1]), cell_class)
+    relations = _column_relations(products.positions(products.codes[len(index):]),
+                                  np.fromiter(map(len, pvms), np.intp))
     pinned = {int(cell_class[0, 0]): 1.0}  # G[1, 1] = 1
     return MomentProblem(
         scenario=scenario, hierarchy=hierarchy, n=n, m=m, alphabet=alphabet,
         index=tuple(index), group_keys=tuple(keys), cell_group=cell_group,
         group_class=group_class, cell_class=cell_class, pinned=pinned,
-        rows=rows, merge_family=merge_family, completeness=completeness)
+        column_relations=relations, rows=_completeness_rows(relations, cell_class),
+        merge_family=merge_family, completeness=completeness)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,10 +1127,9 @@ def _max_spread(values: np.ndarray, starts: np.ndarray) -> float:
     return float(spread.max())
 
 
-def check_assignment(problem: MomentProblem, assignment: MomentAssignment,
-                     tol: float = 1e-8) -> ResidualReport:
-    """Per-family maximal residuals of an assignment (tol is advisory;
-    all families are always evaluated and reported)."""
+def check_assignment(problem: MomentProblem,
+                     assignment: MomentAssignment) -> ResidualReport:
+    """Per-family maximal residuals of an assignment."""
     X = assignment.matrix
     vals = X.reshape(-1)
     cells, group_bounds = problem.group_layout

@@ -446,7 +446,7 @@ def embed_operator(op: np.ndarray, positions: Sequence[int],
     return np.ascontiguousarray(kt.reshape(D, D))
 
 
-def _pure_vector(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _pure_vector(state: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(state)
     if w[-1] < 1 - 1e-6:
         raise ScenarioError("state is not pure; no defining vector")

@@ -23,7 +23,7 @@ solver decides feasibility in layers, cheapest and most rigorous first:
 4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set: when
    (p + 1) n^2 <= ``INTERIOR_MAX_ENTRIES`` for n words and p = dim ker R,
    a primal-dual interior point (``netnpa.interior``) in the coordinates
-   z, with the common kernel of the affine set projected out; else, or
+   z, on the range of the problem's completeness relations; else, or
    when the interior point stalls short of a verdict, at most
    ``max_iter`` Dykstra alternating projections, whose affine step is
    the Frobenius projection built from y0 and N.  The projections can
@@ -91,8 +91,9 @@ class AffineSdp:
     objective_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            for (i, j), c in zip(row.cells, row.coeffs):
+        terms = [(self.objective_cells, self.objective_coeffs)]
+        for cells, coeffs in terms + [(r.cells, r.coeffs) for r in self.rows]:
+            for (i, j), c in zip(cells, coeffs):
                 if not (0 <= i <= j < self.dim):
                     raise SdpStructureError(f"cell ({i},{j}) outside dimension")
                 if not math.isfinite(c):
@@ -421,12 +422,6 @@ class _ClassSystem:
         y[self.free] = y_free
         return y[self.cell_class]
 
-    def direction(self, d_free: np.ndarray) -> np.ndarray:
-        """The matrix of a free-class direction (zero on known classes)."""
-        y = np.zeros(self.k)
-        y[self.free] = d_free
-        return y[self.cell_class]
-
     def factor_rows(self) -> tuple[bool, str]:
         """Reduce the pending rows to R y = b over the free classes and
         check that it is solvable; keep ``R``, ``b``, ``y0``, the
@@ -510,44 +505,34 @@ class _ReducedLmi:
     """The affine set in the coordinates the interior point works in.
 
     Free-class values are y = y0 + N z with y0 = ``cs.y0`` and N an
-    orthonormal basis of ker R, so X(z) = X(y0) + sum_j z_j B_j.  Every
-    matrix of the set vanishes on the common kernel of X(y0) and the B_j
-    (the completeness rows make column v equal the sum of the columns
-    A_{a|x} v), so X(z) >= 0 iff V' X(z) V >= 0 for V an orthonormal basis
-    of the complement, and both have the same nonzero eigenvalues.
+    orthonormal basis of ker R, so X(z) = X(y0) + sum_j z_j D_j.  The
+    completeness rows make every matrix of the set vanish on the vectors
+    sum_a e_{A_{a|x} v} - e_v, so X(z) >= 0 iff V' X(z) V >= 0 for V =
+    ``MomentProblem.column_range``, an orthonormal basis of their
+    complement, and both have the same nonzero eigenvalues.
     """
 
-    N: np.ndarray
     C: np.ndarray          # V' X(y0) V
-    B: np.ndarray          # (p, r, r): V' B_j V
+    B: np.ndarray          # (p, r, r): V' D_j V
 
 
 def _interior_fits(cs: _ClassSystem) -> bool:
     """Whether the interior point takes the problem: (p + 1) n^2 bounds
-    the entries of its (p, r, r) arrays and of the Gram loop in
-    :func:`_reduce`.  Needs ``cs.factor_rows()`` to have run."""
+    the entries of its (p, r, r) arrays, r <= n.  Needs
+    ``cs.factor_rows()`` to have run."""
     return (cs.N.shape[1] + 1) * cs.n ** 2 <= INTERIOR_MAX_ENTRIES
 
 
 def _reduce(cs: _ClassSystem) -> _ReducedLmi:
-    """Eliminate the affine constraints and the common kernel.  Needs
-    ``cs.factor_rows()`` to have run."""
-    N = cs.N
-    p = N.shape[1]
-    X0 = cs.assemble(cs.y0)
-    gram = X0 @ X0
-    for j in range(p):
-        Bj = cs.direction(N[:, j])
-        gram += Bj @ Bj
-    # sum of squares: its kernel is the common kernel; the eigenvalues of
-    # an exact kernel sit at rounding level, the rest many decades higher
-    w, U = np.linalg.eigh(gram)
-    V = U[:, w > 1e-10 * w[-1]]
-    r = V.shape[1]
-    B = np.empty((p, r, r))
-    for j in range(p):
-        B[j] = V.T @ cs.direction(N[:, j]) @ V
-    return _ReducedLmi(N, V.T @ X0 @ V, B)
+    """Eliminate the affine constraints and the kernel of the column
+    relations.  Needs ``cs.factor_rows()`` to have run."""
+    V = cs.problem.column_range
+    B = np.empty((cs.N.shape[1], V.shape[1], V.shape[1]))
+    y = np.zeros(cs.k)
+    for j in range(len(B)):
+        y[cs.free] = cs.N[:, j]
+        B[j] = V.T @ y[cs.cell_class] @ V
+    return _ReducedLmi(V.T @ cs.assemble(cs.y0) @ V, B)
 
 
 def _interior_phase1(cs: _ClassSystem, tol: float):
@@ -559,7 +544,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float):
     b = np.zeros(p + 1)
     b[-1] = 1.0
     res = interior.solve_lmi(red.C, A, b, tol=tol * 1e-2)
-    return cs.assemble(cs.y0 + red.N @ res.y[:p]), res
+    return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
 
 
 def _affine_projector(cs: _ClassSystem):
@@ -708,11 +693,11 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
             c[cs.free_pos[cls]] += co
         else:
             fixed_part += co * cs.known[cls]
-    res = interior.solve_lmi(red.C, -red.B, red.N.T @ c, tol=tol * 1e-2)
+    res = interior.solve_lmi(red.C, -red.B, cs.N.T @ c, tol=tol * 1e-2)
     if max(res.rel_gap, res.primal_infeas, res.dual_infeas) > tol:
         raise SdpStructureError(
             f"interior point failed: {res.status} after {res.iterations} "
             f"iterations (relative gap {res.rel_gap:.1e}, infeasibilities "
             f"{res.primal_infeas:.1e} / {res.dual_infeas:.1e})")
-    y = cs.y0 + red.N @ res.y
+    y = cs.y0 + cs.N @ res.y
     return fixed_part + float(c @ y), cs.assemble(y)

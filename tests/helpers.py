@@ -601,14 +601,18 @@ def loop_copy_orbit_edges(keys, key_of, alphabet, m):
 
 def loop_completeness_rows(alphabet, index, cell_class):
     """Rows sum_a G[w, A_{a|x} v] = G[w, v], one (v, PVM, w) at a time,
-    deduplicated at class level, first occurrence kept."""
+    deduplicated at class level, first occurrence kept; and the column
+    relations met on the way, one per complete (v, PVM): the positions of
+    A_{a|x} v, padded with -1 to the largest PVM, then v."""
     n = len(index)
     pos = {w: i for i, w in enumerate(index)}
     pvm: dict[tuple, list[Letter]] = {}
     for l in alphabet.letters:
         if l.is_measurement:
             pvm.setdefault((l.party, l.copies, l.input), []).append(l)
+    width = max((len(letters) for letters in pvm.values()), default=0)
     rows: dict = {}
+    relations = []
     for j, v in enumerate(index):
         for letters in pvm.values():
             targets = []
@@ -618,6 +622,7 @@ def loop_completeness_rows(alphabet, index, cell_class):
                     break
                 targets.append(tj)
             else:
+                relations.append(targets + [-1] * (width - len(targets)) + [j])
                 for i in range(n):
                     coeffs: dict[int, float] = {}
                     for tj in targets:
@@ -632,7 +637,8 @@ def loop_completeness_rows(alphabet, index, cell_class):
                     row = (classes, tuple(coeffs[c] for c in classes), 0.0,
                            "completeness")
                     rows.setdefault(row[:2], row)
-    return loop_flat_rows(list(rows.values()))
+    return (loop_flat_rows(list(rows.values())),
+            np.array(relations, dtype=np.intp).reshape(-1, width + 1))
 
 
 def loop_structure(problem: MomentProblem) -> dict:
@@ -654,14 +660,17 @@ def loop_structure(problem: MomentProblem) -> dict:
     for g in range(len(keys)):
         group_class[g] = root_to_cls.setdefault(uf.find(g), len(root_to_cls))
     cell_class = group_class[cell_group]
-    rows = (loop_completeness_rows(problem.alphabet, index, cell_class)
-            if problem.completeness else loop_flat_rows([]))
+    rows, relations = (
+        loop_completeness_rows(problem.alphabet, index, cell_class)
+        if problem.completeness
+        else (loop_flat_rows([]), np.zeros((0, 1), dtype=np.intp)))
     structure = replace(problem, group_keys=tuple(keys), cell_group=cell_group,
                         group_class=group_class, cell_class=cell_class,
                         rows=rows)
     return dict(index=structure.index, group_keys=structure.group_keys,
                 cell_group=cell_group, group_class=group_class,
                 cell_class=cell_class, rows=structure.rows,
+                column_relations=relations,
                 check_products=tuple(_diagonal_check_products(structure))
                 if problem.hierarchy == "inflation" else ())
 
@@ -707,3 +716,23 @@ def loop_compile_rows(problem: MomentProblem) -> tuple:
                        for c, co in zip(classes, coeffs))
         rows.append(SdpRow(cells, coeffs, rhs))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# Gram reference for the interior point's range
+# ---------------------------------------------------------------------------
+
+def gram_range(cs) -> np.ndarray:
+    """An orthonormal basis of the range of X(y0)^2 + sum_j D_j^2 for an
+    ``sdp._ClassSystem`` whose rows are factored: the complement of the
+    common kernel of every matrix of its affine set, found numerically,
+    with the eigenvalues below 1e-10 of the largest taken as zero."""
+    X0 = cs.assemble(cs.y0)
+    gram = X0 @ X0
+    y = np.zeros(cs.k)
+    for j in range(cs.N.shape[1]):
+        y[cs.free] = cs.N[:, j]
+        D = y[cs.cell_class]
+        gram += D @ D
+    w, U = np.linalg.eigh(gram)
+    return U[:, w > 1e-10 * w[-1]]

@@ -222,6 +222,35 @@ def test_build_errors_exit65_with_a_one_line_report(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("settings, option", [
+    ("--infeasibility-margin -1", "--infeasibility-margin"),
+    ("--infeasibility-margin 1e-8", "--infeasibility-margin"),
+    ("--tol 1e-3 --infeasibility-margin 1e-4", "--infeasibility-margin"),
+    ("--infeasibility-margin nan", "--infeasibility-margin"),
+    ("--infeasibility-margin inf", "--infeasibility-margin"),
+    ("--tol nan", "--tol"),
+    ("--tol 0", "--tol"),
+    ("--tol=-1e-7", "--tol"),
+    ("--tol inf", "--tol"),
+    ("--max-iter -3", "--max-iter"),
+    ("--max-iter 0", "--max-iter"),
+])
+def test_solver_settings_that_could_invert_a_verdict_exit64(settings, option):
+    # a margin below tol would overlap the FEASIBLE and INFEASIBLE bands
+    code, report = run(["test", "--scenario", "bilocal", "--hierarchy", "standard",
+                        "--n", "2", *settings.split(), "uniform_product"])
+    assert code == EXIT_PARSE
+    assert report.startswith(f"error: {option} must be") and "\n" not in report
+
+
+def test_solver_settings_at_their_bounds_are_accepted():
+    code, report = run(["test", "--scenario", "bilocal", "--hierarchy", "standard",
+                        "--n", "2", "--tol", "1e-6", "--infeasibility-margin",
+                        "1e-6", "--max-iter", "1", "uniform_product"])
+    assert code == EXIT_FEASIBLE
+    assert "  max_iter: 1" in report
+
+
 @pytest.mark.parametrize("hierarchy, build", [
     ("standard", build_standard),
     ("factorisation", build_factorisation_bilocal),

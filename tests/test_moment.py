@@ -638,6 +638,8 @@ def test_structure_matches_the_loop_reference(case):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     # order, classes, coefficients, right-hand sides and families
     assert p.rows == ref["rows"]
+    got, want = p.column_relations, ref["column_relations"]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
     assert p.check_products == ref["check_products"]
 
 

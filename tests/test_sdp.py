@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from netnpa.sdp import (
     _affine_projector,
     _ClassSystem,
     _outcome_feasible,
+    _reduce,
 )
 from netnpa.words import EMPTY_WORD, Letter, concat, word
 
@@ -44,6 +46,7 @@ from helpers import (
     TRIANGLE_111,
     cached_problem,
     dense_rows,
+    gram_range,
     loop_cells,
     loop_class_rep_cells,
     loop_compile_rows,
@@ -255,6 +258,76 @@ def test_bilocal_inflation_is_decided_by_the_interior_point(seed):
     out = solve_feasibility(p)
     assert out.verdict == "feasible"
     assert out.evidence.startswith("interior point")
+
+
+# --- the interior point's range ---------------------------------------------------
+
+def _born(seed):
+    return MomentOracle(random_strategy(BILOCAL, (2, 2, 2, 2), seed)).born()
+
+
+def _range_problem(name):
+    kind, _, label = name.partition(":")
+    if kind == "bilocal-inflation":
+        return pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
+                                _born(int(label)))
+    if kind == "chsh":
+        return pin_distribution(
+            cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+            noisy_pr_box(float(label)))
+    if kind == "scalar":
+        return pin_distribution(cached_problem("scalar", *BILOCAL_111, 2), _born(7))
+    return pin_distribution(build_standard(BILOCAL, 2, completeness=False),
+                            _born(7))
+
+
+@pytest.mark.parametrize("name", [f"bilocal-inflation:{seed}" for seed in range(6)]
+                         + ["chsh:0.70", "chsh:0.725", "scalar", "literal-standard"])
+def test_column_range_spans_the_gram_reference(name):
+    p = _range_problem(name)
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    V, V_gram = p.column_range, gram_range(cs)
+    assert V.shape == V_gram.shape
+    if name == "literal-standard":
+        # no completeness relations, and the affine set has no common kernel
+        assert len(p.column_relations) == 0 and V.shape == (p.dim, p.dim)
+    else:
+        assert V.shape[1] < p.dim
+    assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12
+    assert np.linalg.norm(V_gram - V @ (V.T @ V_gram)) <= 1e-8
+
+
+def test_reduce_runs_no_eigendecomposition(monkeypatch):
+    # a copy made by replace builds its own range, inside _reduce
+    p = pin_distribution(
+        dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2)),
+        _born(0))
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    V_gram = gram_range(cs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition ran in _reduce")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    red = _reduce(cs)
+    out = solve_feasibility(p)
+    monkeypatch.undo()
+    assert out.verdict == "feasible" and out.evidence.startswith("interior point")
+    # the same LMI as on the Gram range, up to a rotation
+    X0 = cs.assemble(cs.y0)
+    assert np.allclose(np.linalg.eigvalsh(red.C),
+                       np.linalg.eigvalsh(V_gram.T @ X0 @ V_gram), atol=1e-10)
+
+
+def test_distributions_pinned_on_one_problem_share_one_range():
+    base = dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2))
+    pinned = [pin_distribution(base, _born(seed)) for seed in (0, 1)]
+    for p in pinned:
+        assert solve_feasibility(p).verdict == "feasible"
+    assert pinned[0].column_range is pinned[1].column_range
+    assert base.column_range is pinned[0].column_range
 
 
 # --- linear presolve -------------------------------------------------------------
@@ -519,6 +592,25 @@ def test_stalled_projection_reports_a_lower_bound_on_the_optimum(monkeypatch):
 
 
 # --- SDPA export ------------------------------------------------------------------
+
+@pytest.mark.parametrize("entry, message", [
+    ("0 1 0 5 nan", "cell (-1,4) outside dimension"),
+    ("0 1 0 5 1.0", "cell (-1,4) outside dimension"),
+    ("0 1 1 6 1.0", "cell (0,5) outside dimension"),
+    ("0 1 2 1 1.0", "cell (1,0) outside dimension"),
+    ("0 1 1 1 nan", "non-finite coefficient"),
+    ("0 1 1 2 inf", "non-finite coefficient"),
+])
+def test_parse_sdpa_checks_objective_cells_as_rows(tmp_path, entry, message):
+    path = tmp_path / "bad.dat-s"
+    path.write_text(f"1\n1\n5\n1.0\n{entry}\n1 1 1 1 1.0\n")
+    with pytest.raises(SdpStructureError, match=re.escape(message)):
+        parse_sdpa(str(path))
+    # the same entry on a constraint row
+    path.write_text(f"1\n1\n5\n1.0\n1{entry[1:]}\n")
+    with pytest.raises(SdpStructureError, match=re.escape(message)):
+        parse_sdpa(str(path))
+
 
 def test_sdpa_golden_minimal_file(tmp_path):
     s = AffineSdp(dim=1, rows=(SdpRow(((0, 0),), (1.0,), 1.0),))
