@@ -437,10 +437,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value such as "-1e-7" as an option, not as the value
+# of the option before it; attached to its option ("--tol=-1e-7"), a
+# negative setting reaches the range checks
+SOLVER_SETTINGS = ("--tol", "--max-iter", "--infeasibility-margin")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_settings(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in SOLVER_SETTINGS and arg.startswith("-") \
+                and _is_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_settings(argv))
     except SystemExit as exc:
         return (EXIT_PARSE if exc.code not in (0, None) else 0), ""
     cfg = RunConfig(**vars(args))

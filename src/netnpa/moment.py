@@ -236,17 +236,21 @@ class MomentProblem:
     def pos(self, w: Word) -> int:
         return self._pos[w]
 
-    # derived structures are built on first use, never in a builder.  They
-    # read only the word index, the Hankel groups and the classes; every
-    # pin, linearization and see-saw round copies the problem through
-    # ``derive``, which shares them, while ``dataclasses.replace`` starts
-    # over with none built
+    # derived structures are built on first use, never in a builder.  The
+    # ``_structure`` properties read only the word index, the Hankel
+    # groups and the classes; every pin, linearization and see-saw round
+    # copies the problem through ``derive``, which shares them, while
+    # ``dataclasses.replace`` starts over with none built.  One more entry,
+    # the factorisation of the rows that ``sdp`` keeps, reads the pins'
+    # mask and the rows too, so ``sdp`` checks it against the rows on
+    # every use and builds it anew when they differ
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
         derived structures: whatever either problem builds, both use.
         Only the pins and the factorisation families may change, since no
-        structure reads them."""
+        ``_structure`` property reads them (the rows' factorisation, which
+        does, is checked against the rows before each use)."""
         read = set(changes) - {"pinned", "linear_factor_rows", "flagged_bilinear",
                                "factor_pairs", "factor_triples"}
         if read:

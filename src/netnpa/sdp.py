@@ -15,11 +15,14 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    below the infeasibility margin, every completion shares that bound,
    so the problem is infeasible.  It reads only the values the presolve
    fixed, so it runs before any factorisation;
-3. sparse elimination of the remaining rows R y = b over the free
-   classes, then one thin QR of the kernel basis it yields: the
-   minimum-norm solution y0 (an inconsistent system is an infeasibility
-   proof) and an orthonormal basis N of ker R, so the affine set is
-   y = y0 + N z;
+3. the remaining rows R y = b over the free classes.  R does not depend
+   on the distribution, only b does, so once per problem (``_RowFactor``,
+   kept with the problem's shared structures and checked against R on
+   every use) a sparse elimination picks pivot rows and columns, one
+   sparse LU factors R on them, and one thin QR of the kernel basis they
+   give yields an orthonormal basis N of ker R.  Per distribution, one LU
+   solve gives the minimum-norm solution y0 (an inconsistent system is an
+   infeasibility proof), so the affine set is y = y0 + N z;
 4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set: when
    (p + 1) n^2 <= ``INTERIOR_MAX_ENTRIES`` for n words and p = dim ker R,
    a primal-dual interior point (``netnpa.interior``) in the coordinates
@@ -240,8 +243,8 @@ def project_psd(M: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               b: np.ndarray, n: int):
-    """Gaussian elimination of R y = b in n unknowns, R given as flat
+               n: int) -> list[tuple[int, int]]:
+    """Gaussian elimination of the rows R in n unknowns, R given as flat
     (starts, cols, vals) rows, on one sparse map (column -> coefficient)
     per row.
 
@@ -250,9 +253,9 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     largest, the one in the fewest remaining rows (threshold pivoting as
     in Duff, Erisman & Reid, *Direct Methods for Sparse Matrices*).  Fill
     below the rank tolerance of R is dropped, so a dependent row ends
-    empty.  Returns the pivots in elimination order as (column, (columns,
-    coefficients) of the rest of its row, rhs), each row scaled to 1 on
-    its pivot; the rest holds no column pivoted earlier.
+    empty.  Returns the (row, column) pivots in elimination order: R on
+    the pivot rows and columns is square and nonsingular, and its rank is
+    the rank of R.
     """
     m = len(starts) - 1
     drop = float(np.abs(vals).max(initial=0.0)) * max(m, n) * np.finfo(float).eps
@@ -262,7 +265,6 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     for i, r in enumerate(rows):
         for j in r:
             col_rows.setdefault(j, set()).add(i)
-    rhs = b.tolist()
     heap = [(len(r), i) for i, r in enumerate(rows)]
     heapq.heapify(heap)
     done = [False] * m
@@ -282,7 +284,6 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                 key=lambda c: (len(col_rows[c]), c))
         scale = row.pop(j)
         row = {c: v / scale for c, v in row.items()}
-        r = rhs[i] / scale
         for k in col_rows.pop(j):
             rk = rows[k]
             f = rk.pop(j)
@@ -295,11 +296,82 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                 elif c in rk:
                     del rk[c]
                     col_rows[c].discard(k)
-            rhs[k] -= f * r
             heapq.heappush(heap, (len(rk), k))
-        pivots.append((j, (np.fromiter(row.keys(), int, len(row)),
-                           np.fromiter(row.values(), float, len(row))), r))
+        pivots.append((i, j))
     return pivots
+
+
+class _RowFactor:
+    """The part of the affine layer that does not depend on the rhs: for
+    reduced rows R over the free classes ``free``, the pivots of
+    :func:`_eliminate`, one sparse LU of R on the pivot rows and columns,
+    and ``N``, an orthonormal basis of ker R.  The engines' structural
+    matrices are built from N on first use.
+
+    Every distribution pinned on one problem leaves the same R, so one
+    factorisation, kept in the problem's shared structures, serves them
+    all; :meth:`fits` tells whether it is the one for given rows.
+    """
+
+    def __init__(self, free: np.ndarray, R: tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]):
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        self.free, self.R = free, R
+        starts, cols, vals = R
+        n = len(free)
+        pivots = np.array(_eliminate(starts, cols, vals, n),
+                          dtype=np.intp).reshape(-1, 2)
+        self.pivot_rows, self.pivot_cols = pivots.T
+        rest = np.setdiff1d(np.arange(n), self.pivot_cols)
+        on_pivots = scipy.sparse.csr_matrix(
+            (vals, cols, starts), shape=(len(starts) - 1, n))[self.pivot_rows]
+        self.lu = scipy.sparse.linalg.splu(
+            on_pivots[:, self.pivot_cols].tocsc())
+        # the kernel basis K with identity rows on the columns that are not
+        # pivots; R K = 0 on the pivot rows, hence on every row
+        K = np.zeros((n, len(rest)))
+        K[rest, np.arange(len(rest))] = 1.0
+        K[self.pivot_cols] = -self.lu.solve(on_pivots[:, rest].toarray())
+        self.N = np.linalg.qr(K)[0]
+        self._directions: np.ndarray | None = None
+        self._gram = None
+
+    def fits(self, free: np.ndarray, R) -> bool:
+        """Whether these are the free classes and the rows, bit for bit,
+        that this factorisation was built for."""
+        return all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip((self.free, *self.R), (free, *R)))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The minimum-norm solution of R y = b on the pivot rows: the
+        solution that is zero off the pivot columns, less its part in the
+        span of N."""
+        y = np.zeros(len(self.free))
+        y[self.pivot_cols] = self.lu.solve(b[self.pivot_rows])
+        return y - self.N @ (self.N.T @ y)
+
+    def directions(self, problem: MomentProblem) -> np.ndarray:
+        """(p, r, r): V' D_j V for V = ``problem.column_range`` and D_j the
+        matrix whose free classes take the values N[:, j]."""
+        if self._directions is None:
+            V = problem.column_range
+            B = np.empty((self.N.shape[1], V.shape[1], V.shape[1]))
+            y = np.zeros(problem.n_classes)
+            for j in range(len(B)):
+                y[self.free] = self.N[:, j]
+                B[j] = V.T @ y[problem.cell_class] @ V
+            self._directions = B
+        return self._directions
+
+    def frobenius_gram(self, problem: MomentProblem):
+        """(WN, Cholesky factor of N'WN) for W = diag(cell counts of the
+        free classes), the Frobenius metric in free-class coordinates."""
+        if self._gram is None:
+            WN = problem.class_counts[self.free][:, None] * self.N
+            self._gram = WN, scipy.linalg.cho_factor(self.N.T @ WN)
+        return self._gram
 
 
 class _ClassSystem:
@@ -321,11 +393,12 @@ class _ClassSystem:
         self.free_pos[self.free] = np.arange(len(self.free))
         # set by factor_rows: the pending rows over the free classes as
         # flat (starts, free positions, coefficients), with R y = b, a
-        # solution of R y = b and a basis of ker R
+        # solution of R y = b, a basis of ker R and their factorisation
         self.R: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.b: np.ndarray | None = None
         self.y0: np.ndarray | None = None
         self.N: np.ndarray | None = None
+        self.factor: _RowFactor | None = None
 
     # -- presolve ------------------------------------------------------------
 
@@ -425,27 +498,23 @@ class _ClassSystem:
     def factor_rows(self) -> tuple[bool, str]:
         """Reduce the pending rows to R y = b over the free classes and
         check that it is solvable; keep ``R``, ``b``, ``y0``, the
-        minimum-norm solution, and ``N``, an orthonormal basis of ker R.
+        minimum-norm solution, ``N``, an orthonormal basis of ker R, and
+        ``factor``, the :class:`_RowFactor` they come from.
 
-        Sparse elimination (:func:`_eliminate`) writes every pivot class
-        in the remaining free ones.  That gives a basis K of ker R with
-        identity rows on the free classes and a solution y_b that is zero
-        there; N comes from one thin QR of K, and y0 = y_b - N N'y_b.
-        The system is consistent when y0 satisfies the original rows.
+        R does not depend on the distribution, only b does, so the
+        factorisation is kept in the problem's structures, which
+        ``MomentProblem.derive`` shares with its copies, and built anew
+        only when R or the free classes differ from the kept ones (one
+        entry per problem).  Per call, only y0 is solved for.  The system
+        is consistent when y0 satisfies every row of R y = b.
         """
         self.R, self.b = self._reduced_rows()
-        n = len(self.free)
-        pivots = _eliminate(*self.R, self.b, n)
-        free = np.setdiff1d(np.arange(n), [j for j, _, _ in pivots])
-        K = np.zeros((n, len(free)))
-        K[free, np.arange(len(free))] = 1.0
-        y = np.zeros(n)
-        # a pivot row holds only free classes and classes pivoted after it
-        for j, (cols, vals), rhs in reversed(pivots):
-            K[j] = -vals @ K[cols]
-            y[j] = rhs - vals @ y[cols]
-        self.N = np.linalg.qr(K)[0]
-        y0 = y - self.N @ (self.N.T @ y)
+        structures = self.problem._structures
+        factor = structures.get("row_factor")
+        if factor is None or not factor.fits(self.free, self.R):
+            factor = structures["row_factor"] = _RowFactor(self.free, self.R)
+        self.factor, self.N = factor, factor.N
+        y0 = factor.solve(self.b)
         starts, cols, vals = self.R
         m = len(self.b)
         resid = np.bincount(np.repeat(np.arange(m), np.diff(starts)),
@@ -527,12 +596,8 @@ def _reduce(cs: _ClassSystem) -> _ReducedLmi:
     """Eliminate the affine constraints and the kernel of the column
     relations.  Needs ``cs.factor_rows()`` to have run."""
     V = cs.problem.column_range
-    B = np.empty((cs.N.shape[1], V.shape[1], V.shape[1]))
-    y = np.zeros(cs.k)
-    for j in range(len(B)):
-        y[cs.free] = cs.N[:, j]
-        B[j] = V.T @ y[cs.cell_class] @ V
-    return _ReducedLmi(V.T @ cs.assemble(cs.y0) @ V, B)
+    return _ReducedLmi(V.T @ cs.assemble(cs.y0) @ V,
+                       cs.factor.directions(cs.problem))
 
 
 def _interior_phase1(cs: _ClassSystem, tol: float):
@@ -556,8 +621,7 @@ def _affine_projector(cs: _ClassSystem):
     nearest point of y0 + range(N) to the class averages a is
     y0 + N (N'WN)^-1 N'W (a - y0).  Needs ``cs.factor_rows()`` to have run.
     """
-    WN = cs.problem.class_counts[cs.free][:, None] * cs.N
-    gram = scipy.linalg.cho_factor(cs.N.T @ WN)
+    WN, gram = cs.factor.frobenius_gram(cs.problem)
 
     def project(X: np.ndarray) -> np.ndarray:
         a = cs.problem.class_average(X)[cs.free] - cs.y0

@@ -243,6 +243,21 @@ def test_solver_settings_that_could_invert_a_verdict_exit64(settings, option):
     assert report.startswith(f"error: {option} must be") and "\n" not in report
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "-1e-7"),
+    ("--infeasibility-margin", "-1e-4"),
+    ("--max-iter", "-3"),
+])
+def test_negative_settings_reach_the_range_check_in_either_form(option, value):
+    argv = ["test", "--scenario", "bilocal", "--hierarchy", "standard", "--n", "2"]
+    spaced = run([*argv, option, value, "uniform_product"])
+    joined = run([*argv, f"{option}={value}", "uniform_product"])
+    assert spaced == joined
+    code, report = spaced
+    assert code == EXIT_PARSE
+    assert report.startswith(f"error: {option} must be") and "\n" not in report
+
+
 def test_solver_settings_at_their_bounds_are_accepted():
     code, report = run(["test", "--scenario", "bilocal", "--hierarchy", "standard",
                         "--n", "2", "--tol", "1e-6", "--infeasibility-margin",

@@ -534,6 +534,103 @@ def test_inconsistent_rows_are_an_infeasibility_certificate():
                             "-1.000e+00 after elimination")
 
 
+def _count_eliminations(monkeypatch):
+    """Count the calls of ``sdp._eliminate`` from here on."""
+    calls = []
+    eliminate = sdp._eliminate
+
+    def counted(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(sdp, "_eliminate", counted)
+    return calls
+
+
+def _x_plus_y_rows(p, x, y, coeffs, rhs):
+    return p.derive(linear_factor_rows=FlatRows.padded(
+        [[x, y], [x, y]], coeffs, rhs, ["added", "added"]))
+
+
+def test_factorisation_is_kept_until_the_rows_change(monkeypatch):
+    p, _obj = chsh_problem_and_objective()
+    p = dataclasses.replace(p)
+    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    calls = _count_eliminations(monkeypatch)
+    first = _ClassSystem(_x_plus_y_rows(p, x, y, [[1.0, 1.0], [1.0, 1.0]],
+                                        [1.0, 1.0]))
+    assert first.factor_rows() == (True, "")
+    assert len(calls) == 1
+    # the same rows with another rhs reuse the kept factorisation, and the
+    # residual of the dependent row still shows
+    rhs_only = _x_plus_y_rows(p, x, y, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    out = solve_feasibility(rhs_only)
+    assert len(calls) == 1
+    assert out.verdict == "infeasible"
+    assert out.evidence == ("linear system inconsistent: added row residual "
+                            "-1.000e+00 after elimination")
+    # a changed coefficient factors again, and the new entry replaces the old
+    changed = _ClassSystem(_x_plus_y_rows(p, x, y, [[1.0, 1.0], [1.0, 2.0]],
+                                          [1.0, 2.0]))
+    assert changed.factor_rows() == (True, "")
+    assert len(calls) == 2
+    assert changed.factor is not first.factor
+    assert p._structures["row_factor"] is changed.factor
+
+
+def test_distributions_pinned_on_one_problem_share_one_factorisation(monkeypatch):
+    base = dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2))
+    calls = _count_eliminations(monkeypatch)
+    systems = [_ClassSystem(pin_distribution(base, _born(seed))) for seed in (0, 1)]
+    for cs in systems:
+        assert cs.factor_rows() == (True, "")
+        assert solve_feasibility(cs.problem).verdict == "feasible"
+    assert len(calls) == 1
+    assert systems[0].factor is systems[1].factor
+    # the engines' structural matrices are built once per factorisation
+    assert _reduce(systems[0]).B is _reduce(systems[1]).B
+    assert systems[0].factor.frobenius_gram(base) \
+        is systems[1].factor.frobenius_gram(base)
+
+
+def _cache_problems(name):
+    """A problem with a factorisation kept from another distribution, and
+    the problem pinned to the distribution ``name``."""
+    kind, _, label = name.partition(":")
+    if kind == "bilocal-inflation":
+        base = cached_problem("inflation", *BILOCAL_111, 2, 2)
+        return pin_distribution(base, _born(9)), pin_distribution(base, _born(int(label)))
+    if kind == "chsh":
+        base = cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2)
+        return (pin_distribution(base, noisy_pr_box(0.5)),
+                pin_distribution(base, noisy_pr_box(float(label))))
+    sc = Scenario(*TRIANGLE_111)
+    base = cached_problem("inflation", *TRIANGLE_111, 2, 2)
+
+    def mix(v):
+        return Distribution(sc, v * shared_random_bit("triangle").table
+                            + (1 - v) * uniform_product(sc).table)
+
+    return pin_distribution(base, mix(0.1)), pin_distribution(base, mix(float(label)))
+
+
+@pytest.mark.parametrize("name", [f"bilocal-inflation:{seed}" for seed in range(6)]
+                         + ["triangle:0", "triangle:0.2", "chsh:0.70", "chsh:0.725"])
+def test_cached_factorisation_matches_a_fresh_one(name):
+    warm, p = _cache_problems(name)
+    assert _ClassSystem(warm).factor_rows() == (True, "")
+    cached, fresh = _ClassSystem(p), _ClassSystem(dataclasses.replace(p))
+    assert cached.factor_rows() == (True, "") and fresh.factor_rows() == (True, "")
+    assert cached.factor is p._structures["row_factor"] is warm._structures["row_factor"]
+    assert fresh.factor is not cached.factor
+    assert np.abs(cached.y0 - fresh.y0).max() <= 1e-12
+    assert cached.N.shape == fresh.N.shape
+    assert np.abs(cached.N - fresh.N @ (fresh.N.T @ cached.N)).max() <= 1e-10
+    got, want = solve_feasibility(p), solve_feasibility(dataclasses.replace(p))
+    assert (got.verdict, got.evidence) == (want.verdict, want.evidence)
+    assert abs(got.t_star - want.t_star) <= 1e-9
+
+
 def test_feasible_requires_every_residual_family_within_the_gate():
     p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
                          noisy_pr_box(0.7))
