@@ -224,6 +224,33 @@ def _problem_lines(problem: MomentProblem) -> list[str]:
     return lines
 
 
+def _engine_lines(problem: MomentProblem, gate: str) -> list[str]:
+    blocks = list(problem.copy_blocks.sizes)
+    return ["engine:",
+            f"  copy blocks: {blocks} (r = {sum(blocks)}, "
+            f"sum r_b^2 = {sum(k * k for k in blocks)})",
+            f"  gate: {gate}"]
+
+
+def _route_gate(route: sdp.EngineRoute | None) -> str:
+    """The gate line of a pinned problem's route."""
+    if route is None:
+        return "no phase-1 search (the linear layers leave none)"
+    return (f"(p + 1)*sum r_b^2 = {route.entries} for p = {route.p} "
+            f"(limit {sdp.INTERIOR_MAX_ENTRIES}) -> {route.engine}")
+
+
+def _unpinned_gate(problem: MomentProblem) -> str:
+    """The gate line of a problem no distribution is pinned to: the
+    largest p = dim ker R that the interior point takes.  (p itself is
+    known once the rows are pinned and factored; see ``test``.)"""
+    squares = sum(k * k for k in problem.copy_blocks.sizes)
+    return (f"the interior point runs when (p + 1)*sum r_b^2 <= "
+            f"{sdp.INTERIOR_MAX_ENTRIES}, i.e. p = dim ker R <= "
+            f"{sdp.INTERIOR_MAX_ENTRIES // squares - 1} after the pins; "
+            f"else the alternating projections")
+
+
 def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     t0 = time.perf_counter()
     dist = _load_distribution(cfg)
@@ -255,6 +282,8 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
         lines.append(str(outcome.residuals))
     if seesaw_note:
         lines.append(seesaw_note)
+    else:
+        lines += _engine_lines(problem, _route_gate(sdp.engine_route(problem)))
     lines.append(f"timing: {t_solved - t0:.2f} s (build {t_built - t0:.2f} s, "
                  f"pin {t_pinned - t_built:.2f} s, solve {t_solved - t_pinned:.2f} s)")
     code = {"FEASIBLE": EXIT_FEASIBLE, "INFEASIBLE": EXIT_INFEASIBLE,
@@ -375,6 +404,7 @@ def cmd_info(cfg: RunConfig) -> tuple[int, str]:
     lines = ["netnpa info report"]
     lines += cfg.report_lines()
     lines += _problem_lines(problem)
+    lines += _engine_lines(problem, _unpinned_gate(problem))
     return EXIT_FEASIBLE, "\n".join(lines)
 
 

@@ -174,6 +174,38 @@ class FlatRows:
 NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 
 
+@dataclass(frozen=True, eq=False)
+class CopyBlocks:
+    """Orthonormal bases ``bases`` U_b, (dim, r_b), that block-diagonalise
+    the moment matrices of a problem (:attr:`MomentProblem.copy_blocks`).
+
+    Each U_b is a joint eigenspace of the copy swaps: U_b[pi] = +-U_b for
+    every swap's index permutation pi, and every moment matrix X has
+    X[pi][:, pi] = X.  So on an orbit of the group the swaps generate, the
+    rows of U_b and of X U_b are the same up to one sign, and
+    U_b' X U_b = sum over the orbits of (orbit size) U_b[i]' (X U_b)[i] at
+    one word i of each: ``rows`` holds those words, ``weights`` the orbit
+    sizes.  Without swaps every word is its own orbit.
+    """
+
+    bases: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(U.shape[1] for U in self.bases)
+
+    def congruence(self, M_rows: np.ndarray) -> list[np.ndarray]:
+        """U_b' M U_b for every block, from the rows ``M[rows]`` of a
+        symmetric matrix M with M[pi][:, pi] = M for every swap."""
+        out = []
+        for U in self.bases:
+            G = U[self.rows].T @ (self.weights[:, None] * (M_rows @ U))
+            out.append((G + G.T) / 2)
+        return out
+
+
 def _layout(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The positions of ``labels`` sorted stably by label, and the bounds of
     each label's run: label k holds ``order[bounds[k]:bounds[k + 1]]``."""
@@ -310,6 +342,19 @@ class MomentProblem:
         _, s, vt = np.linalg.svd(np.linalg.qr(U, mode="r"))
         cut = s.max(initial=0.0) * max(U.shape) * np.finfo(float).eps
         return vt[int((s > cut).sum()):].T
+
+    @_structure
+    def copy_blocks(self) -> CopyBlocks:
+        """Orthonormal bases U_b, (dim, r_b), whose columns together span
+        ``column_range`` and which block-diagonalise every moment matrix
+        X of the problem: U_a' X U_b = 0 for a != b.  For an inflation
+        problem with copy merges and m >= 2, the isotypic components of
+        the copy swaps (:func:`_copy_blocks`); for every other problem one
+        block, ``column_range`` itself."""
+        if self.merge_family != "copy symmetry" or (self.m or 0) < 2:
+            return CopyBlocks((self.column_range,), np.arange(self.dim),
+                              np.ones(self.dim))
+        return _copy_blocks(self)
 
     def class_average(self, X: np.ndarray) -> np.ndarray:
         """Mean of ``X`` over the cells of each class (the class cells
@@ -865,6 +910,24 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
                      merges=merges, merge_family="scalar identification")
 
 
+def _index_permutation(index: Sequence[Word], pos: Mapping[Word, int],
+                       alphabet: Alphabet,
+                       perms_by_source: Mapping[str, Mapping[int, int]]) -> np.ndarray:
+    """The permutation pi of the index that a copy relabelling induces:
+    word i maps to word pi[i].  An index word whose image is not in the
+    index raises :class:`RuntimeError`."""
+    pi = np.empty(len(index), dtype=np.intp)
+    for i, w in enumerate(index):
+        img = act_permutation(w, None, alphabet=alphabet,
+                              perms_by_source=perms_by_source)
+        if img not in pos:
+            raise RuntimeError(
+                f"copy relabelling {dict(perms_by_source)} maps index word "
+                f"{w!r} to {img!r}, which is not in the index")
+        pi[i] = pos[img]
+    return pi
+
+
 def _copy_merges(index: Sequence[Word], cell_group: np.ndarray,
                  alphabet: Alphabet, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every group joined to its image under each generator of the
@@ -873,10 +936,10 @@ def _copy_merges(index: Sequence[Word], cell_group: np.ndarray,
 
     A relabelling is an automorphism of the word algebra, so it maps the
     product of cell (i, j) to that of cell (pi i, pi j), where pi is the
-    index permutation it induces, and a group's image is the group of the
-    image of any one of its cells, here its first in row-major order.  The
-    connected components are the orbits of the full group.  An index word
-    whose image is not in the index raises :class:`RuntimeError`.
+    index permutation it induces (:func:`_index_permutation`), and a
+    group's image is the group of the image of any one of its cells, here
+    its first in row-major order.  The connected components are the orbits
+    of the full group.
     """
     gens = [{1: 2, 2: 1}] if m >= 2 else []
     if m >= 3:
@@ -887,19 +950,84 @@ def _copy_merges(index: Sequence[Word], cell_group: np.ndarray,
     images = []
     for src in alphabet.sources():
         for gen in gens:
-            perms_by_source = {src: gen}
-            pi = np.empty(len(index), dtype=np.intp)
-            for i, w in enumerate(index):
-                img = act_permutation(w, None, alphabet=alphabet,
-                                      perms_by_source=perms_by_source)
-                if img not in pos:
-                    raise RuntimeError(
-                        f"copy relabelling {perms_by_source} maps index word "
-                        f"{w!r} to {img!r}, which is not in the index")
-                pi[i] = pos[img]
+            pi = _index_permutation(index, pos, alphabet, {src: gen})
             images.append(cell_group[pi[rows], pi[cols]])
     return (np.tile(groups, len(images)),
             np.concatenate(images) if images else groups[:0])
+
+
+def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
+    """The isotypic components of ``problem.column_range`` under the copy
+    swaps (1 2) of every source, as orthonormal bases U_b = V Q_b.
+
+    The swap of source s permutes the index by pi_s and, since the classes
+    are unions of copy orbits, maps every cell's class to itself:
+    X[pi_s][:, pi_s] = X for every moment matrix X of the problem.  So X
+    commutes with each permutation matrix P_s, and in a basis of joint
+    eigenvectors of the P_s (one block per character chi in {+1, -1}^s,
+    the range of prod_s (1 + chi_s P_s) / 2) U' X U is block-diagonal.
+    The swaps commute and leave V's span invariant, so the blocks split V:
+    in V's coordinates each swap is the involution V' P_s V, and each
+    block is split in two by the range of (1 +- V' P_s V) / 2, a projector
+    whose singular values are 0 or 1.
+
+    Raises :class:`RuntimeError` when a swap moves a cell to another
+    class, when the block ranks do not add up to r, when a block is not
+    an eigenspace of every swap (U_b[pi_s] = chi_s U_b) to rounding, or
+    when U' X U is not block-diagonal, to rounding, for a matrix X with
+    generic class values.
+    """
+    V = problem.column_range
+    n, r = V.shape
+    sources = problem.alphabet.sources()
+    perms = [_index_permutation(problem.index, problem._pos, problem.alphabet,
+                                {src: {1: 2, 2: 1}})
+             for src in sources]
+    for src, pi in zip(sources, perms):
+        if not np.array_equal(problem.cell_class[np.ix_(pi, pi)],
+                              problem.cell_class):
+            raise RuntimeError(f"the copy swap of source {src} moves a cell "
+                               "to another class")
+    # (basis in V's coordinates, character) per block
+    split = [(np.eye(r), ())]
+    for pi in perms:
+        Q = V.T @ V[pi]
+        halves = []
+        for W, chi in split:
+            QW = Q @ W
+            for sign, half in ((1, W + QW), (-1, W - QW)):
+                u, sv, _ = np.linalg.svd(W.T @ half / 2)
+                if (sv > 0.5).any():
+                    halves.append((W @ u[:, sv > 0.5], chi + (sign,)))
+        split = halves
+    ranks = [W.shape[1] for W, _ in split]
+    if sum(ranks) != r:
+        raise RuntimeError(f"the copy-swap blocks have ranks {ranks}, which do "
+                           f"not add up to r = {r}")
+    bases = [V @ W for W, _ in split]
+    tol = n * np.finfo(float).eps
+    for U, (_, chi) in zip(bases, split):
+        for pi, sign in zip(perms, chi):
+            if np.abs(U[pi] - sign * U).max(initial=0.0) > tol:
+                raise RuntimeError(f"a copy-swap block of character {chi} is "
+                                   "not an eigenspace of the swaps")
+    X = np.random.default_rng(0).standard_normal(problem.n_classes)[problem.cell_class]
+    U = np.hstack(bases)
+    G = U.T @ X @ U
+    bounds = np.cumsum([0] + ranks)
+    for a, e in zip(bounds, bounds[1:]):
+        G[a:e, a:e] = 0.0
+    off = float(np.abs(G).max(initial=0.0))
+    if off > tol * np.linalg.norm(X):
+        raise RuntimeError(f"the copy-swap blocks leave an off-block entry "
+                           f"{off:.3e}")
+    # the least word of every orbit of the group the swaps generate (they
+    # commute, so one pass over them takes the minimum over the group)
+    least = np.arange(n)
+    for pi in perms:
+        least = np.minimum(least, least[pi])
+    rows, weights = np.unique(least, return_counts=True)
+    return CopyBlocks(tuple(bases), rows, weights.astype(float))
 
 
 def build_inflation(scenario: Scenario, n: int, m: int, *,
@@ -936,7 +1064,8 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
     p = _assemble(scenario, "inflation", n, m, alphabet,
                   completeness=completeness, budget=budget,
                   merges=merges if index_words is None else None,
-                  merge_family="copy symmetry", index_words=index_words)
+                  merge_family="copy symmetry" if index_words is None else "",
+                  index_words=index_words)
 
     # verification-only nonlinear products: diagonal words on disjoint copies
     check = _diagonal_check_products(p)
@@ -1009,8 +1138,8 @@ def pin_distribution(problem: MomentProblem, dist: Distribution,
             f"level n={problem.n} cannot pin the full correlators of "
             f"{nparties} parties")
     plan = problem.pin_plan
-    marginals = np.concatenate([dist.marginal(sub).reshape(-1)
-                                for sub in plan.subsets] + [np.ones(1)])
+    marginals = np.concatenate([m.reshape(-1) for m in dist.marginals(plan.subsets)]
+                               + [np.ones(1)])
     values = np.ones(len(plan.groups))
     for col in plan.cells.T:
         values *= marginals[col]

@@ -244,30 +244,45 @@ class Distribution:
         depend on their inputs (no-signalling); raises SignallingError
         naming the offending party and input pair otherwise.
         """
+        return self.marginals([parties], tol)[0]
+
+    def marginals(self, subsets: Sequence[Sequence[str]],
+                  tol: float = 1e-9) -> list[np.ndarray]:
+        """:meth:`marginal` of every subset, in order, with the same values
+        and the same first SignallingError.
+
+        A party with one input cannot signal: its input axis has spread 0,
+        so (for tol >= 0) only the dropped parties with several inputs are
+        checked, and a scenario where every party has one input checks
+        nothing.
+        """
         sc = self.scenario
         n = len(sc.parties)
-        keep = [sc.party_index(p) for p in parties]
-        drop = [i for i in range(n) if i not in keep]
-        summed = self.table.sum(axis=tuple(drop))  # axes: kept outputs + all inputs
-        # move kept input axes to the end, in party order
-        kept_out_axes = list(range(len(keep)))
-        in_axes = {i: len(keep) + i for i in range(n)}
-        order = kept_out_axes + [in_axes[i] for i in keep] + [in_axes[i] for i in drop]
-        arranged = summed.transpose(order)
-        base = arranged[(Ellipsis,) + (0,) * len(drop)]
-        for k, i_drop in enumerate(drop):
-            ax = len(keep) * 2 + k
-            spread = arranged.max(axis=ax) - arranged.min(axis=ax)
-            if spread.max() > tol:
-                # the input of the dropped party deviating most from input 0
-                deviation = np.abs(arranged - arranged.take([0], axis=ax))
-                worst = int(np.moveaxis(deviation, ax, 0)
-                            .reshape(sc.inputs[i_drop], -1).max(axis=1).argmax())
-                raise SignallingError(
-                    f"marginal over {tuple(parties)} depends on the input of party "
-                    f"{sc.parties[i_drop]} (inputs 0 vs {worst}; "
-                    f"max deviation {spread.max():.3e})")
-        return base
+        out = []
+        for parties in subsets:
+            keep = [sc.party_index(p) for p in parties]
+            drop = [i for i in range(n) if i not in keep]
+            summed = self.table.sum(axis=tuple(drop))  # kept outputs + all inputs
+            # move kept input axes to the end, in party order
+            order = (list(range(len(keep))) + [len(keep) + i for i in keep]
+                     + [len(keep) + i for i in drop])
+            arranged = summed.transpose(order)
+            out.append(arranged[(Ellipsis,) + (0,) * len(drop)])
+            for k, i_drop in enumerate(drop):
+                if sc.inputs[i_drop] == 1 and tol >= 0:
+                    continue
+                ax = len(keep) * 2 + k
+                spread = arranged.max(axis=ax) - arranged.min(axis=ax)
+                if spread.max() > tol:
+                    # the input of the dropped party deviating most from input 0
+                    deviation = np.abs(arranged - arranged.take([0], axis=ax))
+                    worst = int(np.moveaxis(deviation, ax, 0)
+                                .reshape(sc.inputs[i_drop], -1).max(axis=1).argmax())
+                    raise SignallingError(
+                        f"marginal over {tuple(parties)} depends on the input of "
+                        f"party {sc.parties[i_drop]} (inputs 0 vs {worst}; "
+                        f"max deviation {spread.max():.3e})")
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Distribution)

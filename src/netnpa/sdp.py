@@ -23,16 +23,22 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    give yields an orthonormal basis N of ker R.  Per distribution, one LU
    solve gives the minimum-norm solution y0 (an inconsistent system is an
    infeasibility proof), so the affine set is y = y0 + N z;
-4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set: when
-   (p + 1) n^2 <= ``INTERIOR_MAX_ENTRIES`` for n words and p = dim ker R,
-   a primal-dual interior point (``netnpa.interior``) in the coordinates
-   z, on the range of the problem's completeness relations; else, or
-   when the interior point stalls short of a verdict, at most
-   ``max_iter`` Dykstra alternating projections, whose affine step is
-   the Frobenius projection built from y0 and N.  The projections can
-   certify feasibility (by exhibiting a witness) but report only
-   inconclusive when they stall; t* is then the best min eigenvalue of an
-   iterate on the affine set, a lower bound on the phase-1 optimum.
+4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set, on the
+   problem's copy blocks (``MomentProblem.copy_blocks``): orthonormal
+   bases U_b of the range of the completeness relations in which every
+   matrix X of the affine set is block-diagonal, the isotypic components
+   of the copy swaps on an inflation problem and one block otherwise, so
+   X >= 0 iff every U_b' X U_b >= 0.  When (p + 1) sum_b r_b^2 <=
+   ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
+   (:class:`EngineRoute`), a primal-dual interior point
+   (``netnpa.interior``) in the coordinates z, one block per copy block;
+   else, or when the interior point stalls short of a verdict, at most
+   ``max_iter`` Dykstra alternating projections, whose PSD step runs per
+   block and whose affine step is the Frobenius projection built from y0
+   and N.  The projections can certify feasibility (by exhibiting a
+   witness) but report only inconclusive when they stall; t* is then the
+   best min eigenvalue of the blocks of an iterate on the affine set, a
+   lower bound on the phase-1 optimum.
 
 Verdicts follow the phase-1 value t*: feasible when t* >= -tol and the
 witness passes every residual family of ``moment.check_assignment`` to
@@ -59,10 +65,10 @@ DEFAULT_MAX_ITER = 2000
 DEFAULT_MARGIN = 1e-4
 LINEAR_TOL = 1e-9
 
-# the interior point holds a few (p, r, r) arrays for p null-space
-# coordinates and reduced dimension r <= n; above this many entries per
-# array, bounded by (p + 1) n^2, its memory and its O(p^2 r^2) Schur
-# complements outgrow the projections
+# the interior point holds a few arrays of (p + 1) sum_b r_b^2 entries,
+# for p null-space coordinates and copy blocks of sizes r_b (see
+# EngineRoute); above this many, its memory and its O(p^2 sum_b r_b^2)
+# Schur complements outgrow the projections
 INTERIOR_MAX_ENTRIES = 2 ** 21
 
 
@@ -335,7 +341,7 @@ class _RowFactor:
         K[rest, np.arange(len(rest))] = 1.0
         K[self.pivot_cols] = -self.lu.solve(on_pivots[:, rest].toarray())
         self.N = np.linalg.qr(K)[0]
-        self._directions: np.ndarray | None = None
+        self._directions: list[np.ndarray] | None = None
         self._gram = None
 
     def fits(self, free: np.ndarray, R) -> bool:
@@ -352,16 +358,21 @@ class _RowFactor:
         y[self.pivot_cols] = self.lu.solve(b[self.pivot_rows])
         return y - self.N @ (self.N.T @ y)
 
-    def directions(self, problem: MomentProblem) -> np.ndarray:
-        """(p, r, r): V' D_j V for V = ``problem.column_range`` and D_j the
-        matrix whose free classes take the values N[:, j]."""
+    def directions(self, problem: MomentProblem) -> list[np.ndarray]:
+        """Per block U_b of ``problem.copy_blocks``, the (p, r_b, r_b) array
+        of the U_b' D_j U_b, for D_j the matrix whose free classes take the
+        values N[:, j].  The off-block parts U_a' D_j U_b are zero and are
+        never formed, and of D_j only the rows ``copy_blocks.rows`` are."""
         if self._directions is None:
-            V = problem.column_range
-            B = np.empty((self.N.shape[1], V.shape[1], V.shape[1]))
+            blocks = problem.copy_blocks
+            p = self.N.shape[1]
+            B = [np.empty((p, k, k)) for k in blocks.sizes]
             y = np.zeros(problem.n_classes)
-            for j in range(len(B)):
+            cells = problem.cell_class[blocks.rows]
+            for j in range(p):
                 y[self.free] = self.N[:, j]
-                B[j] = V.T @ y[problem.cell_class] @ V
+                for Bb, G in zip(B, blocks.congruence(y[cells])):
+                    Bb[j] = G
             self._directions = B
         return self._directions
 
@@ -379,7 +390,6 @@ class _ClassSystem:
 
     def __init__(self, problem: MomentProblem):
         self.problem = problem
-        self.n = problem.dim
         self.k = problem.n_classes
         self.cell_class = problem.cell_class
         self.rows = problem.active_rows
@@ -571,44 +581,81 @@ def _outcome_feasible(problem, X, t, iters, tol, evidence) -> FeasibilityOutcome
 
 @dataclass
 class _ReducedLmi:
-    """The affine set in the coordinates the interior point works in.
+    """The affine set in the coordinates the engines work in.
 
     Free-class values are y = y0 + N z with y0 = ``cs.y0`` and N an
     orthonormal basis of ker R, so X(z) = X(y0) + sum_j z_j D_j.  The
     completeness rows make every matrix of the set vanish on the vectors
     sum_a e_{A_{a|x} v} - e_v, so X(z) >= 0 iff V' X(z) V >= 0 for V =
     ``MomentProblem.column_range``, an orthonormal basis of their
-    complement, and both have the same nonzero eigenvalues.
+    complement, and both have the same nonzero eigenvalues.  The copy
+    blocks U_b = V Q_b (``MomentProblem.copy_blocks``) rotate V so that
+    U' X(z) U is block-diagonal, hence X(z) >= 0 iff every block
+    U_b' X(z) U_b >= 0.
     """
 
-    C: np.ndarray          # V' X(y0) V
-    B: np.ndarray          # (p, r, r): V' D_j V
+    C: list[np.ndarray]    # per block, U_b' X(y0) U_b
+    B: list[np.ndarray]    # per block, (p, r_b, r_b): U_b' D_j U_b
 
 
-def _interior_fits(cs: _ClassSystem) -> bool:
-    """Whether the interior point takes the problem: (p + 1) n^2 bounds
-    the entries of its (p, r, r) arrays, r <= n.  Needs
-    ``cs.factor_rows()`` to have run."""
-    return (cs.N.shape[1] + 1) * cs.n ** 2 <= INTERIOR_MAX_ENTRIES
+@dataclass(frozen=True)
+class EngineRoute:
+    """The sizes that pick the phase-1 engine of a problem: p = dim ker R
+    and the copy-block sizes r_b of its range.  The interior point holds
+    a few arrays of (p + 1) sum_b r_b^2 entries, and its Schur complements
+    cost O(p^2 sum_b r_b^2); it runs when that count is at most
+    ``INTERIOR_MAX_ENTRIES``, else the projections do."""
+
+    p: int
+    blocks: tuple[int, ...]
+
+    @property
+    def entries(self) -> int:
+        return (self.p + 1) * sum(k * k for k in self.blocks)
+
+    @property
+    def interior(self) -> bool:
+        return self.entries <= INTERIOR_MAX_ENTRIES
+
+    @property
+    def engine(self) -> str:
+        return "interior point" if self.interior else "alternating projections"
+
+
+def _route(cs: _ClassSystem) -> EngineRoute:
+    """Needs ``cs.factor_rows()`` to have run."""
+    return EngineRoute(cs.N.shape[1], cs.problem.copy_blocks.sizes)
+
+
+def engine_route(problem: MomentProblem) -> EngineRoute | None:
+    """The engine route of a problem's phase-1 search, or None when the
+    linear layers leave no phase-1 search: a presolve contradiction, no
+    free class, or inconsistent rows."""
+    cs = _ClassSystem(problem)
+    if cs.contradiction is not None or not len(cs.free) or not cs.factor_rows()[0]:
+        return None
+    return _route(cs)
 
 
 def _reduce(cs: _ClassSystem) -> _ReducedLmi:
     """Eliminate the affine constraints and the kernel of the column
-    relations.  Needs ``cs.factor_rows()`` to have run."""
-    V = cs.problem.column_range
-    return _ReducedLmi(V.T @ cs.assemble(cs.y0) @ V,
-                       cs.factor.directions(cs.problem))
+    relations, and split what is left into the copy blocks.  Needs
+    ``cs.factor_rows()`` to have run."""
+    blocks = cs.problem.copy_blocks
+    X0_rows = cs.assemble(cs.y0)[blocks.rows]
+    return _ReducedLmi(blocks.congruence(X0_rows), cs.factor.directions(cs.problem))
 
 
 def _interior_phase1(cs: _ClassSystem, tol: float):
-    """max t s.t. V' X(z) V - t*1 >= 0; returns (witness X(z), solver
-    result)."""
+    """max t s.t. U_b' X(z) U_b - t*1 >= 0 for every block b; returns
+    (witness X(z), solver result)."""
     red = _reduce(cs)
-    p, r = red.B.shape[0], red.C.shape[0]
-    A = np.concatenate([-red.B, np.eye(r)[None]])
+    p = cs.N.shape[1]
+    blocks = [(C, np.concatenate([-B, np.eye(len(C))[None]]))
+              for C, B in zip(red.C, red.B)]
     b = np.zeros(p + 1)
     b[-1] = 1.0
-    res = interior.solve_lmi(red.C, A, b, tol=tol * 1e-2)
+    res = interior.solve_lmi(blocks, b, tol=tol * 1e-2)
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
 
 
@@ -632,18 +679,33 @@ def _affine_projector(cs: _ClassSystem):
 
 def _dykstra(cs: _ClassSystem, tol: float, max_iter: int):
     """Alternating projections with Dykstra correction between the affine
-    set and the PSD cone; returns (witness or None, best min eigenvalue
-    seen, iterations).  Needs ``cs.factor_rows()`` to have run."""
+    set and the cone of the matrices U S U' with S block-diagonal and PSD
+    (U = [U_1 ... U_B], the copy blocks); returns (witness or None, best
+    min eigenvalue of an iterate's blocks, iterations).
+
+    Every matrix of the affine set is U (U' X U) U' with U' X U
+    block-diagonal, so it meets that cone exactly where it meets the PSD
+    cone.  The Frobenius-nearest point of the cone to Z is the sum of the
+    U_b S_b U_b' with S_b the PSD projection of U_b' Z U_b, one small
+    eigendecomposition per block.  Needs ``cs.factor_rows()`` to have run.
+    """
     project_affine = _affine_projector(cs)
+    blocks = cs.problem.copy_blocks
+    rows = blocks.rows
     X = cs.assemble(cs.y0)
     P = np.zeros_like(X)
     best_t = -np.inf
     for it in range(1, max_iter + 1):
-        Y = project_psd(X + P, sym_tol=np.inf)
-        P = X + P - Y
+        # Z commutes with the copy swaps: X does, and so does the correction
+        # P, a sum of such matrices and of the U_b S_b U_b'
+        Z = X + P
+        Y = sum(U @ project_psd(G, sym_tol=np.inf) @ U.T
+                for U, G in zip(blocks.bases, blocks.congruence(Z[rows])))
+        P = Z - Y
         X = project_affine(Y)
         if it % 25 == 0 or it == max_iter:
-            lam = float(np.linalg.eigvalsh(X).min())
+            lam = min(float(np.linalg.eigvalsh(G)[0])
+                      for G in blocks.congruence(X[rows]))
             best_t = max(best_t, lam)
             if lam >= -10 * tol:
                 return X, lam, it
@@ -664,8 +726,9 @@ def solve_feasibility(problem: MomentProblem,
                       ) -> FeasibilityOutcome:
     """Phase-1 feasibility of a compiled problem.
 
-    The problem's size picks the engine: the interior point when
-    :func:`_interior_fits`, else Dykstra projections.  The interior point
+    The problem's size picks the engine (:class:`EngineRoute`): the
+    interior point when (p + 1) sum_b r_b^2 <= ``INTERIOR_MAX_ENTRIES``,
+    else Dykstra projections; both run on the copy blocks.  The interior point
     hands over to the projections when it stalls without a verdict;
     ``max_iter`` bounds the projection iterations on either route.
     """
@@ -701,12 +764,14 @@ def solve_feasibility(problem: MomentProblem,
     ok, msg = cs.factor_rows()
     if not ok:
         return FeasibilityOutcome("infeasible", t_star=-np.inf, evidence=msg)
-    if _interior_fits(cs):
+    if _route(cs).interior:
         X, res = _interior_phase1(cs, tol)
         lam = float(np.linalg.eigvalsh(X)[0])
         if lam >= -tol:
-            return _outcome_feasible(problem, X, lam, res.iterations, tol,
-                                     f"interior point ({res.status})")
+            return _outcome_feasible(
+                problem, X, lam, res.iterations, tol,
+                "interior point witness (min eigenvalue >= -tol, every "
+                "residual family <= 10*tol)")
         # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
         if res.primal_infeas <= tol:
             if res.primal_obj < -infeasibility_margin:
@@ -747,7 +812,7 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     ok, msg = cs.factor_rows()
     if not ok:
         raise SdpStructureError(f"infeasible problem: {msg}")
-    if not _interior_fits(cs):
+    if not _route(cs).interior:
         raise SdpStructureError("problem too large for the interior point")
     red = _reduce(cs)
     c = np.zeros(len(cs.free))
@@ -757,7 +822,8 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
             c[cs.free_pos[cls]] += co
         else:
             fixed_part += co * cs.known[cls]
-    res = interior.solve_lmi(red.C, -red.B, cs.N.T @ c, tol=tol * 1e-2)
+    res = interior.solve_lmi([(C, -B) for C, B in zip(red.C, red.B)],
+                             cs.N.T @ c, tol=tol * 1e-2)
     if max(res.rel_gap, res.primal_infeas, res.dual_infeas) > tol:
         raise SdpStructureError(
             f"interior point failed: {res.status} after {res.iterations} "

@@ -27,6 +27,7 @@ from netnpa.scenarios import (
     Distribution,
     QuantumStrategy,
     Scenario,
+    SignallingError,
 )
 from netnpa.words import (
     Letter,
@@ -736,3 +737,130 @@ def gram_range(cs) -> np.ndarray:
         gram += D @ D
     w, U = np.linalg.eigh(gram)
     return U[:, w > 1e-10 * w[-1]]
+
+
+# ---------------------------------------------------------------------------
+# single-block reference for the interior point on copy blocks
+# ---------------------------------------------------------------------------
+
+def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
+                    tol: float = 1e-9, max_iter: int = 100):
+    """``interior.solve_lmi`` on one dense r x r block, ``A`` of shape
+    (m, r, r): the form it had before it took a list of blocks.  Returns
+    (status, y, primal objective, primal infeasibility)."""
+    import scipy.linalg
+
+    def sym(M):
+        return (M + M.T) / 2
+
+    def max_step(L, D):
+        W = scipy.linalg.solve_triangular(L, D, lower=True)
+        W = scipy.linalg.solve_triangular(L, W.T, lower=True)
+        lam = float(np.linalg.eigvalsh(sym(W))[0])
+        return -1.0 / lam if lam < 0 else np.inf
+
+    m, r = A.shape[0], C.shape[0]
+    Af = A.reshape(m, r * r)
+    norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(C)
+    norm_a = np.linalg.norm(Af, axis=1)
+    xi = max(10.0, np.sqrt(r),
+             r * float(np.max((1 + np.abs(b)) / (1 + norm_a), initial=0.0)))
+    eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))
+    X, S, y = xi * np.eye(r), eta * np.eye(r), np.zeros(m)
+
+    def result(status):
+        return (status, y, float(np.vdot(C, X)),
+                float(np.linalg.norm(rp) / (1 + norm_b)))
+
+    for it in range(max_iter + 1):
+        rp = b - Af @ X.reshape(-1)
+        Rd = C - S - (y @ Af).reshape(r, r)
+        p_obj, d_obj = float(np.vdot(C, X)), float(b @ y)
+        gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+        if max(gap, np.linalg.norm(rp) / (1 + norm_b),
+               np.linalg.norm(Rd) / (1 + norm_c)) <= tol:
+            return result("optimal")
+        if it == max_iter:
+            return result("max_iter")
+        try:
+            Lx = np.linalg.cholesky(X)
+            Ls = np.linalg.cholesky(S)
+            Ls_inv = scipy.linalg.solve_triangular(Ls, np.eye(r), lower=True)
+            T = (Ls_inv @ A @ Lx).reshape(m, r * r)
+            schur = scipy.linalg.cho_factor(T @ T.T)
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            return result("stalled")
+        S_inv = Ls_inv.T @ Ls_inv
+        XRdSi = X @ Rd @ S_inv
+
+        def direction(G):
+            dy = scipy.linalg.cho_solve(schur, rp - Af @ G.reshape(-1)
+                                        + Af @ XRdSi.reshape(-1))
+            dS = Rd - (dy @ Af).reshape(r, r)
+            return G - sym(X @ dS @ S_inv), dy, dS
+
+        mu = float(np.vdot(X, S)) / r
+        dX, dy, dS = direction(-X)
+        ap = min(1.0, max_step(Lx, dX))
+        ad = min(1.0, max_step(Ls, dS))
+        mu_aff = float(np.vdot(X + ap * dX, S + ad * dS)) / r
+        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        G = sigma * mu * S_inv - X - sym(dX @ dS @ S_inv)
+        gamma = 0.9 + 0.09 * min(ap, ad)
+        dX, dy, dS = direction(G)
+        ap = min(1.0, gamma * max_step(Lx, dX))
+        ad = min(1.0, gamma * max_step(Ls, dS))
+        X = sym(X + ap * dX)
+        y = y + ad * dy
+        S = sym(S + ad * dS)
+
+
+def single_block_phase1(cs, tol: float = 1e-7):
+    """The phase-1 search of an ``sdp._ClassSystem`` whose rows are
+    factored, on the whole range V = ``column_range`` as one dense block:
+    max t s.t. V' X(z) V - t*1 >= 0, with V' D_j V formed one direction at
+    a time.  Returns (status, primal objective, primal infeasibility)."""
+    p = cs.problem
+    V = p.column_range
+    P, r = cs.N.shape[1], V.shape[1]
+    B = np.empty((P, r, r))
+    y = np.zeros(cs.k)
+    for j in range(P):
+        y[cs.free] = cs.N[:, j]
+        B[j] = V.T @ y[cs.cell_class] @ V
+    A = np.concatenate([-B, np.eye(r)[None]])
+    b = np.zeros(P + 1)
+    b[-1] = 1.0
+    status, _y, p_obj, p_infeas = dense_solve_lmi(
+        V.T @ cs.assemble(cs.y0) @ V, A, b, tol=tol * 1e-2)
+    return status, p_obj, p_infeas
+
+
+# ---------------------------------------------------------------------------
+# reference for Distribution.marginals
+# ---------------------------------------------------------------------------
+
+def loop_marginal(dist: Distribution, parties, tol: float = 1e-9) -> np.ndarray:
+    """``Distribution.marginal`` checking every dropped party's input axis,
+    one input of its own or not."""
+    sc = dist.scenario
+    n = len(sc.parties)
+    keep = [sc.party_index(p) for p in parties]
+    drop = [i for i in range(n) if i not in keep]
+    summed = dist.table.sum(axis=tuple(drop))
+    in_axes = {i: len(keep) + i for i in range(n)}
+    order = (list(range(len(keep))) + [in_axes[i] for i in keep]
+             + [in_axes[i] for i in drop])
+    arranged = summed.transpose(order)
+    for k, i_drop in enumerate(drop):
+        ax = len(keep) * 2 + k
+        spread = arranged.max(axis=ax) - arranged.min(axis=ax)
+        if spread.max() > tol:
+            deviation = np.abs(arranged - arranged.take([0], axis=ax))
+            worst = int(np.moveaxis(deviation, ax, 0)
+                        .reshape(sc.inputs[i_drop], -1).max(axis=1).argmax())
+            raise SignallingError(
+                f"marginal over {tuple(parties)} depends on the input of party "
+                f"{sc.parties[i_drop]} (inputs 0 vs {worst}; "
+                f"max deviation {spread.max():.3e})")
+    return arranged[(Ellipsis,) + (0,) * len(drop)]

@@ -60,6 +60,25 @@ def test_report_sections_stable_order():
     assert "  distribution: shared_random_bit" in report
 
 
+def test_reports_name_the_copy_blocks_and_the_engine_they_select():
+    code, report = run(["test", "--scenario", "triangle", "--hierarchy",
+                        "inflation", "--n", "2", "--m", "2", "uniform_product"])
+    assert code == EXIT_FEASIBLE
+    assert ("  copy blocks: [25, 16, 16, 12, 16, 12, 12, 6] "
+            "(r = 115, sum r_b^2 = 1861)") in report
+    assert ("  gate: (p + 1)*sum r_b^2 = 448501 for p = 240 (limit 2097152) "
+            "-> interior point") in report
+    code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
+                        "inflation", "--n", "2", "--m", "2"])
+    assert code == EXIT_FEASIBLE
+    assert "  copy blocks: [16, 11, 11, 11] (r = 49, sum r_b^2 = 619)" in report
+    # 2**21 // 619 = 3387
+    assert "p = dim ker R <= 3386 after the pins" in report
+    code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
+                        "factorisation", "--n", "3", "shared_random_bit"])
+    assert "  gate: no phase-1 search (the linear layers leave none)" in report
+
+
 def test_engine_option_is_gone_and_max_iter_defaults_to_the_projection_budget():
     code, _report = run(["test", "--scenario", "bilocal", "--engine", "auto",
                          "shared_random_bit"])

@@ -27,7 +27,13 @@ from netnpa.scenarios import (
 )
 from netnpa.words import EMPTY_WORD, concat, enumerate_words, involute, word
 
-from helpers import UnionFind, linked_components, meas, singlet_pauli_strategy
+from helpers import (
+    UnionFind,
+    linked_components,
+    loop_marginal,
+    meas,
+    singlet_pauli_strategy,
+)
 
 BILOCAL = Scenario("bilocal", (2, 2, 2), (1, 1, 1))
 
@@ -84,6 +90,50 @@ def test_signalling_error_names_the_deviating_input():
         dist.marginal(("A",))
     assert str(err.value) == ("marginal over ('A',) depends on the input of "
                               "party C (inputs 0 vs 2; max deviation 1.000e+00)")
+
+
+SUBSETS = [("A",), ("B",), ("C",), ("A", "B"), ("A", "C"), ("B", "C"),
+           ("A", "B", "C")]
+
+
+def _first_marginals(marginals, subsets):
+    """The marginals of ``subsets`` in order, or the first error's text."""
+    try:
+        return [marginals(sub) for sub in subsets]
+    except SignallingError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("inputs", [(1, 1, 1), (2, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("kind", ["born", "signalling", "near-tol"])
+def test_marginals_are_the_reference_marginals(inputs, kind):
+    sc = Scenario("bilocal", (2, 2, 2), inputs)
+    rng = np.random.default_rng(sum(inputs))
+    if kind == "born":
+        dist = born_eval(random_strategy(sc, (2, 2, 2, 2), 3))
+    else:
+        # a table whose marginals depend on the other parties' inputs, by
+        # up to 1e-9 (one side of the tolerance or the other) or far more
+        table = rng.random(sc.outputs + sc.inputs)
+        if kind == "near-tol":
+            base = born_eval(random_strategy(sc, (2, 2, 2, 2), 5)).table
+            table = base + 1e-9 * (table - table.mean())
+        table /= table.sum(axis=(0, 1, 2), keepdims=True)
+        dist = Distribution(sc, table)
+    for subsets in (SUBSETS, SUBSETS[::-1]):
+        want = _first_marginals(lambda sub: loop_marginal(dist, sub), subsets)
+        try:
+            got = dist.marginals(subsets)
+        except SignallingError as err:
+            got = str(err)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            assert all(g.shape == w.shape and np.array_equal(g, w)
+                       for g, w in zip(got, want))
+    if kind == "signalling" and inputs != (1, 1, 1):
+        assert isinstance(want, str)
 
 
 def test_deterministic_strategy_point_distribution():

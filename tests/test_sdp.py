@@ -11,6 +11,7 @@ from netnpa import factorisation, sdp
 from netnpa.moment import (
     FlatRows,
     build_factorisation_bilocal,
+    build_inflation,
     build_standard,
     oracle_assignment,
     pin_distribution,
@@ -36,6 +37,7 @@ from netnpa.sdp import (
     solve_feasibility,
     _affine_projector,
     _ClassSystem,
+    _interior_phase1,
     _outcome_feasible,
     _reduce,
 )
@@ -54,6 +56,7 @@ from helpers import (
     loop_reduced_rows,
     loop_submatrix_words,
     meas,
+    single_block_phase1,
 )
 
 BILOCAL = Scenario(*BILOCAL_111)
@@ -315,10 +318,11 @@ def test_reduce_runs_no_eigendecomposition(monkeypatch):
     out = solve_feasibility(p)
     monkeypatch.undo()
     assert out.verdict == "feasible" and out.evidence.startswith("interior point")
-    # the same LMI as on the Gram range, up to a rotation
+    # the same LMI as on the Gram range, up to a rotation into the blocks
     X0 = cs.assemble(cs.y0)
-    assert np.allclose(np.linalg.eigvalsh(red.C),
-                       np.linalg.eigvalsh(V_gram.T @ X0 @ V_gram), atol=1e-10)
+    blocked = np.sort(np.concatenate([np.linalg.eigvalsh(C) for C in red.C]))
+    assert np.allclose(blocked, np.linalg.eigvalsh(V_gram.T @ X0 @ V_gram),
+                       atol=1e-10)
 
 
 def test_distributions_pinned_on_one_problem_share_one_range():
@@ -328,6 +332,122 @@ def test_distributions_pinned_on_one_problem_share_one_range():
         assert solve_feasibility(p).verdict == "feasible"
     assert pinned[0].column_range is pinned[1].column_range
     assert base.column_range is pinned[0].column_range
+
+
+# --- copy-symmetry blocks -----------------------------------------------------------
+
+def _mixture(v):
+    sc = Scenario(*TRIANGLE_111)
+    return Distribution(sc, v * shared_random_bit("triangle").table
+                        + (1 - v) * uniform_product(sc).table)
+
+
+@pytest.mark.parametrize("topology, sizes", [
+    (TRIANGLE_111, [25, 16, 16, 16, 12, 12, 12, 6]),
+    (BILOCAL_111, [16, 11, 11, 11])])
+def test_copy_blocks_split_the_range(topology, sizes):
+    p = cached_problem("inflation", *topology, 2, 2)
+    blocks = p.copy_blocks
+    assert sorted(blocks.sizes) == sorted(sizes)
+    assert sum(blocks.sizes) == p.column_range.shape[1]
+    U = np.hstack(blocks.bases)
+    assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
+    # the blocks span the range of the column relations
+    V = p.column_range
+    assert np.abs(U - V @ (V.T @ U)).max() <= 1e-12
+
+
+def _off_block(blocks, M):
+    """The largest entry of U' M U outside the diagonal blocks, and the
+    diagonal blocks."""
+    U = np.hstack(blocks.bases)
+    G = U.T @ M @ U
+    bounds = np.cumsum([0, *blocks.sizes])
+    diag = [G[a:e, a:e].copy() for a, e in zip(bounds, bounds[1:])]
+    for a, e in zip(bounds, bounds[1:]):
+        G[a:e, a:e] = 0.0
+    return np.abs(G).max(), diag
+
+
+@pytest.mark.parametrize("name", ["triangle:0", "triangle:0.47", "bilocal:0"])
+def test_copy_blocks_block_diagonalise_c_and_every_direction(name):
+    kind, _, label = name.partition(":")
+    if kind == "triangle":
+        p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                             _mixture(float(label)))
+    else:
+        p = pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
+                             _born(int(label)))
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    blocks, red = p.copy_blocks, _reduce(cs)
+    off, diag = _off_block(blocks, cs.assemble(cs.y0))
+    assert off <= 1e-10
+    # the blocks from one word per orbit are the diagonal blocks
+    assert all(np.abs(C - G).max() <= 1e-10 for C, G in zip(red.C, diag))
+    y = np.zeros(cs.k)
+    for j in range(cs.N.shape[1]):
+        y[cs.free] = cs.N[:, j]
+        off, diag = _off_block(blocks, y[cs.cell_class])
+        assert off <= 1e-10
+        assert all(np.abs(B[j] - G).max() <= 1e-10 for B, G in zip(red.B, diag))
+
+
+@pytest.mark.parametrize("name", ["standard", "scalar", "restricted-inflation"])
+def test_one_block_without_copy_merges(name):
+    if name == "standard":
+        p = cached_problem("standard", *BILOCAL_111, 3)
+    elif name == "scalar":
+        p = cached_problem("scalar", *BILOCAL_111, 2)
+    else:
+        # a restricted index need not be closed under the copy swaps
+        p = build_inflation(BILOCAL, 2, 2, index_words=[
+            word([meas("A", copies=(1,))]), word([meas("C", copies=(2,))])])
+    blocks = p.copy_blocks
+    assert len(blocks.bases) == 1 and blocks.bases[0] is p.column_range
+    assert blocks.rows.tolist() == list(range(p.dim))
+
+
+def test_copy_blocks_raise_when_a_swap_moves_a_class():
+    p = cached_problem("inflation", *BILOCAL_111, 2, 2)
+    # give the cell (A_1, A_1) of copy 1, and its mirror, a class of its own;
+    # its image under the swap of the source copies keeps the old class
+    i = p.pos(word([meas("A", copies=(1,))]))
+    broken = p.cell_class.copy()
+    broken[i, i] = p.n_classes
+    q = dataclasses.replace(p, cell_class=broken)
+    with pytest.raises(RuntimeError, match="moves a cell to another class"):
+        q.copy_blocks
+
+
+def _phase1_problem(name):
+    kind, _, label = name.partition(":")
+    if kind == "chsh":
+        return pin_distribution(
+            cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+            noisy_pr_box(float(label)))
+    return pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
+                            _born(int(label)))
+
+
+@pytest.mark.parametrize("name", ["chsh:0.70", "chsh:0.725"]
+                         + [f"bilocal:{seed}" for seed in range(6)])
+def test_blocked_phase1_matches_the_single_block_reference(name):
+    cs = _ClassSystem(_phase1_problem(name))
+    assert cs.factor_rows() == (True, "")
+    _X, res = _interior_phase1(cs, 1e-7)
+    _status, t_ref, _infeas = single_block_phase1(cs, 1e-7)
+    assert abs(res.primal_obj - t_ref) <= 1e-8
+
+
+@pytest.mark.parametrize("v, verdict", [(0.5, "infeasible"), (0.47, "infeasible"),
+                                        (0.465, "feasible"), (0.40, "feasible")])
+def test_triangle_band_is_decided_by_the_interior_point(v, verdict):
+    p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                         _mixture(v))
+    out = solve_feasibility(p)
+    assert out.verdict == verdict
+    assert "interior point" in out.evidence
 
 
 # --- linear presolve -------------------------------------------------------------
@@ -474,6 +594,9 @@ def uniform_product(sc):
 def test_triangle_inflation_accepts_the_uniform_product_without_svd(monkeypatch):
     p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
                          uniform_product(Scenario(*TRIANGLE_111)))
+    # the range of the column relations and its copy blocks are structure
+    # of the problem, each found by SVDs once; the rows are not
+    p.column_range, p.copy_blocks
 
     def refuse(*args, **kwargs):
         raise AssertionError("the rows were factored by an SVD")
@@ -481,7 +604,8 @@ def test_triangle_inflation_accepts_the_uniform_product_without_svd(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     out = solve_feasibility(p)
     assert out.verdict == "feasible"
-    assert out.evidence == "alternating projections"
+    assert out.evidence == ("interior point witness (min eigenvalue >= -tol, "
+                            "every residual family <= 10*tol)")
     assert max(out.residuals.families().values()) <= 1e-6
 
 
