@@ -232,9 +232,13 @@ def _engine_lines(problem: MomentProblem, gate: str) -> list[str]:
             f"  gate: {gate}"]
 
 
-def _route_gate(route: sdp.EngineRoute | None) -> str:
-    """The gate line of a pinned problem's route."""
+def _route_gate(outcome: sdp.FeasibilityOutcome) -> str:
+    """The gate line of a solve: the route its phase-1 engine took, or
+    the layer that decided before any engine ran."""
+    route = outcome.route
     if route is None:
+        if "interlacing" in outcome.evidence:
+            return "no phase-1 search (the interlacing bound decides first)"
         return "no phase-1 search (the linear layers leave none)"
     return (f"(p + 1)*sum r_b^2 = {route.entries} for p = {route.p} "
             f"(limit {sdp.INTERIOR_MAX_ENTRIES}) -> {route.engine}")
@@ -283,7 +287,7 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     if seesaw_note:
         lines.append(seesaw_note)
     else:
-        lines += _engine_lines(problem, _route_gate(sdp.engine_route(problem)))
+        lines += _engine_lines(problem, _route_gate(outcome))
     lines.append(f"timing: {t_solved - t0:.2f} s (build {t_built - t0:.2f} s, "
                  f"pin {t_pinned - t_built:.2f} s, solve {t_solved - t_pinned:.2f} s)")
     code = {"FEASIBLE": EXIT_FEASIBLE, "INFEASIBLE": EXIT_INFEASIBLE,

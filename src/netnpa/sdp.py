@@ -32,19 +32,25 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
    (:class:`EngineRoute`), a primal-dual interior point
    (``netnpa.interior``) in the coordinates z, one block per copy block;
-   else, or when the interior point stalls short of a verdict, at most
-   ``max_iter`` Dykstra alternating projections, whose PSD step runs per
-   block and whose affine step is the Frobenius projection built from y0
-   and N.  The projections can certify feasibility (by exhibiting a
-   witness) but report only inconclusive when they stall; t* is then the
-   best min eigenvalue of the blocks of an iterate on the affine set, a
-   lower bound on the phase-1 optimum.
+   else at most ``max_iter`` Dykstra alternating projections, whose PSD
+   step runs per block and whose affine step is the Frobenius projection
+   built from y0 and N.  Each problem runs one engine: an interior point
+   that ends short of a verdict reports inconclusive, naming its status.
+   The projections can certify feasibility (by exhibiting a witness) but
+   report only inconclusive when they stall; t* is then the best min
+   eigenvalue of the blocks of an iterate on the affine set, a lower bound
+   on the phase-1 optimum.
 
-Verdicts follow the phase-1 value t*: feasible when t* >= -tol and the
-witness passes every residual family of ``moment.check_assignment`` to
-10*tol (else inconclusive, naming the worst family), infeasible when
-t* < -infeasibility_margin, inconclusive otherwise.  A FEASIBLE verdict
-at level n never claims more than "no obstruction at level n".
+One function (``_verdict``) turns where the fully determined matrix or an
+engine ends into a verdict: feasible when the witness passes every
+residual family of ``moment.check_assignment`` to 10*tol (else
+inconclusive, naming the worst family), infeasible when a certified upper
+bound t* on the phase-1 optimum is below -infeasibility_margin,
+inconclusive otherwise.  The fully determined matrix and the interior
+point offer a witness when its min eigenvalue is at least -tol, the
+projections when the min eigenvalue of its blocks is at least -10*tol.  A
+FEASIBLE verdict at level n never claims more than "no obstruction at
+level n".
 """
 
 from __future__ import annotations
@@ -117,6 +123,7 @@ class FeasibilityOutcome:
     residuals: ResidualReport | None = None
     iterations: int = 0
     evidence: str = ""
+    route: EngineRoute | None = None  # set when a phase-1 engine ran
 
     @property
     def feasible(self) -> bool:
@@ -564,19 +571,46 @@ class _ClassSystem:
 # Engines
 # ---------------------------------------------------------------------------
 
-def _outcome_feasible(problem, X, t, iters, tol, evidence) -> FeasibilityOutcome:
-    """FEASIBLE with witness X when every residual family of X is at most
-    10*tol (the projections accept a min eigenvalue down to -10*tol),
-    else inconclusive, naming the worst family."""
-    rep = check_assignment(problem, MomentAssignment(problem, X))
-    family, worst = max(rep.families().items(), key=lambda kv: kv[1])
-    if worst > 10 * tol:
-        return FeasibilityOutcome(
-            "inconclusive", t_star=t, residuals=rep, iterations=iters,
-            evidence=f"{evidence}: witness fails the residual gate, {family} "
-                     f"residual {worst:.3e} > {10 * tol:.1e}")
-    return FeasibilityOutcome("feasible", t_star=t, witness=X, residuals=rep,
-                              iterations=iters, evidence=evidence)
+def _verdict(problem: MomentProblem, X: np.ndarray | None, t: float | None,
+             certified: bool, iterations: int, tol: float, margin: float, *,
+             accept: str = "", reject: str = "", undecided: str = "",
+             floor: float | None = None) -> FeasibilityOutcome:
+    """The one verdict rule past the presolve and the interlacing bound.
+
+    X is the candidate witness (None: there is none) and t the phase-1
+    value, a certified upper bound on the phase-1 optimum when
+    ``certified``; None stands for the min eigenvalue of X.  With
+    ``floor`` (the fully determined matrix, the interior point), X is a
+    candidate only when its min eigenvalue, read from the residual report
+    of the gate, is at least -floor, and that eigenvalue is then its t*;
+    without (the projections), the engine has tested X on its blocks and
+    t is its value.  A candidate is FEASIBLE when every residual family
+    of ``check_assignment`` is at most 10*tol, else INCONCLUSIVE, naming
+    the worst family.  Otherwise a certified t < -margin is INFEASIBLE,
+    with evidence ``reject``, and anything else INCONCLUSIVE, with
+    ``undecided``.
+    """
+    if X is not None:
+        rep = check_assignment(problem, MomentAssignment(problem, X))
+        lam = rep.min_eigenvalue
+        t = lam if t is None else t
+        if floor is None or lam >= -floor:
+            t_x = t if floor is None else lam
+            family, worst = max(rep.families().items(), key=lambda kv: kv[1])
+            if worst > 10 * tol:
+                return FeasibilityOutcome(
+                    "inconclusive", t_star=t_x, residuals=rep,
+                    iterations=iterations,
+                    evidence=f"{accept}: witness fails the residual gate, "
+                             f"{family} residual {worst:.3e} > {10 * tol:.1e}")
+            return FeasibilityOutcome("feasible", t_star=t_x, witness=X,
+                                      residuals=rep, iterations=iterations,
+                                      evidence=accept)
+    if certified and t < -margin:
+        return FeasibilityOutcome("infeasible", t_star=t, iterations=iterations,
+                                  evidence=reject)
+    return FeasibilityOutcome("inconclusive", t_star=t, iterations=iterations,
+                              evidence=undecided)
 
 
 @dataclass
@@ -625,16 +659,6 @@ class EngineRoute:
 def _route(cs: _ClassSystem) -> EngineRoute:
     """Needs ``cs.factor_rows()`` to have run."""
     return EngineRoute(cs.N.shape[1], cs.problem.copy_blocks.sizes)
-
-
-def engine_route(problem: MomentProblem) -> EngineRoute | None:
-    """The engine route of a problem's phase-1 search, or None when the
-    linear layers leave no phase-1 search: a presolve contradiction, no
-    free class, or inconsistent rows."""
-    cs = _ClassSystem(problem)
-    if cs.contradiction is not None or not len(cs.free) or not cs.factor_rows()[0]:
-        return None
-    return _route(cs)
 
 
 def _reduce(cs: _ClassSystem) -> _ReducedLmi:
@@ -726,11 +750,12 @@ def solve_feasibility(problem: MomentProblem,
                       ) -> FeasibilityOutcome:
     """Phase-1 feasibility of a compiled problem.
 
-    The problem's size picks the engine (:class:`EngineRoute`): the
-    interior point when (p + 1) sum_b r_b^2 <= ``INTERIOR_MAX_ENTRIES``,
-    else Dykstra projections; both run on the copy blocks.  The interior point
-    hands over to the projections when it stalls without a verdict;
-    ``max_iter`` bounds the projection iterations on either route.
+    The problem's size picks the one engine that runs
+    (:class:`EngineRoute`, kept in ``route`` of the outcome): the interior
+    point when (p + 1) sum_b r_b^2 <= ``INTERIOR_MAX_ENTRIES``, else
+    Dykstra projections; both run on the copy blocks.  An interior point
+    that ends short of a verdict reports inconclusive; ``max_iter`` bounds
+    the projection iterations.
     """
     if (problem.factor_pairs or problem.factor_triples) \
             and not problem.linear_factor_rows:
@@ -749,52 +774,43 @@ def solve_feasibility(problem: MomentProblem,
             evidence=(f"pinned principal submatrix on {len(chosen)} words has "
                       f"min eigenvalue {bound:.6g} (interlacing bound)"))
     if len(cs.free) == 0:
-        X = cs.assemble(np.zeros(0))
-        lam = float(np.linalg.eigvalsh(X).min())
-        if lam >= -tol:
-            return _outcome_feasible(problem, X, lam, 0, tol,
-                                     "fully determined by the linear constraints")
-        if lam < -infeasibility_margin:
-            return FeasibilityOutcome(
-                "infeasible", t_star=lam,
-                evidence="fully determined matrix is not PSD")
-        return FeasibilityOutcome("inconclusive", t_star=lam,
-                                  evidence="fully determined, min eigenvalue "
-                                           "in the inconclusive band")
+        # the one matrix of the affine set: its min eigenvalue is the
+        # phase-1 optimum
+        return _verdict(
+            problem, cs.assemble(np.zeros(0)), None, True, 0, tol,
+            infeasibility_margin, floor=tol,
+            accept="fully determined by the linear constraints",
+            reject="fully determined matrix is not PSD",
+            undecided="fully determined, min eigenvalue in the inconclusive band")
     ok, msg = cs.factor_rows()
     if not ok:
-        return FeasibilityOutcome("infeasible", t_star=-np.inf, evidence=msg)
-    if _route(cs).interior:
+        # no point satisfies the rows, so t* = -inf
+        return _verdict(problem, None, -np.inf, True, 0, tol,
+                        infeasibility_margin, reject=msg)
+    route = _route(cs)
+    if route.interior:
         X, res = _interior_phase1(cs, tol)
-        lam = float(np.linalg.eigvalsh(X)[0])
-        if lam >= -tol:
-            return _outcome_feasible(
-                problem, X, lam, res.iterations, tol,
-                "interior point witness (min eigenvalue >= -tol, every "
-                "residual family <= 10*tol)")
+        t = res.primal_obj
         # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
-        if res.primal_infeas <= tol:
-            if res.primal_obj < -infeasibility_margin:
-                return FeasibilityOutcome(
-                    "infeasible", t_star=res.primal_obj,
-                    iterations=res.iterations,
-                    evidence=f"phase-1 optimum {res.primal_obj:.6g} "
-                             f"(interior point)")
-            if res.status == "optimal":
-                return FeasibilityOutcome(
-                    "inconclusive", t_star=res.primal_obj,
-                    iterations=res.iterations,
-                    evidence="phase-1 optimum inside the inconclusive band")
-        # the interior point stalled short of a verdict; fall through to
-        # projections
-    X, t_best, iters = _dykstra(cs, tol, max_iter)
-    if X is not None:
-        return _outcome_feasible(problem, X, t_best, iters, tol,
-                                 "alternating projections")
-    return FeasibilityOutcome(
-        "inconclusive", t_star=t_best, iterations=iters,
-        evidence=(f"projection engine stalled; best phase-1 value reached "
-                  f"{t_best:.6g} (lower bound)"))
+        outcome = _verdict(
+            problem, X, t, res.primal_infeas <= tol, res.iterations, tol,
+            infeasibility_margin, floor=tol,
+            accept="interior point witness (min eigenvalue >= -tol, every "
+                   "residual family <= 10*tol)",
+            reject=f"phase-1 optimum {t:.6g} (interior point)",
+            undecided=("phase-1 optimum inside the inconclusive band"
+                       if res.status == "optimal" else
+                       f"interior point {res.status} short of a verdict; "
+                       f"phase-1 value {t:.6g}"))
+    else:
+        X, t_best, iters = _dykstra(cs, tol, max_iter)
+        outcome = _verdict(
+            problem, X, t_best, False, iters, tol, infeasibility_margin,
+            accept="alternating projections",
+            undecided=f"projection engine stalled; best phase-1 value reached "
+                      f"{t_best:.6g} (lower bound)")
+    outcome.route = route
+    return outcome
 
 
 def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],

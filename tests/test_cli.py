@@ -79,6 +79,33 @@ def test_reports_name_the_copy_blocks_and_the_engine_they_select():
     assert "  gate: no phase-1 search (the linear layers leave none)" in report
 
 
+def test_test_factors_the_rows_once_and_reports_the_route_of_the_solve(
+        monkeypatch):
+    calls = []
+    factor_rows = sdp._ClassSystem.factor_rows
+
+    def count(cs):
+        calls.append(cs)
+        return factor_rows(cs)
+
+    monkeypatch.setattr(sdp._ClassSystem, "factor_rows", count)
+    code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
+                        "inflation", "--n", "2", "--m", "2", "uniform_product"])
+    assert code == EXIT_FEASIBLE
+    assert len(calls) == 1
+    assert "-> interior point" in report
+
+
+def test_gate_line_names_no_engine_when_the_interlacing_bound_decides():
+    code, report = run(["test", "--scenario", "triangle", "--hierarchy",
+                        "inflation", "--n", "2", "--m", "2", "shared_random_bit"])
+    assert code == EXIT_INFEASIBLE
+    assert "(interlacing bound)" in report
+    assert ("  gate: no phase-1 search (the interlacing bound decides first)"
+            in report)
+    assert "-> interior point" not in report
+
+
 def test_engine_option_is_gone_and_max_iter_defaults_to_the_projection_budget():
     code, _report = run(["test", "--scenario", "bilocal", "--engine", "auto",
                          "shared_random_bit"])

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from netnpa import factorisation, sdp
+from netnpa import factorisation, interior, sdp
 from netnpa.moment import (
     FlatRows,
     build_factorisation_bilocal,
@@ -38,8 +38,8 @@ from netnpa.sdp import (
     _affine_projector,
     _ClassSystem,
     _interior_phase1,
-    _outcome_feasible,
     _reduce,
+    _verdict,
 )
 from netnpa.words import EMPTY_WORD, Letter, concat, word
 
@@ -60,6 +60,10 @@ from helpers import (
 )
 
 BILOCAL = Scenario(*BILOCAL_111)
+
+
+def _refuse_projections(*_args, **_kwargs):
+    raise AssertionError("the projections ran on the interior point's route")
 
 
 # --- compile -----------------------------------------------------------------
@@ -254,13 +258,15 @@ def test_max_iter_bounds_the_projections_on_the_default_route(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_bilocal_inflation_is_decided_by_the_interior_point(seed):
+def test_bilocal_inflation_is_decided_by_the_interior_point(seed, monkeypatch):
     p = pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
                          MomentOracle(random_strategy(
                              BILOCAL, (2, 2, 2, 2), seed)).born())
+    monkeypatch.setattr(sdp, "_dykstra", _refuse_projections)
     out = solve_feasibility(p)
     assert out.verdict == "feasible"
     assert out.evidence.startswith("interior point")
+    assert out.route.interior
 
 
 # --- the interior point's range ---------------------------------------------------
@@ -441,13 +447,56 @@ def test_blocked_phase1_matches_the_single_block_reference(name):
 
 
 @pytest.mark.parametrize("v, verdict", [(0.5, "infeasible"), (0.47, "infeasible"),
-                                        (0.465, "feasible"), (0.40, "feasible")])
-def test_triangle_band_is_decided_by_the_interior_point(v, verdict):
+                                        (0.465, "feasible"), (0.40, "feasible"),
+                                        (0.2, "feasible")])
+def test_triangle_band_is_decided_by_the_interior_point(v, verdict, monkeypatch):
     p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
                          _mixture(v))
+    monkeypatch.setattr(sdp, "_dykstra", _refuse_projections)
     out = solve_feasibility(p)
     assert out.verdict == verdict
     assert "interior point" in out.evidence
+    assert out.route.interior
+
+
+def test_a_stalled_interior_point_is_inconclusive_and_runs_no_projection(
+        monkeypatch):
+    def stalled(blocks, b, tol=1e-9, max_iter=100):
+        return interior.LmiResult("stalled", np.zeros(len(b)), primal_obj=-0.5,
+                                  dual_obj=-1.0, primal_infeas=1.0,
+                                  dual_infeas=1.0, iterations=3)
+
+    monkeypatch.setattr(interior, "solve_lmi", stalled)
+    monkeypatch.setattr(sdp, "_dykstra", _refuse_projections)
+    out = solve_feasibility(_phase1_problem("chsh:0.725"))
+    # t = -0.5 is no upper bound on the optimum while the primal
+    # infeasibility is 1, so it proves nothing
+    assert out.verdict == "inconclusive"
+    assert "stalled" in out.evidence and "-0.5" in out.evidence
+    assert out.iterations == 3
+    assert out.route.interior
+
+
+def test_outcomes_carry_the_route_of_the_engine_that_ran(monkeypatch):
+    p = _phase1_problem("chsh:0.70")
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    route = solve_feasibility(p).route
+    assert route == sdp.EngineRoute(cs.N.shape[1], p.copy_blocks.sizes)
+    assert route.interior
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
+    out = solve_feasibility(p, max_iter=25)
+    assert out.route == route and not out.route.interior
+    assert "projection" in out.evidence
+    # decided before any engine: by the presolve, by the interlacing bound
+    srb = shared_random_bit("bilocal")
+    fac = factorisation.pin_linearize(pin_distribution(
+        cached_problem("factorisation", *BILOCAL_111, 3), srb))
+    assert solve_feasibility(fac).route is None
+    tri = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                           shared_random_bit("triangle"))
+    out = solve_feasibility(tri)
+    assert "interlacing" in out.evidence and out.route is None
 
 
 # --- linear presolve -------------------------------------------------------------
@@ -761,11 +810,12 @@ def test_feasible_requires_every_residual_family_within_the_gate():
     good = solve_feasibility(p)
     assert good.verdict == "feasible"
     X = good.witness.copy()
-    assert _outcome_feasible(p, X, good.t_star, 0, 1e-7, "x").verdict == "feasible"
+    assert _verdict(p, X, good.t_star, False, 0, 1e-7, 1e-4,
+                    accept="x").verdict == "feasible"
     # break the value of one off-diagonal pair of cells
     X[1, 2] += 1e-3
     X[2, 1] += 1e-3
-    out = _outcome_feasible(p, X, good.t_star, 0, 1e-7, "interior point")
+    out = _verdict(p, X, good.t_star, False, 0, 1e-7, 1e-4, accept="interior point")
     assert out.verdict == "inconclusive"
     assert out.witness is None
     family, worst = max(out.residuals.families().items(), key=lambda kv: kv[1])
