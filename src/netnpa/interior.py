@@ -6,22 +6,30 @@ Solves the pair
     (D)  max b'y      s.t. S = C - sum_i y_i A_i >= 0
 
 with symmetric r x r data that is block-diagonal, with blocks of sizes
-r_1, ..., r_B (one block is the dense case), from the infeasible start
-X = xi*I, S = eta*I, y = 0; X and S keep the blocks throughout.  Each
-iteration takes one HKM search direction (Helmberg, Rendl, Vanderbei and
-Wolkowicz 1996) with Mehrotra's predictor-corrector, as in SDPT3 (Todd,
-Toh and Tütüncü 1998).  The Schur complement
-M_ij = <A_i, X A_j S^-1> is formed as the Gram matrix of
+r_1, ..., r_B (one block is the dense case); X and S keep the blocks
+throughout.  It starts from X = xi*I and either S = eta*I, y = 0 (an
+infeasible start) or a caller's y with S = C - A'(y) positive definite,
+which is dual feasible: the dual residual then stays zero up to rounding,
+and no iteration is spent removing it.  Each iteration takes one HKM search
+direction (Helmberg, Rendl, Vanderbei and Wolkowicz 1996) with Mehrotra's
+predictor-corrector, as in SDPT3 (Todd, Toh and Tütüncü 1998).  The Schur
+complement M_ij = <A_i, X A_j S^-1> is formed as the Gram matrix of
 T_i = L_S^-1 A_i L_X, where X = L_X L_X' and S = L_S L_S', so it is the
 sum over the blocks of each block's Gram matrix, and an iteration costs
 O(m^2 sum_b r_b^2 + m sum_b r_b^3) rather than O(m^2 r^2 + m r^3).
+
+The blocks are small (6 x 6 to 25 x 25 on the inflation problems), where
+the cost of a call outweighs its arithmetic, so blocks of equal size are
+held as one (n, k, k) stack: each size takes one product chain and one
+T T' for its share of the Schur complement and one batched ``eigvalsh``
+per step length, and the small factorisations call LAPACK directly.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel
 eliminations and split further into copy-symmetry blocks.  It does
 not raise on numerical breakdown: a failed factorisation ends the run with
 status ``stalled`` and the last iterate's y, which callers check on their
-own.
+own.  scipy is imported on the first solve, not with the module.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass
@@ -50,28 +57,49 @@ class LmiResult:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2
+    """The symmetric part of every matrix of a stack."""
+    return (M + np.swapaxes(M, -1, -2)) / 2
 
 
-def _flat(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The entries of the blocks, block after block."""
-    return np.concatenate([B.reshape(-1) for B in blocks])
+def _flat(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """The entries of the stacks, stack after stack."""
+    return np.concatenate([M.reshape(-1) for M in stacks])
 
 
-def _max_step(L_inv: np.ndarray, D: np.ndarray) -> float:
-    """Largest a with L L' + a*D >= 0 (inf when D is PSD), for the
-    inverse ``L_inv`` of the Cholesky factor L."""
-    lam = float(np.linalg.eigvalsh(_sym(L_inv @ D @ L_inv.T))[0])
-    return -1.0 / lam if lam < 0 else np.inf
+def _steps(L_inv: Sequence[np.ndarray], dX: Sequence[np.ndarray],
+           dS: Sequence[np.ndarray]) -> tuple[float, float]:
+    """The largest a_p and a_d with X + a_p*dX >= 0 and S + a_d*dS >= 0 on
+    every block (inf where there is no bound), for the inverses ``L_inv``
+    of the Cholesky factors of the stacks [X_g; S_g]: one ``eigvalsh`` per
+    size."""
+    lam = [0.0, 0.0]
+    for Li, dXg, dSg in zip(L_inv, dX, dS):
+        W = Li @ np.concatenate([dXg, dSg]) @ np.swapaxes(Li, 1, 2)
+        low = np.linalg.eigvalsh(_sym(W))[:, 0]
+        n = len(dXg)
+        lam = [min(lam[0], low[:n].min()), min(lam[1], low[n:].min())]
+    return tuple(-1.0 / v if v < 0 else np.inf for v in lam)
 
 
-def _tri_inv(L: np.ndarray) -> np.ndarray:
-    """The inverse of a lower-triangular matrix."""
-    return scipy.linalg.solve_triangular(L, np.eye(len(L)), lower=True)
+def _cholesky(stack: np.ndarray, lapack) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Cholesky factors L of a stack of symmetric matrices and their
+    inverses, or None when one matrix is not positive definite."""
+    L = np.empty_like(stack)
+    L_inv = np.empty_like(stack)
+    for i, M in enumerate(stack):
+        F, info = lapack.dpotrf(M, lower=1)
+        if info:
+            return None
+        L[i] = F
+        L_inv[i], info = lapack.dtrtri(F, lower=1)
+        if info:
+            return None
+    return L, L_inv
 
 
 def solve_lmi(blocks: Sequence[tuple[np.ndarray, np.ndarray]], b: np.ndarray,
-              tol: float = 1e-9, max_iter: int = 100) -> LmiResult:
+              tol: float = 1e-9, max_iter: int = 100,
+              start: np.ndarray | None = None) -> LmiResult:
     """Solve (P)/(D) above for block-diagonal data.
 
     ``blocks`` holds one (C_b, A_b) per diagonal block, C_b of shape
@@ -79,30 +107,53 @@ def solve_lmi(blocks: Sequence[tuple[np.ndarray, np.ndarray]], b: np.ndarray,
     block-diagonal matrices they form, and X and S keep the same blocks.
     The Schur complement is the sum over the blocks of T_b T_b', step
     lengths are the least over the blocks, and inner products sum over
-    them.  Stops when the relative gap and both relative infeasibilities
-    are below ``tol``.
+    them.  ``start``, when given, is the first y; C - A'(start) must be
+    positive definite, else ``ValueError``.  Stops when the relative gap
+    and both relative infeasibilities are below ``tol``.
     """
+    from scipy.linalg import lapack
+
     m = len(b)
     sizes = [C.shape[0] for C, _ in blocks]
-    bounds = np.cumsum([0] + [k * k for k in sizes])
     r = sum(sizes)
-    Cs = [C for C, _ in blocks]
-    As = [A for _, A in blocks]
-    # the A_i and C as rows of their blocks' entries, block after block
-    Af = np.hstack([A.reshape(m, -1) for A in As])
+    # the blocks grouped by size, each group one stack: C as (n, k, k), and
+    # A as (m, n, k, k), a view of the rows of Af, which hold the A_i as
+    # their blocks' entries, group after group
+    groups = [[i for i, k in enumerate(sizes) if k == size]
+              for size in sorted(set(sizes))]
+    Cs = [np.stack([blocks[i][0] for i in g]) for g in groups]
+    bounds = np.cumsum([0] + [C.size for C in Cs])
+    Af = np.concatenate([blocks[i][1].reshape(m, -1) for g in groups for i in g],
+                        axis=1)
+
+    def split(M: np.ndarray) -> list[np.ndarray]:
+        """Views of the groups' columns of M as stacks (..., n, k, k)."""
+        return [M[..., a:e].reshape(M.shape[:-1] + C.shape)
+                for C, a, e in zip(Cs, bounds, bounds[1:])]
+
+    # the rows T_i of T, laid out as those of Af, give the Schur complement
+    # T T'; each size's products are written into its view of T
+    T = np.empty_like(Af)
+    As, Ts = split(Af), split(T)
     c = _flat(Cs)
 
-    def unflat(v: np.ndarray) -> list[np.ndarray]:
-        return [v[a:e].reshape(k, k) for a, e, k in zip(bounds, bounds[1:], sizes)]
+    def eye(scale: float) -> list[np.ndarray]:
+        return [np.zeros_like(C) + scale * np.eye(C.shape[1]) for C in Cs]
 
     norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(c)
     norm_a = np.linalg.norm(Af, axis=1)
     xi = max(10.0, np.sqrt(r),
              r * float(np.max((1 + np.abs(b)) / (1 + norm_a), initial=0.0)))
-    eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))
-    X = [xi * np.eye(k) for k in sizes]
-    S = [eta * np.eye(k) for k in sizes]
-    y = np.zeros(m)
+    X = eye(xi)
+    if start is None:
+        eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))
+        S = eye(eta)
+        y = np.zeros(m)
+    else:
+        y = np.array(start, dtype=float)
+        S = [_sym(C - Ay) for C, Ay in zip(Cs, split(y @ Af))]
+        if any(_cholesky(Sg, lapack) is None for Sg in S):
+            raise ValueError("start: C - A'(y) is not positive definite")
 
     def result(status: str, it: int) -> LmiResult:
         return LmiResult(status, y, float(c @ _flat(X)), float(b @ y),
@@ -111,51 +162,49 @@ def solve_lmi(blocks: Sequence[tuple[np.ndarray, np.ndarray]], b: np.ndarray,
 
     for it in range(max_iter + 1):
         rp = b - Af @ _flat(X)
-        Rd = [Cb - Sb - Ab for Cb, Sb, Ab in zip(Cs, S, unflat(y @ Af))]
+        Rd = [C - Sg - Ay for C, Sg, Ay in zip(Cs, S, split(y @ Af))]
         res = result("optimal", it)
         if max(res.rel_gap, res.primal_infeas, res.dual_infeas) <= tol:
             return res
         if it == max_iter:
             return result("max_iter", it)
-        try:
-            Lx = [np.linalg.cholesky(Xb) for Xb in X]
-            Ls_inv = [_tri_inv(np.linalg.cholesky(Sb)) for Sb in S]
-            schur = np.zeros((m, m))
-            for Li, A, L in zip(Ls_inv, As, Lx):
-                T = (Li @ A @ L).reshape(m, -1)
-                schur += T @ T.T
-            schur = scipy.linalg.cho_factor(schur)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        # X_g and S_g factored as one stack [X_g; S_g] per size
+        factors = [_cholesky(np.concatenate([Xg, Sg]), lapack)
+                   for Xg, Sg in zip(X, S)]
+        if any(f is None for f in factors):
             return result("stalled", it)
-        S_inv = [Li.T @ Li for Li in Ls_inv]
-        XRdSi = _flat([Xb @ Rb @ Si for Xb, Rb, Si in zip(X, Rd, S_inv)])
+        L_inv = [Li for _, Li in factors]
+        Lx = [L[:len(Xg)] for (L, _), Xg in zip(factors, X)]
+        Ls_inv = [Li[len(Xg):] for Li, Xg in zip(L_inv, X)]
+        for Li, A, L, Tg in zip(Ls_inv, As, Lx, Ts):
+            np.matmul(Li @ A, L, out=Tg)
+        schur, info = lapack.dpotrf(T @ T.T, lower=1)
+        if info or not np.isfinite(schur).all():
+            return result("stalled", it)
+        S_inv = [np.swapaxes(Li, 1, 2) @ Li for Li in Ls_inv]
+        rhs = rp + Af @ _flat([Xg @ Rg @ Si for Xg, Rg, Si in zip(X, Rd, S_inv)])
 
         def direction(G):
             # HKM: dX = G - sym(X dS S^-1), dS = Rd - A'(dy), A(dX) = rp
-            dy = scipy.linalg.cho_solve(schur, rp - Af @ _flat(G) + Af @ XRdSi)
-            dS = [Rb - Ab for Rb, Ab in zip(Rd, unflat(dy @ Af))]
-            dX = [Gb - _sym(Xb @ dSb @ Si)
-                  for Gb, Xb, dSb, Si in zip(G, X, dS, S_inv)]
+            dy, info = lapack.dpotrs(schur, rhs - Af @ _flat(G), lower=1)
+            if info:
+                raise ValueError(f"dpotrs: illegal argument {-info}")
+            dS = [Rg - Ay for Rg, Ay in zip(Rd, split(dy @ Af))]
+            dX = [Gg - _sym(Xg @ dSg @ Si)
+                  for Gg, Xg, dSg, Si in zip(G, X, dS, S_inv)]
             return dX, dy, dS
 
-        Lx_inv = [_tri_inv(L) for L in Lx]
-
-        def step(L_invs, D):
-            return min(_max_step(Li, Db) for Li, Db in zip(L_invs, D))
-
         mu = float(_flat(X) @ _flat(S)) / r
-        dX, dy, dS = direction([-Xb for Xb in X])
-        ap = min(1.0, step(Lx_inv, dX))
-        ad = min(1.0, step(Ls_inv, dS))
-        mu_aff = float(_flat([Xb + ap * d for Xb, d in zip(X, dX)])
-                       @ _flat([Sb + ad * d for Sb, d in zip(S, dS)])) / r
+        dX, dy, dS = direction([-Xg for Xg in X])
+        ap, ad = (min(1.0, a) for a in _steps(L_inv, dX, dS))
+        mu_aff = float(_flat([Xg + ap * d for Xg, d in zip(X, dX)])
+                       @ _flat([Sg + ad * d for Sg, d in zip(S, dS)])) / r
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
-        G = [sigma * mu * Si - Xb - _sym(dXb @ dSb @ Si)
-             for Si, Xb, dXb, dSb in zip(S_inv, X, dX, dS)]
+        G = [sigma * mu * Si - Xg - _sym(dXg @ dSg @ Si)
+             for Si, Xg, dXg, dSg in zip(S_inv, X, dX, dS)]
         gamma = 0.9 + 0.09 * min(ap, ad)
         dX, dy, dS = direction(G)
-        ap = min(1.0, gamma * step(Lx_inv, dX))
-        ad = min(1.0, gamma * step(Ls_inv, dS))
-        X = [_sym(Xb + ap * d) for Xb, d in zip(X, dX)]
+        ap, ad = (min(1.0, gamma * a) for a in _steps(L_inv, dX, dS))
+        X = [_sym(Xg + ap * d) for Xg, d in zip(X, dX)]
         y = y + ad * dy
-        S = [_sym(Sb + ad * d) for Sb, d in zip(S, dS)]
+        S = [_sym(Sg + ad * d) for Sg, d in zip(S, dS)]

@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from . import interior
 from .moment import MomentAssignment, MomentProblem, ResidualReport, check_assignment
@@ -387,6 +386,8 @@ class _RowFactor:
         """(WN, Cholesky factor of N'WN) for W = diag(cell counts of the
         free classes), the Frobenius metric in free-class coordinates."""
         if self._gram is None:
+            import scipy.linalg
+
             WN = problem.class_counts[self.free][:, None] * self.N
             self._gram = WN, scipy.linalg.cho_factor(self.N.T @ WN)
         return self._gram
@@ -672,14 +673,21 @@ def _reduce(cs: _ClassSystem) -> _ReducedLmi:
 
 def _interior_phase1(cs: _ClassSystem, tol: float):
     """max t s.t. U_b' X(z) U_b - t*1 >= 0 for every block b; returns
-    (witness X(z), solver result)."""
+    (witness X(z), solver result).
+
+    The solve starts from z = 0, t = min_b lambda_min(C_b) - 1 (C_b =
+    U_b' X(y0) U_b), where every block of the dual matrix C - t*1 has min
+    eigenvalue 1: a strictly feasible dual point, so the interior point
+    spends no iteration on the dual residual."""
     red = _reduce(cs)
     p = cs.N.shape[1]
     blocks = [(C, np.concatenate([-B, np.eye(len(C))[None]]))
               for C, B in zip(red.C, red.B)]
     b = np.zeros(p + 1)
     b[-1] = 1.0
-    res = interior.solve_lmi(blocks, b, tol=tol * 1e-2)
+    start = np.zeros(p + 1)
+    start[-1] = min(np.linalg.eigvalsh(C)[0] for C in red.C) - 1.0
+    res = interior.solve_lmi(blocks, b, tol=tol * 1e-2, start=start)
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
 
 
@@ -692,6 +700,8 @@ def _affine_projector(cs: _ClassSystem):
     nearest point of y0 + range(N) to the class averages a is
     y0 + N (N'WN)^-1 N'W (a - y0).  Needs ``cs.factor_rows()`` to have run.
     """
+    import scipy.linalg
+
     WN, gram = cs.factor.frobenius_gram(cs.problem)
 
     def project(X: np.ndarray) -> np.ndarray:

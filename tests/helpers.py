@@ -744,9 +744,10 @@ def gram_range(cs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
-                    tol: float = 1e-9, max_iter: int = 100):
+                    tol: float = 1e-9, max_iter: int = 100, start=None):
     """``interior.solve_lmi`` on one dense r x r block, ``A`` of shape
-    (m, r, r): the form it had before it took a list of blocks.  Returns
+    (m, r, r): the form it had before it took a list of blocks, with the
+    same optional dual start y = ``start``, S = C - A'(y).  Returns
     (status, y, primal objective, primal infeasibility)."""
     import scipy.linalg
 
@@ -767,6 +768,9 @@ def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
              r * float(np.max((1 + np.abs(b)) / (1 + norm_a), initial=0.0)))
     eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))
     X, S, y = xi * np.eye(r), eta * np.eye(r), np.zeros(m)
+    if start is not None:
+        y = np.array(start, dtype=float)
+        S = sym(C - (y @ Af).reshape(r, r))
 
     def result(status):
         return (status, y, float(np.vdot(C, X)),
@@ -819,7 +823,9 @@ def single_block_phase1(cs, tol: float = 1e-7):
     """The phase-1 search of an ``sdp._ClassSystem`` whose rows are
     factored, on the whole range V = ``column_range`` as one dense block:
     max t s.t. V' X(z) V - t*1 >= 0, with V' D_j V formed one direction at
-    a time.  Returns (status, primal objective, primal infeasibility)."""
+    a time, from the same dual start as ``sdp._interior_phase1``: z = 0,
+    t = lambda_min(V' X(y0) V) - 1.  Returns (status, primal objective,
+    primal infeasibility)."""
     p = cs.problem
     V = p.column_range
     P, r = cs.N.shape[1], V.shape[1]
@@ -831,8 +837,11 @@ def single_block_phase1(cs, tol: float = 1e-7):
     A = np.concatenate([-B, np.eye(r)[None]])
     b = np.zeros(P + 1)
     b[-1] = 1.0
-    status, _y, p_obj, p_infeas = dense_solve_lmi(
-        V.T @ cs.assemble(cs.y0) @ V, A, b, tol=tol * 1e-2)
+    C = V.T @ cs.assemble(cs.y0) @ V
+    start = np.zeros(P + 1)
+    start[-1] = np.linalg.eigvalsh(C)[0] - 1.0
+    status, _y, p_obj, p_infeas = dense_solve_lmi(C, A, b, tol=tol * 1e-2,
+                                                  start=start)
     return status, p_obj, p_infeas
 
 

@@ -345,6 +345,22 @@ def test_python_dash_m_runs_the_cli():
     assert bad.stdout.startswith("error: n must be >= 1")
 
 
+def test_a_presolve_verdict_loads_no_scipy():
+    # scipy is imported by the engines and the factorisation, on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "from netnpa.cli import run\n"
+        "code, report = run(['test', '--scenario', 'bilocal', '--hierarchy',\n"
+        "                    'factorisation', '--n', '2', 'shared_random_bit'])\n"
+        "assert 'evidence: violated factorisation' in report, report\n"
+        "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_literal_paper_mode_assignment_round_trips_without_rows(tmp_path):
     prefix = str(tmp_path / "s")
     code, report = run(["sample", "--scenario", "bilocal", "--n", "2", "--seed",

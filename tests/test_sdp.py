@@ -48,6 +48,7 @@ from helpers import (
     TRIANGLE_111,
     cached_problem,
     dense_rows,
+    dense_solve_lmi,
     gram_range,
     loop_cells,
     loop_class_rep_cells,
@@ -446,6 +447,80 @@ def test_blocked_phase1_matches_the_single_block_reference(name):
     assert abs(res.primal_obj - t_ref) <= 1e-8
 
 
+def _mixed_block_lmi(sizes, m=6, seed=3):
+    """A primal-dual pair on blocks of the given sizes, strictly feasible,
+    with a strictly complementary optimum: per block X* = x q q' and
+    S* = Q diag(s) Q' on the complement of q, C = S* + A'(y*), b = A(X*)."""
+    rng = np.random.default_rng(seed)
+    y_opt = rng.standard_normal(m)
+    blocks, b = [], np.zeros(m)
+    for k in sizes:
+        A = rng.standard_normal((m, k, k)) / k
+        A = A + A.transpose(0, 2, 1)
+        Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        X_opt = rng.uniform(1, 2) * np.outer(Q[:, 0], Q[:, 0])
+        S_opt = (Q[:, 1:] * rng.uniform(1, 2, k - 1)) @ Q[:, 1:].T
+        blocks.append((S_opt + np.tensordot(y_opt, A, 1), A))
+        b += np.tensordot(A, X_opt, 2)
+    return blocks, b
+
+
+def _block_diagonal(blocks):
+    r = sum(len(C) for C, _ in blocks)
+    m = len(blocks[0][1])
+    C, A = np.zeros((r, r)), np.zeros((m, r, r))
+    at = 0
+    for Cb, Ab in blocks:
+        k = len(Cb)
+        C[at:at + k, at:at + k] = Cb
+        A[:, at:at + k, at:at + k] = Ab
+        at += k
+    return C, A
+
+
+def test_stacked_blocks_match_the_dense_solve_in_any_order():
+    blocks, b = _mixed_block_lmi([3, 5, 3, 2, 5])
+    res = interior.solve_lmi(blocks, b)
+    status, _y, p_obj, _infeas = dense_solve_lmi(*_block_diagonal(blocks), b)
+    assert res.status == status == "optimal"
+    assert abs(res.primal_obj - p_obj) <= 1e-8
+    # interleaved otherwise, equal sizes in the same order: the same stacks
+    for order in ([3, 1, 0, 4, 2], [0, 2, 3, 1, 4]):
+        permuted = interior.solve_lmi([blocks[i] for i in order], b)
+        assert np.abs(permuted.y - res.y).max() <= 1e-10
+    # equal sizes reordered: the sums run in another order, and y, which the
+    # stopping rule fixes only to about 1e-6 here, moves with the rounding
+    for order in ([4, 2, 0, 3, 1], [2, 4, 3, 0, 1]):
+        permuted = interior.solve_lmi([blocks[i] for i in order], b)
+        assert permuted.status == "optimal"
+        assert abs(permuted.primal_obj - res.primal_obj) <= 1e-8
+
+
+def test_a_start_outside_the_dual_cone_is_refused():
+    blocks, b = _mixed_block_lmi([3, 5, 3, 2, 5])
+    # S = C - t*1 with t above the least eigenvalue of C
+    start = np.zeros(len(b) + 1)
+    start[-1] = min(np.linalg.eigvalsh(Cb)[0] for Cb, _ in blocks) + 1e-3
+    with_t = [(Cb, np.concatenate([Ab, np.eye(len(Cb))[None]])) for Cb, Ab in blocks]
+    with pytest.raises(ValueError, match="not positive definite"):
+        interior.solve_lmi(with_t, np.append(b, 1.0), start=start)
+
+
+def test_a_dual_start_reaches_the_cold_start_optimum():
+    cs = _ClassSystem(_phase1_problem("chsh:0.725"))
+    assert cs.factor_rows() == (True, "")
+    red = _reduce(cs)
+    blocks = [(C, np.concatenate([-B, np.eye(len(C))[None]]))
+              for C, B in zip(red.C, red.B)]
+    b = np.zeros(cs.N.shape[1] + 1)
+    b[-1] = 1.0
+    cold = interior.solve_lmi(blocks, b, tol=1e-9)
+    start = b * (min(np.linalg.eigvalsh(C)[0] for C in red.C) - 1.0)
+    warm = interior.solve_lmi(blocks, b, tol=1e-9, start=start)
+    assert abs(cold.primal_obj - (-0.05061)) <= 1e-5
+    assert abs(warm.primal_obj - cold.primal_obj) <= 1e-8
+
+
 @pytest.mark.parametrize("v, verdict", [(0.5, "infeasible"), (0.47, "infeasible"),
                                         (0.465, "feasible"), (0.40, "feasible"),
                                         (0.2, "feasible")])
@@ -461,7 +536,7 @@ def test_triangle_band_is_decided_by_the_interior_point(v, verdict, monkeypatch)
 
 def test_a_stalled_interior_point_is_inconclusive_and_runs_no_projection(
         monkeypatch):
-    def stalled(blocks, b, tol=1e-9, max_iter=100):
+    def stalled(blocks, b, tol=1e-9, max_iter=100, start=None):
         return interior.LmiResult("stalled", np.zeros(len(b)), primal_obj=-0.5,
                                   dual_obj=-1.0, primal_infeas=1.0,
                                   dual_infeas=1.0, iterations=3)
