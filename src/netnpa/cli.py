@@ -225,10 +225,10 @@ def _problem_lines(problem: MomentProblem) -> list[str]:
 
 
 def _engine_lines(problem: MomentProblem, gate: str) -> list[str]:
-    blocks = list(problem.copy_blocks.sizes)
+    blocks = problem.copy_blocks.sizes
     return ["engine:",
-            f"  copy blocks: {blocks} (r = {sum(blocks)}, "
-            f"sum r_b^2 = {sum(k * k for k in blocks)})",
+            f"  copy blocks: {list(blocks)} (r = {sum(blocks)}, "
+            f"sum r_b^2 = {sdp.EngineRoute(None, blocks).squares})",
             f"  gate: {gate}"]
 
 
@@ -248,11 +248,10 @@ def _unpinned_gate(problem: MomentProblem) -> str:
     """The gate line of a problem no distribution is pinned to: the
     largest p = dim ker R that the interior point takes.  (p itself is
     known once the rows are pinned and factored; see ``test``.)"""
-    squares = sum(k * k for k in problem.copy_blocks.sizes)
+    route = sdp.EngineRoute(None, problem.copy_blocks.sizes)
     return (f"the interior point runs when (p + 1)*sum r_b^2 <= "
             f"{sdp.INTERIOR_MAX_ENTRIES}, i.e. p = dim ker R <= "
-            f"{sdp.INTERIOR_MAX_ENTRIES // squares - 1} after the pins; "
-            f"else the alternating projections")
+            f"{route.max_p} after the pins; else the alternating projections")
 
 
 def cmd_test(cfg: RunConfig) -> tuple[int, str]:

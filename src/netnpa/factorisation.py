@@ -24,7 +24,7 @@ tools deal with it:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,11 +44,7 @@ class SeesawState:
 
     scalars: dict[int, float]          # class id -> current estimate
     rounds: int = 0
-    history: list[float] = None        # per-round max factor residual
-
-    def __post_init__(self):
-        if self.history is None:
-            self.history = []
+    history: list[float] = field(default_factory=list)  # per-round max factor residual
 
     def dump(self) -> str:
         lines = [f"seesaw rounds: {self.rounds}"]
@@ -204,6 +200,6 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
                          f"factorisation residual {resid:.3e}"), state
         last = scalars
     return _sdp.FeasibilityOutcome(
-        "inconclusive", t_star=0.0,
+        "inconclusive", t_star=inner.t_star,
         evidence=f"see-saw round cap ({rounds}) reached; last residual "
                  f"{state.history[-1]:.3e}"), state

@@ -18,11 +18,12 @@ T_i = L_S^-1 A_i L_X, where X = L_X L_X' and S = L_S L_S', so it is the
 sum over the blocks of each block's Gram matrix, and an iteration costs
 O(m^2 sum_b r_b^2 + m sum_b r_b^3) rather than O(m^2 r^2 + m r^3).
 
-The blocks are small (6 x 6 to 25 x 25 on the inflation problems), where
-the cost of a call outweighs its arithmetic, so blocks of equal size are
-held as one (n, k, k) stack: each size takes one product chain and one
-T T' for its share of the Schur complement and one batched ``eigvalsh``
-per step length, and the small factorisations call LAPACK directly.
+The blocks are small (6 x 6 to 66 x 66 on the inflation problems it runs),
+where the cost of a call outweighs its arithmetic, so blocks of equal
+size are held as one (n, k, k) stack: each size takes one product chain
+and one T T' for its share of the Schur complement and one batched
+``eigvalsh`` per step length, and the small factorisations call LAPACK
+directly.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel
@@ -97,13 +98,29 @@ def _cholesky(stack: np.ndarray, lapack) -> tuple[np.ndarray, np.ndarray] | None
     return L, L_inv
 
 
-def solve_lmi(blocks: Sequence[tuple[np.ndarray, np.ndarray]], b: np.ndarray,
+def _groups(sizes: Sequence[int]) -> list[list[int]]:
+    """The blocks by size, ascending, each size's in block order."""
+    return [[i for i, k in enumerate(sizes) if k == s] for s in sorted(set(sizes))]
+
+
+def block_views(A: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Per block, in the order of ``sizes``, the (m, r_b, r_b) view of its
+    entries in the packed rows ``A`` (m, sum_b r_b^2) that :func:`solve_lmi`
+    reads: row i holds the blocks of A_i in the order of :func:`_groups`,
+    so each size's blocks are one (m, n, k, k) stack."""
+    order = [i for g in _groups(sizes) for i in g]
+    ends = dict(zip(order, np.cumsum([sizes[i] ** 2 for i in order]).tolist()))
+    return [A[:, ends[i] - k * k:ends[i]].reshape(len(A), k, k)
+            for i, k in enumerate(sizes)]
+
+
+def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
               tol: float = 1e-9, max_iter: int = 100,
               start: np.ndarray | None = None) -> LmiResult:
     """Solve (P)/(D) above for block-diagonal data.
 
-    ``blocks`` holds one (C_b, A_b) per diagonal block, C_b of shape
-    (r_b, r_b) and A_b of shape (m, r_b, r_b); C and every A_i are the
+    ``C`` holds the blocks C_b (r_b, r_b) and ``A`` the A_i as packed rows
+    (:func:`block_views`), read in place; C and every A_i are the
     block-diagonal matrices they form, and X and S keep the same blocks.
     The Schur complement is the sum over the blocks of T_b T_b', step
     lengths are the least over the blocks, and inner products sum over
@@ -113,45 +130,39 @@ def solve_lmi(blocks: Sequence[tuple[np.ndarray, np.ndarray]], b: np.ndarray,
     """
     from scipy.linalg import lapack
 
-    m = len(b)
-    sizes = [C.shape[0] for C, _ in blocks]
+    sizes = [len(Cb) for Cb in C]
     r = sum(sizes)
-    # the blocks grouped by size, each group one stack: C as (n, k, k), and
-    # A as (m, n, k, k), a view of the rows of Af, which hold the A_i as
-    # their blocks' entries, group after group
-    groups = [[i for i, k in enumerate(sizes) if k == size]
-              for size in sorted(set(sizes))]
-    Cs = [np.stack([blocks[i][0] for i in g]) for g in groups]
-    bounds = np.cumsum([0] + [C.size for C in Cs])
-    Af = np.concatenate([blocks[i][1].reshape(m, -1) for g in groups for i in g],
-                        axis=1)
+    # one stack per size: C as (n, k, k), and A as (m, n, k, k), a view of
+    # that size's columns of A
+    Cs = [np.stack([C[i] for i in g]) for g in _groups(sizes)]
+    bounds = np.cumsum([0] + [Cg.size for Cg in Cs])
 
     def split(M: np.ndarray) -> list[np.ndarray]:
         """Views of the groups' columns of M as stacks (..., n, k, k)."""
-        return [M[..., a:e].reshape(M.shape[:-1] + C.shape)
-                for C, a, e in zip(Cs, bounds, bounds[1:])]
+        return [M[..., a:e].reshape(M.shape[:-1] + Cg.shape)
+                for Cg, a, e in zip(Cs, bounds, bounds[1:])]
 
-    # the rows T_i of T, laid out as those of Af, give the Schur complement
+    # the rows T_i of T, laid out as those of A, give the Schur complement
     # T T'; each size's products are written into its view of T
-    T = np.empty_like(Af)
-    As, Ts = split(Af), split(T)
+    T = np.empty_like(A)
+    As, Ts = split(A), split(T)
     c = _flat(Cs)
 
     def eye(scale: float) -> list[np.ndarray]:
-        return [np.zeros_like(C) + scale * np.eye(C.shape[1]) for C in Cs]
+        return [np.zeros_like(Cg) + scale * np.eye(Cg.shape[1]) for Cg in Cs]
 
     norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(c)
-    norm_a = np.linalg.norm(Af, axis=1)
+    norm_a = np.linalg.norm(A, axis=1)
     xi = max(10.0, np.sqrt(r),
              r * float(np.max((1 + np.abs(b)) / (1 + norm_a), initial=0.0)))
     X = eye(xi)
     if start is None:
         eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))
         S = eye(eta)
-        y = np.zeros(m)
+        y = np.zeros(len(b))
     else:
         y = np.array(start, dtype=float)
-        S = [_sym(C - Ay) for C, Ay in zip(Cs, split(y @ Af))]
+        S = [_sym(Cg - Ay) for Cg, Ay in zip(Cs, split(y @ A))]
         if any(_cholesky(Sg, lapack) is None for Sg in S):
             raise ValueError("start: C - A'(y) is not positive definite")
 
@@ -161,8 +172,8 @@ def solve_lmi(blocks: Sequence[tuple[np.ndarray, np.ndarray]], b: np.ndarray,
                          float(np.linalg.norm(_flat(Rd)) / (1 + norm_c)), it)
 
     for it in range(max_iter + 1):
-        rp = b - Af @ _flat(X)
-        Rd = [C - Sg - Ay for C, Sg, Ay in zip(Cs, S, split(y @ Af))]
+        rp = b - A @ _flat(X)
+        Rd = [Cg - Sg - Ay for Cg, Sg, Ay in zip(Cs, S, split(y @ A))]
         res = result("optimal", it)
         if max(res.rel_gap, res.primal_infeas, res.dual_infeas) <= tol:
             return res
@@ -176,20 +187,20 @@ def solve_lmi(blocks: Sequence[tuple[np.ndarray, np.ndarray]], b: np.ndarray,
         L_inv = [Li for _, Li in factors]
         Lx = [L[:len(Xg)] for (L, _), Xg in zip(factors, X)]
         Ls_inv = [Li[len(Xg):] for Li, Xg in zip(L_inv, X)]
-        for Li, A, L, Tg in zip(Ls_inv, As, Lx, Ts):
-            np.matmul(Li @ A, L, out=Tg)
+        for Li, Ag, L, Tg in zip(Ls_inv, As, Lx, Ts):
+            np.matmul(Li @ Ag, L, out=Tg)
         schur, info = lapack.dpotrf(T @ T.T, lower=1)
         if info or not np.isfinite(schur).all():
             return result("stalled", it)
         S_inv = [np.swapaxes(Li, 1, 2) @ Li for Li in Ls_inv]
-        rhs = rp + Af @ _flat([Xg @ Rg @ Si for Xg, Rg, Si in zip(X, Rd, S_inv)])
+        rhs = rp + A @ _flat([Xg @ Rg @ Si for Xg, Rg, Si in zip(X, Rd, S_inv)])
 
         def direction(G):
             # HKM: dX = G - sym(X dS S^-1), dS = Rd - A'(dy), A(dX) = rp
-            dy, info = lapack.dpotrs(schur, rhs - Af @ _flat(G), lower=1)
+            dy, info = lapack.dpotrs(schur, rhs - A @ _flat(G), lower=1)
             if info:
                 raise ValueError(f"dpotrs: illegal argument {-info}")
-            dS = [Rg - Ay for Rg, Ay in zip(Rd, split(dy @ Af))]
+            dS = [Rg - Ay for Rg, Ay in zip(Rd, split(dy @ A))]
             dX = [Gg - _sym(Xg @ dSg @ Si)
                   for Gg, Xg, dSg, Si in zip(G, X, dS, S_inv)]
             return dX, dy, dS

@@ -31,7 +31,8 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    X >= 0 iff every U_b' X U_b >= 0.  When (p + 1) sum_b r_b^2 <=
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
    (:class:`EngineRoute`), a primal-dual interior point
-   (``netnpa.interior``) in the coordinates z, one block per copy block;
+   (``netnpa.interior``) in the coordinates z, one block per copy block,
+   on constraint rows packed once per problem (``_RowFactor.phase1_rows``);
    else at most ``max_iter`` Dykstra alternating projections, whose PSD
    step runs per block and whose affine step is the Frobenius projection
    built from y0 and N.  Each problem runs one engine: an interior point
@@ -70,10 +71,7 @@ DEFAULT_MAX_ITER = 2000
 DEFAULT_MARGIN = 1e-4
 LINEAR_TOL = 1e-9
 
-# the interior point holds a few arrays of (p + 1) sum_b r_b^2 entries,
-# for p null-space coordinates and copy blocks of sizes r_b (see
-# EngineRoute); above this many, its memory and its O(p^2 sum_b r_b^2)
-# Schur complements outgrow the projections
+# the largest (p + 1) sum_b r_b^2 the interior point takes (EngineRoute)
 INTERIOR_MAX_ENTRIES = 2 ** 21
 
 
@@ -347,7 +345,7 @@ class _RowFactor:
         K[rest, np.arange(len(rest))] = 1.0
         K[self.pivot_cols] = -self.lu.solve(on_pivots[:, rest].toarray())
         self.N = np.linalg.qr(K)[0]
-        self._directions: list[np.ndarray] | None = None
+        self._rows: np.ndarray | None = None
         self._gram = None
 
     def fits(self, free: np.ndarray, R) -> bool:
@@ -364,23 +362,26 @@ class _RowFactor:
         y[self.pivot_cols] = self.lu.solve(b[self.pivot_rows])
         return y - self.N @ (self.N.T @ y)
 
-    def directions(self, problem: MomentProblem) -> list[np.ndarray]:
-        """Per block U_b of ``problem.copy_blocks``, the (p, r_b, r_b) array
-        of the U_b' D_j U_b, for D_j the matrix whose free classes take the
+    def phase1_rows(self, problem: MomentProblem) -> np.ndarray:
+        """The phase-1 constraint rows [-B_1 ... -B_p; I], packed for
+        ``interior.solve_lmi``: per block U_b of ``problem.copy_blocks``,
+        B_j is U_b' D_j U_b for D_j the matrix whose free classes take the
         values N[:, j].  The off-block parts U_a' D_j U_b are zero and are
         never formed, and of D_j only the rows ``copy_blocks.rows`` are."""
-        if self._directions is None:
+        if self._rows is None:
             blocks = problem.copy_blocks
             p = self.N.shape[1]
-            B = [np.empty((p, k, k)) for k in blocks.sizes]
+            self._rows = np.empty((p + 1, sum(k * k for k in blocks.sizes)))
+            views = interior.block_views(self._rows, blocks.sizes)
             y = np.zeros(problem.n_classes)
             cells = problem.cell_class[blocks.rows]
             for j in range(p):
                 y[self.free] = self.N[:, j]
-                for Bb, G in zip(B, blocks.congruence(y[cells])):
-                    Bb[j] = G
-            self._directions = B
-        return self._directions
+                for A, G in zip(views, blocks.congruence(y[cells])):
+                    np.negative(G, out=A[j])
+            for A in views:
+                A[p] = np.eye(A.shape[1])
+        return self._rows
 
     def frobenius_gram(self, problem: MomentProblem):
         """(WN, Cholesky factor of N'WN) for W = diag(cell counts of the
@@ -614,39 +615,31 @@ def _verdict(problem: MomentProblem, X: np.ndarray | None, t: float | None,
                               evidence=undecided)
 
 
-@dataclass
-class _ReducedLmi:
-    """The affine set in the coordinates the engines work in.
-
-    Free-class values are y = y0 + N z with y0 = ``cs.y0`` and N an
-    orthonormal basis of ker R, so X(z) = X(y0) + sum_j z_j D_j.  The
-    completeness rows make every matrix of the set vanish on the vectors
-    sum_a e_{A_{a|x} v} - e_v, so X(z) >= 0 iff V' X(z) V >= 0 for V =
-    ``MomentProblem.column_range``, an orthonormal basis of their
-    complement, and both have the same nonzero eigenvalues.  The copy
-    blocks U_b = V Q_b (``MomentProblem.copy_blocks``) rotate V so that
-    U' X(z) U is block-diagonal, hence X(z) >= 0 iff every block
-    U_b' X(z) U_b >= 0.
-    """
-
-    C: list[np.ndarray]    # per block, U_b' X(y0) U_b
-    B: list[np.ndarray]    # per block, (p, r_b, r_b): U_b' D_j U_b
-
-
 @dataclass(frozen=True)
 class EngineRoute:
     """The sizes that pick the phase-1 engine of a problem: p = dim ker R
     and the copy-block sizes r_b of its range.  The interior point holds
     a few arrays of (p + 1) sum_b r_b^2 entries, and its Schur complements
     cost O(p^2 sum_b r_b^2); it runs when that count is at most
-    ``INTERIOR_MAX_ENTRIES``, else the projections do."""
+    ``INTERIOR_MAX_ENTRIES``, else the projections do.  p is None before
+    a distribution is pinned, when only the block sizes are known."""
 
-    p: int
+    p: int | None
     blocks: tuple[int, ...]
 
     @property
+    def squares(self) -> int:
+        """sum_b r_b^2, the entries of one block-diagonal matrix."""
+        return sum(k * k for k in self.blocks)
+
+    @property
+    def max_p(self) -> int:
+        """The largest p the interior point takes on these blocks."""
+        return INTERIOR_MAX_ENTRIES // self.squares - 1
+
+    @property
     def entries(self) -> int:
-        return (self.p + 1) * sum(k * k for k in self.blocks)
+        return (self.p + 1) * self.squares
 
     @property
     def interior(self) -> bool:
@@ -657,37 +650,30 @@ class EngineRoute:
         return "interior point" if self.interior else "alternating projections"
 
 
-def _route(cs: _ClassSystem) -> EngineRoute:
-    """Needs ``cs.factor_rows()`` to have run."""
-    return EngineRoute(cs.N.shape[1], cs.problem.copy_blocks.sizes)
-
-
-def _reduce(cs: _ClassSystem) -> _ReducedLmi:
-    """Eliminate the affine constraints and the kernel of the column
-    relations, and split what is left into the copy blocks.  Needs
-    ``cs.factor_rows()`` to have run."""
+def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
+    """Per copy block U_b, C_b = U_b' X(y0) U_b; for y = y0 + N z,
+    U_b' X(y) U_b = C_b + sum_j z_j B_j with the B_j of
+    ``_RowFactor.phase1_rows``.  Needs ``cs.factor_rows()`` to have run."""
     blocks = cs.problem.copy_blocks
-    X0_rows = cs.assemble(cs.y0)[blocks.rows]
-    return _ReducedLmi(blocks.congruence(X0_rows), cs.factor.directions(cs.problem))
+    return blocks.congruence(cs.assemble(cs.y0)[blocks.rows])
 
 
 def _interior_phase1(cs: _ClassSystem, tol: float):
     """max t s.t. U_b' X(z) U_b - t*1 >= 0 for every block b; returns
     (witness X(z), solver result).
 
-    The solve starts from z = 0, t = min_b lambda_min(C_b) - 1 (C_b =
-    U_b' X(y0) U_b), where every block of the dual matrix C - t*1 has min
-    eigenvalue 1: a strictly feasible dual point, so the interior point
-    spends no iteration on the dual residual."""
-    red = _reduce(cs)
+    The solve starts from z = 0, t = min_b lambda_min(C_b) - 1, where
+    every block of the dual matrix C - t*1 has min eigenvalue 1: a
+    strictly feasible dual point, so the interior point spends no
+    iteration on the dual residual."""
+    C = _reduce(cs)
     p = cs.N.shape[1]
-    blocks = [(C, np.concatenate([-B, np.eye(len(C))[None]]))
-              for C, B in zip(red.C, red.B)]
     b = np.zeros(p + 1)
     b[-1] = 1.0
     start = np.zeros(p + 1)
-    start[-1] = min(np.linalg.eigvalsh(C)[0] for C in red.C) - 1.0
-    res = interior.solve_lmi(blocks, b, tol=tol * 1e-2, start=start)
+    start[-1] = min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0
+    res = interior.solve_lmi(C, cs.factor.phase1_rows(cs.problem), b,
+                             tol=tol * 1e-2, start=start)
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
 
 
@@ -760,12 +746,11 @@ def solve_feasibility(problem: MomentProblem,
                       ) -> FeasibilityOutcome:
     """Phase-1 feasibility of a compiled problem.
 
-    The problem's size picks the one engine that runs
-    (:class:`EngineRoute`, kept in ``route`` of the outcome): the interior
-    point when (p + 1) sum_b r_b^2 <= ``INTERIOR_MAX_ENTRIES``, else
-    Dykstra projections; both run on the copy blocks.  An interior point
-    that ends short of a verdict reports inconclusive; ``max_iter`` bounds
-    the projection iterations.
+    The problem's size picks the one engine that runs, the interior point
+    or Dykstra projections, both on the copy blocks (:class:`EngineRoute`,
+    kept in ``route`` of the outcome).  An interior point that ends short
+    of a verdict reports inconclusive; ``max_iter`` bounds the projection
+    iterations.
     """
     if (problem.factor_pairs or problem.factor_triples) \
             and not problem.linear_factor_rows:
@@ -797,7 +782,7 @@ def solve_feasibility(problem: MomentProblem,
         # no point satisfies the rows, so t* = -inf
         return _verdict(problem, None, -np.inf, True, 0, tol,
                         infeasibility_margin, reject=msg)
-    route = _route(cs)
+    route = EngineRoute(cs.N.shape[1], problem.copy_blocks.sizes)
     if route.interior:
         X, res = _interior_phase1(cs, tol)
         t = res.primal_obj
@@ -830,7 +815,9 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
 
     Runs the interior point; raises :class:`SdpStructureError` when the
     problem is infeasible by presolve, too large, or the solve does not
-    reach ``tol`` in relative gap and infeasibilities.
+    reach ``tol`` in relative gap and infeasibilities.  When the affine
+    set is one matrix (dim ker R = 0), that matrix is the witness if its
+    min eigenvalue is at least -tol, and the problem is infeasible else.
     """
     cs = _ClassSystem(problem)
     if cs.contradiction is not None:
@@ -838,9 +825,9 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     ok, msg = cs.factor_rows()
     if not ok:
         raise SdpStructureError(f"infeasible problem: {msg}")
-    if not _route(cs).interior:
+    if not EngineRoute(cs.N.shape[1], problem.copy_blocks.sizes).interior:
         raise SdpStructureError("problem too large for the interior point")
-    red = _reduce(cs)
+    C = _reduce(cs)
     c = np.zeros(len(cs.free))
     fixed_part = 0.0
     for cls, co in objective.items():
@@ -848,8 +835,15 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
             c[cs.free_pos[cls]] += co
         else:
             fixed_part += co * cs.known[cls]
-    res = interior.solve_lmi([(C, -B) for C, B in zip(red.C, red.B)],
-                             cs.N.T @ c, tol=tol * 1e-2)
+    p = cs.N.shape[1]
+    if p == 0:  # the affine set is one matrix
+        lam = min(float(np.linalg.eigvalsh(Cb)[0]) for Cb in C)
+        if lam < -tol:
+            raise SdpStructureError(f"infeasible problem: the one matrix of the "
+                                    f"affine set has min eigenvalue {lam:.6g}")
+        return fixed_part + float(c @ cs.y0), cs.assemble(cs.y0)
+    res = interior.solve_lmi(C, cs.factor.phase1_rows(problem)[:p], cs.N.T @ c,
+                             tol=tol * 1e-2)
     if max(res.rel_gap, res.primal_infeas, res.dual_infeas) > tol:
         raise SdpStructureError(
             f"interior point failed: {res.status} after {res.iterations} "

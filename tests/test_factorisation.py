@@ -192,6 +192,25 @@ def test_seesaw_converges_on_oracle_fixture():
     assert max(rep.hankel, rep.pins, rep.completeness) < 1e-7
 
 
+def test_seesaw_round_cap_reports_the_last_inner_value(monkeypatch):
+    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
+    st = random_strategy(sc, (2, 2, 2, 2), 5)
+    p = pin_distribution(build_factorisation_bilocal(sc, 2),
+                         MomentOracle(st).born())
+    inner = []
+
+    def record(*args, **kwargs):
+        inner.append(solve_feasibility(*args, **kwargs))
+        return inner[-1]
+
+    monkeypatch.setattr(F._sdp, "solve_feasibility", record)
+    out, state = F.seesaw(p, rounds=1, verify_tol=0.0)
+    assert out.verdict == "inconclusive"
+    assert "round cap (1) reached" in out.evidence
+    assert state.rounds == 1 and len(state.history) == 1
+    assert out.t_star == inner[-1].t_star
+
+
 def test_seesaw_oracle_init_fixed_point_in_one_round():
     sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
     st = random_strategy(sc, (2, 2, 2, 2), 5)

@@ -227,6 +227,34 @@ def test_maximize_linear_refuses_a_problem_too_large_for_the_interior_point(
         maximize_linear(p, obj)
 
 
+def _one_matrix_problem(n, alice=(0.3, 0.7)):
+    # one input per party and every class pinned or propagated: the affine
+    # set is one matrix, and dim ker R = 0
+    sc = Scenario("bell3", (2, 2, 1), (1, 1, 1))
+    dist = product_distribution(sc, [np.array(alice)[:, None],
+                                     np.array([[0.6], [0.4]]),
+                                     np.array([[1.0]])])
+    return pin_distribution(cached_problem("standard", "bell3", (2, 2, 1),
+                                           (1, 1, 1), n), dist)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_maximize_linear_over_one_matrix_returns_it(n):
+    p = _one_matrix_problem(n)
+    objective = {int(p.cell_class[0, 1]): 1.0}
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "") and cs.N.shape[1] == 0
+    value, X = maximize_linear(p, objective)
+    assert abs(value - 0.3) <= 1e-12
+    assert np.array_equal(X, cs.assemble(cs.y0))
+    # 2 p - q for a second table q keeps every linear row, and its
+    # G[A0] = 2*0.3 - 1 < 0 makes the one matrix indefinite
+    q = _one_matrix_problem(n, alice=(1.0, 0.0))
+    bad = p.derive(pinned={k: 2 * v - q.pinned[k] for k, v in p.pinned.items()})
+    with pytest.raises(SdpStructureError, match="min eigenvalue -"):
+        maximize_linear(bad, objective)
+
+
 def noisy_pr_box(v):
     # v * PR box + (1 - v) * white noise; quantum iff v <= 1/sqrt(2)
     sc = Scenario("bell3", (2, 2, 1), (2, 2, 1))
@@ -321,13 +349,13 @@ def test_reduce_runs_no_eigendecomposition(monkeypatch):
         raise AssertionError("an eigendecomposition ran in _reduce")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    red = _reduce(cs)
+    C = _reduce(cs)
     out = solve_feasibility(p)
     monkeypatch.undo()
     assert out.verdict == "feasible" and out.evidence.startswith("interior point")
     # the same LMI as on the Gram range, up to a rotation into the blocks
     X0 = cs.assemble(cs.y0)
-    blocked = np.sort(np.concatenate([np.linalg.eigvalsh(C) for C in red.C]))
+    blocked = np.sort(np.concatenate([np.linalg.eigvalsh(Cb) for Cb in C]))
     assert np.allclose(blocked, np.linalg.eigvalsh(V_gram.T @ X0 @ V_gram),
                        atol=1e-10)
 
@@ -387,17 +415,18 @@ def test_copy_blocks_block_diagonalise_c_and_every_direction(name):
                              _born(int(label)))
     cs = _ClassSystem(p)
     assert cs.factor_rows() == (True, "")
-    blocks, red = p.copy_blocks, _reduce(cs)
+    blocks = p.copy_blocks
+    rows = interior.block_views(cs.factor.phase1_rows(p), blocks.sizes)
     off, diag = _off_block(blocks, cs.assemble(cs.y0))
     assert off <= 1e-10
     # the blocks from one word per orbit are the diagonal blocks
-    assert all(np.abs(C - G).max() <= 1e-10 for C, G in zip(red.C, diag))
+    assert all(np.abs(C - G).max() <= 1e-10 for C, G in zip(_reduce(cs), diag))
     y = np.zeros(cs.k)
     for j in range(cs.N.shape[1]):
         y[cs.free] = cs.N[:, j]
         off, diag = _off_block(blocks, y[cs.cell_class])
         assert off <= 1e-10
-        assert all(np.abs(B[j] - G).max() <= 1e-10 for B, G in zip(red.B, diag))
+        assert all(np.abs(-A[j] - G).max() <= 1e-10 for A, G in zip(rows, diag))
 
 
 @pytest.mark.parametrize("name", ["standard", "scalar", "restricted-inflation"])
@@ -465,6 +494,15 @@ def _mixed_block_lmi(sizes, m=6, seed=3):
     return blocks, b
 
 
+def _solve_blocks(blocks, b, **kwargs):
+    """``interior.solve_lmi`` on (C_b, A_b) pairs, the A_b packed."""
+    sizes = [len(Cb) for Cb, _ in blocks]
+    A = np.empty((len(b), sum(k * k for k in sizes)))
+    for view, (_, Ab) in zip(interior.block_views(A, sizes), blocks):
+        view[...] = Ab
+    return interior.solve_lmi([Cb for Cb, _ in blocks], A, b, **kwargs)
+
+
 def _block_diagonal(blocks):
     r = sum(len(C) for C, _ in blocks)
     m = len(blocks[0][1])
@@ -480,18 +518,18 @@ def _block_diagonal(blocks):
 
 def test_stacked_blocks_match_the_dense_solve_in_any_order():
     blocks, b = _mixed_block_lmi([3, 5, 3, 2, 5])
-    res = interior.solve_lmi(blocks, b)
+    res = _solve_blocks(blocks, b)
     status, _y, p_obj, _infeas = dense_solve_lmi(*_block_diagonal(blocks), b)
     assert res.status == status == "optimal"
     assert abs(res.primal_obj - p_obj) <= 1e-8
     # interleaved otherwise, equal sizes in the same order: the same stacks
     for order in ([3, 1, 0, 4, 2], [0, 2, 3, 1, 4]):
-        permuted = interior.solve_lmi([blocks[i] for i in order], b)
+        permuted = _solve_blocks([blocks[i] for i in order], b)
         assert np.abs(permuted.y - res.y).max() <= 1e-10
     # equal sizes reordered: the sums run in another order, and y, which the
     # stopping rule fixes only to about 1e-6 here, moves with the rounding
     for order in ([4, 2, 0, 3, 1], [2, 4, 3, 0, 1]):
-        permuted = interior.solve_lmi([blocks[i] for i in order], b)
+        permuted = _solve_blocks([blocks[i] for i in order], b)
         assert permuted.status == "optimal"
         assert abs(permuted.primal_obj - res.primal_obj) <= 1e-8
 
@@ -503,20 +541,18 @@ def test_a_start_outside_the_dual_cone_is_refused():
     start[-1] = min(np.linalg.eigvalsh(Cb)[0] for Cb, _ in blocks) + 1e-3
     with_t = [(Cb, np.concatenate([Ab, np.eye(len(Cb))[None]])) for Cb, Ab in blocks]
     with pytest.raises(ValueError, match="not positive definite"):
-        interior.solve_lmi(with_t, np.append(b, 1.0), start=start)
+        _solve_blocks(with_t, np.append(b, 1.0), start=start)
 
 
 def test_a_dual_start_reaches_the_cold_start_optimum():
     cs = _ClassSystem(_phase1_problem("chsh:0.725"))
     assert cs.factor_rows() == (True, "")
-    red = _reduce(cs)
-    blocks = [(C, np.concatenate([-B, np.eye(len(C))[None]]))
-              for C, B in zip(red.C, red.B)]
+    C, A = _reduce(cs), cs.factor.phase1_rows(cs.problem)
     b = np.zeros(cs.N.shape[1] + 1)
     b[-1] = 1.0
-    cold = interior.solve_lmi(blocks, b, tol=1e-9)
-    start = b * (min(np.linalg.eigvalsh(C)[0] for C in red.C) - 1.0)
-    warm = interior.solve_lmi(blocks, b, tol=1e-9, start=start)
+    cold = interior.solve_lmi(C, A, b, tol=1e-9)
+    start = b * (min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0)
+    warm = interior.solve_lmi(C, A, b, tol=1e-9, start=start)
     assert abs(cold.primal_obj - (-0.05061)) <= 1e-5
     assert abs(warm.primal_obj - cold.primal_obj) <= 1e-8
 
@@ -536,7 +572,7 @@ def test_triangle_band_is_decided_by_the_interior_point(v, verdict, monkeypatch)
 
 def test_a_stalled_interior_point_is_inconclusive_and_runs_no_projection(
         monkeypatch):
-    def stalled(blocks, b, tol=1e-9, max_iter=100, start=None):
+    def stalled(C, A, b, tol=1e-9, max_iter=100, start=None):
         return interior.LmiResult("stalled", np.zeros(len(b)), primal_obj=-0.5,
                                   dual_obj=-1.0, primal_infeas=1.0,
                                   dual_infeas=1.0, iterations=3)
@@ -836,9 +872,32 @@ def test_distributions_pinned_on_one_problem_share_one_factorisation(monkeypatch
     assert len(calls) == 1
     assert systems[0].factor is systems[1].factor
     # the engines' structural matrices are built once per factorisation
-    assert _reduce(systems[0]).B is _reduce(systems[1]).B
+    assert systems[0].factor.phase1_rows(systems[0].problem) \
+        is systems[1].factor.phase1_rows(systems[1].problem)
     assert systems[0].factor.frobenius_gram(base) \
         is systems[1].factor.frobenius_gram(base)
+
+
+def test_the_interior_point_reads_one_packed_array_per_problem(monkeypatch):
+    solve_lmi, seen = interior.solve_lmi, []
+
+    def capture(C, A, b, **kwargs):
+        seen.append(A)
+        return solve_lmi(C, A, b, **kwargs)
+
+    monkeypatch.setattr(interior, "solve_lmi", capture)
+    base = dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2))
+    for seed in (0, 1):
+        out = solve_feasibility(pin_distribution(base, _born(seed)))
+        assert out.verdict == "feasible" and out.route.interior
+    assert len(seen) == 2 and seen[0] is seen[1]
+    # an objective's solve reads the first p of the phase-1 rows in place
+    p, obj = chsh_problem_and_objective()
+    p = dataclasses.replace(p)
+    assert solve_feasibility(p).route.interior
+    maximize_linear(p, obj)
+    assert len(seen[3]) == len(seen[2]) - 1
+    assert np.shares_memory(seen[3], seen[2])
 
 
 def _cache_problems(name):
