@@ -13,9 +13,9 @@ Subcommands
 A FEASIBLE verdict at level n means only that no obstruction exists at
 level n.  Exit code 1 comes only with an INFEASIBLE verdict.  64 flags
 unreadable inputs (a stored assignment that ``gns`` cannot load or
-rebuild included) and solver settings outside their range (``--tol``
-finite and > 0, ``--infeasibility-margin`` finite and >= ``--tol``,
-``--max-iter`` >= 1); 65 flags any error building or pinning the requested
+rebuild included), unknown options, and solver settings outside their
+range (``--tol`` finite and > 0, ``--infeasibility-margin`` finite and
+>= ``--tol``); 65 flags any error building or pinning the requested
 problem in ``test``, ``export``, ``sample`` and ``info`` (a scenario
 mismatch, an invalid level, the index budget).
 """
@@ -83,7 +83,6 @@ class RunConfig:
     n: int = 3
     m: int | None = None
     tol: float = sdp.DEFAULT_TOL
-    max_iter: int = sdp.DEFAULT_MAX_ITER
     infeasibility_margin: float = sdp.DEFAULT_MARGIN
     budget: int = DEFAULT_INDEX_BUDGET
     literal_paper_mode: bool = False
@@ -103,7 +102,6 @@ class RunConfig:
             f"  n: {self.n}",
             f"  m: {self.m if self.m is not None else '-'}",
             f"  tol: {self.tol:g}",
-            f"  max_iter: {self.max_iter}",
             f"  infeasibility_margin: {self.infeasibility_margin:g}",
             f"  budget: {self.budget}",
             f"  literal_paper_mode: {str(self.literal_paper_mode).lower()}",
@@ -128,9 +126,6 @@ def _check_solver_settings(cfg: RunConfig) -> None:
     if not (math.isfinite(margin) and margin >= cfg.tol):
         raise CliError(f"--infeasibility-margin must be finite and >= --tol "
                        f"({cfg.tol:g}), got {margin:g}", EXIT_PARSE)
-    if cfg.max_iter < 1:
-        raise CliError(f"--max-iter must be >= 1, got {cfg.max_iter}",
-                       EXIT_PARSE)
 
 
 def _builtin_distribution(name: str, topology: str) -> Distribution:
@@ -249,9 +244,13 @@ def _unpinned_gate(problem: MomentProblem) -> str:
     largest p = dim ker R that the interior point takes.  (p itself is
     known once the rows are pinned and factored; see ``test``.)"""
     route = sdp.EngineRoute(None, problem.copy_blocks.sizes)
+    if route.max_p < 0:
+        return (f"the blocks alone exceed the interior point's budget: "
+                f"sum r_b^2 = {route.squares} > {sdp.INTERIOR_MAX_ENTRIES}, "
+                f"so no engine runs")
     return (f"the interior point runs when (p + 1)*sum r_b^2 <= "
             f"{sdp.INTERIOR_MAX_ENTRIES}, i.e. p = dim ker R <= "
-            f"{route.max_p} after the pins; else the alternating projections")
+            f"{route.max_p} after the pins; else no engine runs")
 
 
 def cmd_test(cfg: RunConfig) -> tuple[int, str]:
@@ -259,8 +258,7 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     dist = _load_distribution(cfg)
     problem, t_built = _problem(cfg, dist.scenario, dist, linearize=True)
     t_pinned = time.perf_counter()
-    settings = dict(tol=cfg.tol, max_iter=cfg.max_iter,
-                    infeasibility_margin=cfg.infeasibility_margin)
+    settings = dict(tol=cfg.tol, infeasibility_margin=cfg.infeasibility_margin)
     seesaw_note = ""
     if problem.flagged_bilinear:
         outcome, state = factorisation.seesaw(problem, **settings)
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--m", type=int)
         p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
-        p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
         p.add_argument("--infeasibility-margin", type=float,
                        default=sdp.DEFAULT_MARGIN)
         p.add_argument("--budget", type=int, default=DEFAULT_INDEX_BUDGET)
@@ -473,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 # argparse reads a value such as "-1e-7" as an option, not as the value
 # of the option before it; attached to its option ("--tol=-1e-7"), a
 # negative setting reaches the range checks
-SOLVER_SETTINGS = ("--tol", "--max-iter", "--infeasibility-margin")
+SOLVER_SETTINGS = ("--tol", "--infeasibility-margin")
 
 
 def _is_number(text: str) -> bool:

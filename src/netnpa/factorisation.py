@@ -120,7 +120,6 @@ def _scalar_rows(problem: MomentProblem, scalars: dict[int, float]) -> FlatRows:
 def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
            rounds: int = 25, drift_tol: float = 1e-8,
            verify_tol: float = 1e-6, *, tol: float = _sdp.DEFAULT_TOL,
-           max_iter: int = _sdp.DEFAULT_MAX_ITER,
            infeasibility_margin: float = _sdp.DEFAULT_MARGIN
            ) -> tuple[_sdp.FeasibilityOutcome, SeesawState]:
     """Alternating scalar-freeze heuristic for unresolved factor pairs.
@@ -132,12 +131,10 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
     ``drift_tol`` in a round.  Feasible is returned only when the final
     witness passes :func:`verify_factorisation` at ``verify_tol``;
     infeasible only when the rigorous linearized subproblem already is.
-    Every SDP solve runs :func:`netnpa.sdp.solve_feasibility` with
-    ``tol``, ``max_iter`` and ``infeasibility_margin``, and the size of
-    the problem picks its engine.
+    Every SDP solve runs :func:`netnpa.sdp.solve_feasibility` with ``tol``
+    and ``infeasibility_margin``.
     """
-    settings = dict(tol=tol, max_iter=max_iter,
-                    infeasibility_margin=infeasibility_margin)
+    settings = dict(tol=tol, infeasibility_margin=infeasibility_margin)
     lp = pin_linearize(problem)
     # the SDP imposes the linearized pairs only, so its residual gate sees
     # those; the flagged pairs are checked here, by verify_factorisation

@@ -18,12 +18,12 @@ T_i = L_S^-1 A_i L_X, where X = L_X L_X' and S = L_S L_S', so it is the
 sum over the blocks of each block's Gram matrix, and an iteration costs
 O(m^2 sum_b r_b^2 + m sum_b r_b^3) rather than O(m^2 r^2 + m r^3).
 
-The blocks are small (6 x 6 to 66 x 66 on the inflation problems it runs),
-where the cost of a call outweighs its arithmetic, so blocks of equal
-size are held as one (n, k, k) stack: each size takes one product chain
-and one T T' for its share of the Schur complement and one batched
-``eigvalsh`` per step length, and the small factorisations call LAPACK
-directly.
+The blocks run from 6 x 6 to 160 x 160 on the inflation problems (the
+largest on triangle inflation (2,3)), and most are small, where the cost
+of a call outweighs its arithmetic, so blocks of equal size are held as
+one (n, k, k) stack: each size takes one product chain and one T T' for
+its share of the Schur complement and one batched ``eigvalsh`` per step
+length, and the small factorisations call LAPACK directly.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel

@@ -28,28 +28,22 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    bases U_b of the range of the completeness relations in which every
    matrix X of the affine set is block-diagonal, the isotypic components
    of the copy swaps on an inflation problem and one block otherwise, so
-   X >= 0 iff every U_b' X U_b >= 0.  When (p + 1) sum_b r_b^2 <=
+   X >= 0 iff every U_b' X U_b >= 0.  A primal-dual interior point
+   (``netnpa.interior``) runs in the coordinates z, one block per copy
+   block, on constraint rows packed once per problem
+   (``_RowFactor.phase1_rows``), when (p + 1) sum_b r_b^2 <=
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
-   (:class:`EngineRoute`), a primal-dual interior point
-   (``netnpa.interior``) in the coordinates z, one block per copy block,
-   on constraint rows packed once per problem (``_RowFactor.phase1_rows``);
-   else at most ``max_iter`` Dykstra alternating projections, whose PSD
-   step runs per block and whose affine step is the Frobenius projection
-   built from y0 and N.  Each problem runs one engine: an interior point
-   that ends short of a verdict reports inconclusive, naming its status.
-   The projections can certify feasibility (by exhibiting a witness) but
-   report only inconclusive when they stall; t* is then the best min
-   eigenvalue of the blocks of an iterate on the affine set, a lower bound
-   on the phase-1 optimum.
+   (:class:`EngineRoute`).  A larger problem is inconclusive at once, with
+   no engine run; an interior point that ends short of a verdict reports
+   inconclusive, naming its status.
 
-One function (``_verdict``) turns where the fully determined matrix or an
-engine ends into a verdict: feasible when the witness passes every
-residual family of ``moment.check_assignment`` to 10*tol (else
-inconclusive, naming the worst family), infeasible when a certified upper
-bound t* on the phase-1 optimum is below -infeasibility_margin,
-inconclusive otherwise.  The fully determined matrix and the interior
-point offer a witness when its min eigenvalue is at least -tol, the
-projections when the min eigenvalue of its blocks is at least -10*tol.  A
+One function (``_verdict``) turns where the fully determined matrix or the
+interior point ends into a verdict.  The matrix is a candidate witness
+when its min eigenvalue is at least -tol, and a candidate is feasible when
+it passes every residual family of ``moment.check_assignment`` to 10*tol
+(else inconclusive, naming the worst family).  Without a candidate, the
+verdict is infeasible when a certified upper bound t* on the phase-1
+optimum is below -infeasibility_margin, inconclusive otherwise.  A
 FEASIBLE verdict at level n never claims more than "no obstruction at
 level n".
 """
@@ -67,12 +61,11 @@ from . import interior
 from .moment import MomentAssignment, MomentProblem, ResidualReport, check_assignment
 
 DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITER = 2000
 DEFAULT_MARGIN = 1e-4
 LINEAR_TOL = 1e-9
 
 # the largest (p + 1) sum_b r_b^2 the interior point takes (EngineRoute)
-INTERIOR_MAX_ENTRIES = 2 ** 21
+INTERIOR_MAX_ENTRIES = 2 ** 25
 
 
 class SdpStructureError(ValueError):
@@ -114,13 +107,17 @@ class AffineSdp:
 
 @dataclass
 class FeasibilityOutcome:
+    """A verdict with its evidence.  ``t_star`` is the phase-1 value the
+    verdict rests on; it is NaN when none was computed, on a problem too
+    large for the interior point."""
+
     verdict: str                      # feasible | infeasible | inconclusive
     t_star: float
     witness: np.ndarray | None = None
     residuals: ResidualReport | None = None
     iterations: int = 0
     evidence: str = ""
-    route: EngineRoute | None = None  # set when a phase-1 engine ran
+    route: EngineRoute | None = None  # set once the rows are factored
 
     @property
     def feasible(self) -> bool:
@@ -233,22 +230,6 @@ def parse_sdpa(path: str) -> AffineSdp:
 
 
 # ---------------------------------------------------------------------------
-# PSD projection
-# ---------------------------------------------------------------------------
-
-def project_psd(M: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
-    """Frobenius-nearest PSD matrix (eigenvalue clamp at zero)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("need a square matrix")
-    if np.abs(M - M.T).max() > sym_tol:
-        raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh((M + M.T) / 2)
-    out = (v * w.clip(min=0.0)) @ v.T
-    return (out + out.T) / 2
-
-
-# ---------------------------------------------------------------------------
 # Class-space machinery
 # ---------------------------------------------------------------------------
 
@@ -315,8 +296,8 @@ class _RowFactor:
     """The part of the affine layer that does not depend on the rhs: for
     reduced rows R over the free classes ``free``, the pivots of
     :func:`_eliminate`, one sparse LU of R on the pivot rows and columns,
-    and ``N``, an orthonormal basis of ker R.  The engines' structural
-    matrices are built from N on first use.
+    and ``N``, an orthonormal basis of ker R.  The interior point's
+    constraint rows are built from N on first use.
 
     Every distribution pinned on one problem leaves the same R, so one
     factorisation, kept in the problem's shared structures, serves them
@@ -346,7 +327,6 @@ class _RowFactor:
         K[self.pivot_cols] = -self.lu.solve(on_pivots[:, rest].toarray())
         self.N = np.linalg.qr(K)[0]
         self._rows: np.ndarray | None = None
-        self._gram = None
 
     def fits(self, free: np.ndarray, R) -> bool:
         """Whether these are the free classes and the rows, bit for bit,
@@ -382,16 +362,6 @@ class _RowFactor:
             for A in views:
                 A[p] = np.eye(A.shape[1])
         return self._rows
-
-    def frobenius_gram(self, problem: MomentProblem):
-        """(WN, Cholesky factor of N'WN) for W = diag(cell counts of the
-        free classes), the Frobenius metric in free-class coordinates."""
-        if self._gram is None:
-            import scipy.linalg
-
-            WN = problem.class_counts[self.free][:, None] * self.N
-            self._gram = WN, scipy.linalg.cho_factor(self.N.T @ WN)
-        return self._gram
 
 
 class _ClassSystem:
@@ -575,39 +545,36 @@ class _ClassSystem:
 
 def _verdict(problem: MomentProblem, X: np.ndarray | None, t: float | None,
              certified: bool, iterations: int, tol: float, margin: float, *,
-             accept: str = "", reject: str = "", undecided: str = "",
-             floor: float | None = None) -> FeasibilityOutcome:
+             accept: str = "", reject: str = "", undecided: str = ""
+             ) -> FeasibilityOutcome:
     """The one verdict rule past the presolve and the interlacing bound.
 
     X is the candidate witness (None: there is none) and t the phase-1
     value, a certified upper bound on the phase-1 optimum when
-    ``certified``; None stands for the min eigenvalue of X.  With
-    ``floor`` (the fully determined matrix, the interior point), X is a
-    candidate only when its min eigenvalue, read from the residual report
-    of the gate, is at least -floor, and that eigenvalue is then its t*;
-    without (the projections), the engine has tested X on its blocks and
-    t is its value.  A candidate is FEASIBLE when every residual family
-    of ``check_assignment`` is at most 10*tol, else INCONCLUSIVE, naming
-    the worst family.  Otherwise a certified t < -margin is INFEASIBLE,
-    with evidence ``reject``, and anything else INCONCLUSIVE, with
+    ``certified``; None stands for the min eigenvalue of X.  X is a
+    candidate when its min eigenvalue, read from the residual report of
+    the gate, is at least -tol, and that eigenvalue is then its t*.  A
+    candidate is FEASIBLE when every residual family of
+    ``check_assignment`` is at most 10*tol, else INCONCLUSIVE, naming the
+    worst family.  Otherwise a certified t < -margin is INFEASIBLE, with
+    evidence ``reject``, and anything else INCONCLUSIVE, with
     ``undecided``.
     """
     if X is not None:
         rep = check_assignment(problem, MomentAssignment(problem, X))
         lam = rep.min_eigenvalue
-        t = lam if t is None else t
-        if floor is None or lam >= -floor:
-            t_x = t if floor is None else lam
+        if lam >= -tol:
             family, worst = max(rep.families().items(), key=lambda kv: kv[1])
             if worst > 10 * tol:
                 return FeasibilityOutcome(
-                    "inconclusive", t_star=t_x, residuals=rep,
+                    "inconclusive", t_star=lam, residuals=rep,
                     iterations=iterations,
                     evidence=f"{accept}: witness fails the residual gate, "
                              f"{family} residual {worst:.3e} > {10 * tol:.1e}")
-            return FeasibilityOutcome("feasible", t_star=t_x, witness=X,
+            return FeasibilityOutcome("feasible", t_star=lam, witness=X,
                                       residuals=rep, iterations=iterations,
                                       evidence=accept)
+        t = lam if t is None else t
     if certified and t < -margin:
         return FeasibilityOutcome("infeasible", t_star=t, iterations=iterations,
                                   evidence=reject)
@@ -617,12 +584,13 @@ def _verdict(problem: MomentProblem, X: np.ndarray | None, t: float | None,
 
 @dataclass(frozen=True)
 class EngineRoute:
-    """The sizes that pick the phase-1 engine of a problem: p = dim ker R
-    and the copy-block sizes r_b of its range.  The interior point holds
-    a few arrays of (p + 1) sum_b r_b^2 entries, and its Schur complements
-    cost O(p^2 sum_b r_b^2); it runs when that count is at most
-    ``INTERIOR_MAX_ENTRIES``, else the projections do.  p is None before
-    a distribution is pinned, when only the block sizes are known."""
+    """The sizes that decide whether the phase-1 engine runs on a problem:
+    p = dim ker R and the copy-block sizes r_b of its range.  The interior
+    point holds a few arrays of (p + 1) sum_b r_b^2 entries, and its Schur
+    complements cost O(p^2 sum_b r_b^2); it runs when that count is at
+    most ``INTERIOR_MAX_ENTRIES``, and no engine runs otherwise.  p is
+    None before a distribution is pinned, when only the block sizes are
+    known."""
 
     p: int | None
     blocks: tuple[int, ...]
@@ -634,7 +602,8 @@ class EngineRoute:
 
     @property
     def max_p(self) -> int:
-        """The largest p the interior point takes on these blocks."""
+        """The largest p the interior point takes on these blocks; -1 when
+        the blocks alone exceed ``INTERIOR_MAX_ENTRIES``."""
         return INTERIOR_MAX_ENTRIES // self.squares - 1
 
     @property
@@ -647,7 +616,9 @@ class EngineRoute:
 
     @property
     def engine(self) -> str:
-        return "interior point" if self.interior else "alternating projections"
+        if self.interior:
+            return "interior point"
+        return "none (too large for the interior point)"
 
 
 def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
@@ -677,61 +648,6 @@ def _interior_phase1(cs: _ClassSystem, tol: float):
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
 
 
-def _affine_projector(cs: _ClassSystem):
-    """The Frobenius projection onto the affine set (pins, propagated
-    values, reduced rows), as a map of matrices.
-
-    A free class's value fills every cell of the class, so in free-class
-    coordinates the Frobenius metric is W = diag(cell counts), and the
-    nearest point of y0 + range(N) to the class averages a is
-    y0 + N (N'WN)^-1 N'W (a - y0).  Needs ``cs.factor_rows()`` to have run.
-    """
-    import scipy.linalg
-
-    WN, gram = cs.factor.frobenius_gram(cs.problem)
-
-    def project(X: np.ndarray) -> np.ndarray:
-        a = cs.problem.class_average(X)[cs.free] - cs.y0
-        return cs.assemble(cs.y0 + cs.N @ scipy.linalg.cho_solve(gram, WN.T @ a))
-
-    return project
-
-
-def _dykstra(cs: _ClassSystem, tol: float, max_iter: int):
-    """Alternating projections with Dykstra correction between the affine
-    set and the cone of the matrices U S U' with S block-diagonal and PSD
-    (U = [U_1 ... U_B], the copy blocks); returns (witness or None, best
-    min eigenvalue of an iterate's blocks, iterations).
-
-    Every matrix of the affine set is U (U' X U) U' with U' X U
-    block-diagonal, so it meets that cone exactly where it meets the PSD
-    cone.  The Frobenius-nearest point of the cone to Z is the sum of the
-    U_b S_b U_b' with S_b the PSD projection of U_b' Z U_b, one small
-    eigendecomposition per block.  Needs ``cs.factor_rows()`` to have run.
-    """
-    project_affine = _affine_projector(cs)
-    blocks = cs.problem.copy_blocks
-    rows = blocks.rows
-    X = cs.assemble(cs.y0)
-    P = np.zeros_like(X)
-    best_t = -np.inf
-    for it in range(1, max_iter + 1):
-        # Z commutes with the copy swaps: X does, and so does the correction
-        # P, a sum of such matrices and of the U_b S_b U_b'
-        Z = X + P
-        Y = sum(U @ project_psd(G, sym_tol=np.inf) @ U.T
-                for U, G in zip(blocks.bases, blocks.congruence(Z[rows])))
-        P = Z - Y
-        X = project_affine(Y)
-        if it % 25 == 0 or it == max_iter:
-            lam = min(float(np.linalg.eigvalsh(G)[0])
-                      for G in blocks.congruence(X[rows]))
-            best_t = max(best_t, lam)
-            if lam >= -10 * tol:
-                return X, lam, it
-    return None, best_t, max_iter
-
-
 def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
     """Class values forced by pins plus linear propagation (NaN where
     free), and the first contradiction found, if any."""
@@ -741,16 +657,15 @@ def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
 
 def solve_feasibility(problem: MomentProblem,
                       tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER,
                       infeasibility_margin: float = DEFAULT_MARGIN
                       ) -> FeasibilityOutcome:
     """Phase-1 feasibility of a compiled problem.
 
-    The problem's size picks the one engine that runs, the interior point
-    or Dykstra projections, both on the copy blocks (:class:`EngineRoute`,
-    kept in ``route`` of the outcome).  An interior point that ends short
-    of a verdict reports inconclusive; ``max_iter`` bounds the projection
-    iterations.
+    The phase-1 engine is the interior point on the copy blocks.  The
+    problem's size decides whether it runs (:class:`EngineRoute`, kept in
+    ``route`` of the outcome): a problem too large for it is inconclusive
+    at once, with no iteration and t* NaN.  An interior point that ends
+    short of a verdict reports inconclusive.
     """
     if (problem.factor_pairs or problem.factor_triples) \
             and not problem.linear_factor_rows:
@@ -773,7 +688,7 @@ def solve_feasibility(problem: MomentProblem,
         # phase-1 optimum
         return _verdict(
             problem, cs.assemble(np.zeros(0)), None, True, 0, tol,
-            infeasibility_margin, floor=tol,
+            infeasibility_margin,
             accept="fully determined by the linear constraints",
             reject="fully determined matrix is not PSD",
             undecided="fully determined, min eigenvalue in the inconclusive band")
@@ -783,27 +698,24 @@ def solve_feasibility(problem: MomentProblem,
         return _verdict(problem, None, -np.inf, True, 0, tol,
                         infeasibility_margin, reject=msg)
     route = EngineRoute(cs.N.shape[1], problem.copy_blocks.sizes)
-    if route.interior:
-        X, res = _interior_phase1(cs, tol)
-        t = res.primal_obj
-        # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
-        outcome = _verdict(
-            problem, X, t, res.primal_infeas <= tol, res.iterations, tol,
-            infeasibility_margin, floor=tol,
-            accept="interior point witness (min eigenvalue >= -tol, every "
-                   "residual family <= 10*tol)",
-            reject=f"phase-1 optimum {t:.6g} (interior point)",
-            undecided=("phase-1 optimum inside the inconclusive band"
-                       if res.status == "optimal" else
-                       f"interior point {res.status} short of a verdict; "
-                       f"phase-1 value {t:.6g}"))
-    else:
-        X, t_best, iters = _dykstra(cs, tol, max_iter)
-        outcome = _verdict(
-            problem, X, t_best, False, iters, tol, infeasibility_margin,
-            accept="alternating projections",
-            undecided=f"projection engine stalled; best phase-1 value reached "
-                      f"{t_best:.6g} (lower bound)")
+    if not route.interior:
+        return FeasibilityOutcome(
+            "inconclusive", t_star=math.nan, route=route,
+            evidence=f"too large for the interior point: (p + 1)*sum r_b^2 = "
+                     f"{route.entries} > {INTERIOR_MAX_ENTRIES}")
+    X, res = _interior_phase1(cs, tol)
+    t = res.primal_obj
+    # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
+    outcome = _verdict(
+        problem, X, t, res.primal_infeas <= tol, res.iterations, tol,
+        infeasibility_margin,
+        accept="interior point witness (min eigenvalue >= -tol, every "
+               "residual family <= 10*tol)",
+        reject=f"phase-1 optimum {t:.6g} (interior point)",
+        undecided=("phase-1 optimum inside the inconclusive band"
+                   if res.status == "optimal" else
+                   f"interior point {res.status} short of a verdict; "
+                   f"phase-1 value {t:.6g}"))
     outcome.route = route
     return outcome
 

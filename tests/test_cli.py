@@ -66,17 +66,27 @@ def test_reports_name_the_copy_blocks_and_the_engine_they_select():
     assert code == EXIT_FEASIBLE
     assert ("  copy blocks: [25, 16, 16, 12, 16, 12, 12, 6] "
             "(r = 115, sum r_b^2 = 1861)") in report
-    assert ("  gate: (p + 1)*sum r_b^2 = 448501 for p = 240 (limit 2097152) "
+    assert ("  gate: (p + 1)*sum r_b^2 = 448501 for p = 240 (limit 33554432) "
             "-> interior point") in report
     code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
                         "inflation", "--n", "2", "--m", "2"])
     assert code == EXIT_FEASIBLE
     assert "  copy blocks: [16, 11, 11, 11] (r = 49, sum r_b^2 = 619)" in report
-    # 2**21 // 619 = 3387
-    assert "p = dim ker R <= 3386 after the pins" in report
+    # 2**25 // 619 = 54207
+    assert "p = dim ker R <= 54206 after the pins" in report
     code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
                         "factorisation", "--n", "3", "shared_random_bit"])
     assert "  gate: no phase-1 search (the linear layers leave none)" in report
+
+
+def test_info_says_when_the_blocks_alone_exceed_the_budget(monkeypatch):
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 600)
+    code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
+                        "inflation", "--n", "2", "--m", "2"])
+    assert code == EXIT_FEASIBLE
+    assert ("  gate: the blocks alone exceed the interior point's budget: "
+            "sum r_b^2 = 619 > 600, so no engine runs") in report
+    assert "<= -1" not in report
 
 
 def test_test_factors_the_rows_once_and_reports_the_route_of_the_solve(
@@ -106,14 +116,14 @@ def test_gate_line_names_no_engine_when_the_interlacing_bound_decides():
     assert "-> interior point" not in report
 
 
-def test_engine_option_is_gone_and_max_iter_defaults_to_the_projection_budget():
-    code, _report = run(["test", "--scenario", "bilocal", "--engine", "auto",
-                         "shared_random_bit"])
-    assert code == EXIT_PARSE
+def test_engine_and_max_iter_options_are_gone():
+    for option in (["--engine", "auto"], ["--max-iter", "2000"]):
+        assert run(["test", "--scenario", "bilocal", *option,
+                    "shared_random_bit"]) == (EXIT_PARSE, "")
     code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
                         "factorisation", "--n", "3", "shared_random_bit"])
     assert code == EXIT_INFEASIBLE
-    assert "  max_iter: 2000" in report
+    assert "max_iter" not in report
 
 
 def test_report_timing_line_splits_build_pin_and_solve():
@@ -142,11 +152,10 @@ def test_seesaw_inner_solves_get_the_solver_settings(tmp_path, monkeypatch):
     monkeypatch.setattr(sdp, "solve_feasibility", record)
     _code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
                          "factorisation", "--n", "2", "--tol", "2e-7",
-                         "--max-iter", "1500", "--infeasibility-margin", "3e-4",
-                         str(path)])
+                         "--infeasibility-margin", "3e-4", str(path)])
     assert "seesaw rounds:" in report
     assert len(calls) >= 2          # the warm start and at least one round
-    assert all(kw == {"tol": 2e-7, "max_iter": 1500, "infeasibility_margin": 3e-4}
+    assert all(kw == {"tol": 2e-7, "infeasibility_margin": 3e-4}
                for kw in calls)
 
 
@@ -278,8 +287,6 @@ def test_build_errors_exit65_with_a_one_line_report(argv, tmp_path):
     ("--tol 0", "--tol"),
     ("--tol=-1e-7", "--tol"),
     ("--tol inf", "--tol"),
-    ("--max-iter -3", "--max-iter"),
-    ("--max-iter 0", "--max-iter"),
 ])
 def test_solver_settings_that_could_invert_a_verdict_exit64(settings, option):
     # a margin below tol would overlap the FEASIBLE and INFEASIBLE bands
@@ -292,7 +299,6 @@ def test_solver_settings_that_could_invert_a_verdict_exit64(settings, option):
 @pytest.mark.parametrize("option, value", [
     ("--tol", "-1e-7"),
     ("--infeasibility-margin", "-1e-4"),
-    ("--max-iter", "-3"),
 ])
 def test_negative_settings_reach_the_range_check_in_either_form(option, value):
     argv = ["test", "--scenario", "bilocal", "--hierarchy", "standard", "--n", "2"]
@@ -305,11 +311,10 @@ def test_negative_settings_reach_the_range_check_in_either_form(option, value):
 
 
 def test_solver_settings_at_their_bounds_are_accepted():
-    code, report = run(["test", "--scenario", "bilocal", "--hierarchy", "standard",
+    code, _report = run(["test", "--scenario", "bilocal", "--hierarchy", "standard",
                         "--n", "2", "--tol", "1e-6", "--infeasibility-margin",
-                        "1e-6", "--max-iter", "1", "uniform_product"])
+                        "1e-6", "uniform_product"])
     assert code == EXIT_FEASIBLE
-    assert "  max_iter: 1" in report
 
 
 @pytest.mark.parametrize("hierarchy, build", [

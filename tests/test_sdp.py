@@ -1,4 +1,4 @@
-"""SDP compilation, solving, projection, and SDPA export."""
+"""SDP compilation, solving, and SDPA export."""
 
 import dataclasses
 import os
@@ -32,10 +32,8 @@ from netnpa.sdp import (
     export_sdpa,
     maximize_linear,
     parse_sdpa,
-    project_psd,
     propagated_values,
     solve_feasibility,
-    _affine_projector,
     _ClassSystem,
     _interior_phase1,
     _reduce,
@@ -50,7 +48,6 @@ from helpers import (
     dense_rows,
     dense_solve_lmi,
     gram_range,
-    loop_cells,
     loop_class_rep_cells,
     loop_compile_rows,
     loop_propagate,
@@ -61,10 +58,6 @@ from helpers import (
 )
 
 BILOCAL = Scenario(*BILOCAL_111)
-
-
-def _refuse_projections(*_args, **_kwargs):
-    raise AssertionError("the projections ran on the interior point's route")
 
 
 # --- compile -----------------------------------------------------------------
@@ -99,38 +92,6 @@ def test_compile_scalar_extension_is_linear():
     assert s.dim == p.dim
 
 
-# --- project_psd ---------------------------------------------------------------
-
-def test_project_psd_examples():
-    out = project_psd(np.diag([1.0, -1.0]))
-    assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-14
-    rng = np.random.default_rng(0)
-    M = rng.normal(size=(6, 6))
-    M = (M + M.T) / 2
-    P = project_psd(M)
-    w = np.linalg.eigvalsh(M)
-    assert np.linalg.eigvalsh(P).min() > -1e-12
-    # distance equals the negative-eigenvalue mass
-    assert abs(np.linalg.norm(M - P) ** 2 - (w[w < 0] ** 2).sum()) < 1e-10
-    psd = P + 1e-3 * np.eye(6)
-    assert np.abs(project_psd(psd) - psd).max() < 1e-12
-
-
-def test_project_psd_nonexpansive():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        A = rng.normal(size=(5, 5))
-        B = rng.normal(size=(5, 5))
-        A, B = (A + A.T) / 2, (B + B.T) / 2
-        assert (np.linalg.norm(project_psd(A) - project_psd(B))
-                <= np.linalg.norm(A - B) + 1e-12)
-
-
-def test_project_psd_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        project_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 # --- feasibility ----------------------------------------------------------------
 
 def test_feasible_oracle_pinned_problem():
@@ -161,16 +122,13 @@ def test_infeasibility_monotone_in_level():
         assert out.verdict == "infeasible"
 
 
-def test_engines_agree_on_multi_input_instance(monkeypatch):
+def test_engines_agree_on_multi_input_instance():
     sc = Scenario("bilocal", (2, 2, 2), (2, 1, 1))
     st = random_strategy(sc, (2, 2, 2, 2), 5)
     p = pin_distribution(build_standard(sc, 2), MomentOracle(st).born())
-    out_c = solve_feasibility(p)
-    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
-    out_p = solve_feasibility(p, max_iter=20000)
-    assert out_c.verdict == "feasible"
-    assert out_p.verdict == "feasible"
-    assert out_p.residuals.max_residual() < 1e-6
+    out = solve_feasibility(p)
+    assert out.verdict == "feasible" and out.route.interior
+    assert out.residuals.max_residual() < 1e-6
 
 
 def test_solver_deterministic():
@@ -277,25 +235,38 @@ def test_interior_point_decides_noisy_pr_box_at_tsirelson():
     assert outside.t_star < -0.01
 
 
-def test_max_iter_bounds_the_projections_on_the_default_route(monkeypatch):
-    p = cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2)
-    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
-    out = solve_feasibility(pin_distribution(p, noisy_pr_box(0.725)),
-                            max_iter=2100)
-    assert out.verdict == "inconclusive"
-    assert out.iterations == 2100
-
-
 @pytest.mark.parametrize("seed", range(6))
-def test_bilocal_inflation_is_decided_by_the_interior_point(seed, monkeypatch):
+def test_bilocal_inflation_is_decided_by_the_interior_point(seed):
     p = pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2),
                          MomentOracle(random_strategy(
                              BILOCAL, (2, 2, 2, 2), seed)).born())
-    monkeypatch.setattr(sdp, "_dykstra", _refuse_projections)
     out = solve_feasibility(p)
     assert out.verdict == "feasible"
     assert out.evidence.startswith("interior point")
     assert out.route.interior
+
+
+def _band_problem(name):
+    if name == "bell3-333":
+        sc = Scenario("bell3", (2, 2, 2), (3, 3, 3))
+        return pin_distribution(build_standard(sc, 2), product_distribution(
+            sc, [np.full((2, 3), 0.5)] * 3))
+    sc = Scenario("bilocal", (2, 2, 2), (2, 2, 2))
+    return pin_distribution(build_standard(sc, 3), MomentOracle(
+        random_strategy(sc, (2, 2, 2, 2), 2)).born())
+
+
+@pytest.mark.parametrize("name, entries", [("bell3-333", 2_835_028),
+                                           ("bilocal-222", 5_885_181)])
+def test_problems_past_the_old_gate_are_decided_by_the_interior_point(
+        name, entries):
+    # (p + 1) sum_b r_b^2 lies between 2**21 and INTERIOR_MAX_ENTRIES
+    out = solve_feasibility(_band_problem(name))
+    assert out.route.entries == entries
+    assert out.route.interior
+    assert out.verdict == "feasible"
+    assert out.evidence.startswith("interior point")
+    assert max(out.residuals.families().values()) <= 1e-6
 
 
 # --- the interior point's range ---------------------------------------------------
@@ -560,10 +531,9 @@ def test_a_dual_start_reaches_the_cold_start_optimum():
 @pytest.mark.parametrize("v, verdict", [(0.5, "infeasible"), (0.47, "infeasible"),
                                         (0.465, "feasible"), (0.40, "feasible"),
                                         (0.2, "feasible")])
-def test_triangle_band_is_decided_by_the_interior_point(v, verdict, monkeypatch):
+def test_triangle_band_is_decided_by_the_interior_point(v, verdict):
     p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
                          _mixture(v))
-    monkeypatch.setattr(sdp, "_dykstra", _refuse_projections)
     out = solve_feasibility(p)
     assert out.verdict == verdict
     assert "interior point" in out.evidence
@@ -578,7 +548,6 @@ def test_a_stalled_interior_point_is_inconclusive_and_runs_no_projection(
                                   dual_infeas=1.0, iterations=3)
 
     monkeypatch.setattr(interior, "solve_lmi", stalled)
-    monkeypatch.setattr(sdp, "_dykstra", _refuse_projections)
     out = solve_feasibility(_phase1_problem("chsh:0.725"))
     # t = -0.5 is no upper bound on the optimum while the primal
     # infeasibility is 1, so it proves nothing
@@ -595,10 +564,18 @@ def test_outcomes_carry_the_route_of_the_engine_that_ran(monkeypatch):
     route = solve_feasibility(p).route
     assert route == sdp.EngineRoute(cs.N.shape[1], p.copy_blocks.sizes)
     assert route.interior
+    # over the budget, no engine runs: the outcome names the gate quantity
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the interior point ran over its budget")
+
+    monkeypatch.setattr(interior, "solve_lmi", refuse)
     monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
-    out = solve_feasibility(p, max_iter=25)
+    out = solve_feasibility(p)
     assert out.route == route and not out.route.interior
-    assert "projection" in out.evidence
+    assert (out.verdict, out.iterations) == ("inconclusive", 0)
+    assert np.isnan(out.t_star) and out.witness is None
+    assert out.evidence == ("too large for the interior point: (p + 1)*sum "
+                            f"r_b^2 = {route.entries} > 0")
     # decided before any engine: by the presolve, by the interlacing bound
     srb = shared_random_bit("bilocal")
     fac = factorisation.pin_linearize(pin_distribution(
@@ -871,11 +848,9 @@ def test_distributions_pinned_on_one_problem_share_one_factorisation(monkeypatch
         assert solve_feasibility(cs.problem).verdict == "feasible"
     assert len(calls) == 1
     assert systems[0].factor is systems[1].factor
-    # the engines' structural matrices are built once per factorisation
+    # the interior point's constraint rows are built once per factorisation
     assert systems[0].factor.phase1_rows(systems[0].problem) \
         is systems[1].factor.phase1_rows(systems[1].problem)
-    assert systems[0].factor.frobenius_gram(base) \
-        is systems[1].factor.frobenius_gram(base)
 
 
 def test_the_interior_point_reads_one_packed_array_per_problem(monkeypatch):
@@ -946,54 +921,15 @@ def test_feasible_requires_every_residual_family_within_the_gate():
     X = good.witness.copy()
     assert _verdict(p, X, good.t_star, False, 0, 1e-7, 1e-4,
                     accept="x").verdict == "feasible"
-    # break the value of one off-diagonal pair of cells
-    X[1, 2] += 1e-3
-    X[2, 1] += 1e-3
+    # break the values of cells (1, 1), (1, 2), (2, 1) and (2, 2) by a PSD
+    # term, so that X stays a candidate (min eigenvalue >= -tol)
+    X[np.ix_([1, 2], [1, 2])] += 1e-3
     out = _verdict(p, X, good.t_star, False, 0, 1e-7, 1e-4, accept="interior point")
     assert out.verdict == "inconclusive"
     assert out.witness is None
     family, worst = max(out.residuals.families().items(), key=lambda kv: kv[1])
     assert worst > 1e-6
     assert f"{family} residual {worst:.3e}" in out.evidence
-
-
-def test_affine_projector_matches_weighted_least_squares():
-    p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
-                         noisy_pr_box(0.7))
-    cs = _ClassSystem(p)
-    assert cs.factor_rows() == (True, "")
-    # rank-deficient rows and a nontrivial kernel
-    assert cs.N.shape[1] > 0
-    R = dense_rows(cs)
-    assert np.linalg.matrix_rank(R) < min(R.shape)
-    project = _affine_projector(cs)
-    rng = np.random.default_rng(0)
-    G = rng.standard_normal((p.dim, p.dim))
-    X = G + G.T
-    # reference: a - W^-1 R' (R W^-1 R')^+ (R a - b), with a the per-class
-    # cell means and W the per-class cell counts of the free classes
-    flat = X.reshape(-1)
-    class_cells = loop_cells(p.cell_class, p.n_classes)
-    a = np.array([flat[class_cells[c]].mean() for c in cs.free])
-    w_inv = 1.0 / np.array([len(class_cells[c]) for c in cs.free])
-    gram = (R * w_inv) @ R.T
-    ref = a - w_inv * (R.T @ (np.linalg.pinv(gram) @ (R @ a - cs.b)))
-    Y = project(X)
-    assert np.abs(Y - cs.assemble(ref)).max() < 1e-9
-    assert np.abs(project(Y) - Y).max() < 1e-9
-
-
-def test_stalled_projection_reports_a_lower_bound_on_the_optimum(monkeypatch):
-    p = pin_distribution(cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
-                         noisy_pr_box(0.725))
-    exact = solve_feasibility(p)
-    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
-    stalled = solve_feasibility(p, max_iter=100)
-    assert stalled.verdict == "inconclusive"
-    assert "stalled" in stalled.evidence
-    # every Dykstra iterate lies on the affine set, so its min eigenvalue
-    # cannot exceed the phase-1 optimum
-    assert -np.inf < stalled.t_star <= exact.t_star + 1e-9
 
 
 # --- SDPA export ------------------------------------------------------------------
