@@ -259,10 +259,8 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     problem, t_built = _problem(cfg, dist.scenario, dist, linearize=True)
     t_pinned = time.perf_counter()
     settings = dict(tol=cfg.tol, infeasibility_margin=cfg.infeasibility_margin)
-    seesaw_note = ""
     if problem.flagged_bilinear:
-        outcome, state = factorisation.seesaw(problem, **settings)
-        seesaw_note = state.dump()
+        outcome = factorisation.solve_frozen(problem, **settings)
     else:
         outcome = sdp.solve_feasibility(problem, **settings)
     t_solved = time.perf_counter()
@@ -281,10 +279,7 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
                      "at this level")
     if outcome.residuals is not None:
         lines.append(str(outcome.residuals))
-    if seesaw_note:
-        lines.append(seesaw_note)
-    else:
-        lines += _engine_lines(problem, _route_gate(outcome))
+    lines += _engine_lines(problem, _route_gate(outcome))
     lines.append(f"timing: {t_solved - t0:.2f} s (build {t_built - t0:.2f} s, "
                  f"pin {t_pinned - t_built:.2f} s, solve {t_solved - t_pinned:.2f} s)")
     code = {"FEASIBLE": EXIT_FEASIBLE, "INFEASIBLE": EXIT_INFEASIBLE,

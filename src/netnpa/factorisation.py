@@ -10,12 +10,13 @@ tools deal with it:
     exact linear row.  An infeasibility found afterwards is a genuine
     certificate.
 
-``seesaw``
-    the feasibility-seeking heuristic for the remaining pairs: freeze
-    the factor scalars, solve the linearized SDP, re-read the scalars
-    from the witness, repeat.  It never reports infeasible on its own
-    (a stalled bilinear search proves nothing); a feasible verdict is
-    only returned when the final witness passes the exact verifier.
+``solve_frozen``
+    the feasibility-seeking pass for the remaining pairs: read the factor
+    scalars from a witness of the problem without those pairs, freeze
+    them, and solve once more with every pair checked.  It reports
+    infeasible only when the problem without those pairs is (frozen
+    scalars restrict the problem), and a feasible verdict passes the
+    solver's residual gate, the factorisation family included.
 
 ``verify_factorisation``
     the exact check, max over pairs of |G_prod - G_row*G_col|.
@@ -24,11 +25,12 @@ tools deal with it:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .moment import (
+    FactorConstraint,
     FlatRows,
     MomentAssignment,
     MomentProblem,
@@ -36,21 +38,6 @@ from .moment import (
     factor_residual,
 )
 from . import sdp as _sdp
-
-
-@dataclass
-class SeesawState:
-    """Scalar estimates for the unpinned factor cells plus history."""
-
-    scalars: dict[int, float]          # class id -> current estimate
-    rounds: int = 0
-    history: list[float] = field(default_factory=list)  # per-round max factor residual
-
-    def dump(self) -> str:
-        lines = [f"seesaw rounds: {self.rounds}"]
-        lines += [f"  round {i}: max factor residual {r:.3e}"
-                  for i, r in enumerate(self.history, 1)]
-        return "\n".join(lines)
 
 
 def pin_linearize(problem: MomentProblem) -> MomentProblem:
@@ -95,49 +82,39 @@ def verify_factorisation(assignment: MomentAssignment) -> float:
                            problem.factor_pairs + problem.factor_triples)
 
 
-def _scalar_rows(problem: MomentProblem, scalars: dict[int, float]) -> FlatRows:
-    """The see-saw rows of the flagged pairs under frozen ``scalars``, per
-    pair: G_prod = s_row * G_col and G_prod = s_col * G_row, each when its
-    scalar is frozen (G_prod = 0 when it is zero), then G_prod = s_row *
-    s_col when both are."""
-    prod, row, col = factor_classes(problem.flagged_bilinear).T
-    pairs = list(zip(row.tolist(), col.tolist()))
-    frozen = np.array([[c in scalars for c in pair] for pair in pairs],
-                      dtype=bool).reshape(-1, 2)
-    s = np.array([[scalars.get(c, 0.0) for c in pair] for pair in pairs],
-                 dtype=float).reshape(-1, 2)
-    # three candidate rows per pair: the two ties, then the product
-    made = np.column_stack([frozen, frozen.all(axis=1)])
-    scale = np.column_stack([s, np.zeros(len(s))])
-    other = np.where(scale == 0.0, -1, np.column_stack([col, row, row]))
-    rhs = np.column_stack([np.zeros((len(s), 2)), s.prod(axis=1)])
-    classes = np.stack([np.broadcast_to(prod[:, None], other.shape), other], axis=2)
-    coeffs = np.stack([np.ones(scale.shape), -scale], axis=2)
-    return FlatRows.padded(classes[made], coeffs[made], rhs[made],
-                           ("seesaw",) * int(made.sum()))
+def _frozen_rows(pairs: tuple[FactorConstraint, ...],
+                 class_vals: np.ndarray) -> FlatRows:
+    """Single-entry rows freezing ``pairs`` at ``class_vals``: G_c = s_c
+    for every factor class c, in class order, then G_prod = s_row * s_col
+    for every pair, in pair order."""
+    prod, row, col = factor_classes(pairs).T
+    scalars = np.unique(np.concatenate([row, col]))
+    classes = np.concatenate([scalars, prod])
+    return FlatRows.padded(
+        classes[:, None], np.ones((len(classes), 1)),
+        np.concatenate([class_vals[scalars], class_vals[row] * class_vals[col]]),
+        ("factorisation (frozen)",) * len(classes))
 
 
-def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
-           rounds: int = 25, drift_tol: float = 1e-8,
-           verify_tol: float = 1e-6, *, tol: float = _sdp.DEFAULT_TOL,
-           infeasibility_margin: float = _sdp.DEFAULT_MARGIN
-           ) -> tuple[_sdp.FeasibilityOutcome, SeesawState]:
-    """Alternating scalar-freeze heuristic for unresolved factor pairs.
+def solve_frozen(problem: MomentProblem, *, tol: float = _sdp.DEFAULT_TOL,
+                 infeasibility_margin: float = _sdp.DEFAULT_MARGIN
+                 ) -> _sdp.FeasibilityOutcome:
+    """Feasibility with the flagged pairs' factor scalars frozen.
 
-    ``init`` maps factor-cell class ids to starting scalars; without it
-    the scalars are read from a witness of the problem *without* the
-    bilinear pairs (the standard-relaxation warm start), falling back to
-    0.5.  The search stops at a fixed point once no scalar moves by
-    ``drift_tol`` in a round.  Feasible is returned only when the final
-    witness passes :func:`verify_factorisation` at ``verify_tol``;
-    infeasible only when the rigorous linearized subproblem already is.
-    Every SDP solve runs :func:`netnpa.sdp.solve_feasibility` with ``tol``
-    and ``infeasibility_margin``.
+    The warm start solves :func:`pin_linearize`'s problem without its
+    flagged pairs; its INFEASIBLE verdict is rigorous and is returned as
+    is, and any other verdict short of FEASIBLE is INCONCLUSIVE.
+    Otherwise the witness's class values s_c, unclipped, are frozen: one
+    row G_c = s_c for every factor class c of a flagged pair and one row
+    G_prod = s_row * s_col for every flagged pair, which stays among the
+    factor families.  One more solve then decides, its residual gate
+    checking every factor family; a verdict short of FEASIBLE there is
+    INCONCLUSIVE, since the frozen scalars restrict the problem.  Both
+    solves run :func:`netnpa.sdp.solve_feasibility` with ``tol`` and
+    ``infeasibility_margin``.
     """
     settings = dict(tol=tol, infeasibility_margin=infeasibility_margin)
     lp = pin_linearize(problem)
-    # the SDP imposes the linearized pairs only, so its residual gate sees
-    # those; the flagged pairs are checked here, by verify_factorisation
     flagged = set(lp.flagged_bilinear)
     base = lp.derive(flagged_bilinear=(),
                      factor_pairs=tuple(fc for fc in lp.factor_pairs
@@ -145,58 +122,17 @@ def seesaw(problem: MomentProblem, init: dict[int, float] | None = None,
                      factor_triples=tuple(fc for fc in lp.factor_triples
                                           if fc not in flagged))
     out = _sdp.solve_feasibility(base, **settings)
-    if out.verdict == "infeasible":
-        # rigorous: inherited from the pinned-linearized subproblem
-        return out, SeesawState(scalars={}, rounds=0)
-    if not lp.flagged_bilinear:
-        if out.verdict == "feasible":
-            resid = verify_factorisation(
-                MomentAssignment(problem, out.witness))
-            if resid <= verify_tol:
-                return out, SeesawState(scalars={}, rounds=0)
-            return replace(out, verdict="inconclusive",
-                           evidence=f"witness violates factorisation by "
-                                    f"{resid:.3e}"), SeesawState({}, 0)
-        return out, SeesawState(scalars={}, rounds=0)
-
-    scalar_classes = sorted({c for fc in lp.flagged_bilinear
-                             for c in (fc.cls_row, fc.cls_col)})
-    scalars: dict[int, float] = {c: 0.5 for c in scalar_classes}
-    if out.verdict == "feasible" and out.witness is not None:
-        vals = MomentAssignment(problem, out.witness).class_values()
-        scalars = {c: float(np.clip(vals[c], 0.0, 1.0)) for c in scalar_classes}
-    if init:
-        scalars.update(init)
-    state = SeesawState(scalars=scalars)
-    last = None
-    for rnd in range(1, rounds + 1):
-        state.rounds = rnd
-        trial = base.derive(linear_factor_rows=lp.linear_factor_rows
-                            + _scalar_rows(lp, scalars))
-        inner = _sdp.solve_feasibility(trial, **settings)
-        if inner.verdict != "feasible":
-            return _sdp.FeasibilityOutcome(
-                "inconclusive", t_star=inner.t_star,
-                evidence=f"see-saw round {rnd}: inner solve "
-                         f"{inner.verdict} ({inner.evidence})"), state
-        assignment = MomentAssignment(problem, inner.witness)
-        resid = verify_factorisation(assignment)
-        state.history.append(resid)
-        if resid <= verify_tol:
-            return replace(inner, evidence=f"see-saw converged in {rnd} "
-                                           f"round(s)"), state
-        vals = assignment.class_values()
-        new_scalars = {c: float(np.clip(vals[c], 0.0, 1.0))
-                       for c in scalar_classes}
-        drift = max(abs(new_scalars[c] - scalars[c]) for c in scalar_classes)
-        scalars = new_scalars
-        if last is not None and drift < drift_tol:
-            return _sdp.FeasibilityOutcome(
-                "inconclusive", t_star=inner.t_star,
-                evidence=f"see-saw fixed point after {rnd} rounds with "
-                         f"factorisation residual {resid:.3e}"), state
-        last = scalars
-    return _sdp.FeasibilityOutcome(
-        "inconclusive", t_star=inner.t_star,
-        evidence=f"see-saw round cap ({rounds}) reached; last residual "
-                 f"{state.history[-1]:.3e}"), state
+    if out.verdict == "infeasible" or not flagged:
+        return out
+    if out.verdict != "feasible":
+        return replace(out, evidence=f"warm start: {out.evidence}")
+    vals = MomentAssignment(base, out.witness).class_values()
+    trial = lp.derive(linear_factor_rows=lp.linear_factor_rows
+                      + _frozen_rows(lp.flagged_bilinear, vals),
+                      flagged_bilinear=())
+    inner = _sdp.solve_feasibility(trial, **settings)
+    if inner.verdict == "feasible":
+        return replace(inner, evidence=f"frozen factor scalars: {inner.evidence}")
+    return replace(inner, verdict="inconclusive",
+                   evidence=f"frozen factor scalars: solve {inner.verdict} "
+                            f"({inner.evidence})")

@@ -270,7 +270,7 @@ class MomentProblem:
 
     # derived structures are built on first use, never in a builder.  The
     # ``_structure`` properties read only the word index, the Hankel
-    # groups and the classes; every pin, linearization and see-saw round
+    # groups and the classes; every pin, linearization and frozen solve
     # copies the problem through ``derive``, which shares them, while
     # ``dataclasses.replace`` starts over with none built.  One more entry,
     # the factorisation of the rows that ``sdp`` keeps, reads the pins'
@@ -1229,9 +1229,6 @@ class ResidualReport:
 
     def max_residual(self) -> float:
         return max(self.families().values())
-
-    def ok(self, tol: float) -> bool:
-        return self.max_residual() <= tol
 
     def __str__(self) -> str:
         rows = [f"  {name:<18} {value: .3e}"

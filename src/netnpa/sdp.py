@@ -119,10 +119,6 @@ class FeasibilityOutcome:
     evidence: str = ""
     route: EngineRoute | None = None  # set once the rows are factored
 
-    @property
-    def feasible(self) -> bool:
-        return self.verdict == "feasible"
-
 
 # ---------------------------------------------------------------------------
 # compile and SDPA export
@@ -136,19 +132,20 @@ def compile(problem: MomentProblem,
             objective: Mapping[int, float] | None = None) -> AffineSdp:
     """Flatten a moment problem into cell-level equality rows.
 
-    Bilinear factorisation families cannot be compiled; resolve them
-    first (``factorisation.pin_linearize`` or the see-saw), or build a
-    hierarchy without them.
+    Bilinear factorisation families cannot be compiled: linearize them
+    first (``factorisation.pin_linearize``), or build a hierarchy without
+    them.
     """
     if (problem.factor_pairs or problem.factor_triples) \
             and not problem.linear_factor_rows:
         raise SdpStructureError(
             "problem has bilinear factorisation families; linearize them via "
-            "factorisation.pin_linearize / factorisation.seesaw first")
+            "factorisation.pin_linearize first")
     if problem.flagged_bilinear:
         raise SdpStructureError(
             f"{len(problem.flagged_bilinear)} factorisation pairs are still "
-            "bilinear after linearization; use factorisation.seesaw")
+            "bilinear after linearization, so the problem has no SDP form; "
+            "solve it with factorisation.solve_frozen")
     n = problem.dim
     # the upper-triangle cells class after class, in row-major order: the
     # first cell of a class is its representative (classes are symmetric,
@@ -670,7 +667,8 @@ def solve_feasibility(problem: MomentProblem,
     if (problem.factor_pairs or problem.factor_triples) \
             and not problem.linear_factor_rows:
         raise SdpStructureError(
-            "bilinear factorisation families present; linearize or see-saw first")
+            "bilinear factorisation families present; linearize them via "
+            "factorisation.pin_linearize first")
     cs = _ClassSystem(problem)
     if cs.contradiction is not None:
         return FeasibilityOutcome("infeasible", t_star=-np.inf,

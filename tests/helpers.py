@@ -530,26 +530,6 @@ def loop_pin_linearize(problem: MomentProblem) -> MomentProblem:
                           flagged_bilinear=tuple(flagged))
 
 
-def loop_scalar_rows(problem: MomentProblem, scalars: dict) -> FlatRows:
-    """``factorisation._scalar_rows`` one flagged pair at a time."""
-    rows = []
-
-    def tie(prod, other, s):
-        if s == 0.0:
-            return ((prod,), (1.0,), 0.0, "seesaw")
-        return ((prod, other), (1.0, -s), 0.0, "seesaw")
-
-    for fc in problem.flagged_bilinear:
-        s_row, s_col = scalars.get(fc.cls_row), scalars.get(fc.cls_col)
-        if s_row is not None:
-            rows.append(tie(fc.cls_prod, fc.cls_col, s_row))
-        if s_col is not None:
-            rows.append(tie(fc.cls_prod, fc.cls_row, s_col))
-        if s_row is not None and s_col is not None:
-            rows.append(((fc.cls_prod,), (1.0,), s_row * s_col, "seesaw"))
-    return loop_flat_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # loop references for the moment-problem builders
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_report_timing_line_splits_build_pin_and_solve():
 
 def test_seesaw_inner_solves_get_the_solver_settings(tmp_path, monkeypatch):
     # A with two inputs and C with two: some factor pairs stay bilinear, so
-    # the CLI runs the see-saw
+    # the CLI runs the frozen-scalar solve
     sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
     path = tmp_path / "born.dist"
     write_distribution(MomentOracle(random_strategy(sc, (2, 2, 2, 2), 5)).born(),
@@ -150,11 +150,14 @@ def test_seesaw_inner_solves_get_the_solver_settings(tmp_path, monkeypatch):
         return solve(problem, **kwargs)
 
     monkeypatch.setattr(sdp, "solve_feasibility", record)
-    _code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
-                         "factorisation", "--n", "2", "--tol", "2e-7",
-                         "--infeasibility-margin", "3e-4", str(path)])
-    assert "seesaw rounds:" in report
-    assert len(calls) >= 2          # the warm start and at least one round
+    code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
+                        "factorisation", "--n", "2", "--tol", "2e-7",
+                        "--infeasibility-margin", "3e-4", str(path)])
+    assert code == EXIT_FEASIBLE
+    assert "verdict: FEASIBLE" in report
+    assert "bilinear after linearization: 64" in report
+    assert "\nengine:\n" in report and "\n  gate: " in report
+    assert len(calls) == 2          # the warm start and the frozen solve
     assert all(kw == {"tol": 2e-7, "infeasibility_margin": 3e-4}
                for kw in calls)
 

@@ -1,4 +1,4 @@
-"""Pinned linearization, the see-saw heuristic, and the exact verifier."""
+"""Pinned linearization, the frozen-scalar solve, and the exact verifier."""
 
 import numpy as np
 import pytest
@@ -21,14 +21,13 @@ from netnpa.scenarios import (
     shared_random_bit,
     star_product_strategy,
 )
-from netnpa.sdp import propagated_values, solve_feasibility
+from netnpa.sdp import FeasibilityOutcome, propagated_values, solve_feasibility
 
 from helpers import (
     BILOCAL_111,
     cached_problem,
     loop_pin_linearize,
     loop_rows,
-    loop_scalar_rows,
 )
 
 BILOCAL = Scenario(*BILOCAL_111)
@@ -138,16 +137,23 @@ def test_pin_linearize_twice_adds_no_rows():
     assert again.flagged_bilinear == lp.flagged_bilinear
 
 
-def test_seesaw_rows_match_the_loop_reference():
-    lp = F.pin_linearize(_linearize_case(("factorisation", BILOCAL_212, 2, "born")))
-    classes = sorted({c for fc in lp.flagged_bilinear
-                      for c in (fc.cls_row, fc.cls_col)})
-    # some scalars frozen, some missing, some zero
-    scalars = {c: [0.0, 0.25, -0.5][k % 3]
-               for k, c in enumerate(classes) if k % 4 != 3}
-    rows = F._scalar_rows(lp, scalars)
-    assert rows == loop_scalar_rows(lp, scalars)
-    assert len(set(rows.starts[1:] - rows.starts[:-1])) == 2
+def _born_212(n, seed=5):
+    """The factorisation problem on bilocal inputs (2, 1, 2) at level n,
+    pinned to a Born table, with its oracle."""
+    orc = MomentOracle(random_strategy(Scenario(*BILOCAL_212), (2, 2, 2, 2), seed))
+    return pin_distribution(cached_problem("factorisation", *BILOCAL_212, n),
+                            orc.born()), orc
+
+
+def test_seesaw_rows_hold_on_oracle():
+    p, orc = _born_212(2)
+    lp = F.pin_linearize(p)
+    vals = oracle_assignment(p, orc).class_values()
+    rows = F._frozen_rows(lp.flagged_bilinear, vals)
+    assert len(rows) == 72 and set(np.diff(rows.starts)) == {1}
+    lhs = np.bincount(rows.row, weights=rows.coeffs * vals[rows.classes],
+                      minlength=len(rows))
+    assert np.abs(lhs - rows.rhs).max() <= 1e-12
 
 
 def test_verify_factorisation_oracle_and_counterexample():
@@ -170,84 +176,63 @@ def test_verify_factorisation_zero_offcorner():
     assert F.verify_factorisation(MomentAssignment(p, X)) == 0.0
 
 
-def test_seesaw_srb_inherits_infeasible():
-    p = pin_distribution(cached_problem("factorisation", *BILOCAL_111, 3),
-                         shared_random_bit("bilocal"))
-    out, state = F.seesaw(p)
-    assert out.verdict == "infeasible"
-    assert state.rounds == 0
+def _count_solves(monkeypatch, second=None):
+    """Record the problems ``solve_frozen`` solves; the second solve
+    returns ``second`` when one is given."""
+    solved = []
 
-
-def test_seesaw_converges_on_oracle_fixture():
-    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
-    st = random_strategy(sc, (2, 2, 2, 2), 5)
-    orc = MomentOracle(st)
-    p = pin_distribution(build_factorisation_bilocal(sc, 2), orc.born())
-    out, state = F.seesaw(p)
-    assert out.verdict == "feasible"
-    assert state.rounds <= 5
-    resid = F.verify_factorisation(MomentAssignment(p, out.witness))
-    assert resid < 1e-6
-    rep = check_assignment(p, MomentAssignment(p, out.witness))
-    assert max(rep.hankel, rep.pins, rep.completeness) < 1e-7
-
-
-def test_seesaw_round_cap_reports_the_last_inner_value(monkeypatch):
-    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
-    st = random_strategy(sc, (2, 2, 2, 2), 5)
-    p = pin_distribution(build_factorisation_bilocal(sc, 2),
-                         MomentOracle(st).born())
-    inner = []
-
-    def record(*args, **kwargs):
-        inner.append(solve_feasibility(*args, **kwargs))
-        return inner[-1]
+    def record(problem, **kwargs):
+        solved.append(problem)
+        if len(solved) == 2 and second is not None:
+            return second
+        return solve_feasibility(problem, **kwargs)
 
     monkeypatch.setattr(F._sdp, "solve_feasibility", record)
-    out, state = F.seesaw(p, rounds=1, verify_tol=0.0)
+    return solved
+
+
+def test_seesaw_srb_inherits_infeasible(monkeypatch):
+    p = pin_distribution(cached_problem("factorisation", *BILOCAL_111, 3),
+                         shared_random_bit("bilocal"))
+    solved = _count_solves(monkeypatch)
+    out = F.solve_frozen(p)
+    assert out.verdict == "infeasible"
+    assert "linearized" in out.evidence
+    assert len(solved) == 1
+
+
+def test_seesaw_failed_frozen_solve_is_inconclusive(monkeypatch):
+    # freezing the scalars restricts the problem, so its infeasibility
+    # proves nothing about the problem itself
+    p, _orc = _born_212(2)
+    stub = FeasibilityOutcome("infeasible", t_star=-0.5, evidence="stub")
+    solved = _count_solves(monkeypatch, stub)
+    out = F.solve_frozen(p)
+    assert len(solved) == 2
     assert out.verdict == "inconclusive"
-    assert "round cap (1) reached" in out.evidence
-    assert state.rounds == 1 and len(state.history) == 1
-    assert out.t_star == inner[-1].t_star
+    assert out.t_star == -0.5
+    assert "solve infeasible (stub)" in out.evidence
 
 
-def test_seesaw_oracle_init_fixed_point_in_one_round():
-    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
-    st = random_strategy(sc, (2, 2, 2, 2), 5)
-    orc = MomentOracle(st)
-    p = pin_distribution(build_factorisation_bilocal(sc, 2), orc.born())
-    lp = F.pin_linearize(p)
-    vals = oracle_assignment(p, orc).class_values()
-    init = {c: float(vals[c]) for fc in lp.flagged_bilinear
-            for c in (fc.cls_row, fc.cls_col)}
-    out, state = F.seesaw(p, init=init)
-    assert out.verdict == "feasible"
-    assert state.rounds == 1
+FROZEN_CASES = ([(BILOCAL_212, 2, seed) for seed in range(6)]
+                + [(BILOCAL_212, 3, 0),
+                   # every pair resolves rigorously when B and C have one input
+                   (("bilocal", (2, 2, 2), (2, 1, 1)), 3, 7)])
 
 
-def test_seesaw_n3_linearized_fixture():
-    # every pair resolves rigorously when B and C have one input
-    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 1))
-    st = random_strategy(sc, (2, 2, 2, 2), 7)
-    p = pin_distribution(build_factorisation_bilocal(sc, 3),
-                         MomentOracle(st).born())
-    out, state = F.seesaw(p)
-    assert out.verdict == "feasible"
-    assert state.rounds <= 5
-    assert F.verify_factorisation(MomentAssignment(p, out.witness)) < 1e-6
-
-
-def test_seesaw_feasible_implies_verified():
-    # the heuristic never reports feasible with a witness failing the verifier
-    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
-    for seed in (1, 2, 3):
-        st = random_strategy(sc, (2, 2, 2, 2), seed)
-        p = pin_distribution(build_factorisation_bilocal(sc, 2),
-                             MomentOracle(st).born())
-        out, _state = F.seesaw(p)
-        if out.verdict == "feasible":
-            assert (F.verify_factorisation(MomentAssignment(p, out.witness))
-                    <= 1e-6)
+@pytest.mark.parametrize("topology, n, seed", FROZEN_CASES,
+                         ids=[f"{''.join(map(str, t[2]))}-n{n}-seed{seed}"
+                              for t, n, seed in FROZEN_CASES])
+def test_seesaw_feasible_implies_verified(topology, n, seed):
+    # Born tables are realisable, so the frozen solve finds them FEASIBLE,
+    # with a witness of the problem before linearization
+    sc = Scenario(*topology)
+    p = pin_distribution(cached_problem("factorisation", *topology, n),
+                         MomentOracle(random_strategy(sc, (2, 2, 2, 2), seed)).born())
+    out = F.solve_frozen(p)
+    assert out.verdict == "feasible", out.evidence
+    rep = check_assignment(p, MomentAssignment(p, out.witness))
+    assert rep.max_residual() <= 1e-6
 
 
 def test_star_triple_equals_pairwise_times_third():
