@@ -21,7 +21,7 @@ import numpy as np
 
 from .moment import MomentAssignment
 from .scenarios import Distribution, Scenario
-from .words import concat, render_word, word
+from .words import render_letter
 
 
 class GnsError(ValueError):
@@ -116,8 +116,14 @@ def reconstruct(g: MomentAssignment, rel_tol: float = 1e-8,
 
     The assignment must be PSD within tolerance and exhibit a rank loop
     against its own lower level (checked internally); the problem must be
-    standard or factorisation-bilocal (rho/sigma are skipped for the
-    standard hierarchy on a single-source topology).
+    standard, factorisation-bilocal or scalar-extension (rho/sigma are
+    built on the bilocal topology only).
+
+    Where each letter sends each lower-level word, and which words are
+    party-pure A or C words, depends only on the problem, so it is read
+    from :attr:`MomentProblem.letter_action`, built on the first
+    reconstruction and shared by every copy of the problem; per
+    assignment only the linear algebra runs.
     """
     problem = g.problem
     if problem.hierarchy not in ("standard_npa", "factorisation_bilocal",
@@ -129,7 +135,8 @@ def reconstruct(g: MomentAssignment, rel_tol: float = 1e-8,
     if wmax <= 0 or w.min() < -max(rel_tol * wmax, 1e-10):
         raise GnsError(f"matrix is not PSD within tolerance "
                        f"(min eigenvalue {w.min():.3e})")
-    prev_count = sum(1 for u in problem.index if len(u) <= problem.n - 1)
+    action = problem.letter_action
+    prev_count = action.prev_count
     r_prev, _ = _num_rank(X[:prev_count, :prev_count], rel_tol)
     keep = w > rel_tol * wmax
     d = int(keep.sum())
@@ -140,14 +147,12 @@ def reconstruct(g: MomentAssignment, rel_tol: float = 1e-8,
     prefix = basis[:, :prev_count]
     prefix_pinv = np.linalg.pinv(prefix, rcond=1e-12)
     operators: dict[tuple[str, int, int], np.ndarray] = {}
-    for l in problem.alphabet.letters:
-        targets = np.column_stack([
-            basis[:, problem.pos(concat(word([l]), u))]
-            for u in problem.index[:prev_count]])
+    for l, cols in zip(problem.alphabet.letters, action.targets):
+        targets = np.ascontiguousarray(basis[:, cols])
         op = targets @ prefix_pinv
         resid = np.abs(op @ prefix - targets).max()
         if resid > op_tol:
-            raise GnsError(f"letter {render_word(word([l]))} does not act "
+            raise GnsError(f"letter {render_letter(l)} does not act "
                            f"consistently (residual {resid:.3e})")
         operators[(l.party, l.input, l.output)] = (op + op.T) / 2
     state = basis[:, 0]
@@ -156,12 +161,8 @@ def reconstruct(g: MomentAssignment, rel_tol: float = 1e-8,
     row_family: list[np.ndarray] = []
     col_family: list[np.ndarray] = []
     if problem.scenario.topology == "bilocal":
-        a_cols = [i for i, u in enumerate(problem.index)
-                  if all(l.party == "A" for l in u.letters)]
-        c_cols = [i for i, u in enumerate(problem.index)
-                  if all(l.party == "C" for l in u.letters)]
-        row_family = _gram_schmidt(basis[:, a_cols])
-        col_family = _gram_schmidt(basis[:, c_cols])
+        row_family = _gram_schmidt(basis[:, action.a_cols])
+        col_family = _gram_schmidt(basis[:, action.c_cols])
         sigma = sum(np.outer(b, b) for b in row_family)
         rho = sum(np.outer(b, b) for b in col_family)
     return GnsModel(scenario=problem.scenario, dimension=d, basis=basis,

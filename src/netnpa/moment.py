@@ -206,6 +206,25 @@ class CopyBlocks:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class LetterAction:
+    """Left multiplication by the letters on the lower-level words
+    (:attr:`MomentProblem.letter_action`).
+
+    The index is sorted by length, so its words of length <= n - 1 are
+    ``index[:prev_count]``.  ``targets[k, i]`` is the index position of
+    l * ``index[i]`` for the k-th letter l of the alphabet, i <
+    ``prev_count``.  ``a_cols`` and ``c_cols`` are the positions of the
+    words whose letters all belong to party A, respectively C (the empty
+    word is among both).
+    """
+
+    prev_count: int
+    targets: np.ndarray
+    a_cols: np.ndarray
+    c_cols: np.ndarray
+
+
 def _layout(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The positions of ``labels`` sorted stably by label, and the bounds of
     each label's run: label k holds ``order[bounds[k]:bounds[k + 1]]``."""
@@ -272,10 +291,12 @@ class MomentProblem:
     # ``_structure`` properties read only the word index, the Hankel
     # groups and the classes; every pin, linearization and frozen solve
     # copies the problem through ``derive``, which shares them, while
-    # ``dataclasses.replace`` starts over with none built.  One more entry,
-    # the factorisation of the rows that ``sdp`` keeps, reads the pins'
-    # mask and the rows too, so ``sdp`` checks it against the rows on
-    # every use and builds it anew when they differ
+    # ``dataclasses.replace`` starts over with none built.  Two more
+    # entries, which ``sdp`` keeps, read what a copy may change, so each
+    # is checked on every use and built anew when it differs: the
+    # factorisation of the rows (``row_factor``), checked against the
+    # free classes and the reduced rows, and the interlacing bound's
+    # choice of words (``interlacing``), checked against the known mask
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
@@ -326,6 +347,22 @@ class MomentProblem:
         values multiply (see :func:`pin_distribution`); built on the first
         pin."""
         return _pin_plan(self)
+
+    @_structure
+    def letter_action(self) -> LetterAction:
+        """How the letters act on the words of length <= n - 1 by left
+        multiplication, and the party-pure A and C words, for the GNS
+        reconstruction; built on its first use."""
+        prev = self.index[:sum(len(u) <= self.n - 1 for u in self.index)]
+        letters = self.alphabet.letters
+        targets = np.array([[self._pos[concat(word([l]), u)] for u in prev]
+                            for l in letters], dtype=np.intp)
+        cols = {p: np.array([i for i, u in enumerate(self.index)
+                             if all(l.party == p for l in u.letters)],
+                            dtype=np.intp)
+                for p in ("A", "C")}
+        return LetterAction(len(prev), targets.reshape(len(letters), len(prev)),
+                            cols["A"], cols["C"])
 
     @_structure
     def column_range(self) -> np.ndarray:

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .words import (
-    EMPTY_WORD,
     Alphabet,
     Letter,
     MEASUREMENT,
@@ -447,8 +446,21 @@ def _check_state(state: np.ndarray | None, name: str, tol: float, pure: bool) ->
 
 def embed_operator(op: np.ndarray, positions: Sequence[int],
                    dims: Sequence[int]) -> np.ndarray:
-    """Dense global matrix for ``op`` acting on the given tensor factors."""
+    """Dense global matrix for ``op`` acting on the given tensor factors.
+
+    On contiguous positions it is kron(kron(I_left, op), I_right), formed
+    as one broadcast product in that order; on any other it is
+    kron(op, I_rest) with the factors transposed into place.  Both give
+    the same entries, the signs of zeros included."""
     n = len(dims)
+    D = int(np.prod(dims))
+    first = positions[0] if len(positions) else 0
+    if list(positions) == list(range(first, first + len(positions))):
+        left = np.eye(int(np.prod(dims[:first])))
+        right = np.eye(int(np.prod(dims[first + len(positions):])))
+        k = (left[:, None, None, :, None, None] * op[None, :, None, None, :, None]
+             * right[None, None, :, None, None, :])
+        return k.reshape(D, D)
     rest = [i for i in range(n) if i not in positions]
     d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
     k = np.kron(op, np.eye(d_rest))
@@ -457,7 +469,6 @@ def embed_operator(op: np.ndarray, positions: Sequence[int],
     inv = np.argsort(order)
     kt = k.reshape(shape + shape)
     kt = kt.transpose(list(inv) + [n + i for i in inv])
-    D = int(np.prod(dims))
     return np.ascontiguousarray(kt.reshape(D, D))
 
 
@@ -466,6 +477,31 @@ def _pure_vector(state: np.ndarray) -> np.ndarray:
     if w[-1] < 1 - 1e-6:
         raise ScenarioError("state is not pure; no defining vector")
     return v[:, -1]
+
+
+def _suffix_vector(vecs: dict, letters: tuple[Letter, ...], act) -> np.ndarray:
+    """The vector w_hat |psi> of a word w's letters: ``vecs`` maps letter
+    tuples to their vectors, the empty one to |psi>, and the letters not
+    yet there are applied right to left by ``act(letter, vector)``, the
+    vector of every suffix passed through kept in ``vecs``.
+
+    The letters of a canonical word after its first are the canonical
+    form of that suffix (a block's normal form is the least
+    representative of its class, and a suffix of one is again one), so
+    the tuples of a word's suffixes key the vectors of those words and no
+    word is canonicalised again.  Both oracles' Gram matrices read them.
+    """
+    out = vecs.get(letters)
+    if out is not None:
+        return out
+    k = 1
+    while letters[k:] not in vecs:
+        k += 1
+    out = vecs[letters[k:]]
+    for j in range(k - 1, -1, -1):
+        out = act(letters[j], out)
+        vecs[letters[j:]] = out
+    return out
 
 
 class MomentOracle:
@@ -508,7 +544,7 @@ class MomentOracle:
             self.psi = sq.reshape(-1)
             eye = np.eye(D)
             self._lift = lambda M: np.kron(M, eye)
-        self._vec_cache: dict[Word, np.ndarray] = {EMPTY_WORD: self.psi}
+        self._vecs: dict[tuple[Letter, ...], np.ndarray] = {(): self.psi}
         self._scalar_cache: dict[Word, complex] = {}
 
     def letter_op(self, l: Letter) -> np.ndarray:
@@ -518,26 +554,21 @@ class MomentOracle:
 
     def _scalar_value(self, payload: Word) -> complex:
         if payload not in self._scalar_cache:
-            v = self.vector(payload)
-            base = self._vec_cache[EMPTY_WORD]
-            self._scalar_cache[payload] = complex(np.vdot(base, v))
+            self._scalar_cache[payload] = complex(np.vdot(self.psi,
+                                                          self.vector(payload)))
         return self._scalar_cache[payload]
+
+    def _act(self, l: Letter, tail: np.ndarray) -> np.ndarray:
+        if l.is_scalar:
+            return self._scalar_value(l.payload) * tail
+        return self._lift(self.letter_op(l)) @ tail
 
     def vector(self, w: Word) -> np.ndarray:
         """|phi_w> = w_hat |psi> (times scalar-letter factors)."""
-        if w in self._vec_cache:
-            return self._vec_cache[w]
-        first, rest = w.letters[0], word(w.letters[1:])
-        tail = self.vector(rest)
-        if first.is_scalar:
-            out = self._scalar_value(first.payload) * tail
-        else:
-            out = self._lift(self.letter_op(first)) @ tail
-        self._vec_cache[w] = out
-        return out
+        return _suffix_vector(self._vecs, w.letters, self._act)
 
     def value(self, w: Word) -> float:
-        return float(np.vdot(self._vec_cache[EMPTY_WORD], self.vector(w)).real)
+        return float(np.vdot(self.psi, self.vector(w)).real)
 
     def gram(self, words: Sequence[Word]) -> np.ndarray:
         """Real symmetric Gram matrix G[i, j] = Re Tr(tau * wi^dagger wj)."""
@@ -653,6 +684,16 @@ class InflatedBilocalOracle:
 
     def dense_gram(self, words: Sequence[Word]) -> np.ndarray:
         """Gram matrix via an explicit dense inflated model (small m only)."""
+        psi, act = self._dense_model()
+        vecs = {(): psi}
+        V = np.column_stack([_suffix_vector(vecs, w.letters, act) for w in words])
+        G = (V.conj().T @ V).real
+        return (G + G.T) / 2
+
+    def _dense_model(self):
+        """The state vector of the dense inflated model, and the action
+        (letter, vector) -> dense operator @ vector, which embeds each
+        letter's operator once."""
         dA, dBL, dBR, dC = self.strategy.dims
         m = self.m
         dims = [dA, dBL] * m + [dBR, dC] * m
@@ -672,23 +713,14 @@ class InflatedBilocalOracle:
             pos[("sigma", i, 1)] = 2 * m + 2 * (i - 1) + 1
         op_cache: dict[Letter, np.ndarray] = {}
 
-        def letter_op(l: Letter) -> np.ndarray:
+        def act(l: Letter, tail: np.ndarray) -> np.ndarray:
             if l not in op_cache:
                 op = self.strategy.pvms[(l.party, l.input)][l.output]
                 positions = [pos[nd] for nd in self._letter_nodes(l)]
                 op_cache[l] = embed_operator(op, positions, dims)
-            return op_cache[l]
+            return op_cache[l] @ tail
 
-        vecs: dict[Word, np.ndarray] = {EMPTY_WORD: psi}
-
-        def vec(w: Word) -> np.ndarray:
-            if w not in vecs:
-                vecs[w] = letter_op(w.letters[0]) @ vec(word(w.letters[1:]))
-            return vecs[w]
-
-        V = np.column_stack([vec(w) for w in words])
-        G = (V.conj().T @ V).real
-        return (G + G.T) / 2
+        return psi, act
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    already determined span a principal submatrix with min eigenvalue
    below the infeasibility margin, every completion shares that bound,
    so the problem is infeasible.  It reads only the values the presolve
-   fixed, so it runs before any factorisation;
+   fixed, so it runs before any factorisation, and its choice of words
+   depends only on which classes are known, so it is kept with the
+   problem's shared structures for that mask (``_KnownWords``);
 3. the remaining rows R y = b over the free classes.  R does not depend
    on the distribution, only b does, so once per problem (``_RowFactor``,
    kept with the problem's shared structures and checked against R on
@@ -518,9 +520,36 @@ class _ClassSystem:
 
     def known_submatrix_bound(self) -> tuple[float | None, list[int]]:
         """Min eigenvalue of the largest greedy principal submatrix whose
-        entries are all determined; an upper bound on the phase-1 value."""
+        entries are all determined; an upper bound on the phase-1 value.
+
+        The words depend only on which classes are known, so the choice
+        is kept in the problem's structures (one entry per problem, like
+        the rows' factorisation) and made anew only when the known mask
+        differs from the kept one."""
         kmask = ~np.isnan(self.known)
-        cell_known = kmask[self.cell_class]
+        structures = self.problem._structures
+        choice = structures.get("interlacing")
+        if choice is None or not choice.fits(kmask):
+            choice = structures["interlacing"] = _KnownWords(kmask,
+                                                             self.cell_class)
+        if not choice.chosen:
+            return None, []
+        vals = np.where(kmask, self.known, 0.0)
+        sub = vals[choice.classes]
+        return (float(np.linalg.eigvalsh((sub + sub.T) / 2).min()),
+                list(choice.chosen))
+
+
+class _KnownWords:
+    """The interlacing bound's words for one mask of known classes: a
+    greedy choice, most known cells first, of words whose every cell
+    among them is known, and the classes of those cells.  Every
+    distribution pinned on one problem that leaves the same mask uses the
+    same choice; :meth:`fits` tells whether it is the one for a mask."""
+
+    def __init__(self, kmask: np.ndarray, cell_class: np.ndarray):
+        self.kmask = kmask
+        cell_known = kmask[cell_class]
         order = np.argsort(-cell_known.sum(axis=1))
         chosen: list[int] = []
         # ok[i]: every cell between word i and the chosen words is known
@@ -529,11 +558,11 @@ class _ClassSystem:
             if ok[i]:
                 chosen.append(i)
                 ok &= cell_known[i]
-        if not chosen:
-            return None, []
-        vals = np.where(kmask, self.known, 0.0)
-        sub = vals[self.cell_class[np.ix_(chosen, chosen)]]
-        return float(np.linalg.eigvalsh((sub + sub.T) / 2).min()), chosen
+        self.chosen = chosen
+        self.classes = cell_class[np.ix_(chosen, chosen)]
+
+    def fits(self, kmask: np.ndarray) -> bool:
+        return np.array_equal(self.kmask, kmask)
 
 
 # ---------------------------------------------------------------------------

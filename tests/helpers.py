@@ -853,3 +853,51 @@ def loop_marginal(dist: Distribution, parties, tol: float = 1e-9) -> np.ndarray:
                 f"{sc.parties[i_drop]} (inputs 0 vs {worst}; "
                 f"max deviation {spread.max():.3e})")
     return arranged[(Ellipsis,) + (0,) * len(drop)]
+
+
+# ---------------------------------------------------------------------------
+# references for the oracles' vectors and for scenarios.embed_operator
+# ---------------------------------------------------------------------------
+
+def word_keyed_vectors(psi: np.ndarray, act):
+    """w -> w_hat |psi>, built as ``act(first letter, vector of the rest)``
+    with the rest made a word again through ``word()``; kept per word."""
+    vecs = {Word(()): psi}
+
+    def vec(w: Word) -> np.ndarray:
+        if w not in vecs:
+            vecs[w] = act(w.letters[0], vec(word(w.letters[1:])))
+        return vecs[w]
+
+    return vec
+
+
+def gram_of(vectors) -> np.ndarray:
+    V = np.column_stack(vectors)
+    G = (V.conj().T @ V).real
+    return (G + G.T) / 2
+
+
+def oracle_word_gram(oracle, words) -> np.ndarray:
+    """The Gram matrix of a ``MomentOracle`` from :func:`word_keyed_vectors`;
+    a scalar letter multiplies by <psi|payload_hat|psi>."""
+    def act(l: Letter, tail: np.ndarray) -> np.ndarray:
+        if l.is_scalar:
+            return complex(np.vdot(oracle.psi, vec(l.payload))) * tail
+        return oracle._lift(oracle.letter_op(l)) @ tail
+
+    vec = word_keyed_vectors(oracle.psi, act)
+    return gram_of([vec(w) for w in words])
+
+
+def transposed_embed(op: np.ndarray, positions, dims) -> np.ndarray:
+    """kron(op, I_rest) with the tensor factors transposed into place."""
+    n = len(dims)
+    rest = [i for i in range(n) if i not in positions]
+    k = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    order = list(positions) + rest
+    shape = [dims[i] for i in order]
+    inv = np.argsort(order)
+    kt = k.reshape(shape + shape).transpose(list(inv) + [n + i for i in inv])
+    D = int(np.prod(dims))
+    return np.ascontiguousarray(kt.reshape(D, D))

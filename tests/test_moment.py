@@ -345,6 +345,23 @@ def test_pinned_and_linearized_copies_share_the_derived_structures():
         p.derive(rows=())
 
 
+@pytest.mark.parametrize("hierarchy,n", [("factorisation", 2), ("factorisation", 3),
+                                         ("factorisation", 4), ("standard", 3),
+                                         ("scalar", 2)])
+def test_letter_action_is_the_word_algebra(hierarchy, n):
+    p = cached_problem(hierarchy, *BILOCAL_111, n)
+    action = p.letter_action
+    prev = [u for u in p.index if len(u) <= n - 1]
+    # the index is sorted by length, so the lower-level words are a prefix
+    assert list(p.index[:action.prev_count]) == prev
+    assert action.targets.tolist() == [[p.pos(concat(word([l]), u)) for u in prev]
+                                       for l in p.alphabet.letters]
+    for party, cols in (("A", action.a_cols), ("C", action.c_cols)):
+        assert cols.tolist() == [i for i, u in enumerate(p.index)
+                                 if all(l.party == party for l in u.letters)]
+    assert p.derive(pinned={}).letter_action is action
+
+
 @pytest.mark.parametrize("name", ["bilocal-inflation", "standard-n3",
                                   "factorisation-n3"])
 def test_check_assignment_matches_the_loop_reference(name):

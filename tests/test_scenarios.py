@@ -28,11 +28,17 @@ from netnpa.scenarios import (
 from netnpa.words import EMPTY_WORD, concat, enumerate_words, involute, word
 
 from helpers import (
+    BILOCAL_111,
     UnionFind,
+    cached_problem,
+    gram_of,
     linked_components,
     loop_marginal,
     meas,
+    oracle_word_gram,
     singlet_pauli_strategy,
+    transposed_embed,
+    word_keyed_vectors,
 )
 
 BILOCAL = Scenario("bilocal", (2, 2, 2), (1, 1, 1))
@@ -263,6 +269,48 @@ def test_embed_operator_matches_kron():
     assert np.abs(full - np.kron(op, np.eye(6))).max() < 1e-14
     full2 = embed_operator(op, [2], dims)
     assert np.abs(full2 - np.kron(np.eye(6), op)).max() < 1e-14
+
+
+@pytest.mark.parametrize("dims,positions", [
+    ((2, 3, 2), [0]), ((2, 3, 2), [1]), ((2, 3, 2), [2]), ((2, 2, 2, 2), [1, 2]),
+    ((3, 2, 2), [0, 1]), ((2, 2, 3, 2), [0, 3])])
+def test_embed_operator_is_the_transposed_kron_bit_for_bit(dims, positions):
+    rng = np.random.default_rng(len(dims) + positions[-1])
+    d = int(np.prod([dims[i] for i in positions]))
+    op = rng.normal(size=(d, d))
+    op[0, -1] = -0.0     # the sign of a zero is kept too
+    got = embed_operator(op, positions, dims)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == transposed_embed(op, positions, dims).tobytes()
+
+
+def _gram_case(name):
+    """(strategy, words) for the suffix-keyed Gram tests."""
+    if name == "star":
+        s = star_product_strategy(5)
+        return s, enumerate_words(s.scenario.alphabet(), 3)
+    if name == "mixed":     # tau is not pure: the vectors live in a purification
+        return mixed_counterexample(), cached_problem("factorisation", *BILOCAL_111, 3).index
+    hierarchy, n = {"standard": ("standard", 3), "factorisation": ("factorisation", 4),
+                    "scalar": ("scalar", 2)}[name]
+    return (random_strategy(BILOCAL, (2, 2, 2, 2), 3),
+            cached_problem(hierarchy, *BILOCAL_111, n).index)
+
+
+@pytest.mark.parametrize("name", ["standard", "factorisation", "scalar", "star",
+                                  "mixed"])
+def test_suffix_keyed_gram_is_the_word_keyed_reference(name):
+    strategy, words = _gram_case(name)
+    got = MomentOracle(strategy).gram(words)
+    assert np.array_equal(got, oracle_word_gram(MomentOracle(strategy), words))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_gram_is_the_word_keyed_reference(seed):
+    infl = InflatedBilocalOracle(random_strategy(BILOCAL, (2, 2, 2, 2), seed), 2)
+    words = cached_problem("inflation", *BILOCAL_111, 2, 2).index
+    vec = word_keyed_vectors(*infl._dense_model())
+    assert np.array_equal(infl.dense_gram(words), gram_of([vec(w) for w in words]))
 
 
 def test_distribution_file_roundtrip(tmp_path):

@@ -875,6 +875,41 @@ def test_the_interior_point_reads_one_packed_array_per_problem(monkeypatch):
     assert np.shares_memory(seen[3], seen[2])
 
 
+def _count_word_choices(monkeypatch):
+    calls = []
+    known_words = sdp._KnownWords
+
+    def counted(*args):
+        calls.append(1)
+        return known_words(*args)
+
+    monkeypatch.setattr(sdp, "_KnownWords", counted)
+    return calls
+
+
+def test_interlacing_words_are_kept_until_the_known_mask_changes(monkeypatch):
+    base = dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2))
+    calls = _count_word_choices(monkeypatch)
+    first = _ClassSystem(pin_distribution(base, _born(0)))
+    first_bound = first.known_submatrix_bound()
+    kept = base._structures["interlacing"]
+    # another distribution leaves the same mask and reuses the choice
+    _ClassSystem(pin_distribution(base, _born(1))).known_submatrix_bound()
+    assert len(calls) == 1 and base._structures["interlacing"] is kept
+    # a second pin that makes one more class known chooses again
+    extra = first.problem.derive(
+        pinned={**first.problem.pinned, int(first.free[0]): 0.25})
+    cs = _ClassSystem(extra)
+    got = cs.known_submatrix_bound()
+    assert len(calls) == 2 and base._structures["interlacing"] is not kept
+    assert got[1] != first_bound[1]
+    assert got[1] == loop_submatrix_words(cs.known, extra.cell_class)
+    # the same bound as a problem with no structures built
+    fresh = dataclasses.replace(extra)
+    assert "interlacing" not in fresh._structures
+    assert _ClassSystem(fresh).known_submatrix_bound() == got
+
+
 def _cache_problems(name):
     """A problem with a factorisation kept from another distribution, and
     the problem pinned to the distribution ``name``."""
