@@ -7,16 +7,19 @@ Solves the pair
 
 with symmetric r x r data that is block-diagonal, with blocks of sizes
 r_1, ..., r_B (one block is the dense case); X and S keep the blocks
-throughout.  It starts from X = xi*I and either S = eta*I, y = 0 (an
-infeasible start) or a caller's y with S = C - A'(y) positive definite,
-which is dual feasible: the dual residual then stays zero up to rounding,
-and no iteration is spent removing it.  Each iteration takes one HKM search
-direction (Helmberg, Rendl, Vanderbei and Wolkowicz 1996) with Mehrotra's
-predictor-corrector, as in SDPT3 (Todd, Toh and Tütüncü 1998).  The Schur
-complement M_ij = <A_i, X A_j S^-1> is formed as the Gram matrix of
-T_i = L_S^-1 A_i L_X, where X = L_X L_X' and S = L_S L_S', so it is the
-sum over the blocks of each block's Gram matrix, and an iteration costs
-O(m^2 sum_b r_b^2 + m sum_b r_b^3) rather than O(m^2 r^2 + m r^3).
+throughout.  It starts either from X = xi*I, S = eta*I, y = 0 (an
+infeasible start) or from a caller's y with S = C - A'(y) positive
+definite, which is dual feasible: the dual residual then stays zero up to
+rounding, and no iteration is spent removing it.  From a caller's y, X
+starts at S^-1 / tr S^-1, so X S = I / tr S^-1 lies on the central path
+and the trace-one row of a phase-1 problem holds at once.  Each
+iteration takes one HKM search direction (Helmberg, Rendl, Vanderbei and
+Wolkowicz 1996) with Mehrotra's predictor-corrector, as in SDPT3 (Todd,
+Toh and Tütüncü 1998).  The Schur complement M_ij = <A_i, X A_j S^-1> is
+formed as the Gram matrix of T_i = L_S^-1 A_i L_X, where X = L_X L_X' and
+S = L_S L_S', so it is the sum over the blocks of each block's Gram
+matrix, and an iteration costs O(m^2 sum_b r_b^2 + m sum_b r_b^3) rather
+than O(m^2 r^2 + m r^3).
 
 The blocks run from 6 x 6 to 160 x 160 on the inflation problems (the
 largest on triangle inflation (2,3)), and most are small, where the cost
@@ -153,18 +156,22 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
 
     norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(c)
     norm_a = np.linalg.norm(A, axis=1)
-    xi = max(10.0, np.sqrt(r),
-             r * float(np.max((1 + np.abs(b)) / (1 + norm_a), initial=0.0)))
-    X = eye(xi)
     if start is None:
+        xi = max(10.0, np.sqrt(r),
+                 r * float(np.max((1 + np.abs(b)) / (1 + norm_a), initial=0.0)))
         eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))
-        S = eye(eta)
+        X, S = eye(xi), eye(eta)
         y = np.zeros(len(b))
     else:
         y = np.array(start, dtype=float)
         S = [_sym(Cg - Ay) for Cg, Ay in zip(Cs, split(y @ A))]
-        if any(_cholesky(Sg, lapack) is None for Sg in S):
+        factors = [_cholesky(Sg, lapack) for Sg in S]
+        if any(f is None for f in factors):
             raise ValueError("start: C - A'(y) is not positive definite")
+        # X S = I / tr S^-1: on the central path, at trace one
+        S_inv = [_sym(np.swapaxes(Li, 1, 2) @ Li) for _, Li in factors]
+        trace = sum(float(np.trace(Si, axis1=1, axis2=2).sum()) for Si in S_inv)
+        X = [Si / trace for Si in S_inv]
 
     def result(status: str, it: int) -> LmiResult:
         return LmiResult(status, y, float(c @ _flat(X)), float(b @ y),

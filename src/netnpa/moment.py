@@ -59,12 +59,14 @@ import numpy as np
 from .scenarios import Distribution, Scenario, components, sharing_components
 from .words import (
     EMPTY_WORD,
-    PARTY_ORDER,
     Alphabet,
     Letter,
     Word,
+    _BLOCKS,
+    _LETTERS,
+    _normal,
+    _split,
     act_permutation,
-    canonicalize,
     concat,
     enumerate_words,
     involute,
@@ -451,21 +453,6 @@ def _min_key(w: Word) -> Word:
     return w if w.sort_key() <= wd.sort_key() else wd
 
 
-# The scalar block, then one block per party: ``canonicalize`` normalises
-# each on its own, so the product of two words is the product of their
-# blocks, block by block.
-_BLOCKS = ("",) + tuple(PARTY_ORDER)
-
-
-def _blocks(w: Word) -> list[tuple[Letter, ...]]:
-    """The letters of ``w`` in each of ``_BLOCKS`` (scalar letters carry
-    the party "")."""
-    out: dict[str, list[Letter]] = {p: [] for p in _BLOCKS}
-    for l in w.letters:
-        out[l.party].append(l)
-    return [tuple(out[p]) for p in _BLOCKS]
-
-
 def _intern(items: Sequence) -> tuple[np.ndarray, list]:
     """Small int ids for ``items``, equal items sharing one, and the
     distinct items in id order."""
@@ -479,25 +466,27 @@ class _Products:
     """The canonical products involute(u) * v of the words u of ``index``
     followed by ``extra`` with the words v of ``index``, coded as ints.
 
-    Each block of a product is the normal form of a (block of involute(u),
-    block of v) pair, so each pair that occurs is normalised once through
-    ``canonicalize`` into a per-block table, and ``codes[u, v]`` packs the
-    table ids of its blocks in mixed radix: equal codes are equal words.
+    ``canonicalize`` normalises the scalar block and each party block on
+    its own, so each block of a product is the normal form of a (block of
+    involute(u), block of v) pair.  Each pair that occurs is normalised
+    once, on the words' letter codes (``words._LETTERS``), into a
+    per-block table of code tuples, and ``codes[u, v]`` packs the table
+    ids of its blocks in mixed radix: equal codes are equal words.
     ``index[0]`` is the empty word, so ``codes[0]`` codes the index words.
     """
 
     def __init__(self, index: Sequence[Word], extra: Sequence[Word] = ()):
-        left = [_blocks(involute(u)) for u in list(index) + list(extra)]
-        right = [_blocks(v) for v in index]
+        spelled = [_LETTERS.encode(w.letters) for w in list(index) + list(extra)]
+        # the involute of a word is the normal form of its reversal
+        left = [list(map(_normal, _split(c[::-1]))) for c in spelled]
+        right = [_split(c) for c in spelled[:len(index)]]
         self.codes = np.zeros((len(left), len(right)), dtype=np.int64)
-        self.normals: list[list[tuple[Letter, ...]]] = []
-        letters: set[Letter] = set()
+        self.normals: list[list[tuple[int, ...]]] = []
         span = 1
         for b in range(len(_BLOCKS)):
             lid, lblocks = _intern([blocks[b] for blocks in left])
             rid, rblocks = _intern([blocks[b] for blocks in right])
-            letters.update(*lblocks, *rblocks)
-            table, normals = _intern([canonicalize(x + y)
+            table, normals = _intern([_normal(x + y)
                                       for x in lblocks for y in rblocks])
             span *= len(normals)
             if span >= 2 ** 63:
@@ -507,8 +496,6 @@ class _Products:
                 len(lblocks), len(rblocks))[np.ix_(lid, rid)]
             self.normals.append(normals)
         self.radix = [len(normals) for normals in self.normals]
-        # every letter of a product is a letter of a factor
-        self.letters = sorted(letters, key=Letter.sort_key)
 
     def _decode(self, codes: np.ndarray) -> list[np.ndarray]:
         """The block ids of each code, one array per block."""
@@ -519,30 +506,35 @@ class _Products:
         return ids[::-1]
 
     def words(self, codes: np.ndarray) -> list[Word]:
-        ids = np.stack(self._decode(codes), axis=1).tolist()
-        return [Word(sum(map(list.__getitem__, self.normals, row), ()))
-                for row in ids]
+        spelled = [[_LETTERS.decode(blk) for blk in normals]
+                   for normals in self.normals]
+        blocks = [list(map(sp.__getitem__, i.tolist()))
+                  for sp, i in zip(spelled, self._decode(codes))]
+        # the scalar block, then the blocks of parties A to D
+        return [Word(s + a + b + c + d) for s, a, b, c, d in zip(*blocks)]
 
     def order(self, codes: np.ndarray) -> np.ndarray:
         """The argsort of ``codes`` by the ``Word.sort_key`` of their words:
-        length first, then the letters' ranks under ``Letter.sort_key``."""
-        rank = {l: r for r, l in enumerate(self.letters)}
+        length first, then the letters' ranks under ``Letter.sort_key``.
+
+        Every letter of a block ranks below every letter of the blocks
+        after it, so of two words of one length the first block where
+        they differ decides, and there a block that the other extends is
+        the larger: each block is ranked as its letters' ranks followed
+        by one above them all."""
+        rank = _LETTERS.rank
+        top = (len(rank),)
         ids = self._decode(codes)
-        lengths = [np.array([len(blk) for blk in normals], dtype=np.intp)
-                   for normals in self.normals]
-        length = sum(ln[i] for ln, i in zip(lengths, ids))
-        spelled = np.full((len(codes), int(length.max(initial=0))), -1,
-                          dtype=np.int32)
-        at = np.zeros(len(codes), dtype=np.intp)
-        for normals, ln, i in zip(self.normals, lengths, ids):
-            table = np.full((len(normals), int(ln.max())), -1, dtype=np.int32)
-            for k, blk in enumerate(normals):
-                table[k, :len(blk)] = [rank[l] for l in blk]
-            for t in range(table.shape[1]):
-                has = ln[i] > t
-                spelled[has, at[has] + t] = table[i[has], t]
-            at += ln[i]
-        return np.lexsort(np.vstack([spelled.T[::-1], length[None]]))
+        length = sum(np.fromiter(map(len, normals), np.intp, len(normals))[i]
+                     for normals, i in zip(self.normals, ids))
+        places = []
+        for normals, i in zip(self.normals, ids):
+            spelled = [tuple(map(rank.__getitem__, blk)) + top for blk in normals]
+            place = np.empty(len(normals), dtype=np.intp)
+            place[sorted(range(len(normals)), key=spelled.__getitem__)] = \
+                np.arange(len(normals))
+            places.append(place[i])
+        return np.lexsort(places[::-1] + [length])
 
     def positions(self, codes: np.ndarray) -> np.ndarray:
         """The index position of the word of each code, -1 if none."""

@@ -544,13 +544,19 @@ class MomentOracle:
             self.psi = sq.reshape(-1)
             eye = np.eye(D)
             self._lift = lambda M: np.kron(M, eye)
+        # the operator each letter acts by on psi's space, lifted once
+        self._acting = {key: self._lift(op) for key, op in self.ops.items()}
         self._vecs: dict[tuple[Letter, ...], np.ndarray] = {(): self.psi}
         self._scalar_cache: dict[Word, complex] = {}
 
-    def letter_op(self, l: Letter) -> np.ndarray:
+    @staticmethod
+    def _op_key(l: Letter) -> tuple[str, int, int]:
         if l.copies is not None:
             raise ScenarioError("plain oracle cannot evaluate inflated letters")
-        return self.ops[(l.party, l.input, l.output)]
+        return (l.party, l.input, l.output)
+
+    def letter_op(self, l: Letter) -> np.ndarray:
+        return self.ops[self._op_key(l)]
 
     def _scalar_value(self, payload: Word) -> complex:
         if payload not in self._scalar_cache:
@@ -561,7 +567,7 @@ class MomentOracle:
     def _act(self, l: Letter, tail: np.ndarray) -> np.ndarray:
         if l.is_scalar:
             return self._scalar_value(l.payload) * tail
-        return self._lift(self.letter_op(l)) @ tail
+        return self._acting[self._op_key(l)] @ tail
 
     def vector(self, w: Word) -> np.ndarray:
         """|phi_w> = w_hat |psi> (times scalar-letter factors)."""

@@ -10,13 +10,14 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    the one row format from the builders to the elimination); a violated
    fully-determined row is an infeasibility proof (no PSD reasoning
    involved);
-2. interlacing bound: if the words whose pairwise products are all
-   already determined span a principal submatrix with min eigenvalue
-   below the infeasibility margin, every completion shares that bound,
-   so the problem is infeasible.  It reads only the values the presolve
-   fixed, so it runs before any factorisation, and its choice of words
-   depends only on which classes are known, so it is kept with the
-   problem's shared structures for that mask (``_KnownWords``);
+2. interlacing bound, when some class is still free (a fully determined
+   problem goes straight to ``_verdict``): if the words whose pairwise
+   products are all already determined span a principal submatrix with
+   min eigenvalue below the infeasibility margin, every completion shares
+   that bound, so the problem is infeasible.  It reads only the values
+   the presolve fixed, so it runs before any factorisation, and its
+   choice of words depends only on which classes are known, so it is kept
+   with the problem's shared structures for that mask (``_KnownWords``);
 3. the remaining rows R y = b over the free classes.  R does not depend
    on the distribution, only b does, so once per problem (``_RowFactor``,
    kept with the problem's shared structures and checked against R on
@@ -702,6 +703,16 @@ def solve_feasibility(problem: MomentProblem,
     if cs.contradiction is not None:
         return FeasibilityOutcome("infeasible", t_star=-np.inf,
                                   evidence=cs.contradiction)
+    if len(cs.free) == 0:
+        # the one matrix of the affine set: its min eigenvalue is the
+        # phase-1 optimum, and the interlacing bound's submatrix would be
+        # all of it
+        return _verdict(
+            problem, cs.assemble(np.zeros(0)), None, True, 0, tol,
+            infeasibility_margin,
+            accept="fully determined by the linear constraints",
+            reject="fully determined matrix is not PSD",
+            undecided="fully determined, min eigenvalue in the inconclusive band")
     # the bound needs only the known values, so it runs before any
     # factorisation of the remaining rows
     bound, chosen = cs.known_submatrix_bound()
@@ -710,15 +721,6 @@ def solve_feasibility(problem: MomentProblem,
             "infeasible", t_star=bound,
             evidence=(f"pinned principal submatrix on {len(chosen)} words has "
                       f"min eigenvalue {bound:.6g} (interlacing bound)"))
-    if len(cs.free) == 0:
-        # the one matrix of the affine set: its min eigenvalue is the
-        # phase-1 optimum
-        return _verdict(
-            problem, cs.assemble(np.zeros(0)), None, True, 0, tol,
-            infeasibility_margin,
-            accept="fully determined by the linear constraints",
-            reject="fully determined matrix is not PSD",
-            undecided="fully determined, min eigenvalue in the inconclusive band")
     ok, msg = cs.factor_rows()
     if not ok:
         # no point satisfies the rows, so t* = -inf

@@ -15,17 +15,32 @@ A word is stored in a unique canonical form: the scalar block (sorted),
 followed by one block per party in the fixed order A < B < C < D.  Inside
 an inflated party block, where only a partial commutation is available,
 we take the lexicographically least representative of the trace-monoid
-class (computed greedily) and collapse repeated adjacent measurement
-letters until a fixed point; each block's form is memoised on its letters.
-Equality and hashing act on this form only.
+class, computed greedily (Anisimov & Knuth 1979; Diekert & Rozenberg,
+*The Book of Traces*, 1995), and collapse repeated adjacent measurement
+letters until a fixed point.  Equality and hashing act on this form only.
+
+``Letter`` and ``Word`` are the public types; the normal form is computed
+on ints.  One process-wide letter table (``_LETTERS``) codes every letter
+it meets by first sight and holds, per code, the letter's rank under
+``Letter.sort_key``, its block, party, copies and measurement flag, and
+the commute matrix of all coded letters, with each row also kept as a
+bitmask.  The greedy compares ranks and tests a candidate against the
+bitmask of the letters before it, and each block's normal form is
+memoised on the codes of its letters (``_BLOCK_NORMAL``).  Codes never
+change as the table grows (only the ranks are recomputed), so the memo
+stays valid for the life of the process and every caller shares it:
+``canonicalize`` on letters, ``enumerate_words`` (which works on codes
+throughout) and the product tables of ``moment``.
 """
 
 from __future__ import annotations
 
-import operator
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 PARTY_ORDER = "ABCD"
 
@@ -92,89 +107,178 @@ def scalar_letter(payload: "Word") -> Letter:
 
 def letters_commute(a: Letter, b: Letter) -> bool:
     """Whether ``ab == ba`` under the monoid relations."""
-    if a.kind == IDENTITY or b.kind == IDENTITY:
-        return True
-    if a.is_scalar or b.is_scalar:
-        return True
-    if a.party != b.party:
-        return True
-    if a.copies is None or b.copies is None:
-        return False
-    # same party, inflated: disjoint copies in every slot
-    return all(map(operator.ne, a.copies, b.copies))
+    ca, cb = _LETTERS.encode((a, b))
+    return bool(_LETTERS.commute[ca, cb])
 
 
-def _greedy_min(letters: list[Letter]) -> list[Letter]:
+class _LetterTable:
+    """Every letter met so far, coded as an int in order of first sight.
+
+    ``letters[c]`` is the letter of code c and ``code`` the inverse map.
+    Arrays over the codes: ``party``, the letter's place in
+    ``PARTY_ORDER`` (-1 when it is no measurement), ``copies`` (the first
+    ``nslots`` entries of a row), the ``measurement`` mask and the
+    ``commute`` matrix.  Lists over the codes, for the greedy: ``rank``,
+    the place under ``Letter.sort_key`` among all coded letters (equal
+    keys share one), ``blocks`` (0 for scalars, 1 + party for measurement
+    letters, -1 for the identity), ``idempotent`` and ``clash``, the
+    bitmask of the codes that do not commute with each.
+
+    Codes never change, so a normal form memoised on codes stays valid as
+    the table grows; only the ranks are recomputed.  New letters get
+    their codes only after every array covers them, so a caller holding
+    a code can always read it.
+    """
+
+    def __init__(self) -> None:
+        self.letters: list[Letter] = []
+        self.code: dict[Letter, int] = {}
+        self._lock = threading.Lock()
+        self._index([])
+
+    def encode(self, letters: tuple[Letter, ...]) -> tuple[int, ...]:
+        try:
+            return tuple(map(self.code.__getitem__, letters))
+        except KeyError:
+            self._add(letters)
+            return tuple(map(self.code.__getitem__, letters))
+
+    def decode(self, codes: Iterable[int]) -> tuple[Letter, ...]:
+        return tuple(map(self.letters.__getitem__, codes))
+
+    def _add(self, letters: Iterable[Letter]) -> None:
+        with self._lock:
+            new = [l for l in dict.fromkeys(letters) if l not in self.code]
+            self._index(self.letters + new)
+            for l in new:
+                self.letters.append(l)
+                self.code[l] = len(self.letters) - 1
+
+    def _index(self, L: list[Letter]) -> None:
+        """Build the per-code arrays for the letters ``L``."""
+        n = len(L)
+        keys = [l.sort_key() for l in L]
+        order = sorted(range(n), key=keys.__getitem__)
+        rank = [0] * n
+        for prev, c in zip(order, order[1:]):
+            rank[c] = rank[prev] + (keys[c] != keys[prev])
+        self.rank = rank
+        self.measurement = np.fromiter((l.kind == MEASUREMENT for l in L), bool, n)
+        self.party = np.fromiter(
+            (PARTY_ORDER.index(l.party) if l.kind == MEASUREMENT else -1
+             for l in L), np.intp, n)
+        self.blocks = [1 + p if p >= 0 else 0 if l.kind == SCALAR else -1
+                       for p, l in zip(self.party.tolist(), L)]
+        self.idempotent = self.measurement.tolist()
+        inflated = np.fromiter((l.copies is not None for l in L), bool, n)
+        self.nslots = np.fromiter((len(l.copies or ()) for l in L), np.intp, n)
+        width = int(self.nslots.max(initial=0))
+        self.copies = np.zeros((n, width), dtype=np.int64)
+        for c, l in enumerate(L):
+            if l.copies:
+                self.copies[c, :len(l.copies)] = l.copies
+        # same-party measurement letters commute when both are inflated and
+        # their copies differ in every slot both have
+        meas = np.flatnonzero(self.measurement)
+        P, K, S = self.party[meas], self.copies[meas], self.nslots[meas]
+        used = np.arange(width) < S[:, None]
+        differ = ((K[:, None] != K[None]) | ~(used[:, None] & used[None])).all(axis=2)
+        commute = np.ones((n, n), dtype=bool)
+        commute[np.ix_(meas, meas)] = ((P[:, None] != P[None])
+                                      | (differ & inflated[meas][:, None]
+                                         & inflated[meas][None]))
+        self.commute = commute
+        packed = np.packbits(~commute, axis=1, bitorder="little")
+        self.clash = [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+_LETTERS = _LetterTable()
+
+
+def _greedy_min(codes: list[int]) -> list[int]:
     """Lexicographically least representative of a trace-monoid class.
 
-    Repeatedly emits the smallest letter whose predecessors in the current
-    sequence all commute with it.
+    Repeatedly emits the least-ranked letter whose predecessors in the
+    current sequence all commute with it.
     """
-    remaining = list(letters)
-    keys = [l.sort_key() for l in remaining]
-    out: list[Letter] = []
-    while remaining:
-        # the first letter always qualifies; a later one must be smaller
-        # than the best so far and commute with everything before it
+    rank, clash = _LETTERS.rank, _LETTERS.clash
+    remaining = list(codes)
+    out: list[int] = []
+    while len(remaining) > 1:
+        # the first letter always qualifies; a later one must rank below
+        # the best so far and commute with everything before it
         best = 0
-        for idx in range(1, len(remaining)):
-            if keys[idx] < keys[best] and all(
-                    letters_commute(prev, remaining[idx])
-                    for prev in remaining[:idx]):
-                best = idx
+        low = rank[remaining[0]]
+        before = 0
+        for idx, c in enumerate(remaining):
+            if rank[c] < low and not before & clash[c]:
+                best, low = idx, rank[c]
+            before |= 1 << c
         out.append(remaining.pop(best))
-        del keys[best]
-    return out
+    return out + remaining
 
 
-def _collapse(letters: list[Letter]) -> list[Letter]:
-    out: list[Letter] = []
-    for l in letters:
-        if out and l.is_measurement and out[-1] == l:
+def _collapse(codes: list[int]) -> list[int]:
+    idempotent = _LETTERS.idempotent
+    out: list[int] = []
+    for c in codes:
+        if out and out[-1] == c and idempotent[c]:
             continue
-        out.append(l)
+        out.append(c)
     return out
 
 
-def _block_normal(letters: list[Letter]) -> list[Letter]:
-    cur = list(letters)
+def _block_normal(codes: list[int]) -> list[int]:
+    """Greedy, then collapse, until the collapse removes nothing: the
+    greedy form is the least representative of its class, so it is its
+    own greedy form, and the fixed point of the two."""
     while True:
-        nxt = _collapse(_greedy_min(cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
+        least = _greedy_min(codes)
+        codes = _collapse(least)
+        if len(codes) == len(least):
+            return codes
 
 
-# Normal form of each party block seen so far, keyed on the block's
+# Normal form of each block seen so far, keyed on the codes of its
 # letters.  It is a pure function of that tuple, so one table serves every
 # word built in the process; a block of at most one letter is its own form.
-_BLOCK_NORMAL: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
+_BLOCK_NORMAL: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _normal(block: tuple[int, ...]) -> tuple[int, ...]:
+    """Normal form of the codes of one block (the scalars or one party)."""
+    if len(block) < 2:
+        return block
+    norm = _BLOCK_NORMAL.get(block)
+    if norm is None:
+        norm = _BLOCK_NORMAL[block] = tuple(_block_normal(list(block)))
+    return norm
+
+
+# The canonical blocks, in canonical order: the scalars, then the parties.
+_BLOCKS = ("",) + tuple(PARTY_ORDER)
+
+
+def _split(codes: Iterable[int]) -> list[tuple[int, ...]]:
+    """The codes of each of ``_BLOCKS``, in sequence order; identity
+    letters are dropped."""
+    blocks = _LETTERS.blocks
+    out: list[list[int]] = [[] for _ in _BLOCKS]
+    for c in codes:
+        b = blocks[c]
+        if b >= 0:
+            out[b].append(c)
+    return [tuple(b) for b in out]
+
+
+def _canonical(codes: Iterable[int]) -> tuple[int, ...]:
+    """Canonical form of a code sequence, as codes."""
+    return sum(map(_normal, _split(codes)), ())
 
 
 def canonicalize(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Canonical minimal form of an arbitrary letter sequence."""
-    scalars: list[Letter] = []
-    blocks: dict[str, list[Letter]] = {}
-    for l in letters:
-        if l.kind == MEASUREMENT:
-            blocks.setdefault(l.party, []).append(l)
-        elif l.kind == SCALAR:
-            scalars.append(l)
-    scalars.sort(key=Letter.sort_key)
-    out = scalars
-    for p in PARTY_ORDER:
-        block = blocks.get(p)
-        if block is None:
-            continue
-        if len(block) > 1:
-            key = tuple(block)
-            norm = _BLOCK_NORMAL.get(key)
-            if norm is None:
-                norm = _BLOCK_NORMAL[key] = tuple(_block_normal(block))
-            out.extend(norm)
-        else:
-            out.extend(block)
-    return tuple(out)
+    return _LETTERS.decode(_canonical(_LETTERS.encode(tuple(letters))))
 
 
 @dataclass(frozen=True)
@@ -271,18 +375,21 @@ def enumerate_words(alphabet: Alphabet, max_len: int) -> list[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    seen: set[Word] = {EMPTY_WORD}
-    frontier: list[Word] = [EMPTY_WORD]
+    codes = _LETTERS.encode(alphabet.letters)
+    seen: set[tuple[int, ...]] = {()}
+    frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_len):
-        nxt: list[Word] = []
+        nxt: list[tuple[int, ...]] = []
         for w in frontier:
-            for l in alphabet.letters:
-                cand = Word(canonicalize(w.letters + (l,)))
+            for c in codes:
+                cand = _canonical(w + (c,))
                 if len(cand) <= max_len and cand not in seen:
                     seen.add(cand)
                     nxt.append(cand)
         frontier = nxt
-    return sorted(seen, key=Word.sort_key)
+    rank = _LETTERS.rank
+    ordered = sorted(seen, key=lambda w: (len(w), [rank[c] for c in w]))
+    return [Word(_LETTERS.decode(w)) for w in ordered]
 
 
 Permutation = Mapping[int, int]

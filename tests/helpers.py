@@ -79,6 +79,38 @@ def brute_canonical(seq: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return min(rewrite_closure(seq), key=seq_key)
 
 
+def plain_commute(a: Letter, b: Letter) -> bool:
+    """Whether ``ab == ba``, read off the two letters' fields."""
+    if not (a.is_measurement and b.is_measurement) or a.party != b.party:
+        return True
+    if a.copies is None or b.copies is None:
+        return False
+    return all(x != y for x, y in zip(a.copies, b.copies))
+
+
+def plain_canonical(seq) -> tuple[Letter, ...]:
+    """The canonical form on ``Letter``s alone: the scalars sorted, then
+    per party the least representative of its block's trace (the least
+    letter free of a non-commuting predecessor, repeatedly) with equal
+    adjacent letters collapsed, until the block no longer changes."""
+    out = sorted((l for l in seq if l.is_scalar), key=Letter.sort_key)
+    for party in "ABCD":
+        block = [l for l in seq if l.is_measurement and l.party == party]
+        while True:
+            rest, least = list(block), []
+            while rest:
+                free = [i for i, l in enumerate(rest)
+                        if all(plain_commute(p, l) for p in rest[:i])]
+                least.append(rest.pop(min(free, key=lambda i: rest[i].sort_key())))
+            collapsed = [l for i, l in enumerate(least)
+                         if i == 0 or l != least[i - 1]]
+            if collapsed == block:
+                break
+            block = collapsed
+        out += block
+    return tuple(out)
+
+
 def all_sequences(letters, max_len):
     for n in range(max_len + 1):
         yield from itertools.product(letters, repeat=n)
@@ -727,8 +759,8 @@ def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
                     tol: float = 1e-9, max_iter: int = 100, start=None):
     """``interior.solve_lmi`` on one dense r x r block, ``A`` of shape
     (m, r, r): the form it had before it took a list of blocks, with the
-    same optional dual start y = ``start``, S = C - A'(y).  Returns
-    (status, y, primal objective, primal infeasibility)."""
+    same optional dual start y = ``start``, S = C - A'(y), X = S^-1 / tr S^-1.
+    Returns (status, y, primal objective, primal infeasibility)."""
     import scipy.linalg
 
     def sym(M):
@@ -751,6 +783,8 @@ def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
     if start is not None:
         y = np.array(start, dtype=float)
         S = sym(C - (y @ Af).reshape(r, r))
+        S_inv = sym(np.linalg.inv(S))
+        X = S_inv / np.trace(S_inv)
 
     def result(status):
         return (status, y, float(np.vdot(C, X)),

@@ -305,6 +305,18 @@ def test_suffix_keyed_gram_is_the_word_keyed_reference(name):
     assert np.array_equal(got, oracle_word_gram(MomentOracle(strategy), words))
 
 
+def test_mixed_oracle_lifts_each_letter_once(monkeypatch):
+    strategy, words = _gram_case("mixed")
+    want = oracle_word_gram(MomentOracle(strategy), words)
+    oracle = MomentOracle(strategy)
+    kron = np.kron
+    calls = []
+    monkeypatch.setattr(np, "kron", lambda *a: calls.append(a) or kron(*a))
+    got = oracle.gram(words)
+    assert calls == []
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_dense_gram_is_the_word_keyed_reference(seed):
     infl = InflatedBilocalOracle(random_strategy(BILOCAL, (2, 2, 2, 2), seed), 2)

@@ -723,6 +723,24 @@ def test_interlacing_bound_runs_before_any_factorisation(monkeypatch):
     assert "interlacing" in out.evidence
 
 
+@pytest.mark.parametrize("hierarchy", ["standard", "factorisation"])
+def test_fully_determined_n3_solve_takes_one_eigendecomposition(monkeypatch,
+                                                               hierarchy):
+    p = pin_distribution(cached_problem(hierarchy, *BILOCAL_111, 3),
+                         uniform_product(BILOCAL))
+    if p.factor_pairs:
+        p = factorisation.pin_linearize(p)
+    assert len(_ClassSystem(p).free) == 0
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: calls.append(M.shape) or eigvalsh(M))
+    out = solve_feasibility(p)
+    assert out.verdict == "feasible"
+    assert out.evidence == "fully determined by the linear constraints"
+    assert calls == [(p.dim, p.dim)]
+
+
 def uniform_product(sc):
     return product_distribution(
         sc, [np.full((k, x), 1.0 / k) for k, x in zip(sc.outputs, sc.inputs)])

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from netnpa.scenarios import Scenario
 from netnpa.words import (
     EMPTY_WORD,
     Alphabet,
@@ -22,7 +23,14 @@ from netnpa.words import (
     word,
 )
 
-from helpers import all_sequences, brute_canonical, meas, rewrite_closure
+from helpers import (
+    all_sequences,
+    brute_canonical,
+    meas,
+    plain_canonical,
+    plain_commute,
+    rewrite_closure,
+)
 
 A0 = meas("A", 0, 0)
 A1 = meas("A", 1, 0)
@@ -223,6 +231,39 @@ def test_concat_matches_rewrite_closure_len4(letters):
         # every representative canonicalizes identically
         for rep in closure:
             assert tuple(word(rep).letters) == canon
+
+
+def _property_alphabets():
+    tri = Scenario("triangle", (2, 2, 2), (1, 1, 1))
+    bil = Scenario("bilocal", (2, 2, 2), (1, 1, 1))
+    alphabets = {"triangle (2,3)": tri.inflated_alphabet(3).letters,
+                 "bilocal (2,3)": bil.inflated_alphabet(3).letters,
+                 "scalar extension": bil.scalar_alphabet(3).letters}
+    # letters first seen in another order than that of their sort keys
+    alphabets["all three"] = sum(alphabets.values(), ())
+    return alphabets
+
+
+@pytest.mark.parametrize("name", ["triangle (2,3)", "bilocal (2,3)",
+                                  "scalar extension", "all three"])
+def test_canonicalize_matches_the_plain_letter_reference(name):
+    import random
+
+    letters = _property_alphabets()[name] + (Letter("identity"),)
+    rng = random.Random(2024)
+    for _ in range(1500):
+        # a small pool makes repeated and commuting letters in one block likely
+        pool = rng.sample(letters, rng.randint(2, min(12, len(letters))))
+        seq = tuple(rng.choice(pool) for _ in range(rng.randint(0, 9)))
+        assert canonicalize(seq) == plain_canonical(seq), seq
+
+
+@pytest.mark.parametrize("name", ["triangle (2,3)", "bilocal (2,3)",
+                                  "scalar extension", "all three"])
+def test_letters_commute_matches_the_plain_reference(name):
+    letters = _property_alphabets()[name]
+    for a, b in itertools.product(letters, repeat=2):
+        assert letters_commute(a, b) == plain_commute(a, b), (a, b)
 
 
 # --- rendering ----------------------------------------------------------------
