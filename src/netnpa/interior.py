@@ -43,6 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
+MAX_ITER = 100
+
 
 @dataclass
 class LmiResult:
@@ -118,8 +120,7 @@ def block_views(A: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
 
 
 def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
-              tol: float = 1e-9, max_iter: int = 100,
-              start: np.ndarray | None = None) -> LmiResult:
+              tol: float = 1e-9, start: np.ndarray | None = None) -> LmiResult:
     """Solve (P)/(D) above for block-diagonal data.
 
     ``C`` holds the blocks C_b (r_b, r_b) and ``A`` the A_i as packed rows
@@ -129,7 +130,7 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
     lengths are the least over the blocks, and inner products sum over
     them.  ``start``, when given, is the first y; C - A'(start) must be
     positive definite, else ``ValueError``.  Stops when the relative gap
-    and both relative infeasibilities are below ``tol``.
+    and both relative infeasibilities are below ``tol``, or at ``MAX_ITER``.
     """
     from scipy.linalg import lapack
 
@@ -178,13 +179,13 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
                          float(np.linalg.norm(rp) / (1 + norm_b)),
                          float(np.linalg.norm(_flat(Rd)) / (1 + norm_c)), it)
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         rp = b - A @ _flat(X)
         Rd = [Cg - Sg - Ay for Cg, Sg, Ay in zip(Cs, S, split(y @ A))]
         res = result("optimal", it)
         if max(res.rel_gap, res.primal_infeas, res.dual_infeas) <= tol:
             return res
-        if it == max_iter:
+        if it == MAX_ITER:
             return result("max_iter", it)
         # X_g and S_g factored as one stack [X_g; S_g] per size
         factors = [_cholesky(np.concatenate([Xg, Sg]), lapack)

@@ -18,11 +18,9 @@ Hierarchies
     index over words with commuting scalar symbols kappa_alpha; the
     classes of alpha*gamma and kappa_alpha*gamma are identified.
 ``inflation``
-    index over copy-indexed letters; classes are merged along the orbit
-    of the per-source symmetric-group action, generated by one
-    transposition and one m-cycle per source: each generator permutes the
-    index, and cell (i, j) is merged with cell (pi i, pi j) under that
-    index permutation pi.  Every product whose connected components look
+    index over copy-indexed letters; classes are the orbits of the
+    per-source symmetric-group action on the Hankel groups (see
+    :func:`build_inflation`).  Every product whose connected components look
     like fresh copies of (a sub-network of) the original scenario is
     pinned to the matching marginal product.
 ``factorisation_star``
@@ -66,10 +64,10 @@ from .words import (
     _LETTERS,
     _normal,
     _split,
-    act_permutation,
     concat,
     enumerate_words,
     involute,
+    relabel_codes,
     scalar_letter,
     word,
 )
@@ -268,7 +266,7 @@ class MomentProblem:
     factor_pairs: tuple[FactorConstraint, ...] = ()
     factor_triples: tuple[FactorConstraint, ...] = ()
     check_products: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    merge_family: str = ""                # symmetry / scalar identification label
+    copy_generators: tuple[tuple[np.ndarray, ...], ...] = ()  # see build_inflation
     completeness: bool = True
     # the linearized factor pairs, filled in by pin_linearize
     linear_factor_rows: FlatRows = field(default_factory=lambda: NO_ROWS)
@@ -291,10 +289,10 @@ class MomentProblem:
 
     # derived structures are built on first use, never in a builder.  The
     # ``_structure`` properties read only the word index, the Hankel
-    # groups and the classes; every pin, linearization and frozen solve
-    # copies the problem through ``derive``, which shares them, while
-    # ``dataclasses.replace`` starts over with none built.  Two more
-    # entries, which ``sdp`` keeps, read what a copy may change, so each
+    # groups, the classes and the copy generators; every pin, linearization
+    # and frozen solve copies the problem through ``derive``, which shares
+    # them, while ``dataclasses.replace`` starts over with none built.  Two
+    # more entries, which ``sdp`` keeps, read what a copy may change, so each
     # is checked on every use and built anew when it differs: the
     # factorisation of the rows (``row_factor``), checked against the
     # free classes and the reduced rows, and the interlacing bound's
@@ -386,11 +384,11 @@ class MomentProblem:
     def copy_blocks(self) -> CopyBlocks:
         """Orthonormal bases U_b, (dim, r_b), whose columns together span
         ``column_range`` and which block-diagonalise every moment matrix
-        X of the problem: U_a' X U_b = 0 for a != b.  For an inflation
-        problem with copy merges and m >= 2, the isotypic components of
-        the copy swaps (:func:`_copy_blocks`); for every other problem one
-        block, ``column_range`` itself."""
-        if self.merge_family != "copy symmetry" or (self.m or 0) < 2:
+        X of the problem: U_a' X U_b = 0 for a != b.  For a problem with
+        ``copy_generators``, the isotypic components of the copy swaps
+        (:func:`_copy_blocks`); for every other problem one block,
+        ``column_range`` itself."""
+        if not self.copy_generators:
             return CopyBlocks((self.column_range,), np.arange(self.dim),
                               np.ones(self.dim))
         return _copy_blocks(self)
@@ -774,7 +772,6 @@ def _pin_plan(problem: MomentProblem) -> PinPlan:
 def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
               alphabet: Alphabet, *, completeness: bool,
               budget: int, merges: Callable | None = None,
-              merge_family: str = "",
               index_words: Sequence[Word] | None = None) -> MomentProblem:
     """Build the problem's structure.  ``merges(index, keys, cell_group)``
     returns two arrays of group ids whose groups share a class."""
@@ -802,7 +799,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         index=tuple(index), group_keys=tuple(keys), cell_group=cell_group,
         group_class=group_class, cell_class=cell_class, pinned=pinned,
         column_relations=relations, rows=_completeness_rows(relations, cell_class),
-        merge_family=merge_family, completeness=completeness)
+        completeness=completeness)
 
 
 # ---------------------------------------------------------------------------
@@ -936,51 +933,43 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
 
     return _assemble(scenario, "scalar_extension", n, None, alphabet,
                      completeness=completeness, budget=budget,
-                     merges=merges, merge_family="scalar identification")
+                     merges=merges)
 
 
-def _index_permutation(index: Sequence[Word], pos: Mapping[Word, int],
-                       alphabet: Alphabet,
-                       perms_by_source: Mapping[str, Mapping[int, int]]) -> np.ndarray:
-    """The permutation pi of the index that a copy relabelling induces:
-    word i maps to word pi[i].  An index word whose image is not in the
-    index raises :class:`RuntimeError`."""
-    pi = np.empty(len(index), dtype=np.intp)
-    for i, w in enumerate(index):
-        img = act_permutation(w, None, alphabet=alphabet,
-                              perms_by_source=perms_by_source)
-        if img not in pos:
-            raise RuntimeError(
-                f"copy relabelling {dict(perms_by_source)} maps index word "
-                f"{w!r} to {img!r}, which is not in the index")
-        pi[i] = pos[img]
-    return pi
-
-
-def _copy_merges(index: Sequence[Word], cell_group: np.ndarray,
-                 alphabet: Alphabet, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every group joined to its image under each generator of the
-    copy-relabelling group (S_m)^sources, one source at a time: the
-    transposition (1 2), plus the m-cycle when m >= 3.
-
-    A relabelling is an automorphism of the word algebra, so it maps the
-    product of cell (i, j) to that of cell (pi i, pi j), where pi is the
-    index permutation it induces (:func:`_index_permutation`), and a
-    group's image is the group of the image of any one of its cells, here
-    its first in row-major order.  The connected components are the orbits
-    of the full group.
-    """
+def _copy_generators(index: Sequence[Word], alphabet: Alphabet, m: int
+                     ) -> tuple[tuple[np.ndarray, ...], ...]:
+    """For each generator of S_m (the swap (1 2) when m >= 2, the m-cycle
+    when m >= 3), the index permutation pi of its relabelling of each
+    source: word i maps to word pi[i].  An index word whose image is not
+    in the index raises :class:`RuntimeError`."""
     gens = [{1: 2, 2: 1}] if m >= 2 else []
     if m >= 3:
         gens.append({i: i % m + 1 for i in range(1, m + 1)})
-    pos = {w: i for i, w in enumerate(index)}
+    codes = [_LETTERS.encode(w.letters) for w in index]
+    pos = {c: i for i, c in enumerate(codes)}
+
+    def permutation(relabelling: dict[str, dict[int, int]]) -> np.ndarray:
+        images = relabel_codes(codes, alphabet, relabelling)
+        for w, img in zip(index, images):
+            if img not in pos:
+                raise RuntimeError(
+                    f"copy relabelling {relabelling} maps index word {w!r} to "
+                    f"{Word(_LETTERS.decode(img))!r}, which is not in the index")
+        return np.array([pos[img] for img in images], dtype=np.intp)
+
+    return tuple(tuple(permutation({src: gen}) for src in alphabet.sources())
+                 for gen in gens)
+
+
+def _copy_merges(cell_group: np.ndarray, perms: Iterable[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Every Hankel group joined to its image under each copy index
+    permutation pi of ``perms`` (see :func:`build_inflation`): the group
+    of the image of any one of its cells, here its first in row-major
+    order."""
     groups, first = np.unique(cell_group, return_index=True)
-    rows, cols = np.divmod(first, len(index))
-    images = []
-    for src in alphabet.sources():
-        for gen in gens:
-            pi = _index_permutation(index, pos, alphabet, {src: gen})
-            images.append(cell_group[pi[rows], pi[cols]])
+    rows, cols = np.divmod(first, len(cell_group))
+    images = [cell_group[pi[rows], pi[cols]] for pi in perms]
     return (np.tile(groups, len(images)),
             np.concatenate(images) if images else groups[:0])
 
@@ -989,8 +978,9 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     """The isotypic components of ``problem.column_range`` under the copy
     swaps (1 2) of every source, as orthonormal bases U_b = V Q_b.
 
-    The swap of source s permutes the index by pi_s and, since the classes
-    are unions of copy orbits, maps every cell's class to itself:
+    The swap of source s permutes the index by pi_s (``copy_generators``)
+    and, since the classes are unions of copy orbits, maps every cell's
+    class to itself:
     X[pi_s][:, pi_s] = X for every moment matrix X of the problem.  So X
     commutes with each permutation matrix P_s, and in a basis of joint
     eigenvectors of the P_s (one block per character chi in {+1, -1}^s,
@@ -1008,11 +998,8 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     """
     V = problem.column_range
     n, r = V.shape
-    sources = problem.alphabet.sources()
-    perms = [_index_permutation(problem.index, problem._pos, problem.alphabet,
-                                {src: {1: 2, 2: 1}})
-             for src in sources]
-    for src, pi in zip(sources, perms):
+    perms = problem.copy_generators[0]
+    for src, pi in zip(problem.alphabet.sources(), perms):
         if not np.array_equal(problem.cell_class[np.ix_(pi, pi)],
                               problem.cell_class):
             raise RuntimeError(f"the copy swap of source {src} moves a cell "
@@ -1065,11 +1052,14 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
                     index_words: Sequence[Word] | None = None) -> MomentProblem:
     """Inflated moment problem with per-source symmetric-group merges.
 
-    Classes are the orbits of the copy-relabelling group (S_m)^sources on
-    the Hankel groups.  One transposition and one m-cycle per source
-    generate it; each permutes the full index, and cell (i, j) is merged
-    with cell (pi i, pi j) under that index permutation pi, which is exact
-    because a relabelling is an automorphism of the word algebra.
+    The copy-relabelling group (S_m)^sources permutes the index, and as
+    a relabelling is an automorphism of the word algebra, it maps the
+    product of cell (i, j) to that of cell (pi i, pi j) under the index
+    permutation pi it induces.  The permutations of its generators are
+    worked out once, here, and kept as ``copy_generators``
+    (:func:`_copy_generators`).  The classes are the group's orbits on
+    the Hankel groups (:func:`_copy_merges`), and the copy blocks split
+    the range by the swaps (:func:`_copy_blocks`).
 
     ``index_words`` restricts the index to an explicit word list (plus the
     empty word); used to host the scalar-extension image words, where the
@@ -1086,19 +1076,21 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
     if index_words is None and m > 3:
         raise BudgetError("inflation order > 3 exceeds the desk-scale budget")
     alphabet = scenario.inflated_alphabet(m)
+    generators: list[tuple[np.ndarray, ...]] = []
 
     def merges(index, keys, cell_group):
-        return _copy_merges(index, cell_group, alphabet, m)
+        generators.extend(_copy_generators(index, alphabet, m))
+        return _copy_merges(cell_group, [pi for gen in generators for pi in gen])
 
     p = _assemble(scenario, "inflation", n, m, alphabet,
                   completeness=completeness, budget=budget,
                   merges=merges if index_words is None else None,
-                  merge_family="copy symmetry" if index_words is None else "",
                   index_words=index_words)
 
     # verification-only nonlinear products: diagonal words on disjoint copies
     check = _diagonal_check_products(p)
-    return replace(p, check_products=tuple(check))
+    return replace(p, check_products=tuple(check),
+                   copy_generators=tuple(generators))
 
 
 def _diagonal_word_copies(scenario: Scenario, w: Word) -> set[int] | None:
@@ -1122,15 +1114,14 @@ def _diagonal_check_products(p: MomentProblem):
         if cps:
             diag.setdefault(next(iter(cps)), []).append(w)
     out = []
-    pos = {w: i for i, w in enumerate(p.index)}
     copies = sorted(diag)
     for c1, c2 in itertools.combinations(copies, 2):
         for w1 in diag[c1]:
             for w2 in diag[c2]:
-                ip = pos.get(concat(w1, w2))
+                ip = p._pos.get(concat(w1, w2))
                 if ip is None:
                     continue
-                i1, i2 = pos[w1], pos[w2]
+                i1, i2 = p._pos[w1], p._pos[w2]
                 out.append((int(p.cell_class[0, ip]),
                             (int(p.cell_class[0, i1]), int(p.cell_class[0, i2]))))
     return out
@@ -1417,11 +1408,10 @@ def inflation_to_scalar_extension(xi: MomentAssignment, n: int, m: int, *,
             f"inflation assignment violates its own constraints "
             f"(residual {report.max_residual():.3e} > {input_tol:g})")
     omega = build_scalar_extension(scenario, n)
-    pos = {w: i for i, w in enumerate(xi.problem.index)}
     values = np.zeros(omega.n_classes)
     for cls in range(omega.n_classes):
         v = scalar_key_image(omega.representative_key(cls), m, scenario)
-        cell = _split_in_index(v, pos)
+        cell = _split_in_index(v, problem._pos)
         if cell is None:
             raise ValueError(
                 f"inflation index cannot evaluate the image word {v!r}; "

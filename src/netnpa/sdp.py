@@ -693,6 +693,10 @@ def solve_feasibility(problem: MomentProblem,
     ``route`` of the outcome): a problem too large for it is inconclusive
     at once, with no iteration and t* NaN.  An interior point that ends
     short of a verdict reports inconclusive.
+
+    An unpinned problem, with only G[1, 1] pinned, is a supported input;
+    its verdict can be inconclusive, since ``check_products`` are checked
+    on the witness but not imposed.
     """
     if (problem.factor_pairs or problem.factor_triples) \
             and not problem.linear_factor_rows:

@@ -29,8 +29,8 @@ bitmask of the letters before it, and each block's normal form is
 memoised on the codes of its letters (``_BLOCK_NORMAL``).  Codes never
 change as the table grows (only the ranks are recomputed), so the memo
 stays valid for the life of the process and every caller shares it:
-``canonicalize`` on letters, ``enumerate_words`` (which works on codes
-throughout) and the product tables of ``moment``.
+``canonicalize`` on letters, ``enumerate_words`` and ``relabel_codes``
+(which work on codes throughout) and the product tables of ``moment``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -395,8 +395,22 @@ def enumerate_words(alphabet: Alphabet, max_len: int) -> list[Word]:
 Permutation = Mapping[int, int]
 
 
-def _apply_perm(perm: Permutation, i: int) -> int:
-    return perm.get(i, i)
+def relabel_codes(words: Sequence[tuple[int, ...]], alphabet: Alphabet,
+                  perms_by_source: Mapping[str, Permutation]
+                  ) -> list[tuple[int, ...]]:
+    """The canonical codes of ``words`` (letter codes) with the copy in
+    each slot of every inflated letter relabelled by the permutation of
+    that slot's source; the image of each distinct letter is coded once."""
+    codes = tuple(dict.fromkeys(c for w in words for c in w))
+    images = []
+    for l in _LETTERS.decode(codes):
+        if l.is_measurement and l.copies is not None:
+            l = Letter(MEASUREMENT, l.party, l.output, l.input, tuple(
+                perms_by_source.get(src, {}).get(c, c)
+                for src, c in zip(alphabet.party_sources[l.party], l.copies)))
+        images.append(l)
+    image = dict(zip(codes, _LETTERS.encode(tuple(images))))
+    return [_canonical(map(image.__getitem__, w)) for w in words]
 
 
 def act_permutation(
@@ -424,17 +438,8 @@ def act_permutation(
         perms_by_source = {srcs[0]: theta}
         if len(srcs) > 1:
             perms_by_source[srcs[1]] = theta_prime if theta_prime is not None else {}
-    out: list[Letter] = []
-    for l in w.letters:
-        if not l.is_measurement or l.copies is None:
-            out.append(l)
-            continue
-        slots = alphabet.party_sources[l.party]
-        new_copies = tuple(
-            _apply_perm(perms_by_source.get(src, {}), c)
-            for src, c in zip(slots, l.copies))
-        out.append(Letter(MEASUREMENT, l.party, l.output, l.input, new_copies))
-    return word(out)
+    image, = relabel_codes([_LETTERS.encode(w.letters)], alphabet, perms_by_source)
+    return Word(_LETTERS.decode(image))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from netnpa.scenarios import (
 from netnpa.words import (
     Letter,
     Word,
-    act_permutation,
     concat,
     enumerate_words,
     involute,
@@ -587,20 +586,51 @@ def loop_build_groups(index):
     return keys, key_of, cell_group
 
 
-def loop_copy_orbit_edges(keys, key_of, alphabet, m):
-    """Edges (g, g') joining each group key to its image under every
-    generator of the copy-relabelling group (S_m)^sources, one source at a
-    time: the transposition (1 2), plus the m-cycle when m >= 3."""
+def copy_generators(m: int) -> list[dict[int, int]]:
+    """The transposition (1 2), plus the m-cycle when m >= 3."""
     gens = [{1: 2, 2: 1}] if m >= 2 else []
     if m >= 3:
         gens.append({i: i % m + 1 for i in range(1, m + 1)})
+    return gens
+
+
+def plain_relabel(w: Word, alphabet, perms_by_source) -> Word:
+    """The copy relabelling on ``Letter``s alone: each inflated measurement
+    letter rebuilt with the copy in each slot mapped by the permutation of
+    that slot's source (missing sources and indices fixed), then the word
+    canonicalised."""
+    out = []
+    for l in w.letters:
+        if not l.is_measurement or l.copies is None:
+            out.append(l)
+            continue
+        slots = alphabet.party_sources[l.party]
+        out.append(Letter("measurement", l.party, l.output, l.input, tuple(
+            perms_by_source.get(src, {}).get(c, c)
+            for src, c in zip(slots, l.copies))))
+    return word(out)
+
+
+def plain_copy_generators(index, alphabet, m) -> list[list[np.ndarray]]:
+    """The index permutation of each generator of (S_m)^sources from
+    :func:`plain_relabel`: one list per generator of
+    :func:`copy_generators`, each with one permutation per source."""
+    pos = {w: i for i, w in enumerate(index)}
+    return [[np.array([pos[plain_relabel(w, alphabet, {src: gen})] for w in index])
+             for src in alphabet.sources()]
+            for gen in copy_generators(m)]
+
+
+def loop_copy_orbit_edges(keys, key_of, alphabet, m):
+    """Edges (g, g') joining each group key to its image under every
+    generator of the copy-relabelling group (S_m)^sources, one source at a
+    time (:func:`copy_generators`)."""
     out = []
     for src in alphabet.sources():
-        for gen in gens:
+        for gen in copy_generators(m):
             perms_by_source = {src: gen}
             for g, k in enumerate(keys):
-                img = _min_key(act_permutation(
-                    k, None, alphabet=alphabet, perms_by_source=perms_by_source))
+                img = _min_key(plain_relabel(k, alphabet, perms_by_source))
                 g2 = key_of.get(img)
                 if g2 is None:
                     raise RuntimeError(

@@ -16,6 +16,7 @@ from netnpa.moment import (
     MomentAssignment,
     PinConflictError,
     _build_groups,
+    _copy_generators,
     _copy_merges,
     _min_key,
     _Products,
@@ -46,7 +47,6 @@ from netnpa.scenarios import (
 )
 from netnpa.words import (
     EMPTY_WORD,
-    act_permutation,
     concat,
     enumerate_words,
     scalar_letter,
@@ -65,6 +65,8 @@ from helpers import (
     loop_rows,
     loop_structure,
     meas,
+    plain_copy_generators,
+    plain_relabel,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -411,23 +413,22 @@ def test_inflation_triangle_pins_and_symmetry():
 
 
 def test_inflation_orbit_closure_brute_force():
-    from netnpa.words import act_permutation
-
     for m in (2, 3):
         sc = BILOCAL
         alph = sc.inflated_alphabet(m)
         words = enumerate_words(alph, 2)
         perms = [dict(zip(range(1, m + 1), images))
                  for images in itertools.permutations(range(1, m + 1))]
+        rho, sigma = alph.sources()
         if m == 3:
             words = words[:80]
         for w in words[:40]:
-            orbit = {act_permutation(w, t1, t2, alphabet=alph)
+            orbit = {plain_relabel(w, alph, {rho: t1, sigma: t2})
                      for t1 in perms for t2 in perms}
             # closure: acting again never leaves the orbit
             for v in orbit:
-                assert act_permutation(v, perms[1], perms[0],
-                                       alphabet=alph) in orbit
+                assert plain_relabel(v, alph, {rho: perms[1], sigma: perms[0]}) \
+                    in orbit
 
 
 def test_level_embedding():
@@ -596,16 +597,15 @@ def _full_group_orbits(keys, alphabet, m):
     perms = [dict(zip(range(1, m + 1), images))
              for images in itertools.permutations(range(1, m + 1))]
     sources = alphabet.sources()
-    return {frozenset(key_of[_min_key(act_permutation(
-                k, None, alphabet=alphabet,
-                perms_by_source=dict(zip(sources, combo))))]
+    return {frozenset(key_of[_min_key(plain_relabel(
+                k, alphabet, dict(zip(sources, combo))))]
                       for combo in itertools.product(perms, repeat=len(sources)))
             for k in keys}
 
 
 def _copy_orbits(index, alphabet, m):
     keys, cell_group = _build_groups(_Products(index))
-    merges = _copy_merges(index, cell_group, alphabet, m)
+    merges = _copy_merges(cell_group, sum(_copy_generators(index, alphabet, m), ()))
     return keys, _partition(components(len(keys), *merges))
 
 
@@ -626,6 +626,20 @@ def test_generator_orbits_equal_full_group_orbits():
             assert _copy_orbits(index, alph, 2)[1] != full
 
 
+@pytest.mark.parametrize("topology", [TRIANGLE_111, BILOCAL_111],
+                         ids=lambda t: t[0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_copy_generators_match_the_plain_relabelling(topology, m):
+    p = (cached_problem("inflation", *topology, 2, m) if m == 2
+         else build_inflation(Scenario(*topology), 2, m))
+    want = plain_copy_generators(p.index, p.alphabet, m)
+    assert len(p.copy_generators) == len(want) == m - 1
+    for got, plain in zip(p.copy_generators, want):
+        assert len(got) == len(plain) == len(p.alphabet.sources())
+        assert all(a.dtype == np.intp and np.array_equal(a, b)
+                   for a, b in zip(got, plain))
+
+
 def test_copy_merges_reject_an_index_not_closed_under_relabelling():
     alph = BILOCAL.inflated_alphabet(2)
     index = enumerate_words(alph, 1)
@@ -635,7 +649,7 @@ def test_copy_merges_reject_an_index_not_closed_under_relabelling():
     keys, cell_group = _build_groups(_Products(index))
     with pytest.raises(RuntimeError, match=re.escape(
             f"index word {word([meas('A', copies=(1,))])!r} to {gone!r}")):
-        _copy_merges(index, cell_group, alph, 2)
+        _copy_merges(cell_group, sum(_copy_generators(index, alph, 2), ()))
 
 
 @pytest.mark.parametrize("case", [

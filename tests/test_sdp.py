@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from netnpa import factorisation, interior, sdp
+from netnpa import factorisation, interior, moment, sdp, words
 from netnpa.moment import (
     FlatRows,
     build_factorisation_bilocal,
@@ -415,6 +415,31 @@ def test_one_block_without_copy_merges(name):
     assert blocks.rows.tolist() == list(range(p.dim))
 
 
+@pytest.mark.parametrize("topology, sizes", [
+    (TRIANGLE_111, [25, 16, 16, 16, 12, 12, 12, 6]),
+    (BILOCAL_111, [16, 11, 11, 11])], ids=["triangle", "bilocal"])
+def test_copy_blocks_relabel_no_word_after_the_build(topology, sizes, monkeypatch):
+    relabel = words.relabel_codes
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return relabel(*args)
+
+    def refuse(*args):
+        raise AssertionError("a word was relabelled after the build")
+
+    monkeypatch.setattr(moment, "relabel_codes", counting)
+    p = build_inflation(Scenario(*topology), 2, 2)
+    # one relabelling of the index per generator: the swap of each source
+    assert len(calls) == len(p.alphabet.sources()) == len(p.copy_generators[0])
+    for module in (moment, words):
+        monkeypatch.setattr(module, "relabel_codes", refuse)
+    # a copy made by dataclasses.replace has no structure built yet
+    blocks = dataclasses.replace(p).copy_blocks
+    assert sorted(blocks.sizes) == sorted(sizes)
+
+
 def test_copy_blocks_raise_when_a_swap_moves_a_class():
     p = cached_problem("inflation", *BILOCAL_111, 2, 2)
     # give the cell (A_1, A_1) of copy 1, and its mirror, a class of its own;
@@ -542,7 +567,7 @@ def test_triangle_band_is_decided_by_the_interior_point(v, verdict):
 
 def test_a_stalled_interior_point_is_inconclusive_and_runs_no_projection(
         monkeypatch):
-    def stalled(C, A, b, tol=1e-9, max_iter=100, start=None):
+    def stalled(C, A, b, tol=1e-9, start=None):
         return interior.LmiResult("stalled", np.zeros(len(b)), primal_obj=-0.5,
                                   dual_obj=-1.0, primal_infeas=1.0,
                                   dual_infeas=1.0, iterations=3)
@@ -555,6 +580,17 @@ def test_a_stalled_interior_point_is_inconclusive_and_runs_no_projection(
     assert "stalled" in out.evidence and "-0.5" in out.evidence
     assert out.iterations == 3
     assert out.route.interior
+
+
+def test_an_unpinned_problem_is_inconclusive_on_its_check_products():
+    # only G[1, 1] is pinned; the interior point finds a witness, but the
+    # check products are checked, not imposed, and the witness fails them
+    p = build_inflation(BILOCAL, 2, 2)
+    assert list(p.pinned) == [int(p.cell_class[0, 0])]
+    out = solve_feasibility(p)
+    assert out.verdict == "inconclusive"
+    assert "extended_products" in out.evidence
+    assert out.residuals.extended_products > 1e-3
 
 
 def test_outcomes_carry_the_route_of_the_engine_that_ran(monkeypatch):

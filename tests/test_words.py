@@ -29,6 +29,7 @@ from helpers import (
     meas,
     plain_canonical,
     plain_commute,
+    plain_relabel,
     rewrite_closure,
 )
 
@@ -264,6 +265,28 @@ def test_letters_commute_matches_the_plain_reference(name):
     letters = _property_alphabets()[name]
     for a, b in itertools.product(letters, repeat=2):
         assert letters_commute(a, b) == plain_commute(a, b), (a, b)
+
+
+@pytest.mark.parametrize("name", ["triangle (2,3)", "bilocal (2,3)",
+                                  "copies from 0"])
+def test_act_permutation_matches_the_plain_relabelling(name):
+    import random
+
+    if name == "copies from 0":
+        # copy 3 lies outside the alphabet, so some images are new letters
+        alph, labels = inflated_alphabet(), range(4)
+    else:
+        topology = name.split()[0]
+        alph = Scenario(topology, (2, 2, 2), (1, 1, 1)).inflated_alphabet(3)
+        labels = range(1, 4)
+    rng = random.Random(2026)
+    for _ in range(500):
+        pool = rng.sample(alph.letters, rng.randint(2, min(12, len(alph.letters))))
+        w = word([rng.choice(pool) for _ in range(rng.randint(0, 7))])
+        perms = {src: dict(zip(labels, rng.sample(labels, len(labels))))
+                 for src in alph.sources() if rng.random() < 0.8}
+        assert (act_permutation(w, None, alphabet=alph, perms_by_source=perms)
+                == plain_relabel(w, alph, perms)), (w, perms)
 
 
 # --- rendering ----------------------------------------------------------------
