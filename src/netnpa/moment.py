@@ -280,10 +280,6 @@ class MomentProblem:
     def dim(self) -> int:
         return len(self.index)
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.group_class.max()) + 1 if len(self.group_class) else 0
-
     def pos(self, w: Word) -> int:
         return self._pos[w]
 
@@ -291,12 +287,16 @@ class MomentProblem:
     # ``_structure`` properties read only the word index, the Hankel
     # groups, the classes and the copy generators; every pin, linearization
     # and frozen solve copies the problem through ``derive``, which shares
-    # them, while ``dataclasses.replace`` starts over with none built.  Two
+    # them, while ``dataclasses.replace`` starts over with none built.  Three
     # more entries, which ``sdp`` keeps, read what a copy may change, so each
     # is checked on every use and built anew when it differs: the
-    # factorisation of the rows (``row_factor``), checked against the
-    # free classes and the reduced rows, and the interlacing bound's
-    # choice of words (``interlacing``), checked against the known mask
+    # presolve's propagation plans, one for the rows without linearized
+    # factor rows (``propagation``) and one for the rows with them
+    # (``propagation_linearized``), each checked against the initially
+    # known mask, the rows' classes and bounds and their zero
+    # coefficients, and holding the interlacing bound's choice of words;
+    # and the factorisation of the rows (``row_factor``), checked against
+    # the free classes and the reduced rows
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
@@ -316,6 +316,10 @@ class MomentProblem:
     @_structure
     def _pos(self) -> dict[Word, int]:
         return {w: i for i, w in enumerate(self.index)}
+
+    @_structure
+    def n_classes(self) -> int:
+        return int(self.group_class.max()) + 1 if len(self.group_class) else 0
 
     @_structure
     def class_layout(self) -> tuple[np.ndarray, np.ndarray]:
@@ -1089,8 +1093,12 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
 
     # verification-only nonlinear products: diagonal words on disjoint copies
     check = _diagonal_check_products(p)
-    return replace(p, check_products=tuple(check),
-                   copy_generators=tuple(generators))
+    q = replace(p, check_products=tuple(check), copy_generators=tuple(generators))
+    # the index dict, which the check products built, is the one structure
+    # the replace may carry: the copy blocks read the generators it sets
+    if "_pos" in p._structures:
+        q._structures["_pos"] = p._structures["_pos"]
+    return q
 
 
 def _diagonal_word_copies(scenario: Scenario, w: Word) -> set[int] | None:

@@ -181,7 +181,6 @@ class Scenario:
             scenario_id=f"{self.topology}:inflation{m}",
             letters=tuple(letters),
             party_sources=dict(self.topo.party_sources),
-            inflation_order=m,
         )
 
     def scalar_alphabet(self, bound: int, scalar_party: str = "A") -> Alphabet:
@@ -201,7 +200,6 @@ class Scenario:
         return Alphabet(
             scenario_id=f"{self.topology}:scalar{bound}",
             letters=base.letters + tuple(kappas),
-            scalar_bound=bound,
         )
 
 

@@ -5,19 +5,23 @@ variable per equality class, pinned values, and sparse linear rows.  The
 solver decides feasibility in layers, cheapest and most rigorous first:
 
 1. exact linear presolve: pins are propagated through rows with a single
-   unknown, as a vectorised fixpoint over the flat arrays of the
-   problem's rows (``MomentProblem.active_rows``, a ``moment.FlatRows``:
-   the one row format from the builders to the elimination); a violated
+   unknown, in rounds over the flat arrays of the problem's rows
+   (``MomentProblem.active_rows``, a ``moment.FlatRows``: the one row
+   format from the builders to the elimination); a violated
    fully-determined row is an infeasibility proof (no PSD reasoning
-   involved);
+   involved).  Which rows a round checks and which classes it solves
+   depend only on the rows' structure and the pinned mask, so the rounds
+   are worked out once per problem (``_PropagationPlan``, kept with the
+   problem's shared structures and checked against the rows and the mask
+   on every use), and each distribution replays them;
 2. interlacing bound, when some class is still free (a fully determined
    problem goes straight to ``_verdict``): if the words whose pairwise
    products are all already determined span a principal submatrix with
    min eigenvalue below the infeasibility margin, every completion shares
    that bound, so the problem is infeasible.  It reads only the values
    the presolve fixed, so it runs before any factorisation, and its
-   choice of words depends only on which classes are known, so it is kept
-   with the problem's shared structures for that mask (``_KnownWords``);
+   choice of words depends only on which classes are known, so the
+   propagation plan holds it;
 3. the remaining rows R y = b over the free classes.  R does not depend
    on the distribution, only b does, so once per problem (``_RowFactor``,
    kept with the problem's shared structures and checked against R on
@@ -53,6 +57,7 @@ level n".
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -61,7 +66,13 @@ from typing import Mapping
 import numpy as np
 
 from . import interior
-from .moment import MomentAssignment, MomentProblem, ResidualReport, check_assignment
+from .moment import (
+    FlatRows,
+    MomentAssignment,
+    MomentProblem,
+    ResidualReport,
+    check_assignment,
+)
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MARGIN = 1e-4
@@ -364,6 +375,171 @@ class _RowFactor:
         return self._rows
 
 
+class _PropagationPlan:
+    """The presolve's schedule for one row structure and one mask of
+    initially known classes, worked out without any values.
+
+    Which rows a round checks and which classes it solves depend only on
+    which classes are known, on the rows' classes and on which of their
+    coefficients are zero; never on a value.  So the round loop of
+    :meth:`_ClassSystem._propagate` runs here once, on masks, and keeps per
+    round (``rounds``, one :class:`_Round` each) the rows it checks, the
+    rows that solve a class, and the entries of their known terms.  The
+    distributions pinned on one problem leave the same mask on rows of the
+    same structure, so each replays the plan: per round one gather of the known terms, one
+    ``bincount``, one check and one assignment, in the order of the loop,
+    so the values and the first violated row come out bit for bit as the
+    loop gives them.
+
+    The plan also holds what follows from the mask once propagation ends:
+    the rows left ``pending``, the ``free`` classes and their positions
+    ``free_pos``, the index arrays that reduce the pending rows to the free
+    classes (:meth:`reduce`) and the interlacing bound's words
+    (:attr:`interlacing`).  :meth:`fits` tells whether the plan is the one
+    for given rows and mask.
+    """
+
+    def __init__(self, rows: FlatRows, kmask: np.ndarray, cell_class: np.ndarray):
+        self.classes, self.starts, self.coeffs = rows.classes, rows.starts, rows.coeffs
+        self.kmask, self.cell_class = kmask, cell_class
+        self.zero = rows.coeffs == 0.0
+        known = kmask.copy()
+        active = np.arange(len(rows))
+        # the entries of the active rows and the position of their row
+        ent, at = np.arange(len(rows.classes)), rows.row
+        self.rounds: list[_Round] = []
+        while True:
+            m = len(active)
+            cls = rows.classes[ent]
+            unknown = ~known[cls]
+            n_unknown = np.bincount(at[unknown], minlength=m)
+            single = np.flatnonzero(unknown & (n_unknown == 1)[at])
+            zero = self.zero[ent[single]]
+            checked = n_unknown == 0
+            checked[at[single[zero]]] = True
+            single = single[~zero]
+            solved, first = np.unique(cls[single], return_index=True)
+            solve = single[first]
+            check_at, solve_at = np.flatnonzero(checked), at[solve]
+            # the rows read this round, the checked ones first
+            slot = np.full(m, -1)
+            slot[check_at] = np.arange(len(check_at))
+            slot[solve_at] = len(check_at) + np.arange(len(solve_at))
+            terms = ~unknown & (slot[at] >= 0)
+            self.rounds.append(_Round(
+                active=active, terms=ent[terms], term_classes=cls[terms],
+                slots=slot[at[terms]], n_slots=len(check_at) + len(solve_at),
+                check_rows=active[check_at], solve_rows=active[solve_at],
+                solve_terms=ent[solve], solved=solved))
+            known[solved] = True
+            checked[solve_at] = True
+            keep = ~checked
+            kept = keep[at]
+            active = active[keep]
+            ent = ent[kept]
+            at = (np.cumsum(keep) - 1)[at[kept]]
+            if not len(solved):
+                break
+        self.mask = known
+        self.pending = active
+        self.free = np.flatnonzero(~known)
+        # the position of every class among the free ones, -1 if known
+        self.free_pos = np.full(len(known), -1)
+        self.free_pos[self.free] = np.arange(len(self.free))
+        # every distribution that replays the plan reads these
+        for a in (self.pending, self.free, self.free_pos):
+            a.flags.writeable = False
+
+    def fits(self, rows: FlatRows, kmask: np.ndarray) -> bool:
+        """Whether these rows have the structure (classes, bounds and zero
+        coefficients) and this is the mask the plan was made for."""
+        def same(a, b):
+            return a is b or (a.dtype == b.dtype and np.array_equal(a, b))
+
+        return (same(self.kmask, kmask) and same(self.classes, rows.classes)
+                and same(self.starts, rows.starts)
+                and (self.coeffs is rows.coeffs
+                     or np.array_equal(self.zero, rows.coeffs == 0.0)))
+
+    @functools.cached_property
+    def _reduction(self) -> tuple[np.ndarray, ...]:
+        """For :meth:`reduce`: the entries of the pending rows' known
+        terms, their classes and the position of their row among the
+        pending ones; the entries of the unknown terms and, per entry, its
+        (row, free class) pair, numbered in sorted order; the order of the
+        pairs by first entry, and the row and free position of each pair
+        in that order."""
+        is_pending = np.zeros(len(self.starts) - 1, dtype=bool)
+        is_pending[self.pending] = True
+        row = np.repeat(np.arange(len(is_pending)), np.diff(self.starts))
+        entries = np.flatnonzero(is_pending[row])
+        at = (np.cumsum(is_pending) - 1)[row[entries]]
+        cls = self.classes[entries]
+        unknown = ~self.mask[cls]
+        have = ~unknown
+        at_u, pos = at[unknown], self.free_pos[cls[unknown]]
+        _, first, which = np.unique(at_u * len(self.free) + pos,
+                                    return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return (entries[have], cls[have], at[have], entries[unknown], which,
+                order, at_u[first[order]], pos[first[order]])
+
+    def reduce(self, rows: FlatRows, known: np.ndarray):
+        """The pending rows over the free classes, as flat (starts, free
+        positions, coefficients): per row, its free positions in the order
+        the row first names them, with the coefficients of a repeated
+        class summed and zero sums dropped; and the rhs less the known
+        part."""
+        (b_terms, b_classes, b_at, u_terms, which, order, group_row,
+         group_pos) = self._reduction
+        m = len(self.pending)
+        b = rows.rhs[self.pending] - np.bincount(
+            b_at, weights=rows.coeffs[b_terms] * known[b_classes], minlength=m)
+        # (float even when empty, where bincount gives ints)
+        summed = np.bincount(which, weights=rows.coeffs[u_terms],
+                             minlength=len(order)).astype(float, copy=False)[order]
+        nonzero = summed != 0.0
+        starts = np.concatenate([np.zeros(1, np.intp), np.cumsum(
+            np.bincount(group_row[nonzero], minlength=m))])
+        return (starts, group_pos[nonzero], summed[nonzero]), b
+
+    @functools.cached_property
+    def interlacing(self) -> tuple[list[int], np.ndarray]:
+        """The interlacing bound's words: a greedy choice, most known
+        cells first, of words whose every cell among them is known, and the
+        classes of those cells."""
+        cell_known = self.mask[self.cell_class]
+        order = np.argsort(-cell_known.sum(axis=1))
+        chosen: list[int] = []
+        # ok[i]: every cell between word i and the chosen words is known
+        ok = np.diagonal(cell_known).copy()
+        for i in order.tolist():
+            if ok[i]:
+                chosen.append(i)
+                ok &= cell_known[i]
+        return chosen, self.cell_class[np.ix_(chosen, chosen)]
+
+
+@dataclass(frozen=True, eq=False)
+class _Round:
+    """One round of a :class:`_PropagationPlan`.  ``active`` are the rows
+    still active when it starts; it reads, in entry order, the known terms
+    ``terms`` (of classes ``term_classes``) into ``n_slots`` sums, slot k
+    < len(``check_rows``) that of check row k and the next ones those of
+    the rows ``solve_rows``, whose entry ``solve_terms`` solves for the
+    class ``solved``."""
+
+    active: np.ndarray
+    terms: np.ndarray
+    term_classes: np.ndarray
+    slots: np.ndarray
+    n_slots: int
+    check_rows: np.ndarray
+    solve_rows: np.ndarray
+    solve_terms: np.ndarray
+    solved: np.ndarray
+
+
 class _ClassSystem:
     """Affine structure of a moment problem in class coordinates."""
 
@@ -376,10 +552,12 @@ class _ClassSystem:
         self.known[list(problem.pinned)] = list(problem.pinned.values())
         self.contradiction: str | None = None
         self._propagate()
-        self.free = np.flatnonzero(np.isnan(self.known))
-        # the position of every class among the free ones, -1 if known
-        self.free_pos = np.full(self.k, -1)
-        self.free_pos[self.free] = np.arange(len(self.free))
+        if self.contradiction is None:
+            self.free, self.free_pos = self.plan.free, self.plan.free_pos
+        else:
+            self.free = np.flatnonzero(np.isnan(self.known))
+            self.free_pos = np.full(self.k, -1)
+            self.free_pos[self.free] = np.arange(len(self.free))
         # set by factor_rows: the pending rows over the free classes as
         # flat (starts, free positions, coefficients), with R y = b, a
         # solution of R y = b, a basis of ker R and their factorisation
@@ -399,43 +577,39 @@ class _ClassSystem:
         rows solve one class, the first in row order sets it and the
         others are checked in the next round.  The first violated row of
         the first round that has one is the contradiction; else the rows
-        still active, in row order, are left in ``_pending``."""
+        still active, in row order, are left in ``_pending``.
+
+        The rounds are those of the problem's :class:`_PropagationPlan`
+        for these rows and this mask, kept in its structures and made anew
+        only when they differ from the kept one's.  A problem with
+        linearized factor rows keeps its plan apart from the plan of the
+        rows without them, which ``factorisation.pin_linearize`` reads."""
         rows, known = self.rows, self.known
-        active = np.arange(len(rows))
-        # the entries of the active rows and the position of their row
-        cls, coef, at = rows.classes, rows.coeffs, rows.row
-        while True:
-            m = len(active)
-            vals = known[cls]
-            unknown = np.isnan(vals)
-            n_unknown = np.bincount(at[unknown], minlength=m)
-            have = ~unknown
-            rest = np.bincount(at[have], weights=coef[have] * vals[have],
-                               minlength=m)
-            rhs = rows.rhs[active]
-            single = np.flatnonzero(unknown & (n_unknown == 1)[at])
-            s_row, s_cls, s_coef = at[single], cls[single], coef[single]
-            zero = s_coef == 0.0
-            checked = n_unknown == 0
-            checked[s_row[zero]] = True
-            violated = checked & (np.abs(rest - rhs) > LINEAR_TOL)
+        kmask = ~np.isnan(known)
+        key = ("propagation_linearized" if len(self.problem.linear_factor_rows)
+               else "propagation")
+        structures = self.problem._structures
+        plan = structures.get(key)
+        if plan is None or not plan.fits(rows, kmask):
+            plan = structures[key] = _PropagationPlan(rows, kmask,
+                                                      self.cell_class)
+        self.plan = plan
+        coeffs, rhs = rows.coeffs, rows.rhs
+        for rnd in plan.rounds:
+            rest = np.bincount(rnd.slots, minlength=rnd.n_slots,
+                               weights=coeffs[rnd.terms] * known[rnd.term_classes])
+            checks = len(rnd.check_rows)
+            resid = rest[:checks] - rhs[rnd.check_rows]
+            violated = np.abs(resid) > LINEAR_TOL
             if violated.any():
                 k = int(violated.argmax())
                 self.contradiction = self._row_evidence(
-                    int(active[k]), float(rest[k] - rhs[k]))
-                break
-            s_row, s_cls, s_coef = s_row[~zero], s_cls[~zero], s_coef[~zero]
-            solved, first = np.unique(s_cls, return_index=True)
-            known[solved] = ((rhs[s_row] - rest[s_row]) / s_coef)[first]
-            checked[s_row[first]] = True
-            keep = ~checked
-            kept = keep[at]
-            active = active[keep]
-            cls, coef = cls[kept], coef[kept]
-            at = (np.cumsum(keep) - 1)[at[kept]]
-            if not len(solved):
-                break
-        self._pending = active
+                    int(rnd.check_rows[k]), float(resid[k]))
+                self._pending = rnd.active
+                return
+            known[rnd.solved] = ((rhs[rnd.solve_rows] - rest[checks:])
+                                 / coeffs[rnd.solve_terms])
+        self._pending = plan.pending
 
     def _row_evidence(self, r: int, resid: float) -> str:
         from .words import render_word
@@ -448,34 +622,6 @@ class _ClassSystem:
             for k, c in zip(rows.classes[e], rows.coeffs[e]))
         return (f"violated {rows.families[r]} row: {terms} = {rows.rhs[r]:g} "
                 f"(residual {resid:.3e})")
-
-    def _reduced_rows(self):
-        """The pending rows over the free classes, as flat (starts, free
-        positions, coefficients): per row, its free positions in the order
-        the row first names them, with the coefficients of a repeated
-        class summed and zero sums dropped; and the rhs less the known
-        part."""
-        rows, pending = self.rows, self._pending
-        is_pending = np.zeros(len(rows), dtype=bool)
-        is_pending[pending] = True
-        entries = np.flatnonzero(is_pending[rows.row])
-        at = (np.cumsum(is_pending) - 1)[rows.row[entries]]
-        cls, coef = rows.classes[entries], rows.coeffs[entries]
-        vals = self.known[cls]
-        unknown = np.isnan(vals)
-        have = ~unknown
-        b = rows.rhs[pending] - np.bincount(
-            at[have], weights=coef[have] * vals[have], minlength=len(pending))
-        at, pos, coef = at[unknown], self.free_pos[cls[unknown]], coef[unknown]
-        _, first, which = np.unique(at * len(self.free) + pos,
-                                    return_index=True, return_inverse=True)
-        # (float even when empty, where bincount gives ints)
-        summed = np.bincount(which, weights=coef).astype(float, copy=False)
-        order = np.argsort(first)
-        order = order[summed[order] != 0.0]
-        starts = np.concatenate([np.zeros(1, np.intp), np.cumsum(
-            np.bincount(at[first[order]], minlength=len(pending)))])
-        return (starts, pos[first[order]], summed[order]), b
 
     # -- geometry ------------------------------------------------------------
 
@@ -497,7 +643,7 @@ class _ClassSystem:
         entry per problem).  Per call, only y0 is solved for.  The system
         is consistent when y0 satisfies every row of R y = b.
         """
-        self.R, self.b = self._reduced_rows()
+        self.R, self.b = self.plan.reduce(self.rows, self.known)
         structures = self.problem._structures
         factor = structures.get("row_factor")
         if factor is None or not factor.fits(self.free, self.R):
@@ -524,46 +670,14 @@ class _ClassSystem:
         entries are all determined; an upper bound on the phase-1 value.
 
         The words depend only on which classes are known, so the choice
-        is kept in the problem's structures (one entry per problem, like
-        the rows' factorisation) and made anew only when the known mask
-        differs from the kept one."""
-        kmask = ~np.isnan(self.known)
-        structures = self.problem._structures
-        choice = structures.get("interlacing")
-        if choice is None or not choice.fits(kmask):
-            choice = structures["interlacing"] = _KnownWords(kmask,
-                                                             self.cell_class)
-        if not choice.chosen:
+        is made once per propagation plan
+        (:attr:`_PropagationPlan.interlacing`)."""
+        chosen, classes = self.plan.interlacing
+        if not chosen:
             return None, []
-        vals = np.where(kmask, self.known, 0.0)
-        sub = vals[choice.classes]
+        sub = self.known[classes]
         return (float(np.linalg.eigvalsh((sub + sub.T) / 2).min()),
-                list(choice.chosen))
-
-
-class _KnownWords:
-    """The interlacing bound's words for one mask of known classes: a
-    greedy choice, most known cells first, of words whose every cell
-    among them is known, and the classes of those cells.  Every
-    distribution pinned on one problem that leaves the same mask uses the
-    same choice; :meth:`fits` tells whether it is the one for a mask."""
-
-    def __init__(self, kmask: np.ndarray, cell_class: np.ndarray):
-        self.kmask = kmask
-        cell_known = kmask[cell_class]
-        order = np.argsort(-cell_known.sum(axis=1))
-        chosen: list[int] = []
-        # ok[i]: every cell between word i and the chosen words is known
-        ok = np.diagonal(cell_known).copy()
-        for i in order.tolist():
-            if ok[i]:
-                chosen.append(i)
-                ok &= cell_known[i]
-        self.chosen = chosen
-        self.classes = cell_class[np.ix_(chosen, chosen)]
-
-    def fits(self, kmask: np.ndarray) -> bool:
-        return np.array_equal(self.kmask, kmask)
+                list(chosen))
 
 
 # ---------------------------------------------------------------------------

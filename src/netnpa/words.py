@@ -329,15 +329,12 @@ class Alphabet:
 
     ``party_sources`` maps each party to the ordered source names its copy
     slots refer to; it is required for permutation actions on inflated
-    words.  ``scalar_bound`` records the truncation length of the
-    scalar-extension alphabet, if present.
+    words.
     """
 
     scenario_id: str
     letters: tuple[Letter, ...]
     party_sources: Mapping[str, tuple[str, ...]] | None = None
-    inflation_order: int | None = None
-    scalar_bound: int | None = None
     _letter_set: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:

@@ -484,6 +484,57 @@ def loop_propagate(problem: MomentProblem, linear_tol: float = 1e-9):
     return known, [row[4] for row in pending], None
 
 
+def round_propagate(problem: MomentProblem, linear_tol: float = 1e-9):
+    """The presolve's round loop on values, with no plan: each round reads
+    the known values of every active row's entries, checks the rows with
+    no unknown class (and those whose one unknown has coefficient 0) and
+    solves every row with one unknown, the first in row order setting a
+    class that several rows solve.  Returns the class values (NaN where
+    free), the rows still active (those of the round that found the
+    contradiction, if one did) and the first contradiction, if any."""
+    rows = problem.active_rows
+    known = np.full(problem.n_classes, np.nan)
+    known[list(problem.pinned)] = list(problem.pinned.values())
+    contradiction = None
+    active = np.arange(len(rows))
+    cls, coef, at = rows.classes, rows.coeffs, rows.row
+    while True:
+        m = len(active)
+        vals = known[cls]
+        unknown = np.isnan(vals)
+        n_unknown = np.bincount(at[unknown], minlength=m)
+        have = ~unknown
+        rest = np.bincount(at[have], weights=coef[have] * vals[have],
+                           minlength=m)
+        rhs = rows.rhs[active]
+        single = np.flatnonzero(unknown & (n_unknown == 1)[at])
+        s_row, s_cls, s_coef = at[single], cls[single], coef[single]
+        zero = s_coef == 0.0
+        checked = n_unknown == 0
+        checked[s_row[zero]] = True
+        violated = checked & (np.abs(rest - rhs) > linear_tol)
+        if violated.any():
+            k = int(violated.argmax())
+            r = int(active[k])
+            e = slice(rows.starts[r], rows.starts[r + 1])
+            contradiction = _loop_row_evidence(
+                problem, known, rows.classes[e], rows.coeffs[e], rows.rhs[r],
+                rows.families[r], float(rest[k] - rhs[k]))
+            break
+        s_row, s_cls, s_coef = s_row[~zero], s_cls[~zero], s_coef[~zero]
+        solved, first = np.unique(s_cls, return_index=True)
+        known[solved] = ((rhs[s_row] - rest[s_row]) / s_coef)[first]
+        checked[s_row[first]] = True
+        keep = ~checked
+        kept = keep[at]
+        active = active[keep]
+        cls, coef = cls[kept], coef[kept]
+        at = (np.cumsum(keep) - 1)[at[kept]]
+        if not len(solved):
+            break
+    return known, active, contradiction
+
+
 def loop_reduced_rows(problem: MomentProblem, known: np.ndarray,
                       pending: list[int]):
     """The pending rows over the free classes, one row at a time, with the

@@ -347,6 +347,21 @@ def test_pinned_and_linearized_copies_share_the_derived_structures():
         p.derive(rows=())
 
 
+def test_build_inflation_keeps_its_index_dict_and_the_class_count_is_kept():
+    p = build_inflation(BILOCAL, 2, 2)
+    # the check products built the index dict, and the final replace
+    # carries it and nothing else
+    assert set(p._structures) == {"_pos"}
+    assert p._pos == {w: i for i, w in enumerate(p.index)}
+    # with one copy there are no check products, and no dict is built
+    assert not build_inflation(BILOCAL, 2, 1)._structures
+    # the class count is one more structure, shared with the pinned copies
+    assert p.n_classes == int(p.group_class.max()) + 1
+    assert p._structures["n_classes"] == p.n_classes
+    assert pin_distribution(p, shared_random_bit("bilocal"))._structures \
+        is p._structures
+
+
 @pytest.mark.parametrize("hierarchy,n", [("factorisation", 2), ("factorisation", 3),
                                          ("factorisation", 4), ("standard", 3),
                                          ("scalar", 2)])

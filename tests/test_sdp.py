@@ -54,6 +54,7 @@ from helpers import (
     loop_reduced_rows,
     loop_submatrix_words,
     meas,
+    round_propagate,
     single_block_phase1,
 )
 
@@ -680,7 +681,7 @@ def test_presolve_matches_the_loop_reference(name):
         return
     assert np.array_equal(cs.known, known, equal_nan=True)
     assert cs._pending.tolist() == pending
-    R, b = cs._reduced_rows()
+    R, b = cs.plan.reduce(cs.rows, cs.known)
     R_ref, b_ref = loop_reduced_rows(p, known, pending)
     for got, want in zip(R, R_ref):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -741,6 +742,146 @@ def test_presolve_two_rows_solving_one_class(second):
         assert contradiction.endswith("(=0.25) = 0.5 (residual -2.500e-01)")
 
 
+# --- propagation plan ---------------------------------------------------------
+
+def _frozen_problem(seed):
+    """The problem of the frozen solve of ``factorisation.solve_frozen``
+    on a bilocal inputs (2, 1, 2) Born table: the linearized rows followed
+    by the rows freezing the flagged pairs' factor scalars."""
+    sc = Scenario("bilocal", (2, 2, 2), (2, 1, 2))
+    p = pin_distribution(cached_problem("factorisation", "bilocal", (2, 2, 2),
+                                        (2, 1, 2), 2),
+                         MomentOracle(random_strategy(sc, (2, 2, 2, 2), seed)).born())
+    seen, solve = [], sdp.solve_feasibility
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve_feasibility",
+                   lambda q, **kw: seen.append(q) or solve(q, **kw))
+        factorisation.solve_frozen(p)
+    assert len(seen) == 2
+    return seen[1]
+
+
+def _plan_problem(name):
+    kind, _, label = name.partition(":")
+    if kind == "frozen":
+        return _frozen_problem(int(label))
+    if kind == "unpinned":
+        hierarchy, n, m = {"standard": ("standard", 3, None),
+                           "scalar": ("scalar", 2, None),
+                           "factorisation": ("factorisation", 3, None),
+                           "inflation": ("inflation", 2, 2)}[label]
+        p = cached_problem(hierarchy, *BILOCAL_111, n, m)
+        return factorisation.pin_linearize(p) if p.factor_pairs else p
+    if kind == "chsh" and label:
+        return pin_distribution(
+            cached_problem("standard", "bell3", (2, 2, 1), (2, 2, 1), 2),
+            noisy_pr_box(float(label)))
+    if kind in ("scalar", "factorisation-base"):
+        dist = shared_random_bit("bilocal") if label == "srb" else _born(int(label))
+        hierarchy, n = ("scalar", 2) if kind == "scalar" else ("factorisation", 3)
+        return pin_distribution(cached_problem(hierarchy, *BILOCAL_111, n), dist)
+    return _presolve_problem(name)
+
+
+PLAN_CASES = PRESOLVE_CASES + [
+    "chsh:0.5", "chsh:0.95", "scalar:srb", "scalar:3", "factorisation-base:srb",
+    "factorisation-base:5", "frozen:0", "frozen:1", "unpinned:standard",
+    "unpinned:scalar", "unpinned:factorisation", "unpinned:inflation"]
+
+
+@pytest.mark.parametrize("name", PLAN_CASES)
+def test_plan_replay_is_the_round_loop_bit_for_bit(name):
+    p = _plan_problem(name)
+    known, active, contradiction = round_propagate(p)
+    # a plan made for this problem, then one kept from an earlier use
+    for q in (dataclasses.replace(p), p, p):
+        cs = _ClassSystem(q)
+        assert cs.known.tobytes() == known.tobytes()
+        assert cs._pending.dtype == active.dtype
+        assert np.array_equal(cs._pending, active)
+        assert cs.contradiction == contradiction
+
+
+def _count_plans(monkeypatch):
+    """Count the propagation plans made from here on."""
+    calls = []
+    plan = sdp._PropagationPlan
+
+    def counted(*args):
+        calls.append(1)
+        return plan(*args)
+
+    monkeypatch.setattr(sdp, "_PropagationPlan", counted)
+    return calls
+
+
+def _n3_stream(count):
+    """Born tables and SRB-uniform mixtures, in turn."""
+    rng = np.random.default_rng(5)
+    srb = shared_random_bit("bilocal").table
+    for k in range(count):
+        if k % 2:
+            yield _born(int(rng.integers(2 ** 31)))
+        else:
+            v = rng.uniform(0.05, 1.0)
+            yield Distribution(BILOCAL, v * srb + (1 - v) * uniform_product(BILOCAL).table)
+
+
+@pytest.mark.parametrize("hierarchy,plans", [("standard", 1), ("factorisation", 2)])
+def test_one_plan_per_row_structure_over_a_stream(monkeypatch, hierarchy, plans):
+    base = dataclasses.replace(cached_problem(hierarchy, *BILOCAL_111, 3))
+    calls = _count_plans(monkeypatch)
+    verdicts = set()
+    for dist in _n3_stream(50):
+        p = pin_distribution(base, dist)
+        if p.factor_pairs:
+            p = factorisation.pin_linearize(p)
+        verdicts.add(solve_feasibility(p).verdict)
+    # a factorisation problem keeps one plan for the rows pin_linearize
+    # propagates and one for those rows with the linearized ones after them
+    assert len(calls) == plans
+    want = {"standard": {"propagation"},
+            "factorisation": {"propagation", "propagation_linearized"}}[hierarchy]
+    assert want <= set(base._structures)
+    assert verdicts == ({"feasible", "infeasible"} if hierarchy == "factorisation"
+                        else {"feasible"})
+
+
+def test_a_changed_mask_or_zero_pattern_makes_a_new_plan(monkeypatch):
+    p, _obj = chsh_problem_and_objective()
+    p = dataclasses.replace(p)
+    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    calls = _count_plans(monkeypatch)
+
+    def check(q, made):
+        cs = _ClassSystem(q)
+        assert len(calls) == made
+        known, active, contradiction = round_propagate(q)
+        assert cs.known.tobytes() == known.tobytes()
+        assert np.array_equal(cs._pending, active)
+        assert cs.contradiction == contradiction
+        return cs.plan
+
+    kept = check(p, 0)
+    # another pin changes the mask
+    pinned = check(p.derive(pinned={**p.pinned, x: 0.25}), 1)
+    assert pinned is not kept and p._structures["propagation"] is pinned
+    # the rows of a linearized copy have a plan of their own
+    rows = FlatRows.padded([[x, y]], [[1.0, 0.0]], [0.5], ["added"])
+    first = check(p.derive(linear_factor_rows=rows), 2)
+    assert p._structures["propagation"] is pinned
+    # other coefficients and rhs with the same zeros keep it ...
+    assert check(p.derive(linear_factor_rows=FlatRows.padded(
+        [[x, y]], [[3.0, 0.0]], [0.75], ["added"])), 2) is first
+    # ... while another zero pattern or other classes make a new one
+    nonzero = check(p.derive(linear_factor_rows=FlatRows.padded(
+        [[x, y]], [[1.0, 2.0]], [0.5], ["added"])), 3)
+    assert nonzero is not first
+    other = check(p.derive(linear_factor_rows=FlatRows.padded(
+        [[y, x]], [[1.0, 0.0]], [0.5], ["added"])), 4)
+    assert p._structures["propagation_linearized"] is other
+
+
 # --- affine layer ---------------------------------------------------------------
 
 def test_interlacing_bound_runs_before_any_factorisation(monkeypatch):
@@ -753,7 +894,7 @@ def test_interlacing_bound_runs_before_any_factorisation(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(_ClassSystem, "factor_rows", refuse)
-    monkeypatch.setattr(_ClassSystem, "_reduced_rows", refuse)
+    monkeypatch.setattr(sdp._PropagationPlan, "reduce", refuse)
     out = solve_feasibility(p)
     assert out.verdict == "infeasible"
     assert "interlacing" in out.evidence
@@ -929,38 +1070,29 @@ def test_the_interior_point_reads_one_packed_array_per_problem(monkeypatch):
     assert np.shares_memory(seen[3], seen[2])
 
 
-def _count_word_choices(monkeypatch):
-    calls = []
-    known_words = sdp._KnownWords
-
-    def counted(*args):
-        calls.append(1)
-        return known_words(*args)
-
-    monkeypatch.setattr(sdp, "_KnownWords", counted)
-    return calls
-
-
 def test_interlacing_words_are_kept_until_the_known_mask_changes(monkeypatch):
     base = dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2))
-    calls = _count_word_choices(monkeypatch)
+    calls = _count_plans(monkeypatch)
     first = _ClassSystem(pin_distribution(base, _born(0)))
     first_bound = first.known_submatrix_bound()
-    kept = base._structures["interlacing"]
-    # another distribution leaves the same mask and reuses the choice
+    kept = base._structures["propagation"]
+    words = kept.interlacing
+    # another distribution leaves the same mask and reuses the plan, and
+    # with it the choice of words
     _ClassSystem(pin_distribution(base, _born(1))).known_submatrix_bound()
-    assert len(calls) == 1 and base._structures["interlacing"] is kept
+    assert len(calls) == 1 and base._structures["propagation"] is kept
+    assert kept.interlacing is words
     # a second pin that makes one more class known chooses again
     extra = first.problem.derive(
         pinned={**first.problem.pinned, int(first.free[0]): 0.25})
     cs = _ClassSystem(extra)
     got = cs.known_submatrix_bound()
-    assert len(calls) == 2 and base._structures["interlacing"] is not kept
+    assert len(calls) == 2 and base._structures["propagation"] is not kept
     assert got[1] != first_bound[1]
     assert got[1] == loop_submatrix_words(cs.known, extra.cell_class)
     # the same bound as a problem with no structures built
     fresh = dataclasses.replace(extra)
-    assert "interlacing" not in fresh._structures
+    assert "propagation" not in fresh._structures
     assert _ClassSystem(fresh).known_submatrix_bound() == got
 
 

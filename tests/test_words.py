@@ -142,8 +142,7 @@ def inflated_alphabet(m=3):
             letters.append(meas("B", copies=(i, j)))
     return Alphabet("infl", tuple(letters),
                     party_sources={"A": ("rho",), "B": ("rho", "sigma"),
-                                   "C": ("sigma",)},
-                    inflation_order=m)
+                                   "C": ("sigma",)})
 
 
 def test_inflated_commutation_rules():
