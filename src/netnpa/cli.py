@@ -75,17 +75,20 @@ BUILDERS = {
 
 @dataclass
 class RunConfig:
+    """The parsed command line; the defaults of the options every command
+    takes are set in :func:`build_parser`."""
+
     command: str
-    scenario: str | None = None
-    outputs: tuple[int, ...] | None = None
-    inputs: tuple[int, ...] | None = None
-    hierarchy: str = "standard"
-    n: int = 3
-    m: int | None = None
-    tol: float = sdp.DEFAULT_TOL
-    infeasibility_margin: float = sdp.DEFAULT_MARGIN
-    budget: int = DEFAULT_INDEX_BUDGET
-    literal_paper_mode: bool = False
+    scenario: str | None
+    outputs: tuple[int, ...] | None
+    inputs: tuple[int, ...] | None
+    hierarchy: str
+    n: int
+    m: int | None
+    tol: float
+    infeasibility_margin: float
+    budget: int
+    literal_paper_mode: bool
     seed: int | None = None
     distribution: str | None = None
     output_path: str | None = None

@@ -54,7 +54,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scenarios import Distribution, Scenario, components, sharing_components
+from .scenarios import (
+    SCALAR_PARTY,
+    Distribution,
+    Scenario,
+    components,
+    sharing_components,
+)
 from .words import (
     EMPTY_WORD,
     Alphabet,
@@ -68,11 +74,14 @@ from .words import (
     enumerate_words,
     involute,
     relabel_codes,
-    scalar_letter,
     word,
 )
 
 DEFAULT_INDEX_BUDGET = 5000
+# how far the pinnable groups of one class, and an earlier pin, may disagree
+PIN_TOL = 1e-9
+# the residual up to which inflation_to_scalar_extension takes its input
+SCALAR_INPUT_TOL = 1e-8
 
 
 class BudgetError(RuntimeError):
@@ -214,9 +223,9 @@ class LetterAction:
     The index is sorted by length, so its words of length <= n - 1 are
     ``index[:prev_count]``.  ``targets[k, i]`` is the index position of
     l * ``index[i]`` for the k-th letter l of the alphabet, i <
-    ``prev_count``.  ``a_cols`` and ``c_cols`` are the positions of the
-    words whose letters all belong to party A, respectively C (the empty
-    word is among both).
+    ``prev_count``.  ``a_cols`` and ``c_cols`` are the position 0 of the
+    empty word followed by the positions of the words whose letters are
+    all measurements of party A, respectively C.
     """
 
     prev_count: int
@@ -283,15 +292,18 @@ class MomentProblem:
     def pos(self, w: Word) -> int:
         return self._pos[w]
 
-    # derived structures are built on first use, never in a builder.  The
-    # ``_structure`` properties read only the word index, the Hankel
-    # groups, the classes and the copy generators; every pin, linearization
-    # and frozen solve copies the problem through ``derive``, which shares
-    # them, while ``dataclasses.replace`` starts over with none built.  Three
-    # more entries, which ``sdp`` keeps, read what a copy may change, so each
-    # is checked on every use and built anew when it differs: the
-    # presolve's propagation plans, one for the rows without linearized
-    # factor rows (``propagation``) and one for the rows with them
+    # derived structures are built on first use; of them, only the index
+    # dict is read by a builder (the star triples and the inflation check
+    # products).  The ``_structure`` properties read only the word index,
+    # the Hankel groups, the classes and the copy generators; the builders
+    # that add factor families or check products, and every pin,
+    # linearization and frozen solve, copy the problem through ``derive``,
+    # which shares them (so one problem builds each once), while
+    # ``dataclasses.replace`` starts over with none built.  Three more
+    # entries, which ``sdp`` keeps, read what a copy may change, so each is
+    # checked on every use and built anew when it differs: the presolve's
+    # propagation plans, one for the rows without linearized factor rows
+    # (``propagation``) and one for the rows with them
     # (``propagation_linearized``), each checked against the initially
     # known mask, the rows' classes and bounds and their zero
     # coefficients, and holding the interlacing bound's choice of words;
@@ -301,17 +313,24 @@ class MomentProblem:
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
         derived structures: whatever either problem builds, both use.
-        Only the pins and the factorisation families may change, since no
-        ``_structure`` property reads them (the rows' factorisation, which
-        does, is checked against the rows before each use)."""
+        Only the pins, the factorisation families and the check products
+        may change, since no ``_structure`` property reads them (the rows'
+        factorisation, which does, is checked against the rows before each
+        use)."""
         read = set(changes) - {"pinned", "linear_factor_rows", "flagged_bilinear",
-                               "factor_pairs", "factor_triples"}
+                               "factor_pairs", "factor_triples", "check_products"}
         if read:
             raise ValueError(f"derived structures read {sorted(read)}; "
                              "use dataclasses.replace")
         copy = replace(self, **changes)
         copy._structures = self._structures
         return copy
+
+    def pinned_values(self) -> np.ndarray:
+        """The value of every class: its pinned value, NaN where none."""
+        values = np.full(self.n_classes, np.nan)
+        values[list(self.pinned)] = list(self.pinned.values())
+        return values
 
     @_structure
     def _pos(self) -> dict[Word, int]:
@@ -361,12 +380,10 @@ class MomentProblem:
         letters = self.alphabet.letters
         targets = np.array([[self._pos[concat(word([l]), u)] for u in prev]
                             for l in letters], dtype=np.intp)
-        cols = {p: np.array([i for i, u in enumerate(self.index)
-                             if all(l.party == p for l in u.letters)],
-                            dtype=np.intp)
-                for p in ("A", "C")}
+        a_cols, c_cols = (np.concatenate([[0], _party_positions(self.index, p)])
+                          for p in ("A", "C"))
         return LetterAction(len(prev), targets.reshape(len(letters), len(prev)),
-                            cols["A"], cols["C"])
+                            a_cols, c_cols)
 
     @_structure
     def column_range(self) -> np.ndarray:
@@ -466,19 +483,20 @@ def _intern(items: Sequence) -> tuple[np.ndarray, list]:
 
 class _Products:
     """The canonical products involute(u) * v of the words u of ``index``
-    followed by ``extra`` with the words v of ``index``, coded as ints.
+    followed by ``extra`` with the words v of ``index``, coded as ints;
+    the words are given by their letter codes (``words._LETTERS``).
 
     ``canonicalize`` normalises the scalar block and each party block on
     its own, so each block of a product is the normal form of a (block of
     involute(u), block of v) pair.  Each pair that occurs is normalised
-    once, on the words' letter codes (``words._LETTERS``), into a
-    per-block table of code tuples, and ``codes[u, v]`` packs the table
+    once, on the letter codes, into a per-block table of code tuples, and ``codes[u, v]`` packs the table
     ids of its blocks in mixed radix: equal codes are equal words.
     ``index[0]`` is the empty word, so ``codes[0]`` codes the index words.
     """
 
-    def __init__(self, index: Sequence[Word], extra: Sequence[Word] = ()):
-        spelled = [_LETTERS.encode(w.letters) for w in list(index) + list(extra)]
+    def __init__(self, index: Sequence[tuple[int, ...]],
+                 extra: Sequence[tuple[int, ...]] = ()):
+        spelled = list(index) + list(extra)
         # the involute of a word is the normal form of its reversal
         left = [list(map(_normal, _split(c[::-1]))) for c in spelled]
         right = [_split(c) for c in spelled[:len(index)]]
@@ -777,8 +795,9 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
               alphabet: Alphabet, *, completeness: bool,
               budget: int, merges: Callable | None = None,
               index_words: Sequence[Word] | None = None) -> MomentProblem:
-    """Build the problem's structure.  ``merges(index, keys, cell_group)``
-    returns two arrays of group ids whose groups share a class."""
+    """Build the problem's structure.  ``merges(codes, keys, cell_group)``,
+    given the index words' letter codes, returns two arrays of group ids
+    whose groups share a class and the problem's ``copy_generators``."""
     if index_words is None:
         index = enumerate_words(alphabet, n)
     else:
@@ -788,11 +807,13 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
             f"index size {len(index)} exceeds budget {budget} "
             f"({hierarchy}, n={n}" + (f", m={m}" if m else "") + ")")
     pvms = _pvms(alphabet) if completeness else []
-    products = _Products(index, [word([l]) for pvm in pvms for l in pvm])
+    codes = [_LETTERS.encode(w.letters) for w in index]
+    products = _Products(codes, [_LETTERS.encode((l,)) for pvm in pvms for l in pvm])
     keys, cell_group = _build_groups(products)
     a = b = np.zeros(0, dtype=np.intp)
+    generators = ()
     if merges is not None:
-        a, b = merges(index, keys, cell_group)
+        a, b, generators = merges(codes, keys, cell_group)
     group_class = components(len(keys), a, b)
     cell_class = group_class[cell_group]
     relations = _column_relations(products.positions(products.codes[len(index):]),
@@ -803,7 +824,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         index=tuple(index), group_keys=tuple(keys), cell_group=cell_group,
         group_class=group_class, cell_class=cell_class, pinned=pinned,
         column_relations=relations, rows=_completeness_rows(relations, cell_class),
-        completeness=completeness)
+        copy_generators=generators, completeness=completeness)
 
 
 # ---------------------------------------------------------------------------
@@ -821,30 +842,21 @@ def build_standard(scenario: Scenario, n: int, *, completeness: bool = True,
                      completeness=completeness, budget=budget)
 
 
-def _party_words(problem_index: Sequence[Word], party: str,
-                 nonempty: bool = True) -> list[Word]:
-    out = []
-    for w in problem_index:
-        if len(w) == 0:
-            if not nonempty:
-                out.append(w)
-            continue
-        if all(l.is_measurement and l.party == party for l in w.letters):
-            out.append(w)
-    return out
+def _party_positions(index: Sequence[Word], party: str) -> np.ndarray:
+    """The positions of the nonempty index words whose letters are all
+    measurements of ``party``."""
+    return np.array([i for i, w in enumerate(index) if len(w) and all(
+        l.is_measurement and l.party == party for l in w.letters)], dtype=np.intp)
 
 
 def _attach_factor_pairs(p: MomentProblem,
                          party_pairs: Iterable[tuple[str, str]]) -> list[FactorConstraint]:
-    cls_empty = int(p.cell_class[0, 0])
     pairs = []
     for pa, pc in party_pairs:
-        for a in _party_words(p.index, pa):
-            ia = p.pos(a)
-            for c in _party_words(p.index, pc):
-                ic = p.pos(c)
+        for ia in _party_positions(p.index, pa).tolist():
+            for ic in _party_positions(p.index, pc).tolist():
                 pairs.append(FactorConstraint(
-                    a, c, int(p.cell_class[ia, ic]),
+                    p.index[ia], p.index[ic], int(p.cell_class[ia, ic]),
                     int(p.cell_class[ia, 0]), int(p.cell_class[0, ic])))
     return pairs
 
@@ -859,8 +871,8 @@ def build_factorisation_bilocal(scenario: Scenario, n: int, *,
         raise ValueError("n must be >= 1")
     p = _assemble(scenario, "factorisation_bilocal", n, None, scenario.alphabet(),
                   completeness=completeness, budget=budget)
-    pairs = _attach_factor_pairs(p, scenario.topo.factor_pairs)
-    return replace(p, factor_pairs=tuple(pairs))
+    return p.derive(factor_pairs=tuple(_attach_factor_pairs(
+        p, scenario.topo.factor_pairs)))
 
 
 def build_star_factorisation(scenario: Scenario, n: int, *,
@@ -875,37 +887,33 @@ def build_star_factorisation(scenario: Scenario, n: int, *,
                   completeness=completeness, budget=budget)
     pairs = _attach_factor_pairs(p, scenario.topo.factor_pairs)
     triples = []
-    pa, pc, pd = scenario.topo.factor_triples[0]
-    for a in _party_words(p.index, pa):
-        for c in _party_words(p.index, pc):
-            if len(a) + len(c) > n:
-                continue
-            ac = concat(a, c)
-            iac = p.pos(ac)
-            for d in _party_words(p.index, pd):
-                idd = p.pos(d)
-                triples.append(FactorConstraint(
-                    ac, d, int(p.cell_class[iac, idd]),
-                    int(p.cell_class[iac, 0]), int(p.cell_class[0, idd])))
-    return replace(p, factor_pairs=tuple(pairs), factor_triples=tuple(triples))
+    a_at, c_at, d_at = (_party_positions(p.index, party).tolist()
+                        for party in scenario.topo.factor_triples[0])
+    for ia, ic in itertools.product(a_at, c_at):
+        a, c = p.index[ia], p.index[ic]
+        if len(a) + len(c) > n:
+            continue
+        ac = concat(a, c)
+        iac = p.pos(ac)
+        for idd in d_at:
+            triples.append(FactorConstraint(
+                ac, p.index[idd], int(p.cell_class[iac, idd]),
+                int(p.cell_class[iac, 0]), int(p.cell_class[0, idd])))
+    return p.derive(factor_pairs=tuple(pairs), factor_triples=tuple(triples))
 
 
 def _scalar_identifications(alphabet: Alphabet, n: int,
                             keys: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
     """The groups of alpha*gamma and kappa_alpha*gamma, as two arrays of
-    group ids, for the A-words alpha and C-words gamma of the scalar
-    alphabet whose products are both group keys."""
+    group ids, for the A-words alpha (the payloads of the scalar
+    alphabet's kappa letters) and C-words gamma whose products are both
+    group keys."""
     key_of = {k: g for g, k in enumerate(keys)}
-    a_words = [w for w in enumerate_words(
-        Alphabet("a", tuple(l for l in alphabet.letters
-                            if l.is_measurement and l.party == "A")), n)
-        if len(w) >= 1]
-    c_words = enumerate_words(
-        Alphabet("c", tuple(l for l in alphabet.letters
-                            if l.is_measurement and l.party == "C")), n)
+    c_words = enumerate_words(Alphabet(tuple(
+        l for l in alphabet.letters if l.is_measurement and l.party == "C")), n)
     out = []
-    for a in a_words:
-        ka = word([scalar_letter(a)])
+    for kappa in (l for l in alphabet.letters if l.is_scalar):
+        a, ka = kappa.payload, word([kappa])
         for c in c_words:
             g1 = key_of.get(_min_key(concat(a, c)))
             g2 = key_of.get(_min_key(concat(ka, c)))
@@ -932,32 +940,33 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
         raise ValueError("n must be >= 1")
     alphabet = scenario.scalar_alphabet(n)
 
-    def merges(index, keys, cell_group):
-        return _scalar_identifications(alphabet, n, keys)
+    def merges(codes, keys, cell_group):
+        return (*_scalar_identifications(alphabet, n, keys), ())
 
     return _assemble(scenario, "scalar_extension", n, None, alphabet,
                      completeness=completeness, budget=budget,
                      merges=merges)
 
 
-def _copy_generators(index: Sequence[Word], alphabet: Alphabet, m: int
+def _copy_generators(codes: Sequence[tuple[int, ...]], alphabet: Alphabet, m: int
                      ) -> tuple[tuple[np.ndarray, ...], ...]:
     """For each generator of S_m (the swap (1 2) when m >= 2, the m-cycle
     when m >= 3), the index permutation pi of its relabelling of each
-    source: word i maps to word pi[i].  An index word whose image is not
-    in the index raises :class:`RuntimeError`."""
+    source: word i, of letter codes ``codes[i]``, maps to word pi[i].  An
+    index word whose image is not in the index raises
+    :class:`RuntimeError`."""
     gens = [{1: 2, 2: 1}] if m >= 2 else []
     if m >= 3:
         gens.append({i: i % m + 1 for i in range(1, m + 1)})
-    codes = [_LETTERS.encode(w.letters) for w in index]
     pos = {c: i for i, c in enumerate(codes)}
 
     def permutation(relabelling: dict[str, dict[int, int]]) -> np.ndarray:
         images = relabel_codes(codes, alphabet, relabelling)
-        for w, img in zip(index, images):
+        for c, img in zip(codes, images):
             if img not in pos:
                 raise RuntimeError(
-                    f"copy relabelling {relabelling} maps index word {w!r} to "
+                    f"copy relabelling {relabelling} maps index word "
+                    f"{Word(_LETTERS.decode(c))!r} to "
                     f"{Word(_LETTERS.decode(img))!r}, which is not in the index")
         return np.array([pos[img] for img in images], dtype=np.intp)
 
@@ -1080,28 +1089,21 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
     if index_words is None and m > 3:
         raise BudgetError("inflation order > 3 exceeds the desk-scale budget")
     alphabet = scenario.inflated_alphabet(m)
-    generators: list[tuple[np.ndarray, ...]] = []
 
-    def merges(index, keys, cell_group):
-        generators.extend(_copy_generators(index, alphabet, m))
-        return _copy_merges(cell_group, [pi for gen in generators for pi in gen])
+    def merges(codes, keys, cell_group):
+        generators = _copy_generators(codes, alphabet, m)
+        return (*_copy_merges(cell_group, [pi for gen in generators for pi in gen]),
+                generators)
 
     p = _assemble(scenario, "inflation", n, m, alphabet,
                   completeness=completeness, budget=budget,
                   merges=merges if index_words is None else None,
                   index_words=index_words)
-
     # verification-only nonlinear products: diagonal words on disjoint copies
-    check = _diagonal_check_products(p)
-    q = replace(p, check_products=tuple(check), copy_generators=tuple(generators))
-    # the index dict, which the check products built, is the one structure
-    # the replace may carry: the copy blocks read the generators it sets
-    if "_pos" in p._structures:
-        q._structures["_pos"] = p._structures["_pos"]
-    return q
+    return p.derive(check_products=tuple(_diagonal_check_products(p)))
 
 
-def _diagonal_word_copies(scenario: Scenario, w: Word) -> set[int] | None:
+def _diagonal_word_copies(w: Word) -> set[int] | None:
     """Copy index if w is a diagonal word on a single copy, else None."""
     cps: set[int] = set()
     for l in w.letters:
@@ -1118,7 +1120,7 @@ def _diagonal_check_products(p: MomentProblem):
     words on distinct copies; imposed only at verification time."""
     diag: dict[int, list[Word]] = {}
     for w in p.index:
-        cps = _diagonal_word_copies(p.scenario, w)
+        cps = _diagonal_word_copies(w)
         if cps:
             diag.setdefault(next(iter(cps)), []).append(w)
     out = []
@@ -1139,8 +1141,7 @@ def _diagonal_check_products(p: MomentProblem):
 # Distribution pins
 # ---------------------------------------------------------------------------
 
-def pin_distribution(problem: MomentProblem, dist: Distribution,
-                     *, tol: float = 1e-9) -> MomentProblem:
+def pin_distribution(problem: MomentProblem, dist: Distribution) -> MomentProblem:
     """Pin every class whose key is forced by compatibility with ``dist``.
 
     Full correlators, all marginals reachable by summing outcomes, and
@@ -1151,7 +1152,7 @@ def pin_distribution(problem: MomentProblem, dist: Distribution,
     signalling tables, with the offending inputs named) and gathers.  A
     key's value is the product of its factors taken left to right.  A
     class is pinned to the value of its first pinnable group; its
-    pinnable groups must agree to within ``tol``, and so must an earlier
+    pinnable groups must agree to within ``PIN_TOL``, and so must an earlier
     pin of the class, else :class:`PinConflictError` names the first
     class in conflict.
     """
@@ -1172,15 +1173,13 @@ def pin_distribution(problem: MomentProblem, dist: Distribution,
     for col in plan.cells.T:
         values *= marginals[col]
     first = values[plan.starts]
-    spread = (np.maximum.reduceat(values, plan.starts)
-              - np.minimum.reduceat(values, plan.starts))
-    held = np.full(problem.n_classes, np.nan)
-    held[list(problem.pinned)] = list(problem.pinned.values())
-    conflict = (spread > tol) | (np.abs(held[plan.classes] - first) > tol)
+    spread = _spreads(values, plan.starts)
+    held = problem.pinned_values()
+    conflict = (spread > PIN_TOL) | (np.abs(held[plan.classes] - first) > PIN_TOL)
     if conflict.any():
         k = int(conflict.argmax())
         cls = int(plan.classes[k])
-        if spread[k] > tol:
+        if spread[k] > PIN_TOL:
             seg = slice(plan.starts[k], plan.starts[k + 1]
                         if k + 1 < len(plan.starts) else None)
             vals, groups = values[seg], plan.groups[seg]
@@ -1278,11 +1277,10 @@ def factor_residual(class_vals: np.ndarray,
                  .max(initial=0.0))
 
 
-def _max_spread(values: np.ndarray, starts: np.ndarray) -> float:
-    """Largest max - min over the consecutive segments opening at ``starts``."""
-    spread = (np.maximum.reduceat(values, starts)
-              - np.minimum.reduceat(values, starts))
-    return float(spread.max())
+def _spreads(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """max - min of each consecutive segment of ``values`` opening at
+    ``starts``."""
+    return np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
 
 
 def check_assignment(problem: MomentProblem,
@@ -1294,16 +1292,14 @@ def check_assignment(problem: MomentProblem,
     group_means = (np.bincount(problem.cell_group.reshape(-1), weights=vals,
                                minlength=len(problem.group_keys))
                    / np.diff(group_bounds))
-    hankel = _max_spread(vals[cells], group_bounds[:-1])
+    hankel = float(_spreads(vals[cells], group_bounds[:-1]).max())
     # class value: the mean of its groups' means
     groups, class_bounds = problem.class_layout
     class_vals = (np.bincount(problem.group_class, weights=group_means,
                               minlength=problem.n_classes)
                   / np.diff(class_bounds))
-    merge_res = _max_spread(group_means[groups], class_bounds[:-1])
-    pin_val = np.full(problem.n_classes, np.nan)
-    pin_val[list(problem.pinned)] = list(problem.pinned.values())
-    cell_pin = pin_val[problem.cell_class].reshape(-1)
+    merge_res = float(_spreads(group_means[groups], class_bounds[:-1]).max())
+    cell_pin = problem.pinned_values()[problem.cell_class].reshape(-1)
     pinned = ~np.isnan(cell_pin)
     pins = float(np.abs(vals[pinned] - cell_pin[pinned]).max(initial=0.0))
     rows = problem.active_rows
@@ -1331,7 +1327,7 @@ def check_assignment(problem: MomentProblem,
 # ---------------------------------------------------------------------------
 
 def _check_scalar_bound(scenario: Scenario, n: int, m: int) -> None:
-    d = len([l for l in scenario.alphabet().letters if l.party == "A"])
+    d = len([l for l in scenario.alphabet().letters if l.party == SCALAR_PARTY])
     bound = sum(d ** i for i in range(n + 1))
     if m < bound:
         raise ValueError(
@@ -1393,15 +1389,15 @@ def required_inflation_words(scenario: Scenario, n: int, m: int) -> list[Word]:
     return sorted(needed, key=Word.sort_key)
 
 
-def inflation_to_scalar_extension(xi: MomentAssignment, n: int, m: int, *,
-                                  input_tol: float = 1e-8) -> MomentAssignment:
+def inflation_to_scalar_extension(xi: MomentAssignment, n: int,
+                                  m: int) -> MomentAssignment:
     """Construct a scalar-extension assignment from an inflation assignment.
 
     Each equality class of the order-n scalar problem takes the inflation
     value of the image of its product key under :func:`scalar_key_image`.
     Requires m >= sum_i d^i (d = number of A letters), which leaves room
     for one fresh copy per scalar occurrence in any product key.  The
-    input must satisfy its own problem within ``input_tol`` and must
+    input must satisfy its own problem within ``SCALAR_INPUT_TOL`` and must
     index enough words to locate every image value (see
     :func:`required_inflation_words`).
     """
@@ -1411,10 +1407,10 @@ def inflation_to_scalar_extension(xi: MomentAssignment, n: int, m: int, *,
     scenario = problem.scenario
     _check_scalar_bound(scenario, n, m)
     report = check_assignment(problem, xi)
-    if max(report.hankel, report.merges, report.completeness) > input_tol:
+    if max(report.hankel, report.merges, report.completeness) > SCALAR_INPUT_TOL:
         raise ValueError(
             f"inflation assignment violates its own constraints "
-            f"(residual {report.max_residual():.3e} > {input_tol:g})")
+            f"(residual {report.max_residual():.3e} > {SCALAR_INPUT_TOL:g})")
     omega = build_scalar_extension(scenario, n)
     values = np.zeros(omega.n_classes)
     for cls in range(omega.n_classes):

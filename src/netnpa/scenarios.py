@@ -33,6 +33,13 @@ from .words import (
 
 ATOL_TABLE = 1e-12
 ATOL_STRATEGY = 1e-10
+# how far a marginal may move with a dropped party's input (no-signalling)
+SIGNALLING_TOL = 1e-9
+# the party whose words the scalar-extension symbols abbreviate
+SCALAR_PARTY = "A"
+# the tensor factors (dA, dBL, dBR, dC) of a tensor_bilocal model that
+# each party acts on: rho on (A, BL), sigma on (BR, C)
+TENSOR_BILOCAL_SLOTS = {"A": (0,), "B": (1, 2), "C": (3,)}
 
 
 class ScenarioError(ValueError):
@@ -74,7 +81,6 @@ class SignallingError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    name: str
     parties: tuple[str, ...]
     sources: dict[str, tuple[str, ...]]          # source -> parties it feeds
     party_sources: dict[str, tuple[str, ...]]    # party -> ordered source slots
@@ -85,14 +91,12 @@ class Topology:
 
 TOPOLOGIES: dict[str, Topology] = {
     "bell3": Topology(
-        name="bell3",
         parties=("A", "B", "C"),
         sources={"tau": ("A", "B", "C")},
         party_sources={"A": ("tau",), "B": ("tau",), "C": ("tau",)},
         factor_pairs=(),
     ),
     "bilocal": Topology(
-        name="bilocal",
         parties=("A", "B", "C"),
         sources={"rho": ("A", "B"), "sigma": ("B", "C")},
         party_sources={"A": ("rho",), "B": ("rho", "sigma"), "C": ("sigma",)},
@@ -100,7 +104,6 @@ TOPOLOGIES: dict[str, Topology] = {
         inflatable=True,
     ),
     "triangle": Topology(
-        name="triangle",
         parties=("A", "B", "C"),
         sources={"rho": ("A", "B"), "sigma": ("B", "C"), "pi": ("C", "A")},
         party_sources={"A": ("pi", "rho"), "B": ("rho", "sigma"), "C": ("sigma", "pi")},
@@ -108,7 +111,6 @@ TOPOLOGIES: dict[str, Topology] = {
         inflatable=True,
     ),
     "star4": Topology(
-        name="star4",
         parties=("A", "B", "C", "D"),
         sources={"rho": ("A", "B"), "sigma": ("B", "C"), "pi": ("B", "D")},
         party_sources={
@@ -163,7 +165,7 @@ class Scenario:
         letters: list[Letter] = []
         for party in self.parties:
             letters.extend(self.letters(party))
-        return Alphabet(scenario_id=f"{self.topology}", letters=tuple(letters))
+        return Alphabet(tuple(letters))
 
     def inflated_alphabet(self, m: int) -> Alphabet:
         """Letters with one copy index per source slot of their party."""
@@ -177,30 +179,19 @@ class Scenario:
             for copies in np.ndindex(*([m] * nslots)):
                 shifted = tuple(int(c) + 1 for c in copies)
                 letters.extend(self.letters(party, copies=shifted))
-        return Alphabet(
-            scenario_id=f"{self.topology}:inflation{m}",
-            letters=tuple(letters),
-            party_sources=dict(self.topo.party_sources),
-        )
+        return Alphabet(tuple(letters), party_sources=dict(self.topo.party_sources))
 
-    def scalar_alphabet(self, bound: int, scalar_party: str = "A") -> Alphabet:
+    def scalar_alphabet(self, bound: int) -> Alphabet:
         """Plain alphabet enlarged by scalar symbols for all nonempty
-        ``scalar_party`` words of length <= ``bound``."""
+        ``SCALAR_PARTY`` words of length <= ``bound``, in the order of
+        ``enumerate_words``."""
         from .words import enumerate_words  # local import to avoid cycle at module load
 
         base = self.alphabet()
-        party_only = Alphabet(
-            scenario_id="tmp",
-            letters=tuple(l for l in base.letters if l.party == scalar_party))
-        kappas = [
-            scalar_letter(w)
-            for w in enumerate_words(party_only, bound)
-            if len(w) >= 1
-        ]
-        return Alphabet(
-            scenario_id=f"{self.topology}:scalar{bound}",
-            letters=base.letters + tuple(kappas),
-        )
+        party_only = Alphabet(tuple(l for l in base.letters if l.party == SCALAR_PARTY))
+        kappas = [scalar_letter(w) for w in enumerate_words(party_only, bound)
+                  if len(w) >= 1]
+        return Alphabet(base.letters + tuple(kappas))
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +225,22 @@ class Distribution:
     def q(self, outs: Sequence[int], ins: Sequence[int]) -> float:
         return float(self.table[tuple(outs) + tuple(ins)])
 
-    def marginal(self, parties: Sequence[str], tol: float = 1e-9) -> np.ndarray:
+    def marginal(self, parties: Sequence[str]) -> np.ndarray:
         """Marginal table over a party subset, shape = their outputs + inputs.
 
         Sums out the other parties' outputs and checks the result does not
         depend on their inputs (no-signalling); raises SignallingError
         naming the offending party and input pair otherwise.
         """
-        return self.marginals([parties], tol)[0]
+        return self.marginals([parties])[0]
 
-    def marginals(self, subsets: Sequence[Sequence[str]],
-                  tol: float = 1e-9) -> list[np.ndarray]:
+    def marginals(self, subsets: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """:meth:`marginal` of every subset, in order, with the same values
         and the same first SignallingError.
 
         A party with one input cannot signal: its input axis has spread 0,
-        so (for tol >= 0) only the dropped parties with several inputs are
-        checked, and a scenario where every party has one input checks
-        nothing.
+        so only the dropped parties with several inputs are checked, and a
+        scenario where every party has one input checks nothing.
         """
         sc = self.scenario
         n = len(sc.parties)
@@ -266,11 +255,11 @@ class Distribution:
             arranged = summed.transpose(order)
             out.append(arranged[(Ellipsis,) + (0,) * len(drop)])
             for k, i_drop in enumerate(drop):
-                if sc.inputs[i_drop] == 1 and tol >= 0:
+                if sc.inputs[i_drop] == 1:
                     continue
                 ax = len(keep) * 2 + k
                 spread = arranged.max(axis=ax) - arranged.min(axis=ax)
-                if spread.max() > tol:
+                if spread.max() > SIGNALLING_TOL:
                     # the input of the dropped party deviating most from input 0
                     deviation = np.abs(arranged - arranged.take([0], axis=ax))
                     worst = int(np.moveaxis(deviation, ax, 0)
@@ -405,8 +394,7 @@ def validate_strategy(strategy: QuantumStrategy, tol: float = ATOL_STRATEGY) -> 
     """Check PVM and state invariants; raises ScenarioError on violation."""
     sc = strategy.scenario
     if strategy.model == "tensor_bilocal":
-        dA, dBL, dBR, dC = strategy.dims
-        local_dim = {"A": dA, "B": dBL * dBR, "C": dC}
+        local_dim = _party_dims(strategy.dims)
         for state, name in ((strategy.rho, "rho"), (strategy.sigma, "sigma")):
             _check_state(state, name, tol, pure=True)
     else:
@@ -426,6 +414,15 @@ def validate_strategy(strategy: QuantumStrategy, tol: float = ATOL_STRATEGY) -> 
             for o, op in enumerate(ops):
                 if np.abs(op @ op - op).max() > tol or np.abs(op - op.conj().T).max() > tol:
                     raise ScenarioError(f"PVM element ({party}, {x}, {o}) not a projector")
+
+
+def _party_dims(dims: Sequence[int]) -> dict[str, int]:
+    """The dimension of each party's space in a tensor_bilocal model whose
+    tensor factors have dimensions ``dims`` = (dA, dBL, dBR, dC)."""
+    if len(dims) != 4:
+        raise ScenarioError(f"tensor_bilocal dims are (dA, dBL, dBR, dC), "
+                            f"got {tuple(dims)}")
+    return {p: math.prod(dims[i] for i in at) for p, at in TENSOR_BILOCAL_SLOTS.items()}
 
 
 def _check_state(state: np.ndarray | None, name: str, tol: float, pure: bool) -> None:
@@ -502,6 +499,14 @@ def _suffix_vector(vecs: dict, letters: tuple[Letter, ...], act) -> np.ndarray:
     return out
 
 
+def _gram(vecs: dict, words: Sequence[Word], act) -> np.ndarray:
+    """The real symmetric Gram matrix Re <phi_i, phi_j> of the vectors
+    phi_i of ``words`` (:func:`_suffix_vector` with ``vecs`` and ``act``)."""
+    V = np.column_stack([_suffix_vector(vecs, w.letters, act) for w in words])
+    G = (V.conj().T @ V).real
+    return (G + G.T) / 2
+
+
 class MomentOracle:
     """Ground-truth moment values Tr(tau * w) for a (non-inflated) strategy.
 
@@ -516,14 +521,12 @@ class MomentOracle:
         self.ops: dict[tuple[str, int, int], np.ndarray] = {}
         sc = strategy.scenario
         if strategy.model == "tensor_bilocal":
-            dA, dBL, dBR, dC = strategy.dims
-            dims = [dA, dBL, dBR, dC]
-            slots = {"A": [0], "B": [1, 2], "C": [3]}
             tau = np.kron(strategy.rho, strategy.sigma)
             for p_idx, party in enumerate(sc.parties):
                 for x in range(sc.inputs[p_idx]):
                     for o, op in enumerate(strategy.pvms[(party, x)]):
-                        self.ops[(party, x, o)] = embed_operator(op, slots[party], dims)
+                        self.ops[(party, x, o)] = embed_operator(
+                            op, TENSOR_BILOCAL_SLOTS[party], strategy.dims)
         else:
             tau = strategy.tau
             for (party, x), ops in strategy.pvms.items():
@@ -576,9 +579,7 @@ class MomentOracle:
 
     def gram(self, words: Sequence[Word]) -> np.ndarray:
         """Real symmetric Gram matrix G[i, j] = Re Tr(tau * wi^dagger wj)."""
-        V = np.column_stack([self.vector(w) for w in words])
-        G = (V.conj().T @ V).real
-        return (G + G.T) / 2
+        return _gram(self._vecs, words, self._act)
 
     def born(self) -> Distribution:
         sc = self.strategy.scenario
@@ -624,7 +625,6 @@ class InflatedBilocalOracle:
         self.strategy = strategy
         self.m = m
         dA, dBL, dBR, dC = strategy.dims
-        self.leg_dims = {"rho": (dA, dBL), "sigma": (dBR, dC)}
         self.src_vec = {
             "rho": _pure_vector(strategy.rho).reshape(dA, dBL),
             "sigma": _pure_vector(strategy.sigma).reshape(dBR, dC),
@@ -689,10 +689,7 @@ class InflatedBilocalOracle:
     def dense_gram(self, words: Sequence[Word]) -> np.ndarray:
         """Gram matrix via an explicit dense inflated model (small m only)."""
         psi, act = self._dense_model()
-        vecs = {(): psi}
-        V = np.column_stack([_suffix_vector(vecs, w.letters, act) for w in words])
-        G = (V.conj().T @ V).real
-        return (G + G.T) / 2
+        return _gram({(): psi}, words, act)
 
     def _dense_model(self):
         """The state vector of the dense inflated model, and the action
@@ -793,13 +790,13 @@ def random_strategy(scenario: Scenario, dims: tuple[int, int, int, int],
         raise ScenarioError("random_strategy generates bilocal tensor models")
     if any(d < 1 for d in dims):
         raise ScenarioError("dims must be >= 1")
+    local_dim = _party_dims(dims)
     rng = np.random.default_rng(seed)
     dA, dBL, dBR, dC = dims
     v1 = rng.normal(size=dA * dBL)
     v1 /= np.linalg.norm(v1)
     v2 = rng.normal(size=dBR * dC)
     v2 /= np.linalg.norm(v2)
-    local_dim = {"A": dA, "B": dBL * dBR, "C": dC}
     pvms = {}
     for p_idx, party in enumerate(scenario.parties):
         for x in range(scenario.inputs[p_idx]):

@@ -142,6 +142,16 @@ def _cell_weight(i: int, j: int) -> float:
     return 1.0 if i == j else 0.5
 
 
+def _require_linear(problem: MomentProblem) -> None:
+    """Raise unless every factorisation family of ``problem`` is
+    linearized."""
+    if (problem.factor_pairs or problem.factor_triples) \
+            and not problem.linear_factor_rows:
+        raise SdpStructureError(
+            "problem has bilinear factorisation families; linearize them via "
+            "factorisation.pin_linearize first")
+
+
 def compile(problem: MomentProblem,
             objective: Mapping[int, float] | None = None) -> AffineSdp:
     """Flatten a moment problem into cell-level equality rows.
@@ -150,11 +160,7 @@ def compile(problem: MomentProblem,
     first (``factorisation.pin_linearize``), or build a hierarchy without
     them.
     """
-    if (problem.factor_pairs or problem.factor_triples) \
-            and not problem.linear_factor_rows:
-        raise SdpStructureError(
-            "problem has bilinear factorisation families; linearize them via "
-            "factorisation.pin_linearize first")
+    _require_linear(problem)
     if problem.flagged_bilinear:
         raise SdpStructureError(
             f"{len(problem.flagged_bilinear)} factorisation pairs are still "
@@ -548,16 +554,11 @@ class _ClassSystem:
         self.k = problem.n_classes
         self.cell_class = problem.cell_class
         self.rows = problem.active_rows
-        self.known = np.full(self.k, np.nan)
-        self.known[list(problem.pinned)] = list(problem.pinned.values())
+        self.known = problem.pinned_values()
         self.contradiction: str | None = None
         self._propagate()
-        if self.contradiction is None:
-            self.free, self.free_pos = self.plan.free, self.plan.free_pos
-        else:
-            self.free = np.flatnonzero(np.isnan(self.known))
-            self.free_pos = np.full(self.k, -1)
-            self.free_pos[self.free] = np.arange(len(self.free))
+        # after a contradiction, callers read only ``known``
+        self.free, self.free_pos = self.plan.free, self.plan.free_pos
         # set by factor_rows: the pending rows over the free classes as
         # flat (starts, free positions, coefficients), with R y = b, a
         # solution of R y = b, a basis of ker R and their factorisation
@@ -812,11 +813,7 @@ def solve_feasibility(problem: MomentProblem,
     its verdict can be inconclusive, since ``check_products`` are checked
     on the witness but not imposed.
     """
-    if (problem.factor_pairs or problem.factor_triples) \
-            and not problem.linear_factor_rows:
-        raise SdpStructureError(
-            "bilinear factorisation families present; linearize them via "
-            "factorisation.pin_linearize first")
+    _require_linear(problem)
     cs = _ClassSystem(problem)
     if cs.contradiction is not None:
         return FeasibilityOutcome("infeasible", t_star=-np.inf,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ IDENTITY = "identity"
 
 
 class AlphabetMismatchError(ValueError):
-    """Raised when an operation mixes words over different alphabets."""
+    """Raised when an operation is given the wrong kind of alphabet."""
 
 
 class WordParseError(ValueError):
@@ -332,27 +332,8 @@ class Alphabet:
     words.
     """
 
-    scenario_id: str
     letters: tuple[Letter, ...]
     party_sources: Mapping[str, tuple[str, ...]] | None = None
-    _letter_set: frozenset = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_letter_set", frozenset(self.letters))
-
-    def __contains__(self, l: Letter) -> bool:
-        return l in self._letter_set
-
-    def check_word(self, w: Word) -> None:
-        for l in w.letters:
-            if l not in self._letter_set:
-                raise AlphabetMismatchError(
-                    f"letter {render_letter(l)} not in alphabet {self.scenario_id}")
-
-    def concat(self, w1: Word, w2: Word) -> Word:
-        self.check_word(w1)
-        self.check_word(w2)
-        return concat(w1, w2)
 
     def sources(self) -> tuple[str, ...]:
         if self.party_sources is None:

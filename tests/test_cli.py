@@ -219,6 +219,13 @@ def test_sample_requires_seed(tmp_path):
     assert "seed" in report
 
 
+def test_sample_with_dims_of_the_wrong_length_exit64(tmp_path):
+    code, report = run(["sample", "--scenario", "bilocal", "--n", "2", "--seed",
+                        "1", "--dims", "2,2,2", "--out", str(tmp_path / "x")])
+    assert (code, report) == (
+        EXIT_PARSE, "error: tensor_bilocal dims are (dA, dBL, dBR, dC), got (2, 2, 2)")
+
+
 def test_export_roundtrip(tmp_path):
     path = str(tmp_path / "prob.dat-s")
     code, report = run(["export", "--scenario", "bilocal", "--hierarchy",

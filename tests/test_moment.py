@@ -14,12 +14,14 @@ from netnpa.moment import (
     BudgetError,
     FlatRows,
     MomentAssignment,
+    MomentProblem,
     PinConflictError,
     _build_groups,
     _copy_generators,
     _copy_merges,
     _min_key,
     _Products,
+    _structure,
     build_factorisation_bilocal,
     build_inflation,
     build_standard,
@@ -74,6 +76,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 BILOCAL = Scenario(*BILOCAL_111)
 TRIANGLE = Scenario(*TRIANGLE_111)
 BELL3 = Scenario("bell3", (2, 2, 2), (1, 1, 1))
+STAR_1111 = ("star4", (2, 2, 2, 2), (1, 1, 1, 1))
 
 A0 = word([meas("A", 0, 0)])
 A1 = word([meas("A", 1, 0)])
@@ -349,8 +352,8 @@ def test_pinned_and_linearized_copies_share_the_derived_structures():
 
 def test_build_inflation_keeps_its_index_dict_and_the_class_count_is_kept():
     p = build_inflation(BILOCAL, 2, 2)
-    # the check products built the index dict, and the final replace
-    # carries it and nothing else
+    # the check products built the index dict, the one structure built so
+    # far, and the copy that adds them shares it
     assert set(p._structures) == {"_pos"}
     assert p._pos == {w: i for i, w in enumerate(p.index)}
     # with one copy there are no check products, and no dict is built
@@ -362,11 +365,34 @@ def test_build_inflation_keeps_its_index_dict_and_the_class_count_is_kept():
         is p._structures
 
 
+@pytest.mark.parametrize("kind", ["factorisation", "star", "inflation"])
+def test_one_index_dict_per_build_pin_and_letter_action(kind, monkeypatch):
+    # the builders copy their problem through derive, which shares the
+    # index dict that the factor families or the check products built
+    build_pos = MomentProblem._pos.fget.__wrapped__
+    built = []
+
+    def _pos(self):
+        built.append(self)
+        return build_pos(self)
+
+    monkeypatch.setattr(MomentProblem, "_pos", _structure(_pos))
+    if kind == "star":
+        p = build_star_factorisation(Scenario(*STAR_1111), 4)
+        dist = MomentOracle(star_product_strategy(0)).born()
+    else:
+        p = (build_factorisation_bilocal(BILOCAL, 2) if kind == "factorisation"
+             else build_inflation(BILOCAL, 2, 2))
+        dist = shared_random_bit("bilocal")
+    pin_distribution(p, dist).letter_action
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("hierarchy,n", [("factorisation", 2), ("factorisation", 3),
                                          ("factorisation", 4), ("standard", 3),
-                                         ("scalar", 2)])
+                                         ("scalar", 2), ("star", 4)])
 def test_letter_action_is_the_word_algebra(hierarchy, n):
-    p = cached_problem(hierarchy, *BILOCAL_111, n)
+    p = cached_problem(hierarchy, *(STAR_1111 if hierarchy == "star" else BILOCAL_111), n)
     action = p.letter_action
     prev = [u for u in p.index if len(u) <= n - 1]
     # the index is sorted by length, so the lower-level words are a prefix
@@ -376,6 +402,12 @@ def test_letter_action_is_the_word_algebra(hierarchy, n):
     for party, cols in (("A", action.a_cols), ("C", action.c_cols)):
         assert cols.tolist() == [i for i, u in enumerate(p.index)
                                  if all(l.party == party for l in u.letters)]
+    # past the empty word, they are the words of the factor pairs
+    pair_words = {w for fc in p.factor_pairs for w in (fc.row_word, fc.col_word)}
+    if pair_words:
+        for party, cols in (("A", action.a_cols), ("C", action.c_cols)):
+            assert cols[1:].tolist() == sorted(
+                p.pos(w) for w in pair_words if w.letters[0].party == party)
     assert p.derive(pinned={}).letter_action is action
 
 
@@ -618,9 +650,15 @@ def _full_group_orbits(keys, alphabet, m):
             for k in keys}
 
 
+def _codes(index):
+    """The letter codes of each index word, as ``_assemble`` passes them."""
+    return [words._LETTERS.encode(w.letters) for w in index]
+
+
 def _copy_orbits(index, alphabet, m):
-    keys, cell_group = _build_groups(_Products(index))
-    merges = _copy_merges(cell_group, sum(_copy_generators(index, alphabet, m), ()))
+    codes = _codes(index)
+    keys, cell_group = _build_groups(_Products(codes))
+    merges = _copy_merges(cell_group, sum(_copy_generators(codes, alphabet, m), ()))
     return keys, _partition(components(len(keys), *merges))
 
 
@@ -661,10 +699,11 @@ def test_copy_merges_reject_an_index_not_closed_under_relabelling():
     # drop a word that the copy swap moves: its preimage has no image left
     gone = word([meas("A", copies=(2,))])
     index.remove(gone)
-    keys, cell_group = _build_groups(_Products(index))
+    codes = _codes(index)
+    keys, cell_group = _build_groups(_Products(codes))
     with pytest.raises(RuntimeError, match=re.escape(
             f"index word {word([meas('A', copies=(1,))])!r} to {gone!r}")):
-        _copy_merges(cell_group, sum(_copy_generators(index, alph, 2), ()))
+        _copy_merges(cell_group, sum(_copy_generators(codes, alph, 2), ()))
 
 
 @pytest.mark.parametrize("case", [

@@ -8,7 +8,6 @@ from netnpa.scenarios import Scenario
 from netnpa.words import (
     EMPTY_WORD,
     Alphabet,
-    AlphabetMismatchError,
     Letter,
     Word,
     act_permutation,
@@ -94,7 +93,7 @@ def test_concat_associative_identity():
 
 
 def one_letter_alphabet():
-    return Alphabet("toy", (meas("A"), meas("B"), meas("C")))
+    return Alphabet((meas("A"), meas("B"), meas("C")))
 
 
 def test_enumerate_one_letter_per_party():
@@ -109,7 +108,7 @@ def test_enumerate_one_letter_per_party():
 def test_enumerate_scalar_alphabet():
     a = meas("A")
     k = scalar_letter(word([a]))
-    alph = Alphabet("toy-scalar", (a, k))
+    alph = Alphabet((a, k))
     ws = set(enumerate_words(alph, 2))
     assert word([k, k]) in ws
     assert word([k, a]) in ws
@@ -124,7 +123,7 @@ def test_enumerate_deterministic_order():
 
 def test_enumerate_matches_bruteforce_dedup():
     letters = (A0, A1, B0, C0)
-    alph = Alphabet("toy2", letters)
+    alph = Alphabet(letters)
     for max_len in range(4):
         expect = {word(s) for s in all_sequences(letters, max_len)}
         expect = {w for w in expect if len(w) <= max_len}
@@ -140,7 +139,7 @@ def inflated_alphabet(m=3):
         letters.append(meas("C", copies=(i,)))
         for j in range(m):
             letters.append(meas("B", copies=(i, j)))
-    return Alphabet("infl", tuple(letters),
+    return Alphabet(tuple(letters),
                     party_sources={"A": ("rho",), "B": ("rho", "sigma"),
                                    "C": ("sigma",)})
 
@@ -310,14 +309,6 @@ def test_parse_rejects_garbage():
         parse_word("Z[0|0]")
     with pytest.raises(WordParseError):
         parse_word("k{A[0|0]")
-
-
-def test_alphabet_mismatch():
-    alph = one_letter_alphabet()
-    with pytest.raises(AlphabetMismatchError):
-        alph.concat(word([A0]), word([meas("D")]))
-    with pytest.raises(AlphabetMismatchError):
-        alph.concat(word([A1]), EMPTY_WORD)  # A1 not a generator here
 
 
 def test_identity_letters_are_absorbed():
