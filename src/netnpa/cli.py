@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .moment import (
     build_scalar_extension,
     build_standard,
     build_star_factorisation,
+    oracle_assignment,
     pin_distribution,
 )
 from .scenarios import (
@@ -50,6 +52,7 @@ from .scenarios import (
     SignallingError,
     MomentOracle,
     TOPOLOGIES,
+    point_distribution,
     product_distribution,
     random_strategy,
     read_distribution,
@@ -92,7 +95,7 @@ class RunConfig:
     seed: int | None = None
     distribution: str | None = None
     output_path: str | None = None
-    dims: tuple[int, ...] = (2, 2, 2, 2)
+    dims: tuple[int, ...] | None = None
 
     def report_lines(self) -> list[str]:
         return [
@@ -140,7 +143,6 @@ def _builtin_distribution(name: str, topology: str) -> Distribution:
         return product_distribution(sc, [np.full((2, 1), 0.5)] * n_parties)
     if name == "point":
         sc = Scenario(topology, (2,) * n_parties, (1,) * n_parties)
-        from .scenarios import point_distribution
         return point_distribution(sc, (0,) * n_parties)
     raise CliError(f"unknown builtin distribution {name!r} "
                    "(try shared_random_bit, uniform_product, point)", EXIT_PARSE)
@@ -150,8 +152,6 @@ def _load_distribution(cfg: RunConfig) -> Distribution:
     if cfg.distribution is None:
         raise CliError("a distribution (file or builtin name) is required",
                        EXIT_PARSE)
-    import os
-
     if os.path.exists(cfg.distribution):
         try:
             dist = read_distribution(cfg.distribution)
@@ -359,8 +359,6 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, str]:
     oracle = MomentOracle(strategy)
     dist = oracle.born()
     problem, _ = _problem(cfg, scenario, dist)
-    from .moment import oracle_assignment
-
     assignment = oracle_assignment(problem, oracle)
     dist_path = cfg.output_path + ".dist"
     asg_path = cfg.output_path + ".npz"

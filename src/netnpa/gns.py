@@ -264,19 +264,18 @@ def evaluate(model: GnsModel) -> Distribution:
     return Distribution(sc, table)
 
 
-def model_dump(model: GnsModel, residuals: ModelResiduals,
-               precision: int = 6) -> str:
-    """Fixed-precision textual snapshot for regression tests."""
+def model_dump(model: GnsModel, residuals: ModelResiduals) -> str:
+    """Textual snapshot, to 6 decimals, for regression tests."""
     lines = [f"dimension: {model.dimension}",
              f"parties: {' '.join(model.scenario.parties)}"]
-    with np.printoptions(precision=precision, suppress=True):
+    with np.printoptions(precision=6, suppress=True):
         for key in sorted(model.operators):
             lines.append(f"operator {key}:")
-            lines.append(str(np.round(model.operators[key], precision)))
+            lines.append(str(np.round(model.operators[key], 6)))
         if model.rho is not None:
             lines.append("rho:")
-            lines.append(str(np.round(model.rho, precision)))
+            lines.append(str(np.round(model.rho, 6)))
             lines.append("sigma:")
-            lines.append(str(np.round(model.sigma, precision)))
+            lines.append(str(np.round(model.sigma, 6)))
     lines.append(str(residuals))
     return "\n".join(lines)

@@ -74,6 +74,7 @@ from .words import (
     enumerate_words,
     involute,
     relabel_codes,
+    render_word,
     word,
 )
 
@@ -438,8 +439,6 @@ class MomentProblem:
 
     def describe(self) -> str:
         """Textual dump used for golden-file regression tests."""
-        from .words import render_word
-
         lines = [
             f"hierarchy: {self.hierarchy}",
             f"scenario: {self.scenario.topology} outputs={self.scenario.outputs} "

@@ -6,8 +6,11 @@ models; they serve as ground-truth oracles: ``born_eval`` produces the
 distribution, and the oracle classes evaluate Tr(tau * w) for arbitrary
 words, including inflated words over copied sources.
 
-Everything is desk scale: dense complex matrices, total dimension at
-most a few thousand.
+Everything is desk scale.  :class:`MomentOracle` acts by dense matrices
+on the strategy's global space.  :class:`InflatedBilocalOracle` acts on
+state tensors with two leg axes per source copy, laid out by
+``TENSOR_BILOCAL_SLOTS``; its Gram matrix runs on all copies at once, up
+to ``DENSE_INFLATION_DIM`` amplitudes.
 
 :func:`components` is the package's one connected-components routine: it
 joins a moment problem's classes and splits the words of the pin plan
@@ -27,6 +30,7 @@ from .words import (
     Letter,
     MEASUREMENT,
     Word,
+    enumerate_words,
     scalar_letter,
     word,
 )
@@ -38,8 +42,12 @@ SIGNALLING_TOL = 1e-9
 # the party whose words the scalar-extension symbols abbreviate
 SCALAR_PARTY = "A"
 # the tensor factors (dA, dBL, dBR, dC) of a tensor_bilocal model that
-# each party acts on: rho on (A, BL), sigma on (BR, C)
+# each party acts on: factor f is leg f % 2 of source BILOCAL_SOURCES[f // 2],
+# so rho is on (A, BL) and sigma on (BR, C)
 TENSOR_BILOCAL_SLOTS = {"A": (0,), "B": (1, 2), "C": (3,)}
+BILOCAL_SOURCES = ("rho", "sigma")
+# the most amplitudes the dense model of an inflated bilocal strategy has
+DENSE_INFLATION_DIM = 4096
 
 
 class ScenarioError(ValueError):
@@ -185,8 +193,6 @@ class Scenario:
         """Plain alphabet enlarged by scalar symbols for all nonempty
         ``SCALAR_PARTY`` words of length <= ``bound``, in the order of
         ``enumerate_words``."""
-        from .words import enumerate_words  # local import to avoid cycle at module load
-
         base = self.alphabet()
         party_only = Alphabet(tuple(l for l in base.letters if l.party == SCALAR_PARTY))
         kappas = [scalar_letter(w) for w in enumerate_words(party_only, bound)
@@ -390,15 +396,16 @@ class QuantumStrategy:
     tau: np.ndarray | None = None
 
 
-def validate_strategy(strategy: QuantumStrategy, tol: float = ATOL_STRATEGY) -> None:
-    """Check PVM and state invariants; raises ScenarioError on violation."""
+def validate_strategy(strategy: QuantumStrategy) -> None:
+    """Check PVM and state invariants to ``ATOL_STRATEGY``; raises
+    ScenarioError on violation."""
     sc = strategy.scenario
     if strategy.model == "tensor_bilocal":
         local_dim = _party_dims(strategy.dims)
         for state, name in ((strategy.rho, "rho"), (strategy.sigma, "sigma")):
-            _check_state(state, name, tol, pure=True)
+            _check_state(state, name, pure=True)
     else:
-        _check_state(strategy.tau, "tau", tol, pure=False)
+        _check_state(strategy.tau, "tau", pure=False)
         local_dim = {p: strategy.tau.shape[0] for p in sc.parties}
     for p_idx, party in enumerate(sc.parties):
         for x in range(sc.inputs[p_idx]):
@@ -409,10 +416,11 @@ def validate_strategy(strategy: QuantumStrategy, tol: float = ATOL_STRATEGY) -> 
             d = ops[0].shape[0]
             if d != local_dim[party]:
                 raise ScenarioError(f"PVM dim mismatch for ({party}, {x})")
-            if np.abs(total - np.eye(d)).max() > tol:
+            if np.abs(total - np.eye(d)).max() > ATOL_STRATEGY:
                 raise ScenarioError(f"PVM for ({party}, {x}) does not sum to identity")
             for o, op in enumerate(ops):
-                if np.abs(op @ op - op).max() > tol or np.abs(op - op.conj().T).max() > tol:
+                if max(np.abs(op @ op - op).max(),
+                       np.abs(op - op.conj().T).max()) > ATOL_STRATEGY:
                     raise ScenarioError(f"PVM element ({party}, {x}, {o}) not a projector")
 
 
@@ -425,46 +433,36 @@ def _party_dims(dims: Sequence[int]) -> dict[str, int]:
     return {p: math.prod(dims[i] for i in at) for p, at in TENSOR_BILOCAL_SLOTS.items()}
 
 
-def _check_state(state: np.ndarray | None, name: str, tol: float, pure: bool) -> None:
+def _check_state(state: np.ndarray | None, name: str, pure: bool) -> None:
     if state is None:
         raise ScenarioError(f"state {name} missing")
-    if np.abs(state - state.conj().T).max() > tol:
+    if np.abs(state - state.conj().T).max() > ATOL_STRATEGY:
         raise ScenarioError(f"state {name} not self-adjoint")
-    if abs(np.trace(state).real - 1.0) > tol:
+    if abs(np.trace(state).real - 1.0) > ATOL_STRATEGY:
         raise ScenarioError(f"state {name} not normalized")
     w = np.linalg.eigvalsh(state)
-    if w.min() < -tol:
+    if w.min() < -ATOL_STRATEGY:
         raise ScenarioError(f"state {name} not positive (min eig {w.min():.3e})")
-    if pure and np.abs(state @ state - state).max() > tol:
+    if pure and np.abs(state @ state - state).max() > ATOL_STRATEGY:
         raise ScenarioError(f"state {name} not a rank-1 projector")
 
 
 def embed_operator(op: np.ndarray, positions: Sequence[int],
                    dims: Sequence[int]) -> np.ndarray:
-    """Dense global matrix for ``op`` acting on the given tensor factors.
-
-    On contiguous positions it is kron(kron(I_left, op), I_right), formed
-    as one broadcast product in that order; on any other it is
-    kron(op, I_rest) with the factors transposed into place.  Both give
-    the same entries, the signs of zeros included."""
-    n = len(dims)
-    D = int(np.prod(dims))
+    """Dense global matrix kron(kron(I_left, op), I_right) for ``op``
+    acting on the contiguous tensor factors ``positions``, formed as one
+    broadcast product in that order; other positions raise
+    :class:`ScenarioError`."""
     first = positions[0] if len(positions) else 0
-    if list(positions) == list(range(first, first + len(positions))):
-        left = np.eye(int(np.prod(dims[:first])))
-        right = np.eye(int(np.prod(dims[first + len(positions):])))
-        k = (left[:, None, None, :, None, None] * op[None, :, None, None, :, None]
-             * right[None, None, :, None, None, :])
-        return k.reshape(D, D)
-    rest = [i for i in range(n) if i not in positions]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    k = np.kron(op, np.eye(d_rest))
-    order = list(positions) + rest
-    shape = [dims[i] for i in order]
-    inv = np.argsort(order)
-    kt = k.reshape(shape + shape)
-    kt = kt.transpose(list(inv) + [n + i for i in inv])
-    return np.ascontiguousarray(kt.reshape(D, D))
+    if list(positions) != list(range(first, first + len(positions))):
+        raise ScenarioError(f"embed_operator needs contiguous factors, "
+                            f"got {tuple(positions)}")
+    D = int(np.prod(dims))
+    left = np.eye(int(np.prod(dims[:first])))
+    right = np.eye(int(np.prod(dims[first + len(positions):])))
+    k = (left[:, None, None, :, None, None] * op[None, :, None, None, :, None]
+         * right[None, None, :, None, None, :])
+    return k.reshape(D, D)
 
 
 def _pure_vector(state: np.ndarray) -> np.ndarray:
@@ -502,7 +500,8 @@ def _suffix_vector(vecs: dict, letters: tuple[Letter, ...], act) -> np.ndarray:
 def _gram(vecs: dict, words: Sequence[Word], act) -> np.ndarray:
     """The real symmetric Gram matrix Re <phi_i, phi_j> of the vectors
     phi_i of ``words`` (:func:`_suffix_vector` with ``vecs`` and ``act``)."""
-    V = np.column_stack([_suffix_vector(vecs, w.letters, act) for w in words])
+    V = np.column_stack([_suffix_vector(vecs, w.letters, act).reshape(-1)
+                         for w in words])
     G = (V.conj().T @ V).real
     return (G + G.T) / 2
 
@@ -602,8 +601,6 @@ def moment_oracle(strategy: QuantumStrategy, n: int) -> dict[Word, float]:
     length <= 2n (the cell products of a level-n moment matrix)."""
     if n < 1:
         raise ScenarioError("n must be >= 1")
-    from .words import enumerate_words
-
     oracle = MomentOracle(strategy)
     return {w: oracle.value(w)
             for w in enumerate_words(strategy.scenario.alphabet(), 2 * n)}
@@ -612,10 +609,13 @@ def moment_oracle(strategy: QuantumStrategy, n: int) -> dict[Word, float]:
 class InflatedBilocalOracle:
     """Moment values for inflated words over m copies of a bilocal strategy.
 
-    Values are computed per connected component of source copies, so the
-    cost is set by the largest cluster of letters sharing copies rather
-    than by the full 4m-factor space.  Agrees with a dense realisation of
-    the inflated model (cross-checked in tests).
+    :meth:`_model` is its one model: the state tensor on a list of
+    (source, copy) pairs, two leg axes per copy, and the action that
+    applies a letter's PVM element to the legs of its party's factors in
+    ``TENSOR_BILOCAL_SLOTS``.  ``value`` runs it per connected component
+    of source copies, so its cost is set by the largest cluster of letters
+    sharing copies; ``gram`` runs it once on all 2m copies, and exists
+    only while that model has at most ``DENSE_INFLATION_DIM`` amplitudes.
     """
 
     def __init__(self, strategy: QuantumStrategy, m: int):
@@ -624,22 +624,43 @@ class InflatedBilocalOracle:
         validate_strategy(strategy)
         self.strategy = strategy
         self.m = m
-        dA, dBL, dBR, dC = strategy.dims
+        # source s holds the tensor factors (2s, 2s + 1), its legs 0 and 1
         self.src_vec = {
-            "rho": _pure_vector(strategy.rho).reshape(dA, dBL),
-            "sigma": _pure_vector(strategy.sigma).reshape(dBR, dC),
-        }
-        # letter -> list of (source, slot-within-party, leg) it acts on
-        self.party_legs = {"A": (("rho", 0),), "B": (("rho", 1), ("sigma", 0)),
-                           "C": (("sigma", 1),)}
+            src: _pure_vector(getattr(strategy, src)).reshape(strategy.dims[2 * s:2 * s + 2])
+            for s, src in enumerate(BILOCAL_SOURCES)}
         self._value_cache: dict[Word, complex] = {}
-        if (dA * dBL) ** m * (dBR * dC) ** m <= 4096:
-            self.gram = self.dense_gram  # fast path for small inflations
+        if self._dense_dim() <= DENSE_INFLATION_DIM:
+            self.gram = self.dense_gram
 
-    def _letter_nodes(self, l: Letter) -> list[tuple[str, int, int]]:
-        """(source, copy, leg) factors this letter acts on."""
-        legs = self.party_legs[l.party]
-        return [(src, l.copies[i], leg) for i, (src, leg) in enumerate(legs)]
+    def _dense_dim(self) -> int:
+        return math.prod(self.strategy.dims) ** self.m
+
+    @staticmethod
+    def _legs(l: Letter) -> list[tuple[tuple[str, int], int]]:
+        """((source, copy), leg) of each tensor factor the letter acts on,
+        in the order of its party's factors."""
+        return [((BILOCAL_SOURCES[f // 2], c), f % 2)
+                for f, c in zip(TENSOR_BILOCAL_SLOTS[l.party], l.copies)]
+
+    def _model(self, copies: Sequence[tuple[str, int]]):
+        """The state tensor on the source copies ``copies``, with axes
+        (2k, 2k + 1) the legs of copy k, and the action (letter, tensor)
+        -> tensor that applies the letter's PVM element to its legs by
+        ``tensordot``."""
+        axis = {sc: 2 * k for k, sc in enumerate(copies)}
+        psi = self.src_vec[copies[0][0]]
+        for src, _ in copies[1:]:
+            psi = np.tensordot(psi, self.src_vec[src], axes=0)
+
+        def act(l: Letter, cur: np.ndarray) -> np.ndarray:
+            op = self.strategy.pvms[(l.party, l.input)][l.output]
+            axes = [axis[sc] + leg for sc, leg in self._legs(l)]
+            dims = tuple(cur.shape[a] for a in axes)
+            out = np.tensordot(op.reshape(dims + dims), cur,
+                               axes=(range(len(axes), 2 * len(axes)), axes))
+            return np.moveaxis(out, range(len(axes)), axes)
+
+        return psi, act
 
     def value(self, w: Word) -> float:
         if w not in self._value_cache:
@@ -650,78 +671,35 @@ class InflatedBilocalOracle:
         for l in w.letters:
             if not l.is_measurement or l.copies is None:
                 raise ScenarioError("inflated oracle expects inflated measurement words")
+        copies = [[sc for sc, _ in self._legs(l)] for l in w.letters]
         ids: dict[tuple[str, int], int] = {}
         nodes = np.full((len(w), 2), -1)
-        for i, l in enumerate(w.letters):
-            for k, (src, c, _) in enumerate(self._letter_nodes(l)):
-                nodes[i, k] = ids.setdefault((src, c), len(ids))
+        for i, pairs in enumerate(copies):
+            for k, sc in enumerate(pairs):
+                nodes[i, k] = ids.setdefault(sc, len(ids))
         comp = sharing_components(nodes)
         total = 1.0 + 0.0j
         for k in range(comp.max(initial=-1) + 1):
-            letters = [w.letters[i] for i in np.flatnonzero(comp == k)]
-            copies = sorted({(src, c) for l in letters
-                             for src, c, _ in self._letter_nodes(l)})
-            total *= self._component_value(copies, letters)
+            members = np.flatnonzero(comp == k)
+            psi, act = self._model(sorted({sc for i in members for sc in copies[i]}))
+            cur = psi
+            for i in members[::-1]:  # apply rightmost factor first
+                cur = act(w.letters[i], cur)
+            total *= complex(np.vdot(psi, cur))
         return total
 
-    def _component_value(self, copies: list[tuple[str, int]],
-                         letters: list[Letter]) -> complex:
-        # tensor with two axes (legs 0, 1) per source copy
-        axis_of = {}
-        tensors = []
-        for k, (src, c) in enumerate(copies):
-            axis_of[(src, c, 0)] = 2 * k
-            axis_of[(src, c, 1)] = 2 * k + 1
-            tensors.append(self.src_vec[src])
-        psi = tensors[0]
-        for t in tensors[1:]:
-            psi = np.tensordot(psi, t, axes=0)
-        cur = psi
-        for l in reversed(letters):  # apply rightmost factor first
-            op = self.strategy.pvms[(l.party, l.input)][l.output]
-            axes = [axis_of[nd] for nd in self._letter_nodes(l)]
-            dims = tuple(cur.shape[a] for a in axes)
-            op_t = op.reshape(dims + dims)
-            cur = np.tensordot(op_t, cur, axes=(range(len(axes), 2 * len(axes)), axes))
-            cur = np.moveaxis(cur, range(len(axes)), axes)
-        return complex(np.vdot(psi, cur))
-
     def dense_gram(self, words: Sequence[Word]) -> np.ndarray:
-        """Gram matrix via an explicit dense inflated model (small m only)."""
+        """Gram matrix from the model on all 2m source copies."""
         psi, act = self._dense_model()
         return _gram({(): psi}, words, act)
 
     def _dense_model(self):
-        """The state vector of the dense inflated model, and the action
-        (letter, vector) -> dense operator @ vector, which embeds each
-        letter's operator once."""
-        dA, dBL, dBR, dC = self.strategy.dims
-        m = self.m
-        dims = [dA, dBL] * m + [dBR, dC] * m
-        D = int(np.prod(dims))
-        if D > 4096:
-            raise ScenarioError(f"dense inflated model too large (dim {D})")
-        psi = np.array([1.0])
-        for _ in range(m):
-            psi = np.kron(psi, self.src_vec["rho"].reshape(-1))
-        for _ in range(m):
-            psi = np.kron(psi, self.src_vec["sigma"].reshape(-1))
-        pos = {}
-        for i in range(1, m + 1):
-            pos[("rho", i, 0)] = 2 * (i - 1)
-            pos[("rho", i, 1)] = 2 * (i - 1) + 1
-            pos[("sigma", i, 0)] = 2 * m + 2 * (i - 1)
-            pos[("sigma", i, 1)] = 2 * m + 2 * (i - 1) + 1
-        op_cache: dict[Letter, np.ndarray] = {}
-
-        def act(l: Letter, tail: np.ndarray) -> np.ndarray:
-            if l not in op_cache:
-                op = self.strategy.pvms[(l.party, l.input)][l.output]
-                positions = [pos[nd] for nd in self._letter_nodes(l)]
-                op_cache[l] = embed_operator(op, positions, dims)
-            return op_cache[l] @ tail
-
-        return psi, act
+        """:meth:`_model` on every source copy, rho's copies first."""
+        if self._dense_dim() > DENSE_INFLATION_DIM:
+            raise ScenarioError(f"dense inflated model too large "
+                                f"(dim {self._dense_dim()})")
+        return self._model([(src, c) for src in BILOCAL_SOURCES
+                            for c in range(1, self.m + 1)])
 
 
 # ---------------------------------------------------------------------------

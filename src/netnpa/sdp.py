@@ -73,6 +73,7 @@ from .moment import (
     ResidualReport,
     check_assignment,
 )
+from .words import render_word
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MARGIN = 1e-4
@@ -152,6 +153,17 @@ def _require_linear(problem: MomentProblem) -> None:
             "factorisation.pin_linearize first")
 
 
+def _require_sdp_form(problem: MomentProblem) -> None:
+    """Raise unless ``problem`` has an SDP form: its factorisation
+    families linearized and no pair left bilinear by the linearization."""
+    _require_linear(problem)
+    if problem.flagged_bilinear:
+        raise SdpStructureError(
+            f"{len(problem.flagged_bilinear)} factorisation pairs are still "
+            "bilinear after linearization, so the problem has no SDP form; "
+            "solve it with factorisation.solve_frozen")
+
+
 def compile(problem: MomentProblem,
             objective: Mapping[int, float] | None = None) -> AffineSdp:
     """Flatten a moment problem into cell-level equality rows.
@@ -160,12 +172,7 @@ def compile(problem: MomentProblem,
     first (``factorisation.pin_linearize``), or build a hierarchy without
     them.
     """
-    _require_linear(problem)
-    if problem.flagged_bilinear:
-        raise SdpStructureError(
-            f"{len(problem.flagged_bilinear)} factorisation pairs are still "
-            "bilinear after linearization, so the problem has no SDP form; "
-            "solve it with factorisation.solve_frozen")
+    _require_sdp_form(problem)
     n = problem.dim
     # the upper-triangle cells class after class, in row-major order: the
     # first cell of a class is its representative (classes are symmetric,
@@ -551,7 +558,6 @@ class _ClassSystem:
 
     def __init__(self, problem: MomentProblem):
         self.problem = problem
-        self.k = problem.n_classes
         self.cell_class = problem.cell_class
         self.rows = problem.active_rows
         self.known = problem.pinned_values()
@@ -613,8 +619,6 @@ class _ClassSystem:
         self._pending = plan.pending
 
     def _row_evidence(self, r: int, resid: float) -> str:
-        from .words import render_word
-
         rows = self.rows
         e = slice(rows.starts[r], rows.starts[r + 1])
         terms = " + ".join(
@@ -870,11 +874,13 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     feasible set; returns (optimal value, witness matrix).
 
     Runs the interior point; raises :class:`SdpStructureError` when the
-    problem is infeasible by presolve, too large, or the solve does not
-    reach ``tol`` in relative gap and infeasibilities.  When the affine
-    set is one matrix (dim ker R = 0), that matrix is the witness if its
-    min eigenvalue is at least -tol, and the problem is infeasible else.
+    problem has no SDP form (as :func:`compile`), is infeasible by
+    presolve, too large, or the solve does not reach ``tol`` in relative
+    gap and infeasibilities.  When the affine set is one matrix (dim ker
+    R = 0), that matrix is the witness if its min eigenvalue is at least
+    -tol, and the problem is infeasible else.
     """
+    _require_sdp_form(problem)
     cs = _ClassSystem(problem)
     if cs.contradiction is not None:
         raise SdpStructureError(f"infeasible problem: {cs.contradiction}")

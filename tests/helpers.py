@@ -823,7 +823,7 @@ def gram_range(cs) -> np.ndarray:
     with the eigenvalues below 1e-10 of the largest taken as zero."""
     X0 = cs.assemble(cs.y0)
     gram = X0 @ X0
-    y = np.zeros(cs.k)
+    y = np.zeros(cs.problem.n_classes)
     for j in range(cs.N.shape[1]):
         y[cs.free] = cs.N[:, j]
         D = y[cs.cell_class]
@@ -925,7 +925,7 @@ def single_block_phase1(cs, tol: float = 1e-7):
     V = p.column_range
     P, r = cs.N.shape[1], V.shape[1]
     B = np.empty((P, r, r))
-    y = np.zeros(cs.k)
+    y = np.zeros(cs.problem.n_classes)
     for j in range(P):
         y[cs.free] = cs.N[:, j]
         B[j] = V.T @ y[cs.cell_class] @ V
@@ -988,7 +988,7 @@ def word_keyed_vectors(psi: np.ndarray, act):
 
 
 def gram_of(vectors) -> np.ndarray:
-    V = np.column_stack(vectors)
+    V = np.column_stack([np.ravel(v) for v in vectors])
     G = (V.conj().T @ V).real
     return (G + G.T) / 2
 

@@ -273,7 +273,7 @@ def test_embed_operator_matches_kron():
 
 @pytest.mark.parametrize("dims,positions", [
     ((2, 3, 2), [0]), ((2, 3, 2), [1]), ((2, 3, 2), [2]), ((2, 2, 2, 2), [1, 2]),
-    ((3, 2, 2), [0, 1]), ((2, 2, 3, 2), [0, 3])])
+    ((3, 2, 2), [0, 1])])
 def test_embed_operator_is_the_transposed_kron_bit_for_bit(dims, positions):
     rng = np.random.default_rng(len(dims) + positions[-1])
     d = int(np.prod([dims[i] for i in positions]))
@@ -282,6 +282,14 @@ def test_embed_operator_is_the_transposed_kron_bit_for_bit(dims, positions):
     got = embed_operator(op, positions, dims)
     assert got.flags.c_contiguous
     assert got.tobytes() == transposed_embed(op, positions, dims).tobytes()
+
+
+def test_embed_operator_refuses_non_contiguous_positions():
+    op = np.eye(4)
+    with pytest.raises(ScenarioError, match="contiguous"):
+        embed_operator(op, [0, 3], (2, 2, 3, 2))
+    with pytest.raises(ScenarioError, match="contiguous"):
+        embed_operator(op, [2, 1], (2, 2, 2, 2))
 
 
 def _gram_case(name):
@@ -351,6 +359,29 @@ def test_inflated_oracle_matches_dense_model():
     G_comp = np.array([[infl.value(concat(involute(w1), w2)) for w2 in words]
                        for w1 in words])
     assert np.abs(G_dense - G_comp).max() < 1e-12
+
+
+def test_inflated_gram_is_the_value_at_the_dense_limit():
+    # (2*2*2*2)**3 = 4096 amplitudes: the largest model that has a gram
+    s = random_strategy(BILOCAL, (2, 2, 2, 2), 19)
+    infl = InflatedBilocalOracle(s, 3)
+    assert hasattr(infl, "gram")
+    words = enumerate_words(BILOCAL.inflated_alphabet(3), 2)
+    rng = np.random.default_rng(0)
+    picked = [words[i] for i in rng.choice(len(words), size=40, replace=False)]
+    G = infl.gram(picked)
+    G_val = np.array([[infl.value(concat(involute(u), v)) for v in picked]
+                      for u in picked])
+    assert np.abs(G - G_val).max() < 1e-12
+
+
+def test_inflated_oracle_has_no_gram_past_the_dense_limit():
+    # (2*2*2*3)**3 = 13824 amplitudes
+    s = random_strategy(BILOCAL, (2, 2, 2, 3), 19)
+    infl = InflatedBilocalOracle(s, 3)
+    assert not hasattr(infl, "gram")
+    with pytest.raises(ScenarioError, match="too large"):
+        infl._dense_model()
 
 
 def test_inflated_oracle_reduces_to_plain_at_m1():

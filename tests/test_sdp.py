@@ -186,6 +186,20 @@ def test_maximize_linear_refuses_a_problem_too_large_for_the_interior_point(
         maximize_linear(p, obj)
 
 
+def test_maximize_linear_refuses_what_compile_refuses():
+    # unpinned, the 16 A-C factor pairs are bilinear, and after
+    # pin_linearize 4 of them still are: the optimum without them (1.0
+    # for G[A0, C0]) is not the problem's, so neither is answered
+    p = cached_problem("factorisation", *BILOCAL_111, 2)
+    a0c0 = {p.class_of_cell(word([meas("A")]), word([meas("C")])): 1.0}
+    lp = factorisation.pin_linearize(p)
+    assert len(lp.flagged_bilinear) == 4
+    for problem, message in ((p, "linearize them"), (lp, "still bilinear")):
+        for call in (compile, lambda q: maximize_linear(q, a0c0)):
+            with pytest.raises(SdpStructureError, match=message):
+                call(problem)
+
+
 def _one_matrix_problem(n, alice=(0.3, 0.7)):
     # one input per party and every class pinned or propagated: the affine
     # set is one matrix, and dim ker R = 0
@@ -393,7 +407,7 @@ def test_copy_blocks_block_diagonalise_c_and_every_direction(name):
     assert off <= 1e-10
     # the blocks from one word per orbit are the diagonal blocks
     assert all(np.abs(C - G).max() <= 1e-10 for C, G in zip(_reduce(cs), diag))
-    y = np.zeros(cs.k)
+    y = np.zeros(cs.problem.n_classes)
     for j in range(cs.N.shape[1]):
         y[cs.free] = cs.N[:, j]
         off, diag = _off_block(blocks, y[cs.cell_class])
