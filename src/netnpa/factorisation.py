@@ -51,7 +51,7 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
     linearization (rows or flagged pairs) is returned as is.
     """
     pairs = problem.factor_pairs + problem.factor_triples
-    if not pairs or problem.linear_factor_rows or problem.flagged_bilinear:
+    if not pairs or problem.linearized:
         return problem
     known, _contradiction = _sdp.propagated_values(problem)
     # a contradiction among pins alone is legitimate output: the linearized

@@ -33,12 +33,15 @@ of ``sdp``, which are small after the affine and structural-kernel
 eliminations and split further into copy-symmetry blocks.  It does
 not raise on numerical breakdown: a failed factorisation ends the run with
 status ``stalled`` and the last iterate's y, which callers check on their
-own.  scipy is imported on the first solve, not with the module.
+own.  A caller that needs only a dual point good enough for its purpose
+passes ``stop``, and the run ends (status ``target``) at the first
+iterate whose dual objective reaches it.  scipy is imported on the first
+solve, not with the module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +51,7 @@ MAX_ITER = 100
 
 @dataclass
 class LmiResult:
-    status: str                # optimal | stalled | max_iter
+    status: str                # optimal | target | stalled | max_iter
     y: np.ndarray
     primal_obj: float          # <C, X>
     dual_obj: float            # b'y
@@ -120,7 +123,8 @@ def block_views(A: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
 
 
 def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
-              tol: float = 1e-9, start: np.ndarray | None = None) -> LmiResult:
+              tol: float = 1e-9, start: np.ndarray | None = None,
+              stop: float | None = None) -> LmiResult:
     """Solve (P)/(D) above for block-diagonal data.
 
     ``C`` holds the blocks C_b (r_b, r_b) and ``A`` the A_i as packed rows
@@ -130,7 +134,13 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
     lengths are the least over the blocks, and inner products sum over
     them.  ``start``, when given, is the first y; C - A'(start) must be
     positive definite, else ``ValueError``.  Stops when the relative gap
-    and both relative infeasibilities are below ``tol``, or at ``MAX_ITER``.
+    and both relative infeasibilities are below ``tol`` (status
+    ``optimal``), or at ``MAX_ITER``.  With ``stop``, it also stops, with
+    status ``target``, at the first iterate whose dual objective b'y is at
+    least ``stop``.  From a ``start`` every iterate keeps S = C - A'(y)
+    positive definite, so that y is then a dual feasible point with b'y >=
+    ``stop``, whatever the gap left.  A solve that never reaches ``stop``
+    runs exactly as one without it.
     """
     from scipy.linalg import lapack
 
@@ -185,6 +195,8 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         res = result("optimal", it)
         if max(res.rel_gap, res.primal_infeas, res.dual_infeas) <= tol:
             return res
+        if stop is not None and res.dual_obj >= stop:
+            return replace(res, status="target")
         if it == MAX_ITER:
             return result("max_iter", it)
         # X_g and S_g factored as one stack [X_g; S_g] per size

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -187,7 +188,9 @@ NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 @dataclass(frozen=True, eq=False)
 class CopyBlocks:
     """Orthonormal bases ``bases`` U_b, (dim, r_b), that block-diagonalise
-    the moment matrices of a problem (:attr:`MomentProblem.copy_blocks`).
+    the moment matrices of a problem (:attr:`MomentProblem.copy_blocks` on
+    the range of the completeness relations, :attr:`MomentProblem.index_blocks`
+    on the whole index).
 
     Each U_b is a joint eigenspace of the copy swaps: U_b[pi] = +-U_b for
     every swap's index permutation pi, and every moment matrix X has
@@ -327,6 +330,13 @@ class MomentProblem:
         copy._structures = self._structures
         return copy
 
+    @property
+    def linearized(self) -> bool:
+        """Whether this problem holds the linearization of its factor
+        families (``factorisation.pin_linearize``): linear factor rows or
+        pairs flagged as still bilinear."""
+        return bool(len(self.linear_factor_rows) or self.flagged_bilinear)
+
     def pinned_values(self) -> np.ndarray:
         """The value of every class: its pinned value, NaN where none."""
         values = np.full(self.n_classes, np.nan)
@@ -414,6 +424,15 @@ class MomentProblem:
             return CopyBlocks((self.column_range,), np.arange(self.dim),
                               np.ones(self.dim))
         return _copy_blocks(self)
+
+    @_structure
+    def index_blocks(self) -> CopyBlocks | None:
+        """The joint eigenvectors of the copy swaps on the whole index, one
+        block per character (:func:`_index_blocks`), or None for a problem
+        without ``copy_generators``.  Every matrix that is constant on each
+        class commutes with the swaps, so its eigenvalues are those of its
+        blocks; ``check_assignment`` reads them from here."""
+        return _index_blocks(self) if self.copy_generators else None
 
     def class_average(self, X: np.ndarray) -> np.ndarray:
         """Mean of ``X`` over the cells of each class (the class cells
@@ -1010,12 +1029,7 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     """
     V = problem.column_range
     n, r = V.shape
-    perms = problem.copy_generators[0]
-    for src, pi in zip(problem.alphabet.sources(), perms):
-        if not np.array_equal(problem.cell_class[np.ix_(pi, pi)],
-                              problem.cell_class):
-            raise RuntimeError(f"the copy swap of source {src} moves a cell "
-                               "to another class")
+    perms = _copy_swaps(problem)
     # (basis in V's coordinates, character) per block
     split = [(np.eye(r), ())]
     for pi in perms:
@@ -1049,13 +1063,71 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     if off > tol * np.linalg.norm(X):
         raise RuntimeError(f"the copy-swap blocks leave an off-block entry "
                            f"{off:.3e}")
-    # the least word of every orbit of the group the swaps generate (they
-    # commute, so one pass over them takes the minimum over the group)
+    return CopyBlocks(tuple(bases), *_swap_orbits(perms, n))
+
+
+def _copy_swaps(problem: MomentProblem) -> tuple[np.ndarray, ...]:
+    """The index permutations of the copy swaps (1 2) of every source,
+    after checking that each maps every cell's class to itself (raises
+    :class:`RuntimeError` else), so that X[pi][:, pi] = X for every matrix
+    X that is constant on each class."""
+    perms = problem.copy_generators[0]
+    for src, pi in zip(problem.alphabet.sources(), perms):
+        if not np.array_equal(problem.cell_class[np.ix_(pi, pi)],
+                              problem.cell_class):
+            raise RuntimeError(f"the copy swap of source {src} moves a cell "
+                               "to another class")
+    return perms
+
+
+def _swap_orbits(perms: Sequence[np.ndarray], n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The least word of every orbit of the group the swaps ``perms``
+    generate on n words, and the orbit sizes as floats.  The swaps commute,
+    so one pass over them takes the minimum over the group."""
     least = np.arange(n)
     for pi in perms:
         least = np.minimum(least, least[pi])
     rows, weights = np.unique(least, return_counts=True)
-    return CopyBlocks(tuple(bases), rows, weights.astype(float))
+    return rows, weights.astype(float)
+
+
+def _index_blocks(problem: MomentProblem) -> CopyBlocks:
+    """The isotypic components of the whole index under the copy swaps,
+    built from the orbits alone (no factorisation).
+
+    The swaps pi_s commute and generate a group G of 2^s elements g, each
+    a product of swaps.  For a character chi in {+1, -1}^s, chi(g) is the
+    product of chi_s over the swaps of g, and for an orbit with least word
+    i the orbit sum sum_g chi(g) e_{g(i)} is zero unless chi is trivial on
+    the stabiliser of i; then it is |stabiliser| times a vector with
+    entries +-1 on the orbit, which normalised is one column of the block
+    of chi.  Each orbit O gives |O| characters and the columns have
+    disjoint supports within a block, so the blocks are orthonormal and
+    hold dim columns in all.  A matrix X with X[pi][:, pi] = X for every
+    swap maps each block to itself, so U_b' X U_b over the blocks gives
+    X's eigenvalues (Gatermann and Parrilo 2004)."""
+    perms = _copy_swaps(problem)
+    n = problem.dim
+    rows, weights = _swap_orbits(perms, n)
+    cols = np.arange(len(rows))
+    # every element of G as (its index permutation, its swaps)
+    elements = [(np.arange(n), ())]
+    for s, pi in enumerate(perms):
+        elements += [(pi[g], swaps + (s,)) for g, swaps in elements]
+    bases = []
+    for chi in itertools.product((1.0, -1.0), repeat=len(perms)):
+        U = np.zeros((n, len(rows)))
+        for g, swaps in elements:
+            U[g[rows], cols] += math.prod(chi[s] for s in swaps)
+        keep = U[rows, cols] != 0.0
+        # entries are +-|G|/|O|: scale them to +-1/sqrt(|O|), exactly up to
+        # the square root since |G|/|O| is a power of two
+        size = weights[keep]
+        bases.append(U[:, keep] * (size / len(elements) / np.sqrt(size)))
+    if sum(U.shape[1] for U in bases) != n:
+        raise RuntimeError("the copy-swap orbit sums do not span the index")
+    return CopyBlocks(tuple(bases), rows, weights)
 
 
 def build_inflation(scenario: Scenario, n: int, m: int, *,
@@ -1276,6 +1348,23 @@ def factor_residual(class_vals: np.ndarray,
                  .max(initial=0.0))
 
 
+def _constant(values: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether every consecutive segment of ``values`` opening at
+    ``starts`` (none empty) holds one value, to the last bit."""
+    sizes = np.diff(starts, append=len(values))
+    return np.array_equal(values, np.repeat(values[starts], sizes))
+
+
+def _extremes(values: np.ndarray, starts: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """max and min of each consecutive segment of ``values`` opening at
+    ``starts`` (none empty); when every segment is constant, both are its
+    first values, found without the segmented reductions."""
+    if _constant(values, starts):
+        return values[starts], values[starts]
+    return np.maximum.reduceat(values, starts), np.minimum.reduceat(values, starts)
+
+
 def _spreads(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """max - min of each consecutive segment of ``values`` opening at
     ``starts``."""
@@ -1284,23 +1373,36 @@ def _spreads(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def check_assignment(problem: MomentProblem,
                      assignment: MomentAssignment) -> ResidualReport:
-    """Per-family maximal residuals of an assignment."""
+    """Per-family maximal residuals of an assignment.
+
+    The min eigenvalue is read from the problem's ``index_blocks`` when
+    the matrix is constant on every class to the last bit: the Hankel
+    spread is 0.0, and so is the spread of the groups' values over each
+    class (taken on the values, not on the group means, which rounding
+    may set apart).  Such a matrix commutes with the copy swaps, and its
+    eigenvalues are those of the blocks.  Any other matrix takes one
+    ``eigvalsh`` of the whole index."""
     X = assignment.matrix
     vals = X.reshape(-1)
     cells, group_bounds = problem.group_layout
     group_means = (np.bincount(problem.cell_group.reshape(-1), weights=vals,
                                minlength=len(problem.group_keys))
                    / np.diff(group_bounds))
-    hankel = float(_spreads(vals[cells], group_bounds[:-1]).max())
+    group_max, group_min = _extremes(vals[cells], group_bounds[:-1])
+    hankel = float((group_max - group_min).max())
     # class value: the mean of its groups' means
     groups, class_bounds = problem.class_layout
     class_vals = (np.bincount(problem.group_class, weights=group_means,
                               minlength=problem.n_classes)
                   / np.diff(class_bounds))
     merge_res = float(_spreads(group_means[groups], class_bounds[:-1]).max())
-    cell_pin = problem.pinned_values()[problem.cell_class].reshape(-1)
-    pinned = ~np.isnan(cell_pin)
-    pins = float(np.abs(vals[pinned] - cell_pin[pinned]).max(initial=0.0))
+    # a pinned group's worst cell is its max or its min, since x - v rounds
+    # monotonically in x
+    group_pin = problem.pinned_values()[problem.group_class]
+    pinned = ~np.isnan(group_pin)
+    pins = float(np.maximum(np.abs(group_max[pinned] - group_pin[pinned]),
+                            np.abs(group_min[pinned] - group_pin[pinned]))
+                 .max(initial=0.0))
     rows = problem.active_rows
     lhs = np.bincount(rows.row, weights=rows.coeffs * class_vals[rows.classes],
                       minlength=len(rows))
@@ -1315,7 +1417,13 @@ def check_assignment(problem: MomentProblem,
         products = np.multiply.reduceat(
             class_vals[np.concatenate(factors).astype(np.intp)], starts)
         ext = float(np.abs(class_vals[prods] - products).max())
-    eigmin = float(np.linalg.eigvalsh((X + X.T) / 2).min())
+    blocks = problem.index_blocks
+    if (blocks is not None and hankel == 0.0
+            and _constant(group_max[groups], class_bounds[:-1])):
+        eigmin = min(float(np.linalg.eigvalsh(G)[0])
+                     for G in blocks.congruence(X[blocks.rows]))
+    else:
+        eigmin = float(np.linalg.eigvalsh((X + X.T) / 2).min())
     return ResidualReport(hankel=hankel, merges=merge_res, pins=pins,
                           completeness=completeness, factorisation=fact,
                           extended_products=ext, min_eigenvalue=eigmin)

@@ -41,8 +41,12 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    (``_RowFactor.phase1_rows``), when (p + 1) sum_b r_b^2 <=
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
    (:class:`EngineRoute`).  A larger problem is inconclusive at once, with
-   no engine run; an interior point that ends short of a verdict reports
-   inconclusive, naming its status.
+   no engine run.  The search starts strictly dual feasible and every
+   iterate stays so, so it stops at the first iterate with t >= -tol/2
+   (status ``target``), whose X(z) passes the witness gate's eigenvalue
+   test; a reject never gets there and runs to convergence.  An interior
+   point that ends short of a verdict reports inconclusive, naming its
+   status.
 
 One function (``_verdict``) turns where the fully determined matrix or the
 interior point ends into a verdict.  The matrix is a candidate witness
@@ -145,9 +149,10 @@ def _cell_weight(i: int, j: int) -> float:
 
 def _require_linear(problem: MomentProblem) -> None:
     """Raise unless every factorisation family of ``problem`` is
-    linearized."""
+    linearized: ``factorisation.pin_linearize`` has run, whether it left
+    linear rows, flagged pairs or both."""
     if (problem.factor_pairs or problem.factor_triples) \
-            and not problem.linear_factor_rows:
+            and not problem.linearized:
         raise SdpStructureError(
             "problem has bilinear factorisation families; linearize them via "
             "factorisation.pin_linearize first")
@@ -775,14 +780,18 @@ def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
     return blocks.congruence(cs.assemble(cs.y0)[blocks.rows])
 
 
-def _interior_phase1(cs: _ClassSystem, tol: float):
+def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     """max t s.t. U_b' X(z) U_b - t*1 >= 0 for every block b; returns
     (witness X(z), solver result).
 
     The solve starts from z = 0, t = min_b lambda_min(C_b) - 1, where
     every block of the dual matrix C - t*1 has min eigenvalue 1: a
     strictly feasible dual point, so the interior point spends no
-    iteration on the dual residual."""
+    iteration on the dual residual, and every later iterate stays
+    strictly dual feasible.  So with ``stop`` the solve may end, with
+    status ``target``, at the first iterate with t >= ``stop``: there
+    every block of X(z) already has min eigenvalue above ``stop``.
+    Without it, the solve runs to convergence."""
     C = _reduce(cs)
     p = cs.N.shape[1]
     b = np.zeros(p + 1)
@@ -790,7 +799,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float):
     start = np.zeros(p + 1)
     start[-1] = min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0
     res = interior.solve_lmi(C, cs.factor.phase1_rows(cs.problem), b,
-                             tol=tol * 1e-2, start=start)
+                             tol=tol * 1e-2, start=start, stop=stop)
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
 
 
@@ -851,7 +860,10 @@ def solve_feasibility(problem: MomentProblem,
             "inconclusive", t_star=math.nan, route=route,
             evidence=f"too large for the interior point: (p + 1)*sum r_b^2 = "
                      f"{route.entries} > {INTERIOR_MAX_ENTRIES}")
-    X, res = _interior_phase1(cs, tol)
+    # an iterate with t >= -tol/2 has every copy block, hence the whole
+    # index, above -tol/2, where the gate's psd family passes; a reject
+    # never reaches it and runs to convergence
+    X, res = _interior_phase1(cs, tol, stop=-tol / 2)
     t = res.primal_obj
     # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
     outcome = _verdict(

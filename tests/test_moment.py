@@ -434,6 +434,66 @@ def test_check_assignment_matches_the_loop_reference(name):
             assert abs(got[family] - ref[family]) <= 1e-12, family
 
 
+def _uniform_inflation(topology, m):
+    sc = Scenario(*topology)
+    return pin_distribution(cached_problem("inflation", *topology, 2, m),
+                            product_distribution(sc, [np.full((2, 1), 0.5)] * 3))
+
+
+def _eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes ``np.linalg.eigvalsh`` is called on from now on."""
+    shapes = []
+    full = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return full(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("topology, m", [(BILOCAL_111, 2), (TRIANGLE_111, 2),
+                                         (BILOCAL_111, 3)])
+def test_class_valued_matrices_are_checked_on_the_index_blocks(
+        topology, m, monkeypatch):
+    p = _uniform_inflation(topology, m)
+    blocks = p.index_blocks
+    assert sum(blocks.sizes) == p.dim
+    U = np.hstack(blocks.bases)
+    assert np.abs(U.T @ U - np.eye(p.dim)).max() <= 1e-12
+    shapes = _eigvalsh_shapes(monkeypatch)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        X = rng.standard_normal(p.n_classes)[p.cell_class]
+        a = MomentAssignment(p, X)
+        shapes.clear()
+        got = check_assignment(p, a)
+        # no eigvalsh of the whole index: the blocks decide
+        assert (p.dim, p.dim) not in shapes
+        ref = loop_check_assignment(p, a)
+        for family, value in ref.families().items():
+            assert abs(got.families()[family] - value) <= 1e-12, family
+        assert (abs(got.min_eigenvalue - ref.min_eigenvalue)
+                <= 1e-12 * np.linalg.norm(X))
+    # one cell moved by one ulp: no longer constant on its class, so the
+    # whole index takes one eigvalsh
+    i, j = 1, p.dim - 1
+    X[i, j] = np.nextafter(X[i, j], np.inf)
+    a = MomentAssignment(p, X)
+    shapes.clear()
+    got = check_assignment(p, a)
+    assert (p.dim, p.dim) in shapes
+    ref = loop_check_assignment(p, a)
+    for family, value in ref.families().items():
+        assert abs(got.families()[family] - value) <= 1e-12, family
+    assert got.hankel > 0.0
+
+
+def test_a_problem_without_copy_swaps_has_no_index_blocks():
+    assert cached_problem("standard", *BILOCAL_111, 2).index_blocks is None
+
+
 def test_inflation_orbit_merges():
     p = cached_problem("inflation", *BILOCAL_111, 2, 2)
     a1c1 = concat(word([meas("A", copies=(1,))]), word([meas("C", copies=(1,))]))

@@ -25,6 +25,7 @@ from netnpa.scenarios import (
     shared_random_bit,
 )
 from netnpa.sdp import (
+    DEFAULT_TOL,
     AffineSdp,
     SdpRow,
     SdpStructureError,
@@ -198,6 +199,19 @@ def test_maximize_linear_refuses_what_compile_refuses():
         for call in (compile, lambda q: maximize_linear(q, a0c0)):
             with pytest.raises(SdpStructureError, match=message):
                 call(problem)
+
+
+def test_a_problem_linearized_with_every_pair_flagged_is_solved():
+    # unpinned at level 1, pin_linearize finds no factor determined: no
+    # linear row and 4 flagged pairs, which the solve checks on its witness
+    lp = factorisation.pin_linearize(build_factorisation_bilocal(BILOCAL, 1))
+    assert len(lp.linear_factor_rows) == 0 and len(lp.flagged_bilinear) == 4
+    assert lp.linearized and factorisation.pin_linearize(lp) is lp
+    with pytest.raises(SdpStructureError, match="still bilinear"):
+        compile(lp)
+    out = solve_feasibility(lp)
+    assert out.verdict == "feasible"
+    assert out.residuals.factorisation <= 10 * DEFAULT_TOL
 
 
 def _one_matrix_problem(n, alice=(0.3, 0.7)):
@@ -580,9 +594,72 @@ def test_triangle_band_is_decided_by_the_interior_point(v, verdict):
     assert out.route.interior
 
 
+def _accept_problem(name):
+    if name == "triangle-uniform":
+        return pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                                uniform_product(Scenario(*TRIANGLE_111)))
+    return _phase1_problem(name)
+
+
+def test_an_accept_stops_at_the_first_deciding_iterate():
+    tol = DEFAULT_TOL
+    saved = 0
+    for name in [f"bilocal:{seed}" for seed in range(6)] + ["triangle-uniform"]:
+        p = _accept_problem(name)
+        cs = _ClassSystem(p)
+        assert cs.factor_rows() == (True, "")
+        _X, converged = _interior_phase1(cs, tol)
+        _X, stopped = _interior_phase1(cs, tol, stop=-tol / 2)
+        assert stopped.status == "target", name
+        assert stopped.dual_obj >= -tol / 2
+        assert stopped.iterations <= converged.iterations, name
+        saved += converged.iterations - stopped.iterations
+        out = solve_feasibility(p)
+        assert out.verdict == "feasible", name
+        assert out.iterations == stopped.iterations
+        assert out.residuals.families()["psd"] <= tol / 2
+        assert out.t_star >= -tol / 2
+    # the triangle and four of the six tables stop one iterate early; the
+    # other two reach t >= -tol/2 only at the iterate where the converged
+    # solve ends
+    assert saved == 5
+
+
+@pytest.mark.parametrize("v", [0.47, 0.5])
+def test_a_reject_never_reaches_the_stop_and_keeps_the_converged_t(v):
+    p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                         _mixture(v))
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    _X, converged = _interior_phase1(cs, DEFAULT_TOL)
+    out = solve_feasibility(p)
+    assert out.verdict == "infeasible"
+    assert out.t_star == converged.primal_obj
+    assert out.iterations == converged.iterations
+
+
+def test_a_stop_the_solve_never_reaches_changes_nothing():
+    cs = _ClassSystem(_phase1_problem("chsh:0.725"))
+    assert cs.factor_rows() == (True, "")
+    C, A = _reduce(cs), cs.factor.phase1_rows(cs.problem)
+    b = np.zeros(cs.N.shape[1] + 1)
+    b[-1] = 1.0
+    start = b * (min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0)
+    plain = interior.solve_lmi(C, A, b, tol=1e-9, start=start)
+    # the optimum is about -0.0506, so the dual objective stays below 0
+    high = interior.solve_lmi(C, A, b, tol=1e-9, start=start, stop=0.0)
+    assert (high.status, high.iterations) == (plain.status, plain.iterations)
+    assert np.array_equal(high.y, plain.y)
+    # a stop below the optimum ends the solve at the first iterate past it
+    low = interior.solve_lmi(C, A, b, tol=1e-9, start=start, stop=-0.06)
+    assert low.status == "target"
+    assert -0.06 <= low.dual_obj <= plain.dual_obj
+    assert low.iterations < plain.iterations
+
+
 def test_a_stalled_interior_point_is_inconclusive_and_runs_no_projection(
         monkeypatch):
-    def stalled(C, A, b, tol=1e-9, start=None):
+    def stalled(C, A, b, tol=1e-9, start=None, stop=None):
         return interior.LmiResult("stalled", np.zeros(len(b)), primal_obj=-0.5,
                                   dual_obj=-1.0, primal_infeas=1.0,
                                   dual_infeas=1.0, iterations=3)
