@@ -30,13 +30,17 @@ length, and the small factorisations call LAPACK directly.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel
-eliminations and split further into copy-symmetry blocks.  It does
-not raise on numerical breakdown: a failed factorisation ends the run with
-status ``stalled`` and the last iterate's y, which callers check on their
-own.  A caller that needs only a dual point good enough for its purpose
-passes ``stop``, and the run ends (status ``target``) at the first
-iterate whose dual objective reaches it.  scipy is imported on the first
-solve, not with the module.
+eliminations and split further into copy-symmetry blocks.  Near an
+optimum whose dual solution is not unique, the Schur complement has
+directions of size O(mu) against O(1/mu), and rounding can leave it
+indefinite; it is then factored with the least diagonal shift that
+works, and each solve with that factor takes one refinement step.  It
+does not raise on numerical breakdown: a failed factorisation ends the
+run with status ``stalled`` and the last iterate's y, which callers
+check on their own.  A caller that needs only a dual point good enough
+for its purpose passes ``stop``, and the run ends (status ``target``) at
+the first iterate whose dual objective reaches it.  scipy is imported on
+the first solve, not with the module.
 """
 
 from __future__ import annotations
@@ -104,6 +108,18 @@ def _cholesky(stack: np.ndarray, lapack) -> tuple[np.ndarray, np.ndarray] | None
         if info:
             return None
     return L, L_inv
+
+
+def _shifted_cholesky(M: np.ndarray, lapack) -> tuple[np.ndarray, float] | None:
+    """The lower Cholesky factor of M + d*I and d, for the least d in 0,
+    eps*max(diag M)*10^k (k = 0..7) that makes it positive definite
+    (Nocedal and Wright, "Numerical Optimization", Algorithm 3.3)."""
+    top = float(np.diagonal(M).max(initial=0.0))
+    for shift in [0.0] + [np.finfo(float).eps * top * 10 ** k for k in range(8)]:
+        L, info = lapack.dpotrf(M + shift * np.eye(len(M)), lower=1)
+        if not info and np.isfinite(L).all():
+            return L, shift
+    return None
 
 
 def _groups(sizes: Sequence[int]) -> list[list[int]]:
@@ -209,17 +225,22 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         Ls_inv = [Li[len(Xg):] for Li, Xg in zip(L_inv, X)]
         for Li, Ag, L, Tg in zip(Ls_inv, As, Lx, Ts):
             np.matmul(Li @ Ag, L, out=Tg)
-        schur, info = lapack.dpotrf(T @ T.T, lower=1)
-        if info or not np.isfinite(schur).all():
+        M = T @ T.T
+        factor = _shifted_cholesky(M, lapack)
+        if factor is None:
             return result("stalled", it)
+        schur, shift = factor
         S_inv = [np.swapaxes(Li, 1, 2) @ Li for Li in Ls_inv]
         rhs = rp + A @ _flat([Xg @ Rg @ Si for Xg, Rg, Si in zip(X, Rd, S_inv)])
 
         def direction(G):
             # HKM: dX = G - sym(X dS S^-1), dS = Rd - A'(dy), A(dX) = rp
-            dy, info = lapack.dpotrs(schur, rhs - A @ _flat(G), lower=1)
+            v = rhs - A @ _flat(G)
+            dy, info = lapack.dpotrs(schur, v, lower=1)
             if info:
                 raise ValueError(f"dpotrs: illegal argument {-info}")
+            if shift:
+                dy += lapack.dpotrs(schur, v - M @ dy, lower=1)[0]
             dS = [Rg - Ay for Rg, Ay in zip(Rd, split(dy @ A))]
             dX = [Gg - _sym(Xg @ dSg @ Si)
                   for Gg, Xg, dSg, Si in zip(G, X, dS, S_inv)]

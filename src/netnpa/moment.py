@@ -274,7 +274,7 @@ class MomentProblem:
     group_class: np.ndarray               # group -> merged class id
     cell_class: np.ndarray                # (N, N) class id per cell, group_class[cell_group]
     pinned: dict[int, float]
-    column_relations: np.ndarray          # (v, PVM) rows, see _column_relations
+    column_relations: np.ndarray          # (v, PVM) rows, left then right, see _assemble
     rows: FlatRows                        # completeness rows
     factor_pairs: tuple[FactorConstraint, ...] = ()
     factor_triples: tuple[FactorConstraint, ...] = ()
@@ -399,9 +399,9 @@ class MomentProblem:
     @_structure
     def column_range(self) -> np.ndarray:
         """An orthonormal basis V, (dim, r), of the complement of the span
-        of the vectors sum_a e_{A_{a|x} v} - e_v of the column relations.
-        Every moment matrix X of the problem maps them to zero (its
-        completeness rows), so X = V V' X V V'."""
+        of the vectors sum_a e_{A_{a|x} v} - e_v and sum_a e_{v A_{a|x}} -
+        e_v of the column relations.  Every moment matrix X of the problem
+        maps them to zero (its completeness rows), so X = V V' X V V'."""
         rel = self.column_relations
         U = np.zeros((len(rel), self.dim))
         k, a = np.nonzero(rel[:, :-1] >= 0)
@@ -637,13 +637,27 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], first
 
 
+def _sort_rows(a: np.ndarray) -> np.ndarray:
+    """``np.sort(a, axis=1)`` for narrow rows, in place: an odd-even
+    transposition sort, one vectorised compare-exchange per adjacent pair
+    of columns and pass, which is several times faster."""
+    for p in range(a.shape[1]):
+        for t in range(p % 2, a.shape[1] - 1, 2):
+            low = np.minimum(a[:, t], a[:, t + 1])
+            np.maximum(a[:, t], a[:, t + 1], out=a[:, t + 1])
+            a[:, t] = low
+    return a
+
+
 def _column_relations(targets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Column v of a moment matrix is the sum of its columns A_{a|x} v
-    over a PVM.  ``targets[l, j]`` is the index position of l v (-1 if
-    outside the index) for the PVM letters l, PVM after PVM with
-    ``sizes[k]`` letters in PVM k, and the index words v.  Each (v, PVM)
-    whose targets are all in the index gives one row, in (v, PVM) order:
-    its targets, padded with -1 to the largest PVM, then v."""
+    over a PVM, and so is the sum of its columns v A_{a|x}, since
+    sum_a A_{a|x} = 1 on either side of v.  ``targets[l, j]`` is the index
+    position of the product of the PVM letter l with the index word v
+    (-1 if outside the index), PVM after PVM with ``sizes[k]`` letters in
+    PVM k.  Each (v, PVM) whose targets are all in the index gives one
+    row, in (v, PVM) order: its targets, padded with -1 to the largest
+    PVM, then v."""
     cols = np.full((len(sizes), sizes.max(initial=0), targets.shape[1]), -1,
                    dtype=np.intp)
     for k, e in enumerate(np.cumsum(sizes)):
@@ -653,8 +667,9 @@ def _column_relations(targets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _completeness_rows(relations: np.ndarray, cell_class: np.ndarray) -> FlatRows:
-    """Rows sum_a G[w, A_{a|x} v] = G[w, v], one for every column relation
-    (v, PVM) and index word w, deduplicated at class level.  The classes
+    """Rows sum_a G[w, t_a] = G[w, v], one for every column relation
+    (t_a, v) (``_column_relations``: t_a is A_{a|x} v or v A_{a|x}) and
+    index word w, deduplicated at class level.  The classes
     of a row are summed, zero coefficients dropped, and of rows with equal
     classes and coefficients the first in (v, PVM, w) order is kept."""
     n, width = cell_class.shape[0], relations.shape[1]
@@ -662,21 +677,23 @@ def _completeness_rows(relations: np.ndarray, cell_class: np.ndarray) -> FlatRow
     sign = (relations >= 0).astype(np.int32)
     sign[:, -1] = -1
     cols = np.maximum(relations, 0)
+    top = cell_class.max(initial=0) + 1
     step = max(1, _CHUNK // n)
     sigs, firsts = [], []
     for s in range(0, len(relations), step):
         cls = cell_class[:, cols[s:s + step]].transpose(1, 0, 2).reshape(-1, width)
         coef = np.repeat(sign[s:s + step], n, axis=0)
-        by_class = np.argsort(cls, axis=1, kind="stable")
-        cls = np.take_along_axis(cls, by_class, axis=1)
-        coef = np.take_along_axis(coef, by_class, axis=1)
+        # each row by class, coefficients (-1, 0 or 1) riding in the keys
+        key = _sort_rows(cls * 4 + coef + 1)
+        cls, coef = key // 4, key % 4 - 1
         for t in range(width - 1, 0, -1):
             same = cls[:, t] == cls[:, t - 1]
             coef[same, t - 1] += coef[same, t]
             coef[same, t] = 0
-        nonzero_first = np.argsort(coef == 0, axis=1, kind="stable")
-        cls = np.take_along_axis(cls, nonzero_first, axis=1)
-        coef = np.take_along_axis(coef, nonzero_first, axis=1)
+        # then the zero coefficients last, the rest still by class
+        spread = 2 * width + 1
+        key = _sort_rows(np.where(coef == 0, top, cls) * spread + coef + width)
+        cls, coef = key // spread, key % spread - width
         cls[coef == 0] = -1
         kept = coef[:, 0] != 0
         sig, first = _distinct_rows(np.concatenate([cls, coef], axis=1)[kept])
@@ -834,8 +851,16 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         a, b, generators = merges(codes, keys, cell_group)
     group_class = components(len(keys), a, b)
     cell_class = group_class[cell_group]
-    relations = _column_relations(products.positions(products.codes[len(index):]),
-                                  np.fromiter(map(len, pvms), np.intp))
+    sizes = np.fromiter(map(len, pvms), np.intp)
+    targets = products.positions(products.codes[len(index):])
+    # the left relations, then the right ones that are not a left one: v l
+    # = (l v*)*, so the right products read the left ones through the
+    # involute's position, -1 staying -1
+    inv = np.append(products.positions(products.codes[:len(index), 0]), -1)
+    padded = np.concatenate([targets, np.full((len(targets), 1), -1)], axis=1)
+    relations = np.concatenate([_column_relations(targets, sizes), _column_relations(
+        inv[padded[:, inv[:-1]]], sizes)])
+    relations = relations[np.sort(_distinct_rows(relations)[1])]
     pinned = {int(cell_class[0, 0]): 1.0}  # G[1, 1] = 1
     return MomentProblem(
         scenario=scenario, hierarchy=hierarchy, n=n, m=m, alphabet=alphabet,

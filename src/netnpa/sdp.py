@@ -32,7 +32,8 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    infeasibility proof), so the affine set is y = y0 + N z;
 4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set, on the
    problem's copy blocks (``MomentProblem.copy_blocks``): orthonormal
-   bases U_b of the range of the completeness relations in which every
+   bases U_b of the range of the column relations, left and right
+   (sum_a A_{a|x} v = v = sum_a v A_{a|x}), in which every
    matrix X of the affine set is block-diagonal, the isotypic components
    of the copy swaps on an inflation problem and one block otherwise, so
    X >= 0 iff every U_b' X U_b >= 0.  A primal-dual interior point

@@ -694,10 +694,12 @@ def loop_copy_orbit_edges(keys, key_of, alphabet, m):
 
 
 def loop_completeness_rows(alphabet, index, cell_class):
-    """Rows sum_a G[w, A_{a|x} v] = G[w, v], one (v, PVM, w) at a time,
-    deduplicated at class level, first occurrence kept; and the column
-    relations met on the way, one per complete (v, PVM): the positions of
-    A_{a|x} v, padded with -1 to the largest PVM, then v."""
+    """Rows sum_a G[w, A_{a|x} v] = G[w, v], one (v, PVM, w) at a time, then
+    rows sum_a G[w, v A_{a|x}] = G[w, v] for the (v, PVM) whose relation
+    is not already a left one, deduplicated at class level, first
+    occurrence kept; and the column relations met on the way, one per
+    complete (v, PVM): the positions of A_{a|x} v (then of v A_{a|x}),
+    padded with -1 to the largest PVM, then v."""
     n = len(index)
     pos = {w: i for i, w in enumerate(index)}
     pvm: dict[tuple, list[Letter]] = {}
@@ -707,30 +709,35 @@ def loop_completeness_rows(alphabet, index, cell_class):
     width = max((len(letters) for letters in pvm.values()), default=0)
     rows: dict = {}
     relations = []
-    for j, v in enumerate(index):
-        for letters in pvm.values():
-            targets = []
-            for l in sorted(letters, key=Letter.sort_key):
-                tj = pos.get(concat(word([l]), v))
-                if tj is None:
-                    break
-                targets.append(tj)
-            else:
-                relations.append(targets + [-1] * (width - len(targets)) + [j])
-                for i in range(n):
-                    coeffs: dict[int, float] = {}
-                    for tj in targets:
-                        c = int(cell_class[i, tj])
-                        coeffs[c] = coeffs.get(c, 0.0) + 1.0
-                    c0 = int(cell_class[i, j])
-                    coeffs[c0] = coeffs.get(c0, 0.0) - 1.0
-                    coeffs = {c: w for c, w in coeffs.items() if w != 0.0}
-                    if not coeffs:
+    for side in ("left", "right"):
+        for j, v in enumerate(index):
+            for letters in pvm.values():
+                targets = []
+                for l in sorted(letters, key=Letter.sort_key):
+                    lw = word([l])
+                    tj = pos.get(concat(lw, v) if side == "left" else concat(v, lw))
+                    if tj is None:
+                        break
+                    targets.append(tj)
+                else:
+                    relation = targets + [-1] * (width - len(targets)) + [j]
+                    if side == "right" and relation in relations:
                         continue
-                    classes = tuple(sorted(coeffs))
-                    row = (classes, tuple(coeffs[c] for c in classes), 0.0,
-                           "completeness")
-                    rows.setdefault(row[:2], row)
+                    relations.append(relation)
+                    for i in range(n):
+                        coeffs: dict[int, float] = {}
+                        for tj in targets:
+                            c = int(cell_class[i, tj])
+                            coeffs[c] = coeffs.get(c, 0.0) + 1.0
+                        c0 = int(cell_class[i, j])
+                        coeffs[c0] = coeffs.get(c0, 0.0) - 1.0
+                        coeffs = {c: w for c, w in coeffs.items() if w != 0.0}
+                        if not coeffs:
+                            continue
+                        classes = tuple(sorted(coeffs))
+                        row = (classes, tuple(coeffs[c] for c in classes), 0.0,
+                               "completeness")
+                        rows.setdefault(row[:2], row)
     return (loop_flat_rows(list(rows.values())),
             np.array(relations, dtype=np.intp).reshape(-1, width + 1))
 
@@ -884,17 +891,30 @@ def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
         try:
             Lx = np.linalg.cholesky(X)
             Ls = np.linalg.cholesky(S)
-            Ls_inv = scipy.linalg.solve_triangular(Ls, np.eye(r), lower=True)
-            T = (Ls_inv @ A @ Lx).reshape(m, r * r)
-            schur = scipy.linalg.cho_factor(T @ T.T)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return result("stalled")
+        Ls_inv = scipy.linalg.solve_triangular(Ls, np.eye(r), lower=True)
+        T = (Ls_inv @ A @ Lx).reshape(m, r * r)
+        M = T @ T.T
+        # the least shift eps*max(diag M)*10^k (k <= 7), if any, that
+        # factors M, as interior._shifted_cholesky
+        top, shift = float(M.diagonal().max()), 0.0
+        while True:
+            try:
+                schur = scipy.linalg.cho_factor(M + shift * np.eye(m))
+                break
+            except scipy.linalg.LinAlgError:
+                shift = 10 * shift if shift else np.finfo(float).eps * top
+                if shift > 1e7 * np.finfo(float).eps * top:
+                    return result("stalled")
         S_inv = Ls_inv.T @ Ls_inv
         XRdSi = X @ Rd @ S_inv
 
         def direction(G):
-            dy = scipy.linalg.cho_solve(schur, rp - Af @ G.reshape(-1)
-                                        + Af @ XRdSi.reshape(-1))
+            v = rp - Af @ G.reshape(-1) + Af @ XRdSi.reshape(-1)
+            dy = scipy.linalg.cho_solve(schur, v)
+            if shift:  # one refinement step towards M^-1 v
+                dy = dy + scipy.linalg.cho_solve(schur, v - M @ dy)
             dS = Rd - (dy @ Af).reshape(r, r)
             return G - sym(X @ dS @ S_inv), dy, dS
 

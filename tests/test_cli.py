@@ -64,28 +64,28 @@ def test_reports_name_the_copy_blocks_and_the_engine_they_select():
     code, report = run(["test", "--scenario", "triangle", "--hierarchy",
                         "inflation", "--n", "2", "--m", "2", "uniform_product"])
     assert code == EXIT_FEASIBLE
-    assert ("  copy blocks: [25, 16, 16, 12, 16, 12, 12, 6] "
-            "(r = 115, sum r_b^2 = 1861)") in report
-    assert ("  gate: (p + 1)*sum r_b^2 = 448501 for p = 240 (limit 33554432) "
+    assert ("  copy blocks: [19, 12, 12, 10, 12, 10, 10, 6] "
+            "(r = 91, sum r_b^2 = 1129)") in report
+    assert ("  gate: (p + 1)*sum r_b^2 = 204349 for p = 180 (limit 33554432) "
             "-> interior point") in report
     code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
                         "inflation", "--n", "2", "--m", "2"])
     assert code == EXIT_FEASIBLE
-    assert "  copy blocks: [16, 11, 11, 11] (r = 49, sum r_b^2 = 619)" in report
-    # 2**25 // 619 = 54207
-    assert "p = dim ker R <= 54206 after the pins" in report
+    assert "  copy blocks: [14, 9, 9, 9] (r = 41, sum r_b^2 = 439)" in report
+    # 2**25 // 439 = 76433
+    assert "p = dim ker R <= 76432 after the pins" in report
     code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
                         "factorisation", "--n", "3", "shared_random_bit"])
     assert "  gate: no phase-1 search (the linear layers leave none)" in report
 
 
 def test_info_says_when_the_blocks_alone_exceed_the_budget(monkeypatch):
-    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 600)
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 400)
     code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
                         "inflation", "--n", "2", "--m", "2"])
     assert code == EXIT_FEASIBLE
     assert ("  gate: the blocks alone exceed the interior point's budget: "
-            "sum r_b^2 = 619 > 600, so no engine runs") in report
+            "sum r_b^2 = 439 > 400, so no engine runs") in report
     assert "<= -1" not in report
 
 

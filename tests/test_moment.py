@@ -788,9 +788,28 @@ def test_structure_matches_the_loop_reference(case):
     assert p.check_products == ref["check_products"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, None])
+def test_every_column_relation_maps_the_true_gram_to_zero(seed):
+    # sum_a e_{A_{a|x} v} - e_v and sum_a e_{v A_{a|x}} - e_v
+    if seed is None:
+        sc = Scenario("bilocal", (2, 2, 2), (2, 2, 2))
+        p = build_standard(sc, 3)
+        oracle = MomentOracle(random_strategy(sc, (2, 2, 2, 2), 0))
+    else:
+        p = cached_problem("inflation", *BILOCAL_111, 2, 2)
+        oracle = InflatedBilocalOracle(
+            random_strategy(Scenario(*BILOCAL_111), (2, 2, 2, 2), seed), 2)
+    rel = p.column_relations
+    U = np.zeros((len(rel), p.dim))
+    k, a = np.nonzero(rel[:, :-1] >= 0)
+    U[k, rel[k, a]] = 1.0
+    U[np.arange(len(rel)), rel[:, -1]] -= 1.0
+    assert np.abs(oracle.gram(p.index) @ U.T).max() <= 1e-12
+
+
 def test_inflation_build_sizes():
-    for topology, sizes in ((TRIANGLE_111, (361, 21765, 3257, 5418)),
-                            (BILOCAL_111, (161, 4433, 1182, 1910))):
+    for topology, sizes in ((TRIANGLE_111, (361, 21765, 3257, 5838)),
+                            (BILOCAL_111, (161, 4433, 1182, 2050))):
         p = cached_problem("inflation", *topology, 2, 2)
         assert (p.dim, len(p.group_keys), p.n_classes, len(p.rows)) == sizes
 

@@ -285,11 +285,11 @@ def _band_problem(name):
         random_strategy(sc, (2, 2, 2, 2), 2)).born())
 
 
-@pytest.mark.parametrize("name, entries", [("bell3-333", 2_835_028),
-                                           ("bilocal-222", 5_885_181)])
+@pytest.mark.parametrize("name, entries", [("bell3-333", 1_282_600),
+                                           ("bilocal-222", 1_109_313)])
 def test_problems_past_the_old_gate_are_decided_by_the_interior_point(
         name, entries):
-    # (p + 1) sum_b r_b^2 lies between 2**21 and INTERIOR_MAX_ENTRIES
+    # (p + 1) sum_b r_b^2, a structural constant of each problem
     out = solve_feasibility(_band_problem(name))
     assert out.route.entries == entries
     assert out.route.interior
@@ -378,8 +378,8 @@ def _mixture(v):
 
 
 @pytest.mark.parametrize("topology, sizes", [
-    (TRIANGLE_111, [25, 16, 16, 16, 12, 12, 12, 6]),
-    (BILOCAL_111, [16, 11, 11, 11])])
+    (TRIANGLE_111, [19, 12, 12, 12, 10, 10, 10, 6]),
+    (BILOCAL_111, [14, 9, 9, 9])])
 def test_copy_blocks_split_the_range(topology, sizes):
     p = cached_problem("inflation", *topology, 2, 2)
     blocks = p.copy_blocks
@@ -445,8 +445,8 @@ def test_one_block_without_copy_merges(name):
 
 
 @pytest.mark.parametrize("topology, sizes", [
-    (TRIANGLE_111, [25, 16, 16, 16, 12, 12, 12, 6]),
-    (BILOCAL_111, [16, 11, 11, 11])], ids=["triangle", "bilocal"])
+    (TRIANGLE_111, [19, 12, 12, 12, 10, 10, 10, 6]),
+    (BILOCAL_111, [14, 9, 9, 9])], ids=["triangle", "bilocal"])
 def test_copy_blocks_relabel_no_word_after_the_build(topology, sizes, monkeypatch):
     relabel = words.relabel_codes
     calls = []
@@ -499,6 +499,31 @@ def test_blocked_phase1_matches_the_single_block_reference(name):
     _X, res = _interior_phase1(cs, 1e-7)
     _status, t_ref, _infeas = single_block_phase1(cs, 1e-7)
     assert abs(res.primal_obj - t_ref) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_born_tables_have_an_interior_and_converge(seed):
+    # with the right column relations the range holds no face that every
+    # feasible X lies in: the phase-1 optimum is positive, and the converged
+    # solve reaches it
+    cs = _ClassSystem(_phase1_problem(f"bilocal:{seed}"))
+    assert cs.factor_rows() == (True, "")
+    _X, res = _interior_phase1(cs, 1e-7)
+    assert res.status == "optimal"
+    assert res.primal_obj > 1e-3
+
+
+@pytest.mark.parametrize("name, count", [("bilocal:0", 8), ("chsh:0.6", 4)])
+def test_maximize_linear_reaches_the_optimum_on_pinned_problems(name, count):
+    p = _phase1_problem(name)
+    cs = _ClassSystem(p)
+    for cls in cs.free[:count].tolist():
+        hi, X_hi = maximize_linear(p, {cls: 1.0})
+        lo, X_lo = maximize_linear(p, {cls: -1.0})
+        assert -lo <= hi + 1e-7
+        for value, X in ((hi, X_hi), (-lo, X_lo)):
+            assert abs(p.class_average(X)[cls] - value) <= 1e-7
+            assert np.linalg.eigvalsh(X)[0] >= -1e-7
 
 
 def _mixed_block_lmi(sizes, m=6, seed=3):
@@ -619,10 +644,9 @@ def test_an_accept_stops_at_the_first_deciding_iterate():
         assert out.iterations == stopped.iterations
         assert out.residuals.families()["psd"] <= tol / 2
         assert out.t_star >= -tol / 2
-    # the triangle and four of the six tables stop one iterate early; the
-    # other two reach t >= -tol/2 only at the iterate where the converged
-    # solve ends
-    assert saved == 5
+    # with the right column relations every feasible set has an interior:
+    # the stopped solves take 1 to 4 iterates, the converged ones 6 to 23
+    assert saved == 65
 
 
 @pytest.mark.parametrize("v", [0.47, 0.5])
