@@ -286,7 +286,8 @@ def _band_problem(name):
 
 
 @pytest.mark.parametrize("name, entries", [("bell3-333", 1_282_600),
-                                           ("bilocal-222", 1_109_313)])
+                                           ("bilocal-222", 1_109_313)],
+                         ids=["bell3-333", "bilocal-222"])
 def test_problems_past_the_old_gate_are_decided_by_the_interior_point(
         name, entries):
     # (p + 1) sum_b r_b^2, a structural constant of each problem
