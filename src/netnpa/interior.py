@@ -34,10 +34,12 @@ eliminations and split further into copy-symmetry blocks.  Near an
 optimum whose dual solution is not unique, the Schur complement has
 directions of size O(mu) against O(1/mu), and rounding can leave it
 indefinite; it is then factored with the least diagonal shift that
-works, and each solve with that factor takes one refinement step.  It
-does not raise on numerical breakdown: a failed factorisation ends the
-run with status ``stalled`` and the last iterate's y, which callers
-check on their own.  A caller that needs only a dual point good enough
+works, and each solve with that factor takes one refinement step.  There
+rounding can also leave a new iterate's X or S without a Cholesky
+factor; that step is retried once at half its lengths.  It does not
+raise on numerical breakdown: a failed factorisation ends the run with
+status ``stalled`` and the last iterate's y, which callers check on
+their own.  A caller that needs only a dual point good enough
 for its purpose passes ``stop``, and the run ends (status ``target``) at
 the first iterate whose dual objective reaches it.  scipy is imported on
 the first solve, not with the module.
@@ -46,7 +48,7 @@ the first solve, not with the module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,20 +96,24 @@ def _steps(L_inv: Sequence[np.ndarray], dX: Sequence[np.ndarray],
     return tuple(-1.0 / v if v < 0 else np.inf for v in lam)
 
 
-def _cholesky(stack: np.ndarray, lapack) -> tuple[np.ndarray, np.ndarray] | None:
-    """The Cholesky factors L of a stack of symmetric matrices and their
-    inverses, or None when one matrix is not positive definite."""
-    L = np.empty_like(stack)
-    L_inv = np.empty_like(stack)
-    for i, M in enumerate(stack):
-        F, info = lapack.dpotrf(M, lower=1)
-        if info:
-            return None
-        L[i] = F
-        L_inv[i], info = lapack.dtrtri(F, lower=1)
-        if info:
-            return None
-    return L, L_inv
+def _cholesky(stacks: Iterable[np.ndarray], lapack) -> list | None:
+    """For each stack of symmetric matrices, the pair (the Cholesky factors
+    L of its matrices, their inverses), or None when one matrix is not
+    positive definite."""
+    out = []
+    for stack in stacks:
+        L = np.empty_like(stack)
+        L_inv = np.empty_like(stack)
+        for i, M in enumerate(stack):
+            F, info = lapack.dpotrf(M, lower=1)
+            if info:
+                return None
+            L[i] = F
+            L_inv[i], info = lapack.dtrtri(F, lower=1)
+            if info:
+                return None
+        out.append((L, L_inv))
+    return out
 
 
 def _shifted_cholesky(M: np.ndarray, lapack) -> tuple[np.ndarray, float] | None:
@@ -192,8 +198,8 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
     else:
         y = np.array(start, dtype=float)
         S = [_sym(Cg - Ay) for Cg, Ay in zip(Cs, split(y @ A))]
-        factors = [_cholesky(Sg, lapack) for Sg in S]
-        if any(f is None for f in factors):
+        factors = _cholesky(S, lapack)
+        if factors is None:
             raise ValueError("start: C - A'(y) is not positive definite")
         # X S = I / tr S^-1: on the central path, at trace one
         S_inv = [_sym(np.swapaxes(Li, 1, 2) @ Li) for _, Li in factors]
@@ -205,6 +211,8 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
                          float(np.linalg.norm(rp) / (1 + norm_b)),
                          float(np.linalg.norm(_flat(Rd)) / (1 + norm_c)), it)
 
+    # X_g and S_g factored as one stack [X_g; S_g] per size
+    factors = _cholesky(map(np.concatenate, zip(X, S)), lapack)
     for it in range(MAX_ITER + 1):
         rp = b - A @ _flat(X)
         Rd = [Cg - Sg - Ay for Cg, Sg, Ay in zip(Cs, S, split(y @ A))]
@@ -215,10 +223,7 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
             return replace(res, status="target")
         if it == MAX_ITER:
             return result("max_iter", it)
-        # X_g and S_g factored as one stack [X_g; S_g] per size
-        factors = [_cholesky(np.concatenate([Xg, Sg]), lapack)
-                   for Xg, Sg in zip(X, S)]
-        if any(f is None for f in factors):
+        if factors is None:
             return result("stalled", it)
         L_inv = [Li for _, Li in factors]
         Lx = [L[:len(Xg)] for (L, _), Xg in zip(factors, X)]
@@ -257,6 +262,12 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         gamma = 0.9 + 0.09 * min(ap, ad)
         dX, dy, dS = direction(G)
         ap, ad = (min(1.0, gamma * a) for a in _steps(L_inv, dX, dS))
-        X = [_sym(Xg + ap * d) for Xg, d in zip(X, dX)]
-        y = y + ad * dy
-        S = [_sym(Sg + ad * d) for Sg, d in zip(S, dS)]
+        # a step to an iterate that rounding left without a Cholesky factor
+        # is retried once at half its lengths
+        for scale in (1.0, 0.5):
+            X_new = [_sym(Xg + scale * ap * d) for Xg, d in zip(X, dX)]
+            S_new = [_sym(Sg + scale * ad * d) for Sg, d in zip(S, dS)]
+            factors = _cholesky(map(np.concatenate, zip(X_new, S_new)), lapack)
+            if factors is not None:
+                break
+        X, S, y = X_new, S_new, y + scale * ad * dy

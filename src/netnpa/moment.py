@@ -188,9 +188,10 @@ NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 @dataclass(frozen=True, eq=False)
 class CopyBlocks:
     """Orthonormal bases ``bases`` U_b, (dim, r_b), that block-diagonalise
-    the moment matrices of a problem (:attr:`MomentProblem.copy_blocks` on
-    the range of the completeness relations, :attr:`MomentProblem.index_blocks`
-    on the whole index).
+    the moment matrices of a problem (:attr:`MomentProblem.index_blocks`
+    on the whole index, :attr:`MomentProblem.copy_blocks` on the
+    complement of the column relations: each index block restricted to
+    it, with the index blocks' ``rows`` and ``weights``).
 
     Each U_b is a joint eigenspace of the copy swaps: U_b[pi] = +-U_b for
     every swap's index permutation pi, and every moment matrix X has
@@ -400,26 +401,21 @@ class MomentProblem:
     def column_range(self) -> np.ndarray:
         """An orthonormal basis V, (dim, r), of the complement of the span
         of the vectors sum_a e_{A_{a|x} v} - e_v and sum_a e_{v A_{a|x}} -
-        e_v of the column relations.  Every moment matrix X of the problem
-        maps them to zero (its completeness rows), so X = V V' X V V'."""
-        rel = self.column_relations
-        U = np.zeros((len(rel), self.dim))
-        k, a = np.nonzero(rel[:, :-1] >= 0)
-        U[k, rel[k, a]] = 1.0
-        U[np.arange(len(rel)), rel[:, -1]] -= 1.0
-        # the R factor has U's row space in at most dim rows
-        _, s, vt = np.linalg.svd(np.linalg.qr(U, mode="r"))
-        cut = s.max(initial=0.0) * max(U.shape) * np.finfo(float).eps
-        return vt[int((s > cut).sum()):].T
+        e_v of the column relations (:func:`_relation_complement` of the
+        whole index).  Every moment matrix X of the problem maps them to
+        zero (its completeness rows), so X = V V' X V V'.  It is the one
+        copy block of a problem without ``copy_generators``; the copy
+        blocks of an inflation problem are built without it."""
+        return _relation_complement(self.column_relations, np.eye(self.dim))
 
     @_structure
     def copy_blocks(self) -> CopyBlocks:
         """Orthonormal bases U_b, (dim, r_b), whose columns together span
-        ``column_range`` and which block-diagonalise every moment matrix
-        X of the problem: U_a' X U_b = 0 for a != b.  For a problem with
-        ``copy_generators``, the isotypic components of the copy swaps
-        (:func:`_copy_blocks`); for every other problem one block,
-        ``column_range`` itself."""
+        the complement of the column relations and which block-diagonalise
+        every moment matrix X of the problem: U_a' X U_b = 0 for a != b.
+        For a problem with ``copy_generators``, the index blocks restricted
+        to that complement (:func:`_copy_blocks`); for every other problem
+        one block, ``column_range`` itself."""
         if not self.copy_generators:
             return CopyBlocks((self.column_range,), np.arange(self.dim),
                               np.ones(self.dim))
@@ -1030,65 +1026,81 @@ def _copy_merges(cell_group: np.ndarray, perms: Iterable[np.ndarray]
             np.concatenate(images) if images else groups[:0])
 
 
-def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
-    """The isotypic components of ``problem.column_range`` under the copy
-    swaps (1 2) of every source, as orthonormal bases U_b = V Q_b.
+def _relation_complement(relations: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """An orthonormal basis W, (k, r), of the kernel of R Q for the
+    orthonormal columns Q, (dim, k), where R holds one vector
+    sum_a e_{t_a} - e_v per column relation (t_a, v) of ``relations``
+    (``_column_relations``).  So Q W is an orthonormal basis of the part
+    of Q's span orthogonal to every relation vector."""
+    RQ = -Q[relations[:, -1]]
+    for t in relations[:, :-1].T:
+        RQ[t >= 0] += Q[t[t >= 0]]  # the padding -1 adds nothing
+    # the R factor has R Q's row space in at most k rows
+    _, s, vt = np.linalg.svd(np.linalg.qr(RQ, mode="r"))
+    cut = s.max(initial=0.0) * max(RQ.shape) * np.finfo(float).eps
+    return vt[int((s > cut).sum()):].T
 
-    The swap of source s permutes the index by pi_s (``copy_generators``)
-    and, since the classes are unions of copy orbits, maps every cell's
-    class to itself:
-    X[pi_s][:, pi_s] = X for every moment matrix X of the problem.  So X
-    commutes with each permutation matrix P_s, and in a basis of joint
-    eigenvectors of the P_s (one block per character chi in {+1, -1}^s,
-    the range of prod_s (1 + chi_s P_s) / 2) U' X U is block-diagonal.
-    The swaps commute and leave V's span invariant, so the blocks split V:
-    in V's coordinates each swap is the involution V' P_s V, and each
-    block is split in two by the range of (1 +- V' P_s V) / 2, a projector
-    whose singular values are 0 or 1.
+
+def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
+    """The isotypic components of the complement of the column relations
+    under the copy swaps (1 2) of every source: each index block Q_b
+    (:func:`_index_blocks`) restricted to it, U_b = Q_b W_b with W_b an
+    orthonormal basis of ker(R Q_b) (:func:`_relation_complement`), and
+    the blocks without columns dropped (Gatermann and Parrilo 2004).
+
+    Every moment matrix X commutes with each swap's permutation matrix
+    P_s (:func:`_copy_swaps`), so U' X U is block-diagonal.  When every
+    swap maps the set of relation vectors onto itself, their span and its
+    complement are invariant under the P_s, so the complement is the
+    direct sum of its parts in the index blocks, and the U_b together span
+    it.  The blocks share the index blocks' orbits, ``rows`` and
+    ``weights``.
 
     Raises :class:`RuntimeError` when a swap moves a cell to another
-    class, when the block ranks do not add up to r, when a block is not
-    an eigenspace of every swap (U_b[pi_s] = chi_s U_b) to rounding, or
-    when U' X U is not block-diagonal, to rounding, for a matrix X with
+    class, when a swap does not map the set of column relations onto
+    itself (compared exactly, on their index positions), when a block is
+    not an eigenspace of every swap (U_b[pi_s] = chi_s U_b) to rounding,
+    or when U' X U is not block-diagonal, to rounding, for a matrix X with
     generic class values.
     """
-    V = problem.column_range
-    n, r = V.shape
-    perms = _copy_swaps(problem)
-    # (basis in V's coordinates, character) per block
-    split = [(np.eye(r), ())]
-    for pi in perms:
-        Q = V.T @ V[pi]
-        halves = []
-        for W, chi in split:
-            QW = Q @ W
-            for sign, half in ((1, W + QW), (-1, W - QW)):
-                u, sv, _ = np.linalg.svd(W.T @ half / 2)
-                if (sv > 0.5).any():
-                    halves.append((W @ u[:, sv > 0.5], chi + (sign,)))
-        split = halves
-    ranks = [W.shape[1] for W, _ in split]
-    if sum(ranks) != r:
-        raise RuntimeError(f"the copy-swap blocks have ranks {ranks}, which do "
-                           f"not add up to r = {r}")
-    bases = [V @ W for W, _ in split]
-    tol = n * np.finfo(float).eps
-    for U, (_, chi) in zip(bases, split):
+    index = problem.index_blocks
+    perms = problem.copy_generators[0]
+    relations = problem.column_relations
+    own = _relation_set(relations)
+    for src, pi in zip(problem.alphabet.sources(), perms):
+        if not np.array_equal(_relation_set(np.where(relations >= 0,
+                                                     pi[relations], -1)), own):
+            raise RuntimeError(f"the copy swap of source {src} does not map "
+                               "the column relations onto themselves")
+    # (U_b, its character), the characters in the order of _index_blocks
+    blocks = [(Q @ _relation_complement(relations, Q), chi) for Q, chi in
+              zip(index.bases, itertools.product((1.0, -1.0), repeat=len(perms)))]
+    blocks = [(U, chi) for U, chi in blocks if U.shape[1]]
+    tol = problem.dim * np.finfo(float).eps
+    for U, chi in blocks:
         for pi, sign in zip(perms, chi):
             if np.abs(U[pi] - sign * U).max(initial=0.0) > tol:
                 raise RuntimeError(f"a copy-swap block of character {chi} is "
                                    "not an eigenspace of the swaps")
     X = np.random.default_rng(0).standard_normal(problem.n_classes)[problem.cell_class]
+    bases = tuple(U for U, _ in blocks)
     U = np.hstack(bases)
     G = U.T @ X @ U
-    bounds = np.cumsum([0] + ranks)
-    for a, e in zip(bounds, bounds[1:]):
-        G[a:e, a:e] = 0.0
+    block = np.repeat(np.arange(len(bases)), [B.shape[1] for B in bases])
+    G[block[:, None] == block] = 0.0
     off = float(np.abs(G).max(initial=0.0))
     if off > tol * np.linalg.norm(X):
         raise RuntimeError(f"the copy-swap blocks leave an off-block entry "
                            f"{off:.3e}")
-    return CopyBlocks(tuple(bases), *_swap_orbits(perms, n))
+    return CopyBlocks(bases, index.rows, index.weights)
+
+
+def _relation_set(relations: np.ndarray) -> np.ndarray:
+    """The distinct column relations, each with its targets sorted: one
+    row per relation vector sum_a e_{t_a} - e_v, in an order fixed by the
+    set (``_distinct_rows`` sorts them by their bytes)."""
+    return _distinct_rows(np.concatenate([np.sort(relations[:, :-1], axis=1),
+                                          relations[:, -1:]], axis=1))[0]
 
 
 def _copy_swaps(problem: MomentProblem) -> tuple[np.ndarray, ...]:
@@ -1103,18 +1115,6 @@ def _copy_swaps(problem: MomentProblem) -> tuple[np.ndarray, ...]:
             raise RuntimeError(f"the copy swap of source {src} moves a cell "
                                "to another class")
     return perms
-
-
-def _swap_orbits(perms: Sequence[np.ndarray], n: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The least word of every orbit of the group the swaps ``perms``
-    generate on n words, and the orbit sizes as floats.  The swaps commute,
-    so one pass over them takes the minimum over the group."""
-    least = np.arange(n)
-    for pi in perms:
-        least = np.minimum(least, least[pi])
-    rows, weights = np.unique(least, return_counts=True)
-    return rows, weights.astype(float)
 
 
 def _index_blocks(problem: MomentProblem) -> CopyBlocks:
@@ -1134,7 +1134,13 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     X's eigenvalues (Gatermann and Parrilo 2004)."""
     perms = _copy_swaps(problem)
     n = problem.dim
-    rows, weights = _swap_orbits(perms, n)
+    # the least word of every orbit and the orbit sizes: the swaps commute,
+    # so one pass over them takes the minimum over the group
+    least = np.arange(n)
+    for pi in perms:
+        least = np.minimum(least, least[pi])
+    rows, weights = np.unique(least, return_counts=True)
+    weights = weights.astype(float)
     cols = np.arange(len(rows))
     # every element of G as (its index permutation, its swaps)
     elements = [(np.arange(n), ())]
@@ -1167,8 +1173,10 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
     permutation pi it induces.  The permutations of its generators are
     worked out once, here, and kept as ``copy_generators``
     (:func:`_copy_generators`).  The classes are the group's orbits on
-    the Hankel groups (:func:`_copy_merges`), and the copy blocks split
-    the range by the swaps (:func:`_copy_blocks`).
+    the Hankel groups (:func:`_copy_merges`).  The swaps' orbit sums split
+    the index into blocks (:func:`_index_blocks`), and the copy blocks are
+    those blocks restricted to the complement of the column relations
+    (:func:`_copy_blocks`).
 
     ``index_words`` restricts the index to an explicit word list (plus the
     empty word); used to host the scalar-extension image words, where the

@@ -32,11 +32,15 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    infeasibility proof), so the affine set is y = y0 + N z;
 4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set, on the
    problem's copy blocks (``MomentProblem.copy_blocks``): orthonormal
-   bases U_b of the range of the column relations, left and right
+   bases U_b of the complement of the column relations, left and right
    (sum_a A_{a|x} v = v = sum_a v A_{a|x}), in which every
-   matrix X of the affine set is block-diagonal, the isotypic components
-   of the copy swaps on an inflation problem and one block otherwise, so
-   X >= 0 iff every U_b' X U_b >= 0.  A primal-dual interior point
+   matrix X of the affine set is block-diagonal, so X >= 0 iff every
+   U_b' X U_b >= 0.  On an inflation problem they are the isotypic
+   components of the copy swaps: each index block Q_b
+   (``MomentProblem.index_blocks``, from orbit sums) restricted to the
+   complement, Q_b W_b for an orthonormal basis W_b of ker(R Q_b) with R
+   the relation vectors.  Otherwise there is one block, the complement's
+   basis V (``MomentProblem.column_range``).  A primal-dual interior point
    (``netnpa.interior``) runs in the coordinates z, one block per copy
    block, on constraint rows packed once per problem
    (``_RowFactor.phase1_rows``), when (p + 1) sum_b r_b^2 <=

@@ -288,7 +288,7 @@ def _band_problem(name):
 @pytest.mark.parametrize("name, entries", [("bell3-333", 1_282_600),
                                            ("bilocal-222", 1_109_313)],
                          ids=["bell3-333", "bilocal-222"])
-def test_problems_past_the_old_gate_are_decided_by_the_interior_point(
+def test_problems_of_over_a_million_entries_are_decided_by_the_interior_point(
         name, entries):
     # (p + 1) sum_b r_b^2, a structural constant of each problem
     out = solve_feasibility(_band_problem(name))
@@ -338,7 +338,7 @@ def test_column_range_spans_the_gram_reference(name):
 
 
 def test_reduce_runs_no_eigendecomposition(monkeypatch):
-    # a copy made by replace builds its own range, inside _reduce
+    # a copy made by replace builds its own copy blocks, inside _reduce
     p = pin_distribution(
         dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2)),
         _born(0))
@@ -366,8 +366,8 @@ def test_distributions_pinned_on_one_problem_share_one_range():
     pinned = [pin_distribution(base, _born(seed)) for seed in (0, 1)]
     for p in pinned:
         assert solve_feasibility(p).verdict == "feasible"
-    assert pinned[0].column_range is pinned[1].column_range
-    assert base.column_range is pinned[0].column_range
+    assert pinned[0].copy_blocks is pinned[1].copy_blocks
+    assert base.copy_blocks is pinned[0].copy_blocks
 
 
 # --- copy-symmetry blocks -----------------------------------------------------------
@@ -379,12 +379,20 @@ def _mixture(v):
 
 
 @pytest.mark.parametrize("topology, sizes", [
-    (TRIANGLE_111, [19, 12, 12, 12, 10, 10, 10, 6]),
-    (BILOCAL_111, [14, 9, 9, 9])])
+    ((TRIANGLE_111, 2), [19, 12, 12, 10, 12, 10, 10, 6]),
+    ((BILOCAL_111, 2), [14, 9, 9, 9]),
+    ((BILOCAL_111, 3), [54, 32, 32, 21])])
 def test_copy_blocks_split_the_range(topology, sizes):
-    p = cached_problem("inflation", *topology, 2, 2)
+    scenario, m = topology
+    # a copy made by dataclasses.replace has no structure built yet
+    p = dataclasses.replace(cached_problem("inflation", *scenario, 2, m))
     blocks = p.copy_blocks
-    assert sorted(blocks.sizes) == sorted(sizes)
+    # in the order of the characters, as the CLI prints them
+    assert blocks.sizes == tuple(sizes)
+    # the index blocks restricted to the range, with no global SVD
+    assert "column_range" not in p._structures
+    assert blocks.rows is p.index_blocks.rows
+    assert blocks.weights is p.index_blocks.weights
     assert sum(blocks.sizes) == p.column_range.shape[1]
     U = np.hstack(blocks.bases)
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
@@ -446,7 +454,7 @@ def test_one_block_without_copy_merges(name):
 
 
 @pytest.mark.parametrize("topology, sizes", [
-    (TRIANGLE_111, [19, 12, 12, 12, 10, 10, 10, 6]),
+    (TRIANGLE_111, [19, 12, 12, 10, 12, 10, 10, 6]),
     (BILOCAL_111, [14, 9, 9, 9])], ids=["triangle", "bilocal"])
 def test_copy_blocks_relabel_no_word_after_the_build(topology, sizes, monkeypatch):
     relabel = words.relabel_codes
@@ -467,7 +475,7 @@ def test_copy_blocks_relabel_no_word_after_the_build(topology, sizes, monkeypatc
         monkeypatch.setattr(module, "relabel_codes", refuse)
     # a copy made by dataclasses.replace has no structure built yet
     blocks = dataclasses.replace(p).copy_blocks
-    assert sorted(blocks.sizes) == sorted(sizes)
+    assert blocks.sizes == tuple(sizes)
 
 
 def test_copy_blocks_raise_when_a_swap_moves_a_class():
@@ -479,6 +487,18 @@ def test_copy_blocks_raise_when_a_swap_moves_a_class():
     broken[i, i] = p.n_classes
     q = dataclasses.replace(p, cell_class=broken)
     with pytest.raises(RuntimeError, match="moves a cell to another class"):
+        q.copy_blocks
+
+
+def test_copy_blocks_raise_when_the_swaps_do_not_keep_the_relations():
+    p = cached_problem("inflation", *BILOCAL_111, 2, 2)
+    # drop sum_b B^{1,1}_b = 1, which the swap of either source moves; its
+    # image under each swap stays, with no preimage left
+    b = p.pos(word([meas("B", copies=(1, 1))]))
+    relations = p.column_relations
+    k = np.flatnonzero((relations[:, 0] == b) & (relations[:, -1] == 0))[0]
+    q = dataclasses.replace(p, column_relations=np.delete(relations, k, axis=0))
+    with pytest.raises(RuntimeError, match="does not map the column relations"):
         q.copy_blocks
 
 
@@ -646,8 +666,8 @@ def test_an_accept_stops_at_the_first_deciding_iterate():
         assert out.residuals.families()["psd"] <= tol / 2
         assert out.t_star >= -tol / 2
     # with the right column relations every feasible set has an interior:
-    # the stopped solves take 1 to 4 iterates, the converged ones 6 to 23
-    assert saved == 65
+    # the stopped solves take 1 to 4 iterates, the converged ones 6 to 29
+    assert saved == 72
 
 
 @pytest.mark.parametrize("v", [0.47, 0.5])
@@ -1042,9 +1062,9 @@ def uniform_product(sc):
 def test_triangle_inflation_accepts_the_uniform_product_without_svd(monkeypatch):
     p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
                          uniform_product(Scenario(*TRIANGLE_111)))
-    # the range of the column relations and its copy blocks are structure
-    # of the problem, each found by SVDs once; the rows are not
-    p.column_range, p.copy_blocks
+    # the copy blocks are structure of the problem, found once (one SVD of
+    # the relations in each index block); the rows are not
+    p.copy_blocks
 
     def refuse(*args, **kwargs):
         raise AssertionError("the rows were factored by an SVD")
