@@ -188,8 +188,8 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         return [np.zeros_like(Cg) + scale * np.eye(Cg.shape[1]) for Cg in Cs]
 
     norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(c)
-    norm_a = np.linalg.norm(A, axis=1)
     if start is None:
+        norm_a = np.linalg.norm(A, axis=1)
         xi = max(10.0, np.sqrt(r),
                  r * float(np.max((1 + np.abs(b)) / (1 + norm_a), initial=0.0)))
         eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))

@@ -187,35 +187,56 @@ NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 
 @dataclass(frozen=True, eq=False)
 class CopyBlocks:
-    """Orthonormal bases ``bases`` U_b, (dim, r_b), that block-diagonalise
+    """Orthonormal bases U_b = Q_b W_b, (dim, r_b), that block-diagonalise
     the moment matrices of a problem (:attr:`MomentProblem.index_blocks`
     on the whole index, :attr:`MomentProblem.copy_blocks` on the
     complement of the column relations: each index block restricted to
-    it, with the index blocks' ``rows`` and ``weights``).
+    it, with the index blocks' orbit sums, ``rows`` and ``weights``).
 
-    Each U_b is a joint eigenspace of the copy swaps: U_b[pi] = +-U_b for
+    Each column of a Q_b is one signed orbit sum: s(j)/sqrt(|O|) at each
+    word j of one orbit O of the group the copy swaps generate, with
+    s = +-1 and s = +1 at the orbit's least word.  ``sums`` holds the
+    columns of every Q_b as the rows of one sparse (k, dim) matrix, block
+    after block, ``orbits`` the orbit of each (its position in ``rows``,
+    the least words, whose orbit sizes are ``weights``), ``columns`` the
+    columns of each block and ``complements`` its dense W_b, (k_b, r_b),
+    None for W_b = I.  No dense (dim, k_b) basis is held.  Without swaps
+    every word is its own orbit, Q is the identity and ``sums`` is None
+    (so a problem that only reports its block sizes never loads scipy).
+
+    Each Q_b is a joint eigenspace of the copy swaps: Q_b[pi] = +-Q_b for
     every swap's index permutation pi, and every moment matrix X has
-    X[pi][:, pi] = X.  So on an orbit of the group the swaps generate, the
-    rows of U_b and of X U_b are the same up to one sign, and
-    U_b' X U_b = sum over the orbits of (orbit size) U_b[i]' (X U_b)[i] at
-    one word i of each: ``rows`` holds those words, ``weights`` the orbit
-    sizes.  Without swaps every word is its own orbit.
+    X[pi][:, pi] = X.  So on an orbit the rows of X Q_b are the same up to
+    the one sign, and entry (c, d) of Q_b' X Q_b is sqrt(|O_c|) times
+    (X Q_b)[i_c, d] at the least word i_c of the orbit O_c of column c:
+    sqrt(|O_c|/|O_d|) sum_{j in O_d} s_d(j) X[i_c, j].
     """
 
-    bases: tuple[np.ndarray, ...]
+    sums: object                       # scipy.sparse CSR, (k, dim), or None
+    orbits: np.ndarray
+    columns: tuple[slice, ...]
+    complements: tuple[np.ndarray | None, ...]
     rows: np.ndarray
     weights: np.ndarray
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(U.shape[1] for U in self.bases)
+        return tuple(c.stop - c.start if W is None else W.shape[1]
+                     for c, W in zip(self.columns, self.complements))
 
     def congruence(self, M_rows: np.ndarray) -> list[np.ndarray]:
         """U_b' M U_b for every block, from the rows ``M[rows]`` of a
-        symmetric matrix M with M[pi][:, pi] = M for every swap."""
+        symmetric matrix M with M[pi][:, pi] = M for every swap: one
+        sparse product gives every signed orbit sum (M Q)[i, d] at the
+        least words i, and each block gathers its own."""
+        # (k, rows): MQ[d, o] = (M Q)[rows[o], d]
+        MQ = M_rows.T if self.sums is None else self.sums @ M_rows.T
+        root = np.sqrt(self.weights[self.orbits])
         out = []
-        for U in self.bases:
-            G = U[self.rows].T @ (self.weights[:, None] * (M_rows @ U))
+        for cols, W in zip(self.columns, self.complements):
+            G = (MQ[cols][:, self.orbits[cols]] * root[cols]).T
+            if W is not None:
+                G = W.T @ G @ W
             out.append((G + G.T) / 2)
         return out
 
@@ -377,6 +398,13 @@ class MomentProblem:
         return _layout(self.cell_group.reshape(-1), len(self.group_keys))
 
     @_structure
+    def group_first(self) -> np.ndarray:
+        """The flat position of the first cell, in row-major order, of
+        every Hankel group."""
+        cells, bounds = self.group_layout
+        return cells[bounds[:-1]]
+
+    @_structure
     def pin_plan(self) -> PinPlan:
         """Which groups a distribution pins and the marginal cells their
         values multiply (see :func:`pin_distribution`); built on the first
@@ -415,10 +443,11 @@ class MomentProblem:
         every moment matrix X of the problem: U_a' X U_b = 0 for a != b.
         For a problem with ``copy_generators``, the index blocks restricted
         to that complement (:func:`_copy_blocks`); for every other problem
-        one block, ``column_range`` itself."""
+        one block, Q = I and W = ``column_range``."""
         if not self.copy_generators:
-            return CopyBlocks((self.column_range,), np.arange(self.dim),
-                              np.ones(self.dim))
+            words = np.arange(self.dim)
+            return CopyBlocks(None, words, (slice(0, self.dim),),
+                              (self.column_range,), words, np.ones(self.dim))
         return _copy_blocks(self)
 
     @_structure
@@ -1053,8 +1082,9 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     swap maps the set of relation vectors onto itself, their span and its
     complement are invariant under the P_s, so the complement is the
     direct sum of its parts in the index blocks, and the U_b together span
-    it.  The blocks share the index blocks' orbits, ``rows`` and
-    ``weights``.
+    it.  The blocks share the index blocks' orbit sums, ``rows`` and
+    ``weights``, and hold only the dense W_b; each Q_b and U_b is formed
+    dense for the build and its checks alone.
 
     Raises :class:`RuntimeError` when a swap moves a cell to another
     class, when a swap does not map the set of column relations onto
@@ -1072,27 +1102,33 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
                                                      pi[relations], -1)), own):
             raise RuntimeError(f"the copy swap of source {src} does not map "
                                "the column relations onto themselves")
-    # (U_b, its character), the characters in the order of _index_blocks
-    blocks = [(Q @ _relation_complement(relations, Q), chi) for Q, chi in
-              zip(index.bases, itertools.product((1.0, -1.0), repeat=len(perms)))]
-    blocks = [(U, chi) for U, chi in blocks if U.shape[1]]
     tol = problem.dim * np.finfo(float).eps
-    for U, chi in blocks:
+    # (columns of Q_b, W_b, U_b), the characters in the order of _index_blocks
+    blocks = []
+    for cols, chi in zip(index.columns,
+                         itertools.product((1.0, -1.0), repeat=len(perms))):
+        Q = index.sums[cols].T.toarray()
+        W = _relation_complement(relations, Q)
+        if not W.shape[1]:
+            continue
+        U = Q @ W
         for pi, sign in zip(perms, chi):
             if np.abs(U[pi] - sign * U).max(initial=0.0) > tol:
                 raise RuntimeError(f"a copy-swap block of character {chi} is "
                                    "not an eigenspace of the swaps")
+        blocks.append((cols, W, U))
     X = np.random.default_rng(0).standard_normal(problem.n_classes)[problem.cell_class]
-    bases = tuple(U for U, _ in blocks)
-    U = np.hstack(bases)
+    U = np.hstack([U for _, _, U in blocks])
     G = U.T @ X @ U
-    block = np.repeat(np.arange(len(bases)), [B.shape[1] for B in bases])
+    block = np.repeat(np.arange(len(blocks)), [W.shape[1] for _, W, _ in blocks])
     G[block[:, None] == block] = 0.0
     off = float(np.abs(G).max(initial=0.0))
     if off > tol * np.linalg.norm(X):
         raise RuntimeError(f"the copy-swap blocks leave an off-block entry "
                            f"{off:.3e}")
-    return CopyBlocks(bases, index.rows, index.weights)
+    return CopyBlocks(index.sums, index.orbits,
+                      tuple(cols for cols, _, _ in blocks),
+                      tuple(W for _, W, _ in blocks), index.rows, index.weights)
 
 
 def _relation_set(relations: np.ndarray) -> np.ndarray:
@@ -1119,7 +1155,8 @@ def _copy_swaps(problem: MomentProblem) -> tuple[np.ndarray, ...]:
 
 def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     """The isotypic components of the whole index under the copy swaps,
-    built from the orbits alone (no factorisation).
+    built from the orbits alone (no factorisation) and held as sparse
+    signed orbit sums.
 
     The swaps pi_s commute and generate a group G of 2^s elements g, each
     a product of swaps.  For a character chi in {+1, -1}^s, chi(g) is the
@@ -1129,9 +1166,13 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     entries +-1 on the orbit, which normalised is one column of the block
     of chi.  Each orbit O gives |O| characters and the columns have
     disjoint supports within a block, so the blocks are orthonormal and
-    hold dim columns in all.  A matrix X with X[pi][:, pi] = X for every
-    swap maps each block to itself, so U_b' X U_b over the blocks gives
-    X's eigenvalues (Gatermann and Parrilo 2004)."""
+    hold dim columns in all, with at most |G| nonzeros each.  A matrix X
+    with X[pi][:, pi] = X for every swap maps each block to itself, so
+    Q_b' X Q_b over the blocks gives X's eigenvalues (Gatermann and
+    Parrilo 2004).  Every block is kept, also one without columns, so
+    that block b has the b-th character of ``itertools.product``."""
+    import scipy.sparse
+
     perms = _copy_swaps(problem)
     n = problem.dim
     # the least word of every orbit and the orbit sizes: the swaps commute,
@@ -1146,19 +1187,26 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     elements = [(np.arange(n), ())]
     for s, pi in enumerate(perms):
         elements += [(pi[g], swaps + (s,)) for g, swaps in elements]
-    bases = []
+    sums, orbits = [], []
     for chi in itertools.product((1.0, -1.0), repeat=len(perms)):
         U = np.zeros((n, len(rows)))
         for g, swaps in elements:
             U[g[rows], cols] += math.prod(chi[s] for s in swaps)
         keep = U[rows, cols] != 0.0
         # entries are +-|G|/|O|: scale them to +-1/sqrt(|O|), exactly up to
-        # the square root since |G|/|O| is a power of two
+        # the square root since |G|/|O| is a power of two, and keep each
+        # orbit sum as one sparse row
         size = weights[keep]
-        bases.append(U[:, keep] * (size / len(elements) / np.sqrt(size)))
-    if sum(U.shape[1] for U in bases) != n:
+        sums.append(scipy.sparse.csr_matrix(
+            (U[:, keep] * (size / len(elements) / np.sqrt(size))).T))
+        orbits.append(cols[keep])
+    bounds = np.cumsum([0] + [Q.shape[0] for Q in sums])
+    if bounds[-1] != n:
         raise RuntimeError("the copy-swap orbit sums do not span the index")
-    return CopyBlocks(tuple(bases), rows, weights)
+    return CopyBlocks(scipy.sparse.vstack(sums, format="csr"),
+                      np.concatenate(orbits),
+                      tuple(slice(int(a), int(e)) for a, e in zip(bounds, bounds[1:])),
+                      (None,) * len(sums), rows, weights)
 
 
 def build_inflation(scenario: Scenario, n: int, m: int, *,
@@ -1313,7 +1361,10 @@ class MomentAssignment:
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.shape != (self.problem.dim, self.problem.dim):
             raise ValueError("assignment dimension does not match the index")
-        if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
+        # an exactly symmetric matrix has residual 0, and a NaN fails
+        # array_equal and takes the residual test
+        if (not np.array_equal(self.matrix, self.matrix.T)
+                and np.abs(self.matrix - self.matrix.T).max() > 1e-12):
             raise ValueError("assignment matrix must be symmetric")
 
     def class_values(self) -> np.ndarray:
@@ -1381,23 +1432,6 @@ def factor_residual(class_vals: np.ndarray,
                  .max(initial=0.0))
 
 
-def _constant(values: np.ndarray, starts: np.ndarray) -> bool:
-    """Whether every consecutive segment of ``values`` opening at
-    ``starts`` (none empty) holds one value, to the last bit."""
-    sizes = np.diff(starts, append=len(values))
-    return np.array_equal(values, np.repeat(values[starts], sizes))
-
-
-def _extremes(values: np.ndarray, starts: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """max and min of each consecutive segment of ``values`` opening at
-    ``starts`` (none empty); when every segment is constant, both are its
-    first values, found without the segmented reductions."""
-    if _constant(values, starts):
-        return values[starts], values[starts]
-    return np.maximum.reduceat(values, starts), np.minimum.reduceat(values, starts)
-
-
 def _spreads(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """max - min of each consecutive segment of ``values`` opening at
     ``starts``."""
@@ -1408,27 +1442,49 @@ def check_assignment(problem: MomentProblem,
                      assignment: MomentAssignment) -> ResidualReport:
     """Per-family maximal residuals of an assignment.
 
+    One exact pass compares every cell with the first cell of its Hankel
+    group (``group_first``).  When every cell matches, as on every solver
+    witness, the matrix is constant on each group to the last bit: the
+    Hankel spread is 0.0 and each group's value is its first cell's.  The
+    groups' values are then compared, in the same way, with the first
+    group of each class; when every group matches, the merge spread is
+    0.0 and each class's value is its first group's.  Only a matrix that
+    fails a comparison takes the segmented reductions: the mean, max and
+    min of every group, the class values as the mean of their groups'
+    means, and the spread of those means over each class.
+
     The min eigenvalue is read from the problem's ``index_blocks`` when
-    the matrix is constant on every class to the last bit: the Hankel
-    spread is 0.0, and so is the spread of the groups' values over each
-    class (taken on the values, not on the group means, which rounding
-    may set apart).  Such a matrix commutes with the copy swaps, and its
-    eigenvalues are those of the blocks.  Any other matrix takes one
-    ``eigvalsh`` of the whole index."""
+    the matrix is constant on every class, so it commutes with the copy
+    swaps and its eigenvalues are those of the blocks.  Any other matrix
+    takes one ``eigvalsh`` of the whole index."""
     X = assignment.matrix
     vals = X.reshape(-1)
-    cells, group_bounds = problem.group_layout
-    group_means = (np.bincount(problem.cell_group.reshape(-1), weights=vals,
-                               minlength=len(problem.group_keys))
-                   / np.diff(group_bounds))
-    group_max, group_min = _extremes(vals[cells], group_bounds[:-1])
-    hankel = float((group_max - group_min).max())
-    # class value: the mean of its groups' means
+    group_vals = vals[problem.group_first]
+    # np.take gathers through the int32 cell groups without a cast
+    if np.array_equal(X, np.take(group_vals, problem.cell_group)):
+        hankel = 0.0
+        group_means = group_max = group_min = group_vals
+    else:
+        cells, group_bounds = problem.group_layout
+        group_means = (np.bincount(problem.cell_group.reshape(-1), weights=vals,
+                                   minlength=len(problem.group_keys))
+                       / np.diff(group_bounds))
+        ordered = vals[cells]
+        group_max = np.maximum.reduceat(ordered, group_bounds[:-1])
+        group_min = np.minimum.reduceat(ordered, group_bounds[:-1])
+        hankel = float((group_max - group_min).max())
     groups, class_bounds = problem.class_layout
-    class_vals = (np.bincount(problem.group_class, weights=group_means,
-                              minlength=problem.n_classes)
-                  / np.diff(class_bounds))
-    merge_res = float(_spreads(group_means[groups], class_bounds[:-1]).max())
+    class_vals = group_means[groups[class_bounds[:-1]]]
+    constant = (hankel == 0.0 and
+                np.array_equal(group_means, class_vals[problem.group_class]))
+    if constant:
+        merge_res = 0.0
+    else:
+        # class value: the mean of its groups' means
+        class_vals = (np.bincount(problem.group_class, weights=group_means,
+                                  minlength=problem.n_classes)
+                      / np.diff(class_bounds))
+        merge_res = float(_spreads(group_means[groups], class_bounds[:-1]).max())
     # a pinned group's worst cell is its max or its min, since x - v rounds
     # monotonically in x
     group_pin = problem.pinned_values()[problem.group_class]
@@ -1451,8 +1507,7 @@ def check_assignment(problem: MomentProblem,
             class_vals[np.concatenate(factors).astype(np.intp)], starts)
         ext = float(np.abs(class_vals[prods] - products).max())
     blocks = problem.index_blocks
-    if (blocks is not None and hankel == 0.0
-            and _constant(group_max[groups], class_bounds[:-1])):
+    if blocks is not None and constant:
         eigmin = min(float(np.linalg.eigvalsh(G)[0])
                      for G in blocks.congruence(X[blocks.rows]))
     else:

@@ -40,7 +40,10 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    (``MomentProblem.index_blocks``, from orbit sums) restricted to the
    complement, Q_b W_b for an orthonormal basis W_b of ker(R Q_b) with R
    the relation vectors.  Otherwise there is one block, the complement's
-   basis V (``MomentProblem.column_range``).  A primal-dual interior point
+   basis V (``MomentProblem.column_range``).  No block holds a dense
+   basis: the Q_b are sparse signed orbit sums and only W_b is dense, and
+   one routine (``CopyBlocks.congruence``) reads every U_b' X U_b from the
+   rows of X at the orbits' least words.  A primal-dual interior point
    (``netnpa.interior``) runs in the coordinates z, one block per copy
    block, on constraint rows packed once per problem
    (``_RowFactor.phase1_rows``), when (p + 1) sum_b r_b^2 <=
@@ -391,7 +394,7 @@ class _RowFactor:
             cells = problem.cell_class[blocks.rows]
             for j in range(p):
                 y[self.free] = self.N[:, j]
-                for A, G in zip(views, blocks.congruence(y[cells])):
+                for A, G in zip(views, blocks.congruence(np.take(y, cells))):
                     np.negative(G, out=A[j])
             for A in views:
                 A[p] = np.eye(A.shape[1])
@@ -640,10 +643,15 @@ class _ClassSystem:
 
     # -- geometry ------------------------------------------------------------
 
-    def assemble(self, y_free: np.ndarray) -> np.ndarray:
+    def class_values(self, y_free: np.ndarray) -> np.ndarray:
+        """The value of every class: the known ones, and ``y_free`` on the
+        free classes."""
         y = np.where(np.isnan(self.known), 0.0, self.known)
         y[self.free] = y_free
-        return y[self.cell_class]
+        return y
+
+    def assemble(self, y_free: np.ndarray) -> np.ndarray:
+        return self.class_values(y_free)[self.cell_class]
 
     def factor_rows(self) -> tuple[bool, str]:
         """Reduce the pending rows to R y = b over the free classes and
@@ -782,7 +790,8 @@ def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
     U_b' X(y) U_b = C_b + sum_j z_j B_j with the B_j of
     ``_RowFactor.phase1_rows``.  Needs ``cs.factor_rows()`` to have run."""
     blocks = cs.problem.copy_blocks
-    return blocks.congruence(cs.assemble(cs.y0)[blocks.rows])
+    return blocks.congruence(np.take(cs.class_values(cs.y0),
+                                     cs.cell_class[blocks.rows]))
 
 
 def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):

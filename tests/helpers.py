@@ -840,6 +840,28 @@ def gram_range(cs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# dense reference for the copy blocks' orbit sums
+# ---------------------------------------------------------------------------
+
+def dense_bases(blocks) -> list[np.ndarray]:
+    """The bases U_b = Q_b W_b, (dim, r_b), of a ``moment.CopyBlocks``
+    formed dense from its sparse orbit sums (Q = I where it holds none,
+    W_b = I where it holds none)."""
+    bases = []
+    for cols, W in zip(blocks.columns, blocks.complements):
+        Q = (np.eye(len(blocks.rows)) if blocks.sums is None
+             else blocks.sums[cols].T.toarray())
+        bases.append(Q if W is None else Q @ W)
+    return bases
+
+
+def dense_congruence(blocks, M: np.ndarray) -> list[np.ndarray]:
+    """U_b' M U_b for every block, as dense products over the whole
+    index."""
+    return [U.T @ M @ U for U in dense_bases(blocks)]
+
+
+# ---------------------------------------------------------------------------
 # single-block reference for the interior point on copy blocks
 # ---------------------------------------------------------------------------
 

@@ -60,6 +60,8 @@ from helpers import (
     TRIANGLE_111,
     all_sequences,
     cached_problem,
+    dense_bases,
+    dense_congruence,
     loop_cells,
     loop_check_assignment,
     loop_flat_rows,
@@ -460,7 +462,7 @@ def test_class_valued_matrices_are_checked_on_the_index_blocks(
     p = _uniform_inflation(topology, m)
     blocks = p.index_blocks
     assert sum(blocks.sizes) == p.dim
-    U = np.hstack(blocks.bases)
+    U = np.hstack(dense_bases(blocks))
     assert np.abs(U.T @ U - np.eye(p.dim)).max() <= 1e-12
     shapes = _eigvalsh_shapes(monkeypatch)
     rng = np.random.default_rng(4)
@@ -488,6 +490,69 @@ def test_class_valued_matrices_are_checked_on_the_index_blocks(
     for family, value in ref.families().items():
         assert abs(got.families()[family] - value) <= 1e-12, family
     assert got.hankel > 0.0
+    # every cell of the second group of a class of several groups moved by
+    # one ulp: still constant on each group, no longer on its class, so
+    # the whole index takes one eigvalsh and no block is decomposed
+    X = rng.standard_normal(p.n_classes)[p.cell_class]
+    groups, bounds = p.class_layout
+    cls = int(np.flatnonzero(np.diff(bounds) > 1)[0])
+    cells = p.cell_group == groups[bounds[cls] + 1]
+    X[cells] = np.nextafter(X[cells], np.inf)
+    a = MomentAssignment(p, X)
+    shapes.clear()
+    got = check_assignment(p, a)
+    assert shapes == [(p.dim, p.dim)]
+    assert got.hankel == 0.0
+    assert got.merges > 0.0
+    ref = loop_check_assignment(p, a)
+    for family, value in ref.families().items():
+        assert abs(got.families()[family] - value) <= 1e-12, family
+
+
+def _swap_group(p) -> list[np.ndarray]:
+    """The index permutations of every element of the group the copy swaps
+    generate."""
+    elements = [np.arange(p.dim)]
+    for pi in p.copy_generators[0]:
+        elements += [pi[g] for g in elements]
+    return elements
+
+
+@pytest.mark.parametrize("topology, m", [(BILOCAL_111, 2), (TRIANGLE_111, 2),
+                                         (BILOCAL_111, 3)])
+def test_orbit_sums_give_the_dense_congruence(topology, m):
+    p = _uniform_inflation(topology, m)
+    rng = np.random.default_rng(6)
+    class_valued = rng.standard_normal(p.n_classes)[p.cell_class]
+    # symmetric and invariant under every swap, but not constant on classes
+    A = rng.standard_normal((p.dim, p.dim))
+    A = A + A.T
+    invariant = sum(A[np.ix_(g, g)] for g in _swap_group(p))
+    for blocks in (p.index_blocks, p.copy_blocks):
+        for M in (class_valued, invariant):
+            got = blocks.congruence(M[blocks.rows])
+            ref = dense_congruence(blocks, M)
+            assert [G.shape for G in got] == [G.shape for G in ref]
+            assert max(np.abs(G - R).max() for G, R in zip(got, ref)) <= 1e-12
+    # the reference holds for joint eigenspaces of the swaps, and each
+    # orbit sum has at most one nonzero per element of the group
+    perms = p.copy_generators[0]
+    chars = itertools.product((1.0, -1.0), repeat=len(perms))
+    for Q, chi in zip(dense_bases(p.index_blocks), chars):
+        for pi, sign in zip(perms, chi):
+            assert np.array_equal(Q[pi], sign * Q)
+    sums = p.index_blocks.sums
+    assert np.diff(sums.indptr).max() <= len(_swap_group(p))
+
+
+def test_copy_blocks_hold_no_dense_basis():
+    p = _uniform_inflation(BILOCAL_111, 3)
+    for blocks in (p.index_blocks, p.copy_blocks):
+        arrays = [blocks.sums.data, blocks.sums.indices, blocks.sums.indptr,
+                  blocks.orbits, blocks.rows, blocks.weights,
+                  *[W for W in blocks.complements if W is not None]]
+        k = min(c.stop - c.start for c in blocks.columns if c.stop > c.start)
+        assert all(a.size < p.dim * k for a in arrays)
 
 
 def test_a_problem_without_copy_swaps_has_no_index_blocks():

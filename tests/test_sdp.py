@@ -46,6 +46,7 @@ from helpers import (
     BILOCAL_111,
     TRIANGLE_111,
     cached_problem,
+    dense_bases,
     dense_rows,
     dense_solve_lmi,
     gram_range,
@@ -394,7 +395,7 @@ def test_copy_blocks_split_the_range(topology, sizes):
     assert blocks.rows is p.index_blocks.rows
     assert blocks.weights is p.index_blocks.weights
     assert sum(blocks.sizes) == p.column_range.shape[1]
-    U = np.hstack(blocks.bases)
+    U = np.hstack(dense_bases(blocks))
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
     # the blocks span the range of the column relations
     V = p.column_range
@@ -404,7 +405,7 @@ def test_copy_blocks_split_the_range(topology, sizes):
 def _off_block(blocks, M):
     """The largest entry of U' M U outside the diagonal blocks, and the
     diagonal blocks."""
-    U = np.hstack(blocks.bases)
+    U = np.hstack(dense_bases(blocks))
     G = U.T @ M @ U
     bounds = np.cumsum([0, *blocks.sizes])
     diag = [G[a:e, a:e].copy() for a, e in zip(bounds, bounds[1:])]
@@ -449,7 +450,7 @@ def test_one_block_without_copy_merges(name):
         p = build_inflation(BILOCAL, 2, 2, index_words=[
             word([meas("A", copies=(1,))]), word([meas("C", copies=(2,))])])
     blocks = p.copy_blocks
-    assert len(blocks.bases) == 1 and blocks.bases[0] is p.column_range
+    assert len(blocks.complements) == 1 and blocks.complements[0] is p.column_range
     assert blocks.rows.tolist() == list(range(p.dim))
 
 
@@ -649,25 +650,28 @@ def _accept_problem(name):
 
 def test_an_accept_stops_at_the_first_deciding_iterate():
     tol = DEFAULT_TOL
-    saved = 0
-    for name in [f"bilocal:{seed}" for seed in range(6)] + ["triangle-uniform"]:
+    names = [f"bilocal:{seed}" for seed in range(6)] + ["triangle-uniform"]
+    # with the right column relations every feasible set has an interior:
+    # the stopped solves take 1 to 4 iterates.  A stopped run does not move
+    # with rounding in the phase-1 data; a run to convergence may, so its
+    # count is only bounded below
+    for name, count in zip(names, [2, 1, 4, 1, 2, 2, 1]):
         p = _accept_problem(name)
         cs = _ClassSystem(p)
         assert cs.factor_rows() == (True, "")
         _X, converged = _interior_phase1(cs, tol)
         _X, stopped = _interior_phase1(cs, tol, stop=-tol / 2)
         assert stopped.status == "target", name
+        assert stopped.iterations == count, name
         assert stopped.dual_obj >= -tol / 2
         assert stopped.iterations <= converged.iterations, name
-        saved += converged.iterations - stopped.iterations
+        assert converged.status == "optimal", name
+        assert converged.iterations > stopped.iterations, name
         out = solve_feasibility(p)
         assert out.verdict == "feasible", name
         assert out.iterations == stopped.iterations
         assert out.residuals.families()["psd"] <= tol / 2
         assert out.t_star >= -tol / 2
-    # with the right column relations every feasible set has an interior:
-    # the stopped solves take 1 to 4 iterates, the converged ones 6 to 29
-    assert saved == 72
 
 
 @pytest.mark.parametrize("v", [0.47, 0.5])
