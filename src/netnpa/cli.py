@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,44 +75,28 @@ BUILDERS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """The parsed command line; the defaults of the options every command
-    takes are set in :func:`build_parser`."""
+# the options the config block of every report prints, in order
+CONFIG_FIELDS = ("command", "scenario", "outputs", "inputs", "hierarchy", "n",
+                 "m", "tol", "infeasibility_margin", "budget",
+                 "literal_paper_mode", "seed", "distribution")
 
-    command: str
-    scenario: str | None
-    outputs: tuple[int, ...] | None
-    inputs: tuple[int, ...] | None
-    hierarchy: str
-    n: int
-    m: int | None
-    tol: float
-    infeasibility_margin: float
-    budget: int
-    literal_paper_mode: bool
-    seed: int | None = None
-    distribution: str | None = None
-    output_path: str | None = None
-    dims: tuple[int, ...] | None = None
 
-    def report_lines(self) -> list[str]:
-        return [
-            "config:",
-            f"  command: {self.command}",
-            f"  scenario: {self.scenario or '-'}",
-            f"  outputs: {','.join(map(str, self.outputs)) if self.outputs else '-'}",
-            f"  inputs: {','.join(map(str, self.inputs)) if self.inputs else '-'}",
-            f"  hierarchy: {self.hierarchy}",
-            f"  n: {self.n}",
-            f"  m: {self.m if self.m is not None else '-'}",
-            f"  tol: {self.tol:g}",
-            f"  infeasibility_margin: {self.infeasibility_margin:g}",
-            f"  budget: {self.budget}",
-            f"  literal_paper_mode: {str(self.literal_paper_mode).lower()}",
-            f"  seed: {self.seed if self.seed is not None else '-'}",
-            f"  distribution: {self.distribution or '-'}",
-        ]
+def _show(value) -> str:
+    """An option's value as a report prints it."""
+    if value is None or value == ():
+        return "-"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _config_lines(cfg: argparse.Namespace) -> list[str]:
+    return ["config:"] + [f"  {name}: {_show(getattr(cfg, name))}"
+                          for name in CONFIG_FIELDS]
 
 
 class CliError(Exception):
@@ -122,7 +105,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _check_solver_settings(cfg: RunConfig) -> None:
+def _check_solver_settings(cfg: argparse.Namespace) -> None:
     """A FEASIBLE verdict needs t* >= -tol and an INFEASIBLE one
     t* < -margin, so a margin below tol would let the two bands overlap."""
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):
@@ -148,7 +131,7 @@ def _builtin_distribution(name: str, topology: str) -> Distribution:
                    "(try shared_random_bit, uniform_product, point)", EXIT_PARSE)
 
 
-def _load_distribution(cfg: RunConfig) -> Distribution:
+def _load_distribution(cfg: argparse.Namespace) -> Distribution:
     if cfg.distribution is None:
         raise CliError("a distribution (file or builtin name) is required",
                        EXIT_PARSE)
@@ -185,7 +168,7 @@ def _build(hierarchy: str, scenario: Scenario, n: int, m: int | None,
     return build(scenario, n, m, **kw)
 
 
-def _problem(cfg: RunConfig, scenario: Scenario,
+def _problem(cfg: argparse.Namespace, scenario: Scenario,
              dist: Distribution | None = None, *,
              linearize: bool = False) -> tuple[MomentProblem, float]:
     """Build the configured hierarchy over ``scenario``, pin ``dist`` if
@@ -256,7 +239,7 @@ def _unpinned_gate(problem: MomentProblem) -> str:
             f"{route.max_p} after the pins; else no engine runs")
 
 
-def cmd_test(cfg: RunConfig) -> tuple[int, str]:
+def cmd_test(cfg: argparse.Namespace) -> tuple[int, str]:
     t0 = time.perf_counter()
     dist = _load_distribution(cfg)
     problem, t_built = _problem(cfg, dist.scenario, dist, linearize=True)
@@ -269,7 +252,7 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     t_solved = time.perf_counter()
     verdict = outcome.verdict.upper()
     lines = ["netnpa test report"]
-    lines += cfg.report_lines()
+    lines += _config_lines(cfg)
     lines += _problem_lines(problem)
     lines += [
         f"verdict: {verdict}",
@@ -290,7 +273,7 @@ def cmd_test(cfg: RunConfig) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
-def cmd_export(cfg: RunConfig) -> tuple[int, str]:
+def cmd_export(cfg: argparse.Namespace) -> tuple[int, str]:
     if cfg.output_path is None:
         raise CliError("export needs --out", EXIT_PARSE)
     dist = _load_distribution(cfg) if cfg.distribution is not None else None
@@ -304,14 +287,14 @@ def cmd_export(cfg: RunConfig) -> tuple[int, str]:
     compiled = sdp.compile(problem)
     sdp.export_sdpa(compiled, cfg.output_path)
     lines = ["netnpa export report"]
-    lines += cfg.report_lines()
+    lines += _config_lines(cfg)
     lines += _problem_lines(problem)
     lines += [f"constraints written: {len(compiled.rows)}",
               f"file: {cfg.output_path}"]
     return EXIT_FEASIBLE, "\n".join(lines)
 
 
-def _scenario_from_flags(cfg: RunConfig) -> Scenario:
+def _scenario_from_flags(cfg: argparse.Namespace) -> Scenario:
     if cfg.scenario is None:
         raise CliError("--scenario is required", EXIT_PARSE)
     n_parties = len(TOPOLOGIES[cfg.scenario].parties)
@@ -349,7 +332,7 @@ def load_assignment(path: str) -> MomentAssignment:
     return MomentAssignment(problem, data["matrix"])
 
 
-def cmd_sample(cfg: RunConfig) -> tuple[int, str]:
+def cmd_sample(cfg: argparse.Namespace) -> tuple[int, str]:
     if cfg.seed is None:
         raise CliError("sample requires an explicit --seed", EXIT_PARSE)
     if cfg.output_path is None:
@@ -365,14 +348,14 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, str]:
     write_distribution(dist, dist_path)
     save_assignment(assignment, asg_path, cfg.budget)
     lines = ["netnpa sample report"]
-    lines += cfg.report_lines()
-    lines += [f"  dims: {','.join(map(str, cfg.dims))}"]
+    lines += _config_lines(cfg)
+    lines.append(f"  dims: {_show(cfg.dims)}")
     lines += _problem_lines(problem)
     lines += [f"distribution file: {dist_path}", f"assignment file: {asg_path}"]
     return EXIT_FEASIBLE, "\n".join(lines)
 
 
-def cmd_gns(cfg: RunConfig) -> tuple[int, str]:
+def cmd_gns(cfg: argparse.Namespace) -> tuple[int, str]:
     if cfg.distribution is None:
         raise CliError("gns needs the stored assignment path as its argument",
                        EXIT_PARSE)
@@ -386,7 +369,7 @@ def cmd_gns(cfg: RunConfig) -> tuple[int, str]:
         raise CliError(f"reconstruction failed: {exc}", EXIT_PARSE)
     residuals = gns.verify_model(model, assignment)
     lines = ["netnpa gns report"]
-    lines += cfg.report_lines()
+    lines += _config_lines(cfg)
     lines += [f"reconstructed dimension: {model.dimension}",
               str(residuals)]
     if cfg.output_path:
@@ -396,10 +379,10 @@ def cmd_gns(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_FEASIBLE, "\n".join(lines)
 
 
-def cmd_info(cfg: RunConfig) -> tuple[int, str]:
+def cmd_info(cfg: argparse.Namespace) -> tuple[int, str]:
     problem, _ = _problem(cfg, _scenario_from_flags(cfg))
     lines = ["netnpa info report"]
-    lines += cfg.report_lines()
+    lines += _config_lines(cfg)
     lines += _problem_lines(problem)
     lines += _engine_lines(problem, _unpinned_gate(problem))
     return EXIT_FEASIBLE, "\n".join(lines)
@@ -415,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="moment-matrix hierarchy tests for quantum network "
                     "compatibility")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that only some commands take
+    parser.set_defaults(seed=None, distribution=None, output_path=None)
 
     def common(p, with_dist=False):
         p.add_argument("--scenario", choices=sorted(TOPOLOGIES))
@@ -494,12 +479,11 @@ def run(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(_attach_negative_settings(argv))
     except SystemExit as exc:
         return (EXIT_PARSE if exc.code not in (0, None) else 0), ""
-    cfg = RunConfig(**vars(args))
     handlers = {"test": cmd_test, "export": cmd_export, "sample": cmd_sample,
                 "gns": cmd_gns, "info": cmd_info}
     try:
-        _check_solver_settings(cfg)
-        return handlers[cfg.command](cfg)
+        _check_solver_settings(args)
+        return handlers[args.command](args)
     except CliError as exc:
         return exc.code, f"error: {exc}"
     except (ScenarioError, SignallingError) as exc:

@@ -25,11 +25,14 @@ solver decides feasibility in layers, cheapest and most rigorous first:
 3. the remaining rows R y = b over the free classes.  R does not depend
    on the distribution, only b does, so once per problem (``_RowFactor``,
    kept with the problem's shared structures and checked against R on
-   every use) a sparse elimination picks pivot rows and columns, one
-   sparse LU factors R on them, and one thin QR of the kernel basis they
-   give yields an orthonormal basis N of ker R.  Per distribution, one LU
-   solve gives the minimum-norm solution y0 (an inconsistent system is an
-   infeasibility proof), so the affine set is y = y0 + N z;
+   every use) a sparse elimination picks pivot rows and columns and one
+   sparse LU factors R on them; p = dim ker R is the number of free
+   classes that are not pivots.  Per distribution, one LU solve gives the
+   solution on the pivots (an inconsistent system is an infeasibility
+   proof).  Only a problem the interior point takes (step 4) goes on: one
+   thin QR of the kernel basis the pivots give yields an orthonormal
+   basis N of ker R, and the minimum-norm solution y0 follows, so the
+   affine set is y = y0 + N z;
 4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set, on the
    problem's copy blocks (``MomentProblem.copy_blocks``): orthonormal
    bases U_b of the complement of the column relations, left and right
@@ -333,8 +336,10 @@ class _RowFactor:
     """The part of the affine layer that does not depend on the rhs: for
     reduced rows R over the free classes ``free``, the pivots of
     :func:`_eliminate`, one sparse LU of R on the pivot rows and columns,
-    and ``N``, an orthonormal basis of ker R.  The interior point's
-    constraint rows are built from N on first use.
+    and p = dim ker R, the number of columns that are not pivots.  Only
+    the interior point reads ``N``, an orthonormal basis of ker R, and the
+    constraint rows built from it, so both are built on first read: a
+    problem over the gate (:class:`EngineRoute`) never forms them.
 
     Every distribution pinned on one problem leaves the same R, so one
     factorisation, kept in the problem's shared structures, serves them
@@ -343,7 +348,6 @@ class _RowFactor:
 
     def __init__(self, free: np.ndarray, R: tuple[np.ndarray, np.ndarray,
                                                   np.ndarray]):
-        import scipy.sparse
         import scipy.sparse.linalg
 
         self.free, self.R = free, R
@@ -352,18 +356,31 @@ class _RowFactor:
         pivots = np.array(_eliminate(starts, cols, vals, n),
                           dtype=np.intp).reshape(-1, 2)
         self.pivot_rows, self.pivot_cols = pivots.T
-        rest = np.setdiff1d(np.arange(n), self.pivot_cols)
-        on_pivots = scipy.sparse.csr_matrix(
-            (vals, cols, starts), shape=(len(starts) - 1, n))[self.pivot_rows]
+        self.rest = np.setdiff1d(np.arange(n), self.pivot_cols)
+        self.p = len(self.rest)
         self.lu = scipy.sparse.linalg.splu(
-            on_pivots[:, self.pivot_cols].tocsc())
-        # the kernel basis K with identity rows on the columns that are not
-        # pivots; R K = 0 on the pivot rows, hence on every row
-        K = np.zeros((n, len(rest)))
-        K[rest, np.arange(len(rest))] = 1.0
-        K[self.pivot_cols] = -self.lu.solve(on_pivots[:, rest].toarray())
-        self.N = np.linalg.qr(K)[0]
+            self._on_pivots()[:, self.pivot_cols].tocsc())
         self._rows: np.ndarray | None = None
+
+    def _on_pivots(self):
+        """R on the pivot rows, as a sparse matrix."""
+        import scipy.sparse
+
+        starts, cols, vals = self.R
+        return scipy.sparse.csr_matrix(
+            (vals, cols, starts),
+            shape=(len(starts) - 1, len(self.free)))[self.pivot_rows]
+
+    @functools.cached_property
+    def N(self) -> np.ndarray:
+        """An orthonormal basis of ker R: the thin QR of the kernel basis K
+        with identity rows on the columns that are not pivots; R K = 0 on
+        the pivot rows, hence on every row."""
+        K = np.zeros((len(self.free), self.p))
+        K[self.rest, np.arange(self.p)] = 1.0
+        K[self.pivot_cols] = -self.lu.solve(
+            self._on_pivots()[:, self.rest].toarray())
+        return np.linalg.qr(K)[0]
 
     def fits(self, free: np.ndarray, R) -> bool:
         """Whether these are the free classes and the rows, bit for bit,
@@ -372,12 +389,11 @@ class _RowFactor:
                    for a, b in zip((self.free, *self.R), (free, *R)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The minimum-norm solution of R y = b on the pivot rows: the
-        solution that is zero off the pivot columns, less its part in the
-        span of N."""
+        """The solution of R y = b on the pivot rows that is zero off the
+        pivot columns."""
         y = np.zeros(len(self.free))
         y[self.pivot_cols] = self.lu.solve(b[self.pivot_rows])
-        return y - self.N @ (self.N.T @ y)
+        return y
 
     def phase1_rows(self, problem: MomentProblem) -> np.ndarray:
         """The phase-1 constraint rows [-B_1 ... -B_p; I], packed for
@@ -387,7 +403,7 @@ class _RowFactor:
         never formed, and of D_j only the rows ``copy_blocks.rows`` are."""
         if self._rows is None:
             blocks = problem.copy_blocks
-            p = self.N.shape[1]
+            p = self.p
             self._rows = np.empty((p + 1, sum(k * k for k in blocks.sizes)))
             views = interior.block_views(self._rows, blocks.sizes)
             y = np.zeros(problem.n_classes)
@@ -579,13 +595,12 @@ class _ClassSystem:
         # after a contradiction, callers read only ``known``
         self.free, self.free_pos = self.plan.free, self.plan.free_pos
         # set by factor_rows: the pending rows over the free classes as
-        # flat (starts, free positions, coefficients), with R y = b, a
-        # solution of R y = b, a basis of ker R and their factorisation
+        # flat (starts, free positions, coefficients), with R y = b, their
+        # factorisation and its solution of R y = b on the pivots
         self.R: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.b: np.ndarray | None = None
-        self.y0: np.ndarray | None = None
-        self.N: np.ndarray | None = None
         self.factor: _RowFactor | None = None
+        self._pivot_solution: np.ndarray | None = None
 
     # -- presolve ------------------------------------------------------------
 
@@ -655,36 +670,49 @@ class _ClassSystem:
 
     def factor_rows(self) -> tuple[bool, str]:
         """Reduce the pending rows to R y = b over the free classes and
-        check that it is solvable; keep ``R``, ``b``, ``y0``, the
-        minimum-norm solution, ``N``, an orthonormal basis of ker R, and
-        ``factor``, the :class:`_RowFactor` they come from.
+        check that it is solvable; keep ``R``, ``b`` and ``factor``, the
+        :class:`_RowFactor` of R.
 
         R does not depend on the distribution, only b does, so the
         factorisation is kept in the problem's structures, which
         ``MomentProblem.derive`` shares with its copies, and built anew
         only when R or the free classes differ from the kept ones (one
-        entry per problem).  Per call, only y0 is solved for.  The system
-        is consistent when y0 satisfies every row of R y = b.
+        entry per problem).  Per call, one LU solve gives the solution on
+        the pivots, and the system is consistent when it satisfies every
+        row of R y = b.  The minimum-norm solution ``y0`` and the kernel
+        basis ``N`` are built on first read.
         """
         self.R, self.b = self.plan.reduce(self.rows, self.known)
         structures = self.problem._structures
         factor = structures.get("row_factor")
         if factor is None or not factor.fits(self.free, self.R):
             factor = structures["row_factor"] = _RowFactor(self.free, self.R)
-        self.factor, self.N = factor, factor.N
-        y0 = factor.solve(self.b)
+        self.factor = factor
+        y = factor.solve(self.b)
         starts, cols, vals = self.R
         m = len(self.b)
         resid = np.bincount(np.repeat(np.arange(m), np.diff(starts)),
-                            weights=vals * y0[cols], minlength=m) - self.b
+                            weights=vals * y[cols], minlength=m) - self.b
         if len(resid):
             worst = int(np.abs(resid).argmax())
             if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
                 family = self.rows.families[self._pending[worst]]
                 return False, (f"linear system inconsistent: {family} row "
                                f"residual {resid[worst]:.3e} after elimination")
-        self.y0 = y0
+        self._pivot_solution = y
         return True, ""
+
+    @property
+    def N(self) -> np.ndarray:
+        """An orthonormal basis of ker R (``_RowFactor.N``)."""
+        return self.factor.N
+
+    @functools.cached_property
+    def y0(self) -> np.ndarray:
+        """The minimum-norm solution of R y = b: the solution on the
+        pivots less its part in the span of N."""
+        y = self._pivot_solution
+        return y - self.N @ (self.N.T @ y)
 
     # -- interlacing bound -----------------------------------------------------
 
@@ -807,7 +835,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     every block of X(z) already has min eigenvalue above ``stop``.
     Without it, the solve runs to convergence."""
     C = _reduce(cs)
-    p = cs.N.shape[1]
+    p = cs.factor.p
     b = np.zeros(p + 1)
     b[-1] = 1.0
     start = np.zeros(p + 1)
@@ -868,7 +896,7 @@ def solve_feasibility(problem: MomentProblem,
         # no point satisfies the rows, so t* = -inf
         return _verdict(problem, None, -np.inf, True, 0, tol,
                         infeasibility_margin, reject=msg)
-    route = EngineRoute(cs.N.shape[1], problem.copy_blocks.sizes)
+    route = EngineRoute(cs.factor.p, problem.copy_blocks.sizes)
     if not route.interior:
         return FeasibilityOutcome(
             "inconclusive", t_star=math.nan, route=route,
@@ -913,7 +941,8 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     ok, msg = cs.factor_rows()
     if not ok:
         raise SdpStructureError(f"infeasible problem: {msg}")
-    if not EngineRoute(cs.N.shape[1], problem.copy_blocks.sizes).interior:
+    p = cs.factor.p
+    if not EngineRoute(p, problem.copy_blocks.sizes).interior:
         raise SdpStructureError("problem too large for the interior point")
     C = _reduce(cs)
     c = np.zeros(len(cs.free))
@@ -923,7 +952,6 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
             c[cs.free_pos[cls]] += co
         else:
             fixed_part += co * cs.known[cls]
-    p = cs.N.shape[1]
     if p == 0:  # the affine set is one matrix
         lam = min(float(np.linalg.eigvalsh(Cb)[0]) for Cb in C)
         if lam < -tol:

@@ -60,6 +60,55 @@ def test_report_sections_stable_order():
     assert "  distribution: shared_random_bit" in report
 
 
+def _config_block(report):
+    lines = report.splitlines()
+    return lines[lines.index("config:"):lines.index("problem:")]
+
+
+def test_config_block_prints_every_option(tmp_path):
+    code, report = run(["test", "--scenario", "bilocal", "--outputs", "2,2,2",
+                        "--inputs", "1 1 1", "--n", "2", "--tol", "2.5e-8",
+                        "--literal-paper-mode", "uniform_product"])
+    assert code == EXIT_FEASIBLE
+    assert _config_block(report) == [
+        "config:",
+        "  command: test",
+        "  scenario: bilocal",
+        "  outputs: 2,2,2",
+        "  inputs: 1,1,1",
+        "  hierarchy: standard",
+        "  n: 2",
+        "  m: -",
+        "  tol: 2.5e-08",
+        "  infeasibility_margin: 0.0001",
+        "  budget: 5000",
+        "  literal_paper_mode: true",
+        "  seed: -",
+        "  distribution: uniform_product",
+    ]
+    code, report = run(["sample", "--scenario", "bilocal", "--hierarchy",
+                        "factorisation", "--n", "2", "--seed", "0", "--dims",
+                        "2,3,2,2", "--out", str(tmp_path / "s")])
+    assert code == EXIT_FEASIBLE
+    assert _config_block(report) == [
+        "config:",
+        "  command: sample",
+        "  scenario: bilocal",
+        "  outputs: -",
+        "  inputs: -",
+        "  hierarchy: factorisation",
+        "  n: 2",
+        "  m: -",
+        "  tol: 1e-07",
+        "  infeasibility_margin: 0.0001",
+        "  budget: 5000",
+        "  literal_paper_mode: false",
+        "  seed: 0",
+        "  distribution: -",
+        "  dims: 2,3,2,2",
+    ]
+
+
 def test_reports_name_the_copy_blocks_and_the_engine_they_select():
     code, report = run(["test", "--scenario", "triangle", "--hierarchy",
                         "inflation", "--n", "2", "--m", "2", "uniform_product"])

@@ -764,6 +764,28 @@ def test_outcomes_carry_the_route_of_the_engine_that_ran(monkeypatch):
     assert "interlacing" in out.evidence and out.route is None
 
 
+def test_a_problem_over_the_gate_builds_no_kernel_basis(monkeypatch):
+    """p = dim ker R comes from the pivots, so a problem the interior point
+    does not take is answered without N, its QR or the minimum-norm y0."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a kernel basis was built over the gate")
+
+    p = pin_distribution(cached_problem("scalar", *BILOCAL_111, 3),
+                         shared_random_bit("bilocal"))
+    # copy_blocks takes a QR of the column relations, so it is built first
+    assert p.copy_blocks.sizes == (190,)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(sdp._RowFactor, "N", property(refuse), raising=False)
+    out = solve_feasibility(p)
+    assert (out.verdict, out.iterations) == ("inconclusive", 0)
+    assert out.route == sdp.EngineRoute(3004, (190,))
+    assert out.evidence == ("too large for the interior point: (p + 1)*sum "
+                            "r_b^2 = 108480500 > 33554432")
+    monkeypatch.setattr(sdp, "INTERIOR_MAX_ENTRIES", 0)
+    with pytest.raises(SdpStructureError, match="too large"):
+        maximize_linear(p, {1: 1.0})
+
+
 # --- linear presolve -------------------------------------------------------------
 
 def flip_outputs(dist, parties):
