@@ -24,6 +24,14 @@ from .scenarios import Distribution, Scenario
 from .words import render_letter
 
 
+# an eigenvalue above RANK_REL_TOL * max eigenvalue counts towards the rank
+RANK_REL_TOL = 1e-8
+# the largest residual of a letter's action on the lower-level span
+OPERATOR_TOL = 1e-6
+# Gram-Schmidt drops a vector whose remainder has a smaller norm
+DROP_TOL = 1e-8
+
+
 class GnsError(ValueError):
     pass
 
@@ -34,7 +42,6 @@ class RankReport:
     rank_cur: int
     spectrum_prev: np.ndarray
     spectrum_cur: np.ndarray
-    rel_tol: float
 
     @property
     def loop(self) -> bool:
@@ -43,19 +50,18 @@ class RankReport:
     def __str__(self) -> str:
         return (f"rank({self.rank_prev}) -> rank({self.rank_cur}): "
                 f"{'rank loop' if self.loop else 'no loop'} "
-                f"(threshold {self.rel_tol:g} * max eigenvalue)")
+                f"(threshold {RANK_REL_TOL:g} * max eigenvalue)")
 
 
-def _num_rank(mat: np.ndarray, rel_tol: float) -> tuple[int, np.ndarray]:
+def _num_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
     w = np.linalg.eigvalsh((mat + mat.T) / 2)
     wmax = max(float(w.max()), 0.0)
     if wmax == 0.0:
         return 0, w
-    return int((w > rel_tol * wmax).sum()), w
+    return int((w > RANK_REL_TOL * wmax).sum()), w
 
 
-def rank_loop_check(g_prev: MomentAssignment, g_cur: MomentAssignment,
-                    rel_tol: float = 1e-8) -> RankReport:
+def rank_loop_check(g_prev: MomentAssignment, g_cur: MomentAssignment) -> RankReport:
     """Compare numerical ranks of consecutive-level moment matrices.
 
     ``g_prev`` must be the principal submatrix of ``g_cur`` on the words
@@ -68,9 +74,9 @@ def rank_loop_check(g_prev: MomentAssignment, g_cur: MomentAssignment,
     sub = g_cur.matrix[:np_prev, :np_prev]
     if np.abs(sub - g_prev.matrix).max() > 1e-10:
         raise GnsError("matrices disagree on the common principal submatrix")
-    r_prev, w_prev = _num_rank(g_prev.matrix, rel_tol)
-    r_cur, w_cur = _num_rank(g_cur.matrix, rel_tol)
-    return RankReport(r_prev, r_cur, w_prev, w_cur, rel_tol)
+    r_prev, w_prev = _num_rank(g_prev.matrix)
+    r_cur, w_cur = _num_rank(g_cur.matrix)
+    return RankReport(r_prev, r_cur, w_prev, w_cur)
 
 
 @dataclass
@@ -98,20 +104,19 @@ class GnsModel:
         return worst
 
 
-def _gram_schmidt(columns: np.ndarray, drop_tol: float = 1e-8) -> list[np.ndarray]:
+def _gram_schmidt(columns: np.ndarray) -> list[np.ndarray]:
     basis: list[np.ndarray] = []
     for k in range(columns.shape[1]):
         v = columns[:, k].copy()
         for b in basis:
             v -= np.dot(b, v) * b
         nrm = np.linalg.norm(v)
-        if nrm > drop_tol:
+        if nrm > DROP_TOL:
             basis.append(v / nrm)
     return basis
 
 
-def reconstruct(g: MomentAssignment, rel_tol: float = 1e-8,
-                op_tol: float = 1e-6) -> GnsModel:
+def reconstruct(g: MomentAssignment) -> GnsModel:
     """Recover an explicit operator model from a rank-looped moment matrix.
 
     The assignment must be PSD within tolerance and exhibit a rank loop
@@ -132,13 +137,13 @@ def reconstruct(g: MomentAssignment, rel_tol: float = 1e-8,
     X = (g.matrix + g.matrix.T) / 2
     w, v = np.linalg.eigh(X)
     wmax = float(w.max())
-    if wmax <= 0 or w.min() < -max(rel_tol * wmax, 1e-10):
+    if wmax <= 0 or w.min() < -max(RANK_REL_TOL * wmax, 1e-10):
         raise GnsError(f"matrix is not PSD within tolerance "
                        f"(min eigenvalue {w.min():.3e})")
     action = problem.letter_action
     prev_count = action.prev_count
-    r_prev, _ = _num_rank(X[:prev_count, :prev_count], rel_tol)
-    keep = w > rel_tol * wmax
+    r_prev, _ = _num_rank(X[:prev_count, :prev_count])
+    keep = w > RANK_REL_TOL * wmax
     d = int(keep.sum())
     if r_prev != d:
         raise GnsError(f"no rank loop: rank {r_prev} at level {problem.n - 1} "
@@ -151,7 +156,7 @@ def reconstruct(g: MomentAssignment, rel_tol: float = 1e-8,
         targets = np.ascontiguousarray(basis[:, cols])
         op = targets @ prefix_pinv
         resid = np.abs(op @ prefix - targets).max()
-        if resid > op_tol:
+        if resid > OPERATOR_TOL:
             raise GnsError(f"letter {render_letter(l)} does not act "
                            f"consistently (residual {resid:.3e})")
         operators[(l.party, l.input, l.output)] = (op + op.T) / 2

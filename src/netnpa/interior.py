@@ -21,7 +21,7 @@ S = L_S L_S', so it is the sum over the blocks of each block's Gram
 matrix, and an iteration costs O(m^2 sum_b r_b^2 + m sum_b r_b^3) rather
 than O(m^2 r^2 + m r^3).
 
-The blocks run from 6 x 6 to 160 x 160 on the inflation problems (the
+The blocks run from 6 x 6 to 124 x 124 on the inflation problems (the
 largest on triangle inflation (2,3)), and most are small, where the cost
 of a call outweighs its arithmetic, so blocks of equal size are held as
 one (n, k, k) stack: each size takes one product chain and one T T' for

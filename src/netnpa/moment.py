@@ -201,8 +201,10 @@ class CopyBlocks:
     the least words, whose orbit sizes are ``weights``), ``columns`` the
     columns of each block and ``complements`` its dense W_b, (k_b, r_b),
     None for W_b = I.  No dense (dim, k_b) basis is held.  Without swaps
-    every word is its own orbit, Q is the identity and ``sums`` is None
-    (so a problem that only reports its block sizes never loads scipy).
+    the group is trivial: every word is its own orbit, there is one
+    block, Q = I, and ``sums`` is None (so a problem that only reports its
+    block sizes never loads scipy), and the one copy block is W alone, an
+    orthonormal basis of the whole complement.
 
     Each Q_b is a joint eigenspace of the copy swaps: Q_b[pi] = +-Q_b for
     every swap's index permutation pi, and every moment matrix X has
@@ -426,38 +428,25 @@ class MomentProblem:
                             a_cols, c_cols)
 
     @_structure
-    def column_range(self) -> np.ndarray:
-        """An orthonormal basis V, (dim, r), of the complement of the span
-        of the vectors sum_a e_{A_{a|x} v} - e_v and sum_a e_{v A_{a|x}} -
-        e_v of the column relations (:func:`_relation_complement` of the
-        whole index).  Every moment matrix X of the problem maps them to
-        zero (its completeness rows), so X = V V' X V V'.  It is the one
-        copy block of a problem without ``copy_generators``; the copy
-        blocks of an inflation problem are built without it."""
-        return _relation_complement(self.column_relations, np.eye(self.dim))
-
-    @_structure
     def copy_blocks(self) -> CopyBlocks:
         """Orthonormal bases U_b, (dim, r_b), whose columns together span
         the complement of the column relations and which block-diagonalise
         every moment matrix X of the problem: U_a' X U_b = 0 for a != b.
-        For a problem with ``copy_generators``, the index blocks restricted
-        to that complement (:func:`_copy_blocks`); for every other problem
-        one block, Q = I and W = ``column_range``."""
-        if not self.copy_generators:
-            words = np.arange(self.dim)
-            return CopyBlocks(None, words, (slice(0, self.dim),),
-                              (self.column_range,), words, np.ones(self.dim))
+        They are the index blocks restricted to that complement
+        (:func:`_copy_blocks`); a problem without copy swaps has one, U =
+        W, an orthonormal basis of the whole complement.  Every moment
+        matrix X maps the relation vectors to zero (its completeness
+        rows), so X = U U' X U U'."""
         return _copy_blocks(self)
 
     @_structure
-    def index_blocks(self) -> CopyBlocks | None:
+    def index_blocks(self) -> CopyBlocks:
         """The joint eigenvectors of the copy swaps on the whole index, one
-        block per character (:func:`_index_blocks`), or None for a problem
-        without ``copy_generators``.  Every matrix that is constant on each
-        class commutes with the swaps, so its eigenvalues are those of its
-        blocks; ``check_assignment`` reads them from here."""
-        return _index_blocks(self) if self.copy_generators else None
+        block per character (:func:`_index_blocks`); a problem without
+        copy swaps has one block, Q = I.  Every matrix that is constant on
+        each class commutes with the swaps, so its eigenvalues are those
+        of its blocks; ``check_assignment`` reads them from here."""
+        return _index_blocks(self)
 
     def class_average(self, X: np.ndarray) -> np.ndarray:
         """Mean of ``X`` over the cells of each class (the class cells
@@ -1076,6 +1065,8 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     (:func:`_index_blocks`) restricted to it, U_b = Q_b W_b with W_b an
     orthonormal basis of ker(R Q_b) (:func:`_relation_complement`), and
     the blocks without columns dropped (Gatermann and Parrilo 2004).
+    Without swaps the one index block is Q = I, and W is an orthonormal
+    basis of the whole complement.
 
     Every moment matrix X commutes with each swap's permutation matrix
     P_s (:func:`_copy_swaps`), so U' X U is block-diagonal.  When every
@@ -1083,52 +1074,52 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     complement are invariant under the P_s, so the complement is the
     direct sum of its parts in the index blocks, and the U_b together span
     it.  The blocks share the index blocks' orbit sums, ``rows`` and
-    ``weights``, and hold only the dense W_b; each Q_b and U_b is formed
-    dense for the build and its checks alone.
+    ``weights``, and hold only the dense W_b; each Q_b is formed dense for
+    the build alone, and each U_b, with swaps, for its checks alone.
 
-    Raises :class:`RuntimeError` when a swap moves a cell to another
-    class, when a swap does not map the set of column relations onto
-    itself (compared exactly, on their index positions), when a block is
-    not an eigenspace of every swap (U_b[pi_s] = chi_s U_b) to rounding,
-    or when U' X U is not block-diagonal, to rounding, for a matrix X with
-    generic class values.
+    With swaps, raises :class:`RuntimeError` when a swap moves a cell to
+    another class, when a swap does not map the set of column relations
+    onto itself (compared exactly, on their index positions), when a
+    block is not an eigenspace of every swap (U_b[pi_s] = chi_s U_b) to
+    rounding, or when U' X U is not block-diagonal, to rounding, for a
+    matrix X with generic class values.
     """
     index = problem.index_blocks
-    perms = problem.copy_generators[0]
+    perms = _copy_swaps(problem)
     relations = problem.column_relations
-    own = _relation_set(relations)
-    for src, pi in zip(problem.alphabet.sources(), perms):
-        if not np.array_equal(_relation_set(np.where(relations >= 0,
-                                                     pi[relations], -1)), own):
-            raise RuntimeError(f"the copy swap of source {src} does not map "
-                               "the column relations onto themselves")
-    tol = problem.dim * np.finfo(float).eps
-    # (columns of Q_b, W_b, U_b), the characters in the order of _index_blocks
+    # (columns of Q_b, W_b, character), in the order of _index_blocks
     blocks = []
     for cols, chi in zip(index.columns,
                          itertools.product((1.0, -1.0), repeat=len(perms))):
-        Q = index.sums[cols].T.toarray()
+        Q = index.sums[cols].T.toarray() if perms else np.eye(problem.dim)
         W = _relation_complement(relations, Q)
-        if not W.shape[1]:
-            continue
-        U = Q @ W
-        for pi, sign in zip(perms, chi):
-            if np.abs(U[pi] - sign * U).max(initial=0.0) > tol:
-                raise RuntimeError(f"a copy-swap block of character {chi} is "
-                                   "not an eigenspace of the swaps")
-        blocks.append((cols, W, U))
-    X = np.random.default_rng(0).standard_normal(problem.n_classes)[problem.cell_class]
-    U = np.hstack([U for _, _, U in blocks])
-    G = U.T @ X @ U
-    block = np.repeat(np.arange(len(blocks)), [W.shape[1] for _, W, _ in blocks])
-    G[block[:, None] == block] = 0.0
-    off = float(np.abs(G).max(initial=0.0))
-    if off > tol * np.linalg.norm(X):
-        raise RuntimeError(f"the copy-swap blocks leave an off-block entry "
-                           f"{off:.3e}")
-    return CopyBlocks(index.sums, index.orbits,
-                      tuple(cols for cols, _, _ in blocks),
-                      tuple(W for _, W, _ in blocks), index.rows, index.weights)
+        if W.shape[1]:
+            blocks.append((cols, W, chi))
+    if perms:
+        own = _relation_set(relations)
+        for src, pi in zip(problem.alphabet.sources(), perms):
+            if not np.array_equal(_relation_set(np.where(relations >= 0,
+                                                         pi[relations], -1)), own):
+                raise RuntimeError(f"the copy swap of source {src} does not map "
+                                   "the column relations onto themselves")
+        tol = problem.dim * np.finfo(float).eps
+        U = [index.sums[cols].T @ W for cols, W, _ in blocks]
+        for Ub, (_, _, chi) in zip(U, blocks):
+            for pi, sign in zip(perms, chi):
+                if np.abs(Ub[pi] - sign * Ub).max(initial=0.0) > tol:
+                    raise RuntimeError(f"a copy-swap block of character {chi} "
+                                       "is not an eigenspace of the swaps")
+        X = np.random.default_rng(0).standard_normal(problem.n_classes)[problem.cell_class]
+        U = np.hstack(U)
+        G = U.T @ X @ U
+        block = np.repeat(np.arange(len(blocks)), [W.shape[1] for _, W, _ in blocks])
+        G[block[:, None] == block] = 0.0
+        off = float(np.abs(G).max(initial=0.0))
+        if off > tol * np.linalg.norm(X):
+            raise RuntimeError(f"the copy-swap blocks leave an off-block entry "
+                               f"{off:.3e}")
+    return CopyBlocks(index.sums, index.orbits, tuple(b[0] for b in blocks),
+                      tuple(b[1] for b in blocks), index.rows, index.weights)
 
 
 def _relation_set(relations: np.ndarray) -> np.ndarray:
@@ -1143,8 +1134,9 @@ def _copy_swaps(problem: MomentProblem) -> tuple[np.ndarray, ...]:
     """The index permutations of the copy swaps (1 2) of every source,
     after checking that each maps every cell's class to itself (raises
     :class:`RuntimeError` else), so that X[pi][:, pi] = X for every matrix
-    X that is constant on each class."""
-    perms = problem.copy_generators[0]
+    X that is constant on each class; none for a problem without
+    ``copy_generators``."""
+    perms = problem.copy_generators[0] if problem.copy_generators else ()
     for src, pi in zip(problem.alphabet.sources(), perms):
         if not np.array_equal(problem.cell_class[np.ix_(pi, pi)],
                               problem.cell_class):
@@ -1170,11 +1162,15 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     with X[pi][:, pi] = X for every swap maps each block to itself, so
     Q_b' X Q_b over the blocks gives X's eigenvalues (Gatermann and
     Parrilo 2004).  Every block is kept, also one without columns, so
-    that block b has the b-th character of ``itertools.product``."""
-    import scipy.sparse
-
+    that block b has the b-th character of ``itertools.product``.
+    Without swaps the one block is Q = I, held with ``sums`` None."""
     perms = _copy_swaps(problem)
     n = problem.dim
+    if not perms:
+        return CopyBlocks(None, np.arange(n), (slice(0, n),), (None,),
+                          np.arange(n), np.ones(n))
+    import scipy.sparse
+
     # the least word of every orbit and the orbit sizes: the swaps commute,
     # so one pass over them takes the minimum over the group
     least = np.arange(n)
@@ -1506,8 +1502,8 @@ def check_assignment(problem: MomentProblem,
         products = np.multiply.reduceat(
             class_vals[np.concatenate(factors).astype(np.intp)], starts)
         ext = float(np.abs(class_vals[prods] - products).max())
-    blocks = problem.index_blocks
-    if blocks is not None and constant:
+    if constant:
+        blocks = problem.index_blocks
         eigmin = min(float(np.linalg.eigvalsh(G)[0])
                      for G in blocks.congruence(X[blocks.rows]))
     else:

@@ -217,8 +217,9 @@ class Distribution:
         if self.table.shape != expected:
             raise ScenarioError(
                 f"table shape {self.table.shape} != outputs+inputs {expected}")
-        if self.table.min() < -ATOL_TABLE:
-            raise ScenarioError(f"negative probability {self.table.min():.3e}")
+        bad = self.table[~np.isfinite(self.table) | (self.table < -ATOL_TABLE)]
+        if bad.size:
+            raise ScenarioError(f"negative or non-finite probability {bad[0]:.3e}")
         self.table = self.table.clip(min=0.0)
         n = len(self.scenario.parties)
         sums = self.table.sum(axis=tuple(range(n)))
@@ -338,7 +339,7 @@ def write_distribution(dist: Distribution, path: str) -> None:
 
 def read_distribution(path: str) -> Distribution:
     header: dict[str, str] = {}
-    entries: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
+    entries: list[tuple[int, tuple[int, ...], tuple[int, ...], float]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -350,7 +351,7 @@ def read_distribution(path: str) -> Distribution:
                     outs_s, ins_s = lhs.split("|")
                     outs = tuple(int(t) for t in outs_s.split())
                     ins = tuple(int(t) for t in ins_s.split())
-                    entries.append((outs, ins, float(val)))
+                    entries.append((lineno, outs, ins, float(val)))
                 except ValueError as exc:
                     raise ScenarioError(f"{path}:{lineno}: bad entry {line!r}") from exc
             elif ":" in line:
@@ -365,8 +366,17 @@ def read_distribution(path: str) -> Distribution:
                   tuple(int(t) for t in header["outputs"].split()),
                   tuple(int(t) for t in header["inputs"].split()))
     table = np.zeros(sc.outputs + sc.inputs)
-    for outs, ins, v in entries:
-        table[outs + ins] = v
+    seen: dict[tuple[int, ...], int] = {}
+    for lineno, outs, ins, v in entries:
+        at = outs + ins
+        if (len(outs) != len(sc.parties) or len(ins) != len(sc.parties)
+                or not all(0 <= i < d for i, d in zip(at, table.shape))):
+            raise ScenarioError(f"{path}:{lineno}: entry {outs} | {ins} is not one output "
+                                f"and one input per party in {sc.outputs} | {sc.inputs}")
+        if at in seen:
+            raise ScenarioError(f"{path}:{lineno}: entry {at} repeats line {seen[at]}")
+        seen[at] = lineno
+        table[at] = v
     return Distribution(sc, table)
 
 

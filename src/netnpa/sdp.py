@@ -38,12 +38,12 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    bases U_b of the complement of the column relations, left and right
    (sum_a A_{a|x} v = v = sum_a v A_{a|x}), in which every
    matrix X of the affine set is block-diagonal, so X >= 0 iff every
-   U_b' X U_b >= 0.  On an inflation problem they are the isotypic
-   components of the copy swaps: each index block Q_b
-   (``MomentProblem.index_blocks``, from orbit sums) restricted to the
-   complement, Q_b W_b for an orthonormal basis W_b of ker(R Q_b) with R
-   the relation vectors.  Otherwise there is one block, the complement's
-   basis V (``MomentProblem.column_range``).  No block holds a dense
+   U_b' X U_b >= 0.  They are the isotypic components of the copy
+   swaps: each index block Q_b (``MomentProblem.index_blocks``, from
+   orbit sums) restricted to the complement, Q_b W_b for an orthonormal
+   basis W_b of ker(R Q_b) with R the relation vectors.  A problem
+   without copy swaps has one index block, Q = I, so one copy block, an
+   orthonormal basis W of the whole complement.  No block holds a dense
    basis: the Q_b are sparse signed orbit sums and only W_b is dense, and
    one routine (``CopyBlocks.congruence``) reads every U_b' X U_b from the
    rows of X at the orbits' least words.  A primal-dual interior point

@@ -16,6 +16,7 @@ from netnpa.moment import (
     ResidualReport,
     _diagonal_check_products,
     _min_key,
+    _relation_complement,
     _scalar_identifications,
     build_factorisation_bilocal,
     build_inflation,
@@ -855,6 +856,14 @@ def dense_bases(blocks) -> list[np.ndarray]:
     return bases
 
 
+def relation_complement(p: MomentProblem) -> np.ndarray:
+    """An orthonormal basis V, (dim, r), of the complement of the column
+    relations on the whole index, by one SVD (Q = I): the one copy block
+    of a problem without copy swaps, and the span of every problem's copy
+    blocks."""
+    return _relation_complement(p.column_relations, np.eye(p.dim))
+
+
 def dense_congruence(blocks, M: np.ndarray) -> list[np.ndarray]:
     """U_b' M U_b for every block, as dense products over the whole
     index."""
@@ -958,13 +967,13 @@ def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
 
 def single_block_phase1(cs, tol: float = 1e-7):
     """The phase-1 search of an ``sdp._ClassSystem`` whose rows are
-    factored, on the whole range V = ``column_range`` as one dense block:
-    max t s.t. V' X(z) V - t*1 >= 0, with V' D_j V formed one direction at
-    a time, from the same dual start as ``sdp._interior_phase1``: z = 0,
-    t = lambda_min(V' X(y0) V) - 1.  Returns (status, primal objective,
-    primal infeasibility)."""
+    factored, on the whole range V = :func:`relation_complement` as one
+    dense block: max t s.t. V' X(z) V - t*1 >= 0, with V' D_j V formed one
+    direction at a time, from the same dual start as
+    ``sdp._interior_phase1``: z = 0, t = lambda_min(V' X(y0) V) - 1.
+    Returns (status, primal objective, primal infeasibility)."""
     p = cs.problem
-    V = p.column_range
+    V = relation_complement(p)
     P, r = cs.N.shape[1], V.shape[1]
     B = np.empty((P, r, r))
     y = np.zeros(cs.problem.n_classes)

@@ -234,6 +234,21 @@ def test_malformed_distribution_exit64(tmp_path):
     assert "error" in report
 
 
+@pytest.mark.parametrize("entries", [
+    "q 0 0 0 | 0 0 0 = nan\nq 1 1 1 | 0 0 0 = 0.5\n",
+    "q 0 0 | 0 0 0 = 0.5\nq 1 1 1 | 0 0 0 = 0.5\n",
+    "q 0 0 5 | 0 0 0 = 0.5\nq 1 1 1 | 0 0 0 = 0.5\n",
+    "q -1 -1 -1 | 0 0 0 = 0.5\nq 0 0 0 | 0 0 0 = 0.5\n",
+], ids=["nan", "short", "too-large", "negative"])
+def test_invalid_distribution_entries_exit64(tmp_path, entries):
+    path = tmp_path / "bad.dist"
+    path.write_text("scenario: bilocal\noutputs: 2 2 2\ninputs: 1 1 1\n" + entries)
+    code, report = run(["test", "--scenario", "bilocal", "--n", "2", str(path)])
+    assert code == EXIT_PARSE
+    assert report.startswith("error: cannot read distribution:")
+    assert len(report.splitlines()) == 1
+
+
 def test_inflation_needs_m():
     code, report = run(["test", "--scenario", "triangle", "--hierarchy",
                         "inflation", "--n", "2", "shared_random_bit"])

@@ -555,10 +555,6 @@ def test_copy_blocks_hold_no_dense_basis():
         assert all(a.size < p.dim * k for a in arrays)
 
 
-def test_a_problem_without_copy_swaps_has_no_index_blocks():
-    assert cached_problem("standard", *BILOCAL_111, 2).index_blocks is None
-
-
 def test_inflation_orbit_merges():
     p = cached_problem("inflation", *BILOCAL_111, 2, 2)
     a1c1 = concat(word([meas("A", copies=(1,))]), word([meas("C", copies=(1,))]))

@@ -1,5 +1,7 @@
 """Scenarios, distributions, strategies, and moment oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,16 @@ def test_distribution_rejects_bad_tables():
     table2[1, 1, 1, 0, 0, 0] = -0.5
     with pytest.raises(ScenarioError, match="negative"):
         Distribution(BILOCAL, table2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_rejects_non_finite_entries(bad):
+    # NaN compares False both with the negativity and the normalisation test
+    table = np.zeros((2, 2, 2, 1, 1, 1))
+    table[1, 1, 1, 0, 0, 0] = 0.5
+    table[0, 0, 0, 0, 0, 0] = bad
+    with pytest.raises(ScenarioError, match="non-finite probability -?(nan|inf)"):
+        Distribution(BILOCAL, table)
 
 
 def test_signalling_marginal_rejected():
@@ -347,6 +359,20 @@ def test_distribution_file_rejects_unnormalized(tmp_path):
     path.write_text("scenario: bilocal\noutputs: 2 2 2\ninputs: 1 1 1\n"
                     "q 0 0 0 | 0 0 0 = 0.4\n")
     with pytest.raises(ScenarioError, match=r"inputs \(0, 0, 0\)"):
+        read_distribution(str(path))
+
+
+@pytest.mark.parametrize("entry, match", [
+    ("q 0 0 | 0 0 0", r":5: entry \(0, 0\) \| \(0, 0, 0\) is not one output"),
+    ("q 0 0 5 | 0 0 0", r":5: entry \(0, 0, 5\) \| \(0, 0, 0\) is not one output"),
+    ("q -1 -1 -1 | 0 0 0", r":5: entry \(-1, -1, -1\) \| \(0, 0, 0\) is not one"),
+    ("q 0 0 0 | 0 0 0", r":5: entry \(0, 0, 0, 0, 0, 0\) repeats line 4"),
+], ids=["short", "too-large", "negative", "repeated"])
+def test_distribution_file_rejects_malformed_entries(tmp_path, entry, match):
+    path = tmp_path / "bad.dist"
+    path.write_text("scenario: bilocal\noutputs: 2 2 2\ninputs: 1 1 1\n"
+                    f"q 0 0 0 | 0 0 0 = 0.5\n{entry} = 0.5\n")
+    with pytest.raises(ScenarioError, match=re.escape(str(path)) + match):
         read_distribution(str(path))
 
 

@@ -56,6 +56,7 @@ from helpers import (
     loop_reduced_rows,
     loop_submatrix_words,
     meas,
+    relation_complement,
     round_propagate,
     single_block_phase1,
 )
@@ -327,7 +328,7 @@ def test_column_range_spans_the_gram_reference(name):
     p = _range_problem(name)
     cs = _ClassSystem(p)
     assert cs.factor_rows() == (True, "")
-    V, V_gram = p.column_range, gram_range(cs)
+    V, V_gram = relation_complement(p), gram_range(cs)
     assert V.shape == V_gram.shape
     if name == "literal-standard":
         # no completeness relations, and the affine set has no common kernel
@@ -383,22 +384,32 @@ def _mixture(v):
     ((TRIANGLE_111, 2), [19, 12, 12, 10, 12, 10, 10, 6]),
     ((BILOCAL_111, 2), [14, 9, 9, 9]),
     ((BILOCAL_111, 3), [54, 32, 32, 21])])
-def test_copy_blocks_split_the_range(topology, sizes):
+def test_copy_blocks_split_the_range(topology, sizes, monkeypatch):
     scenario, m = topology
     # a copy made by dataclasses.replace has no structure built yet
     p = dataclasses.replace(cached_problem("inflation", *scenario, 2, m))
+    complement = moment._relation_complement
+    widths = []
+
+    def spy(relations, Q):
+        widths.append(Q.shape[1])
+        return complement(relations, Q)
+
+    monkeypatch.setattr(moment, "_relation_complement", spy)
     blocks = p.copy_blocks
+    monkeypatch.undo()
     # in the order of the characters, as the CLI prints them
     assert blocks.sizes == tuple(sizes)
     # the index blocks restricted to the range, with no global SVD
-    assert "column_range" not in p._structures
+    assert len(widths) == len(p.index_blocks.columns)
+    assert max(widths) < p.dim
     assert blocks.rows is p.index_blocks.rows
     assert blocks.weights is p.index_blocks.weights
-    assert sum(blocks.sizes) == p.column_range.shape[1]
+    V = relation_complement(p)
+    assert sum(blocks.sizes) == V.shape[1]
     U = np.hstack(dense_bases(blocks))
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-12
     # the blocks span the range of the column relations
-    V = p.column_range
     assert np.abs(U - V @ (V.T @ U)).max() <= 1e-12
 
 
@@ -449,9 +460,18 @@ def test_one_block_without_copy_merges(name):
         # a restricted index need not be closed under the copy swaps
         p = build_inflation(BILOCAL, 2, 2, index_words=[
             word([meas("A", copies=(1,))]), word([meas("C", copies=(2,))])])
+    # one index block, Q = I
+    index = p.index_blocks
+    assert index.sizes == (p.dim,) and index.sums is None
+    # and one copy block: the complement on the whole index, bit for bit
     blocks = p.copy_blocks
-    assert len(blocks.complements) == 1 and blocks.complements[0] is p.column_range
+    assert len(blocks.complements) == 1
+    assert blocks.complements[0].tobytes() == relation_complement(p).tobytes()
     assert blocks.rows.tolist() == list(range(p.dim))
+    # the gate's eigenvalue is that of the whole matrix, bit for bit
+    X = np.random.default_rng(8).standard_normal(p.n_classes)[p.cell_class]
+    got = moment.check_assignment(p, moment.MomentAssignment(p, X)).min_eigenvalue
+    assert got == np.linalg.eigvalsh((X + X.T) / 2).min()
 
 
 @pytest.mark.parametrize("topology, sizes", [
