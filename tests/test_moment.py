@@ -555,6 +555,16 @@ def test_copy_blocks_hold_no_dense_basis():
         assert all(a.size < p.dim * k for a in arrays)
 
 
+def test_a_problem_without_copy_swaps_has_no_index_blocks():
+    # no swaps split the index: its one block is Q = I, with no orbit sums
+    p = cached_problem("standard", *BILOCAL_111, 2)
+    assert p.copy_generators == ()
+    index = p.index_blocks
+    assert index.sums is None and index.sizes == (p.dim,)
+    assert index.columns == (slice(0, p.dim),)
+    assert index.orbits.tolist() == list(range(p.dim))
+
+
 def test_inflation_orbit_merges():
     p = cached_problem("inflation", *BILOCAL_111, 2, 2)
     a1c1 = concat(word([meas("A", copies=(1,))]), word([meas("C", copies=(1,))]))
