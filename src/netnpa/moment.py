@@ -231,12 +231,17 @@ class CopyBlocks:
         symmetric matrix M with M[pi][:, pi] = M for every swap: one
         sparse product gives every signed orbit sum (M Q)[i, d] at the
         least words i, and each block gathers its own."""
-        # (k, rows): MQ[d, o] = (M Q)[rows[o], d]
-        MQ = M_rows.T if self.sums is None else self.sums @ M_rows.T
-        root = np.sqrt(self.weights[self.orbits])
+        if self.sums is None:
+            # Q = I: the rows are the whole index, so M_rows is M Q
+            Gs = [M_rows]
+        else:
+            # (k, rows): MQ[d, o] = (M Q)[rows[o], d]
+            MQ = self.sums @ M_rows.T
+            root = np.sqrt(self.weights[self.orbits])
+            Gs = [(MQ[cols][:, self.orbits[cols]] * root[cols]).T
+                  for cols in self.columns]
         out = []
-        for cols, W in zip(self.columns, self.complements):
-            G = (MQ[cols][:, self.orbits[cols]] * root[cols]).T
+        for G, W in zip(Gs, self.complements):
             if W is not None:
                 G = W.T @ G @ W
             out.append((G + G.T) / 2)
@@ -327,24 +332,23 @@ class MomentProblem:
     # that add factor families or check products, and every pin,
     # linearization and frozen solve, copy the problem through ``derive``,
     # which shares them (so one problem builds each once), while
-    # ``dataclasses.replace`` starts over with none built.  Three more
+    # ``dataclasses.replace`` starts over with none built.  Two more
     # entries, which ``sdp`` keeps, read what a copy may change, so each is
     # checked on every use and built anew when it differs: the presolve's
     # propagation plans, one for the rows without linearized factor rows
     # (``propagation``) and one for the rows with them
     # (``propagation_linearized``), each checked against the initially
-    # known mask, the rows' classes and bounds and their zero
-    # coefficients, and holding the interlacing bound's choice of words;
-    # and the factorisation of the rows (``row_factor``), checked against
-    # the free classes and the reduced rows
+    # known mask and the rows' classes, bounds and coefficients.  Each plan
+    # holds the interlacing bound's choice of words, the rows it leaves
+    # over the free classes and their one factorisation
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
         derived structures: whatever either problem builds, both use.
         Only the pins, the factorisation families and the check products
-        may change, since no ``_structure`` property reads them (the rows'
-        factorisation, which does, is checked against the rows before each
-        use)."""
+        may change, since no ``_structure`` property reads them (the
+        presolve's plans, which do and which hold the rows' factorisation,
+        are checked against the rows and the mask before each use)."""
         read = set(changes) - {"pinned", "linear_factor_rows", "flagged_bilinear",
                                "factor_pairs", "factor_triples", "check_products"}
         if read:
@@ -438,6 +442,21 @@ class MomentProblem:
         matrix X maps the relation vectors to zero (its completeness
         rows), so X = U U' X U U'."""
         return _copy_blocks(self)
+
+    @_structure
+    def _copy_swaps(self) -> tuple[np.ndarray, ...]:
+        """The index permutations of the copy swaps (1 2) of every source,
+        after checking, once per problem, that each maps every cell's class
+        to itself (raises :class:`RuntimeError` else), so that X[pi][:, pi]
+        = X for every matrix X that is constant on each class; none for a
+        problem without ``copy_generators``."""
+        perms = self.copy_generators[0] if self.copy_generators else ()
+        for src, pi in zip(self.alphabet.sources(), perms):
+            if not np.array_equal(self.cell_class[np.ix_(pi, pi)],
+                                  self.cell_class):
+                raise RuntimeError(f"the copy swap of source {src} moves a cell "
+                                   "to another class")
+        return perms
 
     @_structure
     def index_blocks(self) -> CopyBlocks:
@@ -1069,13 +1088,14 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     basis of the whole complement.
 
     Every moment matrix X commutes with each swap's permutation matrix
-    P_s (:func:`_copy_swaps`), so U' X U is block-diagonal.  When every
-    swap maps the set of relation vectors onto itself, their span and its
-    complement are invariant under the P_s, so the complement is the
-    direct sum of its parts in the index blocks, and the U_b together span
-    it.  The blocks share the index blocks' orbit sums, ``rows`` and
-    ``weights``, and hold only the dense W_b; each Q_b is formed dense for
-    the build alone, and each U_b, with swaps, for its checks alone.
+    P_s (:attr:`MomentProblem._copy_swaps`), so U' X U is block-diagonal.
+    When every swap maps the set of relation vectors onto itself, their
+    span and its complement are invariant under the P_s, so the complement
+    is the direct sum of its parts in the index blocks, and the U_b
+    together span it.  The blocks share the index blocks' orbit sums,
+    ``rows`` and ``weights``, and hold only the dense W_b; each Q_b is
+    formed dense for the build alone, and each U_b, with swaps, for its
+    checks alone.
 
     With swaps, raises :class:`RuntimeError` when a swap moves a cell to
     another class, when a swap does not map the set of column relations
@@ -1085,7 +1105,7 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     matrix X with generic class values.
     """
     index = problem.index_blocks
-    perms = _copy_swaps(problem)
+    perms = problem._copy_swaps
     relations = problem.column_relations
     # (columns of Q_b, W_b, character), in the order of _index_blocks
     blocks = []
@@ -1130,21 +1150,6 @@ def _relation_set(relations: np.ndarray) -> np.ndarray:
                                           relations[:, -1:]], axis=1))[0]
 
 
-def _copy_swaps(problem: MomentProblem) -> tuple[np.ndarray, ...]:
-    """The index permutations of the copy swaps (1 2) of every source,
-    after checking that each maps every cell's class to itself (raises
-    :class:`RuntimeError` else), so that X[pi][:, pi] = X for every matrix
-    X that is constant on each class; none for a problem without
-    ``copy_generators``."""
-    perms = problem.copy_generators[0] if problem.copy_generators else ()
-    for src, pi in zip(problem.alphabet.sources(), perms):
-        if not np.array_equal(problem.cell_class[np.ix_(pi, pi)],
-                              problem.cell_class):
-            raise RuntimeError(f"the copy swap of source {src} moves a cell "
-                               "to another class")
-    return perms
-
-
 def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     """The isotypic components of the whole index under the copy swaps,
     built from the orbits alone (no factorisation) and held as sparse
@@ -1164,7 +1169,7 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     Parrilo 2004).  Every block is kept, also one without columns, so
     that block b has the b-th character of ``itertools.product``.
     Without swaps the one block is Q = I, held with ``sums`` None."""
-    perms = _copy_swaps(problem)
+    perms = problem._copy_swaps
     n = problem.dim
     if not perms:
         return CopyBlocks(None, np.arange(n), (slice(0, n),), (None,),

@@ -10,10 +10,10 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    format from the builders to the elimination); a violated
    fully-determined row is an infeasibility proof (no PSD reasoning
    involved).  Which rows a round checks and which classes it solves
-   depend only on the rows' structure and the pinned mask, so the rounds
-   are worked out once per problem (``_PropagationPlan``, kept with the
-   problem's shared structures and checked against the rows and the mask
-   on every use), and each distribution replays them;
+   depend only on the rows and the pinned mask, so the rounds are worked
+   out once per problem (``_PropagationPlan``, kept with the problem's
+   shared structures and checked against the rows and the mask on every
+   use), and each distribution replays them;
 2. interlacing bound, when some class is still free (a fully determined
    problem goes straight to ``_verdict``): if the words whose pairwise
    products are all already determined span a principal submatrix with
@@ -23,16 +23,16 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    choice of words depends only on which classes are known, so the
    propagation plan holds it;
 3. the remaining rows R y = b over the free classes.  R does not depend
-   on the distribution, only b does, so once per problem (``_RowFactor``,
-   kept with the problem's shared structures and checked against R on
-   every use) a sparse elimination picks pivot rows and columns and one
-   sparse LU factors R on them; p = dim ker R is the number of free
-   classes that are not pivots.  Per distribution, one LU solve gives the
-   solution on the pivots (an inconsistent system is an infeasibility
-   proof).  Only a problem the interior point takes (step 4) goes on: one
-   thin QR of the kernel basis the pivots give yields an orthonormal
-   basis N of ker R, and the minimum-norm solution y0 follows, so the
-   affine set is y = y0 + N z;
+   on the distribution, only b does, so the propagation plan holds R and
+   its one factorisation (``_RowFactor``), each built on first use: a
+   sparse elimination picks pivot rows and columns, and one sparse LU
+   factors R on them in the elimination's order; p = dim ker R is the
+   number of free classes that are not pivots.  Per distribution, one LU
+   solve gives the solution on the pivots (an inconsistent system is an
+   infeasibility proof).  Only a problem the interior point takes (step
+   4) goes on: one thin QR of the kernel basis the pivots give yields an
+   orthonormal basis N of ker R, and the minimum-norm solution y0
+   follows, so the affine set is y = y0 + N z;
 4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set, on the
    problem's copy blocks (``MomentProblem.copy_blocks``): orthonormal
    bases U_b of the complement of the column relations, left and right
@@ -49,7 +49,7 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    rows of X at the orbits' least words.  A primal-dual interior point
    (``netnpa.interior``) runs in the coordinates z, one block per copy
    block, on constraint rows packed once per problem
-   (``_RowFactor.phase1_rows``), when (p + 1) sum_b r_b^2 <=
+   (``_PropagationPlan.phase1_rows``), when (p + 1) sum_b r_b^2 <=
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
    (:class:`EngineRoute`).  A larger problem is inconclusive at once, with
    no engine run.  The search starts strictly dual feasible and every
@@ -334,33 +334,33 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 
 class _RowFactor:
     """The part of the affine layer that does not depend on the rhs: for
-    reduced rows R over the free classes ``free``, the pivots of
-    :func:`_eliminate`, one sparse LU of R on the pivot rows and columns,
-    and p = dim ker R, the number of columns that are not pivots.  Only
-    the interior point reads ``N``, an orthonormal basis of ker R, and the
-    constraint rows built from it, so both are built on first read: a
-    problem over the gate (:class:`EngineRoute`) never forms them.
+    reduced rows R in n unknowns, the pivots of :func:`_eliminate`, one
+    sparse LU of R on the pivot rows and columns, and p = dim ker R, the
+    number of columns that are not pivots.  The LU takes the pivot columns
+    in the elimination's order (``permc_spec="NATURAL"``), so the
+    elimination makes the only ordering decision.  Only the interior point
+    reads ``N``, an orthonormal basis of ker R, and the constraint rows
+    built from it (:meth:`_PropagationPlan.phase1_rows`), so both are
+    built on first read: a problem over the gate (:class:`EngineRoute`)
+    never forms them.
 
-    Every distribution pinned on one problem leaves the same R, so one
-    factorisation, kept in the problem's shared structures, serves them
-    all; :meth:`fits` tells whether it is the one for given rows.
+    Every distribution pinned on one problem leaves the same R, so the
+    propagation plan that holds R holds its one factorisation
+    (:attr:`_PropagationPlan.factor`), which serves them all.
     """
 
-    def __init__(self, free: np.ndarray, R: tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray]):
+    def __init__(self, R: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
         import scipy.sparse.linalg
 
-        self.free, self.R = free, R
+        self.R, self.n = R, n
         starts, cols, vals = R
-        n = len(free)
         pivots = np.array(_eliminate(starts, cols, vals, n),
                           dtype=np.intp).reshape(-1, 2)
         self.pivot_rows, self.pivot_cols = pivots.T
         self.rest = np.setdiff1d(np.arange(n), self.pivot_cols)
         self.p = len(self.rest)
         self.lu = scipy.sparse.linalg.splu(
-            self._on_pivots()[:, self.pivot_cols].tocsc())
-        self._rows: np.ndarray | None = None
+            self._on_pivots()[:, self.pivot_cols].tocsc(), permc_spec="NATURAL")
 
     def _on_pivots(self):
         """R on the pivot rows, as a sparse matrix."""
@@ -369,57 +369,32 @@ class _RowFactor:
         starts, cols, vals = self.R
         return scipy.sparse.csr_matrix(
             (vals, cols, starts),
-            shape=(len(starts) - 1, len(self.free)))[self.pivot_rows]
+            shape=(len(starts) - 1, self.n))[self.pivot_rows]
 
     @functools.cached_property
     def N(self) -> np.ndarray:
         """An orthonormal basis of ker R: the thin QR of the kernel basis K
         with identity rows on the columns that are not pivots; R K = 0 on
         the pivot rows, hence on every row."""
-        K = np.zeros((len(self.free), self.p))
+        K = np.zeros((self.n, self.p))
         K[self.rest, np.arange(self.p)] = 1.0
         K[self.pivot_cols] = -self.lu.solve(
             self._on_pivots()[:, self.rest].toarray())
         return np.linalg.qr(K)[0]
 
-    def fits(self, free: np.ndarray, R) -> bool:
-        """Whether these are the free classes and the rows, bit for bit,
-        that this factorisation was built for."""
-        return all(a.dtype == b.dtype and np.array_equal(a, b)
-                   for a, b in zip((self.free, *self.R), (free, *R)))
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution of R y = b on the pivot rows that is zero off the
         pivot columns."""
-        y = np.zeros(len(self.free))
+        y = np.zeros(self.n)
         y[self.pivot_cols] = self.lu.solve(b[self.pivot_rows])
         return y
 
-    def phase1_rows(self, problem: MomentProblem) -> np.ndarray:
-        """The phase-1 constraint rows [-B_1 ... -B_p; I], packed for
-        ``interior.solve_lmi``: per block U_b of ``problem.copy_blocks``,
-        B_j is U_b' D_j U_b for D_j the matrix whose free classes take the
-        values N[:, j].  The off-block parts U_a' D_j U_b are zero and are
-        never formed, and of D_j only the rows ``copy_blocks.rows`` are."""
-        if self._rows is None:
-            blocks = problem.copy_blocks
-            p = self.p
-            self._rows = np.empty((p + 1, sum(k * k for k in blocks.sizes)))
-            views = interior.block_views(self._rows, blocks.sizes)
-            y = np.zeros(problem.n_classes)
-            cells = problem.cell_class[blocks.rows]
-            for j in range(p):
-                y[self.free] = self.N[:, j]
-                for A, G in zip(views, blocks.congruence(np.take(y, cells))):
-                    np.negative(G, out=A[j])
-            for A in views:
-                A[p] = np.eye(A.shape[1])
-        return self._rows
-
 
 class _PropagationPlan:
-    """The presolve's schedule for one row structure and one mask of
-    initially known classes, worked out without any values.
+    """The presolve's schedule for one row set and one mask of initially
+    known classes, worked out without any values, and what follows from
+    it for every distribution: the reduced rows R and their one
+    factorisation.
 
     Which rows a round checks and which classes it solves depend only on
     which classes are known, on the rows' classes and on which of their
@@ -427,24 +402,25 @@ class _PropagationPlan:
     :meth:`_ClassSystem._propagate` runs here once, on masks, and keeps per
     round (``rounds``, one :class:`_Round` each) the rows it checks, the
     rows that solve a class, and the entries of their known terms.  The
-    distributions pinned on one problem leave the same mask on rows of the
-    same structure, so each replays the plan: per round one gather of the known terms, one
-    ``bincount``, one check and one assignment, in the order of the loop,
-    so the values and the first violated row come out bit for bit as the
-    loop gives them.
+    distributions pinned on one problem leave the same mask on the same
+    rows, so each replays the plan: per round one gather of the known
+    terms, one ``bincount``, one check and one assignment, in the order of
+    the loop, so the values and the first violated row come out bit for
+    bit as the loop gives them.
 
     The plan also holds what follows from the mask once propagation ends:
     the rows left ``pending``, the ``free`` classes and their positions
-    ``free_pos``, the index arrays that reduce the pending rows to the free
-    classes (:meth:`reduce`) and the interlacing bound's words
-    (:attr:`interlacing`).  :meth:`fits` tells whether the plan is the one
-    for given rows and mask.
+    ``free_pos``, the pending rows over the free classes (:attr:`R`, whose
+    rhs b each distribution gives by :meth:`reduce`), their factorisation
+    (:attr:`factor`) and the interlacing bound's words
+    (:attr:`interlacing`), each built on first use.  :meth:`fits` tells
+    whether the plan is the one for given rows and mask.
     """
 
     def __init__(self, rows: FlatRows, kmask: np.ndarray, cell_class: np.ndarray):
         self.classes, self.starts, self.coeffs = rows.classes, rows.starts, rows.coeffs
         self.kmask, self.cell_class = kmask, cell_class
-        self.zero = rows.coeffs == 0.0
+        is_zero = rows.coeffs == 0.0
         known = kmask.copy()
         active = np.arange(len(rows))
         # the entries of the active rows and the position of their row
@@ -456,7 +432,7 @@ class _PropagationPlan:
             unknown = ~known[cls]
             n_unknown = np.bincount(at[unknown], minlength=m)
             single = np.flatnonzero(unknown & (n_unknown == 1)[at])
-            zero = self.zero[ent[single]]
+            zero = is_zero[ent[single]]
             checked = n_unknown == 0
             checked[at[single[zero]]] = True
             single = single[~zero]
@@ -491,26 +467,23 @@ class _PropagationPlan:
         # every distribution that replays the plan reads these
         for a in (self.pending, self.free, self.free_pos):
             a.flags.writeable = False
+        self._phase1: np.ndarray | None = None
 
     def fits(self, rows: FlatRows, kmask: np.ndarray) -> bool:
-        """Whether these rows have the structure (classes, bounds and zero
-        coefficients) and this is the mask the plan was made for."""
+        """Whether these are the rows (classes, bounds and coefficients)
+        and the mask the plan was made for."""
         def same(a, b):
             return a is b or (a.dtype == b.dtype and np.array_equal(a, b))
 
-        return (same(self.kmask, kmask) and same(self.classes, rows.classes)
-                and same(self.starts, rows.starts)
-                and (self.coeffs is rows.coeffs
-                     or np.array_equal(self.zero, rows.coeffs == 0.0)))
+        return all(same(a, b) for a, b in zip(
+            (self.kmask, self.classes, self.starts, self.coeffs),
+            (kmask, rows.classes, rows.starts, rows.coeffs)))
 
     @functools.cached_property
-    def _reduction(self) -> tuple[np.ndarray, ...]:
-        """For :meth:`reduce`: the entries of the pending rows' known
-        terms, their classes and the position of their row among the
-        pending ones; the entries of the unknown terms and, per entry, its
-        (row, free class) pair, numbered in sorted order; the order of the
-        pairs by first entry, and the row and free position of each pair
-        in that order."""
+    def _terms(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The entries of the pending rows' terms, split into those of the
+        known classes and those of the free ones, each as (entries, their
+        classes, the position of their row among the pending ones)."""
         is_pending = np.zeros(len(self.starts) - 1, dtype=bool)
         is_pending[self.pending] = True
         row = np.repeat(np.arange(len(is_pending)), np.diff(self.starts))
@@ -518,32 +491,62 @@ class _PropagationPlan:
         at = (np.cumsum(is_pending) - 1)[row[entries]]
         cls = self.classes[entries]
         unknown = ~self.mask[cls]
-        have = ~unknown
-        at_u, pos = at[unknown], self.free_pos[cls[unknown]]
-        _, first, which = np.unique(at_u * len(self.free) + pos,
-                                    return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        return (entries[have], cls[have], at[have], entries[unknown], which,
-                order, at_u[first[order]], pos[first[order]])
+        return tuple((entries[s], cls[s], at[s]) for s in (~unknown, unknown))
 
-    def reduce(self, rows: FlatRows, known: np.ndarray):
+    @functools.cached_property
+    def R(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pending rows over the free classes, as flat (starts, free
         positions, coefficients): per row, its free positions in the order
         the row first names them, with the coefficients of a repeated
-        class summed and zero sums dropped; and the rhs less the known
-        part."""
-        (b_terms, b_classes, b_at, u_terms, which, order, group_row,
-         group_pos) = self._reduction
-        m = len(self.pending)
-        b = rows.rhs[self.pending] - np.bincount(
-            b_at, weights=rows.coeffs[b_terms] * known[b_classes], minlength=m)
+        class summed and zero sums dropped."""
+        entries, cls, at = self._terms[1]
+        pos = self.free_pos[cls]
+        # the (row, free class) pairs, in the order of their first entry
+        _, first, which = np.unique(at * len(self.free) + pos,
+                                    return_index=True, return_inverse=True)
+        order = np.argsort(first)
         # (float even when empty, where bincount gives ints)
-        summed = np.bincount(which, weights=rows.coeffs[u_terms],
+        summed = np.bincount(which, weights=self.coeffs[entries],
                              minlength=len(order)).astype(float, copy=False)[order]
         nonzero = summed != 0.0
-        starts = np.concatenate([np.zeros(1, np.intp), np.cumsum(
-            np.bincount(group_row[nonzero], minlength=m))])
-        return (starts, group_pos[nonzero], summed[nonzero]), b
+        starts = np.concatenate([np.zeros(1, np.intp), np.cumsum(np.bincount(
+            at[first[order]][nonzero], minlength=len(self.pending)))])
+        return starts, pos[first[order]][nonzero], summed[nonzero]
+
+    @functools.cached_property
+    def factor(self) -> _RowFactor:
+        """The factorisation of :attr:`R`."""
+        return _RowFactor(self.R, len(self.free))
+
+    def phase1_rows(self, problem: MomentProblem) -> np.ndarray:
+        """The phase-1 constraint rows [-B_1 ... -B_p; I], packed for
+        ``interior.solve_lmi``: per block U_b of ``problem.copy_blocks``,
+        B_j is U_b' D_j U_b for D_j the matrix whose free classes take the
+        values N[:, j], N of :attr:`factor`.  The off-block parts U_a' D_j
+        U_b are zero and are never formed, and of D_j only the rows
+        ``copy_blocks.rows`` are.  Built on first use, once per plan."""
+        if self._phase1 is None:
+            blocks = problem.copy_blocks
+            p = self.factor.p
+            self._phase1 = np.empty((p + 1, sum(k * k for k in blocks.sizes)))
+            views = interior.block_views(self._phase1, blocks.sizes)
+            y = np.zeros(problem.n_classes)
+            cells = problem.cell_class[blocks.rows]
+            for j in range(p):
+                y[self.free] = self.factor.N[:, j]
+                for A, G in zip(views, blocks.congruence(np.take(y, cells))):
+                    np.negative(G, out=A[j])
+            for A in views:
+                A[p] = np.eye(A.shape[1])
+        return self._phase1
+
+    def reduce(self, rows: FlatRows, known: np.ndarray) -> np.ndarray:
+        """The rhs b of R y = b: the pending rows' rhs less their known
+        part."""
+        entries, cls, at = self._terms[0]
+        return rows.rhs[self.pending] - np.bincount(
+            at, weights=rows.coeffs[entries] * known[cls],
+            minlength=len(self.pending))
 
     @functools.cached_property
     def interlacing(self) -> tuple[list[int], np.ndarray]:
@@ -594,10 +597,8 @@ class _ClassSystem:
         self._propagate()
         # after a contradiction, callers read only ``known``
         self.free, self.free_pos = self.plan.free, self.plan.free_pos
-        # set by factor_rows: the pending rows over the free classes as
-        # flat (starts, free positions, coefficients), with R y = b, their
+        # set by factor_rows: the rhs b of R y = b (R is the plan's), R's
         # factorisation and its solution of R y = b on the pivots
-        self.R: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.b: np.ndarray | None = None
         self.factor: _RowFactor | None = None
         self._pivot_solution: np.ndarray | None = None
@@ -670,26 +671,22 @@ class _ClassSystem:
 
     def factor_rows(self) -> tuple[bool, str]:
         """Reduce the pending rows to R y = b over the free classes and
-        check that it is solvable; keep ``R``, ``b`` and ``factor``, the
+        check that it is solvable; keep ``b`` and ``factor``, the
         :class:`_RowFactor` of R.
 
-        R does not depend on the distribution, only b does, so the
-        factorisation is kept in the problem's structures, which
-        ``MomentProblem.derive`` shares with its copies, and built anew
-        only when R or the free classes differ from the kept ones (one
-        entry per problem).  Per call, one LU solve gives the solution on
-        the pivots, and the system is consistent when it satisfies every
-        row of R y = b.  The minimum-norm solution ``y0`` and the kernel
-        basis ``N`` are built on first read.
+        R and its factorisation depend only on the rows and the mask, so
+        the propagation plan holds them (:attr:`_PropagationPlan.R` and
+        :attr:`_PropagationPlan.factor`), each built on first use, and
+        every distribution that replays the plan reads them; per call, only
+        b is formed.  One LU solve gives the solution on the pivots, and
+        the system is consistent when it satisfies every row of R y = b.
+        The minimum-norm solution ``y0`` and the kernel basis ``N`` are
+        built on first read.
         """
-        self.R, self.b = self.plan.reduce(self.rows, self.known)
-        structures = self.problem._structures
-        factor = structures.get("row_factor")
-        if factor is None or not factor.fits(self.free, self.R):
-            factor = structures["row_factor"] = _RowFactor(self.free, self.R)
-        self.factor = factor
-        y = factor.solve(self.b)
-        starts, cols, vals = self.R
+        self.b = self.plan.reduce(self.rows, self.known)
+        self.factor = self.plan.factor
+        y = self.factor.solve(self.b)
+        starts, cols, vals = self.plan.R
         m = len(self.b)
         resid = np.bincount(np.repeat(np.arange(m), np.diff(starts)),
                             weights=vals * y[cols], minlength=m) - self.b
@@ -816,7 +813,8 @@ class EngineRoute:
 def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
     """Per copy block U_b, C_b = U_b' X(y0) U_b; for y = y0 + N z,
     U_b' X(y) U_b = C_b + sum_j z_j B_j with the B_j of
-    ``_RowFactor.phase1_rows``.  Needs ``cs.factor_rows()`` to have run."""
+    ``_PropagationPlan.phase1_rows``.  Needs ``cs.factor_rows()`` to have
+    run."""
     blocks = cs.problem.copy_blocks
     return blocks.congruence(np.take(cs.class_values(cs.y0),
                                      cs.cell_class[blocks.rows]))
@@ -840,7 +838,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     b[-1] = 1.0
     start = np.zeros(p + 1)
     start[-1] = min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0
-    res = interior.solve_lmi(C, cs.factor.phase1_rows(cs.problem), b,
+    res = interior.solve_lmi(C, cs.plan.phase1_rows(cs.problem), b,
                              tol=tol * 1e-2, start=start, stop=stop)
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
 
@@ -958,7 +956,7 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
             raise SdpStructureError(f"infeasible problem: the one matrix of the "
                                     f"affine set has min eigenvalue {lam:.6g}")
         return fixed_part + float(c @ cs.y0), cs.assemble(cs.y0)
-    res = interior.solve_lmi(C, cs.factor.phase1_rows(problem)[:p], cs.N.T @ c,
+    res = interior.solve_lmi(C, cs.plan.phase1_rows(problem)[:p], cs.N.T @ c,
                              tol=tol * 1e-2)
     if max(res.rel_gap, res.primal_infeas, res.dual_infeas) > tol:
         raise SdpStructureError(

@@ -141,7 +141,7 @@ TRIANGLE_111 = ("triangle", (2, 2, 2), (1, 1, 1))
 
 def dense_rows(cs) -> np.ndarray:
     """The reduced rows of an ``sdp._ClassSystem`` as a dense matrix."""
-    starts, cols, vals = cs.R
+    starts, cols, vals = cs.plan.R
     R = np.zeros((len(starts) - 1, len(cs.free)))
     for i in range(len(starts) - 1):
         for e in range(starts[i], starts[i + 1]):

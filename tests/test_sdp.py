@@ -26,6 +26,7 @@ from netnpa.scenarios import (
 )
 from netnpa.sdp import (
     DEFAULT_TOL,
+    LINEAR_TOL,
     AffineSdp,
     SdpRow,
     SdpStructureError,
@@ -437,7 +438,7 @@ def test_copy_blocks_block_diagonalise_c_and_every_direction(name):
     cs = _ClassSystem(p)
     assert cs.factor_rows() == (True, "")
     blocks = p.copy_blocks
-    rows = interior.block_views(cs.factor.phase1_rows(p), blocks.sizes)
+    rows = interior.block_views(cs.plan.phase1_rows(p), blocks.sizes)
     off, diag = _off_block(blocks, cs.assemble(cs.y0))
     assert off <= 1e-10
     # the blocks from one word per orbit are the diagonal blocks
@@ -639,7 +640,7 @@ def test_a_start_outside_the_dual_cone_is_refused():
 def test_a_dual_start_reaches_the_cold_start_optimum():
     cs = _ClassSystem(_phase1_problem("chsh:0.725"))
     assert cs.factor_rows() == (True, "")
-    C, A = _reduce(cs), cs.factor.phase1_rows(cs.problem)
+    C, A = _reduce(cs), cs.plan.phase1_rows(cs.problem)
     b = np.zeros(cs.N.shape[1] + 1)
     b[-1] = 1.0
     cold = interior.solve_lmi(C, A, b, tol=1e-9)
@@ -710,7 +711,7 @@ def test_a_reject_never_reaches_the_stop_and_keeps_the_converged_t(v):
 def test_a_stop_the_solve_never_reaches_changes_nothing():
     cs = _ClassSystem(_phase1_problem("chsh:0.725"))
     assert cs.factor_rows() == (True, "")
-    C, A = _reduce(cs), cs.factor.phase1_rows(cs.problem)
+    C, A = _reduce(cs), cs.plan.phase1_rows(cs.problem)
     b = np.zeros(cs.N.shape[1] + 1)
     b[-1] = 1.0
     start = b * (min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0)
@@ -863,7 +864,7 @@ def test_presolve_matches_the_loop_reference(name):
         return
     assert np.array_equal(cs.known, known, equal_nan=True)
     assert cs._pending.tolist() == pending
-    R, b = cs.plan.reduce(cs.rows, cs.known)
+    R, b = cs.plan.R, cs.plan.reduce(cs.rows, cs.known)
     R_ref, b_ref = loop_reduced_rows(p, known, pending)
     for got, want in zip(R, R_ref):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -1052,15 +1053,19 @@ def test_a_changed_mask_or_zero_pattern_makes_a_new_plan(monkeypatch):
     rows = FlatRows.padded([[x, y]], [[1.0, 0.0]], [0.5], ["added"])
     first = check(p.derive(linear_factor_rows=rows), 2)
     assert p._structures["propagation"] is pinned
-    # other coefficients and rhs with the same zeros keep it ...
+    # the same rows with another rhs keep it ...
     assert check(p.derive(linear_factor_rows=FlatRows.padded(
-        [[x, y]], [[3.0, 0.0]], [0.75], ["added"])), 2) is first
-    # ... while another zero pattern or other classes make a new one
+        [[x, y]], [[1.0, 0.0]], [0.75], ["added"])), 2) is first
+    # ... while other coefficients, even with the same zeros, another zero
+    # pattern or other classes make a new one: one plan holds one R
+    scaled = check(p.derive(linear_factor_rows=FlatRows.padded(
+        [[x, y]], [[3.0, 0.0]], [0.75], ["added"])), 3)
+    assert scaled is not first
     nonzero = check(p.derive(linear_factor_rows=FlatRows.padded(
-        [[x, y]], [[1.0, 2.0]], [0.5], ["added"])), 3)
-    assert nonzero is not first
+        [[x, y]], [[1.0, 2.0]], [0.5], ["added"])), 4)
+    assert nonzero is not scaled
     other = check(p.derive(linear_factor_rows=FlatRows.padded(
-        [[y, x]], [[1.0, 0.0]], [0.5], ["added"])), 4)
+        [[y, x]], [[1.0, 0.0]], [0.5], ["added"])), 5)
     assert p._structures["propagation_linearized"] is other
 
 
@@ -1213,7 +1218,7 @@ def test_factorisation_is_kept_until_the_rows_change(monkeypatch):
     assert changed.factor_rows() == (True, "")
     assert len(calls) == 2
     assert changed.factor is not first.factor
-    assert p._structures["row_factor"] is changed.factor
+    assert p._structures["propagation_linearized"].factor is changed.factor
 
 
 def test_distributions_pinned_on_one_problem_share_one_factorisation(monkeypatch):
@@ -1225,9 +1230,9 @@ def test_distributions_pinned_on_one_problem_share_one_factorisation(monkeypatch
         assert solve_feasibility(cs.problem).verdict == "feasible"
     assert len(calls) == 1
     assert systems[0].factor is systems[1].factor
-    # the interior point's constraint rows are built once per factorisation
-    assert systems[0].factor.phase1_rows(systems[0].problem) \
-        is systems[1].factor.phase1_rows(systems[1].problem)
+    # the interior point's constraint rows are built once per plan
+    assert systems[0].plan.phase1_rows(systems[0].problem) \
+        is systems[1].plan.phase1_rows(systems[1].problem)
 
 
 def test_the_interior_point_reads_one_packed_array_per_problem(monkeypatch):
@@ -1299,14 +1304,18 @@ def _cache_problems(name):
     return pin_distribution(base, mix(0.1)), pin_distribution(base, mix(float(label)))
 
 
-@pytest.mark.parametrize("name", [f"bilocal-inflation:{seed}" for seed in range(6)]
-                         + ["triangle:0", "triangle:0.2", "chsh:0.70", "chsh:0.725"])
+CACHE_CASES = ([f"bilocal-inflation:{seed}" for seed in range(6)]
+               + ["triangle:0", "triangle:0.2", "chsh:0.70", "chsh:0.725"])
+
+
+@pytest.mark.parametrize("name", CACHE_CASES)
 def test_cached_factorisation_matches_a_fresh_one(name):
     warm, p = _cache_problems(name)
     assert _ClassSystem(warm).factor_rows() == (True, "")
     cached, fresh = _ClassSystem(p), _ClassSystem(dataclasses.replace(p))
     assert cached.factor_rows() == (True, "") and fresh.factor_rows() == (True, "")
-    assert cached.factor is p._structures["row_factor"] is warm._structures["row_factor"]
+    assert cached.factor is p._structures["propagation"].factor \
+        is warm._structures["propagation"].factor
     assert fresh.factor is not cached.factor
     assert np.abs(cached.y0 - fresh.y0).max() <= 1e-12
     assert cached.N.shape == fresh.N.shape
@@ -1314,6 +1323,27 @@ def test_cached_factorisation_matches_a_fresh_one(name):
     got, want = solve_feasibility(p), solve_feasibility(dataclasses.replace(p))
     assert (got.verdict, got.evidence) == (want.verdict, want.evidence)
     assert abs(got.t_star - want.t_star) <= 1e-9
+
+
+def test_the_plan_owns_one_factorisation_in_the_elimination_order(monkeypatch):
+    base = dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2))
+    calls = _count_eliminations(monkeypatch)
+    for seed in range(20):
+        cs = _ClassSystem(pin_distribution(base, _born(seed)))
+        assert cs.factor_rows() == (True, "")
+        assert cs.factor is cs.plan.factor is base._structures["propagation"].factor
+    assert len(calls) == 1
+    for name in CACHE_CASES:
+        cs = _ClassSystem(_cache_problems(name)[1])
+        assert cs.factor_rows() == (True, "")
+        # the LU keeps the elimination's column order
+        lu = cs.factor.lu
+        assert np.array_equal(lu.perm_c, np.arange(lu.shape[1]))
+        starts, cols, vals = cs.plan.R
+        m = len(cs.b)
+        resid = np.bincount(np.repeat(np.arange(m), np.diff(starts)),
+                            weights=vals * cs._pivot_solution[cols], minlength=m)
+        assert np.abs(resid - cs.b).max(initial=0.0) <= LINEAR_TOL * 1e-3
 
 
 def test_feasible_requires_every_residual_family_within_the_gate():
