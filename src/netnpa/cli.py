@@ -205,12 +205,29 @@ def _problem_lines(problem: MomentProblem) -> list[str]:
     return lines
 
 
-def _engine_lines(problem: MomentProblem, gate: str) -> list[str]:
+def _engine_lines(problem: MomentProblem, gate: str,
+                  symmetry: str | None = None) -> list[str]:
     blocks = problem.copy_blocks.sizes
-    return ["engine:",
-            f"  copy blocks: {list(blocks)} (r = {sum(blocks)}, "
-            f"sum r_b^2 = {sdp.EngineRoute(None, blocks).squares})",
-            f"  gate: {gate}"]
+    lines = ["engine:",
+             f"  copy blocks: {list(blocks)} (r = {sum(blocks)}, "
+             f"sum r_b^2 = {sdp.EngineRoute(None, blocks).squares})"]
+    if symmetry is not None:
+        lines.append(f"  symmetry: {symmetry}")
+    return lines + [f"  gate: {gate}"]
+
+
+def _symmetry(outcome: sdp.FeasibilityOutcome) -> str:
+    """The symmetry line of a solve: the output-flip stabiliser it was
+    solved on, with the restricted problem's p and sum r_b^2."""
+    route, found = outcome.route, outcome.symmetry
+    sizes = "" if route is None else f"p = {route.p}, sum r_b^2 = {route.squares}"
+    if found is not None:
+        return (f"stabiliser of order {found.order} generated by "
+                f"{', '.join(found.generators)}"
+                + (f"; restricted {sizes}" if sizes else ""))
+    if route is not None:
+        return f"trivial stabiliser; {sizes}"
+    return "none used (decided before the phase-1 search)"
 
 
 def _route_gate(outcome: sdp.FeasibilityOutcome) -> str:
@@ -265,7 +282,7 @@ def cmd_test(cfg: argparse.Namespace) -> tuple[int, str]:
                      "at this level")
     if outcome.residuals is not None:
         lines.append(str(outcome.residuals))
-    lines += _engine_lines(problem, _route_gate(outcome))
+    lines += _engine_lines(problem, _route_gate(outcome), _symmetry(outcome))
     lines.append(f"timing: {t_solved - t0:.2f} s (build {t_built - t0:.2f} s, "
                  f"pin {t_pinned - t_built:.2f} s, solve {t_solved - t_pinned:.2f} s)")
     code = {"FEASIBLE": EXIT_FEASIBLE, "INFEASIBLE": EXIT_INFEASIBLE,

@@ -186,6 +186,23 @@ NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 
 
 @dataclass(frozen=True, eq=False)
+class CheckProducts:
+    """Products y[``products[k]``] = prod of y over ``factors[starts[k]:
+    starts[k + 1]]`` (:attr:`MomentProblem.check_products`), flat."""
+
+    products: np.ndarray
+    factors: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, checks: Sequence[tuple[int, tuple[int, ...]]]) -> CheckProducts:
+        sizes = [len(fs) for _, fs in checks]
+        return cls(np.array([c for c, _ in checks], dtype=np.intp),
+                   np.array([f for _, fs in checks for f in fs], dtype=np.intp),
+                   np.cumsum([0] + sizes)[:-1].astype(np.intp))
+
+
+@dataclass(frozen=True, eq=False)
 class CopyBlocks:
     """Orthonormal bases U_b = Q_b W_b, (dim, r_b), that block-diagonalise
     the moment matrices of a problem (:attr:`MomentProblem.index_blocks`
@@ -226,26 +243,66 @@ class CopyBlocks:
         return tuple(c.stop - c.start if W is None else W.shape[1]
                      for c, W in zip(self.columns, self.complements))
 
+    @functools.cached_property
+    def _stacks(self) -> list[tuple]:
+        """The blocks of equal shape as one stack each: (their positions,
+        for entry (c, d) of each block's G = sqrt(|O_c|) (M Q)[rows[orbit
+        of c], d] its flat position in the (columns, rows) array of
+        (M Q)[rows]' and its square root, their W_b as one (n, k, r) array
+        or None)."""
+        shapes: dict[tuple, list[int]] = {}
+        for b, (c, W) in enumerate(zip(self.columns, self.complements)):
+            shapes.setdefault((c.stop - c.start, None if W is None else W.shape[1]),
+                              []).append(b)
+        out = []
+        for (k, r), blocks in shapes.items():
+            cols = np.array([np.arange(self.columns[b].start, self.columns[b].stop)
+                             for b in blocks], dtype=np.intp).reshape(len(blocks), k)
+            W = None if r is None else np.stack([self.complements[b] for b in blocks])
+            orbits = self.orbits[cols]
+            out.append((blocks, cols[:, None, :] * len(self.rows) + orbits[:, :, None],
+                        np.sqrt(self.weights[orbits])[:, :, None], W))
+        return out
+
     def congruence(self, M_rows: np.ndarray) -> list[np.ndarray]:
         """U_b' M U_b for every block, from the rows ``M[rows]`` of a
         symmetric matrix M with M[pi][:, pi] = M for every swap: one
         sparse product gives every signed orbit sum (M Q)[i, d] at the
-        least words i, and each block gathers its own."""
+        least words i, and the blocks of each shape gather theirs, and
+        take their W_b, as one stack."""
         if self.sums is None:
             # Q = I: the rows are the whole index, so M_rows is M Q
-            Gs = [M_rows]
-        else:
-            # (k, rows): MQ[d, o] = (M Q)[rows[o], d]
-            MQ = self.sums @ M_rows.T
-            root = np.sqrt(self.weights[self.orbits])
-            Gs = [(MQ[cols][:, self.orbits[cols]] * root[cols]).T
-                  for cols in self.columns]
-        out = []
-        for G, W in zip(Gs, self.complements):
+            G, W = M_rows, self.complements[0]
             if W is not None:
                 G = W.T @ G @ W
-            out.append((G + G.T) / 2)
+            return [(G + G.T) / 2]
+        # (k, rows): MQ[d, o] = (M Q)[rows[o], d]
+        MQ = self.sums @ M_rows.T
+        out: list = [None] * len(self.columns)
+        for blocks, at, root, W in self._stacks:
+            G = MQ.take(at) * root
+            if W is not None:
+                G = np.swapaxes(W, 1, 2) @ G @ W
+            out_blocks = (G + np.swapaxes(G, 1, 2)) / 2
+            for b, Gb in zip(blocks, out_blocks):
+                out[b] = Gb
         return out
+
+
+def least_eigenvalue(blocks: Sequence[np.ndarray]) -> float:
+    """The least eigenvalue of the block-diagonal matrix of ``blocks``: one
+    ``eigvalsh`` per block size, on the stack of that size's blocks; a
+    block without rows has none."""
+    sizes: dict[int, list[np.ndarray]] = {}
+    for G in blocks:
+        if len(G):
+            sizes.setdefault(len(G), []).append(G)
+    least = math.inf
+    for Gs in sizes.values():
+        lam = (np.linalg.eigvalsh(Gs[0])[0] if len(Gs) == 1 else
+               np.linalg.eigvalsh(np.stack(Gs))[:, 0].min())
+        least = min(least, float(lam))
+    return least
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,6 +370,12 @@ class MomentProblem:
     # the linearized factor pairs, filled in by pin_linearize
     linear_factor_rows: FlatRows = field(default_factory=lambda: NO_ROWS)
     flagged_bilinear: tuple[FactorConstraint, ...] = ()
+    # the table pin_distribution pinned, on its copy only (see derive)
+    table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (name, index permutation) of the output flips every matrix of the
+    # problem commutes with besides the copy swaps: a problem restricted to
+    # a table's stabiliser (netnpa.symmetry) holds them
+    flips: tuple[tuple[str, np.ndarray], ...] = ()
     _structures: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -340,20 +403,28 @@ class MomentProblem:
     # (``propagation_linearized``), each checked against the initially
     # known mask and the rows' classes, bounds and coefficients.  Each plan
     # holds the interlacing bound's choice of words, the rows it leaves
-    # over the free classes and their one factorisation
+    # over the free classes and their one factorisation.  ``check_arrays``
+    # is kept with the tuple of check products it was built from, and
+    # ``netnpa.symmetry`` keeps the flips' permutations and one restricted
+    # problem per stabiliser, which read only the index and the classes
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
         derived structures: whatever either problem builds, both use.
-        Only the pins, the factorisation families and the check products
-        may change, since no ``_structure`` property reads them (the
-        presolve's plans, which do and which hold the rows' factorisation,
-        are checked against the rows and the mask before each use)."""
+        Only the pins, the factorisation families, the check products and
+        the pinned table may change, since no ``_structure`` property reads
+        them (the presolve's plans, which do and which hold the rows'
+        factorisation, are checked against the rows and the mask before
+        each use).  The copy keeps no ``table`` unless it is given one, so
+        only the copy :func:`pin_distribution` makes holds the table its
+        pins came from."""
         read = set(changes) - {"pinned", "linear_factor_rows", "flagged_bilinear",
-                               "factor_pairs", "factor_triples", "check_products"}
+                               "factor_pairs", "factor_triples", "check_products",
+                               "table"}
         if read:
             raise ValueError(f"derived structures read {sorted(read)}; "
                              "use dataclasses.replace")
+        changes.setdefault("table", None)
         copy = replace(self, **changes)
         copy._structures = self._structures
         return copy
@@ -444,19 +515,21 @@ class MomentProblem:
         return _copy_blocks(self)
 
     @_structure
-    def _copy_swaps(self) -> tuple[np.ndarray, ...]:
-        """The index permutations of the copy swaps (1 2) of every source,
-        after checking, once per problem, that each maps every cell's class
-        to itself (raises :class:`RuntimeError` else), so that X[pi][:, pi]
-        = X for every matrix X that is constant on each class; none for a
-        problem without ``copy_generators``."""
-        perms = self.copy_generators[0] if self.copy_generators else ()
-        for src, pi in zip(self.alphabet.sources(), perms):
+    def _generators(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """The commuting involutions the blocks are built on, as (name,
+        index permutation): the copy swaps (1 2) of every source, then the
+        problem's ``flips``.  Each is checked, once per problem, to map
+        every cell's class to itself (raises :class:`RuntimeError` else),
+        so that X[pi][:, pi] = X for every matrix X that is constant on each
+        class; none for a problem without ``copy_generators`` or flips."""
+        swaps = self.copy_generators[0] if self.copy_generators else ()
+        gens = tuple((f"copy swap of source {src}", pi)
+                     for src, pi in zip(self.alphabet.sources(), swaps)) + self.flips
+        for name, pi in gens:
             if not np.array_equal(self.cell_class[np.ix_(pi, pi)],
                                   self.cell_class):
-                raise RuntimeError(f"the copy swap of source {src} moves a cell "
-                                   "to another class")
-        return perms
+                raise RuntimeError(f"the {name} moves a cell to another class")
+        return gens
 
     @_structure
     def index_blocks(self) -> CopyBlocks:
@@ -481,6 +554,16 @@ class MomentProblem:
     def representative_key(self, cls: int) -> Word:
         groups, bounds = self.class_layout
         return self.group_keys[groups[bounds[cls]]]
+
+    @property
+    def check_arrays(self) -> CheckProducts:
+        """``check_products`` as flat arrays, built once for each tuple
+        of them that a copy holds and kept with the shared structures."""
+        held = self._structures.get("check_arrays")
+        if held is None or held[0] is not self.check_products:
+            held = self._structures["check_arrays"] = (
+                self.check_products, CheckProducts.of(self.check_products))
+        return held[1]
 
     @functools.cached_property
     def active_rows(self) -> FlatRows:
@@ -1105,7 +1188,8 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     matrix X with generic class values.
     """
     index = problem.index_blocks
-    perms = problem._copy_swaps
+    gens = problem._generators
+    perms = [pi for _, pi in gens]
     relations = problem.column_relations
     # (columns of Q_b, W_b, character), in the order of _index_blocks
     blocks = []
@@ -1114,30 +1198,32 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
         Q = index.sums[cols].T.toarray() if perms else np.eye(problem.dim)
         W = _relation_complement(relations, Q)
         if W.shape[1]:
-            blocks.append((cols, W, chi))
+            # no relation meets the block: Q_b is a basis of its part
+            square = perms and W.shape == (Q.shape[1],) * 2
+            blocks.append((cols, None if square else W, chi))
     if perms:
         own = _relation_set(relations)
-        for src, pi in zip(problem.alphabet.sources(), perms):
+        for name, pi in gens:
             if not np.array_equal(_relation_set(np.where(relations >= 0,
                                                          pi[relations], -1)), own):
-                raise RuntimeError(f"the copy swap of source {src} does not map "
-                                   "the column relations onto themselves")
+                raise RuntimeError(f"the {name} does not map the column "
+                                   "relations onto themselves")
         tol = problem.dim * np.finfo(float).eps
-        U = [index.sums[cols].T @ W for cols, W, _ in blocks]
+        U = [index.sums[cols].T.toarray() if W is None else index.sums[cols].T @ W
+             for cols, W, _ in blocks]
         for Ub, (_, _, chi) in zip(U, blocks):
             for pi, sign in zip(perms, chi):
                 if np.abs(Ub[pi] - sign * Ub).max(initial=0.0) > tol:
-                    raise RuntimeError(f"a copy-swap block of character {chi} "
-                                       "is not an eigenspace of the swaps")
+                    raise RuntimeError(f"a block of character {chi} is not "
+                                       "an eigenspace of the generators")
         X = np.random.default_rng(0).standard_normal(problem.n_classes)[problem.cell_class]
+        block = np.repeat(np.arange(len(blocks)), [U_b.shape[1] for U_b in U])
         U = np.hstack(U)
         G = U.T @ X @ U
-        block = np.repeat(np.arange(len(blocks)), [W.shape[1] for _, W, _ in blocks])
         G[block[:, None] == block] = 0.0
         off = float(np.abs(G).max(initial=0.0))
         if off > tol * np.linalg.norm(X):
-            raise RuntimeError(f"the copy-swap blocks leave an off-block entry "
-                               f"{off:.3e}")
+            raise RuntimeError(f"the blocks leave an off-block entry {off:.3e}")
     return CopyBlocks(index.sums, index.orbits, tuple(b[0] for b in blocks),
                       tuple(b[1] for b in blocks), index.rows, index.weights)
 
@@ -1169,7 +1255,7 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     Parrilo 2004).  Every block is kept, also one without columns, so
     that block b has the b-th character of ``itertools.product``.
     Without swaps the one block is Q = I, held with ``sums`` None."""
-    perms = problem._copy_swaps
+    perms = [pi for _, pi in problem._generators]
     n = problem.dim
     if not perms:
         return CopyBlocks(None, np.arange(n), (slice(0, n),), (None,),
@@ -1203,7 +1289,7 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
         orbits.append(cols[keep])
     bounds = np.cumsum([0] + [Q.shape[0] for Q in sums])
     if bounds[-1] != n:
-        raise RuntimeError("the copy-swap orbit sums do not span the index")
+        raise RuntimeError("the orbit sums do not span the index")
     return CopyBlocks(scipy.sparse.vstack(sums, format="csr"),
                       np.concatenate(orbits),
                       tuple(slice(int(a), int(e)) for a, e in zip(bounds, bounds[1:])),
@@ -1307,7 +1393,9 @@ def pin_distribution(problem: MomentProblem, dist: Distribution) -> MomentProble
     class is pinned to the value of its first pinnable group; its
     pinnable groups must agree to within ``PIN_TOL``, and so must an earlier
     pin of the class, else :class:`PinConflictError` names the first
-    class in conflict.
+    class in conflict.  The pinned copy keeps the table as its ``table``,
+    from which the solver finds the table's output-flip stabiliser
+    (:mod:`netnpa.symmetry`).
     """
     if dist.scenario.topology != problem.scenario.topology or \
             dist.scenario.outputs != problem.scenario.outputs or \
@@ -1346,7 +1434,7 @@ def pin_distribution(problem: MomentProblem, dist: Distribution) -> MomentProble
             f"got {float(first[k])}")
     pinned = dict(problem.pinned)
     pinned.update(zip(plan.classes.tolist(), first.tolist()))
-    return problem.derive(pinned=pinned)
+    return problem.derive(pinned=pinned, table=dist.table)
 
 
 # ---------------------------------------------------------------------------
@@ -1456,8 +1544,11 @@ def check_assignment(problem: MomentProblem,
 
     The min eigenvalue is read from the problem's ``index_blocks`` when
     the matrix is constant on every class, so it commutes with the copy
-    swaps and its eigenvalues are those of the blocks.  Any other matrix
-    takes one ``eigvalsh`` of the whole index."""
+    swaps and the flips (``_generators``) and its eigenvalues are those of
+    the blocks, of which one without columns has none.  On a problem
+    restricted to a table's stabiliser, whose classes are the flips'
+    orbits, that is the exact test that the matrix is invariant.  Any
+    other matrix takes one ``eigvalsh`` of the whole index."""
     X = assignment.matrix
     vals = X.reshape(-1)
     group_vals = vals[problem.group_first]
@@ -1501,16 +1592,12 @@ def check_assignment(problem: MomentProblem,
                            problem.factor_pairs + problem.factor_triples)
     ext = 0.0
     if problem.check_products:
-        prods = np.array([c for c, _ in problem.check_products], dtype=np.intp)
-        factors = [fs for _, fs in problem.check_products]
-        starts = np.cumsum([0] + [len(fs) for fs in factors[:-1]])
-        products = np.multiply.reduceat(
-            class_vals[np.concatenate(factors).astype(np.intp)], starts)
-        ext = float(np.abs(class_vals[prods] - products).max())
+        checks = problem.check_arrays
+        products = np.multiply.reduceat(class_vals[checks.factors], checks.starts)
+        ext = float(np.abs(class_vals[checks.products] - products).max())
     if constant:
         blocks = problem.index_blocks
-        eigmin = min(float(np.linalg.eigvalsh(G)[0])
-                     for G in blocks.congruence(X[blocks.rows]))
+        eigmin = least_eigenvalue(blocks.congruence(X[blocks.rows]))
     else:
         eigmin = float(np.linalg.eigvalsh((X + X.T) / 2).min())
     return ResidualReport(hankel=hankel, merges=merge_res, pins=pins,

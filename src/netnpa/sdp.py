@@ -22,6 +22,15 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    the presolve fixed, so it runs before any factorisation, and its
    choice of words depends only on which classes are known, so the
    propagation plan holds it;
+   then, when the pinned table has a non-trivial output-flip stabiliser
+   (``symmetry.restrict``: the products of output flips that fix it
+   exactly), the rest runs on the problem restricted to it, whose classes
+   are the group's orbits, whose rows are mapped onto them, and whose
+   blocks split under the copy swaps and the stabiliser's generators
+   together.  It decides exactly as the full problem, since the group
+   average of a feasible matrix is feasible, and its witness is a moment
+   matrix of the full index; its presolve runs first.  A trivial
+   stabiliser leaves the problem as it is;
 3. the remaining rows R y = b over the free classes.  R does not depend
    on the distribution, only b does, so the propagation plan holds R and
    its one factorisation (``_RowFactor``), each built on first use: a
@@ -80,13 +89,14 @@ from typing import Mapping
 
 import numpy as np
 
-from . import interior
+from . import interior, symmetry
 from .moment import (
     FlatRows,
     MomentAssignment,
     MomentProblem,
     ResidualReport,
     check_assignment,
+    least_eigenvalue,
 )
 from .words import render_word
 
@@ -148,6 +158,8 @@ class FeasibilityOutcome:
     iterations: int = 0
     evidence: str = ""
     route: EngineRoute | None = None  # set once the rows are factored
+    # the output-flip stabiliser solved on, None when trivial or not sought
+    symmetry: symmetry.Restriction | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +526,12 @@ class _PropagationPlan:
         return starts, pos[first[order]][nonzero], summed[nonzero]
 
     @functools.cached_property
+    def R_row(self) -> np.ndarray:
+        """The row of every entry of :attr:`R`, for its residual."""
+        starts = self.R[0]
+        return np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+
+    @functools.cached_property
     def factor(self) -> _RowFactor:
         """The factorisation of :attr:`R`."""
         return _RowFactor(self.R, len(self.free))
@@ -686,10 +704,9 @@ class _ClassSystem:
         self.b = self.plan.reduce(self.rows, self.known)
         self.factor = self.plan.factor
         y = self.factor.solve(self.b)
-        starts, cols, vals = self.plan.R
-        m = len(self.b)
-        resid = np.bincount(np.repeat(np.arange(m), np.diff(starts)),
-                            weights=vals * y[cols], minlength=m) - self.b
+        _, cols, vals = self.plan.R
+        resid = np.bincount(self.plan.R_row, weights=vals * y[cols],
+                            minlength=len(self.b)) - self.b
         if len(resid):
             worst = int(np.abs(resid).argmax())
             if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
@@ -837,7 +854,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     b = np.zeros(p + 1)
     b[-1] = 1.0
     start = np.zeros(p + 1)
-    start[-1] = min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0
+    start[-1] = least_eigenvalue(C) - 1.0
     res = interior.solve_lmi(C, cs.plan.phase1_rows(cs.problem), b,
                              tol=tol * 1e-2, start=start, stop=stop)
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
@@ -850,24 +867,11 @@ def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
     return cs.known.copy(), cs.contradiction
 
 
-def solve_feasibility(problem: MomentProblem,
-                      tol: float = DEFAULT_TOL,
-                      infeasibility_margin: float = DEFAULT_MARGIN
-                      ) -> FeasibilityOutcome:
-    """Phase-1 feasibility of a compiled problem.
-
-    The phase-1 engine is the interior point on the copy blocks.  The
-    problem's size decides whether it runs (:class:`EngineRoute`, kept in
-    ``route`` of the outcome): a problem too large for it is inconclusive
-    at once, with no iteration and t* NaN.  An interior point that ends
-    short of a verdict reports inconclusive.
-
-    An unpinned problem, with only G[1, 1] pinned, is a supported input;
-    its verdict can be inconclusive, since ``check_products`` are checked
-    on the witness but not imposed.
-    """
-    _require_linear(problem)
-    cs = _ClassSystem(problem)
+def _linear_verdict(cs: _ClassSystem, tol: float, margin: float
+                    ) -> FeasibilityOutcome | None:
+    """The verdict of the presolve alone: a violated row, or the one
+    matrix of a fully determined affine set; None when classes stay
+    free."""
     if cs.contradiction is not None:
         return FeasibilityOutcome("infeasible", t_star=-np.inf,
                                   evidence=cs.contradiction)
@@ -876,11 +880,38 @@ def solve_feasibility(problem: MomentProblem,
         # phase-1 optimum, and the interlacing bound's submatrix would be
         # all of it
         return _verdict(
-            problem, cs.assemble(np.zeros(0)), None, True, 0, tol,
-            infeasibility_margin,
+            cs.problem, cs.assemble(np.zeros(0)), None, True, 0, tol, margin,
             accept="fully determined by the linear constraints",
             reject="fully determined matrix is not PSD",
             undecided="fully determined, min eigenvalue in the inconclusive band")
+    return None
+
+
+def solve_feasibility(problem: MomentProblem,
+                      tol: float = DEFAULT_TOL,
+                      infeasibility_margin: float = DEFAULT_MARGIN
+                      ) -> FeasibilityOutcome:
+    """Phase-1 feasibility of a compiled problem.
+
+    Past the presolve and the interlacing bound, a problem whose pinned
+    table has a non-trivial output-flip stabiliser is solved on the
+    problem restricted to it (``symmetry.restrict``, kept in ``symmetry``
+    of the outcome), which loses nothing in either direction; any other
+    runs on the problem as it is.  The phase-1 engine is the interior
+    point on the copy blocks.  The problem's size decides whether it runs
+    (:class:`EngineRoute`, kept in ``route`` of the outcome): a problem too
+    large for it is inconclusive at once, with no iteration and t* NaN.
+    An interior point that ends short of a verdict reports inconclusive.
+
+    An unpinned problem, with only G[1, 1] pinned, is a supported input;
+    its verdict can be inconclusive, since ``check_products`` are checked
+    on the witness but not imposed.
+    """
+    _require_linear(problem)
+    cs = _ClassSystem(problem)
+    outcome = _linear_verdict(cs, tol, infeasibility_margin)
+    if outcome is not None:
+        return outcome
     # the bound needs only the known values, so it runs before any
     # factorisation of the remaining rows
     bound, chosen = cs.known_submatrix_bound()
@@ -889,11 +920,26 @@ def solve_feasibility(problem: MomentProblem,
             "infeasible", t_star=bound,
             evidence=(f"pinned principal submatrix on {len(chosen)} words has "
                       f"min eigenvalue {bound:.6g} (interlacing bound)"))
+    found = symmetry.restrict(problem)
+    outcome = None
+    if found is not None:
+        cs = _ClassSystem(found[1])
+        outcome = _linear_verdict(cs, tol, infeasibility_margin)
+    if outcome is None:
+        outcome = _engine_verdict(cs, tol, infeasibility_margin)
+    outcome.symmetry = None if found is None else found[0]
+    return outcome
+
+
+def _engine_verdict(cs: _ClassSystem, tol: float, margin: float
+                    ) -> FeasibilityOutcome:
+    """The verdict past the presolve: the factorisation of the remaining
+    rows, then the interior point when the route takes it."""
+    problem = cs.problem
     ok, msg = cs.factor_rows()
     if not ok:
         # no point satisfies the rows, so t* = -inf
-        return _verdict(problem, None, -np.inf, True, 0, tol,
-                        infeasibility_margin, reject=msg)
+        return _verdict(problem, None, -np.inf, True, 0, tol, margin, reject=msg)
     route = EngineRoute(cs.factor.p, problem.copy_blocks.sizes)
     if not route.interior:
         return FeasibilityOutcome(
@@ -907,8 +953,7 @@ def solve_feasibility(problem: MomentProblem,
     t = res.primal_obj
     # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
     outcome = _verdict(
-        problem, X, t, res.primal_infeas <= tol, res.iterations, tol,
-        infeasibility_margin,
+        problem, X, t, res.primal_infeas <= tol, res.iterations, tol, margin,
         accept="interior point witness (min eigenvalue >= -tol, every "
                "residual family <= 10*tol)",
         reject=f"phase-1 optimum {t:.6g} (interior point)",
@@ -951,7 +996,7 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
         else:
             fixed_part += co * cs.known[cls]
     if p == 0:  # the affine set is one matrix
-        lam = min(float(np.linalg.eigvalsh(Cb)[0]) for Cb in C)
+        lam = least_eigenvalue(C)
         if lam < -tol:
             raise SdpStructureError(f"infeasible problem: the one matrix of the "
                                     f"affine set has min eigenvalue {lam:.6g}")

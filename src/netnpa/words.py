@@ -29,7 +29,7 @@ bitmask of the letters before it, and each block's normal form is
 memoised on the codes of its letters (``_BLOCK_NORMAL``).  Codes never
 change as the table grows (only the ranks are recomputed), so the memo
 stays valid for the life of the process and every caller shares it:
-``canonicalize`` on letters, ``enumerate_words`` and ``relabel_codes``
+``canonicalize`` on letters, ``enumerate_words`` and ``relabel_letters``
 (which work on codes throughout) and the product tables of ``moment``.
 """
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -373,22 +373,32 @@ def enumerate_words(alphabet: Alphabet, max_len: int) -> list[Word]:
 Permutation = Mapping[int, int]
 
 
+def relabel_letters(words: Sequence[tuple[int, ...]],
+                    image: Callable[[Letter], Letter]) -> list[tuple[int, ...]]:
+    """The canonical codes of ``words`` (letter codes) with every letter l
+    replaced by ``image(l)``, a relabelling that keeps the commutation and
+    idempotence of the letters; the image of each distinct letter is coded
+    once."""
+    codes = tuple(dict.fromkeys(c for w in words for c in w))
+    images = _LETTERS.encode(tuple(map(image, _LETTERS.decode(codes))))
+    of = dict(zip(codes, images))
+    return [_canonical(map(of.__getitem__, w)) for w in words]
+
+
 def relabel_codes(words: Sequence[tuple[int, ...]], alphabet: Alphabet,
                   perms_by_source: Mapping[str, Permutation]
                   ) -> list[tuple[int, ...]]:
     """The canonical codes of ``words`` (letter codes) with the copy in
     each slot of every inflated letter relabelled by the permutation of
-    that slot's source; the image of each distinct letter is coded once."""
-    codes = tuple(dict.fromkeys(c for w in words for c in w))
-    images = []
-    for l in _LETTERS.decode(codes):
-        if l.is_measurement and l.copies is not None:
-            l = Letter(MEASUREMENT, l.party, l.output, l.input, tuple(
-                perms_by_source.get(src, {}).get(c, c)
-                for src, c in zip(alphabet.party_sources[l.party], l.copies)))
-        images.append(l)
-    image = dict(zip(codes, _LETTERS.encode(tuple(images))))
-    return [_canonical(map(image.__getitem__, w)) for w in words]
+    that slot's source (:func:`relabel_letters`)."""
+    def image(l: Letter) -> Letter:
+        if not (l.is_measurement and l.copies is not None):
+            return l
+        return Letter(MEASUREMENT, l.party, l.output, l.input, tuple(
+            perms_by_source.get(src, {}).get(c, c)
+            for src, c in zip(alphabet.party_sources[l.party], l.copies)))
+
+    return relabel_letters(words, image)
 
 
 def act_permutation(

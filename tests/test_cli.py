@@ -115,7 +115,11 @@ def test_reports_name_the_copy_blocks_and_the_engine_they_select():
     assert code == EXIT_FEASIBLE
     assert ("  copy blocks: [19, 12, 12, 10, 12, 10, 10, 6] "
             "(r = 91, sum r_b^2 = 1129)") in report
-    assert ("  gate: (p + 1)*sum r_b^2 = 204349 for p = 180 (limit 33554432) "
+    # the uniform product is solved on its stabiliser, the flips of A, B
+    # and C: p = 180 and sum r_b^2 = 1129 on the full problem
+    assert ("  symmetry: stabiliser of order 8 generated by A[0], B[0], C[0]; "
+            "restricted p = 69, sum r_b^2 = 283") in report
+    assert ("  gate: (p + 1)*sum r_b^2 = 19810 for p = 69 (limit 33554432) "
             "-> interior point") in report
     code, report = run(["info", "--scenario", "bilocal", "--hierarchy",
                         "inflation", "--n", "2", "--m", "2"])
@@ -126,6 +130,7 @@ def test_reports_name_the_copy_blocks_and_the_engine_they_select():
     code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
                         "factorisation", "--n", "3", "shared_random_bit"])
     assert "  gate: no phase-1 search (the linear layers leave none)" in report
+    assert "  symmetry: none used (decided before the phase-1 search)" in report
 
 
 def test_info_says_when_the_blocks_alone_exceed_the_budget(monkeypatch):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from netnpa import factorisation, interior, moment, sdp, words
+from netnpa import factorisation, interior, moment, sdp, symmetry, words
 from netnpa.moment import (
     FlatRows,
     build_factorisation_bilocal,
@@ -281,8 +281,11 @@ def test_bilocal_inflation_is_decided_by_the_interior_point(seed):
 def _band_problem(name):
     if name == "bell3-333":
         sc = Scenario("bell3", (2, 2, 2), (3, 3, 3))
-        return pin_distribution(build_standard(sc, 2), product_distribution(
+        p = pin_distribution(build_standard(sc, 2), product_distribution(
             sc, [np.full((2, 3), 0.5)] * 3))
+        # the full problem: a copy that carries no table is solved on no
+        # stabiliser (the uniform product's would shrink it to 730 entries)
+        return p.derive(pinned=p.pinned)
     sc = Scenario("bilocal", (2, 2, 2), (2, 2, 2))
     return pin_distribution(build_standard(sc, 3), MomentOracle(
         random_strategy(sc, (2, 2, 2, 2), 2)).born())
@@ -627,6 +630,25 @@ def test_stacked_blocks_match_the_dense_solve_in_any_order():
         assert abs(permuted.primal_obj - res.primal_obj) <= 1e-8
 
 
+def test_small_blocks_are_factored_as_lapack_factors_them():
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(7)
+    for k in (1, 2):
+        M = rng.standard_normal((6, k, k))
+        stack = M @ M.transpose(0, 2, 1) + 1e-3 * np.eye(k)
+        [(L, L_inv)] = interior._cholesky([stack], lapack)
+        for S, Lb, Lb_inv in zip(stack, L, L_inv):
+            F, _ = lapack.dpotrf(S, lower=1)
+            F_inv, _ = lapack.dtrtri(F, lower=1)
+            # another order of the same few operations: equal to rounding
+            assert np.abs(Lb - F).max() <= 1e-14 * np.abs(F).max()
+            assert np.abs(Lb_inv - F_inv).max() <= 1e-13 * np.abs(F_inv).max()
+        # one matrix that is not positive definite refuses the stack
+        stack[3] = -stack[3] if k == 1 else np.diag([1.0, -1.0])
+        assert interior._cholesky([stack], lapack) is None
+
+
 def test_a_start_outside_the_dual_cone_is_refused():
     blocks, b = _mixed_block_lmi([3, 5, 3, 2, 5])
     # S = C - t*1 with t above the least eigenvalue of C
@@ -678,7 +700,9 @@ def test_an_accept_stops_at_the_first_deciding_iterate():
     # count is only bounded below
     for name, count in zip(names, [2, 1, 4, 1, 2, 2, 1]):
         p = _accept_problem(name)
-        cs = _ClassSystem(p)
+        # the uniform product is solved on its stabiliser's problem
+        restricted = symmetry.restrict(p)
+        cs = _ClassSystem(p if restricted is None else restricted[1])
         assert cs.factor_rows() == (True, "")
         _X, converged = _interior_phase1(cs, tol)
         _X, stopped = _interior_phase1(cs, tol, stop=-tol / 2)
@@ -699,7 +723,8 @@ def test_an_accept_stops_at_the_first_deciding_iterate():
 def test_a_reject_never_reaches_the_stop_and_keeps_the_converged_t(v):
     p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
                          _mixture(v))
-    cs = _ClassSystem(p)
+    # the mixtures are solved on the all-party flip's problem
+    cs = _ClassSystem(symmetry.restrict(p)[1])
     assert cs.factor_rows() == (True, "")
     _X, converged = _interior_phase1(cs, DEFAULT_TOL)
     out = solve_feasibility(p)
@@ -757,10 +782,12 @@ def test_an_unpinned_problem_is_inconclusive_on_its_check_products():
 
 def test_outcomes_carry_the_route_of_the_engine_that_ran(monkeypatch):
     p = _phase1_problem("chsh:0.70")
-    cs = _ClassSystem(p)
+    # the noisy PR box is solved on the problem of its stabiliser
+    q = symmetry.restrict(p)[1]
+    cs = _ClassSystem(q)
     assert cs.factor_rows() == (True, "")
     route = solve_feasibility(p).route
-    assert route == sdp.EngineRoute(cs.N.shape[1], p.copy_blocks.sizes)
+    assert route == sdp.EngineRoute(cs.N.shape[1], q.copy_blocks.sizes)
     assert route.interior
     # over the budget, no engine runs: the outcome names the gate quantity
     def refuse(*_args, **_kwargs):
@@ -1114,8 +1141,10 @@ def test_triangle_inflation_accepts_the_uniform_product_without_svd(monkeypatch)
     p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
                          uniform_product(Scenario(*TRIANGLE_111)))
     # the copy blocks are structure of the problem, found once (one SVD of
-    # the relations in each index block); the rows are not
+    # the relations in each index block), and so are those of the problem
+    # restricted to the table's stabiliser; the rows are not
     p.copy_blocks
+    symmetry.restrict(p)[1].copy_blocks
 
     def refuse(*args, **kwargs):
         raise AssertionError("the rows were factored by an SVD")
