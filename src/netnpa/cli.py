@@ -205,9 +205,10 @@ def _problem_lines(problem: MomentProblem) -> list[str]:
     return lines
 
 
-def _engine_lines(problem: MomentProblem, gate: str,
+def _engine_lines(blocks: tuple[int, ...], gate: str,
                   symmetry: str | None = None) -> list[str]:
-    blocks = problem.copy_blocks.sizes
+    """The engine section: the copy-block sizes ``blocks``, then the
+    symmetry line, if any, and the gate line."""
     lines = ["engine:",
              f"  copy blocks: {list(blocks)} (r = {sum(blocks)}, "
              f"sum r_b^2 = {sdp.EngineRoute(None, blocks).squares})"]
@@ -282,7 +283,11 @@ def cmd_test(cfg: argparse.Namespace) -> tuple[int, str]:
                      "at this level")
     if outcome.residuals is not None:
         lines.append(str(outcome.residuals))
-    lines += _engine_lines(problem, _route_gate(outcome), _symmetry(outcome))
+    # the blocks the engine route was gated on, a restricted problem's when
+    # the solve ran on a stabiliser; a solve decided before it has no route
+    blocks = (problem.copy_blocks.sizes if outcome.route is None
+              else outcome.route.blocks)
+    lines += _engine_lines(blocks, _route_gate(outcome), _symmetry(outcome))
     lines.append(f"timing: {t_solved - t0:.2f} s (build {t_built - t0:.2f} s, "
                  f"pin {t_pinned - t_built:.2f} s, solve {t_solved - t_pinned:.2f} s)")
     code = {"FEASIBLE": EXIT_FEASIBLE, "INFEASIBLE": EXIT_INFEASIBLE,
@@ -401,7 +406,7 @@ def cmd_info(cfg: argparse.Namespace) -> tuple[int, str]:
     lines = ["netnpa info report"]
     lines += _config_lines(cfg)
     lines += _problem_lines(problem)
-    lines += _engine_lines(problem, _unpinned_gate(problem))
+    lines += _engine_lines(problem.copy_blocks.sizes, _unpinned_gate(problem))
     return EXIT_FEASIBLE, "\n".join(lines)
 
 

@@ -21,12 +21,15 @@ S = L_S L_S', so it is the sum over the blocks of each block's Gram
 matrix, and an iteration costs O(m^2 sum_b r_b^2 + m sum_b r_b^3) rather
 than O(m^2 r^2 + m r^3).
 
-The blocks run from 6 x 6 to 124 x 124 on the inflation problems (the
-largest on triangle inflation (2,3)), and most are small, where the cost
-of a call outweighs its arithmetic, so blocks of equal size are held as
-one (n, k, k) stack: each size takes one product chain and one T T' for
-its share of the Schur complement and one batched ``eigvalsh`` per step
-length, and the small factorisations call LAPACK directly.
+The blocks run from 6 x 6 to 124 x 124 on the full inflation problems
+(the largest on triangle inflation (2,3)), and from 1 x 1 on a problem
+restricted to a table's output-flip stabiliser (triangle inflation (2,2)
+on the uniform product has 43 blocks of sizes 1 to 10).  Most are small,
+where the cost of a call outweighs its arithmetic, so blocks of equal
+size are held as one (n, k, k) stack: each size takes one product chain
+and one T T' for its share of the Schur complement and one batched
+``eigvalsh`` per step length, and the small factorisations call LAPACK
+directly.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel

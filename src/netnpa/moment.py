@@ -211,20 +211,20 @@ class CopyBlocks:
     it, with the index blocks' orbit sums, ``rows`` and ``weights``).
 
     Each column of a Q_b is one signed orbit sum: s(j)/sqrt(|O|) at each
-    word j of one orbit O of the group the copy swaps generate, with
-    s = +-1 and s = +1 at the orbit's least word.  ``sums`` holds the
-    columns of every Q_b as the rows of one sparse (k, dim) matrix, block
-    after block, ``orbits`` the orbit of each (its position in ``rows``,
-    the least words, whose orbit sizes are ``weights``), ``columns`` the
-    columns of each block and ``complements`` its dense W_b, (k_b, r_b),
-    None for W_b = I.  No dense (dim, k_b) basis is held.  Without swaps
-    the group is trivial: every word is its own orbit, there is one
-    block, Q = I, and ``sums`` is None (so a problem that only reports its
-    block sizes never loads scipy), and the one copy block is W alone, an
-    orthonormal basis of the whole complement.
+    word j of one orbit O of the group the problem's ``generators``
+    generate, with s = +-1 and s = +1 at the orbit's least word.  ``sums``
+    holds the columns of every Q_b as the rows of one sparse (k, dim)
+    matrix, block after block, ``orbits`` the orbit of each (its position
+    in ``rows``, the least words, whose orbit sizes are ``weights``),
+    ``columns`` the columns of each block and ``complements`` its dense
+    W_b, (k_b, r_b), None for W_b = I.  No dense (dim, k_b) basis is held.
+    Without generators the group is trivial: every word is its own orbit,
+    there is one block, Q = I, and ``sums`` is None (so a problem that
+    only reports its block sizes never loads scipy), and the one copy
+    block is W alone, an orthonormal basis of the whole complement.
 
-    Each Q_b is a joint eigenspace of the copy swaps: Q_b[pi] = +-Q_b for
-    every swap's index permutation pi, and every moment matrix X has
+    Each Q_b is a joint eigenspace of the generators: Q_b[pi] = +-Q_b for
+    every generator's index permutation pi, and every moment matrix X has
     X[pi][:, pi] = X.  So on an orbit the rows of X Q_b are the same up to
     the one sign, and entry (c, d) of Q_b' X Q_b is sqrt(|O_c|) times
     (X Q_b)[i_c, d] at the least word i_c of the orbit O_c of column c:
@@ -365,17 +365,17 @@ class MomentProblem:
     factor_pairs: tuple[FactorConstraint, ...] = ()
     factor_triples: tuple[FactorConstraint, ...] = ()
     check_products: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    copy_generators: tuple[tuple[np.ndarray, ...], ...] = ()  # see build_inflation
+    # (name, index permutation) of the commuting involutions that every
+    # matrix of the problem commutes with and its blocks split under: the
+    # copy swaps (1 2) of every source (build_inflation), then the
+    # generators of a table's stabiliser (netnpa.symmetry)
+    generators: tuple[tuple[str, np.ndarray], ...] = ()
     completeness: bool = True
     # the linearized factor pairs, filled in by pin_linearize
     linear_factor_rows: FlatRows = field(default_factory=lambda: NO_ROWS)
     flagged_bilinear: tuple[FactorConstraint, ...] = ()
     # the table pin_distribution pinned, on its copy only (see derive)
     table: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # (name, index permutation) of the output flips every matrix of the
-    # problem commutes with besides the copy swaps: a problem restricted to
-    # a table's stabiliser (netnpa.symmetry) holds them
-    flips: tuple[tuple[str, np.ndarray], ...] = ()
     _structures: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -391,7 +391,7 @@ class MomentProblem:
     # derived structures are built on first use; of them, only the index
     # dict is read by a builder (the star triples and the inflation check
     # products).  The ``_structure`` properties read only the word index,
-    # the Hankel groups, the classes and the copy generators; the builders
+    # the Hankel groups, the classes and the generators; the builders
     # that add factor families or check products, and every pin,
     # linearization and frozen solve, copy the problem through ``derive``,
     # which shares them (so one problem builds each once), while
@@ -405,8 +405,9 @@ class MomentProblem:
     # holds the interlacing bound's choice of words, the rows it leaves
     # over the free classes and their one factorisation.  ``check_arrays``
     # is kept with the tuple of check products it was built from, and
-    # ``netnpa.symmetry`` keeps the flips' permutations and one restricted
-    # problem per stabiliser, which read only the index and the classes
+    # ``netnpa.symmetry`` keeps the flips' index permutations and one
+    # restricted problem per stabiliser, which read only the index and the
+    # classes
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
@@ -508,36 +509,20 @@ class MomentProblem:
         the complement of the column relations and which block-diagonalise
         every moment matrix X of the problem: U_a' X U_b = 0 for a != b.
         They are the index blocks restricted to that complement
-        (:func:`_copy_blocks`); a problem without copy swaps has one, U =
+        (:func:`_copy_blocks`); a problem without generators has one, U =
         W, an orthonormal basis of the whole complement.  Every moment
         matrix X maps the relation vectors to zero (its completeness
         rows), so X = U U' X U U'."""
         return _copy_blocks(self)
 
     @_structure
-    def _generators(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """The commuting involutions the blocks are built on, as (name,
-        index permutation): the copy swaps (1 2) of every source, then the
-        problem's ``flips``.  Each is checked, once per problem, to map
-        every cell's class to itself (raises :class:`RuntimeError` else),
-        so that X[pi][:, pi] = X for every matrix X that is constant on each
-        class; none for a problem without ``copy_generators`` or flips."""
-        swaps = self.copy_generators[0] if self.copy_generators else ()
-        gens = tuple((f"copy swap of source {src}", pi)
-                     for src, pi in zip(self.alphabet.sources(), swaps)) + self.flips
-        for name, pi in gens:
-            if not np.array_equal(self.cell_class[np.ix_(pi, pi)],
-                                  self.cell_class):
-                raise RuntimeError(f"the {name} moves a cell to another class")
-        return gens
-
-    @_structure
     def index_blocks(self) -> CopyBlocks:
-        """The joint eigenvectors of the copy swaps on the whole index, one
-        block per character (:func:`_index_blocks`); a problem without
-        copy swaps has one block, Q = I.  Every matrix that is constant on
-        each class commutes with the swaps, so its eigenvalues are those
-        of its blocks; ``check_assignment`` reads them from here."""
+        """The joint eigenvectors of the ``generators`` on the whole
+        index, one block per character (:func:`_index_blocks`); a problem
+        without generators has one block, Q = I.  Every matrix that is
+        constant on each class commutes with the generators, so its
+        eigenvalues are those of its blocks; ``check_assignment`` reads
+        them from here."""
         return _index_blocks(self)
 
     def class_average(self, X: np.ndarray) -> np.ndarray:
@@ -753,6 +738,24 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], first
 
 
+def _summed_rows(row: np.ndarray, cls: np.ndarray, coeffs: np.ndarray,
+                 m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows given entry by entry, entry e adding ``coeffs[e]`` times class
+    ``cls[e]`` to row ``row[e]``, in m rows over n classes: the
+    coefficients of a row's repeated class summed in entry order, zero
+    sums dropped, and each row's classes ascending.  Returned as flat
+    (starts, classes, coefficients)."""
+    pairs, which = np.unique(row.astype(np.int64) * n + cls, return_inverse=True)
+    # (float even when empty, where bincount gives ints)
+    summed = np.bincount(which, weights=coeffs,
+                         minlength=len(pairs)).astype(float, copy=False)
+    nonzero = summed != 0.0
+    row, cls = np.divmod(pairs[nonzero], n)
+    return (np.concatenate([np.zeros(1, np.intp),
+                            np.cumsum(np.bincount(row, minlength=m))]),
+            cls, summed[nonzero])
+
+
 def _sort_rows(a: np.ndarray) -> np.ndarray:
     """``np.sort(a, axis=1)`` for narrow rows, in place: an odd-even
     transposition sort, one vectorised compare-exchange per adjacent pair
@@ -948,7 +951,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
               index_words: Sequence[Word] | None = None) -> MomentProblem:
     """Build the problem's structure.  ``merges(codes, keys, cell_group)``,
     given the index words' letter codes, returns two arrays of group ids
-    whose groups share a class and the problem's ``copy_generators``."""
+    whose groups share a class and the problem's ``generators``."""
     if index_words is None:
         index = enumerate_words(alphabet, n)
     else:
@@ -983,7 +986,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
         index=tuple(index), group_keys=tuple(keys), cell_group=cell_group,
         group_class=group_class, cell_class=cell_class, pinned=pinned,
         column_relations=relations, rows=_completeness_rows(relations, cell_class),
-        copy_generators=generators, completeness=completeness)
+        generators=generators, completeness=completeness)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,43 +1110,51 @@ def build_scalar_extension(scenario: Scenario, n: int, *,
                      merges=merges)
 
 
+def _index_permutation(codes: Sequence[tuple[int, ...]],
+                      images: Sequence[tuple[int, ...]], what: str) -> np.ndarray:
+    """The index permutation pi of a relabelling of the letters, ``what``,
+    that maps word i, of letter codes ``codes[i]``, to the word of codes
+    ``images[i]``, word pi[i].  An index word whose image is not in the
+    index raises :class:`RuntimeError`."""
+    pos = {c: i for i, c in enumerate(codes)}
+    at = [pos.get(img, -1) for img in images]
+    if -1 in at:
+        k = at.index(-1)
+        raise RuntimeError(
+            f"{what} maps index word {Word(_LETTERS.decode(codes[k]))!r} to "
+            f"{Word(_LETTERS.decode(images[k]))!r}, which is not in the index")
+    return np.array(at, dtype=np.intp)
+
+
 def _copy_generators(codes: Sequence[tuple[int, ...]], alphabet: Alphabet, m: int
                      ) -> tuple[tuple[np.ndarray, ...], ...]:
     """For each generator of S_m (the swap (1 2) when m >= 2, the m-cycle
-    when m >= 3), the index permutation pi of its relabelling of each
-    source: word i, of letter codes ``codes[i]``, maps to word pi[i].  An
-    index word whose image is not in the index raises
-    :class:`RuntimeError`."""
+    when m >= 3), the index permutation of its relabelling of each source
+    (:func:`_index_permutation`)."""
     gens = [{1: 2, 2: 1}] if m >= 2 else []
     if m >= 3:
         gens.append({i: i % m + 1 for i in range(1, m + 1)})
-    pos = {c: i for i, c in enumerate(codes)}
-
-    def permutation(relabelling: dict[str, dict[int, int]]) -> np.ndarray:
-        images = relabel_codes(codes, alphabet, relabelling)
-        for c, img in zip(codes, images):
-            if img not in pos:
-                raise RuntimeError(
-                    f"copy relabelling {relabelling} maps index word "
-                    f"{Word(_LETTERS.decode(c))!r} to "
-                    f"{Word(_LETTERS.decode(img))!r}, which is not in the index")
-        return np.array([pos[img] for img in images], dtype=np.intp)
-
-    return tuple(tuple(permutation({src: gen}) for src in alphabet.sources())
-                 for gen in gens)
+    return tuple(tuple(
+        _index_permutation(codes, relabel_codes(codes, alphabet, {src: gen}),
+                          f"copy relabelling {({src: gen})}")
+        for src in alphabet.sources()) for gen in gens)
 
 
-def _copy_merges(cell_group: np.ndarray, perms: Iterable[np.ndarray]
+def _copy_merges(cell_label: np.ndarray, perms: Iterable[np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Every Hankel group joined to its image under each copy index
-    permutation pi of ``perms`` (see :func:`build_inflation`): the group
-    of the image of any one of its cells, here its first in row-major
-    order."""
-    groups, first = np.unique(cell_group, return_index=True)
-    rows, cols = np.divmod(first, len(cell_group))
-    images = [cell_group[pi[rows], pi[cols]] for pi in perms]
-    return (np.tile(groups, len(images)),
-            np.concatenate(images) if images else groups[:0])
+    """Every label of the cells (a Hankel group, or a class; labels
+    0, 1, ... each held by some cell) joined to its image under each index
+    permutation pi of ``perms``: the label of the image of any one of its
+    cells.  Each pi must map the cells of one label to one label, as an
+    automorphism of the word algebra does."""
+    labels = np.arange(int(cell_label.max()) + 1)
+    # one cell of each label, whichever of its cells the scatter keeps
+    cell = np.zeros(len(labels), dtype=np.intp)
+    cell[cell_label.reshape(-1)] = np.arange(cell_label.size)
+    rows, cols = np.divmod(cell, len(cell_label))
+    images = [cell_label[pi[rows], pi[cols]] for pi in perms]
+    return (np.tile(labels, len(images)),
+            np.concatenate(images) if images else labels[:0])
 
 
 def _relation_complement(relations: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -1163,32 +1174,33 @@ def _relation_complement(relations: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     """The isotypic components of the complement of the column relations
-    under the copy swaps (1 2) of every source: each index block Q_b
+    under the problem's ``generators``: each index block Q_b
     (:func:`_index_blocks`) restricted to it, U_b = Q_b W_b with W_b an
     orthonormal basis of ker(R Q_b) (:func:`_relation_complement`), and
     the blocks without columns dropped (Gatermann and Parrilo 2004).
-    Without swaps the one index block is Q = I, and W is an orthonormal
-    basis of the whole complement.
+    Without generators the one index block is Q = I, and W is an
+    orthonormal basis of the whole complement.
 
-    Every moment matrix X commutes with each swap's permutation matrix
-    P_s (:attr:`MomentProblem._copy_swaps`), so U' X U is block-diagonal.
-    When every swap maps the set of relation vectors onto itself, their
-    span and its complement are invariant under the P_s, so the complement
-    is the direct sum of its parts in the index blocks, and the U_b
-    together span it.  The blocks share the index blocks' orbit sums,
-    ``rows`` and ``weights``, and hold only the dense W_b; each Q_b is
-    formed dense for the build alone, and each U_b, with swaps, for its
-    checks alone.
+    Every moment matrix X commutes with each generator's permutation
+    matrix P_s (:attr:`MomentProblem.generators`), so U' X U is
+    block-diagonal.  When every generator maps the set of relation vectors
+    onto itself, their span and its complement are invariant under the
+    P_s, so the complement is the direct sum of its parts in the index
+    blocks, and the U_b together span it.  The blocks share the index
+    blocks' orbit sums, ``rows`` and ``weights``, and hold only the dense
+    W_b; each Q_b is formed dense for the build alone, and each U_b, with
+    generators, for its checks alone.
 
-    With swaps, raises :class:`RuntimeError` when a swap moves a cell to
-    another class, when a swap does not map the set of column relations
-    onto itself (compared exactly, on their index positions), when a
-    block is not an eigenspace of every swap (U_b[pi_s] = chi_s U_b) to
-    rounding, or when U' X U is not block-diagonal, to rounding, for a
-    matrix X with generic class values.
+    With generators, raises :class:`RuntimeError` when one does not map
+    the set of column relations onto itself (compared exactly, on their
+    index positions), when a block is not an eigenspace of every generator
+    (U_b[pi_s] = chi_s U_b) to rounding, or when U' X U is not
+    block-diagonal, to rounding, for a matrix X with generic class values
+    (and :func:`_index_blocks` raises when one moves a cell to another
+    class).
     """
     index = problem.index_blocks
-    gens = problem._generators
+    gens = problem.generators
     perms = [pi for _, pi in gens]
     relations = problem.column_relations
     # (columns of Q_b, W_b, character), in the order of _index_blocks
@@ -1237,40 +1249,48 @@ def _relation_set(relations: np.ndarray) -> np.ndarray:
 
 
 def _index_blocks(problem: MomentProblem) -> CopyBlocks:
-    """The isotypic components of the whole index under the copy swaps,
-    built from the orbits alone (no factorisation) and held as sparse
-    signed orbit sums.
+    """The isotypic components of the whole index under the problem's
+    ``generators``, built from the orbits alone (no factorisation) and
+    held as sparse signed orbit sums.
 
-    The swaps pi_s commute and generate a group G of 2^s elements g, each
-    a product of swaps.  For a character chi in {+1, -1}^s, chi(g) is the
-    product of chi_s over the swaps of g, and for an orbit with least word
-    i the orbit sum sum_g chi(g) e_{g(i)} is zero unless chi is trivial on
-    the stabiliser of i; then it is |stabiliser| times a vector with
-    entries +-1 on the orbit, which normalised is one column of the block
-    of chi.  Each orbit O gives |O| characters and the columns have
-    disjoint supports within a block, so the blocks are orthonormal and
-    hold dim columns in all, with at most |G| nonzeros each.  A matrix X
-    with X[pi][:, pi] = X for every swap maps each block to itself, so
-    Q_b' X Q_b over the blocks gives X's eigenvalues (Gatermann and
-    Parrilo 2004).  Every block is kept, also one without columns, so
-    that block b has the b-th character of ``itertools.product``.
-    Without swaps the one block is Q = I, held with ``sums`` None."""
-    perms = [pi for _, pi in problem._generators]
+    The generators pi_s are involutions that commute and generate a group
+    G of 2^s elements g, each a product of generators.  For a character
+    chi in {+1, -1}^s, chi(g) is the product of chi_s over the generators
+    of g, and for an orbit with least word i the orbit sum
+    sum_g chi(g) e_{g(i)} is zero unless chi is trivial on the stabiliser
+    of i; then it is |stabiliser| times a vector with entries +-1 on the
+    orbit, which normalised is one column of the block of chi.  Each
+    orbit O gives |O| characters and the columns have disjoint supports
+    within a block, so the blocks are orthonormal and hold dim columns in
+    all, with at most |G| nonzeros each.  A matrix X with X[pi][:, pi] = X
+    for every generator maps each block to itself, so Q_b' X Q_b over the
+    blocks gives X's eigenvalues (Gatermann and Parrilo 2004).  Every
+    block is kept, also one without columns, so that block b has the b-th
+    character of ``itertools.product``.
+    Without generators the one block is Q = I, held with ``sums`` None.
+
+    Each generator is checked to map every cell's class to itself, so that
+    X[pi][:, pi] = X for every matrix X that is constant on each class;
+    raises :class:`RuntimeError` else."""
+    for name, pi in problem.generators:
+        if not np.array_equal(problem.cell_class[np.ix_(pi, pi)], problem.cell_class):
+            raise RuntimeError(f"the {name} moves a cell to another class")
+    perms = [pi for _, pi in problem.generators]
     n = problem.dim
     if not perms:
         return CopyBlocks(None, np.arange(n), (slice(0, n),), (None,),
                           np.arange(n), np.ones(n))
     import scipy.sparse
 
-    # the least word of every orbit and the orbit sizes: the swaps commute,
-    # so one pass over them takes the minimum over the group
+    # the least word of every orbit and the orbit sizes: the generators
+    # commute, so one pass over them takes the minimum over the group
     least = np.arange(n)
     for pi in perms:
         least = np.minimum(least, least[pi])
     rows, weights = np.unique(least, return_counts=True)
     weights = weights.astype(float)
     cols = np.arange(len(rows))
-    # every element of G as (its index permutation, its swaps)
+    # every element of G as (its index permutation, its generators)
     elements = [(np.arange(n), ())]
     for s, pi in enumerate(perms):
         elements += [(pi[g], swaps + (s,)) for g, swaps in elements]
@@ -1306,12 +1326,12 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
     a relabelling is an automorphism of the word algebra, it maps the
     product of cell (i, j) to that of cell (pi i, pi j) under the index
     permutation pi it induces.  The permutations of its generators are
-    worked out once, here, and kept as ``copy_generators``
-    (:func:`_copy_generators`).  The classes are the group's orbits on
-    the Hankel groups (:func:`_copy_merges`).  The swaps' orbit sums split
-    the index into blocks (:func:`_index_blocks`), and the copy blocks are
-    those blocks restricted to the complement of the column relations
-    (:func:`_copy_blocks`).
+    worked out once, here (:func:`_copy_generators`), and the classes are
+    the group's orbits on the Hankel groups (:func:`_copy_merges`).  The
+    swaps (1 2) of every source are kept as the problem's ``generators``:
+    their orbit sums split the index into blocks (:func:`_index_blocks`),
+    and the copy blocks are those blocks restricted to the complement of
+    the column relations (:func:`_copy_blocks`).
 
     ``index_words`` restricts the index to an explicit word list (plus the
     empty word); used to host the scalar-extension image words, where the
@@ -1331,8 +1351,10 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
 
     def merges(codes, keys, cell_group):
         generators = _copy_generators(codes, alphabet, m)
+        swaps = generators[0] if generators else ()
         return (*_copy_merges(cell_group, [pi for gen in generators for pi in gen]),
-                generators)
+                tuple((f"copy swap of source {src}", pi)
+                      for src, pi in zip(alphabet.sources(), swaps)))
 
     p = _assemble(scenario, "inflation", n, m, alphabet,
                   completeness=completeness, budget=budget,
@@ -1543,12 +1565,12 @@ def check_assignment(problem: MomentProblem,
     means, and the spread of those means over each class.
 
     The min eigenvalue is read from the problem's ``index_blocks`` when
-    the matrix is constant on every class, so it commutes with the copy
-    swaps and the flips (``_generators``) and its eigenvalues are those of
-    the blocks, of which one without columns has none.  On a problem
-    restricted to a table's stabiliser, whose classes are the flips'
-    orbits, that is the exact test that the matrix is invariant.  Any
-    other matrix takes one ``eigvalsh`` of the whole index."""
+    the matrix is constant on every class, so it commutes with the
+    problem's ``generators`` and its eigenvalues are those of the blocks,
+    of which one without columns has none.  On a problem restricted to a
+    table's stabiliser, whose classes are the flips' orbits, that is the
+    exact test that the matrix is invariant.  Any other matrix takes one
+    ``eigvalsh`` of the whole index."""
     X = assignment.matrix
     vals = X.reshape(-1)
     group_vals = vals[problem.group_first]

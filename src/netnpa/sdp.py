@@ -95,6 +95,7 @@ from .moment import (
     MomentAssignment,
     MomentProblem,
     ResidualReport,
+    _summed_rows,
     check_assignment,
     least_eigenvalue,
 )
@@ -508,22 +509,13 @@ class _PropagationPlan:
     @functools.cached_property
     def R(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pending rows over the free classes, as flat (starts, free
-        positions, coefficients): per row, its free positions in the order
-        the row first names them, with the coefficients of a repeated
-        class summed and zero sums dropped."""
+        positions, coefficients): per row, its free positions ascending,
+        with the coefficients of a repeated class summed and zero sums
+        dropped (``moment._summed_rows``).  The elimination's pivots do
+        not depend on the order within a row."""
         entries, cls, at = self._terms[1]
-        pos = self.free_pos[cls]
-        # the (row, free class) pairs, in the order of their first entry
-        _, first, which = np.unique(at * len(self.free) + pos,
-                                    return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        # (float even when empty, where bincount gives ints)
-        summed = np.bincount(which, weights=self.coeffs[entries],
-                             minlength=len(order)).astype(float, copy=False)[order]
-        nonzero = summed != 0.0
-        starts = np.concatenate([np.zeros(1, np.intp), np.cumsum(np.bincount(
-            at[first[order]][nonzero], minlength=len(self.pending)))])
-        return starts, pos[first[order]][nonzero], summed[nonzero]
+        return _summed_rows(at, self.free_pos[cls], self.coeffs[entries],
+                            len(self.pending), len(self.free))
 
     @functools.cached_property
     def R_row(self) -> np.ndarray:

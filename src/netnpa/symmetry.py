@@ -20,15 +20,18 @@ invariant feasible X (Gatermann and Parrilo, J. Pure Appl. Algebra 192
 invariant X are those constant on the orbits of the group on the classes.
 The restricted problem (:class:`Restriction`) therefore has the orbits as
 its classes and the rows mapped onto them, and the stabiliser's
-generators join the copy swaps as the involutions its blocks are built on
-(``MomentProblem._generators``).  FEASIBLE and INFEASIBLE keep their
-meaning, and its witness is a moment matrix of the full problem.
+generators follow the copy swaps in its ``generators``, the involutions
+its blocks are built on.  Its orbits, rows and index permutations come
+from the routines that build the copy symmetry (``moment._copy_merges``,
+``moment._summed_rows``, ``moment._index_permutation``).  FEASIBLE and
+INFEASIBLE keep their meaning, and its witness is a moment matrix of the
+full problem.
 
 The stabiliser is sought per table (:func:`restrict`), which costs one
 gather and one comparison per element of the flip group.  The flips'
-index and class permutations are built once per problem, and the
-restricted problem once per stabiliser, both on first use and kept in the
-problem's shared structures.  A problem with scalar letters or with
+index permutations are built once per problem, and the restricted
+problem once per stabiliser, both on first use and kept in the problem's
+shared structures.  A problem with scalar letters or with
 factorisation families keeps the trivial group, and so does a table that
 no flip fixes: the solve then runs on the problem as it is.
 """
@@ -40,7 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moment import PIN_TOL, CheckProducts, FlatRows, MomentProblem, _distinct_rows
+from .moment import (
+    PIN_TOL,
+    FlatRows,
+    MomentProblem,
+    _copy_merges,
+    _distinct_rows,
+    _index_permutation,
+    _summed_rows,
+)
 from .scenarios import Scenario, components
 from .words import _LETTERS, Letter, relabel_letters
 
@@ -86,35 +97,25 @@ def _flip_tables(scenario: Scenario) -> _FlipTables | None:
 
 
 def _flip_actions(problem: MomentProblem, tables: _FlipTables
-                  ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The index permutation pi and the class permutation sigma of each
-    flip, (flips, dim) and (flips, classes); None when a flip does not map
-    the index onto itself (a problem built on a restricted index).  Raises
-    :class:`RuntimeError` when a flip maps the cells of one class to more
-    than one class: sigma[cell_class] must be cell_class[pi][:, pi]."""
+                  ) -> np.ndarray | None:
+    """The index permutation of each flip, (flips, dim), from the index
+    words' images (``moment._index_permutation``, as for the copy
+    relabellings); None when a flip does not map the index onto itself (a
+    problem built on a restricted index)."""
     codes = [_LETTERS.encode(w.letters) for w in problem.index]
-    pos = {c: i for i, c in enumerate(codes)}
-    groups, bounds = problem.class_layout
-    rows, cols = np.divmod(problem.group_first[groups[bounds[:-1]]], problem.dim)
-    index, classes = [], []
+    index = []
     for party, x in tables.flips:
         def image(l: Letter) -> Letter:
             if l.is_measurement and l.party == party and l.input == x:
                 return dataclasses.replace(l, output=1 - l.output)
             return l
 
-        at = [pos.get(c, -1) for c in relabel_letters(codes, image)]
-        if min(at) < 0:
+        images = relabel_letters(codes, image)
+        try:
+            index.append(_index_permutation(codes, images, f"the flip {party}[{x}]"))
+        except RuntimeError:  # an image is not in the index
             return None
-        pi = np.array(at, dtype=np.intp)
-        sigma = problem.cell_class[pi[rows], pi[cols]]
-        if not np.array_equal(sigma[problem.cell_class],
-                              problem.cell_class[np.ix_(pi, pi)]):
-            raise RuntimeError(f"the flip {party}[{x}] maps the cells of one "
-                               "class to several classes")
-        index.append(pi)
-        classes.append(sigma)
-    return np.array(index), np.array(classes)
+    return np.array(index)
 
 
 def _basis(elements: list[int]) -> list[int]:
@@ -130,7 +131,8 @@ def _basis(elements: list[int]) -> list[int]:
 
 
 def _compose(perms: np.ndarray, e: int) -> np.ndarray:
-    """The permutation of the flip product e, from those of the flips."""
+    """The index permutation of the flip product e, from those of the
+    flips."""
     out = np.arange(perms.shape[1])
     for i in range(len(perms)):
         if e >> i & 1:
@@ -141,15 +143,12 @@ def _compose(perms: np.ndarray, e: int) -> np.ndarray:
 def _restricted_rows(rows: FlatRows, orbit: np.ndarray, count: int) -> FlatRows:
     """``rows`` on the orbits of the classes: in each row the coefficients
     of one orbit summed, zero sums dropped and the row's orbits in
-    ascending order; of equal rows the first is kept, and a row left with
-    no terms and rhs 0 is dropped."""
-    key = rows.row.astype(np.int64) * count + orbit[rows.classes]
-    pairs, which = np.unique(key, return_inverse=True)
-    summed = np.bincount(which, weights=rows.coeffs, minlength=len(pairs))
-    pairs, summed = pairs[summed != 0.0], summed[summed != 0.0]
-    row, cls = np.divmod(pairs, count)
-    sizes = np.bincount(row, minlength=len(rows))
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    ascending order (``moment._summed_rows``); of equal rows the first is
+    kept, and a row left with no terms and rhs 0 is dropped."""
+    starts, cls, summed = _summed_rows(rows.row, orbit[rows.classes], rows.coeffs,
+                                       len(rows), count)
+    sizes = np.diff(starts)
+    row = np.repeat(np.arange(len(rows)), sizes)
     width = int(sizes.max(initial=0))
     slot = np.arange(len(row)) - starts[row]
     classes = np.full((len(rows), width), -1, dtype=np.int64)
@@ -196,32 +195,34 @@ class Restriction:
 
 
 def _restriction(problem: MomentProblem, tables: _FlipTables,
-                 actions: tuple[np.ndarray, np.ndarray],
-                 elements: np.ndarray) -> Restriction:
-    """The restriction of ``problem`` to the stabiliser ``elements``."""
-    index, classes = actions
-    gens = _basis(elements.tolist())
+                 flips: np.ndarray, elements: np.ndarray) -> Restriction:
+    """The restriction of ``problem`` to the stabiliser ``elements``, given
+    the flips' index permutations.  Its orbits on the classes join each
+    class to its images under the stabiliser's generators, as the copy
+    relabellings join the Hankel groups (``moment._copy_merges``).  Raises
+    :class:`RuntimeError` when a generator maps the cells of one class to
+    more than one class."""
+    gens = [(tables.name(e), _compose(flips, e)) for e in _basis(elements.tolist())]
     n = problem.n_classes
-    orbit = components(n, np.tile(np.arange(n), len(gens)),
-                       np.concatenate([_compose(classes, e) for e in gens]))
-    count = int(orbit.max()) + 1
+    merges = _copy_merges(problem.cell_class, [pi for _, pi in gens])
+    for (name, pi), sigma in zip(gens, merges[1].reshape(len(gens), n)):
+        if not np.array_equal(sigma[problem.cell_class],
+                              problem.cell_class[np.ix_(pi, pi)]):
+            raise RuntimeError(f"the flip {name} maps the cells of one class "
+                               "to several classes")
+    orbit = components(n, *merges)
     first = np.unique(orbit, return_index=True)[1]
-    checks = problem.check_arrays
-    mapped = CheckProducts(orbit[checks.products].astype(np.intp),
-                           orbit[checks.factors].astype(np.intp), checks.starts)
-    bounds = mapped.starts.tolist()[1:] + [len(mapped.factors)]
-    check_products = tuple(
-        (c, tuple(mapped.factors[a:e].tolist()))
-        for c, a, e in zip(mapped.products.tolist(), mapped.starts.tolist(), bounds))
     cell_class = orbit[problem.cell_class]
+    label = orbit.tolist()
     base = dataclasses.replace(
         problem, group_class=orbit[problem.group_class], cell_class=cell_class,
         pinned={int(cell_class[0, 0]): 1.0},
-        rows=_restricted_rows(problem.rows, orbit, count),
-        check_products=check_products, table=None,
-        flips=tuple((f"flip {tables.name(e)}", _compose(index, e)) for e in gens))
-    base._structures["check_arrays"] = (check_products, mapped)
-    return Restriction(tuple(tables.name(e) for e in gens), len(elements), base,
+        rows=_restricted_rows(problem.rows, orbit, len(first)),
+        check_products=tuple((label[c], tuple(map(label.__getitem__, fs)))
+                             for c, fs in problem.check_products),
+        table=None,
+        generators=problem.generators + tuple((f"flip {name}", pi) for name, pi in gens))
+    return Restriction(tuple(name for name, _ in gens), len(elements), base,
                        orbit, first)
 
 
@@ -229,12 +230,14 @@ def restrict(problem: MomentProblem
              ) -> tuple[Restriction, MomentProblem] | None:
     """The restriction of ``problem`` to the stabiliser of its pinned
     ``table`` and the restricted problem pinned as it is; None when the
-    group is trivial: no table, scalar letters, factorisation families,
-    no flip product fixing the table, a flip that does not map the index
+    group is trivial: no table, a problem already restricted (one whose
+    generators hold flips), scalar letters, factorisation families, no
+    flip product fixing the table, a flip that does not map the index
     onto itself, or pins the group does not fix."""
-    if (problem.table is None or problem.flips or problem.factor_pairs
+    if (problem.table is None or problem.factor_pairs
             or problem.factor_triples or problem.linearized
-            or problem.hierarchy == "scalar_extension"):
+            or problem.hierarchy == "scalar_extension"
+            or any(name.startswith("flip ") for name, _ in problem.generators)):
         return None
     structures = problem._structures
     if "flip_tables" not in structures:
@@ -252,9 +255,9 @@ def restrict(problem: MomentProblem
     if held is None or held[0] is not problem.check_products:
         if "flip_actions" not in structures:
             structures["flip_actions"] = _flip_actions(problem, tables)
-        actions = structures["flip_actions"]
-        held = structures[key] = (problem.check_products, None if actions is None
-                                  else _restriction(problem, tables, actions, elements))
+        flips = structures["flip_actions"]
+        held = structures[key] = (problem.check_products, None if flips is None
+                                  else _restriction(problem, tables, flips, elements))
     restriction = held[1]
     if restriction is None:
         return None

@@ -673,6 +673,25 @@ def plain_copy_generators(index, alphabet, m) -> list[list[np.ndarray]]:
             for gen in copy_generators(m)]
 
 
+def plain_flip_permutations(index, scenario) -> list[np.ndarray]:
+    """The index permutation of each output flip of ``scenario``, one per
+    two-output (party, input) in party and input order, from a plain
+    per-word relabelling: each letter P[a|x] of the flipped party and
+    input, any copies, rebuilt as P[1-a|x], then the word canonicalised."""
+    pos = {w: i for i, w in enumerate(index)}
+    flips = [(p, x) for k, p in enumerate(scenario.parties)
+             if scenario.outputs[k] == 2 for x in range(scenario.inputs[k])]
+    out = []
+    for party, x in flips:
+        def image(w: Word) -> Word:
+            return word([Letter("measurement", l.party, 1 - l.output, l.input, l.copies)
+                         if l.is_measurement and l.party == party and l.input == x
+                         else l for l in w.letters])
+
+        out.append(np.array([pos[image(w)] for w in index]))
+    return out
+
+
 def loop_copy_orbit_edges(keys, key_of, alphabet, m):
     """Edges (g, g') joining each group key to its image under every
     generator of the copy-relabelling group (S_m)^sources, one source at a

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netnpa import sdp
+from netnpa import moment, sdp
 from netnpa.cli import (
     EXIT_FEASIBLE,
     EXIT_INFEASIBLE,
@@ -109,14 +109,26 @@ def test_config_block_prints_every_option(tmp_path):
     ]
 
 
-def test_reports_name_the_copy_blocks_and_the_engine_they_select():
+def test_reports_name_the_copy_blocks_and_the_engine_they_select(monkeypatch):
+    built = []
+    copy_blocks = moment._copy_blocks
+
+    def record(p):
+        built.append([name for name, _ in p.generators])
+        return copy_blocks(p)
+
+    monkeypatch.setattr(moment, "_copy_blocks", record)
     code, report = run(["test", "--scenario", "triangle", "--hierarchy",
                         "inflation", "--n", "2", "--m", "2", "uniform_product"])
     assert code == EXIT_FEASIBLE
-    assert ("  copy blocks: [19, 12, 12, 10, 12, 10, 10, 6] "
-            "(r = 91, sum r_b^2 = 1129)") in report
     # the uniform product is solved on its stabiliser, the flips of A, B
-    # and C: p = 180 and sum r_b^2 = 1129 on the full problem
+    # and C: p = 180 and sum r_b^2 = 1129 on the full problem.  The report
+    # prints the blocks of the restricted problem the solve ran on, and
+    # the full problem's are never built
+    assert "(r = 91, sum r_b^2 = 283)" in report
+    assert "  copy blocks: [10, 1, 1, 2, 1, 2, 2, 4, 1, 1, 2, " in report
+    assert built == [[f"copy swap of source {s}" for s in ("pi", "rho", "sigma")]
+                     + [f"flip {f}" for f in ("A[0]", "B[0]", "C[0]")]]
     assert ("  symmetry: stabiliser of order 8 generated by A[0], B[0], C[0]; "
             "restricted p = 69, sum r_b^2 = 283") in report
     assert ("  gate: (p + 1)*sum r_b^2 = 19810 for p = 69 (limit 33554432) "

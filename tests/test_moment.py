@@ -513,7 +513,7 @@ def _swap_group(p) -> list[np.ndarray]:
     """The index permutations of every element of the group the copy swaps
     generate."""
     elements = [np.arange(p.dim)]
-    for pi in p.copy_generators[0]:
+    for _, pi in p.generators:
         elements += [pi[g] for g in elements]
     return elements
 
@@ -536,7 +536,7 @@ def test_orbit_sums_give_the_dense_congruence(topology, m):
             assert max(np.abs(G - R).max() for G, R in zip(got, ref)) <= 1e-12
     # the reference holds for joint eigenspaces of the swaps, and each
     # orbit sum has at most one nonzero per element of the group
-    perms = p.copy_generators[0]
+    perms = [pi for _, pi in p.generators]
     chars = itertools.product((1.0, -1.0), repeat=len(perms))
     for Q, chi in zip(dense_bases(p.index_blocks), chars):
         for pi, sign in zip(perms, chi):
@@ -558,7 +558,7 @@ def test_copy_blocks_hold_no_dense_basis():
 def test_a_problem_without_copy_swaps_has_no_index_blocks():
     # no swaps split the index: its one block is Q = I, with no orbit sums
     p = cached_problem("standard", *BILOCAL_111, 2)
-    assert p.copy_generators == ()
+    assert p.generators == ()
     index = p.index_blocks
     assert index.sums is None and index.sizes == (p.dim,)
     assert index.columns == (slice(0, p.dim),)
@@ -817,11 +817,16 @@ def test_copy_generators_match_the_plain_relabelling(topology, m):
     p = (cached_problem("inflation", *topology, 2, m) if m == 2
          else build_inflation(Scenario(*topology), 2, m))
     want = plain_copy_generators(p.index, p.alphabet, m)
-    assert len(p.copy_generators) == len(want) == m - 1
-    for got, plain in zip(p.copy_generators, want):
+    generators = _copy_generators(_codes(p.index), p.alphabet, m)
+    assert len(generators) == len(want) == m - 1
+    for got, plain in zip(generators, want):
         assert len(got) == len(plain) == len(p.alphabet.sources())
         assert all(a.dtype == np.intp and np.array_equal(a, b)
                    for a, b in zip(got, plain))
+    # the problem keeps the swaps (1 2), one per source
+    assert [name for name, _ in p.generators] == [
+        f"copy swap of source {src}" for src in p.alphabet.sources()]
+    assert all(np.array_equal(a, b) for (_, a), b in zip(p.generators, want[0]))
 
 
 def test_copy_merges_reject_an_index_not_closed_under_relabelling():

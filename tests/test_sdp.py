@@ -495,7 +495,7 @@ def test_copy_blocks_relabel_no_word_after_the_build(topology, sizes, monkeypatc
     monkeypatch.setattr(moment, "relabel_codes", counting)
     p = build_inflation(Scenario(*topology), 2, 2)
     # one relabelling of the index per generator: the swap of each source
-    assert len(calls) == len(p.alphabet.sources()) == len(p.copy_generators[0])
+    assert len(calls) == len(p.alphabet.sources()) == len(p.generators)
     for module in (moment, words):
         monkeypatch.setattr(module, "relabel_codes", refuse)
     # a copy made by dataclasses.replace has no structure built yet

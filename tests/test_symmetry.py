@@ -1,6 +1,8 @@
 """Output-flip stabilisers: the restricted problem decides as the full one."""
 
+import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,9 @@ from netnpa.scenarios import (
     shared_random_bit,
 )
 from netnpa.sdp import DEFAULT_TOL, _ClassSystem, _interior_phase1, solve_feasibility
+from netnpa.words import enumerate_words
+
+from helpers import plain_flip_permutations
 
 TRIANGLE = Scenario("triangle", (2, 2, 2), (1, 1, 1))
 BILOCAL = Scenario("bilocal", (2, 2, 2), (1, 1, 1))
@@ -122,6 +127,12 @@ def test_born_tables_and_factorisation_families_keep_the_trivial_group():
     assert symmetry.restrict(pin_distribution(_inflation(BILOCAL), born)) is None
     fac = pin_distribution(build_factorisation_bilocal(BILOCAL, 2), _uniform(BILOCAL))
     assert symmetry.restrict(fac) is None
+    # an index the flips do not map onto itself: the outputs 0 alone
+    words = [w for w in enumerate_words(TRIANGLE.inflated_alphabet(2), 1)
+             if all(l.output == 0 for l in w.letters)]
+    short = build_inflation(TRIANGLE, 2, 2, index_words=words)
+    assert symmetry._flip_actions(short, symmetry._flip_tables(TRIANGLE)) is None
+    assert symmetry.restrict(pin_distribution(short, _uniform(TRIANGLE))) is None
     # pins the flips do not fix: the group is trivial
     p = pin_distribution(_inflation(TRIANGLE), _uniform(TRIANGLE))
     restriction, _ = symmetry.restrict(p)
@@ -173,3 +184,37 @@ def test_a_copy_with_other_check_products_gets_its_own_restriction():
     r2, q2 = symmetry.restrict(bare)
     assert r2 is not r1 and q2.check_products == ()
     assert symmetry.restrict(p)[1].check_products == q1.check_products
+
+
+@pytest.mark.parametrize("name", ["triangle-inflation", "bilocal-inflation",
+                                  "bilocal-standard"])
+def test_flip_permutations_match_the_plain_relabelling(name):
+    p = {"triangle-inflation": lambda: _inflation(TRIANGLE),
+         "bilocal-inflation": lambda: _inflation(BILOCAL),
+         "bilocal-standard": lambda: build_standard(BILOCAL, 2)}[name]()
+    tables = symmetry._flip_tables(p.scenario)
+    got = symmetry._flip_actions(p, tables)
+    want = plain_flip_permutations(p.index, p.scenario)
+    assert len(got) == len(want) == len(tables.flips) == 3
+    for pi, plain in zip(got, want):
+        assert pi.dtype == np.intp and np.array_equal(pi, plain)
+        assert not np.array_equal(pi, np.arange(p.dim))
+
+
+def test_a_flip_that_splits_a_class_raises():
+    p = pin_distribution(_inflation(TRIANGLE), _uniform(TRIANGLE))
+    pi = symmetry._flip_actions(p, symmetry._flip_tables(TRIANGLE))[0]
+    # move one cell that the flip A[0] moves to another cell, and its
+    # mirror, to the class of G[1, 1]: the flip then sends the cells of its
+    # image's class to two classes
+    moved = np.flatnonzero(pi != np.arange(p.dim)).tolist()
+    i = moved[0]
+    j = next(k for k in moved if k not in (i, pi[i]))
+    cell_class = p.cell_class.copy()
+    cell_class[i, j] = cell_class[j, i] = cell_class[0, 0]
+    edited = dataclasses.replace(p, cell_class=cell_class)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "the flip A[0] maps the cells of one class to several classes")):
+        symmetry.restrict(edited)
+    # the problem as built is restricted
+    assert symmetry.restrict(p)[0].generators == ("A[0]", "B[0]", "C[0]")
