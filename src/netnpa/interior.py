@@ -42,10 +42,12 @@ rounding can also leave a new iterate's X or S without a Cholesky
 factor; that step is retried once at half its lengths.  It does not
 raise on numerical breakdown: a failed factorisation ends the run with
 status ``stalled`` and the last iterate's y, which callers check on
-their own.  A caller that needs only a dual point good enough
-for its purpose passes ``stop``, and the run ends (status ``target``) at
-the first iterate whose dual objective reaches it.  scipy is imported on
-the first solve, not with the module.
+their own.  A phase-1 caller, whose last row is the identity and whose
+objective is its multiplier t, needs only a dual point good enough for
+its purpose: it passes ``stop``, and the run ends (status ``target``) at
+the first iterate where t + lambda_min(S) reaches it, since C - A'(y)
+without the t row is then S + t*1, at least ``stop`` on every block.
+scipy is imported on the first solve, not with the module.
 """
 
 from __future__ import annotations
@@ -192,12 +194,17 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
     them.  ``start``, when given, is the first y; C - A'(start) must be
     positive definite, else ``ValueError``.  Stops when the relative gap
     and both relative infeasibilities are below ``tol`` (status
-    ``optimal``), or at ``MAX_ITER``.  With ``stop``, it also stops, with
-    status ``target``, at the first iterate whose dual objective b'y is at
-    least ``stop``.  From a ``start`` every iterate keeps S = C - A'(y)
-    positive definite, so that y is then a dual feasible point with b'y >=
-    ``stop``, whatever the gap left.  A solve that never reaches ``stop``
-    runs exactly as one without it.
+    ``optimal``), or at ``MAX_ITER``.  ``stop`` is for a phase-1 problem
+    from a ``start``: b = e_m, and A_m = I, whose multiplier y_m is the
+    phase-1 t.  From a ``start`` every iterate keeps S = C - A'(y)
+    positive definite, and the matrix C - sum_{i<m} y_i A_i = S + y_m*1
+    has least eigenvalue y_m + lambda_min(S).  So with ``stop`` it also
+    stops, with status ``target``, at the first iterate where y_m +
+    lambda_min(S) >= ``stop``, and returns y with y_m raised by
+    lambda_min(S): a dual feasible point with b'y >= ``stop``, whatever
+    the gap left.  The ``eigvalsh`` of S runs only when y_m + min diag(S)
+    reaches ``stop``, since lambda_min(S) <= min diag(S).  A solve that
+    never reaches ``stop`` runs exactly as one without it.
     """
     from scipy.linalg import lapack
 
@@ -254,8 +261,15 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         res = result("optimal", it)
         if max(res.rel_gap, res.primal_infeas, res.dual_infeas) <= tol:
             return res
-        if stop is not None and res.dual_obj >= stop:
-            return replace(res, status="target")
+        # lambda_min(S) <= min diag(S), so a reject skips the eigvalsh
+        if (stop is not None and y[-1] + min(
+                np.diagonal(Sg, axis1=1, axis2=2).min() for Sg in S) >= stop):
+            low = min(np.linalg.eigvalsh(Sg)[:, 0].min() for Sg in S)
+            if y[-1] + low >= stop:
+                raised = y.copy()
+                raised[-1] += low
+                return replace(res, status="target", y=raised,
+                               dual_obj=float(b @ raised))
         if it == MAX_ITER:
             return result("max_iter", it)
         if factors is None:

@@ -355,6 +355,9 @@ class MomentProblem:
     m: int | None
     alphabet: Alphabet
     index: tuple[Word, ...]
+    # the letter codes (words._LETTERS) of the index words, which the
+    # build read its products from and the output flips relabel
+    index_codes: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     group_keys: tuple[Word, ...]          # one canonical product word per Hankel group
     cell_group: np.ndarray                # (N, N) int32 Hankel group per cell
     group_class: np.ndarray               # group -> merged class id
@@ -961,7 +964,7 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
             f"index size {len(index)} exceeds budget {budget} "
             f"({hierarchy}, n={n}" + (f", m={m}" if m else "") + ")")
     pvms = _pvms(alphabet) if completeness else []
-    codes = [_LETTERS.encode(w.letters) for w in index]
+    codes = tuple(_LETTERS.encode(w.letters) for w in index)
     products = _Products(codes, [_LETTERS.encode((l,)) for pvm in pvms for l in pvm])
     keys, cell_group = _build_groups(products)
     a = b = np.zeros(0, dtype=np.intp)
@@ -983,10 +986,11 @@ def _assemble(scenario: Scenario, hierarchy: str, n: int, m: int | None,
     pinned = {int(cell_class[0, 0]): 1.0}  # G[1, 1] = 1
     return MomentProblem(
         scenario=scenario, hierarchy=hierarchy, n=n, m=m, alphabet=alphabet,
-        index=tuple(index), group_keys=tuple(keys), cell_group=cell_group,
-        group_class=group_class, cell_class=cell_class, pinned=pinned,
-        column_relations=relations, rows=_completeness_rows(relations, cell_class),
-        generators=generators, completeness=completeness)
+        index=tuple(index), index_codes=codes, group_keys=tuple(keys),
+        cell_group=cell_group, group_class=group_class, cell_class=cell_class,
+        pinned=pinned, column_relations=relations,
+        rows=_completeness_rows(relations, cell_class), generators=generators,
+        completeness=completeness)
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,12 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
    (:class:`EngineRoute`).  A larger problem is inconclusive at once, with
    no engine run.  The search starts strictly dual feasible and every
-   iterate stays so, so it stops at the first iterate with t >= -tol/2
-   (status ``target``), whose X(z) passes the witness gate's eigenvalue
-   test; a reject never gets there and runs to convergence.  An interior
-   point that ends short of a verdict reports inconclusive, naming its
-   status.
+   iterate stays so, so it stops (status ``target``) at the first
+   iterate, the start z = 0 included, whose witness X(z) has every copy
+   block's min eigenvalue at least -tol/2, where it passes the witness
+   gate's eigenvalue test; when the start passes, no solve runs.  A
+   reject never gets there and runs to convergence.  An interior point
+   that ends short of a verdict reports inconclusive, naming its status.
 
 One function (``_verdict``) turns where the fully determined matrix or the
 interior point ends into a verdict.  The matrix is a candidate witness
@@ -837,16 +838,26 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     every block of the dual matrix C - t*1 has min eigenvalue 1: a
     strictly feasible dual point, so the interior point spends no
     iteration on the dual residual, and every later iterate stays
-    strictly dual feasible.  So with ``stop`` the solve may end, with
-    status ``target``, at the first iterate with t >= ``stop``: there
-    every block of X(z) already has min eigenvalue above ``stop``.
-    Without it, the solve runs to convergence."""
+    strictly dual feasible.  With ``stop`` the search ends, with status
+    ``target``, at the first iterate whose witness X(z) = S + t*1 has
+    every block's min eigenvalue at least ``stop``, and returns its t
+    raised to that eigenvalue; the start z = 0 is iterate 0.  When C
+    itself passes, X(y0) is returned after 0 iterations, with no
+    constraint rows built and no solve, and a primal objective of NaN and
+    infinite primal infeasibility, since no primal point bounds t*.
+    Without ``stop``, the solve runs to convergence."""
     C = _reduce(cs)
     p = cs.factor.p
+    low = least_eigenvalue(C)
+    start = np.zeros(p + 1)
+    if stop is not None and low >= stop:
+        start[-1] = low
+        return cs.assemble(cs.y0), interior.LmiResult(
+            "target", start, primal_obj=math.nan, dual_obj=low,
+            primal_infeas=math.inf, dual_infeas=0.0, iterations=0)
     b = np.zeros(p + 1)
     b[-1] = 1.0
-    start = np.zeros(p + 1)
-    start[-1] = least_eigenvalue(C) - 1.0
+    start[-1] = low - 1.0
     res = interior.solve_lmi(C, cs.plan.phase1_rows(cs.problem), b,
                              tol=tol * 1e-2, start=start, stop=stop)
     return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
@@ -938,9 +949,9 @@ def _engine_verdict(cs: _ClassSystem, tol: float, margin: float
             "inconclusive", t_star=math.nan, route=route,
             evidence=f"too large for the interior point: (p + 1)*sum r_b^2 = "
                      f"{route.entries} > {INTERIOR_MAX_ENTRIES}")
-    # an iterate with t >= -tol/2 has every copy block, hence the whole
-    # index, above -tol/2, where the gate's psd family passes; a reject
-    # never reaches it and runs to convergence
+    # the search stops at the first witness with every copy block, hence
+    # the whole index, above -tol/2, where the gate's psd family passes; a
+    # reject never reaches it and runs to convergence
     X, res = _interior_phase1(cs, tol, stop=-tol / 2)
     t = res.primal_obj
     # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)

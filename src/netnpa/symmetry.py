@@ -53,7 +53,7 @@ from .moment import (
     _summed_rows,
 )
 from .scenarios import Scenario, components
-from .words import _LETTERS, Letter, relabel_letters
+from .words import Letter, relabel_letters
 
 # the most elements of the flip group that a table is tested against;
 # past it, the trivial group is used, which is always correct
@@ -98,11 +98,12 @@ def _flip_tables(scenario: Scenario) -> _FlipTables | None:
 
 def _flip_actions(problem: MomentProblem, tables: _FlipTables
                   ) -> np.ndarray | None:
-    """The index permutation of each flip, (flips, dim), from the index
-    words' images (``moment._index_permutation``, as for the copy
-    relabellings); None when a flip does not map the index onto itself (a
-    problem built on a restricted index)."""
-    codes = [_LETTERS.encode(w.letters) for w in problem.index]
+    """The index permutation of each flip, (flips, dim), from the images
+    of the letter codes the build kept (``index_codes``), as for the copy
+    relabellings (``moment._index_permutation``); None when a flip does
+    not map the index onto itself (a problem built on a restricted
+    index)."""
+    codes = problem.index_codes
     index = []
     for party, x in tables.flips:
         def image(l: Letter) -> Letter:
@@ -199,7 +200,9 @@ def _restriction(problem: MomentProblem, tables: _FlipTables,
     """The restriction of ``problem`` to the stabiliser ``elements``, given
     the flips' index permutations.  Its orbits on the classes join each
     class to its images under the stabiliser's generators, as the copy
-    relabellings join the Hankel groups (``moment._copy_merges``).  Raises
+    relabellings join the Hankel groups (``moment._copy_merges``).  It
+    keeps the Hankel groups, so it shares the cells of each group
+    (``group_layout``, ``group_first``) with ``problem``.  Raises
     :class:`RuntimeError` when a generator maps the cells of one class to
     more than one class."""
     gens = [(tables.name(e), _compose(flips, e)) for e in _basis(elements.tolist())]
@@ -222,6 +225,9 @@ def _restriction(problem: MomentProblem, tables: _FlipTables,
                              for c, fs in problem.check_products),
         table=None,
         generators=problem.generators + tuple((f"flip {name}", pi) for name, pi in gens))
+    # the Hankel groups are kept, and with them the cells of each group
+    base._structures.update(group_layout=problem.group_layout,
+                            group_first=problem.group_first)
     return Restriction(tuple(name for name, _ in gens), len(elements), base,
                        orbit, first)
 

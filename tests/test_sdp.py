@@ -691,14 +691,39 @@ def _accept_problem(name):
     return _phase1_problem(name)
 
 
-def test_an_accept_stops_at_the_first_deciding_iterate():
+def _first_passing_iterate(cs, tol, monkeypatch):
+    """The first iterate k of the phase-1 solve run to convergence whose
+    witness has min eigenvalue >= -tol/2, and its y; so iterate k - 1
+    fails.  Iterate k is where a solve limited to k iterations ends, the
+    start z = 0 being iterate 0, and its witness on each block is C -
+    sum_j y_j A_j over the rows A_j before the t row, read by
+    ``eigvalsh``."""
+    C, A = _reduce(cs), cs.plan.phase1_rows(cs.problem)
+    views = interior.block_views(A[:-1], [len(Cb) for Cb in C])
+    b = np.zeros(len(A))
+    b[-1] = 1.0
+    start = b * (moment.least_eigenvalue(C) - 1.0)
+    for k in range(interior.MAX_ITER + 1):
+        with monkeypatch.context() as m:
+            m.setattr(interior, "MAX_ITER", k)
+            res = interior.solve_lmi(C, A, b, tol=tol * 1e-2, start=start)
+        assert (res.status, res.iterations) == ("max_iter", k)
+        z = res.y[:-1]
+        low = min(np.linalg.eigvalsh(Cb - np.tensordot(z, V, 1))[0]
+                  for Cb, V in zip(C, views))
+        if low >= -tol / 2:
+            return k, res.y
+    raise AssertionError("no iterate passes")
+
+
+def test_an_accept_stops_at_the_first_deciding_iterate(monkeypatch):
     tol = DEFAULT_TOL
     names = [f"bilocal:{seed}" for seed in range(6)] + ["triangle-uniform"]
     # with the right column relations every feasible set has an interior:
-    # the stopped solves take 1 to 4 iterates.  A stopped run does not move
-    # with rounding in the phase-1 data; a run to convergence may, so its
-    # count is only bounded below
-    for name, count in zip(names, [2, 1, 4, 1, 2, 2, 1]):
+    # the stopped solves take at most a few iterates, and the start of the
+    # uniform product's already passes.  A run to convergence may move
+    # with rounding in the phase-1 data, so its count is only bounded below
+    for name in names:
         p = _accept_problem(name)
         # the uniform product is solved on its stabiliser's problem
         restricted = symmetry.restrict(p)
@@ -706,8 +731,10 @@ def test_an_accept_stops_at_the_first_deciding_iterate():
         assert cs.factor_rows() == (True, "")
         _X, converged = _interior_phase1(cs, tol)
         _X, stopped = _interior_phase1(cs, tol, stop=-tol / 2)
+        count, y = _first_passing_iterate(cs, tol, monkeypatch)
         assert stopped.status == "target", name
         assert stopped.iterations == count, name
+        assert np.array_equal(stopped.y[:-1], y[:-1]), name
         assert stopped.dual_obj >= -tol / 2
         assert stopped.iterations <= converged.iterations, name
         assert converged.status == "optimal", name
@@ -717,6 +744,32 @@ def test_an_accept_stops_at_the_first_deciding_iterate():
         assert out.iterations == stopped.iterations
         assert out.residuals.families()["psd"] <= tol / 2
         assert out.t_star >= -tol / 2
+        assert (count == 0) == (name == "triangle-uniform"), name
+
+
+def test_a_start_that_passes_the_gate_runs_no_solve(monkeypatch):
+    calls, built = [], []
+    monkeypatch.setattr(interior, "solve_lmi",
+                        lambda *args, **kwargs: calls.append(args))
+    phase1_rows = sdp._PropagationPlan.phase1_rows
+
+    def rows(plan, problem):
+        built.append(plan)
+        return phase1_rows(plan, problem)
+
+    monkeypatch.setattr(sdp._PropagationPlan, "phase1_rows", rows)
+    p = _accept_problem("triangle-uniform")
+    out = solve_feasibility(p)
+    assert calls == [] and built == []
+    assert out.verdict == "feasible" and out.iterations == 0
+    assert out.evidence == ("interior point witness (min eigenvalue >= -tol, "
+                            "every residual family <= 10*tol)")
+    assert out.symmetry is not None and out.route.interior
+    # the witness passes the gate on the full index, not only on the
+    # stabiliser's problem
+    rep = moment.check_assignment(p, moment.MomentAssignment(p, out.witness))
+    assert rep.min_eigenvalue >= -DEFAULT_TOL
+    assert max(rep.families().values()) <= 10 * DEFAULT_TOL
 
 
 @pytest.mark.parametrize("v", [0.47, 0.5])
@@ -748,7 +801,9 @@ def test_a_stop_the_solve_never_reaches_changes_nothing():
     # a stop below the optimum ends the solve at the first iterate past it
     low = interior.solve_lmi(C, A, b, tol=1e-9, start=start, stop=-0.06)
     assert low.status == "target"
-    assert -0.06 <= low.dual_obj <= plain.dual_obj
+    # the stop raises t to the witness's eigenvalue, a dual feasible point,
+    # so weak duality bounds it by any primal objective
+    assert -0.06 <= low.dual_obj <= plain.primal_obj
     assert low.iterations < plain.iterations
 
 
@@ -1278,12 +1333,16 @@ def test_the_interior_point_reads_one_packed_array_per_problem(monkeypatch):
         assert out.verdict == "feasible" and out.route.interior
     assert len(seen) == 2 and seen[0] is seen[1]
     # an objective's solve reads the first p of the phase-1 rows in place
+    # (the feasibility solve of this table accepts at its start, with no
+    # solve)
     p, obj = chsh_problem_and_objective()
     p = dataclasses.replace(p)
     assert solve_feasibility(p).route.interior
     maximize_linear(p, obj)
-    assert len(seen[3]) == len(seen[2]) - 1
-    assert np.shares_memory(seen[3], seen[2])
+    assert len(seen) == 3
+    rows = _ClassSystem(p).plan.phase1_rows(p)
+    assert len(seen[2]) == len(rows) - 1
+    assert np.shares_memory(seen[2], rows)
 
 
 def test_interlacing_words_are_kept_until_the_known_mask_changes(monkeypatch):

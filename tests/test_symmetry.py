@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from netnpa import symmetry
+from netnpa import symmetry, words
 from netnpa.moment import (
     MomentAssignment,
     build_factorisation_bilocal,
@@ -199,6 +199,32 @@ def test_flip_permutations_match_the_plain_relabelling(name):
     for pi, plain in zip(got, want):
         assert pi.dtype == np.intp and np.array_equal(pi, plain)
         assert not np.array_equal(pi, np.arange(p.dim))
+
+
+def test_the_flips_read_the_index_codes_the_build_kept(monkeypatch):
+    p = _inflation(TRIANGLE)
+    assert p.index_codes == tuple(words._LETTERS.encode(w.letters)
+                                  for w in p.index)
+    encode, calls = words._LETTERS.encode, []
+
+    def counted(letters):
+        calls.append(letters)
+        return encode(letters)
+
+    monkeypatch.setattr(words._LETTERS, "encode", counted)
+    tables = symmetry._flip_tables(p.scenario)
+    symmetry._flip_actions(p, tables)
+    # one call per flip, for the images of the letters, and none per word
+    assert len(calls) == len(tables.flips)
+
+
+def test_a_restriction_shares_the_cells_of_each_hankel_group():
+    p = pin_distribution(_inflation(TRIANGLE), _uniform(TRIANGLE))
+    restriction, q = symmetry.restrict(p)
+    for problem in (restriction.base, q):
+        assert problem.group_layout is p.group_layout
+        assert problem.group_first is p.group_first
+    assert np.array_equal(q.cell_group, p.cell_group)
 
 
 def test_a_flip_that_splits_a_class_raises():
