@@ -24,12 +24,13 @@ than O(m^2 r^2 + m r^3).
 The blocks run from 6 x 6 to 124 x 124 on the full inflation problems
 (the largest on triangle inflation (2,3)), and from 1 x 1 on a problem
 restricted to a table's output-flip stabiliser (triangle inflation (2,2)
-on the uniform product has 43 blocks of sizes 1 to 10).  Most are small,
-where the cost of a call outweighs its arithmetic, so blocks of equal
-size are held as one (n, k, k) stack: each size takes one product chain
-and one T T' for its share of the Schur complement and one batched
-``eigvalsh`` per step length, and the small factorisations call LAPACK
-directly.
+on the table 0.47 * shared random bit + 0.53 * uniform, whose stabiliser
+has order 2, has 15 blocks of sizes 1 to 16).  Most are small, where the
+cost of a call outweighs its arithmetic, so blocks of equal size are held
+as one (n, k, k) stack: each size takes one product chain and one T T'
+for its share of the Schur complement and one batched ``eigvalsh`` per
+step length.  The Cholesky factors of every size, 1 x 1 included, come
+from LAPACK directly, one matrix at a time.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel
@@ -101,44 +102,13 @@ def _steps(L_inv: Sequence[np.ndarray], dX: Sequence[np.ndarray],
     return tuple(-1.0 / v if v < 0 else np.inf for v in lam)
 
 
-def _small_cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The lower Cholesky factors of a stack of 1 x 1 or 2 x 2 symmetric
-    matrices and their inverses, in closed form over the whole stack; None
-    when one matrix is not positive definite."""
-    a = stack[:, 0, 0]
-    if not (a > 0.0).all():
-        return None
-    l11 = np.sqrt(a)
-    if stack.shape[1] == 1:
-        L = l11[:, None, None]
-        return L, 1.0 / L
-    l21 = stack[:, 1, 0] / l11
-    d = stack[:, 1, 1] - l21 * l21
-    if not (d > 0.0).all():
-        return None
-    l22 = np.sqrt(d)
-    L = np.zeros_like(stack)
-    L_inv = np.zeros_like(stack)
-    L[:, 0, 0], L[:, 1, 0], L[:, 1, 1] = l11, l21, l22
-    L_inv[:, 0, 0], L_inv[:, 1, 1] = 1.0 / l11, 1.0 / l22
-    L_inv[:, 1, 0] = -l21 / (l11 * l22)
-    return L, L_inv
-
-
 def _cholesky(stacks: Iterable[np.ndarray], lapack) -> list | None:
     """For each stack of symmetric matrices, the pair (the Cholesky factors
     L of its matrices, their inverses), or None when one matrix is not
-    positive definite.  A stack of 1 x 1 or 2 x 2 matrices is factored as
-    one (:func:`_small_cholesky`), any other by LAPACK, one matrix at a
-    time."""
+    positive definite.  Every stack, whatever its block size, is factored
+    by LAPACK (``dpotrf``, ``dtrtri``), one matrix at a time."""
     out = []
     for stack in stacks:
-        if stack.shape[1] <= 2:
-            factors = _small_cholesky(stack)
-            if factors is None:
-                return None
-            out.append(factors)
-            continue
         L = np.empty_like(stack)
         L_inv = np.empty_like(stack)
         for i, M in enumerate(stack):

@@ -394,37 +394,37 @@ class MomentProblem:
     # derived structures are built on first use; of them, only the index
     # dict is read by a builder (the star triples and the inflation check
     # products).  The ``_structure`` properties read only the word index,
-    # the Hankel groups, the classes and the generators; the builders
-    # that add factor families or check products, and every pin,
-    # linearization and frozen solve, copy the problem through ``derive``,
-    # which shares them (so one problem builds each once), while
-    # ``dataclasses.replace`` starts over with none built.  Two more
-    # entries, which ``sdp`` keeps, read what a copy may change, so each is
-    # checked on every use and built anew when it differs: the presolve's
-    # propagation plans, one for the rows without linearized factor rows
-    # (``propagation``) and one for the rows with them
+    # the Hankel groups, the classes, the generators and the check
+    # products, which ``build_inflation`` sets on the problem it has just
+    # built and no copy changes; the builders that add factor families,
+    # and every pin, linearization and frozen solve, copy the problem
+    # through ``derive``, which shares them (so one problem builds each
+    # once), while ``dataclasses.replace`` starts over with none built.
+    # Two more entries, which ``sdp`` keeps, read what a copy may change,
+    # so each is checked on every use and built anew when it differs: the
+    # presolve's propagation plans, one for the rows without linearized
+    # factor rows (``propagation``) and one for the rows with them
     # (``propagation_linearized``), each checked against the initially
     # known mask and the rows' classes, bounds and coefficients.  Each plan
     # holds the interlacing bound's choice of words, the rows it leaves
-    # over the free classes and their one factorisation.  ``check_arrays``
-    # is kept with the tuple of check products it was built from, and
+    # over the free classes and their one factorisation.
     # ``netnpa.symmetry`` keeps the flips' index permutations and one
-    # restricted problem per stabiliser, which read only the index and the
-    # classes
+    # restricted problem per stabiliser, which read only the index, the
+    # classes and the check products
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
         derived structures: whatever either problem builds, both use.
-        Only the pins, the factorisation families, the check products and
-        the pinned table may change, since no ``_structure`` property reads
-        them (the presolve's plans, which do and which hold the rows'
-        factorisation, are checked against the rows and the mask before
-        each use).  The copy keeps no ``table`` unless it is given one, so
-        only the copy :func:`pin_distribution` makes holds the table its
-        pins came from."""
+        Only the pins, the factorisation families and the pinned table may
+        change, since no ``_structure`` property reads them (the presolve's
+        plans, which do and which hold the rows' factorisation, are checked
+        against the rows and the mask before each use).  The check products
+        are fixed when the problem is built: ``check_arrays`` and the
+        restrictions read them.  The copy keeps no ``table`` unless it is
+        given one, so only the copy :func:`pin_distribution` makes holds
+        the table its pins came from."""
         read = set(changes) - {"pinned", "linear_factor_rows", "flagged_bilinear",
-                               "factor_pairs", "factor_triples", "check_products",
-                               "table"}
+                               "factor_pairs", "factor_triples", "table"}
         if read:
             raise ValueError(f"derived structures read {sorted(read)}; "
                              "use dataclasses.replace")
@@ -543,15 +543,10 @@ class MomentProblem:
         groups, bounds = self.class_layout
         return self.group_keys[groups[bounds[cls]]]
 
-    @property
+    @_structure
     def check_arrays(self) -> CheckProducts:
-        """``check_products`` as flat arrays, built once for each tuple
-        of them that a copy holds and kept with the shared structures."""
-        held = self._structures.get("check_arrays")
-        if held is None or held[0] is not self.check_products:
-            held = self._structures["check_arrays"] = (
-                self.check_products, CheckProducts.of(self.check_products))
-        return held[1]
+        """``check_products`` as flat arrays."""
+        return CheckProducts.of(self.check_products)
 
     @functools.cached_property
     def active_rows(self) -> FlatRows:
@@ -1365,7 +1360,8 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
                   merges=merges if index_words is None else None,
                   index_words=index_words)
     # verification-only nonlinear products: diagonal words on disjoint copies
-    return p.derive(check_products=tuple(_diagonal_check_products(p)))
+    p.check_products = tuple(_diagonal_check_products(p))
+    return p
 
 
 def _diagonal_word_copies(w: Word) -> set[int] | None:

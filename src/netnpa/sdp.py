@@ -257,20 +257,21 @@ def _fmt(v: float) -> str:
 
 
 def parse_sdpa(path: str) -> AffineSdp:
-    """Inverse of :func:`export_sdpa` (round-trips bit-exactly)."""
+    """Inverse of :func:`export_sdpa` (round-trips bit-exactly).  The RHS
+    is the fourth line, blank when there are no constraint rows."""
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("*")]
+        raw = [ln.strip() for ln in fh if not ln.startswith("*")]
     m = int(raw[0])
     nblock = int(raw[1])
     if nblock != 1:
         raise SdpStructureError("only single-block files are produced here")
     dim = int(raw[2].split()[0])
-    rhs = [float(t) for t in raw[3].split()] if m else []
+    rhs = [float(t) for t in raw[3].split()]
     if len(rhs) != m:
         raise SdpStructureError(f"expected {m} RHS entries, got {len(rhs)}")
     cells: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
     coeffs: list[list[float]] = [[] for _ in range(m + 1)]
-    for ln in raw[4:]:
+    for ln in filter(None, raw[4:]):
         k_s, b_s, i_s, j_s, v_s = ln.split()
         k, b, i, j = int(k_s), int(b_s), int(i_s) - 1, int(j_s) - 1
         if b != 1 or not 0 <= k <= m:

@@ -255,16 +255,15 @@ def restrict(problem: MomentProblem
     elements = np.flatnonzero((t[tables.sources] == t).all(axis=1))
     if len(elements) == 1:
         return None
-    # kept with the check products it maps, which a copy may change
+    # one per stabiliser: the check products it maps are fixed at build
     key = ("restriction", elements.tobytes())
-    held = structures.get(key)
-    if held is None or held[0] is not problem.check_products:
+    if key not in structures:
         if "flip_actions" not in structures:
             structures["flip_actions"] = _flip_actions(problem, tables)
         flips = structures["flip_actions"]
-        held = structures[key] = (problem.check_products, None if flips is None
-                                  else _restriction(problem, tables, flips, elements))
-    restriction = held[1]
+        structures[key] = (None if flips is None
+                           else _restriction(problem, tables, flips, elements))
+    restriction = structures[key]
     if restriction is None:
         return None
     pinned = restriction.pin(problem)

@@ -355,7 +355,7 @@ def test_pinned_and_linearized_copies_share_the_derived_structures():
 def test_build_inflation_keeps_its_index_dict_and_the_class_count_is_kept():
     p = build_inflation(BILOCAL, 2, 2)
     # the check products built the index dict, the one structure built so
-    # far, and the copy that adds them shares it
+    # far, on the problem they were set on
     assert set(p._structures) == {"_pos"}
     assert p._pos == {w: i for i, w in enumerate(p.index)}
     # with one copy there are no check products, and no dict is built
@@ -369,8 +369,9 @@ def test_build_inflation_keeps_its_index_dict_and_the_class_count_is_kept():
 
 @pytest.mark.parametrize("kind", ["factorisation", "star", "inflation"])
 def test_one_index_dict_per_build_pin_and_letter_action(kind, monkeypatch):
-    # the builders copy their problem through derive, which shares the
-    # index dict that the factor families or the check products built
+    # the builders that add factor families copy their problem through
+    # derive, which shares the index dict those families built; the check
+    # products are set on the built problem itself
     build_pos = MomentProblem._pos.fget.__wrapped__
     built = []
 

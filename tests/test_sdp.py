@@ -641,9 +641,8 @@ def test_small_blocks_are_factored_as_lapack_factors_them():
         for S, Lb, Lb_inv in zip(stack, L, L_inv):
             F, _ = lapack.dpotrf(S, lower=1)
             F_inv, _ = lapack.dtrtri(F, lower=1)
-            # another order of the same few operations: equal to rounding
-            assert np.abs(Lb - F).max() <= 1e-14 * np.abs(F).max()
-            assert np.abs(Lb_inv - F_inv).max() <= 1e-13 * np.abs(F_inv).max()
+            # every block size takes the same LAPACK calls
+            assert np.array_equal(Lb, F) and np.array_equal(Lb_inv, F_inv)
         # one matrix that is not positive definite refuses the stack
         stack[3] = -stack[3] if k == 1 else np.diag([1.0, -1.0])
         assert interior._cholesky([stack], lapack) is None
@@ -1481,6 +1480,19 @@ def test_sdpa_golden_minimal_file(tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "golden", "one_by_one.dat-s")
     with open(golden) as fh:
         assert path.read_text() == fh.read()
+
+
+def test_sdpa_roundtrip_without_constraint_rows(tmp_path):
+    # the RHS line of such a file is blank; the first entry line follows it
+    s = AffineSdp(dim=2, rows=(), objective_cells=((0, 0), (0, 1)),
+                  objective_coeffs=(1.0, 0.5))
+    path = tmp_path / "empty.dat-s"
+    export_sdpa(s, str(path))
+    assert path.read_text().splitlines()[3] == ""
+    parsed = parse_sdpa(str(path))
+    assert parsed.dim == 2 and parsed.rows == ()
+    assert parsed.objective_cells == s.objective_cells
+    assert parsed.objective_coeffs == s.objective_coeffs
 
 
 SDPA_FIXTURES = ["standard-bell3", "factorisation-srb", "scalar", "inflation",

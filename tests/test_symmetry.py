@@ -176,14 +176,15 @@ def test_restricted_rows_are_the_rows_on_invariant_values():
     assert len(q.rows) < len(p.rows)
 
 
-def test_a_copy_with_other_check_products_gets_its_own_restriction():
+def test_check_products_are_fixed_at_build_and_restricted_once():
     p = pin_distribution(_inflation(TRIANGLE), _uniform(TRIANGLE))
+    with pytest.raises(ValueError, match="check_products"):
+        p.derive(check_products=())
     r1, q1 = symmetry.restrict(p)
     assert q1.check_products
-    bare = p.derive(pinned=p.pinned, check_products=(), table=p.table)
-    r2, q2 = symmetry.restrict(bare)
-    assert r2 is not r1 and q2.check_products == ()
-    assert symmetry.restrict(p)[1].check_products == q1.check_products
+    # two pinned copies of one problem share its one restriction
+    r2, q2 = symmetry.restrict(p.derive(pinned=p.pinned, table=p.table))
+    assert r2 is r1 and q2.check_products == q1.check_products
 
 
 @pytest.mark.parametrize("name", ["triangle-inflation", "bilocal-inflation",
