@@ -46,6 +46,7 @@ from .moment import (
 )
 from .scenarios import (
     Distribution,
+    InflatedBilocalOracle,
     Scenario,
     ScenarioError,
     SignallingError,
@@ -361,9 +362,11 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[int, str]:
         raise CliError("sample needs --out (a path prefix)", EXIT_PARSE)
     scenario = _scenario_from_flags(cfg)
     strategy = random_strategy(scenario, tuple(cfg.dims), cfg.seed)
-    oracle = MomentOracle(strategy)
-    dist = oracle.born()
+    dist = MomentOracle(strategy).born()
     problem, _ = _problem(cfg, scenario, dist)
+    # an inflated problem's words act on copies of the strategy
+    oracle = (InflatedBilocalOracle(strategy, cfg.m) if cfg.hierarchy == "inflation"
+              else MomentOracle(strategy))
     assignment = oracle_assignment(problem, oracle)
     dist_path = cfg.output_path + ".dist"
     asg_path = cfg.output_path + ".npz"

@@ -208,35 +208,37 @@ class CopyBlocks:
     the moment matrices of a problem (:attr:`MomentProblem.index_blocks`
     on the whole index, :attr:`MomentProblem.copy_blocks` on the
     complement of the column relations: each index block restricted to
-    it, with the index blocks' orbit sums, ``rows`` and ``weights``).
+    it, with the index blocks' orbit sums).
 
     Each column of a Q_b is one signed orbit sum: s(j)/sqrt(|O|) at each
     word j of one orbit O of the group the problem's ``generators``
     generate, with s = +-1 and s = +1 at the orbit's least word.  ``sums``
     holds the columns of every Q_b as the rows of one sparse (k, dim)
-    matrix, block after block, ``orbits`` the orbit of each (its position
-    in ``rows``, the least words, whose orbit sizes are ``weights``),
-    ``columns`` the columns of each block and ``complements`` its dense
-    W_b, (k_b, r_b), None for W_b = I.  No dense (dim, k_b) basis is held.
-    Without generators the group is trivial: every word is its own orbit,
-    there is one block, Q = I, and ``sums`` is None (so a problem that
-    only reports its block sizes never loads scipy), and the one copy
-    block is W alone, an orthonormal basis of the whole complement.
+    matrix, block after block, each row's words ascending, so its first
+    is the orbit's least word and its count is |O|; ``columns`` holds the
+    columns of each block and ``complements`` its dense W_b, (k_b, r_b),
+    None for W_b = I.  No dense (dim, k_b) basis is held.  Without
+    generators the group is trivial: every word is its own orbit, there
+    is one block, Q = I, and ``sums`` is None (so a problem that only
+    reports its block sizes, or reads its one block from one vector,
+    never loads scipy), and the one copy block is W alone, an orthonormal
+    basis of the whole complement.
 
     Each Q_b is a joint eigenspace of the generators: Q_b[pi] = +-Q_b for
     every generator's index permutation pi, and every moment matrix X has
     X[pi][:, pi] = X.  So on an orbit the rows of X Q_b are the same up to
     the one sign, and entry (c, d) of Q_b' X Q_b is sqrt(|O_c|) times
     (X Q_b)[i_c, d] at the least word i_c of the orbit O_c of column c:
-    sqrt(|O_c|/|O_d|) sum_{j in O_d} s_d(j) X[i_c, j].
+    sqrt(|O_c|/|O_d|) sum_{j in O_d} s_d(j) X[i_c, j].  For X =
+    y[cell_class] that is linear in the class values y: :attr:`class_map`
+    holds the map for every block, and :meth:`congruences` reads every
+    U_b' X U_b from class values.
     """
 
     sums: object                       # scipy.sparse CSR, (k, dim), or None
-    orbits: np.ndarray
     columns: tuple[slice, ...]
     complements: tuple[np.ndarray | None, ...]
-    rows: np.ndarray
-    weights: np.ndarray
+    cell_class: np.ndarray             # the problem's, (dim, dim)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -244,49 +246,81 @@ class CopyBlocks:
                      for c, W in zip(self.columns, self.complements))
 
     @functools.cached_property
-    def _stacks(self) -> list[tuple]:
-        """The blocks of equal shape as one stack each: (their positions,
-        for entry (c, d) of each block's G = sqrt(|O_c|) (M Q)[rows[orbit
-        of c], d] its flat position in the (columns, rows) array of
-        (M Q)[rows]' and its square root, their W_b as one (n, k, r) array
-        or None)."""
+    def stacks(self) -> tuple[tuple, ...]:
+        """The blocks of each (k_b, r_b) shape, in order of first
+        appearance, as one stack each: (their positions, their rows of
+        :attr:`class_map` as a slice, k_b, and their W_b as one (n, k_b,
+        r_b) array or None).  A block takes k_b^2 rows, entry (c, d) at row
+        c k_b + d, so a stack's rows are one contiguous run."""
         shapes: dict[tuple, list[int]] = {}
         for b, (c, W) in enumerate(zip(self.columns, self.complements)):
             shapes.setdefault((c.stop - c.start, None if W is None else W.shape[1]),
                               []).append(b)
-        out = []
+        out, at = [], 0
         for (k, r), blocks in shapes.items():
-            cols = np.array([np.arange(self.columns[b].start, self.columns[b].stop)
-                             for b in blocks], dtype=np.intp).reshape(len(blocks), k)
             W = None if r is None else np.stack([self.complements[b] for b in blocks])
-            orbits = self.orbits[cols]
-            out.append((blocks, cols[:, None, :] * len(self.rows) + orbits[:, :, None],
-                        np.sqrt(self.weights[orbits])[:, :, None], W))
-        return out
+            out.append((blocks, slice(at, at := at + len(blocks) * k * k), k, W))
+        return tuple(out)
 
-    def congruence(self, M_rows: np.ndarray) -> list[np.ndarray]:
-        """U_b' M U_b for every block, from the rows ``M[rows]`` of a
-        symmetric matrix M with M[pi][:, pi] = M for every swap: one
-        sparse product gives every signed orbit sum (M Q)[i, d] at the
-        least words i, and the blocks of each shape gather theirs, and
-        take their W_b, as one stack."""
-        if self.sums is None:
-            # Q = I: the rows are the whole index, so M_rows is M Q
-            G, W = M_rows, self.complements[0]
-            if W is not None:
-                G = W.T @ G @ W
-            return [(G + G.T) / 2]
-        # (k, rows): MQ[d, o] = (M Q)[rows[o], d]
-        MQ = self.sums @ M_rows.T
-        out: list = [None] * len(self.columns)
-        for blocks, at, root, W in self._stacks:
-            G = MQ.take(at) * root
-            if W is not None:
-                G = np.swapaxes(W, 1, 2) @ G @ W
-            out_blocks = (G + np.swapaxes(G, 1, 2)) / 2
-            for b, Gb in zip(blocks, out_blocks):
-                out[b] = Gb
-        return out
+    @functools.cached_property
+    def class_map(self):
+        """T, the sparse (sum_b k_b^2, classes) map from class values y to
+        the entries of every Q_b' X Q_b for X = y[cell_class], in the rows of
+        :attr:`stacks`: row (c, d) of a block holds sqrt(|O_c|) s_d(j) at
+        the class of cell (i_c, j) for every word j of O_d, each class's
+        repeats summed.  Without generators every word is its own orbit.
+        Built on first use and kept with the blocks."""
+        import scipy.sparse
+
+        sums = (scipy.sparse.identity(len(self.cell_class), format="csr")
+                if self.sums is None else self.sums)
+        n_classes = int(self.cell_class.max()) + 1
+        parts = []
+        for S in [sums[self.columns[b]] for blocks, *_ in self.stacks for b in blocks]:
+            k, size = S.shape[0], np.diff(S.indptr)
+            cls = self.cell_class[np.ix_(S.indices[S.indptr[:-1]], S.indices)]
+            at = np.arange(k)[:, None] * k + np.repeat(np.arange(k), size)
+            parts.append(scipy.sparse.csr_matrix(
+                ((np.sqrt(size)[:, None] * S.data).ravel(), (at.ravel(), cls.ravel())),
+                shape=(k * k, n_classes)))
+        return scipy.sparse.vstack(parts, format="csr")
+
+    def congruences(self, values: np.ndarray,
+                    classes: np.ndarray | None = None) -> list[np.ndarray]:
+        """U_b' X U_b, (r_b, r_b), for every block and X = y[cell_class]
+        with class values y = ``values``; for ``values`` of shape (len(y),
+        P), one (P, r_b, r_b) stack per block, one X per column.  With
+        ``classes``, ``values`` holds the values of those classes alone and
+        the others are zero.
+
+        The pre-W_b entries of every block are read at once, T y
+        (:attr:`class_map`), or, without generators and ``classes``,
+        y[cell_class] itself; then each stack takes its W_b as one batch.
+        The columns of ``values`` are read a chunk at a time, so that the
+        entries held at once, sum_b k_b^2 per column, are no more than the
+        P sum_b r_b^2 of the output, or one column's."""
+        lead = values.shape[1:]            # () for one X, else (P,)
+        sizes = self.sizes
+        out = [np.empty(lead + (len(b), sizes[b[0]], sizes[b[0]])) for b, *_ in self.stacks]
+        P = lead[0] if lead else 1
+        step = max(1, P * sum(r * r for r in sizes) // self.stacks[-1][1].stop)
+        T = None if self.sums is None and classes is None else (
+            self.class_map if classes is None else self.class_map[:, classes])
+        for j in range(0, P, step):
+            y = values[:, j:j + step] if lead else values
+            # np.take gathers through the int32 classes without a cast
+            E = np.take(y, self.cell_class.reshape(-1), axis=0) if T is None else T @ y
+            for (blocks, rows, k, W), G_out in zip(self.stacks, out):
+                # a copy, contiguous for BLAS, when E has columns
+                G = E[rows].T.reshape(E.shape[1:] + (len(blocks), k, k))
+                if W is not None:
+                    G = np.swapaxes(W, 1, 2) @ G @ W
+                # T y and W' G W round off symmetric; X = y[cell_class] is symmetric
+                (G_out[j:j + step] if lead else G_out)[...] = (
+                    G if T is None and W is None else (G + np.swapaxes(G, -1, -2)) / 2)
+        stacked = {b: G_out[..., i, :, :] for (blocks, *_), G_out in zip(self.stacks, out)
+                   for i, b in enumerate(blocks)}
+        return [stacked[b] for b in range(len(sizes))]
 
 
 def least_eigenvalue(blocks: Sequence[np.ndarray]) -> float:
@@ -1235,8 +1269,8 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
         off = float(np.abs(G).max(initial=0.0))
         if off > tol * np.linalg.norm(X):
             raise RuntimeError(f"the blocks leave an off-block entry {off:.3e}")
-    return CopyBlocks(index.sums, index.orbits, tuple(b[0] for b in blocks),
-                      tuple(b[1] for b in blocks), index.rows, index.weights)
+    return CopyBlocks(index.sums, tuple(b[0] for b in blocks),
+                      tuple(b[1] for b in blocks), problem.cell_class)
 
 
 def _relation_set(relations: np.ndarray) -> np.ndarray:
@@ -1277,8 +1311,7 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     perms = [pi for _, pi in problem.generators]
     n = problem.dim
     if not perms:
-        return CopyBlocks(None, np.arange(n), (slice(0, n),), (None,),
-                          np.arange(n), np.ones(n))
+        return CopyBlocks(None, (slice(0, n),), (None,), problem.cell_class)
     import scipy.sparse
 
     # the least word of every orbit and the orbit sizes: the generators
@@ -1287,13 +1320,12 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     for pi in perms:
         least = np.minimum(least, least[pi])
     rows, weights = np.unique(least, return_counts=True)
-    weights = weights.astype(float)
     cols = np.arange(len(rows))
     # every element of G as (its index permutation, its generators)
     elements = [(np.arange(n), ())]
     for s, pi in enumerate(perms):
         elements += [(pi[g], swaps + (s,)) for g, swaps in elements]
-    sums, orbits = [], []
+    sums = []
     for chi in itertools.product((1.0, -1.0), repeat=len(perms)):
         U = np.zeros((n, len(rows)))
         for g, swaps in elements:
@@ -1301,18 +1333,16 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
         keep = U[rows, cols] != 0.0
         # entries are +-|G|/|O|: scale them to +-1/sqrt(|O|), exactly up to
         # the square root since |G|/|O| is a power of two, and keep each
-        # orbit sum as one sparse row
+        # orbit sum as one sparse row, its words ascending
         size = weights[keep]
         sums.append(scipy.sparse.csr_matrix(
             (U[:, keep] * (size / len(elements) / np.sqrt(size))).T))
-        orbits.append(cols[keep])
     bounds = np.cumsum([0] + [Q.shape[0] for Q in sums])
     if bounds[-1] != n:
         raise RuntimeError("the orbit sums do not span the index")
     return CopyBlocks(scipy.sparse.vstack(sums, format="csr"),
-                      np.concatenate(orbits),
                       tuple(slice(int(a), int(e)) for a, e in zip(bounds, bounds[1:])),
-                      (None,) * len(sums), rows, weights)
+                      (None,) * len(sums), problem.cell_class)
 
 
 def build_inflation(scenario: Scenario, n: int, m: int, *,
@@ -1567,10 +1597,11 @@ def check_assignment(problem: MomentProblem,
     The min eigenvalue is read from the problem's ``index_blocks`` when
     the matrix is constant on every class, so it commutes with the
     problem's ``generators`` and its eigenvalues are those of the blocks,
-    of which one without columns has none.  On a problem restricted to a
-    table's stabiliser, whose classes are the flips' orbits, that is the
-    exact test that the matrix is invariant.  Any other matrix takes one
-    ``eigvalsh`` of the whole index."""
+    of which one without columns has none; the blocks are read from the
+    class values, whose ``cell_class`` gather is the matrix bit for bit.
+    On a problem restricted to a table's stabiliser, whose classes are the
+    flips' orbits, that is the exact test that the matrix is invariant.
+    Any other matrix takes one ``eigvalsh`` of the whole index."""
     X = assignment.matrix
     vals = X.reshape(-1)
     group_vals = vals[problem.group_first]
@@ -1617,11 +1648,9 @@ def check_assignment(problem: MomentProblem,
         checks = problem.check_arrays
         products = np.multiply.reduceat(class_vals[checks.factors], checks.starts)
         ext = float(np.abs(class_vals[checks.products] - products).max())
-    if constant:
-        blocks = problem.index_blocks
-        eigmin = least_eigenvalue(blocks.congruence(X[blocks.rows]))
-    else:
-        eigmin = float(np.linalg.eigvalsh((X + X.T) / 2).min())
+    # a constant X is class_vals[cell_class], bit for bit
+    eigmin = (least_eigenvalue(problem.index_blocks.congruences(class_vals)) if constant
+              else float(np.linalg.eigvalsh((X + X.T) / 2).min()))
     return ResidualReport(hankel=hankel, merges=merge_res, pins=pins,
                           completeness=completeness, factorisation=fact,
                           extended_products=ext, min_eigenvalue=eigmin)

@@ -606,16 +606,6 @@ def born_eval(strategy: QuantumStrategy) -> Distribution:
     return MomentOracle(strategy).born()
 
 
-def moment_oracle(strategy: QuantumStrategy, n: int) -> dict[Word, float]:
-    """Ground-truth moments Tr(tau * w) for every canonical word of
-    length <= 2n (the cell products of a level-n moment matrix)."""
-    if n < 1:
-        raise ScenarioError("n must be >= 1")
-    oracle = MomentOracle(strategy)
-    return {w: oracle.value(w)
-            for w in enumerate_words(strategy.scenario.alphabet(), 2 * n)}
-
-
 class InflatedBilocalOracle:
     """Moment values for inflated words over m copies of a bilocal strategy.
 

@@ -53,9 +53,15 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    basis W_b of ker(R Q_b) with R the relation vectors.  A problem
    without copy swaps has one index block, Q = I, so one copy block, an
    orthonormal basis W of the whole complement.  No block holds a dense
-   basis: the Q_b are sparse signed orbit sums and only W_b is dense, and
-   one routine (``CopyBlocks.congruence``) reads every U_b' X U_b from the
-   rows of X at the orbits' least words.  A primal-dual interior point
+   basis: the Q_b are sparse signed orbit sums and only W_b is dense.
+   The entries of every Q_b' X Q_b are linear in the class values, so
+   one sparse map T (``CopyBlocks.class_map``), built once per problem,
+   holds them all, and one method (``CopyBlocks.congruences``) reads
+   every U_b' X U_b from class values: T y, then W_b' (.) W_b as one
+   batch per stack of equal shapes (without copy swaps, y[cell_class]
+   itself, with no T).  The phase-1 start C_b = U_b' X(y0) U_b is one
+   read, and the constraint rows are T[:, free] N for the kernel basis
+   N, read a chunk of directions at a time.  A primal-dual interior point
    (``netnpa.interior``) runs in the coordinates z, one block per copy
    block, on constraint rows packed once per problem
    (``_PropagationPlan.phase1_rows``), when (p + 1) sum_b r_b^2 <=
@@ -534,22 +540,17 @@ class _PropagationPlan:
         """The phase-1 constraint rows [-B_1 ... -B_p; I], packed for
         ``interior.solve_lmi``: per block U_b of ``problem.copy_blocks``,
         B_j is U_b' D_j U_b for D_j the matrix whose free classes take the
-        values N[:, j], N of :attr:`factor`.  The off-block parts U_a' D_j
-        U_b are zero and are never formed, and of D_j only the rows
-        ``copy_blocks.rows`` are.  Built on first use, once per plan."""
+        values N[:, j], N of :attr:`factor`, and whose other classes are
+        zero.  One read of every direction at once
+        (``CopyBlocks.congruences``); the off-block parts U_a' D_j U_b are
+        zero and are never formed.  Built on first use, once per plan."""
         if self._phase1 is None:
             blocks = problem.copy_blocks
-            p = self.factor.p
-            self._phase1 = np.empty((p + 1, sum(k * k for k in blocks.sizes)))
+            self._phase1 = np.empty((self.factor.p + 1, sum(k * k for k in blocks.sizes)))
             views = interior.block_views(self._phase1, blocks.sizes)
-            y = np.zeros(problem.n_classes)
-            cells = problem.cell_class[blocks.rows]
-            for j in range(p):
-                y[self.free] = self.factor.N[:, j]
-                for A, G in zip(views, blocks.congruence(np.take(y, cells))):
-                    np.negative(G, out=A[j])
-            for A in views:
-                A[p] = np.eye(A.shape[1])
+            for A, B in zip(views, blocks.congruences(self.factor.N, self.free)):
+                np.negative(B, out=A[:-1])
+                A[-1] = np.eye(A.shape[1])
         return self._phase1
 
     def reduce(self, rows: FlatRows, known: np.ndarray) -> np.ndarray:
@@ -826,9 +827,7 @@ def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
     U_b' X(y) U_b = C_b + sum_j z_j B_j with the B_j of
     ``_PropagationPlan.phase1_rows``.  Needs ``cs.factor_rows()`` to have
     run."""
-    blocks = cs.problem.copy_blocks
-    return blocks.congruence(np.take(cs.class_values(cs.y0),
-                                     cs.cell_class[blocks.rows]))
+    return cs.problem.copy_blocks.congruences(cs.class_values(cs.y0))
 
 
 def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):

@@ -869,7 +869,7 @@ def dense_bases(blocks) -> list[np.ndarray]:
     W_b = I where it holds none)."""
     bases = []
     for cols, W in zip(blocks.columns, blocks.complements):
-        Q = (np.eye(len(blocks.rows)) if blocks.sums is None
+        Q = (np.eye(len(blocks.cell_class)) if blocks.sums is None
              else blocks.sums[cols].T.toarray())
         bases.append(Q if W is None else Q @ W)
     return bases
@@ -887,6 +887,22 @@ def dense_congruence(blocks, M: np.ndarray) -> list[np.ndarray]:
     """U_b' M U_b for every block, as dense products over the whole
     index."""
     return [U.T @ M @ U for U in dense_bases(blocks)]
+
+
+def loop_phase1_rows(cs) -> list[np.ndarray]:
+    """Per copy block U_b, the (p, r_b, r_b) stack of U_b' D_j U_b over the
+    kernel directions j, for D_j the matrix whose free classes take the
+    values N[:, j] and whose other classes are zero: dense products over
+    the whole index, one direction at a time."""
+    bases = dense_bases(cs.problem.copy_blocks)
+    y = np.zeros(cs.problem.n_classes)
+    out = [[] for _ in bases]
+    for j in range(cs.N.shape[1]):
+        y[cs.free] = cs.N[:, j]
+        D = y[cs.cell_class]
+        for blocks, U in zip(out, bases):
+            blocks.append(U.T @ D @ U)
+    return [np.array(blocks) for blocks in out]
 
 
 # ---------------------------------------------------------------------------

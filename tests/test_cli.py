@@ -441,20 +441,42 @@ def test_python_dash_m_runs_the_cli():
     assert bad.stdout.startswith("error: n must be >= 1")
 
 
-def test_a_presolve_verdict_loads_no_scipy():
-    # scipy is imported by the engines and the factorisation, on first use
+def test_a_presolve_verdict_loads_no_scipy(tmp_path):
+    # scipy is imported by the engines and the factorisation, on first use;
+    # a fully determined verdict's gate reads the one block, Q = I, of a
+    # problem without generators without it
+    born = str(tmp_path / "born.txt")
+    write_distribution(born_eval(random_strategy(
+        Scenario("bilocal", (2, 2, 2), (1, 1, 1)), (2, 2, 2, 2), 0)), born)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    script = (
-        "import sys\n"
-        "from netnpa.cli import run\n"
-        "code, report = run(['test', '--scenario', 'bilocal', '--hierarchy',\n"
-        "                    'factorisation', '--n', '2', 'shared_random_bit'])\n"
-        "assert 'evidence: violated factorisation' in report, report\n"
-        "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    for args, evidence in [
+            (["factorisation", "--n", "2", "shared_random_bit"],
+             "evidence: violated factorisation"),
+            (["standard", "--n", "3", born],
+             "evidence: fully determined by the linear constraints")]:
+        script = (
+            "import sys\n"
+            "from netnpa.cli import run\n"
+            f"code, report = run(['test', '--scenario', 'bilocal', '--hierarchy', "
+            f"*{args!r}])\n"
+            f"assert {evidence!r} in report, report\n"
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
+def test_sample_fills_an_inflation_assignment_from_the_inflated_oracle(tmp_path):
+    prefix = str(tmp_path / "s")
+    code, _report = run(["sample", "--scenario", "bilocal", "--hierarchy",
+                         "inflation", "--n", "2", "--m", "2", "--seed", "1",
+                         "--out", prefix])
+    assert code == EXIT_FEASIBLE
+    loaded = load_assignment(prefix + ".npz")
+    assert loaded.problem.hierarchy == "inflation" and loaded.problem.m == 2
+    report = moment.check_assignment(loaded.problem, loaded)
+    assert max(report.families().values()) <= 1e-9, report
 
 
 def test_literal_paper_mode_assignment_round_trips_without_rows(tmp_path):

@@ -428,17 +428,6 @@ def test_star_product_strategy_is_valid():
     assert abs(d.table.sum() - 1.0) < 1e-10
 
 
-def test_moment_oracle_map_form():
-    from netnpa.scenarios import moment_oracle
-
-    s = random_strategy(BILOCAL, (2, 2, 2, 2), 11)
-    values = moment_oracle(s, 1)
-    assert values[EMPTY_WORD] == 1.0
-    a, c = word([meas("A")]), word([meas("C")])
-    assert abs(values[concat(a, c)] - values[a] * values[c]) < 1e-12
-    assert all(len(w) <= 2 for w in values)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_components_partition_as_a_union_find(seed):
     rng = np.random.default_rng(seed)

@@ -53,6 +53,7 @@ from helpers import (
     gram_range,
     loop_class_rep_cells,
     loop_compile_rows,
+    loop_phase1_rows,
     loop_propagate,
     loop_reduced_rows,
     loop_submatrix_words,
@@ -407,8 +408,7 @@ def test_copy_blocks_split_the_range(topology, sizes, monkeypatch):
     # the index blocks restricted to the range, with no global SVD
     assert len(widths) == len(p.index_blocks.columns)
     assert max(widths) < p.dim
-    assert blocks.rows is p.index_blocks.rows
-    assert blocks.weights is p.index_blocks.weights
+    assert blocks.sums is p.index_blocks.sums
     V = relation_complement(p)
     assert sum(blocks.sizes) == V.shape[1]
     U = np.hstack(dense_bases(blocks))
@@ -454,6 +454,40 @@ def test_copy_blocks_block_diagonalise_c_and_every_direction(name):
         assert all(np.abs(-A[j] - G).max() <= 1e-10 for A, G in zip(rows, diag))
 
 
+@pytest.mark.parametrize("name, order", [
+    ("triangle-uniform", 8), ("triangle:0.47", 2), ("bilocal-inflation:0", None),
+    ("bilocal-standard", None)])
+def test_phase1_rows_match_a_dense_loop_over_the_directions(name, order):
+    if name == "triangle-uniform":
+        p = _accept_problem(name)
+    elif name == "triangle:0.47":
+        p = pin_distribution(cached_problem("inflation", *TRIANGLE_111, 2, 2),
+                             _mixture(0.47))
+    elif name == "bilocal-standard":
+        # two inputs per party leave kernel directions at n = 2
+        sc = ("bilocal", (2, 2, 2), (2, 2, 2))
+        p = pin_distribution(cached_problem("standard", *sc, 2), MomentOracle(
+            random_strategy(Scenario(*sc), (2, 2, 2, 2), 0)).born())
+    else:
+        p = _range_problem(name)
+    # the problem the interior point runs on
+    restricted = symmetry.restrict(p)
+    assert (None if restricted is None else restricted[0].order) == order
+    q = p if restricted is None else restricted[1]
+    assert (q.index_blocks.sums is None) == (name == "bilocal-standard")
+    cs = _ClassSystem(q)
+    assert cs.factor_rows() == (True, "")
+    sizes = q.copy_blocks.sizes
+    if name == "triangle:0.47":
+        assert min(sizes) == 1 and 2 in sizes
+    rows = interior.block_views(cs.plan.phase1_rows(q), sizes)
+    ref = loop_phase1_rows(cs)
+    assert cs.factor.p > 0
+    for A, B in zip(rows, ref):
+        assert np.abs(-A[:-1] - B).max() <= 1e-13
+        assert np.array_equal(A[-1], np.eye(len(B[0])))
+
+
 @pytest.mark.parametrize("name", ["standard", "scalar", "restricted-inflation"])
 def test_one_block_without_copy_merges(name):
     if name == "standard":
@@ -471,7 +505,7 @@ def test_one_block_without_copy_merges(name):
     blocks = p.copy_blocks
     assert len(blocks.complements) == 1
     assert blocks.complements[0].tobytes() == relation_complement(p).tobytes()
-    assert blocks.rows.tolist() == list(range(p.dim))
+    assert blocks.sums is None
     # the gate's eigenvalue is that of the whole matrix, bit for bit
     X = np.random.default_rng(8).standard_normal(p.n_classes)[p.cell_class]
     got = moment.check_assignment(p, moment.MomentAssignment(p, X)).min_eigenvalue
