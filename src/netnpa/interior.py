@@ -26,11 +26,13 @@ The blocks run from 6 x 6 to 124 x 124 on the full inflation problems
 restricted to a table's output-flip stabiliser (triangle inflation (2,2)
 on the table 0.47 * shared random bit + 0.53 * uniform, whose stabiliser
 has order 2, has 15 blocks of sizes 1 to 16).  Most are small, where the
-cost of a call outweighs its arithmetic, so blocks of equal size are held
-as one (n, k, k) stack: each size takes one product chain and one T T'
-for its share of the Schur complement and one batched ``eigvalsh`` per
-step length.  The Cholesky factors of every size, 1 x 1 included, come
-from LAPACK directly, one matrix at a time.
+cost of a call outweighs its arithmetic, so the caller hands the blocks of
+equal size over as one (n, k, k) stack, in the layout that
+``moment.CopyBlocks.stacks`` decides, and the solver keeps it: each size
+takes one product chain and one T T' for its share of the Schur
+complement and one batched ``eigvalsh`` per step length.  The Cholesky
+factors of every size, 1 x 1 included, come from LAPACK directly, one
+matrix at a time.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel
@@ -135,36 +137,23 @@ def _shifted_cholesky(M: np.ndarray, lapack) -> tuple[np.ndarray, float] | None:
     return None
 
 
-def _groups(sizes: Sequence[int]) -> list[list[int]]:
-    """The blocks by size, ascending, each size's in block order."""
-    return [[i for i, k in enumerate(sizes) if k == s] for s in sorted(set(sizes))]
-
-
-def block_views(A: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    """Per block, in the order of ``sizes``, the (m, r_b, r_b) view of its
-    entries in the packed rows ``A`` (m, sum_b r_b^2) that :func:`solve_lmi`
-    reads: row i holds the blocks of A_i in the order of :func:`_groups`,
-    so each size's blocks are one (m, n, k, k) stack."""
-    order = [i for g in _groups(sizes) for i in g]
-    ends = dict(zip(order, np.cumsum([sizes[i] ** 2 for i in order]).tolist()))
-    return [A[:, ends[i] - k * k:ends[i]].reshape(len(A), k, k)
-            for i, k in enumerate(sizes)]
-
-
 def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
               tol: float = 1e-9, start: np.ndarray | None = None,
               stop: float | None = None) -> LmiResult:
     """Solve (P)/(D) above for block-diagonal data.
 
-    ``C`` holds the blocks C_b (r_b, r_b) and ``A`` the A_i as packed rows
-    (:func:`block_views`), read in place; C and every A_i are the
-    block-diagonal matrices they form, and X and S keep the same blocks.
-    The Schur complement is the sum over the blocks of T_b T_b', step
-    lengths are the least over the blocks, and inner products sum over
-    them.  ``start``, when given, is the first y; C - A'(start) must be
-    positive definite, else ``ValueError``.  Stops when the relative gap
-    and both relative infeasibilities are below ``tol`` (status
-    ``optimal``), or at ``MAX_ITER``.  ``stop`` is for a phase-1 problem
+    ``C`` holds the blocks as stacks, one (n, k, k) stack of the n blocks
+    of each size k, as ``moment.CopyBlocks.congruences`` lays them out,
+    and row i of ``A`` holds the blocks of A_i in the same order, stack
+    after stack, each stack's n k^2 entries C-ordered; both are read in
+    place.  C and every A_i are the block-diagonal matrices they form, and
+    X and S keep the same stacks.  The Schur complement is the sum over
+    the blocks of T_b T_b', step lengths are the least over the blocks,
+    and inner products sum over them.  ``start``, when given, is the
+    first y; C - A'(start) must be positive definite, else
+    ``ValueError``.  Stops when the relative gap and both relative
+    infeasibilities are below ``tol`` (status ``optimal``), or at
+    ``MAX_ITER``.  ``stop`` is for a phase-1 problem
     from a ``start``: b = e_m, and A_m = I, whose multiplier y_m is the
     phase-1 t.  From a ``start`` every iterate keeps S = C - A'(y)
     positive definite, and the matrix C - sum_{i<m} y_i A_i = S + y_m*1
@@ -178,26 +167,22 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
     """
     from scipy.linalg import lapack
 
-    sizes = [len(Cb) for Cb in C]
-    r = sum(sizes)
-    # one stack per size: C as (n, k, k), and A as (m, n, k, k), a view of
-    # that size's columns of A
-    Cs = [np.stack([C[i] for i in g]) for g in _groups(sizes)]
-    bounds = np.cumsum([0] + [Cg.size for Cg in Cs])
+    r = sum(Cg.shape[0] * Cg.shape[1] for Cg in C)
+    bounds = np.cumsum([0] + [Cg.size for Cg in C])
 
     def split(M: np.ndarray) -> list[np.ndarray]:
-        """Views of the groups' columns of M as stacks (..., n, k, k)."""
+        """Views of the stacks' columns of M as stacks (..., n, k, k)."""
         return [M[..., a:e].reshape(M.shape[:-1] + Cg.shape)
-                for Cg, a, e in zip(Cs, bounds, bounds[1:])]
+                for Cg, a, e in zip(C, bounds, bounds[1:])]
 
     # the rows T_i of T, laid out as those of A, give the Schur complement
     # T T'; each size's products are written into its view of T
     T = np.empty_like(A)
     As, Ts = split(A), split(T)
-    c = _flat(Cs)
+    c = _flat(C)
 
     def eye(scale: float) -> list[np.ndarray]:
-        return [np.zeros_like(Cg) + scale * np.eye(Cg.shape[1]) for Cg in Cs]
+        return [np.zeros_like(Cg) + scale * np.eye(Cg.shape[1]) for Cg in C]
 
     norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(c)
     if start is None:
@@ -209,7 +194,7 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         y = np.zeros(len(b))
     else:
         y = np.array(start, dtype=float)
-        S = [_sym(Cg - Ay) for Cg, Ay in zip(Cs, split(y @ A))]
+        S = [_sym(Cg - Ay) for Cg, Ay in zip(C, split(y @ A))]
         factors = _cholesky(S, lapack)
         if factors is None:
             raise ValueError("start: C - A'(y) is not positive definite")
@@ -227,7 +212,7 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
     factors = _cholesky(map(np.concatenate, zip(X, S)), lapack)
     for it in range(MAX_ITER + 1):
         rp = b - A @ _flat(X)
-        Rd = [Cg - Sg - Ay for Cg, Sg, Ay in zip(Cs, S, split(y @ A))]
+        Rd = [Cg - Sg - Ay for Cg, Sg, Ay in zip(C, S, split(y @ A))]
         res = result("optimal", it)
         if max(res.rel_gap, res.primal_infeas, res.dual_infeas) <= tol:
             return res

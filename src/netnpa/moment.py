@@ -247,19 +247,30 @@ class CopyBlocks:
 
     @functools.cached_property
     def stacks(self) -> tuple[tuple, ...]:
-        """The blocks of each (k_b, r_b) shape, in order of first
-        appearance, as one stack each: (their positions, their rows of
-        :attr:`class_map` as a slice, k_b, and their W_b as one (n, k_b,
-        r_b) array or None).  A block takes k_b^2 rows, entry (c, d) at row
-        c k_b + d, so a stack's rows are one contiguous run."""
+        """How the blocks are batched, decided here alone.  The blocks of
+        each (k_b, r_b) shape form one group: (their positions, their rows
+        of :attr:`class_map` as a slice, k_b, their W_b as one (n, k_b, r_b)
+        array or None, r_b, and their slice of the stack of size r_b).  The
+        groups are sorted by r_b, ties in order of first appearance, and
+        the groups of one size fill one stack in that order: the stacks
+        that :meth:`congruences` returns, one per size, ascending, and that
+        :func:`least_eigenvalue` and ``interior.solve_lmi`` read as they
+        are.  A block takes k_b^2 rows, entry (c, d) at row c k_b + d, and
+        the groups take theirs in order, so a group's rows are one
+        contiguous run."""
         shapes: dict[tuple, list[int]] = {}
         for b, (c, W) in enumerate(zip(self.columns, self.complements)):
             shapes.setdefault((c.stop - c.start, None if W is None else W.shape[1]),
                               []).append(b)
-        out, at = [], 0
-        for (k, r), blocks in shapes.items():
-            W = None if r is None else np.stack([self.complements[b] for b in blocks])
-            out.append((blocks, slice(at, at := at + len(blocks) * k * k), k, W))
+        sizes = self.sizes
+        out, at, filled = [], 0, {}
+        for (k, w), blocks in sorted(shapes.items(), key=lambda kv: sizes[kv[1][0]]):
+            r = sizes[blocks[0]]
+            n = filled.get(r, 0)
+            filled[r] = n + len(blocks)
+            W = None if w is None else np.stack([self.complements[b] for b in blocks])
+            out.append((blocks, slice(at, at := at + len(blocks) * k * k), k, W, r,
+                        slice(n, n + len(blocks))))
         return tuple(out)
 
     @functools.cached_property
@@ -287,56 +298,48 @@ class CopyBlocks:
 
     def congruences(self, values: np.ndarray,
                     classes: np.ndarray | None = None) -> list[np.ndarray]:
-        """U_b' X U_b, (r_b, r_b), for every block and X = y[cell_class]
-        with class values y = ``values``; for ``values`` of shape (len(y),
-        P), one (P, r_b, r_b) stack per block, one X per column.  With
-        ``classes``, ``values`` holds the values of those classes alone and
-        the others are zero.
+        """U_b' X U_b for every block and X = y[cell_class] with class
+        values y = ``values``, as the stacks of :attr:`stacks`: one (n, r,
+        r) stack per block size r, ascending, each group of blocks at its
+        slice; for ``values`` of shape (len(y), P), one (P, n, r, r) stack
+        per size, one X per column.  With ``classes``, ``values`` holds the
+        values of those classes alone and the others are zero.
 
         The pre-W_b entries of every block are read at once, T y
         (:attr:`class_map`), or, without generators and ``classes``,
-        y[cell_class] itself; then each stack takes its W_b as one batch.
+        y[cell_class] itself; then each group takes its W_b as one batch.
         The columns of ``values`` are read a chunk at a time, so that the
         entries held at once, sum_b k_b^2 per column, are no more than the
         P sum_b r_b^2 of the output, or one column's."""
         lead = values.shape[1:]            # () for one X, else (P,)
-        sizes = self.sizes
-        out = [np.empty(lead + (len(b), sizes[b[0]], sizes[b[0]])) for b, *_ in self.stacks]
+        # each size's last group ends its stack
+        ends = {r: at.stop for *_, r, at in self.stacks}
+        out = {r: np.empty(lead + (n, r, r)) for r, n in ends.items()}
         P = lead[0] if lead else 1
-        step = max(1, P * sum(r * r for r in sizes) // self.stacks[-1][1].stop)
+        step = max(1, P * sum(r * r for r in self.sizes) // self.stacks[-1][1].stop)
         T = None if self.sums is None and classes is None else (
             self.class_map if classes is None else self.class_map[:, classes])
         for j in range(0, P, step):
             y = values[:, j:j + step] if lead else values
             # np.take gathers through the int32 classes without a cast
             E = np.take(y, self.cell_class.reshape(-1), axis=0) if T is None else T @ y
-            for (blocks, rows, k, W), G_out in zip(self.stacks, out):
+            for blocks, rows, k, W, r, at in self.stacks:
                 # a copy, contiguous for BLAS, when E has columns
                 G = E[rows].T.reshape(E.shape[1:] + (len(blocks), k, k))
                 if W is not None:
                     G = np.swapaxes(W, 1, 2) @ G @ W
                 # T y and W' G W round off symmetric; X = y[cell_class] is symmetric
-                (G_out[j:j + step] if lead else G_out)[...] = (
+                (out[r][j:j + step, at] if lead else out[r][at])[...] = (
                     G if T is None and W is None else (G + np.swapaxes(G, -1, -2)) / 2)
-        stacked = {b: G_out[..., i, :, :] for (blocks, *_), G_out in zip(self.stacks, out)
-                   for i, b in enumerate(blocks)}
-        return [stacked[b] for b in range(len(sizes))]
+        return list(out.values())
 
 
-def least_eigenvalue(blocks: Sequence[np.ndarray]) -> float:
-    """The least eigenvalue of the block-diagonal matrix of ``blocks``: one
-    ``eigvalsh`` per block size, on the stack of that size's blocks; a
-    block without rows has none."""
-    sizes: dict[int, list[np.ndarray]] = {}
-    for G in blocks:
-        if len(G):
-            sizes.setdefault(len(G), []).append(G)
-    least = math.inf
-    for Gs in sizes.values():
-        lam = (np.linalg.eigvalsh(Gs[0])[0] if len(Gs) == 1 else
-               np.linalg.eigvalsh(np.stack(Gs))[:, 0].min())
-        least = min(least, float(lam))
-    return least
+def least_eigenvalue(stacks: Sequence[np.ndarray]) -> float:
+    """The least eigenvalue of the block-diagonal matrix of the (n, r, r)
+    ``stacks`` (:meth:`CopyBlocks.congruences`): one ``eigvalsh`` per
+    stack; a stack of blocks without rows has none."""
+    return min((float(np.linalg.eigvalsh(G)[:, 0].min()) for G in stacks if G.shape[-1]),
+               default=math.inf)
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,12 +58,15 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    one sparse map T (``CopyBlocks.class_map``), built once per problem,
    holds them all, and one method (``CopyBlocks.congruences``) reads
    every U_b' X U_b from class values: T y, then W_b' (.) W_b as one
-   batch per stack of equal shapes (without copy swaps, y[cell_class]
-   itself, with no T).  The phase-1 start C_b = U_b' X(y0) U_b is one
+   batch per group of equal shapes (without copy swaps, y[cell_class]
+   itself, with no T).  One layout, ``CopyBlocks.stacks``, decides how
+   the blocks are batched: one stack per block size, which the reads
+   fill, the witness gate's ``least_eigenvalue`` decomposes and the
+   interior point keeps.  The phase-1 start C_b = U_b' X(y0) U_b is one
    read, and the constraint rows are T[:, free] N for the kernel basis
    N, read a chunk of directions at a time.  A primal-dual interior point
    (``netnpa.interior``) runs in the coordinates z, one block per copy
-   block, on constraint rows packed once per problem
+   block, on constraint rows packed once per problem, stack after stack
    (``_PropagationPlan.phase1_rows``), when (p + 1) sum_b r_b^2 <=
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
    (:class:`EngineRoute`).  A larger problem is inconclusive at once, with
@@ -542,15 +545,20 @@ class _PropagationPlan:
         B_j is U_b' D_j U_b for D_j the matrix whose free classes take the
         values N[:, j], N of :attr:`factor`, and whose other classes are
         zero.  One read of every direction at once
-        (``CopyBlocks.congruences``); the off-block parts U_a' D_j U_b are
-        zero and are never formed.  Built on first use, once per plan."""
+        (``CopyBlocks.congruences``), whose stacks each row holds as they
+        are, stack after stack, n r^2 columns each; the off-block parts
+        U_a' D_j U_b are zero and are never formed.  Built on first use,
+        once per plan."""
         if self._phase1 is None:
             blocks = problem.copy_blocks
-            self._phase1 = np.empty((self.factor.p + 1, sum(k * k for k in blocks.sizes)))
-            views = interior.block_views(self._phase1, blocks.sizes)
-            for A, B in zip(views, blocks.congruences(self.factor.N, self.free)):
-                np.negative(B, out=A[:-1])
-                A[-1] = np.eye(A.shape[1])
+            A = self._phase1 = np.empty((self.factor.p + 1,
+                                         sum(k * k for k in blocks.sizes)))
+            at = 0
+            for B in blocks.congruences(self.factor.N, self.free):
+                n, r = B.shape[1:3]
+                view = A[:, at:(at := at + n * r * r)].reshape(len(A), n, r, r)
+                np.negative(B, out=view[:-1])
+                view[-1] = np.eye(r)
         return self._phase1
 
     def reduce(self, rows: FlatRows, known: np.ndarray) -> np.ndarray:
@@ -823,10 +831,10 @@ class EngineRoute:
 
 
 def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
-    """Per copy block U_b, C_b = U_b' X(y0) U_b; for y = y0 + N z,
-    U_b' X(y) U_b = C_b + sum_j z_j B_j with the B_j of
-    ``_PropagationPlan.phase1_rows``.  Needs ``cs.factor_rows()`` to have
-    run."""
+    """Per copy block U_b, C_b = U_b' X(y0) U_b, in the stacks of
+    ``CopyBlocks.congruences``; for y = y0 + N z, U_b' X(y) U_b = C_b +
+    sum_j z_j B_j with the B_j of ``_PropagationPlan.phase1_rows``.  Needs
+    ``cs.factor_rows()`` to have run."""
     return cs.problem.copy_blocks.congruences(cs.class_values(cs.y0))
 
 

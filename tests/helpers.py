@@ -889,6 +889,28 @@ def dense_congruence(blocks, M: np.ndarray) -> list[np.ndarray]:
     return [U.T @ M @ U for U in dense_bases(blocks)]
 
 
+def block_list(blocks, stacks) -> list[np.ndarray]:
+    """The blocks of ``stacks``, laid out as ``blocks.stacks`` decides
+    (one stack per block size, ascending, each group of blocks at its
+    slice), in block order: each block's (..., r_b, r_b) entries."""
+    by_size = dict(zip(sorted(set(blocks.sizes)), stacks))
+    out = {}
+    for group, *_, r, at in blocks.stacks:
+        for i, b in enumerate(group):
+            out[b] = by_size[r][..., at.start + i, :, :]
+    return [out[b] for b in range(len(blocks.sizes))]
+
+
+def packed_stacks(A: np.ndarray, blocks) -> list[np.ndarray]:
+    """The (m, n, r, r) views of the packed rows ``A`` that
+    ``interior.solve_lmi`` reads, one per stack of ``blocks``: the n
+    blocks of each size r, sizes ascending."""
+    shapes = [(blocks.sizes.count(r), r) for r in sorted(set(blocks.sizes))]
+    bounds = np.cumsum([0] + [n * r * r for n, r in shapes])
+    return [A[:, a:e].reshape(len(A), n, r, r)
+            for (n, r), a, e in zip(shapes, bounds, bounds[1:])]
+
+
 def loop_phase1_rows(cs) -> list[np.ndarray]:
     """Per copy block U_b, the (p, r_b, r_b) stack of U_b' D_j U_b over the
     kernel directions j, for D_j the matrix whose free classes take the

@@ -59,6 +59,7 @@ from helpers import (
     BILOCAL_111,
     TRIANGLE_111,
     all_sequences,
+    block_list,
     cached_problem,
     dense_bases,
     dense_congruence,
@@ -525,14 +526,18 @@ def test_orbit_sums_give_the_dense_congruence(topology, m):
     p = _uniform_inflation(topology, m)
     y = np.random.default_rng(6).standard_normal(p.n_classes)
     for blocks in (p.index_blocks, p.copy_blocks):
-        got = blocks.congruences(y)
+        stacks = blocks.congruences(y)
+        # one (n, r, r) stack per block size, ascending
+        assert [G.shape[1:] for G in stacks] == [(r, r) for r in sorted(set(blocks.sizes))]
+        got = block_list(blocks, stacks)
         ref = dense_congruence(blocks, y[p.cell_class])
         assert [G.shape for G in got] == [G.shape for G in ref]
         assert max(np.abs(G - R).max() for G, R in zip(got, ref)) <= 1e-12
-        # one stack per block for one X per column
+        # one (P, n, r, r) stack per size for one X per column
         stacked = blocks.congruences(np.stack([y, -2 * y], axis=1))
+        assert len(stacked) == len(stacks)
         assert all(np.abs(S - np.stack([G, -2 * G])).max() <= 1e-12
-                   for S, G in zip(stacked, got))
+                   for S, G in zip(stacked, stacks))
     # the reference holds for joint eigenspaces of the swaps, and each
     # orbit sum has at most one nonzero per element of the group
     perms = [pi for _, pi in p.generators]

@@ -20,6 +20,7 @@ from netnpa.scenarios import (
     Distribution,
     MomentOracle,
     Scenario,
+    point_distribution,
     product_distribution,
     random_strategy,
     shared_random_bit,
@@ -46,8 +47,10 @@ from netnpa.words import EMPTY_WORD, Letter, concat, word
 from helpers import (
     BILOCAL_111,
     TRIANGLE_111,
+    block_list,
     cached_problem,
     dense_bases,
+    dense_congruence,
     dense_rows,
     dense_solve_lmi,
     gram_range,
@@ -58,6 +61,7 @@ from helpers import (
     loop_reduced_rows,
     loop_submatrix_words,
     meas,
+    packed_stacks,
     relation_complement,
     round_propagate,
     single_block_phase1,
@@ -363,7 +367,7 @@ def test_reduce_runs_no_eigendecomposition(monkeypatch):
     assert out.verdict == "feasible" and out.evidence.startswith("interior point")
     # the same LMI as on the Gram range, up to a rotation into the blocks
     X0 = cs.assemble(cs.y0)
-    blocked = np.sort(np.concatenate([np.linalg.eigvalsh(Cb) for Cb in C]))
+    blocked = np.sort(np.concatenate([np.linalg.eigvalsh(Cg).ravel() for Cg in C]))
     assert np.allclose(blocked, np.linalg.eigvalsh(V_gram.T @ X0 @ V_gram),
                        atol=1e-10)
 
@@ -441,11 +445,12 @@ def test_copy_blocks_block_diagonalise_c_and_every_direction(name):
     cs = _ClassSystem(p)
     assert cs.factor_rows() == (True, "")
     blocks = p.copy_blocks
-    rows = interior.block_views(cs.plan.phase1_rows(p), blocks.sizes)
+    rows = block_list(blocks, packed_stacks(cs.plan.phase1_rows(p), blocks))
     off, diag = _off_block(blocks, cs.assemble(cs.y0))
     assert off <= 1e-10
     # the blocks from one word per orbit are the diagonal blocks
-    assert all(np.abs(C - G).max() <= 1e-10 for C, G in zip(_reduce(cs), diag))
+    C = block_list(blocks, _reduce(cs))
+    assert all(np.abs(Cb - G).max() <= 1e-10 for Cb, G in zip(C, diag))
     y = np.zeros(cs.problem.n_classes)
     for j in range(cs.N.shape[1]):
         y[cs.free] = cs.N[:, j]
@@ -477,15 +482,35 @@ def test_phase1_rows_match_a_dense_loop_over_the_directions(name, order):
     assert (q.index_blocks.sums is None) == (name == "bilocal-standard")
     cs = _ClassSystem(q)
     assert cs.factor_rows() == (True, "")
-    sizes = q.copy_blocks.sizes
+    blocks = q.copy_blocks
     if name == "triangle:0.47":
-        assert min(sizes) == 1 and 2 in sizes
-    rows = interior.block_views(cs.plan.phase1_rows(q), sizes)
+        assert min(blocks.sizes) == 1 and 2 in blocks.sizes
+    rows = block_list(blocks, packed_stacks(cs.plan.phase1_rows(q), blocks))
     ref = loop_phase1_rows(cs)
     assert cs.factor.p > 0
     for A, B in zip(rows, ref):
         assert np.abs(-A[:-1] - B).max() <= 1e-13
         assert np.array_equal(A[-1], np.eye(len(B[0])))
+
+
+def test_blocks_of_one_size_share_one_stack_whatever_their_shape():
+    p = pin_distribution(cached_problem("inflation", *BILOCAL_111, 2, 2), _born(3))
+    assert symmetry.restrict(p) is None
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    blocks = p.copy_blocks
+    assert blocks.sizes == (14, 9, 9, 9)
+    # r = 9 comes from two shapes, k = 38 (blocks 1 and 2) and k = 35
+    # (block 3): one stack, the k = 38 blocks first, as they appear first
+    assert [(group, k, r, at) for group, _, k, _, r, at in blocks.stacks] == [
+        ([1, 2], 38, 9, slice(0, 2)), ([3], 35, 9, slice(2, 3)),
+        ([0], 50, 14, slice(0, 1))]
+    C = _reduce(cs)
+    assert [G.shape for G in C] == [(3, 9, 9), (1, 14, 14)]
+    ref = dense_congruence(blocks, cs.assemble(cs.y0))
+    assert all(np.abs(G - R).max() <= 1e-10 for G, R in zip(block_list(blocks, C), ref))
+    # the interior point reads the same stacks: 3 * 9^2 + 14^2 columns
+    assert cs.plan.phase1_rows(p).shape == (cs.factor.p + 1, 439)
 
 
 @pytest.mark.parametrize("name", ["standard", "scalar", "restricted-inflation"])
@@ -606,6 +631,35 @@ def test_maximize_linear_reaches_the_optimum_on_pinned_problems(name, count):
             assert np.linalg.eigvalsh(X)[0] >= -1e-7
 
 
+def test_maximize_linear_reaches_the_optimum_on_a_problem_without_interior():
+    # a deterministic table leaves the feasible set no interior point: the
+    # phase-1 optimum is zero.  An objective's solve, whose dual matrix is
+    # X(z) itself, then has no strictly dual feasible start, the phase-1
+    # point included, and maximize_linear needs the interior point's
+    # infeasible start (start=None)
+    sc = ("bilocal", (2, 2, 2), (2, 2, 2))
+    p = pin_distribution(cached_problem("standard", *sc, 2),
+                         point_distribution(Scenario(*sc), (0, 0, 0)))
+    cs = _ClassSystem(p)
+    assert cs.factor_rows() == (True, "")
+    assert cs.factor.p == 66
+    _X, res = _interior_phase1(cs, DEFAULT_TOL)
+    assert res.status == "optimal"
+    assert max(abs(res.dual_obj), abs(res.primal_obj)) <= 1e-9
+    c = np.zeros(len(cs.free))
+    c[0] = 1.0
+    with pytest.raises(ValueError, match="not positive definite"):
+        interior.solve_lmi(_reduce(cs), cs.plan.phase1_rows(p)[:-1], cs.N.T @ c,
+                           start=res.y[:-1])
+    for cls, value in zip(cs.free[:4].tolist(), (1.0, 0.0, 0.0, 0.0)):
+        hi, X_hi = maximize_linear(p, {cls: 1.0})
+        lo, X_lo = maximize_linear(p, {cls: -1.0})
+        assert abs(hi + lo) <= 1e-12
+        assert abs(hi - value) <= 1e-9
+        for X in (X_hi, X_lo):
+            assert np.linalg.eigvalsh(X)[0] >= -1e-7
+
+
 def _mixed_block_lmi(sizes, m=6, seed=3):
     """A primal-dual pair on blocks of the given sizes, strictly feasible,
     with a strictly complementary optimum: per block X* = x q q' and
@@ -625,12 +679,15 @@ def _mixed_block_lmi(sizes, m=6, seed=3):
 
 
 def _solve_blocks(blocks, b, **kwargs):
-    """``interior.solve_lmi`` on (C_b, A_b) pairs, the A_b packed."""
-    sizes = [len(Cb) for Cb, _ in blocks]
-    A = np.empty((len(b), sum(k * k for k in sizes)))
-    for view, (_, Ab) in zip(interior.block_views(A, sizes), blocks):
-        view[...] = Ab
-    return interior.solve_lmi([Cb for Cb, _ in blocks], A, b, **kwargs)
+    """``interior.solve_lmi`` on (C_b, A_b) pairs, stacked by size,
+    sizes ascending and each size's pairs in the order given, the A_b
+    packed stack after stack."""
+    stacks = [[pair for pair in blocks if len(pair[0]) == k]
+              for k in sorted({len(Cb) for Cb, _ in blocks})]
+    C = [np.stack([Cb for Cb, _ in pairs]) for pairs in stacks]
+    A = np.concatenate([np.stack([Ab for _, Ab in pairs], axis=1).reshape(len(b), -1)
+                        for pairs in stacks], axis=1)
+    return interior.solve_lmi(C, A, b, **kwargs)
 
 
 def _block_diagonal(blocks):
@@ -699,7 +756,7 @@ def test_a_dual_start_reaches_the_cold_start_optimum():
     b = np.zeros(cs.N.shape[1] + 1)
     b[-1] = 1.0
     cold = interior.solve_lmi(C, A, b, tol=1e-9)
-    start = b * (min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0)
+    start = b * (moment.least_eigenvalue(C) - 1.0)
     warm = interior.solve_lmi(C, A, b, tol=1e-9, start=start)
     assert abs(cold.primal_obj - (-0.05061)) <= 1e-5
     assert abs(warm.primal_obj - cold.primal_obj) <= 1e-8
@@ -732,7 +789,7 @@ def _first_passing_iterate(cs, tol, monkeypatch):
     sum_j y_j A_j over the rows A_j before the t row, read by
     ``eigvalsh``."""
     C, A = _reduce(cs), cs.plan.phase1_rows(cs.problem)
-    views = interior.block_views(A[:-1], [len(Cb) for Cb in C])
+    views = packed_stacks(A[:-1], cs.problem.copy_blocks)
     b = np.zeros(len(A))
     b[-1] = 1.0
     start = b * (moment.least_eigenvalue(C) - 1.0)
@@ -742,8 +799,8 @@ def _first_passing_iterate(cs, tol, monkeypatch):
             res = interior.solve_lmi(C, A, b, tol=tol * 1e-2, start=start)
         assert (res.status, res.iterations) == ("max_iter", k)
         z = res.y[:-1]
-        low = min(np.linalg.eigvalsh(Cb - np.tensordot(z, V, 1))[0]
-                  for Cb, V in zip(C, views))
+        low = min(np.linalg.eigvalsh(Cg - np.tensordot(z, V, 1))[:, 0].min()
+                  for Cg, V in zip(C, views))
         if low >= -tol / 2:
             return k, res.y
     raise AssertionError("no iterate passes")
@@ -825,7 +882,7 @@ def test_a_stop_the_solve_never_reaches_changes_nothing():
     C, A = _reduce(cs), cs.plan.phase1_rows(cs.problem)
     b = np.zeros(cs.N.shape[1] + 1)
     b[-1] = 1.0
-    start = b * (min(np.linalg.eigvalsh(Cb)[0] for Cb in C) - 1.0)
+    start = b * (moment.least_eigenvalue(C) - 1.0)
     plain = interior.solve_lmi(C, A, b, tol=1e-9, start=start)
     # the optimum is about -0.0506, so the dual objective stays below 0
     high = interior.solve_lmi(C, A, b, tol=1e-9, start=start, stop=0.0)
@@ -1217,7 +1274,7 @@ def test_fully_determined_n3_solve_takes_one_eigendecomposition(monkeypatch,
     out = solve_feasibility(p)
     assert out.verdict == "feasible"
     assert out.evidence == "fully determined by the linear constraints"
-    assert calls == [(p.dim, p.dim)]
+    assert calls == [(1, p.dim, p.dim)]
 
 
 def uniform_product(sc):
