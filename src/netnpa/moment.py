@@ -523,6 +523,13 @@ class MomentProblem:
         return cells[bounds[:-1]]
 
     @_structure
+    def class_first(self) -> np.ndarray:
+        """The flat position of the first cell, in row-major order, of
+        every class: the first of its groups' first cells."""
+        groups, bounds = self.class_layout
+        return np.minimum.reduceat(self.group_first[groups], bounds[:-1])
+
+    @_structure
     def pin_plan(self) -> PinPlan:
         """Which groups a distribution pins and the marginal cells their
         values multiply (see :func:`pin_distribution`); built on the first
@@ -561,7 +568,7 @@ class MomentProblem:
         index, one block per character (:func:`_index_blocks`); a problem
         without generators has one block, Q = I.  Every matrix that is
         constant on each class commutes with the generators, so its
-        eigenvalues are those of its blocks; ``check_assignment`` reads
+        eigenvalues are those of its blocks; :func:`class_report` reads
         them from here."""
         return _index_blocks(self)
 
@@ -1586,29 +1593,25 @@ def check_assignment(problem: MomentProblem,
                      assignment: MomentAssignment) -> ResidualReport:
     """Per-family maximal residuals of an assignment.
 
-    One exact pass compares every cell with the first cell of its Hankel
-    group (``group_first``).  When every cell matches, as on every solver
-    witness, the matrix is constant on each group to the last bit: the
-    Hankel spread is 0.0 and each group's value is its first cell's.  The
-    groups' values are then compared, in the same way, with the first
-    group of each class; when every group matches, the merge spread is
-    0.0 and each class's value is its first group's.  Only a matrix that
-    fails a comparison takes the segmented reductions: the mean, max and
-    min of every group, the class values as the mean of their groups'
-    means, and the spread of those means over each class.
-
-    The min eigenvalue is read from the problem's ``index_blocks`` when
-    the matrix is constant on every class, so it commutes with the
-    problem's ``generators`` and its eigenvalues are those of the blocks,
-    of which one without columns has none; the blocks are read from the
-    class values, whose ``cell_class`` gather is the matrix bit for bit.
-    On a problem restricted to a table's stabiliser, whose classes are the
-    flips' orbits, that is the exact test that the matrix is invariant.
-    Any other matrix takes one ``eigvalsh`` of the whole index."""
+    One exact pass compares every cell with the first cell of its class
+    (``class_first``).  When every cell matches, as on every solver
+    witness, the matrix is y[cell_class], bit for bit, for the values y
+    at those cells, and :func:`class_report` reads it from y, with Hankel
+    and merge spreads 0.0.  Only a matrix that fails takes the
+    segmented path: one exact pass against the first cell of each Hankel
+    group (``group_first``), which, when it matches, makes the Hankel
+    spread 0.0 and each group's value its first cell's, else the mean, max
+    and min of every group; then the class values as the mean of their
+    groups' means, the spread of those means over each class, the pins of
+    every pinned group's max and min, and one ``eigvalsh`` of the whole
+    index."""
     X = assignment.matrix
     vals = X.reshape(-1)
+    class_vals = vals[problem.class_first]
+    # np.take gathers through the int32 cell classes without a cast
+    if np.array_equal(X, np.take(class_vals, problem.cell_class)):
+        return class_report(problem, class_vals, 0.0, 0.0)
     group_vals = vals[problem.group_first]
-    # np.take gathers through the int32 cell groups without a cast
     if np.array_equal(X, np.take(group_vals, problem.cell_group)):
         hankel = 0.0
         group_means = group_max = group_min = group_vals
@@ -1622,17 +1625,11 @@ def check_assignment(problem: MomentProblem,
         group_min = np.minimum.reduceat(ordered, group_bounds[:-1])
         hankel = float((group_max - group_min).max())
     groups, class_bounds = problem.class_layout
-    class_vals = group_means[groups[class_bounds[:-1]]]
-    constant = (hankel == 0.0 and
-                np.array_equal(group_means, class_vals[problem.group_class]))
-    if constant:
-        merge_res = 0.0
-    else:
-        # class value: the mean of its groups' means
-        class_vals = (np.bincount(problem.group_class, weights=group_means,
-                                  minlength=problem.n_classes)
-                      / np.diff(class_bounds))
-        merge_res = float(_spreads(group_means[groups], class_bounds[:-1]).max())
+    # class value: the mean of its groups' means
+    class_vals = (np.bincount(problem.group_class, weights=group_means,
+                              minlength=problem.n_classes)
+                  / np.diff(class_bounds))
+    merges = float(_spreads(group_means[groups], class_bounds[:-1]).max())
     # a pinned group's worst cell is its max or its min, since x - v rounds
     # monotonically in x
     group_pin = problem.pinned_values()[problem.group_class]
@@ -1640,6 +1637,30 @@ def check_assignment(problem: MomentProblem,
     pins = float(np.maximum(np.abs(group_max[pinned] - group_pin[pinned]),
                             np.abs(group_min[pinned] - group_pin[pinned]))
                  .max(initial=0.0))
+    return class_report(problem, class_vals, hankel, merges, pins=pins,
+                        min_eigenvalue=float(np.linalg.eigvalsh((X + X.T) / 2).min()))
+
+
+def class_report(problem: MomentProblem, class_vals: np.ndarray, hankel: float,
+                 merges: float, *, pins: float | None = None,
+                 min_eigenvalue: float | None = None) -> ResidualReport:
+    """The residual report of a matrix from its class values
+    ``class_vals`` and its Hankel and merge spreads.
+
+    The completeness, factorisation and check-product families read the
+    class values.  The pins and the min eigenvalue, unless given, are
+    those of the class-valued matrix class_vals[cell_class], which is
+    never formed: the pins are read per pinned class, and the min
+    eigenvalue from the problem's ``index_blocks``, since a matrix
+    constant on every class commutes with the problem's ``generators``
+    and its eigenvalues are those of the blocks, of which one without
+    columns has none.  On a problem restricted to a table's stabiliser,
+    whose classes are the flips' orbits, that is the exact test that the
+    matrix is invariant."""
+    if pins is None:
+        at = np.fromiter(problem.pinned, np.intp, len(problem.pinned))
+        pin = np.fromiter(problem.pinned.values(), float, len(problem.pinned))
+        pins = float(np.abs(class_vals[at] - pin).max(initial=0.0))
     rows = problem.active_rows
     lhs = np.bincount(rows.row, weights=rows.coeffs * class_vals[rows.classes],
                       minlength=len(rows))
@@ -1651,12 +1672,11 @@ def check_assignment(problem: MomentProblem,
         checks = problem.check_arrays
         products = np.multiply.reduceat(class_vals[checks.factors], checks.starts)
         ext = float(np.abs(class_vals[checks.products] - products).max())
-    # a constant X is class_vals[cell_class], bit for bit
-    eigmin = (least_eigenvalue(problem.index_blocks.congruences(class_vals)) if constant
-              else float(np.linalg.eigvalsh((X + X.T) / 2).min()))
-    return ResidualReport(hankel=hankel, merges=merge_res, pins=pins,
+    if min_eigenvalue is None:
+        min_eigenvalue = least_eigenvalue(problem.index_blocks.congruences(class_vals))
+    return ResidualReport(hankel=hankel, merges=merges, pins=pins,
                           completeness=completeness, factorisation=fact,
-                          extended_products=ext, min_eigenvalue=eigmin)
+                          extended_products=ext, min_eigenvalue=min_eigenvalue)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,11 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    that ends short of a verdict reports inconclusive, naming its status.
 
 One function (``_verdict``) turns where the fully determined matrix or the
-interior point ends into a verdict.  The matrix is a candidate witness
+interior point ends into a verdict.  Both hand it the class values y of
+their matrix X = y[cell_class], and it checks X from them, through the
+tail ``moment.check_assignment`` shares (``moment.class_report``, with
+Hankel and merge spreads 0.0), so X is formed only as the witness of a
+FEASIBLE verdict.  The matrix is a candidate witness
 when its min eigenvalue is at least -tol, and a candidate is feasible when
 it passes every residual family of ``moment.check_assignment`` to 10*tol
 (else inconclusive, naming the worst family).  Without a candidate, the
@@ -102,11 +106,10 @@ import numpy as np
 from . import interior, symmetry
 from .moment import (
     FlatRows,
-    MomentAssignment,
     MomentProblem,
     ResidualReport,
     _summed_rows,
-    check_assignment,
+    class_report,
     least_eigenvalue,
 )
 from .words import render_word
@@ -688,7 +691,8 @@ class _ClassSystem:
         return y
 
     def assemble(self, y_free: np.ndarray) -> np.ndarray:
-        return self.class_values(y_free)[self.cell_class]
+        # np.take gathers through the int32 cell classes without a cast
+        return np.take(self.class_values(y_free), self.cell_class)
 
     def factor_rows(self) -> tuple[bool, str]:
         """Reduce the pending rows to R y = b over the free classes and
@@ -752,25 +756,29 @@ class _ClassSystem:
 # Engines
 # ---------------------------------------------------------------------------
 
-def _verdict(problem: MomentProblem, X: np.ndarray | None, t: float | None,
+def _verdict(problem: MomentProblem, y: np.ndarray | None, t: float | None,
              certified: bool, iterations: int, tol: float, margin: float, *,
              accept: str = "", reject: str = "", undecided: str = ""
              ) -> FeasibilityOutcome:
     """The one verdict rule past the presolve and the interlacing bound.
 
-    X is the candidate witness (None: there is none) and t the phase-1
-    value, a certified upper bound on the phase-1 optimum when
-    ``certified``; None stands for the min eigenvalue of X.  X is a
-    candidate when its min eigenvalue, read from the residual report of
-    the gate, is at least -tol, and that eigenvalue is then its t*.  A
-    candidate is FEASIBLE when every residual family of
-    ``check_assignment`` is at most 10*tol, else INCONCLUSIVE, naming the
-    worst family.  Otherwise a certified t < -margin is INFEASIBLE, with
-    evidence ``reject``, and anything else INCONCLUSIVE, with
-    ``undecided``.
+    y holds the class values of the candidate witness X = y[cell_class]
+    (None: there is none) and t is the phase-1 value, a certified upper
+    bound on the phase-1 optimum when ``certified``; None stands for the
+    min eigenvalue of X.  The gate reads X from y alone
+    (``moment.class_report``, with Hankel and merge spreads 0.0, since X
+    is constant on every class by construction), so X is formed only for
+    a FEASIBLE verdict, as its witness.  X is a candidate when its min
+    eigenvalue, read from the residual report of the gate, is at least
+    -tol, and that eigenvalue is then its t*.  A candidate is FEASIBLE
+    when every residual family of the report is at most 10*tol, else
+    INCONCLUSIVE, naming the worst family.  The report is the one
+    ``check_assignment`` gives for X, bit for bit.  Otherwise a certified
+    t < -margin is INFEASIBLE, with evidence ``reject``, and anything
+    else INCONCLUSIVE, with ``undecided``.
     """
-    if X is not None:
-        rep = check_assignment(problem, MomentAssignment(problem, X))
+    if y is not None:
+        rep = class_report(problem, y, 0.0, 0.0)
         lam = rep.min_eigenvalue
         if lam >= -tol:
             family, worst = max(rep.families().items(), key=lambda kv: kv[1])
@@ -780,7 +788,8 @@ def _verdict(problem: MomentProblem, X: np.ndarray | None, t: float | None,
                     iterations=iterations,
                     evidence=f"{accept}: witness fails the residual gate, "
                              f"{family} residual {worst:.3e} > {10 * tol:.1e}")
-            return FeasibilityOutcome("feasible", t_star=lam, witness=X,
+            return FeasibilityOutcome("feasible", t_star=lam,
+                                      witness=np.take(y, problem.cell_class),
                                       residuals=rep, iterations=iterations,
                                       evidence=accept)
         t = lam if t is None else t
@@ -840,7 +849,7 @@ def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
 
 def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     """max t s.t. U_b' X(z) U_b - t*1 >= 0 for every block b; returns
-    (witness X(z), solver result).
+    (class values of the witness X(z), solver result).
 
     The solve starts from z = 0, t = min_b lambda_min(C_b) - 1, where
     every block of the dual matrix C - t*1 has min eigenvalue 1: a
@@ -860,7 +869,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     start = np.zeros(p + 1)
     if stop is not None and low >= stop:
         start[-1] = low
-        return cs.assemble(cs.y0), interior.LmiResult(
+        return cs.class_values(cs.y0), interior.LmiResult(
             "target", start, primal_obj=math.nan, dual_obj=low,
             primal_infeas=math.inf, dual_infeas=0.0, iterations=0)
     b = np.zeros(p + 1)
@@ -868,7 +877,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     start[-1] = low - 1.0
     res = interior.solve_lmi(C, cs.plan.phase1_rows(cs.problem), b,
                              tol=tol * 1e-2, start=start, stop=stop)
-    return cs.assemble(cs.y0 + cs.N @ res.y[:p]), res
+    return cs.class_values(cs.y0 + cs.N @ res.y[:p]), res
 
 
 def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
@@ -891,7 +900,7 @@ def _linear_verdict(cs: _ClassSystem, tol: float, margin: float
         # phase-1 optimum, and the interlacing bound's submatrix would be
         # all of it
         return _verdict(
-            cs.problem, cs.assemble(np.zeros(0)), None, True, 0, tol, margin,
+            cs.problem, cs.class_values(np.zeros(0)), None, True, 0, tol, margin,
             accept="fully determined by the linear constraints",
             reject="fully determined matrix is not PSD",
             undecided="fully determined, min eigenvalue in the inconclusive band")
@@ -960,11 +969,11 @@ def _engine_verdict(cs: _ClassSystem, tol: float, margin: float
     # the search stops at the first witness with every copy block, hence
     # the whole index, above -tol/2, where the gate's psd family passes; a
     # reject never reaches it and runs to convergence
-    X, res = _interior_phase1(cs, tol, stop=-tol / 2)
+    y, res = _interior_phase1(cs, tol, stop=-tol / 2)
     t = res.primal_obj
     # a nearly feasible dual matrix W bounds t* <= <C, W> + O(residual)
     outcome = _verdict(
-        problem, X, t, res.primal_infeas <= tol, res.iterations, tol, margin,
+        problem, y, t, res.primal_infeas <= tol, res.iterations, tol, margin,
         accept="interior point witness (min eigenvalue >= -tol, every "
                "residual family <= 10*tol)",
         reject=f"phase-1 optimum {t:.6g} (interior point)",

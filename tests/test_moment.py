@@ -509,6 +509,18 @@ def test_class_valued_matrices_are_checked_on_the_index_blocks(
     ref = loop_check_assignment(p, a)
     for family, value in ref.families().items():
         assert abs(got.families()[family] - value) <= 1e-12, family
+    # a class-valued matrix whose pinned classes hold their pins, one of
+    # them one ulp off: the pins are read per pinned class, to the bit the
+    # loop reads per cell, and the blocks still decide
+    y = rng.standard_normal(p.n_classes)
+    at = list(p.pinned)
+    y[at] = list(p.pinned.values())
+    y[at[-1]] = np.nextafter(y[at[-1]], np.inf)
+    a = MomentAssignment(p, y[p.cell_class])
+    shapes.clear()
+    got = check_assignment(p, a)
+    assert (p.dim, p.dim) not in shapes
+    assert got.pins == loop_check_assignment(p, a).pins > 0.0
 
 
 def _swap_group(p) -> list[np.ndarray]:

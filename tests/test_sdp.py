@@ -601,7 +601,7 @@ def _phase1_problem(name):
 def test_blocked_phase1_matches_the_single_block_reference(name):
     cs = _ClassSystem(_phase1_problem(name))
     assert cs.factor_rows() == (True, "")
-    _X, res = _interior_phase1(cs, 1e-7)
+    _y, res = _interior_phase1(cs, 1e-7)
     _status, t_ref, _infeas = single_block_phase1(cs, 1e-7)
     assert abs(res.primal_obj - t_ref) <= 1e-8
 
@@ -613,7 +613,7 @@ def test_born_tables_have_an_interior_and_converge(seed):
     # solve reaches it
     cs = _ClassSystem(_phase1_problem(f"bilocal:{seed}"))
     assert cs.factor_rows() == (True, "")
-    _X, res = _interior_phase1(cs, 1e-7)
+    _y, res = _interior_phase1(cs, 1e-7)
     assert res.status == "optimal"
     assert res.primal_obj > 1e-3
 
@@ -643,7 +643,7 @@ def test_maximize_linear_reaches_the_optimum_on_a_problem_without_interior():
     cs = _ClassSystem(p)
     assert cs.factor_rows() == (True, "")
     assert cs.factor.p == 66
-    _X, res = _interior_phase1(cs, DEFAULT_TOL)
+    _y, res = _interior_phase1(cs, DEFAULT_TOL)
     assert res.status == "optimal"
     assert max(abs(res.dual_obj), abs(res.primal_obj)) <= 1e-9
     c = np.zeros(len(cs.free))
@@ -819,8 +819,8 @@ def test_an_accept_stops_at_the_first_deciding_iterate(monkeypatch):
         restricted = symmetry.restrict(p)
         cs = _ClassSystem(p if restricted is None else restricted[1])
         assert cs.factor_rows() == (True, "")
-        _X, converged = _interior_phase1(cs, tol)
-        _X, stopped = _interior_phase1(cs, tol, stop=-tol / 2)
+        _y, converged = _interior_phase1(cs, tol)
+        _y, stopped = _interior_phase1(cs, tol, stop=-tol / 2)
         count, y = _first_passing_iterate(cs, tol, monkeypatch)
         assert stopped.status == "target", name
         assert stopped.iterations == count, name
@@ -869,7 +869,7 @@ def test_a_reject_never_reaches_the_stop_and_keeps_the_converged_t(v):
     # the mixtures are solved on the all-party flip's problem
     cs = _ClassSystem(symmetry.restrict(p)[1])
     assert cs.factor_rows() == (True, "")
-    _X, converged = _interior_phase1(cs, DEFAULT_TOL)
+    _y, converged = _interior_phase1(cs, DEFAULT_TOL)
     out = solve_feasibility(p)
     assert out.verdict == "infeasible"
     assert out.t_star == converged.primal_obj
@@ -1529,18 +1529,43 @@ def test_feasible_requires_every_residual_family_within_the_gate():
                          noisy_pr_box(0.7))
     good = solve_feasibility(p)
     assert good.verdict == "feasible"
-    X = good.witness.copy()
-    assert _verdict(p, X, good.t_star, False, 0, 1e-7, 1e-4,
+    y = good.witness.reshape(-1)[p.class_first]
+    assert _verdict(p, y, good.t_star, False, 0, 1e-7, 1e-4,
                     accept="x").verdict == "feasible"
-    # break the values of cells (1, 1), (1, 2), (2, 1) and (2, 2) by a PSD
-    # term, so that X stays a candidate (min eigenvalue >= -tol)
-    X[np.ix_([1, 2], [1, 2])] += 1e-3
-    out = _verdict(p, X, good.t_star, False, 0, 1e-7, 1e-4, accept="interior point")
+    # scale every class value by 1 + 1e-3: X stays a candidate (min
+    # eigenvalue >= -tol), while the pins, G[1, 1] = 1 among them, move
+    out = _verdict(p, y * (1 + 1e-3), good.t_star, False, 0, 1e-7, 1e-4,
+                   accept="interior point")
     assert out.verdict == "inconclusive"
     assert out.witness is None
     family, worst = max(out.residuals.families().items(), key=lambda kv: kv[1])
     assert worst > 1e-6
     assert f"{family} residual {worst:.3e}" in out.evidence
+
+
+def _gate_problem(name):
+    if name == "standard3":
+        # a Born table that the presolve determines fully at n = 3
+        return pin_distribution(cached_problem("standard", *BILOCAL_111, 3), _born(3))
+    return _accept_problem(name)
+
+
+@pytest.mark.parametrize("name", ["triangle-uniform", "bilocal:0", "bilocal:1",
+                                  "bilocal:2", "standard3"])
+def test_the_gate_reports_what_check_assignment_reads_from_the_witness(name):
+    p = _gate_problem(name)
+    out = solve_feasibility(p)
+    assert out.verdict == "feasible"
+    if name == "triangle-uniform":
+        assert out.symmetry.order == 8
+    if name == "standard3":
+        assert out.evidence == "fully determined by the linear constraints"
+    # the problem that was solved: the restricted one, when a stabiliser applies
+    q = p if out.symmetry is None else symmetry.restrict(p)[1]
+    rep = moment.check_assignment(q, moment.MomentAssignment(q, out.witness))
+    for field in dataclasses.fields(rep):
+        assert getattr(out.residuals, field.name) == getattr(rep, field.name), \
+            field.name
 
 
 # --- SDPA export ------------------------------------------------------------------
