@@ -13,11 +13,11 @@ Subcommands
 A FEASIBLE verdict at level n means only that no obstruction exists at
 level n.  Exit code 1 comes only with an INFEASIBLE verdict.  64 flags
 unreadable inputs (a stored assignment that ``gns`` cannot load or
-rebuild included), unknown options, and solver settings outside their
-range (``--tol`` finite and > 0, ``--infeasibility-margin`` finite and
->= ``--tol``); 65 flags any error building or pinning the requested
-problem in ``test``, ``export``, ``sample`` and ``info`` (a scenario
-mismatch, an invalid level, the index budget).
+rebuild included), unknown options, and ``test``'s solver settings
+outside their range (``--tol`` finite and > 0, ``--infeasibility-margin``
+finite and >= ``--tol``); 65 flags any error building or pinning the
+requested problem in ``test``, ``export``, ``sample`` and ``info`` (a
+scenario mismatch, an invalid level, the index budget).
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ BUILDERS = {
 }
 
 
-# the options the config block of every report prints, in order
-CONFIG_FIELDS = ("command", "scenario", "outputs", "inputs", "hierarchy", "n",
-                 "m", "tol", "infeasibility_margin", "budget",
-                 "literal_paper_mode", "seed", "distribution")
-
-
 def _show(value) -> str:
     """An option's value as a report prints it."""
     if value is None or value == ():
@@ -96,8 +90,10 @@ def _show(value) -> str:
 
 
 def _config_lines(cfg: argparse.Namespace) -> list[str]:
-    return ["config:"] + [f"  {name}: {_show(getattr(cfg, name))}"
-                          for name in CONFIG_FIELDS]
+    """The config block: the command, then its own options in parser
+    order, the order in which argparse sets their defaults."""
+    return ["config:"] + [f"  {name}: {_show(value)}"
+                          for name, value in vars(cfg).items()]
 
 
 class CliError(Exception):
@@ -259,6 +255,7 @@ def _unpinned_gate(problem: MomentProblem) -> str:
 
 
 def cmd_test(cfg: argparse.Namespace) -> tuple[int, str]:
+    _check_solver_settings(cfg)
     t0 = time.perf_counter()
     dist = _load_distribution(cfg)
     problem, t_built = _problem(cfg, dist.scenario, dist, linearize=True)
@@ -297,8 +294,6 @@ def cmd_test(cfg: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_export(cfg: argparse.Namespace) -> tuple[int, str]:
-    if cfg.output_path is None:
-        raise CliError("export needs --out", EXIT_PARSE)
     dist = _load_distribution(cfg) if cfg.distribution is not None else None
     scenario = dist.scenario if dist is not None else _scenario_from_flags(cfg)
     problem, _ = _problem(cfg, scenario, dist, linearize=True)
@@ -358,8 +353,6 @@ def load_assignment(path: str) -> MomentAssignment:
 def cmd_sample(cfg: argparse.Namespace) -> tuple[int, str]:
     if cfg.seed is None:
         raise CliError("sample requires an explicit --seed", EXIT_PARSE)
-    if cfg.output_path is None:
-        raise CliError("sample needs --out (a path prefix)", EXIT_PARSE)
     scenario = _scenario_from_flags(cfg)
     strategy = random_strategy(scenario, tuple(cfg.dims), cfg.seed)
     dist = MomentOracle(strategy).born()
@@ -374,18 +367,14 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[int, str]:
     save_assignment(assignment, asg_path, cfg.budget)
     lines = ["netnpa sample report"]
     lines += _config_lines(cfg)
-    lines.append(f"  dims: {_show(cfg.dims)}")
     lines += _problem_lines(problem)
     lines += [f"distribution file: {dist_path}", f"assignment file: {asg_path}"]
     return EXIT_FEASIBLE, "\n".join(lines)
 
 
 def cmd_gns(cfg: argparse.Namespace) -> tuple[int, str]:
-    if cfg.distribution is None:
-        raise CliError("gns needs the stored assignment path as its argument",
-                       EXIT_PARSE)
     try:
-        assignment = load_assignment(cfg.distribution)
+        assignment = load_assignment(cfg.assignment)
     except (OSError, KeyError, ValueError, BudgetError) as exc:
         raise CliError(f"cannot load assignment: {exc}", EXIT_PARSE)
     try:
@@ -393,8 +382,13 @@ def cmd_gns(cfg: argparse.Namespace) -> tuple[int, str]:
     except gns.GnsError as exc:
         raise CliError(f"reconstruction failed: {exc}", EXIT_PARSE)
     residuals = gns.verify_model(model, assignment)
+    p = assignment.problem
     lines = ["netnpa gns report"]
     lines += _config_lines(cfg)
+    lines += ["rebuilt problem:", f"  hierarchy: {p.hierarchy}",
+              f"  scenario: {p.scenario.topology} "
+              f"outputs={_show(p.scenario.outputs)} inputs={_show(p.scenario.inputs)}",
+              f"  level: n={p.n}" + (f" m={p.m}" if p.m else "")]
     lines += [f"reconstructed dimension: {model.dimension}",
               str(residuals)]
     if cfg.output_path:
@@ -423,10 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="moment-matrix hierarchy tests for quantum network "
                     "compatibility")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the options that only some commands take
-    parser.set_defaults(seed=None, distribution=None, output_path=None)
 
-    def common(p, with_dist=False):
+    def common(p):
         p.add_argument("--scenario", choices=sorted(TOPOLOGIES))
         p.add_argument("--outputs", type=_parse_cards)
         p.add_argument("--inputs", type=_parse_cards)
@@ -434,19 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
                        default="standard")
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--m", type=int)
-        p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
-        p.add_argument("--infeasibility-margin", type=float,
-                       default=sdp.DEFAULT_MARGIN)
         p.add_argument("--budget", type=int, default=DEFAULT_INDEX_BUDGET)
         p.add_argument("--literal-paper-mode", action="store_true",
                        help="drop the completeness rows (matrices exactly as "
                             "defined, marginal pins not derivable)")
-        if with_dist:
-            p.add_argument("distribution",
-                           help="distribution file or builtin name")
 
     p_test = sub.add_parser("test", help="hierarchy feasibility test")
-    common(p_test, with_dist=True)
+    common(p_test)
+    p_test.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
+    p_test.add_argument("--infeasibility-margin", type=float,
+                        default=sdp.DEFAULT_MARGIN)
+    p_test.add_argument("distribution", help="distribution file or builtin name")
 
     p_export = sub.add_parser("export", help="write SDPA sparse file")
     common(p_export)
@@ -462,9 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gns = sub.add_parser("gns", help="reconstruct a model from a stored "
                                        "assignment")
-    common(p_gns)
-    p_gns.add_argument("distribution", metavar="assignment",
-                       help="assignment .npz path")
+    p_gns.add_argument("assignment", help="assignment .npz path")
     p_gns.add_argument("--out", dest="output_path",
                        help="write a model dump here")
 
@@ -507,7 +495,6 @@ def run(argv: list[str]) -> tuple[int, str]:
     handlers = {"test": cmd_test, "export": cmd_export, "sample": cmd_sample,
                 "gns": cmd_gns, "info": cmd_info}
     try:
-        _check_solver_settings(args)
         return handlers[args.command](args)
     except CliError as exc:
         return exc.code, f"error: {exc}"

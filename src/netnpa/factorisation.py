@@ -35,7 +35,7 @@ from .moment import (
     MomentAssignment,
     MomentProblem,
     factor_classes,
-    factor_residual,
+    product_residual,
 )
 from . import sdp as _sdp
 
@@ -78,8 +78,8 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
 def verify_factorisation(assignment: MomentAssignment) -> float:
     """Max residual |G_prod - G_row * G_col| over the factor families."""
     problem = assignment.problem
-    return factor_residual(assignment.class_values(),
-                           problem.factor_pairs + problem.factor_triples)
+    return product_residual(assignment.class_values(), factor_classes(
+        problem.factor_pairs + problem.factor_triples))
 
 
 def _frozen_rows(pairs: tuple[FactorConstraint, ...],

@@ -186,23 +186,6 @@ NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 
 
 @dataclass(frozen=True, eq=False)
-class CheckProducts:
-    """Products y[``products[k]``] = prod of y over ``factors[starts[k]:
-    starts[k + 1]]`` (:attr:`MomentProblem.check_products`), flat."""
-
-    products: np.ndarray
-    factors: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def of(cls, checks: Sequence[tuple[int, tuple[int, ...]]]) -> CheckProducts:
-        sizes = [len(fs) for _, fs in checks]
-        return cls(np.array([c for c, _ in checks], dtype=np.intp),
-                   np.array([f for _, fs in checks for f in fs], dtype=np.intp),
-                   np.cumsum([0] + sizes)[:-1].astype(np.intp))
-
-
-@dataclass(frozen=True, eq=False)
 class CopyBlocks:
     """Orthonormal bases U_b = Q_b W_b, (dim, r_b), that block-diagonalise
     the moment matrices of a problem (:attr:`MomentProblem.index_blocks`
@@ -404,7 +387,8 @@ class MomentProblem:
     rows: FlatRows                        # completeness rows
     factor_pairs: tuple[FactorConstraint, ...] = ()
     factor_triples: tuple[FactorConstraint, ...] = ()
-    check_products: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    # the verification-only products y_p = y_a * y_b (class_triples)
+    check_products: np.ndarray = field(default_factory=lambda: class_triples(()))
     # (name, index permutation) of the commuting involutions that every
     # matrix of the problem commutes with and its blocks split under: the
     # copy swaps (1 2) of every source (build_inflation), then the
@@ -431,12 +415,11 @@ class MomentProblem:
     # derived structures are built on first use; of them, only the index
     # dict is read by a builder (the star triples and the inflation check
     # products).  The ``_structure`` properties read only the word index,
-    # the Hankel groups, the classes, the generators and the check
-    # products, which ``build_inflation`` sets on the problem it has just
-    # built and no copy changes; the builders that add factor families,
-    # and every pin, linearization and frozen solve, copy the problem
-    # through ``derive``, which shares them (so one problem builds each
-    # once), while ``dataclasses.replace`` starts over with none built.
+    # the Hankel groups, the classes and the generators, which no copy
+    # changes; the builders that add factor families, and every pin,
+    # linearization and frozen solve, copy the problem through
+    # ``derive``, which shares them (so one problem builds each once),
+    # while ``dataclasses.replace`` starts over with none built.
     # Two more entries, which ``sdp`` keeps, read what a copy may change,
     # so each is checked on every use and built anew when it differs: the
     # presolve's propagation plans, one for the rows without linearized
@@ -447,7 +430,8 @@ class MomentProblem:
     # over the free classes and their one factorisation.
     # ``netnpa.symmetry`` keeps the flips' index permutations and one
     # restricted problem per stabiliser, which read only the index, the
-    # classes and the check products
+    # classes and the check products, which ``build_inflation`` sets on
+    # the problem it has just built and no copy changes
 
     def derive(self, **changes) -> MomentProblem:
         """``dataclasses.replace(self, **changes)`` sharing this problem's
@@ -456,10 +440,10 @@ class MomentProblem:
         change, since no ``_structure`` property reads them (the presolve's
         plans, which do and which hold the rows' factorisation, are checked
         against the rows and the mask before each use).  The check products
-        are fixed when the problem is built: ``check_arrays`` and the
-        restrictions read them.  The copy keeps no ``table`` unless it is
-        given one, so only the copy :func:`pin_distribution` makes holds
-        the table its pins came from."""
+        are fixed when the problem is built: each restriction maps them
+        once.  The copy keeps no ``table`` unless it is given one, so only
+        the copy :func:`pin_distribution` makes holds the table its pins
+        came from."""
         read = set(changes) - {"pinned", "linear_factor_rows", "flagged_bilinear",
                                "factor_pairs", "factor_triples", "table"}
         if read:
@@ -586,11 +570,6 @@ class MomentProblem:
     def representative_key(self, cls: int) -> Word:
         groups, bounds = self.class_layout
         return self.group_keys[groups[bounds[cls]]]
-
-    @_structure
-    def check_arrays(self) -> CheckProducts:
-        """``check_products`` as flat arrays."""
-        return CheckProducts.of(self.check_products)
 
     @functools.cached_property
     def active_rows(self) -> FlatRows:
@@ -1400,7 +1379,7 @@ def build_inflation(scenario: Scenario, n: int, m: int, *,
                   merges=merges if index_words is None else None,
                   index_words=index_words)
     # verification-only nonlinear products: diagonal words on disjoint copies
-    p.check_products = tuple(_diagonal_check_products(p))
+    p.check_products = _diagonal_check_products(p)
     return p
 
 
@@ -1416,8 +1395,8 @@ def _diagonal_word_copies(w: Word) -> set[int] | None:
     return cps if len(cps) == 1 else None
 
 
-def _diagonal_check_products(p: MomentProblem):
-    """(product class, factor classes) for products of single-copy diagonal
+def _diagonal_check_products(p: MomentProblem) -> np.ndarray:
+    """The :func:`class_triples` of the products of single-copy diagonal
     words on distinct copies; imposed only at verification time."""
     diag: dict[int, list[Word]] = {}
     for w in p.index:
@@ -1430,12 +1409,10 @@ def _diagonal_check_products(p: MomentProblem):
         for w1 in diag[c1]:
             for w2 in diag[c2]:
                 ip = p._pos.get(concat(w1, w2))
-                if ip is None:
-                    continue
-                i1, i2 = p._pos[w1], p._pos[w2]
-                out.append((int(p.cell_class[0, ip]),
-                            (int(p.cell_class[0, i1]), int(p.cell_class[0, i2]))))
-    return out
+                if ip is not None:
+                    out.append((ip, p._pos[w1], p._pos[w2]))
+    # the class of a word is that of its cell in the row of the empty word
+    return class_triples(p.cell_class[0][np.array(out, dtype=np.intp).reshape(-1, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -1569,17 +1546,28 @@ class ResidualReport:
         return "residuals:\n" + "\n".join(rows)
 
 
+def class_triples(triples) -> np.ndarray:
+    """(product, factor, factor) classes of products y_p = y_a * y_b, one
+    row each, as one read-only (k, 3) intp array: the format of the factor
+    families (:func:`factor_classes`) and of the check products."""
+    out = np.array(triples, dtype=np.intp).reshape(-1, 3)
+    out.flags.writeable = False
+    return out
+
+
 def factor_classes(constraints: Sequence[FactorConstraint]) -> np.ndarray:
-    """The (product, row, column) classes of each constraint, one row each."""
-    return np.array([(fc.cls_prod, fc.cls_row, fc.cls_col) for fc in constraints],
-                    dtype=np.intp).reshape(-1, 3)
+    """The (product, row, column) :func:`class_triples` of ``constraints``."""
+    return class_triples([(fc.cls_prod, fc.cls_row, fc.cls_col) for fc in constraints])
 
 
-def factor_residual(class_vals: np.ndarray,
-                    constraints: Sequence[FactorConstraint]) -> float:
-    """Max |G_prod - G_row * G_col| over ``constraints``."""
-    prod, row, col = factor_classes(constraints).T
-    return float(np.abs(class_vals[prod] - class_vals[row] * class_vals[col])
+def product_residual(class_vals: np.ndarray, triples: np.ndarray) -> float:
+    """Max |y_p - y_a * y_b| over the rows of :func:`class_triples`
+    ``triples``: the factor families and the check products.  An empty
+    family, as most problems have, takes no array pass."""
+    if not len(triples):
+        return 0.0
+    prod, a, b = triples.T
+    return float(np.abs(class_vals[prod] - class_vals[a] * class_vals[b])
                  .max(initial=0.0))
 
 
@@ -1665,13 +1653,9 @@ def class_report(problem: MomentProblem, class_vals: np.ndarray, hankel: float,
     lhs = np.bincount(rows.row, weights=rows.coeffs * class_vals[rows.classes],
                       minlength=len(rows))
     completeness = float(np.abs(lhs - rows.rhs).max(initial=0.0))
-    fact = factor_residual(class_vals,
-                           problem.factor_pairs + problem.factor_triples)
-    ext = 0.0
-    if problem.check_products:
-        checks = problem.check_arrays
-        products = np.multiply.reduceat(class_vals[checks.factors], checks.starts)
-        ext = float(np.abs(class_vals[checks.products] - products).max())
+    fact = product_residual(class_vals, factor_classes(
+        problem.factor_pairs + problem.factor_triples))
+    ext = product_residual(class_vals, problem.check_products)
     if min_eigenvalue is None:
         min_eigenvalue = least_eigenvalue(problem.index_blocks.congruences(class_vals))
     return ResidualReport(hankel=hankel, merges=merges, pins=pins,

@@ -51,6 +51,7 @@ from .moment import (
     _distinct_rows,
     _index_permutation,
     _summed_rows,
+    class_triples,
 )
 from .scenarios import Scenario, components
 from .words import Letter, relabel_letters
@@ -216,13 +217,11 @@ def _restriction(problem: MomentProblem, tables: _FlipTables,
     orbit = components(n, *merges)
     first = np.unique(orbit, return_index=True)[1]
     cell_class = orbit[problem.cell_class]
-    label = orbit.tolist()
     base = dataclasses.replace(
         problem, group_class=orbit[problem.group_class], cell_class=cell_class,
         pinned={int(cell_class[0, 0]): 1.0},
         rows=_restricted_rows(problem.rows, orbit, len(first)),
-        check_products=tuple((label[c], tuple(map(label.__getitem__, fs)))
-                             for c, fs in problem.check_products),
+        check_products=class_triples(orbit[problem.check_products]),
         table=None,
         generators=problem.generators + tuple((f"flip {name}", pi) for name, pi in gens))
     # the Hankel groups are kept, and with them the cells of each group

@@ -277,7 +277,7 @@ def loop_check_assignment(problem, assignment) -> ResidualReport:
         fact = max(fact, abs(class_vals[fc.cls_prod]
                              - class_vals[fc.cls_row] * class_vals[fc.cls_col]))
     ext = 0.0
-    for cls_prod, factors in problem.check_products:
+    for cls_prod, *factors in problem.check_products:
         prod = 1.0
         for c in factors:
             prod *= class_vals[c]
@@ -792,8 +792,9 @@ def loop_structure(problem: MomentProblem) -> dict:
                 cell_group=cell_group, group_class=group_class,
                 cell_class=cell_class, rows=structure.rows,
                 column_relations=relations,
-                check_products=tuple(_diagonal_check_products(structure))
-                if problem.hierarchy == "inflation" else ())
+                check_products=_diagonal_check_products(structure)
+                if problem.hierarchy == "inflation"
+                else np.zeros((0, 3), dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------

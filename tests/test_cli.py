@@ -66,6 +66,8 @@ def _config_block(report):
 
 
 def test_config_block_prints_every_option(tmp_path):
+    # each subcommand echoes its own options, in parser order, and no other
+    shared = ["  scenario: bilocal", "  outputs: -", "  inputs: -"]
     code, report = run(["test", "--scenario", "bilocal", "--outputs", "2,2,2",
                         "--inputs", "1 1 1", "--n", "2", "--tol", "2.5e-8",
                         "--literal-paper-mode", "uniform_product"])
@@ -79,11 +81,10 @@ def test_config_block_prints_every_option(tmp_path):
         "  hierarchy: standard",
         "  n: 2",
         "  m: -",
-        "  tol: 2.5e-08",
-        "  infeasibility_margin: 0.0001",
         "  budget: 5000",
         "  literal_paper_mode: true",
-        "  seed: -",
+        "  tol: 2.5e-08",
+        "  infeasibility_margin: 0.0001",
         "  distribution: uniform_product",
     ]
     code, report = run(["sample", "--scenario", "bilocal", "--hierarchy",
@@ -93,20 +94,82 @@ def test_config_block_prints_every_option(tmp_path):
     assert _config_block(report) == [
         "config:",
         "  command: sample",
-        "  scenario: bilocal",
-        "  outputs: -",
-        "  inputs: -",
+        *shared,
         "  hierarchy: factorisation",
         "  n: 2",
         "  m: -",
-        "  tol: 1e-07",
-        "  infeasibility_margin: 0.0001",
         "  budget: 5000",
         "  literal_paper_mode: false",
         "  seed: 0",
-        "  distribution: -",
         "  dims: 2,3,2,2",
+        f"  output_path: {tmp_path / 's'}",
     ]
+    code, report = run(["export", "--scenario", "bilocal", "--n", "2",
+                        "--out", str(tmp_path / "x.dat-s")])
+    assert code == EXIT_FEASIBLE
+    assert _config_block(report) == [
+        "config:",
+        "  command: export",
+        *shared,
+        "  hierarchy: standard",
+        "  n: 2",
+        "  m: -",
+        "  budget: 5000",
+        "  literal_paper_mode: false",
+        "  distribution: -",
+        f"  output_path: {tmp_path / 'x.dat-s'}",
+    ]
+    code, report = run(["info", "--scenario", "bilocal", "--n", "2"])
+    assert code == EXIT_FEASIBLE
+    assert _config_block(report) == [
+        "config:",
+        "  command: info",
+        *shared,
+        "  hierarchy: standard",
+        "  n: 2",
+        "  m: -",
+        "  budget: 5000",
+        "  literal_paper_mode: false",
+    ]
+
+
+def test_gns_names_the_problem_it_rebuilt_from_the_file(tmp_path):
+    prefix = str(tmp_path / "run1")
+    code, _report = run(["sample", "--scenario", "bilocal", "--hierarchy",
+                         "factorisation", "--n", "4", "--seed", "12", "--out",
+                         prefix])
+    assert code == EXIT_FEASIBLE
+    code, report = run(["gns", prefix + ".npz"])
+    assert code == EXIT_FEASIBLE
+    lines = report.splitlines()
+    at = lines.index("rebuilt problem:")
+    assert lines[lines.index("config:"):at] == [
+        "config:",
+        "  command: gns",
+        f"  assignment: {prefix}.npz",
+        "  output_path: -",
+    ]
+    assert lines[at + 1:at + 4] == [
+        "  hierarchy: factorisation_bilocal",
+        "  scenario: bilocal outputs=2,2,2 inputs=1,1,1",
+        "  level: n=4",
+    ]
+    # no problem or solver option is read, so none is echoed
+    assert "hierarchy: standard" not in report and "n: 3" not in report
+
+
+@pytest.mark.parametrize("argv", [
+    "gns --n 3 {path}",
+    "gns --hierarchy standard {path}",
+    "info --scenario bilocal --tol 1e-7",
+    "info --scenario bilocal --infeasibility-margin 1e-3",
+    "export --scenario bilocal --tol 1e-7 --out {path}",
+    "sample --scenario bilocal --seed 1 --tol 1e-7 --out {path}",
+])
+def test_options_a_subcommand_does_not_read_are_unknown_exit64(argv, tmp_path):
+    path = tmp_path / "x"
+    assert run(argv.format(path=path).split()) == (EXIT_PARSE, "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reports_name_the_copy_blocks_and_the_engine_they_select(monkeypatch):

@@ -182,10 +182,10 @@ def test_check_products_are_fixed_at_build_and_restricted_once():
     with pytest.raises(ValueError, match="check_products"):
         p.derive(check_products=())
     r1, q1 = symmetry.restrict(p)
-    assert q1.check_products
+    assert len(q1.check_products)
     # two pinned copies of one problem share its one restriction
     r2, q2 = symmetry.restrict(p.derive(pinned=p.pinned, table=p.table))
-    assert r2 is r1 and q2.check_products == q1.check_products
+    assert r2 is r1 and np.array_equal(q2.check_products, q1.check_products)
 
 
 @pytest.mark.parametrize("name", ["triangle-inflation", "bilocal-inflation",
