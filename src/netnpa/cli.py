@@ -214,30 +214,24 @@ def _engine_lines(blocks: tuple[int, ...], gate: str,
     return lines + [f"  gate: {gate}"]
 
 
-def _symmetry(outcome: sdp.FeasibilityOutcome) -> str:
-    """The symmetry line of a solve: the output-flip stabiliser it was
-    solved on, with the restricted problem's p and sum r_b^2."""
+def _route_lines(outcome: sdp.FeasibilityOutcome) -> list[str]:
+    """The engine section of a solve, read from its route alone: the
+    blocks the route was gated on (a restricted problem's when the solve
+    ran on a stabiliser), the stabiliser with the p and sum r_b^2 of the
+    problem solved, and the gate.  A layer that decides before the
+    phase-1 search leaves no route, and the section is one line."""
     route, found = outcome.route, outcome.symmetry
-    sizes = "" if route is None else f"p = {route.p}, sum r_b^2 = {route.squares}"
-    if found is not None:
-        return (f"stabiliser of order {found.order} generated by "
-                f"{', '.join(found.generators)}"
-                + (f"; restricted {sizes}" if sizes else ""))
-    if route is not None:
-        return f"trivial stabiliser; {sizes}"
-    return "none used (decided before the phase-1 search)"
-
-
-def _route_gate(outcome: sdp.FeasibilityOutcome) -> str:
-    """The gate line of a solve: the route its phase-1 engine took, or
-    the layer that decided before any engine ran."""
-    route = outcome.route
     if route is None:
-        if "interlacing" in outcome.evidence:
-            return "no phase-1 search (the interlacing bound decides first)"
-        return "no phase-1 search (the linear layers leave none)"
-    return (f"(p + 1)*sum r_b^2 = {route.entries} for p = {route.p} "
-            f"(limit {sdp.INTERIOR_MAX_ENTRIES}) -> {route.engine}")
+        return ["engine: none run (decided before the phase-1 search)"]
+    sizes = f"p = {route.p}, sum r_b^2 = {route.squares}"
+    symmetry = (f"trivial stabiliser; {sizes}" if found is None else
+                f"stabiliser of order {found.order} generated by "
+                f"{', '.join(found.generators)}; restricted {sizes}")
+    engine = ("interior point" if route.interior
+              else "none (too large for the interior point)")
+    gate = (f"(p + 1)*sum r_b^2 = {route.entries} for p = {route.p} "
+            f"(limit {sdp.INTERIOR_MAX_ENTRIES}) -> {engine}")
+    return _engine_lines(route.blocks, gate, symmetry)
 
 
 def _unpinned_gate(problem: MomentProblem) -> str:
@@ -281,11 +275,7 @@ def cmd_test(cfg: argparse.Namespace) -> tuple[int, str]:
                      "at this level")
     if outcome.residuals is not None:
         lines.append(str(outcome.residuals))
-    # the blocks the engine route was gated on, a restricted problem's when
-    # the solve ran on a stabiliser; a solve decided before it has no route
-    blocks = (problem.copy_blocks.sizes if outcome.route is None
-              else outcome.route.blocks)
-    lines += _engine_lines(blocks, _route_gate(outcome), _symmetry(outcome))
+    lines += _route_lines(outcome)
     lines.append(f"timing: {t_solved - t0:.2f} s (build {t_built - t0:.2f} s, "
                  f"pin {t_pinned - t_built:.2f} s, solve {t_solved - t_pinned:.2f} s)")
     code = {"FEASIBLE": EXIT_FEASIBLE, "INFEASIBLE": EXIT_INFEASIBLE,
@@ -505,7 +495,12 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main() -> None:
     code, report = run(sys.argv[1:])
     if report:
-        print(report)
+        try:
+            print(report, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe (``netnpa ... | head``): point
+            # stdout at devnull, so the exit's own flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

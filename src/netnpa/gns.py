@@ -92,9 +92,6 @@ class GnsModel:
     row_family: list[np.ndarray] = field(default_factory=list)   # |v^{i0}>, A-words
     col_family: list[np.ndarray] = field(default_factory=list)   # |v^{0j}>, C-words
 
-    def operator(self, party: str, x: int, o: int) -> np.ndarray:
-        return self.operators[(party, x, o)]
-
     def family_overlap(self) -> float:
         """max |<v^{i0} | v^{0j}>| over i, j >= 1 (both exclude the state)."""
         worst = 0.0

@@ -487,12 +487,6 @@ class MomentProblem:
         return groups[bounds[cls]:bounds[cls + 1]].tolist()
 
     @_structure
-    def class_counts(self) -> np.ndarray:
-        """Number of matrix cells in each class."""
-        return np.bincount(self.cell_class.reshape(-1),
-                           minlength=self.n_classes).astype(float)
-
-    @_structure
     def group_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The cells of every Hankel group, group after group, each group's
         in row-major order: (flat cell positions, bounds), group g holding
@@ -555,14 +549,6 @@ class MomentProblem:
         eigenvalues are those of its blocks; :func:`class_report` reads
         them from here."""
         return _index_blocks(self)
-
-    def class_average(self, X: np.ndarray) -> np.ndarray:
-        """Mean of ``X`` over the cells of each class (the class cells
-        partition all cells)."""
-        sums = np.bincount(self.cell_class.reshape(-1),
-                           weights=X.reshape(-1),
-                           minlength=self.n_classes)
-        return sums / self.class_counts
 
     def class_of_cell(self, row_word: Word, col_word: Word) -> int:
         return int(self.cell_class[self.pos(row_word), self.pos(col_word)])
@@ -1033,16 +1019,19 @@ def _party_positions(index: Sequence[Word], party: str) -> np.ndarray:
         l.is_measurement and l.party == party for l in w.letters)], dtype=np.intp)
 
 
+def _factor_constraint(p: MomentProblem, i: int, j: int) -> FactorConstraint:
+    """G[i, j] = G[i, 1] * G[1, j] for the index words at positions i and
+    j."""
+    cc = p.cell_class
+    return FactorConstraint(p.index[i], p.index[j], int(cc[i, j]),
+                            int(cc[i, 0]), int(cc[0, j]))
+
+
 def _attach_factor_pairs(p: MomentProblem,
                          party_pairs: Iterable[tuple[str, str]]) -> list[FactorConstraint]:
-    pairs = []
-    for pa, pc in party_pairs:
-        for ia in _party_positions(p.index, pa).tolist():
-            for ic in _party_positions(p.index, pc).tolist():
-                pairs.append(FactorConstraint(
-                    p.index[ia], p.index[ic], int(p.cell_class[ia, ic]),
-                    int(p.cell_class[ia, 0]), int(p.cell_class[0, ic])))
-    return pairs
+    return [_factor_constraint(p, ia, ic) for pa, pc in party_pairs
+            for ia in _party_positions(p.index, pa).tolist()
+            for ic in _party_positions(p.index, pc).tolist()]
 
 
 def build_factorisation_bilocal(scenario: Scenario, n: int, *,
@@ -1075,14 +1064,9 @@ def build_star_factorisation(scenario: Scenario, n: int, *,
                         for party in scenario.topo.factor_triples[0])
     for ia, ic in itertools.product(a_at, c_at):
         a, c = p.index[ia], p.index[ic]
-        if len(a) + len(c) > n:
-            continue
-        ac = concat(a, c)
-        iac = p.pos(ac)
-        for idd in d_at:
-            triples.append(FactorConstraint(
-                ac, p.index[idd], int(p.cell_class[iac, idd]),
-                int(p.cell_class[iac, 0]), int(p.cell_class[0, idd])))
+        if len(a) + len(c) <= n:
+            iac = p.pos(concat(a, c))
+            triples += [_factor_constraint(p, iac, idd) for idd in d_at]
     return p.derive(factor_pairs=tuple(pairs), factor_triples=tuple(triples))
 
 
@@ -1209,9 +1193,9 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     onto itself, their span and its complement are invariant under the
     P_s, so the complement is the direct sum of its parts in the index
     blocks, and the U_b together span it.  The blocks share the index
-    blocks' orbit sums, ``rows`` and ``weights``, and hold only the dense
-    W_b; each Q_b is formed dense for the build alone, and each U_b, with
-    generators, for its checks alone.
+    blocks' orbit sums (``sums``) and hold only the dense W_b; each Q_b is
+    formed dense for the build alone, and each U_b, with generators, for
+    its checks alone.
 
     With generators, raises :class:`RuntimeError` when one does not map
     the set of column relations onto itself (compared exactly, on their
@@ -1496,7 +1480,11 @@ class MomentAssignment:
             raise ValueError("assignment matrix must be symmetric")
 
     def class_values(self) -> np.ndarray:
-        return self.problem.class_average(self.matrix)
+        """The mean of the matrix over the cells of each class (the class
+        cells partition all cells)."""
+        cls, n = self.problem.cell_class.reshape(-1), self.problem.n_classes
+        return (np.bincount(cls, weights=self.matrix.reshape(-1), minlength=n)
+                / np.bincount(cls, minlength=n))
 
     def value(self, row_word: Word, col_word: Word) -> float:
         return float(self.matrix[self.problem.pos(row_word),

@@ -216,29 +216,29 @@ def compile(problem: MomentProblem,
     """
     _require_sdp_form(problem)
     n = problem.dim
-    # the upper-triangle cells class after class, in row-major order: the
-    # first cell of a class is its representative (classes are symmetric,
-    # so this is its first cell in the whole matrix), and each other cell
-    # is tied to it
+    # every class is symmetric, so its first cell (``class_first``) lies in
+    # the upper triangle: that cell is its representative, and each other
+    # upper-triangle cell is tied to it, class after class, in row-major
+    # order
+    first = problem.class_first
+    ri, rj = np.divmod(first, n)
+    reps = list(zip(ri.tolist(), rj.tolist()))
     i, j = np.triu_indices(n)
     classes = problem.cell_class[i, j]
-    order = np.lexsort((i * n + j, classes))
-    i, j, classes = i[order], j[order], classes[order]
-    opens = np.concatenate([[True], classes[1:] != classes[:-1]])
-    reps = list(zip(i[opens].tolist(), j[opens].tolist()))
-    tied = ~opens
+    tied = np.flatnonzero(i * n + j != first[classes])
+    tied = tied[np.argsort(classes[tied], kind="stable")]
     rows: list[SdpRow] = []
     for c, ti, tj in zip(classes[tied].tolist(), i[tied].tolist(),
                          j[tied].tolist()):
-        ri, rj = reps[c]
-        rows.append(SdpRow(((ti, tj), (ri, rj)),
-                           (_cell_weight(ti, tj), -_cell_weight(ri, rj)), 0.0))
+        r = reps[c]
+        rows.append(SdpRow(((ti, tj), r),
+                           (_cell_weight(ti, tj), -_cell_weight(*r)), 0.0))
     for cls, val in sorted(problem.pinned.items()):
-        ri, rj = reps[cls]
-        rows.append(SdpRow(((ri, rj),), (_cell_weight(ri, rj),), float(val)))
+        r = reps[cls]
+        rows.append(SdpRow((r,), (_cell_weight(*r),), float(val)))
     lin = problem.active_rows
     cells = [reps[c] for c in lin.classes.tolist()]
-    weight = np.where(i[opens] == j[opens], 1.0, 0.5)
+    weight = np.where(ri == rj, 1.0, 0.5)
     coeffs = (lin.coeffs * weight[lin.classes]).tolist()
     bounds = lin.starts.tolist()
     for a, e, rhs in zip(bounds, bounds[1:], lin.rhs.tolist()):
@@ -610,21 +610,19 @@ class _Round:
 
 
 class _ClassSystem:
-    """Affine structure of a moment problem in class coordinates."""
+    """Affine structure of a moment problem in class coordinates: what its
+    pinned table determines.  What the rows and the pinned mask determine
+    (the free classes, R and its factorisation) the propagation ``plan``
+    holds, and readers read it there."""
 
     def __init__(self, problem: MomentProblem):
         self.problem = problem
-        self.cell_class = problem.cell_class
-        self.rows = problem.active_rows
         self.known = problem.pinned_values()
         self.contradiction: str | None = None
         self._propagate()
-        # after a contradiction, callers read only ``known``
-        self.free, self.free_pos = self.plan.free, self.plan.free_pos
-        # set by factor_rows: the rhs b of R y = b (R is the plan's), R's
-        # factorisation and its solution of R y = b on the pivots
+        # set by factor_rows: the rhs b of R y = b (R is the plan's) and
+        # its solution on the pivots
         self.b: np.ndarray | None = None
-        self.factor: _RowFactor | None = None
         self._pivot_solution: np.ndarray | None = None
 
     # -- presolve ------------------------------------------------------------
@@ -644,15 +642,15 @@ class _ClassSystem:
         only when they differ from the kept one's.  A problem with
         linearized factor rows keeps its plan apart from the plan of the
         rows without them, which ``factorisation.pin_linearize`` reads."""
-        rows, known = self.rows, self.known
+        rows, known = self.problem.active_rows, self.known
         kmask = ~np.isnan(known)
         key = ("propagation_linearized" if len(self.problem.linear_factor_rows)
                else "propagation")
         structures = self.problem._structures
         plan = structures.get(key)
         if plan is None or not plan.fits(rows, kmask):
-            plan = structures[key] = _PropagationPlan(rows, kmask,
-                                                      self.cell_class)
+            plan = structures[key] = _PropagationPlan(
+                rows, kmask, self.problem.cell_class)
         self.plan = plan
         coeffs, rhs = rows.coeffs, rows.rhs
         for rnd in plan.rounds:
@@ -672,7 +670,7 @@ class _ClassSystem:
         self._pending = plan.pending
 
     def _row_evidence(self, r: int, resid: float) -> str:
-        rows = self.rows
+        rows = self.problem.active_rows
         e = slice(rows.starts[r], rows.starts[r + 1])
         terms = " + ".join(
             f"{c:g}*G[{render_word(self.problem.representative_key(int(k)))}]"
@@ -687,17 +685,12 @@ class _ClassSystem:
         """The value of every class: the known ones, and ``y_free`` on the
         free classes."""
         y = np.where(np.isnan(self.known), 0.0, self.known)
-        y[self.free] = y_free
+        y[self.plan.free] = y_free
         return y
-
-    def assemble(self, y_free: np.ndarray) -> np.ndarray:
-        # np.take gathers through the int32 cell classes without a cast
-        return np.take(self.class_values(y_free), self.cell_class)
 
     def factor_rows(self) -> tuple[bool, str]:
         """Reduce the pending rows to R y = b over the free classes and
-        check that it is solvable; keep ``b`` and ``factor``, the
-        :class:`_RowFactor` of R.
+        check that it is solvable; keep ``b``.
 
         R and its factorisation depend only on the rows and the mask, so
         the propagation plan holds them (:attr:`_PropagationPlan.R` and
@@ -708,32 +701,27 @@ class _ClassSystem:
         The minimum-norm solution ``y0`` and the kernel basis ``N`` are
         built on first read.
         """
-        self.b = self.plan.reduce(self.rows, self.known)
-        self.factor = self.plan.factor
-        y = self.factor.solve(self.b)
+        rows = self.problem.active_rows
+        self.b = self.plan.reduce(rows, self.known)
+        y = self.plan.factor.solve(self.b)
         _, cols, vals = self.plan.R
         resid = np.bincount(self.plan.R_row, weights=vals * y[cols],
                             minlength=len(self.b)) - self.b
         if len(resid):
             worst = int(np.abs(resid).argmax())
             if abs(resid[worst]) > LINEAR_TOL * (1.0 + np.abs(self.b).max()):
-                family = self.rows.families[self._pending[worst]]
+                family = rows.families[self._pending[worst]]
                 return False, (f"linear system inconsistent: {family} row "
                                f"residual {resid[worst]:.3e} after elimination")
         self._pivot_solution = y
         return True, ""
 
-    @property
-    def N(self) -> np.ndarray:
-        """An orthonormal basis of ker R (``_RowFactor.N``)."""
-        return self.factor.N
-
     @functools.cached_property
     def y0(self) -> np.ndarray:
         """The minimum-norm solution of R y = b: the solution on the
-        pivots less its part in the span of N."""
-        y = self._pivot_solution
-        return y - self.N @ (self.N.T @ y)
+        pivots less its part in the span of N (``_RowFactor.N``)."""
+        y, N = self._pivot_solution, self.plan.factor.N
+        return y - N @ (N.T @ y)
 
     # -- interlacing bound -----------------------------------------------------
 
@@ -832,12 +820,6 @@ class EngineRoute:
     def interior(self) -> bool:
         return self.entries <= INTERIOR_MAX_ENTRIES
 
-    @property
-    def engine(self) -> str:
-        if self.interior:
-            return "interior point"
-        return "none (too large for the interior point)"
-
 
 def _reduce(cs: _ClassSystem) -> list[np.ndarray]:
     """Per copy block U_b, C_b = U_b' X(y0) U_b, in the stacks of
@@ -864,7 +846,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     infinite primal infeasibility, since no primal point bounds t*.
     Without ``stop``, the solve runs to convergence."""
     C = _reduce(cs)
-    p = cs.factor.p
+    p = cs.plan.factor.p
     low = least_eigenvalue(C)
     start = np.zeros(p + 1)
     if stop is not None and low >= stop:
@@ -877,7 +859,7 @@ def _interior_phase1(cs: _ClassSystem, tol: float, stop: float | None = None):
     start[-1] = low - 1.0
     res = interior.solve_lmi(C, cs.plan.phase1_rows(cs.problem), b,
                              tol=tol * 1e-2, start=start, stop=stop)
-    return cs.class_values(cs.y0 + cs.N @ res.y[:p]), res
+    return cs.class_values(cs.y0 + cs.plan.factor.N @ res.y[:p]), res
 
 
 def propagated_values(problem: MomentProblem) -> tuple[np.ndarray, str | None]:
@@ -895,7 +877,7 @@ def _linear_verdict(cs: _ClassSystem, tol: float, margin: float
     if cs.contradiction is not None:
         return FeasibilityOutcome("infeasible", t_star=-np.inf,
                                   evidence=cs.contradiction)
-    if len(cs.free) == 0:
+    if len(cs.plan.free) == 0:
         # the one matrix of the affine set: its min eigenvalue is the
         # phase-1 optimum, and the interlacing bound's submatrix would be
         # all of it
@@ -960,7 +942,7 @@ def _engine_verdict(cs: _ClassSystem, tol: float, margin: float
     if not ok:
         # no point satisfies the rows, so t* = -inf
         return _verdict(problem, None, -np.inf, True, 0, tol, margin, reject=msg)
-    route = EngineRoute(cs.factor.p, problem.copy_blocks.sizes)
+    route = EngineRoute(cs.plan.factor.p, problem.copy_blocks.sizes)
     if not route.interior:
         return FeasibilityOutcome(
             "inconclusive", t_star=math.nan, route=route,
@@ -1004,15 +986,16 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
     ok, msg = cs.factor_rows()
     if not ok:
         raise SdpStructureError(f"infeasible problem: {msg}")
-    p = cs.factor.p
+    plan = cs.plan
+    p = plan.factor.p
     if not EngineRoute(p, problem.copy_blocks.sizes).interior:
         raise SdpStructureError("problem too large for the interior point")
     C = _reduce(cs)
-    c = np.zeros(len(cs.free))
+    c = np.zeros(len(plan.free))
     fixed_part = 0.0
     for cls, co in objective.items():
-        if cs.free_pos[cls] >= 0:
-            c[cs.free_pos[cls]] += co
+        if plan.free_pos[cls] >= 0:
+            c[plan.free_pos[cls]] += co
         else:
             fixed_part += co * cs.known[cls]
     if p == 0:  # the affine set is one matrix
@@ -1020,13 +1003,16 @@ def maximize_linear(problem: MomentProblem, objective: Mapping[int, float],
         if lam < -tol:
             raise SdpStructureError(f"infeasible problem: the one matrix of the "
                                     f"affine set has min eigenvalue {lam:.6g}")
-        return fixed_part + float(c @ cs.y0), cs.assemble(cs.y0)
-    res = interior.solve_lmi(C, cs.plan.phase1_rows(problem)[:p], cs.N.T @ c,
-                             tol=tol * 1e-2)
-    if max(res.rel_gap, res.primal_infeas, res.dual_infeas) > tol:
-        raise SdpStructureError(
-            f"interior point failed: {res.status} after {res.iterations} "
-            f"iterations (relative gap {res.rel_gap:.1e}, infeasibilities "
-            f"{res.primal_infeas:.1e} / {res.dual_infeas:.1e})")
-    y = cs.y0 + cs.N @ res.y
-    return fixed_part + float(c @ y), cs.assemble(y)
+        y = cs.y0
+    else:
+        res = interior.solve_lmi(C, plan.phase1_rows(problem)[:p],
+                                 plan.factor.N.T @ c, tol=tol * 1e-2)
+        if max(res.rel_gap, res.primal_infeas, res.dual_infeas) > tol:
+            raise SdpStructureError(
+                f"interior point failed: {res.status} after {res.iterations} "
+                f"iterations (relative gap {res.rel_gap:.1e}, infeasibilities "
+                f"{res.primal_infeas:.1e} / {res.dual_infeas:.1e})")
+        y = cs.y0 + plan.factor.N @ res.y
+    # np.take gathers through the int32 cell classes without a cast
+    return fixed_part + float(c @ y), np.take(cs.class_values(y),
+                                              problem.cell_class)

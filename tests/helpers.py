@@ -142,7 +142,7 @@ TRIANGLE_111 = ("triangle", (2, 2, 2), (1, 1, 1))
 def dense_rows(cs) -> np.ndarray:
     """The reduced rows of an ``sdp._ClassSystem`` as a dense matrix."""
     starts, cols, vals = cs.plan.R
-    R = np.zeros((len(starts) - 1, len(cs.free)))
+    R = np.zeros((len(starts) - 1, len(cs.plan.free)))
     for i in range(len(starts) - 1):
         for e in range(starts[i], starts[i + 1]):
             R[i, cols[e]] = vals[e]
@@ -849,12 +849,12 @@ def gram_range(cs) -> np.ndarray:
     ``sdp._ClassSystem`` whose rows are factored: the complement of the
     common kernel of every matrix of its affine set, found numerically,
     with the eigenvalues below 1e-10 of the largest taken as zero."""
-    X0 = cs.assemble(cs.y0)
+    X0 = cs.class_values(cs.y0)[cs.problem.cell_class]
     gram = X0 @ X0
     y = np.zeros(cs.problem.n_classes)
-    for j in range(cs.N.shape[1]):
-        y[cs.free] = cs.N[:, j]
-        D = y[cs.cell_class]
+    for j in range(cs.plan.factor.N.shape[1]):
+        y[cs.plan.free] = cs.plan.factor.N[:, j]
+        D = y[cs.problem.cell_class]
         gram += D @ D
     w, U = np.linalg.eigh(gram)
     return U[:, w > 1e-10 * w[-1]]
@@ -920,9 +920,9 @@ def loop_phase1_rows(cs) -> list[np.ndarray]:
     bases = dense_bases(cs.problem.copy_blocks)
     y = np.zeros(cs.problem.n_classes)
     out = [[] for _ in bases]
-    for j in range(cs.N.shape[1]):
-        y[cs.free] = cs.N[:, j]
-        D = y[cs.cell_class]
+    for j in range(cs.plan.factor.N.shape[1]):
+        y[cs.plan.free] = cs.plan.factor.N[:, j]
+        D = y[cs.problem.cell_class]
         for blocks, U in zip(out, bases):
             blocks.append(U.T @ D @ U)
     return [np.array(blocks) for blocks in out]
@@ -1032,16 +1032,16 @@ def single_block_phase1(cs, tol: float = 1e-7):
     Returns (status, primal objective, primal infeasibility)."""
     p = cs.problem
     V = relation_complement(p)
-    P, r = cs.N.shape[1], V.shape[1]
+    P, r = cs.plan.factor.N.shape[1], V.shape[1]
     B = np.empty((P, r, r))
     y = np.zeros(cs.problem.n_classes)
     for j in range(P):
-        y[cs.free] = cs.N[:, j]
-        B[j] = V.T @ y[cs.cell_class] @ V
+        y[cs.plan.free] = cs.plan.factor.N[:, j]
+        B[j] = V.T @ y[cs.problem.cell_class] @ V
     A = np.concatenate([-B, np.eye(r)[None]])
     b = np.zeros(P + 1)
     b[-1] = 1.0
-    C = V.T @ cs.assemble(cs.y0) @ V
+    C = V.T @ cs.class_values(cs.y0)[cs.problem.cell_class] @ V
     start = np.zeros(P + 1)
     start[-1] = np.linalg.eigvalsh(C)[0] - 1.0
     status, _y, p_obj, p_infeas = dense_solve_lmi(C, A, b, tol=tol * 1e-2,

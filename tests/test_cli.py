@@ -202,10 +202,19 @@ def test_reports_name_the_copy_blocks_and_the_engine_they_select(monkeypatch):
     assert "  copy blocks: [14, 9, 9, 9] (r = 41, sum r_b^2 = 439)" in report
     # 2**25 // 439 = 76433
     assert "p = dim ker R <= 76432 after the pins" in report
+    # a verdict the linear layers reach leaves no route: the engine
+    # section is one line, and no copy blocks are built for it
     code, report = run(["test", "--scenario", "bilocal", "--hierarchy",
                         "factorisation", "--n", "3", "shared_random_bit"])
-    assert "  gate: no phase-1 search (the linear layers leave none)" in report
-    assert "  symmetry: none used (decided before the phase-1 search)" in report
+    assert "\nengine: none run (decided before the phase-1 search)\n" in report
+    assert "copy blocks:" not in report and "  gate: " not in report
+    assert "  symmetry: " not in report
+    # so does the interlacing bound's reject of the triangle (2,2) SRB
+    built.clear()
+    code, report = run(["test", "--scenario", "triangle", "--hierarchy",
+                        "inflation", "--n", "2", "--m", "2", "shared_random_bit"])
+    assert code == EXIT_INFEASIBLE
+    assert built == []
 
 
 def test_info_says_when_the_blocks_alone_exceed_the_budget(monkeypatch):
@@ -240,8 +249,9 @@ def test_gate_line_names_no_engine_when_the_interlacing_bound_decides():
                         "inflation", "--n", "2", "--m", "2", "shared_random_bit"])
     assert code == EXIT_INFEASIBLE
     assert "(interlacing bound)" in report
-    assert ("  gate: no phase-1 search (the interlacing bound decides first)"
-            in report)
+    engine = [ln for ln in report.splitlines() if ln.startswith("engine")]
+    assert engine == ["engine: none run (decided before the phase-1 search)"]
+    assert "copy blocks:" not in report and "  gate: " not in report
     assert "-> interior point" not in report
 
 
@@ -502,6 +512,24 @@ def test_python_dash_m_runs_the_cli():
                          text=True, timeout=120)
     assert bad.returncode == EXIT_SCENARIO
     assert bad.stdout.startswith("error: n must be >= 1")
+
+
+def test_a_closed_stdout_pipe_ends_the_report_quietly():
+    # as under ``netnpa info ... | head -n 0``: the reader is gone before
+    # the report is written, and the exit code is the report's own
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "netnpa", "info", "--scenario",
+                             "bilocal", "--n", "2"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_FEASIBLE, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_a_presolve_verdict_loads_no_scipy(tmp_path):

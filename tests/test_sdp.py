@@ -238,10 +238,10 @@ def test_maximize_linear_over_one_matrix_returns_it(n):
     p = _one_matrix_problem(n)
     objective = {int(p.cell_class[0, 1]): 1.0}
     cs = _ClassSystem(p)
-    assert cs.factor_rows() == (True, "") and cs.N.shape[1] == 0
+    assert cs.factor_rows() == (True, "") and cs.plan.factor.N.shape[1] == 0
     value, X = maximize_linear(p, objective)
     assert abs(value - 0.3) <= 1e-12
-    assert np.array_equal(X, cs.assemble(cs.y0))
+    assert np.array_equal(X, cs.class_values(cs.y0)[cs.problem.cell_class])
     # 2 p - q for a second table q keeps every linear row, and its
     # G[A0] = 2*0.3 - 1 < 0 makes the one matrix indefinite
     q = _one_matrix_problem(n, alice=(1.0, 0.0))
@@ -366,7 +366,7 @@ def test_reduce_runs_no_eigendecomposition(monkeypatch):
     monkeypatch.undo()
     assert out.verdict == "feasible" and out.evidence.startswith("interior point")
     # the same LMI as on the Gram range, up to a rotation into the blocks
-    X0 = cs.assemble(cs.y0)
+    X0 = cs.class_values(cs.y0)[cs.problem.cell_class]
     blocked = np.sort(np.concatenate([np.linalg.eigvalsh(Cg).ravel() for Cg in C]))
     assert np.allclose(blocked, np.linalg.eigvalsh(V_gram.T @ X0 @ V_gram),
                        atol=1e-10)
@@ -446,15 +446,15 @@ def test_copy_blocks_block_diagonalise_c_and_every_direction(name):
     assert cs.factor_rows() == (True, "")
     blocks = p.copy_blocks
     rows = block_list(blocks, packed_stacks(cs.plan.phase1_rows(p), blocks))
-    off, diag = _off_block(blocks, cs.assemble(cs.y0))
+    off, diag = _off_block(blocks, cs.class_values(cs.y0)[cs.problem.cell_class])
     assert off <= 1e-10
     # the blocks from one word per orbit are the diagonal blocks
     C = block_list(blocks, _reduce(cs))
     assert all(np.abs(Cb - G).max() <= 1e-10 for Cb, G in zip(C, diag))
     y = np.zeros(cs.problem.n_classes)
-    for j in range(cs.N.shape[1]):
-        y[cs.free] = cs.N[:, j]
-        off, diag = _off_block(blocks, y[cs.cell_class])
+    for j in range(cs.plan.factor.N.shape[1]):
+        y[cs.plan.free] = cs.plan.factor.N[:, j]
+        off, diag = _off_block(blocks, y[cs.problem.cell_class])
         assert off <= 1e-10
         assert all(np.abs(-A[j] - G).max() <= 1e-10 for A, G in zip(rows, diag))
 
@@ -487,7 +487,7 @@ def test_phase1_rows_match_a_dense_loop_over_the_directions(name, order):
         assert min(blocks.sizes) == 1 and 2 in blocks.sizes
     rows = block_list(blocks, packed_stacks(cs.plan.phase1_rows(q), blocks))
     ref = loop_phase1_rows(cs)
-    assert cs.factor.p > 0
+    assert cs.plan.factor.p > 0
     for A, B in zip(rows, ref):
         assert np.abs(-A[:-1] - B).max() <= 1e-13
         assert np.array_equal(A[-1], np.eye(len(B[0])))
@@ -507,10 +507,10 @@ def test_blocks_of_one_size_share_one_stack_whatever_their_shape():
         ([0], 50, 14, slice(0, 1))]
     C = _reduce(cs)
     assert [G.shape for G in C] == [(3, 9, 9), (1, 14, 14)]
-    ref = dense_congruence(blocks, cs.assemble(cs.y0))
+    ref = dense_congruence(blocks, cs.class_values(cs.y0)[cs.problem.cell_class])
     assert all(np.abs(G - R).max() <= 1e-10 for G, R in zip(block_list(blocks, C), ref))
     # the interior point reads the same stacks: 3 * 9^2 + 14^2 columns
-    assert cs.plan.phase1_rows(p).shape == (cs.factor.p + 1, 439)
+    assert cs.plan.phase1_rows(p).shape == (cs.plan.factor.p + 1, 439)
 
 
 @pytest.mark.parametrize("name", ["standard", "scalar", "restricted-inflation"])
@@ -622,12 +622,13 @@ def test_born_tables_have_an_interior_and_converge(seed):
 def test_maximize_linear_reaches_the_optimum_on_pinned_problems(name, count):
     p = _phase1_problem(name)
     cs = _ClassSystem(p)
-    for cls in cs.free[:count].tolist():
+    for cls in cs.plan.free[:count].tolist():
         hi, X_hi = maximize_linear(p, {cls: 1.0})
         lo, X_lo = maximize_linear(p, {cls: -1.0})
         assert -lo <= hi + 1e-7
         for value, X in ((hi, X_hi), (-lo, X_lo)):
-            assert abs(p.class_average(X)[cls] - value) <= 1e-7
+            assert abs(moment.MomentAssignment(p, X).class_values()[cls]
+                       - value) <= 1e-7
             assert np.linalg.eigvalsh(X)[0] >= -1e-7
 
 
@@ -642,16 +643,16 @@ def test_maximize_linear_reaches_the_optimum_on_a_problem_without_interior():
                          point_distribution(Scenario(*sc), (0, 0, 0)))
     cs = _ClassSystem(p)
     assert cs.factor_rows() == (True, "")
-    assert cs.factor.p == 66
+    assert cs.plan.factor.p == 66
     _y, res = _interior_phase1(cs, DEFAULT_TOL)
     assert res.status == "optimal"
     assert max(abs(res.dual_obj), abs(res.primal_obj)) <= 1e-9
-    c = np.zeros(len(cs.free))
+    c = np.zeros(len(cs.plan.free))
     c[0] = 1.0
     with pytest.raises(ValueError, match="not positive definite"):
-        interior.solve_lmi(_reduce(cs), cs.plan.phase1_rows(p)[:-1], cs.N.T @ c,
+        interior.solve_lmi(_reduce(cs), cs.plan.phase1_rows(p)[:-1], cs.plan.factor.N.T @ c,
                            start=res.y[:-1])
-    for cls, value in zip(cs.free[:4].tolist(), (1.0, 0.0, 0.0, 0.0)):
+    for cls, value in zip(cs.plan.free[:4].tolist(), (1.0, 0.0, 0.0, 0.0)):
         hi, X_hi = maximize_linear(p, {cls: 1.0})
         lo, X_lo = maximize_linear(p, {cls: -1.0})
         assert abs(hi + lo) <= 1e-12
@@ -753,7 +754,7 @@ def test_a_dual_start_reaches_the_cold_start_optimum():
     cs = _ClassSystem(_phase1_problem("chsh:0.725"))
     assert cs.factor_rows() == (True, "")
     C, A = _reduce(cs), cs.plan.phase1_rows(cs.problem)
-    b = np.zeros(cs.N.shape[1] + 1)
+    b = np.zeros(cs.plan.factor.N.shape[1] + 1)
     b[-1] = 1.0
     cold = interior.solve_lmi(C, A, b, tol=1e-9)
     start = b * (moment.least_eigenvalue(C) - 1.0)
@@ -880,7 +881,7 @@ def test_a_stop_the_solve_never_reaches_changes_nothing():
     cs = _ClassSystem(_phase1_problem("chsh:0.725"))
     assert cs.factor_rows() == (True, "")
     C, A = _reduce(cs), cs.plan.phase1_rows(cs.problem)
-    b = np.zeros(cs.N.shape[1] + 1)
+    b = np.zeros(cs.plan.factor.N.shape[1] + 1)
     b[-1] = 1.0
     start = b * (moment.least_eigenvalue(C) - 1.0)
     plain = interior.solve_lmi(C, A, b, tol=1e-9, start=start)
@@ -932,7 +933,7 @@ def test_outcomes_carry_the_route_of_the_engine_that_ran(monkeypatch):
     cs = _ClassSystem(q)
     assert cs.factor_rows() == (True, "")
     route = solve_feasibility(p).route
-    assert route == sdp.EngineRoute(cs.N.shape[1], q.copy_blocks.sizes)
+    assert route == sdp.EngineRoute(cs.plan.factor.N.shape[1], q.copy_blocks.sizes)
     assert route.interior
     # over the budget, no engine runs: the outcome names the gate quantity
     def refuse(*_args, **_kwargs):
@@ -1036,7 +1037,7 @@ def test_presolve_matches_the_loop_reference(name):
         return
     assert np.array_equal(cs.known, known, equal_nan=True)
     assert cs._pending.tolist() == pending
-    R, b = cs.plan.R, cs.plan.reduce(cs.rows, cs.known)
+    R, b = cs.plan.R, cs.plan.reduce(cs.problem.active_rows, cs.known)
     R_ref, b_ref = loop_reduced_rows(p, known, pending)
     for got, want in zip(R, R_ref):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -1058,7 +1059,7 @@ def _with_rows(rows):
     pinned class and two classes the presolve leaves free."""
     p = _presolve_problem("chsh")
     one = p.class_of_cell(EMPTY_WORD, EMPTY_WORD)
-    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    x, y = (int(c) for c in _ClassSystem(p).plan.free[:2])
     return dataclasses.replace(p, linear_factor_rows=rows(one, x, y)), x, y
 
 
@@ -1205,7 +1206,7 @@ def test_one_plan_per_row_structure_over_a_stream(monkeypatch, hierarchy, plans)
 def test_a_changed_mask_or_zero_pattern_makes_a_new_plan(monkeypatch):
     p, _obj = chsh_problem_and_objective()
     p = dataclasses.replace(p)
-    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    x, y = (int(c) for c in _ClassSystem(p).plan.free[:2])
     calls = _count_plans(monkeypatch)
 
     def check(q, made):
@@ -1266,7 +1267,7 @@ def test_fully_determined_n3_solve_takes_one_eigendecomposition(monkeypatch,
                          uniform_product(BILOCAL))
     if p.factor_pairs:
         p = factorisation.pin_linearize(p)
-    assert len(_ClassSystem(p).free) == 0
+    assert len(_ClassSystem(p).plan.free) == 0
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -1333,15 +1334,15 @@ def test_factor_rows_match_an_svd_reference(name):
     u, s, vt = np.linalg.svd(R, full_matrices=False)
     rank = int((s > s[0] * max(R.shape) * np.finfo(float).eps).sum())
     y_ref = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    assert cs.N.shape == (len(cs.free), len(cs.free) - rank)
+    assert cs.plan.factor.N.shape == (len(cs.plan.free), len(cs.plan.free) - rank)
     assert np.abs(cs.y0 - y_ref).max() <= 1e-10
-    assert np.abs(R @ cs.N).max() <= 1e-12
-    assert np.abs(cs.N.T @ cs.N - np.eye(cs.N.shape[1])).max() <= 1e-12
+    assert np.abs(R @ cs.plan.factor.N).max() <= 1e-12
+    assert np.abs(cs.plan.factor.N.T @ cs.plan.factor.N - np.eye(cs.plan.factor.N.shape[1])).max() <= 1e-12
 
 
 def test_inconsistent_rows_are_an_infeasibility_certificate():
     p, _obj = chsh_problem_and_objective()
-    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    x, y = (int(c) for c in _ClassSystem(p).plan.free[:2])
     rows = FlatRows.padded([[x, y], [x, y]], [[1.0, 1.0], [1.0, 1.0]],
                            [1.0, 2.0], ["added", "added"])
     out = solve_feasibility(dataclasses.replace(p, linear_factor_rows=rows))
@@ -1372,7 +1373,7 @@ def _x_plus_y_rows(p, x, y, coeffs, rhs):
 def test_factorisation_is_kept_until_the_rows_change(monkeypatch):
     p, _obj = chsh_problem_and_objective()
     p = dataclasses.replace(p)
-    x, y = (int(c) for c in _ClassSystem(p).free[:2])
+    x, y = (int(c) for c in _ClassSystem(p).plan.free[:2])
     calls = _count_eliminations(monkeypatch)
     first = _ClassSystem(_x_plus_y_rows(p, x, y, [[1.0, 1.0], [1.0, 1.0]],
                                         [1.0, 1.0]))
@@ -1391,8 +1392,8 @@ def test_factorisation_is_kept_until_the_rows_change(monkeypatch):
                                           [1.0, 2.0]))
     assert changed.factor_rows() == (True, "")
     assert len(calls) == 2
-    assert changed.factor is not first.factor
-    assert p._structures["propagation_linearized"].factor is changed.factor
+    assert changed.plan.factor is not first.plan.factor
+    assert p._structures["propagation_linearized"].factor is changed.plan.factor
 
 
 def test_distributions_pinned_on_one_problem_share_one_factorisation(monkeypatch):
@@ -1403,7 +1404,7 @@ def test_distributions_pinned_on_one_problem_share_one_factorisation(monkeypatch
         assert cs.factor_rows() == (True, "")
         assert solve_feasibility(cs.problem).verdict == "feasible"
     assert len(calls) == 1
-    assert systems[0].factor is systems[1].factor
+    assert systems[0].plan.factor is systems[1].plan.factor
     # the interior point's constraint rows are built once per plan
     assert systems[0].plan.phase1_rows(systems[0].problem) \
         is systems[1].plan.phase1_rows(systems[1].problem)
@@ -1449,7 +1450,7 @@ def test_interlacing_words_are_kept_until_the_known_mask_changes(monkeypatch):
     assert kept.interlacing is words
     # a second pin that makes one more class known chooses again
     extra = first.problem.derive(
-        pinned={**first.problem.pinned, int(first.free[0]): 0.25})
+        pinned={**first.problem.pinned, int(first.plan.free[0]): 0.25})
     cs = _ClassSystem(extra)
     got = cs.known_submatrix_bound()
     assert len(calls) == 2 and base._structures["propagation"] is not kept
@@ -1492,12 +1493,12 @@ def test_cached_factorisation_matches_a_fresh_one(name):
     assert _ClassSystem(warm).factor_rows() == (True, "")
     cached, fresh = _ClassSystem(p), _ClassSystem(dataclasses.replace(p))
     assert cached.factor_rows() == (True, "") and fresh.factor_rows() == (True, "")
-    assert cached.factor is p._structures["propagation"].factor \
+    assert cached.plan.factor is p._structures["propagation"].factor \
         is warm._structures["propagation"].factor
-    assert fresh.factor is not cached.factor
+    assert fresh.plan.factor is not cached.plan.factor
     assert np.abs(cached.y0 - fresh.y0).max() <= 1e-12
-    assert cached.N.shape == fresh.N.shape
-    assert np.abs(cached.N - fresh.N @ (fresh.N.T @ cached.N)).max() <= 1e-10
+    assert cached.plan.factor.N.shape == fresh.plan.factor.N.shape
+    assert np.abs(cached.plan.factor.N - fresh.plan.factor.N @ (fresh.plan.factor.N.T @ cached.plan.factor.N)).max() <= 1e-10
     got, want = solve_feasibility(p), solve_feasibility(dataclasses.replace(p))
     assert (got.verdict, got.evidence) == (want.verdict, want.evidence)
     assert abs(got.t_star - want.t_star) <= 1e-9
@@ -1509,13 +1510,13 @@ def test_the_plan_owns_one_factorisation_in_the_elimination_order(monkeypatch):
     for seed in range(20):
         cs = _ClassSystem(pin_distribution(base, _born(seed)))
         assert cs.factor_rows() == (True, "")
-        assert cs.factor is cs.plan.factor is base._structures["propagation"].factor
+        assert cs.plan.factor is base._structures["propagation"].factor
     assert len(calls) == 1
     for name in CACHE_CASES:
         cs = _ClassSystem(_cache_problems(name)[1])
         assert cs.factor_rows() == (True, "")
         # the LU keeps the elimination's column order
-        lu = cs.factor.lu
+        lu = cs.plan.factor.lu
         assert np.array_equal(lu.perm_c, np.arange(lu.shape[1]))
         starts, cols, vals = cs.plan.R
         m = len(cs.b)
