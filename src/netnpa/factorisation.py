@@ -56,7 +56,7 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
     known, _contradiction = _sdp.propagated_values(problem)
     # a contradiction among pins alone is legitimate output: the linearized
     # problem will expose it to the solver
-    prod, row, col = factor_classes(pairs).T
+    prod, row, col = problem.factor_class_triples.T
     lhs, rhs = known[row], known[col]
     has_lhs, has_rhs = ~np.isnan(lhs), ~np.isnan(rhs)
     both = has_lhs & has_rhs
@@ -78,8 +78,8 @@ def pin_linearize(problem: MomentProblem) -> MomentProblem:
 def verify_factorisation(assignment: MomentAssignment) -> float:
     """Max residual |G_prod - G_row * G_col| over the factor families."""
     problem = assignment.problem
-    return product_residual(assignment.class_values(), factor_classes(
-        problem.factor_pairs + problem.factor_triples))
+    return product_residual(assignment.class_values(),
+                            problem.factor_class_triples)
 
 
 def _frozen_rows(pairs: tuple[FactorConstraint, ...],

@@ -31,16 +31,18 @@ equal size over as one (n, k, k) stack, in the layout that
 ``moment.CopyBlocks.stacks`` decides, and the solver keeps it: each size
 takes one product chain and one T T' for its share of the Schur
 complement and one batched ``eigvalsh`` per step length.  The Cholesky
-factors of every size, 1 x 1 included, come from LAPACK directly, one
-matrix at a time.
+factors of every size, 1 x 1 included, and their inverses come from
+``numpy.linalg``, one call per stack.
 
 The solver is dense within each block and meant for the reduced problems
 of ``sdp``, which are small after the affine and structural-kernel
 eliminations and split further into copy-symmetry blocks.  Near an
 optimum whose dual solution is not unique, the Schur complement has
 directions of size O(mu) against O(1/mu), and rounding can leave it
-indefinite; it is then factored with the least diagonal shift that
-works, and each solve with that factor takes one refinement step.  There
+indefinite; it is then shifted by the least multiple of the identity
+that gives it a Cholesky factor, and each solve with the shifted matrix
+takes one refinement step.  The solves are LU solves
+(``numpy.linalg.solve``), backward stable as Cholesky solves are.  There
 rounding can also leave a new iterate's X or S without a Cholesky
 factor; that step is retried once at half its lengths.  It does not
 raise on numerical breakdown: a failed factorisation ends the run with
@@ -50,7 +52,7 @@ objective is its multiplier t, needs only a dual point good enough for
 its purpose: it passes ``stop``, and the run ends (status ``target``) at
 the first iterate where t + lambda_min(S) reaches it, since C - A'(y)
 without the t row is then S + t*1, at least ``stop`` on every block.
-scipy is imported on the first solve, not with the module.
+Every factorisation and solve is numpy's.
 """
 
 from __future__ import annotations
@@ -104,36 +106,34 @@ def _steps(L_inv: Sequence[np.ndarray], dX: Sequence[np.ndarray],
     return tuple(-1.0 / v if v < 0 else np.inf for v in lam)
 
 
-def _cholesky(stacks: Iterable[np.ndarray], lapack) -> list | None:
+def _cholesky(stacks: Iterable[np.ndarray]) -> list | None:
     """For each stack of symmetric matrices, the pair (the Cholesky factors
     L of its matrices, their inverses), or None when one matrix is not
-    positive definite.  Every stack, whatever its block size, is factored
-    by LAPACK (``dpotrf``, ``dtrtri``), one matrix at a time."""
+    positive definite.  Every stack, whatever its block size, takes one
+    ``numpy.linalg.cholesky`` and one ``numpy.linalg.inv``."""
     out = []
     for stack in stacks:
-        L = np.empty_like(stack)
-        L_inv = np.empty_like(stack)
-        for i, M in enumerate(stack):
-            F, info = lapack.dpotrf(M, lower=1)
-            if info:
-                return None
-            L[i] = F
-            L_inv[i], info = lapack.dtrtri(F, lower=1)
-            if info:
-                return None
-        out.append((L, L_inv))
+        try:
+            L = np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            return None
+        out.append((L, np.linalg.inv(L)))
     return out
 
 
-def _shifted_cholesky(M: np.ndarray, lapack) -> tuple[np.ndarray, float] | None:
-    """The lower Cholesky factor of M + d*I and d, for the least d in 0,
-    eps*max(diag M)*10^k (k = 0..7) that makes it positive definite
-    (Nocedal and Wright, "Numerical Optimization", Algorithm 3.3)."""
+def _shifted(M: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """M + d*I and d, for the least d in 0, eps*max(diag M)*10^k (k =
+    0..7) that gives M + d*I a Cholesky factor (Nocedal and Wright,
+    "Numerical Optimization", Algorithm 3.3)."""
     top = float(np.diagonal(M).max(initial=0.0))
     for shift in [0.0] + [np.finfo(float).eps * top * 10 ** k for k in range(8)]:
-        L, info = lapack.dpotrf(M + shift * np.eye(len(M)), lower=1)
-        if not info and np.isfinite(L).all():
-            return L, shift
+        Ms = M + shift * np.eye(len(M)) if shift else M
+        try:
+            L = np.linalg.cholesky(Ms)
+        except np.linalg.LinAlgError:
+            continue
+        if np.isfinite(L).all():
+            return Ms, shift
     return None
 
 
@@ -165,8 +165,6 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
     reaches ``stop``, since lambda_min(S) <= min diag(S).  A solve that
     never reaches ``stop`` runs exactly as one without it.
     """
-    from scipy.linalg import lapack
-
     r = sum(Cg.shape[0] * Cg.shape[1] for Cg in C)
     bounds = np.cumsum([0] + [Cg.size for Cg in C])
 
@@ -192,24 +190,29 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         eta = max(10.0, np.sqrt(r), norm_c, float(np.max(norm_a, initial=0.0)))
         X, S = eye(xi), eye(eta)
         y = np.zeros(len(b))
+        # X_g and S_g factored as one stack [X_g; S_g] per size
+        factors = _cholesky(map(np.concatenate, zip(X, S)))
     else:
         y = np.array(start, dtype=float)
         S = [_sym(Cg - Ay) for Cg, Ay in zip(C, split(y @ A))]
-        factors = _cholesky(S, lapack)
-        if factors is None:
+        s_factors = _cholesky(S)
+        if s_factors is None:
             raise ValueError("start: C - A'(y) is not positive definite")
         # X S = I / tr S^-1: on the central path, at trace one
-        S_inv = [_sym(np.swapaxes(Li, 1, 2) @ Li) for _, Li in factors]
+        S_inv = [_sym(np.swapaxes(Li, 1, 2) @ Li) for _, Li in s_factors]
         trace = sum(float(np.trace(Si, axis1=1, axis2=2).sum()) for Si in S_inv)
         X = [Si / trace for Si in S_inv]
+        # the stacks [X_g; S_g] of the loop, S_g's factors kept from above
+        x_factors = _cholesky(X)
+        factors = None if x_factors is None else [
+            (np.concatenate([Lx, Ls]), np.concatenate([Lx_inv, Ls_inv]))
+            for (Lx, Lx_inv), (Ls, Ls_inv) in zip(x_factors, s_factors)]
 
     def result(status: str, it: int) -> LmiResult:
         return LmiResult(status, y, float(c @ _flat(X)), float(b @ y),
                          float(np.linalg.norm(rp) / (1 + norm_b)),
                          float(np.linalg.norm(_flat(Rd)) / (1 + norm_c)), it)
 
-    # X_g and S_g factored as one stack [X_g; S_g] per size
-    factors = _cholesky(map(np.concatenate, zip(X, S)), lapack)
     for it in range(MAX_ITER + 1):
         rp = b - A @ _flat(X)
         Rd = [Cg - Sg - Ay for Cg, Sg, Ay in zip(C, S, split(y @ A))]
@@ -235,7 +238,7 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         for Li, Ag, L, Tg in zip(Ls_inv, As, Lx, Ts):
             np.matmul(Li @ Ag, L, out=Tg)
         M = T @ T.T
-        factor = _shifted_cholesky(M, lapack)
+        factor = _shifted(M)
         if factor is None:
             return result("stalled", it)
         schur, shift = factor
@@ -245,11 +248,10 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         def direction(G):
             # HKM: dX = G - sym(X dS S^-1), dS = Rd - A'(dy), A(dX) = rp
             v = rhs - A @ _flat(G)
-            dy, info = lapack.dpotrs(schur, v, lower=1)
-            if info:
-                raise ValueError(f"dpotrs: illegal argument {-info}")
+            # no explicit inverse: near an optimum it is not backward stable
+            dy = np.linalg.solve(schur, v)
             if shift:
-                dy += lapack.dpotrs(schur, v - M @ dy, lower=1)[0]
+                dy += np.linalg.solve(schur, v - M @ dy)
             dS = [Rg - Ay for Rg, Ay in zip(Rd, split(dy @ A))]
             dX = [Gg - _sym(Xg @ dSg @ Si)
                   for Gg, Xg, dSg, Si in zip(G, X, dS, S_inv)]
@@ -271,7 +273,7 @@ def solve_lmi(C: Sequence[np.ndarray], A: np.ndarray, b: np.ndarray,
         for scale in (1.0, 0.5):
             X_new = [_sym(Xg + scale * ap * d) for Xg, d in zip(X, dX)]
             S_new = [_sym(Sg + scale * ad * d) for Sg, d in zip(S, dS)]
-            factors = _cholesky(map(np.concatenate, zip(X_new, S_new)), lapack)
+            factors = _cholesky(map(np.concatenate, zip(X_new, S_new)))
             if factors is not None:
                 break
         X, S, y = X_new, S_new, y + scale * ad * dy

@@ -184,6 +184,94 @@ class FlatRows:
 
 NO_ROWS = FlatRows.padded(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), ())
 
+# the most entries a product of SparseRows with a dense matrix gathers at once
+GATHER_ENTRIES = 2 ** 18
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """A sparse matrix of ``shape`` held as flat numpy arrays, row after
+    row (the CSR layout): row i holds ``data[indptr[i]:indptr[i + 1]]`` at
+    the columns ``indices[indptr[i]:indptr[i + 1]]``.
+
+    A product with a dense vector or matrix (:meth:`dot`) gathers row by
+    row: the rows are grouped by their length rounded up to a power of
+    two, each padded to it with zero coefficients at its first column, and
+    each group is one (width, rows) gather and one sum over the width, for
+    a matrix a chunk of at most ``GATHER_ENTRIES`` gathered entries at a
+    time."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def rows(self, at: slice) -> SparseRows:
+        """The rows ``at`` (a slice of step 1)."""
+        a, e = self.indptr[at.start], self.indptr[at.stop]
+        return SparseRows(self.data[a:e], self.indices[a:e],
+                          self.indptr[at.start:at.stop + 1] - a,
+                          (at.stop - at.start, self.shape[1]))
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros(self.shape)
+        M[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)),
+          self.indices] = self.data
+        return M
+
+    def columns(self, keep: np.ndarray) -> SparseRows:
+        """The columns ``keep`` (distinct), in that order."""
+        at = np.full(self.shape[1], -1, dtype=np.intp)
+        at[keep] = np.arange(len(keep))
+        col = at[self.indices]
+        kept = col >= 0
+        row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))[kept]
+        return SparseRows(self.data[kept], col[kept], np.concatenate(
+            [np.zeros(1, np.intp),
+             np.cumsum(np.bincount(row, minlength=self.shape[0]))]),
+            (self.shape[0], len(keep)))
+
+    @functools.cached_property
+    def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(rows, their padded columns, their padded coefficients) per
+        width w, ascending, each padded array (w, rows), slot after slot;
+        empty rows are in none."""
+        sizes = np.diff(self.indptr)
+        filled = sizes > 0
+        width = np.zeros_like(sizes)
+        width[filled] = 1 << np.ceil(np.log2(sizes[filled])).astype(np.intp)
+        groups = []
+        for w in np.unique(width[filled]).tolist():
+            rows = np.flatnonzero(width == w)
+            first = self.indptr[rows]
+            real = np.arange(w)[:, None] < sizes[rows]
+            at = (first + np.arange(w)[:, None])[real]
+            cols = np.repeat(self.indices[first][None], w, axis=0)
+            cols[real] = self.indices[at]
+            vals = np.zeros((w, len(rows)))
+            vals[real] = self.data[at]
+            groups.append((rows, cols, vals))
+        return tuple(groups)
+
+    def dot(self, y: np.ndarray, rows: slice | None = None) -> np.ndarray:
+        """The product with y, (shape[1],) or (shape[1], P), on the rows
+        ``rows`` (a slice of step 1; None: all)."""
+        a, e = (0, self.shape[0]) if rows is None else (rows.start, rows.stop)
+        out = np.zeros((e - a,) + y.shape[1:])
+        for at, cols, vals in self._groups:
+            if rows is not None:
+                lo, hi = np.searchsorted(at, (a, e))
+                at, cols, vals = at[lo:hi] - a, cols[:, lo:hi], vals[:, lo:hi]
+            if y.ndim == 1:
+                out[at] = np.einsum("ij,ij->j", vals, np.take(y, cols))
+                continue
+            step = max(1, GATHER_ENTRIES // (len(cols) * y.shape[1]))
+            for i in range(0, len(at), step):
+                out[at[i:i + step]] = np.einsum(
+                    "ij,ijk->jk", vals[:, i:i + step],
+                    np.take(y, cols[:, i:i + step], axis=0))
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class CopyBlocks:
@@ -197,15 +285,15 @@ class CopyBlocks:
     word j of one orbit O of the group the problem's ``generators``
     generate, with s = +-1 and s = +1 at the orbit's least word.  ``sums``
     holds the columns of every Q_b as the rows of one sparse (k, dim)
-    matrix, block after block, each row's words ascending, so its first
-    is the orbit's least word and its count is |O|; ``columns`` holds the
-    columns of each block and ``complements`` its dense W_b, (k_b, r_b),
-    None for W_b = I.  No dense (dim, k_b) basis is held.  Without
-    generators the group is trivial: every word is its own orbit, there
-    is one block, Q = I, and ``sums`` is None (so a problem that only
-    reports its block sizes, or reads its one block from one vector,
-    never loads scipy), and the one copy block is W alone, an orthonormal
-    basis of the whole complement.
+    matrix (:class:`SparseRows`, (k, dim)), block after block, each row's
+    words ascending, so its first is the orbit's least word and its count
+    is |O|; ``columns`` holds the columns of each block and
+    ``complements`` its dense W_b, (k_b, r_b), None for W_b = I.  No dense
+    (dim, k_b) basis is held.  Without generators the group is trivial:
+    every word is its own orbit, there is one block, Q = I, and ``sums``
+    is None (so a problem that only reports its block sizes, or reads its
+    one block from one vector, builds no map), and the one copy block is
+    W alone, an orthonormal basis of the whole complement.
 
     Each Q_b is a joint eigenspace of the generators: Q_b[pi] = +-Q_b for
     every generator's index permutation pi, and every moment matrix X has
@@ -218,7 +306,7 @@ class CopyBlocks:
     U_b' X U_b from class values.
     """
 
-    sums: object                       # scipy.sparse CSR, (k, dim), or None
+    sums: SparseRows | None            # (k, dim)
     columns: tuple[slice, ...]
     complements: tuple[np.ndarray | None, ...]
     cell_class: np.ndarray             # the problem's, (dim, dim)
@@ -238,9 +326,10 @@ class CopyBlocks:
         the groups of one size fill one stack in that order: the stacks
         that :meth:`congruences` returns, one per size, ascending, and that
         :func:`least_eigenvalue` and ``interior.solve_lmi`` read as they
-        are.  A block takes k_b^2 rows, entry (c, d) at row c k_b + d, and
-        the groups take theirs in order, so a group's rows are one
-        contiguous run."""
+        are.  Q_b' X Q_b is symmetric, so a block takes k_b (k_b + 1) / 2
+        rows, its upper triangle row after row (entry (c, d), c <= d,
+        before (c, d + 1) and (c + 1, c + 1)), and the groups take theirs
+        in order, so a group's rows are one contiguous run."""
         shapes: dict[tuple, list[int]] = {}
         for b, (c, W) in enumerate(zip(self.columns, self.complements)):
             shapes.setdefault((c.stop - c.start, None if W is None else W.shape[1]),
@@ -252,32 +341,55 @@ class CopyBlocks:
             n = filled.get(r, 0)
             filled[r] = n + len(blocks)
             W = None if w is None else np.stack([self.complements[b] for b in blocks])
-            out.append((blocks, slice(at, at := at + len(blocks) * k * k), k, W, r,
-                        slice(n, n + len(blocks))))
+            out.append((blocks, slice(at, at := at + len(blocks) * k * (k + 1) // 2),
+                        k, W, r, slice(n, n + len(blocks))))
         return tuple(out)
 
     @functools.cached_property
-    def class_map(self):
-        """T, the sparse (sum_b k_b^2, classes) map from class values y to
-        the entries of every Q_b' X Q_b for X = y[cell_class], in the rows of
-        :attr:`stacks`: row (c, d) of a block holds sqrt(|O_c|) s_d(j) at
-        the class of cell (i_c, j) for every word j of O_d, each class's
-        repeats summed.  Without generators every word is its own orbit.
-        Built on first use and kept with the blocks."""
-        import scipy.sparse
+    def _squares(self) -> dict[int, np.ndarray]:
+        """For each k_b, the row of every entry (c, d) of a k_b x k_b
+        symmetric matrix, row after row, in its upper triangle row after
+        row: the gather that reads a block's square from its rows of
+        :attr:`class_map`."""
+        out = {}
+        for k in {k for _, _, k, *_ in self.stacks}:
+            at = np.empty((k, k), dtype=np.intp)
+            i, j = np.triu_indices(k)
+            at[i, j] = at[j, i] = np.arange(len(i))
+            out[k] = at.reshape(-1)
+        return out
 
-        sums = (scipy.sparse.identity(len(self.cell_class), format="csr")
-                if self.sums is None else self.sums)
+    @functools.cached_property
+    def class_map(self) -> SparseRows:
+        """T, the sparse (sum_b k_b (k_b + 1) / 2, classes) map from class
+        values y to the upper triangle of every Q_b' X Q_b for X =
+        y[cell_class], in the rows of :attr:`stacks`: row (c, d) of a
+        block, c <= d, holds sqrt(|O_c|) s_d(j) at the class of cell (i_c,
+        j) for every word j of O_d, each class's repeats summed.  Without
+        generators every word is its own orbit.  Built on first use and
+        kept with the blocks."""
+        dim = len(self.cell_class)
+        sums = (SparseRows(np.ones(dim), np.arange(dim), np.arange(dim + 1),
+                           (dim, dim)) if self.sums is None else self.sums)
         n_classes = int(self.cell_class.max()) + 1
-        parts = []
-        for S in [sums[self.columns[b]] for blocks, *_ in self.stacks for b in blocks]:
+        # each block's repeats are summed on its own rows, so that no more
+        # than one block's entries are held before summing
+        indptr, classes, values, at = [np.zeros(1, np.intp)], [], [], 0
+        for S in [sums.rows(self.columns[b]) for blocks, *_ in self.stacks for b in blocks]:
             k, size = S.shape[0], np.diff(S.indptr)
-            cls = self.cell_class[np.ix_(S.indices[S.indptr[:-1]], S.indices)]
-            at = np.arange(k)[:, None] * k + np.repeat(np.arange(k), size)
-            parts.append(scipy.sparse.csr_matrix(
-                ((np.sqrt(size)[:, None] * S.data).ravel(), (at.ravel(), cls.ravel())),
-                shape=(k * k, n_classes)))
-        return scipy.sparse.vstack(parts, format="csr")
+            c, d = np.arange(k)[:, None], np.repeat(np.arange(k), size)
+            upper = c <= d
+            starts, cls, vals = _summed_rows(
+                (c * k - c * (c - 1) // 2 + d - c)[upper],
+                self.cell_class[np.ix_(S.indices[S.indptr[:-1]], S.indices)][upper],
+                (np.sqrt(size)[:, None] * S.data)[upper], k * (k + 1) // 2, n_classes)
+            indptr.append(starts[1:] + at)
+            classes.append(cls)
+            values.append(vals)
+            at += len(vals)
+        indptr = np.concatenate(indptr)
+        return SparseRows(np.concatenate(values), np.concatenate(classes), indptr,
+                          (len(indptr) - 1, n_classes))
 
     def congruences(self, values: np.ndarray,
                     classes: np.ndarray | None = None) -> list[np.ndarray]:
@@ -288,32 +400,42 @@ class CopyBlocks:
         per size, one X per column.  With ``classes``, ``values`` holds the
         values of those classes alone and the others are zero.
 
-        The pre-W_b entries of every block are read at once, T y
-        (:attr:`class_map`), or, without generators and ``classes``,
-        y[cell_class] itself; then each group takes its W_b as one batch.
-        The columns of ``values`` are read a chunk at a time, so that the
-        entries held at once, sum_b k_b^2 per column, are no more than the
-        P sum_b r_b^2 of the output, or one column's."""
+        The pre-W_b entries of the blocks are their upper triangles, the
+        rows of T y (:attr:`class_map`), each block's square read from its
+        triangle, or, without generators and ``classes``, X = y[cell_class]
+        itself; then each group takes its W_b as one batch.  One X reads
+        every row at once.  Several read group by group, a chunk of columns
+        at a time, so that the entries held at once, k_b^2 per block and
+        column, are no more than the P sum_b r_b^2 of the output, or one
+        column's."""
         lead = values.shape[1:]            # () for one X, else (P,)
         # each size's last group ends its stack
         ends = {r: at.stop for *_, r, at in self.stacks}
         out = {r: np.empty(lead + (n, r, r)) for r, n in ends.items()}
         P = lead[0] if lead else 1
-        step = max(1, P * sum(r * r for r in self.sizes) // self.stacks[-1][1].stop)
         T = None if self.sums is None and classes is None else (
-            self.class_map if classes is None else self.class_map[:, classes])
-        for j in range(0, P, step):
-            y = values[:, j:j + step] if lead else values
-            # np.take gathers through the int32 classes without a cast
-            E = np.take(y, self.cell_class.reshape(-1), axis=0) if T is None else T @ y
-            for blocks, rows, k, W, r, at in self.stacks:
-                # a copy, contiguous for BLAS, when E has columns
-                G = E[rows].T.reshape(E.shape[1:] + (len(blocks), k, k))
+            self.class_map if classes is None else self.class_map.columns(classes))
+        whole = None if lead or T is None else T.dot(values)
+        budget = P * sum(r * r for r in self.sizes)
+        for blocks, rows, k, W, r, at in self.stacks:
+            step = max(1, budget // max(1, len(blocks) * k * k))
+            for j in range(0, P, step):
+                y = values[:, j:j + step] if lead else values
+                if T is None:
+                    # the one block, Q = I: X itself, which np.take gathers
+                    # through the int32 classes without a cast
+                    G = np.moveaxis(np.take(y, self.cell_class, axis=0),
+                                    (0, 1), (-2, -1))[..., None, :, :]
+                else:
+                    E = whole[rows] if whole is not None else T.dot(y, rows).T
+                    G = np.take(E.reshape(E.shape[:-1] + (len(blocks), -1)),
+                                self._squares[k], axis=-1).reshape(
+                                    E.shape[:-1] + (len(blocks), k, k))
                 if W is not None:
+                    # W' G W rounds off symmetric
                     G = np.swapaxes(W, 1, 2) @ G @ W
-                # T y and W' G W round off symmetric; X = y[cell_class] is symmetric
-                (out[r][j:j + step, at] if lead else out[r][at])[...] = (
-                    G if T is None and W is None else (G + np.swapaxes(G, -1, -2)) / 2)
+                    G = (G + np.swapaxes(G, -1, -2)) / 2
+                (out[r][j:j + step, at] if lead else out[r][at])[...] = G
         return list(out.values())
 
 
@@ -428,6 +550,9 @@ class MomentProblem:
     # known mask and the rows' classes, bounds and coefficients.  Each plan
     # holds the interlacing bound's choice of words, the rows it leaves
     # over the free classes and their one factorisation.
+    # One more, ``factor_classes``, holds the class triples of the factor
+    # families with the tuples they were read from, and is built anew for
+    # other tuples (``factor_class_triples``).
     # ``netnpa.symmetry`` keeps the flips' index permutations and one
     # restricted problem per stabiliser, which read only the index, the
     # classes and the check products, which ``build_inflation`` sets on
@@ -455,6 +580,20 @@ class MomentProblem:
         return copy
 
     @property
+    def factor_class_triples(self) -> np.ndarray:
+        """The :func:`factor_classes` of the factor pairs and triples,
+        built once per pair of factor tuples and kept with the problem's
+        structures: every copy that keeps both tuples, as every pin and
+        linearization does, reads the one array, and a copy with other
+        tuples builds its own in its place."""
+        families = (self.factor_pairs, self.factor_triples)
+        kept = self._structures.get("factor_classes")
+        if kept is None or kept[0] is not families[0] or kept[1] is not families[1]:
+            kept = self._structures["factor_classes"] = (
+                *families, factor_classes(families[0] + families[1]))
+        return kept[2]
+
+    @property
     def linearized(self) -> bool:
         """Whether this problem holds the linearization of its factor
         families (``factorisation.pin_linearize``): linear factor rows or
@@ -464,7 +603,9 @@ class MomentProblem:
     def pinned_values(self) -> np.ndarray:
         """The value of every class: its pinned value, NaN where none."""
         values = np.full(self.n_classes, np.nan)
-        values[list(self.pinned)] = list(self.pinned.values())
+        k = len(self.pinned)
+        values[np.fromiter(self.pinned, np.intp, k)] = np.fromiter(
+            self.pinned.values(), float, k)
         return values
 
     @_structure
@@ -1213,7 +1354,7 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
     blocks = []
     for cols, chi in zip(index.columns,
                          itertools.product((1.0, -1.0), repeat=len(perms))):
-        Q = index.sums[cols].T.toarray() if perms else np.eye(problem.dim)
+        Q = index.sums.rows(cols).dense().T if perms else np.eye(problem.dim)
         W = _relation_complement(relations, Q)
         if W.shape[1]:
             # no relation meets the block: Q_b is a basis of its part
@@ -1227,8 +1368,10 @@ def _copy_blocks(problem: MomentProblem) -> CopyBlocks:
                 raise RuntimeError(f"the {name} does not map the column "
                                    "relations onto themselves")
         tol = problem.dim * np.finfo(float).eps
-        U = [index.sums[cols].T.toarray() if W is None else index.sums[cols].T @ W
-             for cols, W, _ in blocks]
+        U = []
+        for cols, W, _ in blocks:
+            Q = index.sums.rows(cols).dense().T
+            U.append(Q if W is None else Q @ W)
         for Ub, (_, _, chi) in zip(U, blocks):
             for pi, sign in zip(perms, chi):
                 if np.abs(Ub[pi] - sign * Ub).max(initial=0.0) > tol:
@@ -1285,8 +1428,6 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     n = problem.dim
     if not perms:
         return CopyBlocks(None, (slice(0, n),), (None,), problem.cell_class)
-    import scipy.sparse
-
     # the least word of every orbit and the orbit sizes: the generators
     # commute, so one pass over them takes the minimum over the group
     least = np.arange(n)
@@ -1298,7 +1439,7 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
     elements = [(np.arange(n), ())]
     for s, pi in enumerate(perms):
         elements += [(pi[g], swaps + (s,)) for g, swaps in elements]
-    sums = []
+    data, words, counts = [], [], []
     for chi in itertools.product((1.0, -1.0), repeat=len(perms)):
         U = np.zeros((n, len(rows)))
         for g, swaps in elements:
@@ -1308,14 +1449,19 @@ def _index_blocks(problem: MomentProblem) -> CopyBlocks:
         # the square root since |G|/|O| is a power of two, and keep each
         # orbit sum as one sparse row, its words ascending
         size = weights[keep]
-        sums.append(scipy.sparse.csr_matrix(
-            (U[:, keep] * (size / len(elements) / np.sqrt(size))).T))
-    bounds = np.cumsum([0] + [Q.shape[0] for Q in sums])
+        Q = (U[:, keep] * (size / len(elements) / np.sqrt(size))).T
+        at, word_at = np.nonzero(Q)
+        data.append(Q[at, word_at])
+        words.append(word_at)
+        counts.append(np.bincount(at, minlength=len(Q)))
+    bounds = np.cumsum([0] + [len(c) for c in counts])
     if bounds[-1] != n:
         raise RuntimeError("the orbit sums do not span the index")
-    return CopyBlocks(scipy.sparse.vstack(sums, format="csr"),
-                      tuple(slice(int(a), int(e)) for a, e in zip(bounds, bounds[1:])),
-                      (None,) * len(sums), problem.cell_class)
+    return CopyBlocks(
+        SparseRows(np.concatenate(data), np.concatenate(words), np.concatenate(
+            [np.zeros(1, np.intp), np.cumsum(np.concatenate(counts))]), (n, n)),
+        tuple(slice(int(a), int(e)) for a, e in zip(bounds, bounds[1:])),
+        (None,) * len(counts), problem.cell_class)
 
 
 def build_inflation(scenario: Scenario, n: int, m: int, *,
@@ -1641,8 +1787,7 @@ def class_report(problem: MomentProblem, class_vals: np.ndarray, hankel: float,
     lhs = np.bincount(rows.row, weights=rows.coeffs * class_vals[rows.classes],
                       minlength=len(rows))
     completeness = float(np.abs(lhs - rows.rhs).max(initial=0.0))
-    fact = product_residual(class_vals, factor_classes(
-        problem.factor_pairs + problem.factor_triples))
+    fact = product_residual(class_vals, problem.factor_class_triples)
     ext = product_residual(class_vals, problem.check_products)
     if min_eigenvalue is None:
         min_eigenvalue = least_eigenvalue(problem.index_blocks.congruences(class_vals))

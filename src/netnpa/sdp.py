@@ -18,10 +18,12 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    problem goes straight to ``_verdict``): if the words whose pairwise
    products are all already determined span a principal submatrix with
    min eigenvalue below the infeasibility margin, every completion shares
-   that bound, so the problem is infeasible.  It reads only the values
-   the presolve fixed, so it runs before any factorisation, and its
-   choice of words depends only on which classes are known, so the
-   propagation plan holds it;
+   that bound, so the problem is infeasible.  One Cholesky factor of the
+   submatrix plus the margin times the identity shows it is not, and the
+   eigenvalues are computed only when that factor does not exist.  It
+   reads only the values the presolve fixed, so it runs before any
+   factorisation, and its choice of words depends only on which classes
+   are known, so the propagation plan holds it;
    then, when the pinned table has a non-trivial output-flip stabiliser
    (``symmetry.restrict``: the products of output flips that fix it
    exactly), the rest runs on the problem restricted to it, whose classes
@@ -34,14 +36,15 @@ solver decides feasibility in layers, cheapest and most rigorous first:
 3. the remaining rows R y = b over the free classes.  R does not depend
    on the distribution, only b does, so the propagation plan holds R and
    its one factorisation (``_RowFactor``), each built on first use: a
-   sparse elimination picks pivot rows and columns, and one sparse LU
-   factors R on them in the elimination's order; p = dim ker R is the
-   number of free classes that are not pivots.  Per distribution, one LU
-   solve gives the solution on the pivots (an inconsistent system is an
-   infeasibility proof).  Only a problem the interior point takes (step
-   4) goes on: one thin QR of the kernel basis the pivots give yields an
-   orthonormal basis N of ker R, and the minimum-norm solution y0
-   follows, so the affine set is y = y0 + N z;
+   sparse elimination picks pivot rows and columns, and the multipliers
+   and normalised pivot rows it leaves are the factors L and U of R on
+   them; p = dim ker R is the number of free classes that are not
+   pivots.  Per distribution, one forward and one back substitution, each
+   by levels, give the solution on the pivots (an inconsistent system is
+   an infeasibility proof).  Only a problem the interior point takes
+   (step 4) goes on: one thin QR of the kernel basis that back
+   substitution gives yields an orthonormal basis N of ker R, and the
+   minimum-norm solution y0 follows, so the affine set is y = y0 + N z;
 4. a phase-1 search max t s.t. X - t*1 >= 0 over the affine set, on the
    problem's copy blocks (``MomentProblem.copy_blocks``): orthonormal
    bases U_b of the complement of the column relations, left and right
@@ -64,7 +67,7 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    fill, the witness gate's ``least_eigenvalue`` decomposes and the
    interior point keeps.  The phase-1 start C_b = U_b' X(y0) U_b is one
    read, and the constraint rows are T[:, free] N for the kernel basis
-   N, read a chunk of directions at a time.  A primal-dual interior point
+   N, read block group by block group, a chunk of directions at a time.  A primal-dual interior point
    (``netnpa.interior``) runs in the coordinates z, one block per copy
    block, on constraint rows packed once per problem, stack after stack
    (``_PropagationPlan.phase1_rows``), when (p + 1) sum_b r_b^2 <=
@@ -301,7 +304,8 @@ def parse_sdpa(path: str) -> AffineSdp:
 # ---------------------------------------------------------------------------
 
 def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               n: int) -> list[tuple[int, int]]:
+               n: int) -> tuple[list[tuple[int, int, float]], list[dict[int, float]],
+                                list[tuple[int, int, float]]]:
     """Gaussian elimination of the rows R in n unknowns, R given as flat
     (starts, cols, vals) rows, on one sparse map (column -> coefficient)
     per row.
@@ -311,9 +315,15 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     largest, the one in the fewest remaining rows (threshold pivoting as
     in Duff, Erisman & Reid, *Direct Methods for Sparse Matrices*).  Fill
     below the rank tolerance of R is dropped, so a dependent row ends
-    empty.  Returns the (row, column) pivots in elimination order: R on
-    the pivot rows and columns is square and nonsingular, and its rank is
-    the rank of R.
+    empty.  R on the pivot rows and columns is square and nonsingular,
+    and its rank is the rank of R.
+
+    Returns the factors, step by step in elimination order: the pivots
+    (row, column, pivot value), the normalised pivot rows u_s (column ->
+    coefficient, the pivot column, whose coefficient is 1, left out) and
+    the multipliers (row, step s, f), one for each row that step s
+    subtracted f u_s from.  So pivot row i_t of R is d_t u_t + sum_{s<t}
+    f_{i_t,s} u_s for its pivot value d_t, up to the dropped fill.
     """
     m = len(starts) - 1
     drop = float(np.abs(vals).max(initial=0.0)) * max(m, n) * np.finfo(float).eps
@@ -326,7 +336,7 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     heap = [(len(r), i) for i, r in enumerate(rows)]
     heapq.heapify(heap)
     done = [False] * m
-    pivots = []
+    pivots, upper, multipliers = [], [], []
     while heap:
         nnz, i = heapq.heappop(heap)
         row = rows[i]
@@ -342,9 +352,11 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                 key=lambda c: (len(col_rows[c]), c))
         scale = row.pop(j)
         row = {c: v / scale for c, v in row.items()}
+        step = len(pivots)
         for k in col_rows.pop(j):
             rk = rows[k]
             f = rk.pop(j)
+            multipliers.append((k, step, f))
             for c, v in row.items():
                 new = rk.get(c, 0.0) - f * v
                 if abs(new) > drop:
@@ -355,21 +367,80 @@ def _eliminate(starts: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                     del rk[c]
                     col_rows[c].discard(k)
             heapq.heappush(heap, (len(rk), k))
-        pivots.append((i, j))
-    return pivots
+        pivots.append((i, j, scale))
+        upper.append(row)
+    return pivots, upper, multipliers
+
+
+class _Substitution:
+    """A sparse triangular solve by levels (Anderson and Saad, "Solving
+    sparse triangular linear systems on parallel computers", 1989).
+
+    Row t sets x[targets[t]] = r_t - sum_e v_e x[src_e] over its entries
+    e, reading x where earlier rows set it or where the caller set it
+    beforehand.  A row is of level 0 when it reads nothing another row
+    sets, else one more than the highest level among the rows it reads,
+    so the rows of one level read only earlier levels and are solved
+    together: one gather and one segment sum per level, for one right-hand
+    side or for a column of them each."""
+
+    def __init__(self, targets: np.ndarray, row: np.ndarray, src: np.ndarray,
+                 val: np.ndarray, n: int):
+        order = np.argsort(row, kind="stable")
+        row, src, val = row[order], src[order], val[order]
+        writer = np.full(n, -1, dtype=np.intp)
+        writer[targets] = np.arange(len(targets))
+        reads = writer[src]
+        dep = reads >= 0
+        level = np.zeros(len(targets), dtype=np.intp)
+        while True:
+            new = np.zeros_like(level)
+            np.maximum.at(new, row[dep], level[reads[dep]] + 1)
+            if np.array_equal(new, level):
+                break
+            level = new
+        self.levels = []
+        for lev in range(int(level.max(initial=-1)) + 1):
+            rows = np.flatnonzero(level == lev)
+            ents = np.flatnonzero(level[row] == lev)
+            seg = np.searchsorted(rows, row[ents])
+            counts = np.bincount(seg, minlength=len(rows))
+            filled = np.flatnonzero(counts)
+            # where each filled row's entries open, for the segment sums of
+            # several right-hand sides
+            opens = np.cumsum(counts[filled]) - counts[filled]
+            self.levels.append((rows, targets[rows], src[ents], val[ents], seg,
+                                filled, opens))
+
+    def run(self, x: np.ndarray, rhs: np.ndarray | None) -> np.ndarray:
+        """Solve into x, (n,) or (n, P), for the rows' right-hand sides
+        ``rhs`` (None: zero); returns x."""
+        for rows, targets, src, val, seg, filled, opens in self.levels:
+            acc = (np.zeros((len(rows),) + x.shape[1:]) if rhs is None
+                   else rhs[rows])
+            if len(src):
+                if x.ndim == 1:
+                    acc = acc - np.bincount(seg, weights=val * x[src],
+                                            minlength=len(rows))
+                else:
+                    acc[filled] -= np.add.reduceat(val[:, None] * x[src], opens)
+            x[targets] = acc
+        return x
 
 
 class _RowFactor:
     """The part of the affine layer that does not depend on the rhs: for
-    reduced rows R in n unknowns, the pivots of :func:`_eliminate`, one
-    sparse LU of R on the pivot rows and columns, and p = dim ker R, the
-    number of columns that are not pivots.  The LU takes the pivot columns
-    in the elimination's order (``permc_spec="NATURAL"``), so the
-    elimination makes the only ordering decision.  Only the interior point
-    reads ``N``, an orthonormal basis of ker R, and the constraint rows
-    built from it (:meth:`_PropagationPlan.phase1_rows`), so both are
-    built on first read: a problem over the gate (:class:`EngineRoute`)
-    never forms them.
+    reduced rows R in n unknowns, the factors :func:`_eliminate` leaves,
+    and p = dim ker R, the number of columns that are not pivots.  R on
+    the pivot rows is D L U, with D the pivot values, L unit lower
+    triangular in the elimination's order, holding the multipliers over
+    the pivot values below its diagonal, and U the normalised pivot rows,
+    unit upper triangular on the pivot columns in that order.  Both
+    triangular solves run by levels (:class:`_Substitution`).  Only the
+    interior point reads ``N``, an orthonormal basis of ker R, and the
+    constraint rows built from it (:meth:`_PropagationPlan.phase1_rows`),
+    so both are built on first read: a problem over the gate
+    (:class:`EngineRoute`) never forms them.
 
     Every distribution pinned on one problem leaves the same R, so the
     propagation plan that holds R holds its one factorisation
@@ -377,44 +448,48 @@ class _RowFactor:
     """
 
     def __init__(self, R: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
-        import scipy.sparse.linalg
-
         self.R, self.n = R, n
-        starts, cols, vals = R
-        pivots = np.array(_eliminate(starts, cols, vals, n),
-                          dtype=np.intp).reshape(-1, 2)
-        self.pivot_rows, self.pivot_cols = pivots.T
+        pivots, upper, multipliers = _eliminate(*R, n)
+        steps = len(pivots)
+        self.pivot_rows = np.fromiter((i for i, _, _ in pivots), np.intp, steps)
+        self.pivot_cols = np.fromiter((j for _, j, _ in pivots), np.intp, steps)
+        self.pivot_values = np.fromiter((d for _, _, d in pivots), float, steps)
         self.rest = np.setdiff1d(np.arange(n), self.pivot_cols)
         self.p = len(self.rest)
-        self.lu = scipy.sparse.linalg.splu(
-            self._on_pivots()[:, self.pivot_cols].tocsc(), permc_spec="NATURAL")
-
-    def _on_pivots(self):
-        """R on the pivot rows, as a sparse matrix."""
-        import scipy.sparse
-
-        starts, cols, vals = self.R
-        return scipy.sparse.csr_matrix(
-            (vals, cols, starts),
-            shape=(len(starts) - 1, self.n))[self.pivot_rows]
+        # U: step t sets y at its pivot column from the columns of u_t
+        sizes = [len(u) for u in upper]
+        total = sum(sizes)
+        self._upper = _Substitution(
+            self.pivot_cols, np.repeat(np.arange(steps), sizes),
+            np.fromiter((c for u in upper for c in u), np.intp, total),
+            np.fromiter((v for u in upper for v in u.values()), float, total), n)
+        # L: the multipliers of the rows that became pivots, by their step,
+        # over their pivot values
+        step_of = np.full(len(R[0]) - 1, -1, dtype=np.intp)
+        step_of[self.pivot_rows] = np.arange(steps)
+        k = len(multipliers)
+        at = step_of[np.fromiter((r for r, _, _ in multipliers), np.intp, k)]
+        read = np.fromiter((s for _, s, _ in multipliers), np.intp, k)
+        f = np.fromiter((f for _, _, f in multipliers), float, k)
+        keep = at >= 0
+        self._lower = _Substitution(np.arange(steps), at[keep], read[keep],
+                                    f[keep] / self.pivot_values[at[keep]], steps)
 
     @functools.cached_property
     def N(self) -> np.ndarray:
         """An orthonormal basis of ker R: the thin QR of the kernel basis K
-        with identity rows on the columns that are not pivots; R K = 0 on
-        the pivot rows, hence on every row."""
+        with identity rows on the columns that are not pivots and U K = 0,
+        so R K = D L U K = 0 on the pivot rows, hence on every row."""
         K = np.zeros((self.n, self.p))
         K[self.rest, np.arange(self.p)] = 1.0
-        K[self.pivot_cols] = -self.lu.solve(
-            self._on_pivots()[:, self.rest].toarray())
-        return np.linalg.qr(K)[0]
+        return np.linalg.qr(self._upper.run(K, None))[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution of R y = b on the pivot rows that is zero off the
         pivot columns."""
-        y = np.zeros(self.n)
-        y[self.pivot_cols] = self.lu.solve(b[self.pivot_rows])
-        return y
+        w = self._lower.run(np.empty(len(self.pivot_cols)),
+                            b[self.pivot_rows] / self.pivot_values)
+        return self._upper.run(np.zeros(self.n), w)
 
 
 class _PropagationPlan:
@@ -696,8 +771,9 @@ class _ClassSystem:
         the propagation plan holds them (:attr:`_PropagationPlan.R` and
         :attr:`_PropagationPlan.factor`), each built on first use, and
         every distribution that replays the plan reads them; per call, only
-        b is formed.  One LU solve gives the solution on the pivots, and
-        the system is consistent when it satisfies every row of R y = b.
+        b is formed.  One solve with the elimination's factors gives the
+        solution on the pivots, and the system is consistent when it
+        satisfies every row of R y = b.
         The minimum-norm solution ``y0`` and the kernel basis ``N`` are
         built on first read.
         """
@@ -725,9 +801,13 @@ class _ClassSystem:
 
     # -- interlacing bound -----------------------------------------------------
 
-    def known_submatrix_bound(self) -> tuple[float | None, list[int]]:
+    def known_submatrix_bound(self, margin: float | None = None
+                              ) -> tuple[float | None, list[int]]:
         """Min eigenvalue of the largest greedy principal submatrix whose
         entries are all determined; an upper bound on the phase-1 value.
+        With ``margin``, the eigenvalue is computed only when it can be
+        below -margin: a submatrix S for which S + margin*I has a Cholesky
+        factor has every eigenvalue above -margin, and its bound is None.
 
         The words depend only on which classes are known, so the choice
         is made once per propagation plan
@@ -735,9 +815,18 @@ class _ClassSystem:
         chosen, classes = self.plan.interlacing
         if not chosen:
             return None, []
-        sub = self.known[classes]
-        return (float(np.linalg.eigvalsh((sub + sub.T) / 2).min()),
-                list(chosen))
+        # every class is symmetric, so the submatrix is; np.take gathers
+        # through the int32 classes without a cast
+        sub = np.take(self.known, classes)
+        if margin is not None:
+            shifted = sub.copy()
+            shifted.flat[::len(sub) + 1] += margin
+            try:
+                np.linalg.cholesky(shifted)
+                return None, list(chosen)
+            except np.linalg.LinAlgError:
+                pass
+        return float(np.linalg.eigvalsh(sub).min()), list(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +1005,7 @@ def solve_feasibility(problem: MomentProblem,
         return outcome
     # the bound needs only the known values, so it runs before any
     # factorisation of the remaining rows
-    bound, chosen = cs.known_submatrix_bound()
+    bound, chosen = cs.known_submatrix_bound(infeasibility_margin)
     if bound is not None and bound < -infeasibility_margin:
         return FeasibilityOutcome(
             "infeasible", t_star=bound,

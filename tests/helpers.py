@@ -866,12 +866,19 @@ def gram_range(cs) -> np.ndarray:
 
 def dense_bases(blocks) -> list[np.ndarray]:
     """The bases U_b = Q_b W_b, (dim, r_b), of a ``moment.CopyBlocks``
-    formed dense from its sparse orbit sums (Q = I where it holds none,
-    W_b = I where it holds none)."""
+    formed dense from the flat arrays of its sparse orbit sums, one entry
+    at a time (Q = I where it holds none, W_b = I where it holds none)."""
+    dim = len(blocks.cell_class)
     bases = []
     for cols, W in zip(blocks.columns, blocks.complements):
-        Q = (np.eye(len(blocks.cell_class)) if blocks.sums is None
-             else blocks.sums[cols].T.toarray())
+        if blocks.sums is None:
+            Q = np.eye(dim)
+        else:
+            sums = blocks.sums
+            Q = np.zeros((dim, cols.stop - cols.start))
+            for c in range(cols.start, cols.stop):
+                for e in range(sums.indptr[c], sums.indptr[c + 1]):
+                    Q[sums.indices[e], c - cols.start] = sums.data[e]
         bases.append(Q if W is None else Q @ W)
     return bases
 
@@ -986,7 +993,7 @@ def dense_solve_lmi(C: np.ndarray, A: np.ndarray, b: np.ndarray,
         T = (Ls_inv @ A @ Lx).reshape(m, r * r)
         M = T @ T.T
         # the least shift eps*max(diag M)*10^k (k <= 7), if any, that
-        # factors M, as interior._shifted_cholesky
+        # factors M, as interior._shifted
         top, shift = float(M.diagonal().max()), 0.0
         while True:
             try:

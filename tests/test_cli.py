@@ -24,6 +24,7 @@ from netnpa.moment import (
     oracle_assignment,
 )
 from netnpa.scenarios import (
+    Distribution,
     MomentOracle,
     Scenario,
     born_eval,
@@ -532,28 +533,64 @@ def test_a_closed_stdout_pipe_ends_the_report_quietly():
     assert err == b""
 
 
+_CHSH_MAXIMUM = """
+import numpy as np
+from netnpa import moment, sdp
+from netnpa.scenarios import Scenario
+from netnpa.words import EMPTY_WORD, Letter, concat, word
+p = moment.build_standard(Scenario('bell3', (2, 2, 1), (2, 2, 1)), 2)
+objective = {}
+for x, y, a, b in np.ndindex(2, 2, 2, 2):
+    cls = p.class_of_cell(EMPTY_WORD, concat(word([Letter('measurement', 'A', a, x)]),
+                                             word([Letter('measurement', 'B', b, y)])))
+    objective[cls] = objective.get(cls, 0.0) + (-1.0) ** (a + b + x * y)
+value, _ = sdp.maximize_linear(p, objective)
+assert abs(value - 2 * np.sqrt(2)) < 1e-6, value
+"""
+
+
 def test_a_presolve_verdict_loads_no_scipy(tmp_path):
-    # scipy is imported by the engines and the factorisation, on first use;
-    # a fully determined verdict's gate reads the one block, Q = I, of a
-    # problem without generators without it
+    # every verdict runs on numpy alone: each run below is made in a
+    # process in which importing scipy fails
     born = str(tmp_path / "born.txt")
     write_distribution(born_eval(random_strategy(
         Scenario("bilocal", (2, 2, 2), (1, 1, 1)), (2, 2, 2, 2), 0)), born)
+    # the Born table of the console script's interior-point accept
+    s3 = str(tmp_path / "s3")
+    assert run(["sample", "--scenario", "bilocal", "--hierarchy", "standard",
+                "--n", "2", "--seed", "3", "--out", s3])[0] == EXIT_FEASIBLE
+    # the noisy PR box at v = 0.725, outside the quantum set
+    pr_box = str(tmp_path / "pr.txt")
+    table = np.zeros((2, 2, 1, 2, 2, 1))
+    for a, b, x, y in np.ndindex(2, 2, 2, 2):
+        table[a, b, 0, x, y, 0] = 0.725 * 0.5 * ((a ^ b) == (x & y)) + 0.275 / 4
+    write_distribution(Distribution(Scenario("bell3", (2, 2, 1), (2, 2, 1)), table),
+                       pr_box)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for args, evidence in [
-            (["factorisation", "--n", "2", "shared_random_bit"],
-             "evidence: violated factorisation"),
-            (["standard", "--n", "3", born],
-             "evidence: fully determined by the linear constraints")]:
-        script = (
-            "import sys\n"
-            "from netnpa.cli import run\n"
-            f"code, report = run(['test', '--scenario', 'bilocal', '--hierarchy', "
-            f"*{args!r}])\n"
-            f"assert {evidence!r} in report, report\n"
-            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+    runs = [
+        (["--scenario", "bilocal", "--hierarchy", "factorisation", "--n", "2",
+          "shared_random_bit"], ["evidence: violated factorisation"]),
+        (["--scenario", "bilocal", "--hierarchy", "standard", "--n", "3", born],
+         ["evidence: fully determined by the linear constraints"]),
+        # an interior-point accept after one iteration
+        (["--scenario", "bilocal", "--hierarchy", "inflation", "--n", "2", "--m", "2",
+          s3 + ".dist"], ["evidence: interior point witness", "iterations: 1"]),
+        # the restricted problem's phase-1 start is the witness
+        (["--scenario", "triangle", "--hierarchy", "inflation", "--n", "2", "--m", "2",
+          "uniform_product"], ["restricted p = 69", "iterations: 0"]),
+        # an interior-point reject
+        (["--hierarchy", "standard", "--n", "2", pr_box],
+         ["verdict: INFEASIBLE", "(interior point)"]),
+    ]
+    scripts = [
+        "from netnpa.cli import run\n"
+        f"code, report = run(['test', *{args!r}])\n"
+        + "".join(f"assert {text!r} in report, report\n" for text in texts)
+        for args, texts in runs] + [_CHSH_MAXIMUM]
+    for script in scripts:
+        blocked = "import sys\nsys.modules['scipy'] = None\n" + script
+        done = subprocess.run([sys.executable, "-c", blocked], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 

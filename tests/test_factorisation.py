@@ -1,9 +1,12 @@
 """Pinned linearization, the frozen-scalar solve, and the exact verifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from netnpa import factorisation as F
+from netnpa import moment
 from netnpa.moment import (
     MomentAssignment,
     build_factorisation_bilocal,
@@ -248,3 +251,27 @@ def test_star_triple_equals_pairwise_times_third():
         lhs = vals[fc.cls_prod]
         rhs = vals[fc.cls_row] * vals[fc.cls_col]
         assert abs(lhs - rhs) < 1e-9
+
+
+def test_factor_class_triples_are_read_once_per_factor_tuple(monkeypatch):
+    base = dataclasses.replace(cached_problem("factorisation", *BILOCAL_111, 3))
+    calls = []
+    factor_classes = moment.factor_classes
+
+    def counted(constraints):
+        calls.append(len(constraints))
+        return factor_classes(constraints)
+
+    monkeypatch.setattr(moment, "factor_classes", counted)
+    for seed in range(20):
+        born = MomentOracle(random_strategy(BILOCAL, (2, 2, 2, 2), seed)).born()
+        lp = F.pin_linearize(pin_distribution(base, born))
+        out = solve_feasibility(lp)
+        assert out.verdict == "feasible"
+        assert F.verify_factorisation(MomentAssignment(lp, out.witness)) <= 1e-6
+    # every pin and linearization keeps the factor tuples: one read for all
+    assert calls == [len(base.factor_pairs) + len(base.factor_triples)]
+    # a copy with other tuples reads its own
+    fewer = base.derive(factor_pairs=base.factor_pairs[1:])
+    assert len(fewer.factor_class_triples) == len(base.factor_pairs) - 1
+    assert len(calls) == 2

@@ -722,22 +722,29 @@ def test_stacked_blocks_match_the_dense_solve_in_any_order():
         assert abs(permuted.primal_obj - res.primal_obj) <= 1e-8
 
 
-def test_small_blocks_are_factored_as_lapack_factors_them():
-    from scipy.linalg import lapack
+def test_every_block_size_is_factored_by_one_numpy_call(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
 
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
     rng = np.random.default_rng(7)
-    for k in (1, 2):
+    for k in (1, 2, 9):
         M = rng.standard_normal((6, k, k))
         stack = M @ M.transpose(0, 2, 1) + 1e-3 * np.eye(k)
-        [(L, L_inv)] = interior._cholesky([stack], lapack)
-        for S, Lb, Lb_inv in zip(stack, L, L_inv):
-            F, _ = lapack.dpotrf(S, lower=1)
-            F_inv, _ = lapack.dtrtri(F, lower=1)
-            # every block size takes the same LAPACK calls
-            assert np.array_equal(Lb, F) and np.array_equal(Lb_inv, F_inv)
+        calls.clear()
+        [(L, L_inv)] = interior._cholesky([stack])
+        # every block size takes the same call, once for its whole stack
+        assert calls == [(6, k, k)]
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.transpose(0, 2, 1) - stack).max() <= 1e-12 * np.abs(stack).max()
+        assert np.abs(L @ L_inv - np.eye(k)).max() <= 1e-12
         # one matrix that is not positive definite refuses the stack
-        stack[3] = -stack[3] if k == 1 else np.diag([1.0, -1.0])
-        assert interior._cholesky([stack], lapack) is None
+        stack[3] = np.diag([1.0, -1.0, *[1.0] * (k - 2)]) if k > 1 else -stack[3]
+        assert interior._cholesky([stack]) is None
 
 
 def test_a_start_outside_the_dual_cone_is_refused():
@@ -1515,9 +1522,13 @@ def test_the_plan_owns_one_factorisation_in_the_elimination_order(monkeypatch):
     for name in CACHE_CASES:
         cs = _ClassSystem(_cache_problems(name)[1])
         assert cs.factor_rows() == (True, "")
-        # the LU keeps the elimination's column order
-        lu = cs.plan.factor.lu
-        assert np.array_equal(lu.perm_c, np.arange(lu.shape[1]))
+        # the plan's one factorisation is the elimination's own: its
+        # pivots, in its order, with their pivot values
+        factor = cs.plan.factor
+        pivots, _, _ = sdp._eliminate(*cs.plan.R, len(cs.plan.free))
+        for got, want in zip((factor.pivot_rows, factor.pivot_cols, factor.pivot_values),
+                             zip(*pivots)):
+            assert np.array_equal(got, want)
         starts, cols, vals = cs.plan.R
         m = len(cs.b)
         resid = np.bincount(np.repeat(np.arange(m), np.diff(starts)),
