@@ -18,12 +18,10 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    problem goes straight to ``_verdict``): if the words whose pairwise
    products are all already determined span a principal submatrix with
    min eigenvalue below the infeasibility margin, every completion shares
-   that bound, so the problem is infeasible.  One Cholesky factor of the
-   submatrix plus the margin times the identity shows it is not, and the
-   eigenvalues are computed only when that factor does not exist.  It
-   reads only the values the presolve fixed, so it runs before any
-   factorisation, and its choice of words depends only on which classes
-   are known, so the propagation plan holds it;
+   that bound, so the problem is infeasible.  It reads only the values
+   the presolve fixed, so it runs before any factorisation, and its
+   choice of words depends only on which classes are known, so the
+   propagation plan holds it;
    then, when the pinned table has a non-trivial output-flip stabiliser
    (``symmetry.restrict``: the products of output flips that fix it
    exactly), the rest runs on the problem restricted to it, whose classes
@@ -67,9 +65,10 @@ solver decides feasibility in layers, cheapest and most rigorous first:
    fill, the witness gate's ``least_eigenvalue`` decomposes and the
    interior point keeps.  The phase-1 start C_b = U_b' X(y0) U_b is one
    read, and the constraint rows are T[:, free] N for the kernel basis
-   N, read block group by block group, a chunk of directions at a time.  A primal-dual interior point
-   (``netnpa.interior``) runs in the coordinates z, one block per copy
-   block, on constraint rows packed once per problem, stack after stack
+   N, read block group by block group, a chunk of directions at a time.
+   A primal-dual interior point (``netnpa.interior``) runs in the
+   coordinates z, one block per copy block, on constraint rows packed
+   once per problem, stack after stack
    (``_PropagationPlan.phase1_rows``), when (p + 1) sum_b r_b^2 <=
    ``INTERIOR_MAX_ENTRIES`` for block sizes r_b and p = dim ker R
    (:class:`EngineRoute`).  A larger problem is inconclusive at once, with
@@ -801,13 +800,9 @@ class _ClassSystem:
 
     # -- interlacing bound -----------------------------------------------------
 
-    def known_submatrix_bound(self, margin: float | None = None
-                              ) -> tuple[float | None, list[int]]:
+    def known_submatrix_bound(self) -> tuple[float | None, list[int]]:
         """Min eigenvalue of the largest greedy principal submatrix whose
         entries are all determined; an upper bound on the phase-1 value.
-        With ``margin``, the eigenvalue is computed only when it can be
-        below -margin: a submatrix S for which S + margin*I has a Cholesky
-        factor has every eigenvalue above -margin, and its bound is None.
 
         The words depend only on which classes are known, so the choice
         is made once per propagation plan
@@ -818,14 +813,6 @@ class _ClassSystem:
         # every class is symmetric, so the submatrix is; np.take gathers
         # through the int32 classes without a cast
         sub = np.take(self.known, classes)
-        if margin is not None:
-            shifted = sub.copy()
-            shifted.flat[::len(sub) + 1] += margin
-            try:
-                np.linalg.cholesky(shifted)
-                return None, list(chosen)
-            except np.linalg.LinAlgError:
-                pass
         return float(np.linalg.eigvalsh(sub).min()), list(chosen)
 
 
@@ -1005,7 +992,7 @@ def solve_feasibility(problem: MomentProblem,
         return outcome
     # the bound needs only the known values, so it runs before any
     # factorisation of the remaining rows
-    bound, chosen = cs.known_submatrix_bound(infeasibility_margin)
+    bound, chosen = cs.known_submatrix_bound()
     if bound is not None and bound < -infeasibility_margin:
         return FeasibilityOutcome(
             "infeasible", t_star=bound,

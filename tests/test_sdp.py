@@ -26,6 +26,7 @@ from netnpa.scenarios import (
     shared_random_bit,
 )
 from netnpa.sdp import (
+    DEFAULT_MARGIN,
     DEFAULT_TOL,
     LINEAR_TOL,
     AffineSdp,
@@ -1265,6 +1266,26 @@ def test_interlacing_bound_runs_before_any_factorisation(monkeypatch):
     out = solve_feasibility(p)
     assert out.verdict == "infeasible"
     assert "interlacing" in out.evidence
+
+
+def test_interlacing_bound_is_the_least_eigenvalue_of_the_known_submatrix():
+    """The submatrix gathered through the class indices is symmetric bit
+    for bit, so the bound is its least eigenvalue as eigvalsh gives it,
+    below -margin on a reject and above it on a realisable table."""
+    reject = _ClassSystem(pin_distribution(
+        cached_problem("inflation", *TRIANGLE_111, 2, 2),
+        shared_random_bit("triangle")))
+    accept = _ClassSystem(pin_distribution(
+        dataclasses.replace(cached_problem("inflation", *BILOCAL_111, 2, 2)),
+        _born(0)))
+    least = {}
+    for name, cs in (("reject", reject), ("accept", accept)):
+        chosen, classes = cs.plan.interlacing
+        sub = cs.known[classes]
+        assert len(chosen) > 1 and np.array_equal(sub, sub.T)
+        least[name] = float(np.linalg.eigvalsh(sub).min())
+        assert cs.known_submatrix_bound() == (least[name], list(chosen))
+    assert least["reject"] < -DEFAULT_MARGIN < least["accept"]
 
 
 @pytest.mark.parametrize("hierarchy", ["standard", "factorisation"])
